@@ -5,8 +5,7 @@ ideal; elements are stored as normal forms, so equality is plain comparison.
 Ideal and radical membership in the quotient come with explicit cofactor
 certificates where consumers need them.  Localizations A_f are presented as
 A[y]/(f*y - 1) and carry the canonical map A -> A_f; towers of localizations
-and their common refinements support comparing maps that land in different
-localizations of the same ring.
+present iterated localizations of one base ring.
 """
 
 from __future__ import annotations
@@ -432,19 +431,6 @@ def morphism(
     return phi
 
 
-def check_morphism(phi: AlgebraMorphism) -> bool:
-    return phi.is_valid()
-
-
-def compose(phi: AlgebraMorphism, psi: AlgebraMorphism) -> AlgebraMorphism:
-    """Apply ``phi`` first, then ``psi``."""
-    return phi.then(psi)
-
-
-def morphism_equal(phi: AlgebraMorphism, psi: AlgebraMorphism) -> bool:
-    return phi == psi
-
-
 def enumerate_homs(
     source: PresentedAlgebra, target: PresentedAlgebra
 ) -> List[AlgebraMorphism]:
@@ -614,28 +600,6 @@ class LocTower:
 
 def tower(base: PresentedAlgebra) -> LocTower:
     return LocTower(base)
-
-
-def common_refinement(
-    t1: LocTower, t2: LocTower
-) -> Tuple[LocTower, AlgebraMorphism, AlgebraMorphism]:
-    """A tower refining both, with the two maps from their tops into it."""
-    if t1.base != t2.base:
-        raise ValueError("towers over different bases")
-    t = t1
-    for d in t2.denominators:
-        t = t.extend(d)
-    top = t.top
-    m1 = AlgebraMorphism(
-        t1.top, top, [top.var_named(nm) for nm in t1.top.ring.names]
-    ).check_valid()
-    images2 = [top.var_named(nm) for nm in t2.base.ring.names]
-    images2 += [
-        t.inverse_in_top(len(t1.denominators) + j)
-        for j in range(len(t2.denominators))
-    ]
-    m2 = AlgebraMorphism(t2.top, top, images2).check_valid()
-    return t, m1, m2
 
 
 # -- tensor products ------------------------------------------------------------

@@ -29,7 +29,6 @@ from .algebra import (
     make_localization,
 )
 from .funscheme import check_locality, eval_points, functorial
-from .groebner import GroebnerBasis
 from .compare import comparison_check
 from .lattice import ZarElement, basic_open, eq, join, leq, meet
 from .latscheme import (
@@ -307,8 +306,7 @@ def _membership_certificate(
     radical: bool,
 ) -> Optional[Tuple[int, List]]:
     """Cofactors for f**n in the ideal of gens (n = 1 when not radical)."""
-    polys = [g.poly for g in gens] + list(A.relations)
-    gb = GroebnerBasis(A.ring, polys)
+    gb = A._member_gb(tuple(g.poly for g in gens))
     powers = range(1, cap + 1) if radical else range(1, 2)
     acc = A.one
     for n in powers:
@@ -465,7 +463,7 @@ def ideal_member(
         return
     found = _membership_certificate(A, f_el, g_els, cap, radical=False)
     if found is None:
-        gb = GroebnerBasis(A.ring, [g.poly for g in g_els] + list(A.relations))
+        gb = A._member_gb(tuple(g.poly for g in g_els))
         _refute(
             f"not a member: normal form of {f_el} modulo the ideal is "
             f"{gb.normal_form(f_el.poly)}"

@@ -41,6 +41,7 @@ from .funscheme import (
     SchemePoint,
     _reduce_factor,
     eval_points,
+    factor_projection,
     functorial,
     idempotent_atoms,
     map_point,
@@ -63,11 +64,6 @@ def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
     return got
 
 
-def _factor_quotient(B: PresentedAlgebra, e: AlgebraElement) -> AlgebraMorphism:
-    Bt = B.with_relations([(B.one - e).poly])
-    return AlgebraMorphism(B, Bt, [Bt.var(i) for i in range(B.nvars)])
-
-
 # -- points as morphisms (the comparison functor) -----------------------------------
 
 
@@ -87,7 +83,7 @@ def point_morphism(
     def comorphisms(j: int):
         out = []
         for (e, c, phi) in p.factors:
-            quot = _factor_quotient(B, e)
+            quot = factor_projection(B, e)
             Bt = quot.target
             if c == j:
                 piece = e
@@ -146,7 +142,7 @@ def adjunction_flat(
         return SchemePoint(fun, B, ())
     factors = []
     for e in idempotent_atoms(B):
-        quot = _factor_quotient(B, e)
+        quot = factor_projection(B, e)
         Bt = quot.target
         hit = None
         for j in range(X.ncharts):

@@ -1,11 +1,12 @@
 """Schemes as functors of points on finitely presented algebras.
 
-A functorial scheme is either representable (the hom functor of one
-algebra) or glued from chart algebras along the same patch data that
-presents a lattice scheme.  Its points over a finite test algebra B are
+A functorial scheme is the functor of points of chart-and-patch data, the
+same data that presents a lattice scheme; an affine scheme is the case of
+one chart and no patches.  Its points over a finite test algebra B are
 computed exactly: B splits along its atomic idempotents into connected
-factors, and over a connected reduced factor every point lands entirely in
-one chart, canonically the lowest one.  Compact opens of the functor are
+factors, and each factor's points are the chart homs kept at their lowest
+chart.  With several charts the factors must be fields (B reduced) so that
+every point lands entirely in one chart.  Compact opens of the functor are
 compact opens of the underlying chart data and evaluate pointwise to basic
 opens of B; covers, locality (the equalizer condition along a cover of B),
 morphism gluing, and the realization of a compact open as a scheme of its
@@ -43,41 +44,19 @@ from .polynomials import PolyRing, poly_sort_key
 
 
 class NonReducedAlgebraError(ValueError):
-    """Point enumeration over a glued scheme needs a reduced test algebra."""
+    """Multi-chart point enumeration needs a reduced test algebra."""
 
 
 class FunctorialScheme:
     """A scheme presented as a functor of points.
 
-    ``kind`` is "representable" (one algebra, the hom functor) or "glued"
-    (chart-and-patch data).  ``lat`` is the chart presentation both kinds
-    carry; compact opens of the functor live over it.
+    ``lat`` is the chart presentation; points are evaluated chart by chart
+    and compact opens of the functor live over it.
     """
 
-    __slots__ = ("kind", "algebra", "lat")
+    __slots__ = ("lat",)
 
-    def __init__(
-        self,
-        kind: str,
-        algebra: Optional[PresentedAlgebra] = None,
-        data: Optional[GluingData] = None,
-        lat: Optional[LatticeScheme] = None,
-    ):
-        if kind == "representable":
-            if algebra is None:
-                raise ValueError("representable schemes need their algebra")
-            lat = lat if lat is not None else mk_affine(algebra)
-            if lat.ncharts != 1 or lat.charts[0] != algebra:
-                raise ValueError("chart presentation does not match the algebra")
-        elif kind == "glued":
-            if data is None:
-                raise ValueError("glued schemes need gluing data")
-            lat = lat if lat is not None else LatticeScheme(data)
-            algebra = None
-        else:
-            raise ValueError("kind must be 'representable' or 'glued'")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "algebra", algebra)
+    def __init__(self, lat: LatticeScheme):
         object.__setattr__(self, "lat", lat)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -87,25 +66,30 @@ class FunctorialScheme:
     def charts(self) -> Tuple[PresentedAlgebra, ...]:
         return self.lat.charts
 
+    @property
+    def algebra(self) -> Optional[PresentedAlgebra]:
+        """The chart algebra of an affine scheme (one chart, no patches)."""
+        if self.lat.ncharts == 1 and not self.lat.data.patches:
+            return self.lat.charts[0]
+        return None
+
     def __repr__(self):
-        if self.kind == "representable":
+        if self.algebra is not None:
             return f"Sp({self.algebra!r})"
-        return f"FunctorialScheme(glued, {self.lat.ncharts} charts)"
+        return f"FunctorialScheme({self.lat.ncharts} charts)"
 
 
 def representable(A: PresentedAlgebra) -> FunctorialScheme:
-    return FunctorialScheme("representable", algebra=A)
+    return FunctorialScheme(mk_affine(A))
 
 
 def glued(data: GluingData) -> FunctorialScheme:
-    return FunctorialScheme("glued", data=data)
+    return FunctorialScheme(LatticeScheme(data))
 
 
 def functorial(X: LatticeScheme) -> FunctorialScheme:
     """Wrap a chart presentation as a functor of points."""
-    if X.ncharts == 1 and not X.data.patches:
-        return FunctorialScheme("representable", algebra=X.charts[0], lat=X)
-    return FunctorialScheme("glued", data=X.data, lat=X)
+    return FunctorialScheme(X)
 
 
 class SchemePoint:
@@ -151,14 +135,14 @@ class SchemePoint:
         return h
 
     def as_hom(self) -> AlgebraMorphism:
-        """The underlying morphism, for a representable scheme's point.
+        """The underlying morphism, for a point of an affine scheme.
 
         Reassembles the factor morphisms through the idempotent
         decomposition: a(x) is the sum over factors of e * phi_e(x).
         """
-        if self.scheme.kind != "representable":
-            raise ValueError("not a representable point")
         A = self.scheme.algebra
+        if A is None:
+            raise ValueError("not a point of an affine scheme")
         B = self.test_algebra
         if len(self.factors) == 1 and self.factors[0][0] == B.one:
             return self.factors[0][2]
@@ -225,7 +209,15 @@ def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
     """The factor B/(1 - e) of the idempotent decomposition."""
+    if e == B.one:
+        return B
     return B.with_relations([(B.one - e).poly])
+
+
+def factor_projection(B: PresentedAlgebra, e: AlgebraElement) -> AlgebraMorphism:
+    """The projection B -> B/(1 - e) onto the factor of the idempotent e."""
+    Bt = connected_factor(B, e)
+    return AlgebraMorphism(B, Bt, [Bt.var(i) for i in range(B.nvars)])
 
 
 # -- point enumeration -----------------------------------------------------------
@@ -249,39 +241,18 @@ def _chart_candidates(
     return out
 
 
-def _split_along_atoms(
-    B: PresentedAlgebra, phi: AlgebraMorphism
-) -> List[Tuple[AlgebraElement, int, AlgebraMorphism]]:
-    """Canonical factor list of a hom into B: one factor per atom of B."""
-    atoms = idempotent_atoms(B)
-    if atoms == [B.one]:
-        return [(B.one, 0, phi)]
-    factors = []
-    for e in atoms:
-        Bt = connected_factor(B, e)
-        proj = AlgebraMorphism(B, Bt, [Bt.var(i) for i in range(B.nvars)])
-        factors.append((e, 0, phi.then(proj)))
-    return factors
-
-
 def eval_points(X: FunctorialScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     """All points of X over the test algebra B, canonically represented.
 
-    Representable schemes evaluate to their hom sets exactly, split along
-    the atomic idempotents of B.  Glued schemes need B finite and reduced:
-    B splits along atomic idempotents into fields, and each factor's
-    points are the chart homs kept at their lowest chart.
+    B splits along its atomic idempotents, and each factor's points are the
+    chart homs kept at their lowest chart.  One-chart schemes accept any
+    finite B; with several charts B must also be reduced.
     """
     if B.is_trivial():
         return [SchemePoint(X, B, ())]
-    if X.kind == "representable":
-        return [
-            SchemePoint(X, B, _split_along_atoms(B, phi))
-            for phi in enumerate_homs(X.algebra, B)
-        ]
-    if not is_reduced(B):
+    if X.lat.ncharts > 1 and not is_reduced(B):
         raise NonReducedAlgebraError(
-            f"cannot enumerate glued-scheme points over the non-reduced {B!r}"
+            f"cannot enumerate multi-chart points over the non-reduced {B!r}"
         )
     atoms = idempotent_atoms(B)
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
@@ -369,18 +340,15 @@ def map_point(
         raise ValueError("point does not live over the morphism's source")
     if B2.is_trivial():
         return SchemePoint(X, B2, ())
-    if X.kind == "representable":
-        phi = p.as_hom()
-        return SchemePoint(X, B2, _split_along_atoms(B2, phi.then(chi)))
-    if not is_reduced(B2):
+    if X.lat.ncharts > 1 and not is_reduced(B2):
         raise NonReducedAlgebraError(
-            f"cannot push points into the non-reduced {B2!r}"
+            f"cannot push multi-chart points into the non-reduced {B2!r}"
         )
     atoms2 = idempotent_atoms(B2)
     factors2 = []
     for e2 in atoms2:
-        B2e = connected_factor(B2, e2)
-        to_factor = AlgebraMorphism(B2, B2e, [B2e.var(i) for i in range(B2.nvars)])
+        to_factor = factor_projection(B2, e2)
+        B2e = to_factor.target
         hit = None
         for (e, j, phi) in p.factors:
             if to_factor(chi(p.test_algebra.element(e.poly))) == B2e.one:
@@ -427,38 +395,31 @@ def zar_points(B: PresentedAlgebra) -> List[ZarElement]:
 # -- realization of a compact open ---------------------------------------------------
 
 
-_RESTRICT_CACHE: Dict[CompactOpen, Tuple[LatticeScheme, SchemeMorphism]] = {}
-_REALIZATION_CACHE: Dict[CompactOpen, "FunctorialScheme"] = {}
+_REALIZATION_CACHE: Dict[
+    CompactOpen, Tuple[FunctorialScheme, SchemeMorphism]
+] = {}
 
 
-def _restrict_pair(U: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
-    pair = _RESTRICT_CACHE.get(U)
-    if pair is None:
-        pair = restrict_scheme(U.owner, U)
-        _RESTRICT_CACHE[U] = pair
-    return pair
+def _realized(U: CompactOpen) -> Tuple[FunctorialScheme, SchemeMorphism]:
+    """The realization of U with its inclusion into the ambient charts."""
+    got = _REALIZATION_CACHE.get(U)
+    if got is None:
+        Xu, inc = restrict_scheme(U.owner, U)
+        got = (FunctorialScheme(Xu), inc)
+        _REALIZATION_CACHE[U] = got
+    return got
 
 
 def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
     """The compact open U as a scheme of its own.
 
-    A single basic piece of a representable scheme realizes to the
-    representable scheme of the localization; in general the result is
-    glued from one localized chart per basic piece.  Memoized so points
+    Glued from one localized chart per basic piece of U, so a single piece
+    realizes to the affine scheme of the localization.  Memoized so points
     of the same realized open always compare equal.
     """
     if U.owner is not X.lat:
         raise ValueError("open does not live on the scheme")
-    got = _REALIZATION_CACHE.get(U)
-    if got is not None:
-        return got
-    Xu, _ = _restrict_pair(U)
-    if Xu.ncharts == 1 and not Xu.data.patches:
-        out = FunctorialScheme("representable", algebra=Xu.charts[0], lat=Xu)
-    else:
-        out = FunctorialScheme("glued", data=Xu.data, lat=Xu)
-    _REALIZATION_CACHE[U] = out
-    return out
+    return _realized(U)[0]
 
 
 def open_to_realization(
@@ -467,8 +428,7 @@ def open_to_realization(
     """Carry a compact open V <= U of X to a compact open of the realization."""
     if not V.leq(U):
         raise ValueError("the open is not below the realized one")
-    Xu, inc = _restrict_pair(U)
-    return inc.pullback(V)
+    return _realized(U)[1].pullback(V)
 
 
 def open_from_realization(
@@ -477,8 +437,7 @@ def open_from_realization(
     """Carry a compact open of the realization back into X (below U)."""
     from .algebra import extract_fraction
 
-    Xu, _ = _restrict_pair(U)
-    if W.owner is not Xu:
+    if W.owner is not _realized(U)[0].lat:
         raise ValueError("open does not live on the realization")
     pieces: List[Tuple[int, AlgebraElement]] = []
     for i, w in enumerate(U.components):
@@ -607,10 +566,11 @@ def glue_morphism(
 
 
 def ring_of_functions(X: FunctorialScheme):
-    """The functions on X: the algebra itself when representable, the
-    section ring over the top compact open when glued."""
-    if X.kind == "representable":
-        return X.algebra
+    """The functions on X: the chart algebra itself when X is affine, else
+    the section ring over the top compact open."""
+    A = X.algebra
+    if A is not None:
+        return A
     return global_sections(X.lat)
 
 

@@ -439,15 +439,6 @@ def is_compatible_open(u: CompactOpen, cap: int = 64) -> bool:
     return open_compatibility_witness(u, cap) is None
 
 
-def is_open_cover(
-    X: LatticeScheme, opens: Sequence[CompactOpen]
-) -> bool:
-    total = bottom_open(X)
-    for u in opens:
-        total = total.join(u)
-    return total.eq(top_open(X))
-
-
 # -- global sections --------------------------------------------------------------
 
 

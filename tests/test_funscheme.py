@@ -108,11 +108,24 @@ def test_product_test_algebras_square_the_counts(punctured3):
     ]
 
 
+def _parsed(text):
+    ring, rels = parse_ring(text)
+    return PresentedAlgebra(ring, rels)
+
+
 def test_representable_points_are_exactly_the_algebra_maps():
-    Gm5 = multiplicative_group(GF(5))
-    assert [p.as_hom() for p in eval_points(Gm5, F5)] == enumerate_homs(
-        Gm5.algebra, F5
-    )
+    split = [gf3_split(), product_of_points(2, 2)]
+    non_reduced = [_parsed("GF(3)[t]/(t^2)"), _parsed("GF(3)[t]/(t^3)")]
+    for B in [F5] + split + non_reduced:
+        Bq = B.with_relations(B.ring.gens()[:1])  # B/(t)
+        chi = morphism(B, Bq, list(Bq.gens()))
+        for X in (multiplicative_group(B.field), affine_line(B.field)):
+            pts = eval_points(X, B)
+            homs = enumerate_homs(X.algebra, B)
+            assert len(pts) == len(homs)
+            assert {p.as_hom() for p in pts} == set(homs)
+            for p in pts:
+                assert map_point(X, p, chi).as_hom() == p.as_hom().then(chi)
 
 
 # -- reducedness guard ------------------------------------------------------------
