@@ -83,8 +83,7 @@ def point_morphism(
     def comorphisms(j: int):
         out = []
         for (e, c, phi) in p.factors:
-            quot = factor_projection(B, e)
-            Bt = quot.target
+            Bt = phi.target
             if c == j:
                 piece = e
                 loc_piece = make_localization(B, piece)
@@ -438,10 +437,17 @@ def morphisms_agree(
             v = A.var(k)
             fam1 = _pulled_variable(pi1, j, v)
             fam2 = _pulled_variable(pi2, j, v)
+            # fam2's fractions, each extracted once and only when first reached,
+            # so an early mismatch still returns before a later extraction can raise
+            fracs2: List[Tuple[AlgebraElement, int]] = []
             for (_, h1, val1) in fam1:
                 n1, k1 = extract_fraction(make_localization(B, h1), val1, cap)
-                for (_, h2, val2) in fam2:
-                    n2, k2 = extract_fraction(make_localization(B, h2), val2, cap)
+                for idx, (_, h2, val2) in enumerate(fam2):
+                    if idx == len(fracs2):
+                        fracs2.append(
+                            extract_fraction(make_localization(B, h2), val2, cap)
+                        )
+                    n2, k2 = fracs2[idx]
                     common = make_localization(B, h1 * h2)
                     if common.to_loc(n1 * h2 ** k2) != common.to_loc(n2 * h1 ** k1):
                         return False

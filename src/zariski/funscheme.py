@@ -182,8 +182,14 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     return out
 
 
+_ATOMS_CACHE: Dict[PresentedAlgebra, Tuple[AlgebraElement, ...]] = {}
+
+
 def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
-    """The minimal nonzero idempotents, sorted canonically."""
+    """The minimal nonzero idempotents, sorted canonically (a fresh list)."""
+    cached = _ATOMS_CACHE.get(B)
+    if cached is not None:
+        return list(cached)
     idems = [
         b for b in B.enumerate_elements() if b * b == b and not b.is_zero()
     ]
@@ -204,6 +210,7 @@ def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
         raise NonReducedAlgebraError(
             f"atomic idempotents of {B!r} do not decompose the unit"
         )
+    _ATOMS_CACHE[B] = tuple(atoms)
     return atoms
 
 

@@ -749,9 +749,13 @@ class SchemeMorphism:
     pieces ``(i, f, phi)``: the preimage of target chart j meets source
     chart i in D(f), where sections pull back along ``phi : B_j ->
     (A_i)_f``.  The constructor does not validate; the checkers do.
+
+    ``pullback`` and ``pull_basic`` are memoized per morphism (the data is
+    immutable and both closures are pure), so a morphism compared against
+    many others pulls each open and each section back once.
     """
 
-    __slots__ = ("source", "target", "chart_open", "chart_comorphisms")
+    __slots__ = ("source", "target", "chart_open", "chart_comorphisms", "_memo")
 
     def __init__(
         self,
@@ -764,6 +768,7 @@ class SchemeMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "chart_open", chart_open)
         object.__setattr__(self, "chart_comorphisms", chart_comorphisms)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SchemeMorphism is immutable")
@@ -771,18 +776,26 @@ class SchemeMorphism:
     def pullback(self, u: CompactOpen) -> CompactOpen:
         if u.owner is not self.target:
             raise ValueError("open does not live on the morphism's target")
+        hit = self._memo.get(u)
+        if hit is not None:
+            return hit
         out = bottom_open(self.source)
         for j, w in enumerate(u.components):
             out = out.join(self.chart_open(j, w))
+        self._memo[u] = out
         return out
 
     def pull_basic(
         self, j: int, f: AlgebraElement, value: AlgebraElement, cap: int = 64
-    ) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
+    ) -> Tuple[Tuple[int, AlgebraElement, AlgebraElement], ...]:
         """Pull a section over D(f) of target chart j back to the source.
 
         Returns pieces (i, h, value in the localization of chart i at h).
         """
+        key = (j, f, value, cap)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         B = self.target.charts[j]
         loc_f = make_localization(B, f)
         if value.algebra != loc_f.algebra:
@@ -797,6 +810,8 @@ class SchemeMorphism:
             step = phi.then(restriction_map(loc_fp, loc_h, cap))
             lifted = extend_over(loc_f, step, cap)
             out.append((i, h, lifted(value)))
+        out = tuple(out)
+        self._memo[key] = out
         return out
 
 

@@ -10,7 +10,8 @@ gluing data; the whole bundle is wrapped by comparison_check.
 import pytest
 
 import oracles as O
-from support import product_of_points
+from support import gf3_split, product_of_points
+from zariski import compare
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -60,6 +61,21 @@ F2 = PresentedAlgebra(PolyRing(GF(2), []))
 F3 = PresentedAlgebra(PolyRing(GF(3), []))
 
 
+def quadratic_field(p: int, c: int) -> PresentedAlgebra:
+    """GF(p)[t] / (t^2 - c), the field GF(p^2) when c is a non-square mod p."""
+    ring = PolyRing(GF(p), ["t"])
+    (t,) = ring.gens()
+    return PresentedAlgebra(ring, [t * t - c])
+
+
+GF9 = quadratic_field(3, -1)
+GF25 = quadratic_field(5, 2)
+
+
+def affine_line(p: int):
+    return mk_affine(PresentedAlgebra(PolyRing(GF(p), ["x"])))
+
+
 @pytest.fixture(scope="module")
 def ev_a1():
     A1 = PresentedAlgebra(PolyRing(GF(3), ["x"]))
@@ -98,12 +114,44 @@ def test_the_trivial_test_algebra_has_exactly_one_point(ev_a1):
 
 
 def test_distinct_points_carry_extensionally_distinct_morphisms(ev_p13):
-    pts = ev_p13.at(F3)
-    sharp = [ev_p13.morphism(p) for p in pts]
     opens = _sample_opens(ev_p13.scheme)
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            assert not morphisms_agree(sharp[a], sharp[b], opens)
+    for B in (F3, gf3_split()):
+        pts = ev_p13.at(B)
+        sharp = [ev_p13.morphism(p) for p in pts]
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                assert not morphisms_agree(sharp[a], sharp[b], opens)
+
+
+@pytest.mark.parametrize(
+    "X, B",
+    [(projective_line(GF(3)), gf3_split()), (affine_line(3), GF9)],
+    ids=["P1/GF3xGF3", "A1/GF9"],
+)
+def test_every_point_morphism_agrees_with_itself(X, B):
+    opens = _sample_opens(X)
+    for p in eval_points(functorial(X), B):
+        pi = point_morphism(X, p)
+        assert morphisms_agree(pi, point_morphism(X, p), opens)
+        assert morphisms_agree(pi, pi, opens)  # both sides read one memo
+
+
+def test_memoized_pullbacks_equal_a_fresh_morphisms():
+    X = projective_line(GF(3))
+    opens = _sample_opens(X)
+    A0 = X.charts[0]
+    loc1 = make_localization(A0, A0.one)
+    value = loc1.to_loc(A0.var(0))
+    for p in eval_points(functorial(X), gf3_split()):
+        pi = point_morphism(X, p, validate=True)
+        for u in opens:
+            first = pi.pullback(u)
+            assert pi.pullback(u) == first
+            assert point_morphism(X, p).pullback(u) == first
+        pieces = pi.pull_basic(0, A0.one, value)
+        assert isinstance(pieces, tuple)
+        assert pi.pull_basic(0, A0.one, value) == pieces
+        assert point_morphism(X, p).pull_basic(0, A0.one, value) == pieces
 
 
 def test_point_morphisms_of_products_round_trip(ev_p13):
@@ -253,6 +301,44 @@ def test_comparison_check_on_the_punctured_plane():
         expected_counts=[O.FROZEN_POINT_COUNTS[("punctured_plane", 3)]],
     )
     assert ok, report
+
+
+# -- the comparison's work grows linearly in the points ----------------------------------------
+
+
+@pytest.mark.parametrize("p, B", [(3, GF9), (5, GF25)], ids=["GF9", "GF25"])
+def test_comparison_evaluates_each_open_a_bounded_number_of_times_per_point(
+    monkeypatch, p, B
+):
+    calls = []
+    inner = compare.open_at_point
+
+    def counted(U, pt):
+        calls.append(pt)
+        return inner(U, pt)
+
+    monkeypatch.setattr(compare, "open_at_point", counted)
+    ok, report = comparison_check(affine_line(p).data, [B])
+    assert ok, report
+    n = report["counts"][0]
+    assert n == p * p
+    # each carried morphism pulls back its 4 sample opens once, not once per pair
+    assert len(calls) <= 4 * n
+
+
+def test_comparison_over_a_split_algebra_does_not_rebuild_its_factors(monkeypatch):
+    calls = []
+    inner = PresentedAlgebra.with_relations
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(PresentedAlgebra, "with_relations", counted)
+    ok, report = comparison_check(projective_line(GF(3)), [gf3_split()])
+    assert ok, report
+    assert report["counts"] == [16]
+    assert len(calls) <= 40
 
 
 def test_comparison_check_flags_wrong_expectations(ev_p13):

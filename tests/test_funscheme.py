@@ -162,6 +162,16 @@ def test_idempotent_atoms_split_products():
     assert idempotent_atoms(F3) == [F3.one]
 
 
+def test_idempotent_atoms_are_a_fresh_list_on_every_call():
+    B = product_of_points(3, 3)
+    first = idempotent_atoms(B)
+    second = idempotent_atoms(B)
+    assert first == second and first is not second
+    first.clear()
+    assert idempotent_atoms(B) == second
+    assert idempotent_atoms(product_of_points(3, 3)) == second
+
+
 def test_connected_factors_are_fields_here():
     B = gf3_split()
     for a in idempotent_atoms(B):
