@@ -27,6 +27,11 @@ class ExtractionCapError(RuntimeError):
     """Raised when clearing a denominator exceeds the exponent cap."""
 
 
+# The one bound on every search over denominator powers: clearing s = r/f**k,
+# finding g**k in (f), the exponent of a glue, and radical power certificates.
+POWER_CAP = 64
+
+
 def _fresh_names(stems: Sequence[str], used: Iterable[str]) -> List[str]:
     """Deterministic collision-free variants of ``stems`` against ``used``."""
     taken = set(used)
@@ -514,20 +519,18 @@ def make_localization(base: PresentedAlgebra, f: AlgebraElement) -> Localization
     return loc
 
 
-def extract_fraction(
-    loc: Localization, s: AlgebraElement, cap: int = 64
-) -> Tuple[AlgebraElement, int]:
+def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraElement, int]:
     """Write ``s = r / f**k`` with ``r`` from the base ring; least such k.
 
     Multiplies by the denominator until the normal form no longer involves
-    the inverse variable.  The cap guards against defects; compatibility of
-    the inputs guarantees termination well below it in practice.
+    the inverse variable.  ``POWER_CAP`` guards against defects; compatibility
+    of the inputs guarantees termination well below it in practice.
     """
     if s.algebra != loc.algebra:
         raise ValueError("section does not live in this localization")
     f_img = loc.to_loc(loc.denominator)
     candidate = s
-    for k in range(cap + 1):
+    for k in range(POWER_CAP + 1):
         if not candidate.poly.involves(loc.inv_index):
             numerator = loc.base.element(
                 loc.algebra.ring.project(candidate.poly, loc.base.ring)
@@ -535,7 +538,7 @@ def extract_fraction(
             return numerator, k
         candidate = candidate * f_img
     raise ExtractionCapError(
-        f"could not clear {loc.inv_name!r} from {s} within {cap} powers of "
+        f"could not clear {loc.inv_name!r} from {s} within {POWER_CAP} powers of "
         f"{loc.denominator}"
     )
 
@@ -554,6 +557,15 @@ def extend_to_localization(
     if validate:
         phi.check_valid()
     return phi
+
+
+def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMorphism]:
+    """Extend ``alpha : base -> C`` to ``A_f -> C`` if alpha(f) is a unit of C,
+    sending 1/f to its certified inverse; None if alpha(f) is not a unit."""
+    inv = alpha.target.try_invert(alpha(loc.denominator))
+    if inv is None:
+        return None
+    return extend_to_localization(loc, alpha, inv, validate=False)
 
 
 class LocTower:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import click
 
 from .algebra import (
+    POWER_CAP,
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
@@ -179,7 +180,7 @@ def _rebind(poly, target_ring: PolyRing):
 
 
 def _gluing_from_spec(
-    obj: Dict, where: str, order: Optional[MonomialOrder], cap: int
+    obj: Dict, where: str, order: Optional[MonomialOrder]
 ) -> GluingData:
     _check_keys(
         obj, {"schema", "kind", "charts", "patches"}, {"schema", "kind", "charts"}, where
@@ -242,12 +243,10 @@ def _gluing_from_spec(
                 _input_error(f"{pwhere}.backward[{m}]: {exc}")
             bwd_imgs.append(loc_f.algebra.element(_rebind(raw, loc_f.algebra.ring)))
         patches.append(make_patch(charts, i, j, f, g, fwd_imgs, bwd_imgs))
-    return GluingData(charts, patches, validate=False, cap=cap)
+    return GluingData(charts, patches, validate=False)
 
 
-def _load_scheme(
-    path: str, order: Optional[MonomialOrder], cap: int
-) -> LatticeScheme:
+def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
     """Load a scheme file and validate the data, refuting on failure."""
     obj = _load_json(path)
     _require_schema(obj, path)
@@ -256,14 +255,9 @@ def _load_scheme(
         spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
         return mk_affine(_algebra_from_spec(spec, path, order))
     if kind == "gluedata":
-        raw = _gluing_from_spec(obj, path, order, cap)
+        raw = _gluing_from_spec(obj, path, order)
         try:
-            data = GluingData(
-                raw.charts,
-                [p for p in raw.patches if p.i < p.j],
-                validate=True,
-                cap=cap,
-            )
+            data = GluingData(raw.charts, [p for p in raw.patches if p.i < p.j])
         except (GluingError, ValueError) as exc:
             _refute(f"invalid gluing data: {exc}")
         return glue_schemes(data)
@@ -302,12 +296,12 @@ def _membership_certificate(
     A: PresentedAlgebra,
     f: AlgebraElement,
     gens: Sequence[AlgebraElement],
-    cap: int,
     radical: bool,
 ) -> Optional[Tuple[int, List]]:
-    """Cofactors for f**n in the ideal of gens (n = 1 when not radical)."""
+    """Cofactors for f**n in the ideal of gens (n = 1 when not radical;
+    n <= POWER_CAP when radical)."""
     gb = A._member_gb(tuple(g.poly for g in gens))
-    powers = range(1, cap + 1) if radical else range(1, 2)
+    powers = range(1, POWER_CAP + 1) if radical else range(1, 2)
     acc = A.one
     for n in powers:
         acc = acc * f
@@ -347,13 +341,6 @@ FORMAT_OPTION = click.option(
     default="text",
     show_default=True,
     type=click.Choice(["text", "json"]),
-)
-CAP_OPTION = click.option(
-    "--cap",
-    default=64,
-    show_default=True,
-    type=click.IntRange(min=1),
-    help="Bound for denominator-power searches.",
 )
 
 
@@ -432,10 +419,8 @@ def ideal() -> None:
 @RING_OPTION
 @ORDER_OPTION
 @click.option("--radical", is_flag=True, help="Test radical membership.")
-@CAP_OPTION
 def ideal_member(
-    f: str, gens: Tuple[str, ...], ring_text: str, order_text: str,
-    radical: bool, cap: int,
+    f: str, gens: Tuple[str, ...], ring_text: str, order_text: str, radical: bool
 ) -> None:
     """Decide whether F lies in the ideal (or radical) of GENS."""
     A = _parse_algebra_text(ring_text, order_text)
@@ -448,7 +433,7 @@ def ideal_member(
                 f"not a member: {f_el} is not in the radical of "
                 f"({', '.join(str(g) for g in g_els)})"
             )
-        found = _membership_certificate(A, f_el, g_els, cap, radical=True)
+        found = _membership_certificate(A, f_el, g_els, radical=True)
         if found is None:
             click.echo(
                 "member of the radical (power certificate exceeds the cap)"
@@ -461,7 +446,7 @@ def ideal_member(
             + (" (modulo the relations)" if A.relations else "")
         )
         return
-    found = _membership_certificate(A, f_el, g_els, cap, radical=False)
+    found = _membership_certificate(A, f_el, g_els, radical=False)
     if found is None:
         gb = A._member_gb(tuple(g.poly for g in g_els))
         _refute(
@@ -590,47 +575,37 @@ def glue() -> None:
     """Gluing-data validation."""
 
 
-@glue.command("check")
-@click.argument("data_path", metavar="DATA")
-@ORDER_OPTION
-@CAP_OPTION
-@FORMAT_OPTION
-def glue_check(data_path, order_text, cap, fmt) -> None:
-    """Validate the patch isomorphisms, agreements, and cocycle identity."""
-    order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
-    _scheme_summary(X, fmt)
-
-
 @main.group()
 def scheme() -> None:
     """Scheme-level reports: validation, sections, hull comparison, restriction."""
 
 
-@scheme.command("validate")
+@click.command()
 @click.argument("data_path", metavar="DATA")
 @ORDER_OPTION
-@CAP_OPTION
 @FORMAT_OPTION
-def scheme_validate(data_path, order_text, cap, fmt) -> None:
-    """Validate DATA and print the chart/overlap summary."""
-    order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+def validate_data(data_path, order_text, fmt) -> None:
+    """Validate DATA (patch isomorphisms, agreements, cocycle identity) and
+    print the chart/overlap summary."""
+    X = _load_scheme(data_path, parse_order(order_text))
     _scheme_summary(X, fmt)
+
+
+glue.add_command(validate_data, "check")
+scheme.add_command(validate_data, "validate")
 
 
 @scheme.command("sections")
 @click.argument("data_path", metavar="DATA")
 @click.argument("family_path", metavar="FAMILY")
 @ORDER_OPTION
-@CAP_OPTION
-def scheme_sections(data_path, family_path, order_text, cap) -> None:
+def scheme_sections(data_path, family_path, order_text) -> None:
     """Check that FAMILY's chart values agree on overlaps (a global section)."""
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+    X = _load_scheme(data_path, order)
     values = _load_family_values(family_path, X)
     s = _global_section_from_values(X, values)
-    witness = section_compatibility_witness(s, cap)
+    witness = section_compatibility_witness(s)
     if witness is not None:
         _refute(f"not a global section: {witness}")
     click.echo(
@@ -654,8 +629,7 @@ def scheme_sections(data_path, family_path, order_text, cap) -> None:
     help="Second list of family files to compare against.",
 )
 @ORDER_OPTION
-@CAP_OPTION
-def scheme_eta(data_path, section_paths, against_paths, order_text, cap) -> None:
+def scheme_eta(data_path, section_paths, against_paths, order_text) -> None:
     """Carry global sections through the affine-hull comparison map.
 
     Prints the compact open where the listed sections are jointly
@@ -663,15 +637,15 @@ def scheme_eta(data_path, section_paths, against_paths, order_text, cap) -> None
     identified by the map.
     """
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
-    hull_open, _ = affine_hull_map(X, cap)
+    X = _load_scheme(data_path, order)
+    hull_open, _ = affine_hull_map(X)
 
     def load_list(paths):
         sections = []
         for path in paths:
             values = _load_family_values(path, X)
             s = _global_section_from_values(X, values)
-            witness = section_compatibility_witness(s, cap)
+            witness = section_compatibility_witness(s)
             if witness is not None:
                 _refute(f"{path} is not a global section: {witness}")
             sections.append(s)
@@ -692,12 +666,11 @@ def scheme_eta(data_path, section_paths, against_paths, order_text, cap) -> None
 @click.argument("data_path", metavar="DATA")
 @click.argument("open_text", metavar="OPEN")
 @ORDER_OPTION
-@CAP_OPTION
 @FORMAT_OPTION
-def scheme_restrict(data_path, open_text, order_text, cap, fmt) -> None:
+def scheme_restrict(data_path, open_text, order_text, fmt) -> None:
     """Restrict the scheme to OPEN ("D(..); D(..)", one per chart)."""
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+    X = _load_scheme(data_path, order)
     parts = [p.strip() for p in open_text.split(";")]
     if len(parts) != X.ncharts:
         _input_error(
@@ -709,7 +682,7 @@ def scheme_restrict(data_path, open_text, order_text, cap, fmt) -> None:
     ]
     u = CompactOpen(X, comps)
     try:
-        Xu, _ = restrict_scheme(X, u, cap)
+        Xu, _ = restrict_scheme(X, u)
     except ExtractionCapError as exc:
         _refute(f"restriction failed: {exc}")
     _scheme_summary(Xu, fmt)
@@ -722,12 +695,11 @@ def scheme_restrict(data_path, open_text, order_text, cap, fmt) -> None:
 @click.argument("data_path", metavar="DATA")
 @click.option("--over", required=True, help='Fields, e.g. "GF(2),GF(3)".')
 @ORDER_OPTION
-@CAP_OPTION
 @FORMAT_OPTION
-def points_cmd(data_path, over, order_text, cap, fmt) -> None:
+def points_cmd(data_path, over, order_text, fmt) -> None:
     """Enumerate the points of DATA over each finite field."""
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+    X = _load_scheme(data_path, order)
     fun = functorial(X)
     fields = _parse_fields(over)
     payload = {}
@@ -772,8 +744,7 @@ def points_cmd(data_path, over, order_text, cap, fmt) -> None:
     show_default=True,
     help="Basic open D(ON) that the pieces must cover.",
 )
-@CAP_OPTION
-def cover_check(pieces, ring_text, order_text, on_text, cap) -> None:
+def cover_check(pieces, ring_text, order_text, on_text) -> None:
     """Decide D(ON) <= D(PIECES...) and print the power certificate."""
     A = _parse_algebra_text(ring_text, order_text)
     piece_els = [
@@ -785,7 +756,7 @@ def cover_check(pieces, ring_text, order_text, on_text, cap) -> None:
             f"does not cover: {on_el} is not in the radical of "
             f"({', '.join(str(p) for p in piece_els)})"
         )
-    found = _membership_certificate(A, on_el, piece_els, cap, radical=True)
+    found = _membership_certificate(A, on_el, piece_els, radical=True)
     click.echo("covers")
     if found is None:
         click.echo("(power certificate exceeds the cap)")
@@ -815,11 +786,10 @@ def cover_check(pieces, ring_text, order_text, on_text, cap) -> None:
     help='Comma-separated cover of B, e.g. "e,1-e".',
 )
 @ORDER_OPTION
-@CAP_OPTION
-def locality_check(data_path, algebra_path, pieces_text, order_text, cap) -> None:
+def locality_check(data_path, algebra_path, pieces_text, order_text) -> None:
     """Check the equalizer condition for the points functor along a cover of B."""
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+    X = _load_scheme(data_path, order)
     obj = _load_json(algebra_path)
     _require_schema(obj, algebra_path)
     if obj.get("kind") != "algebra":
@@ -857,9 +827,8 @@ def locality_check(data_path, algebra_path, pieces_text, order_text, cap) -> Non
 @click.argument("data_path", metavar="DATA")
 @click.option("--over", required=True, help='Fields, e.g. "GF(2),GF(3)".')
 @ORDER_OPTION
-@CAP_OPTION
 @FORMAT_OPTION
-def compare_cmd(data_path, over, order_text, cap, fmt) -> None:
+def compare_cmd(data_path, over, order_text, fmt) -> None:
     """Compare the two presentations of DATA over each test field.
 
     For each field: enumerate the functor's points, carry each to a
@@ -867,7 +836,7 @@ def compare_cmd(data_path, over, order_text, cap, fmt) -> None:
     distinctness, and the realization certificate.
     """
     order = parse_order(order_text)
-    X = _load_scheme(data_path, order, cap)
+    X = _load_scheme(data_path, order)
     fields = _parse_fields(over)
     tests = []
     for field in fields:

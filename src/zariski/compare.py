@@ -19,9 +19,9 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
-    extend_to_localization,
     extract_fraction,
     make_localization,
+    try_extend,
 )
 from .lattice import ZarElement, basic_open, eq, induced_hom, leq, top
 from .latscheme import (
@@ -30,6 +30,7 @@ from .latscheme import (
     GluingData,
     LatticeScheme,
     SchemeMorphism,
+    chart_variable_samples,
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -40,10 +41,9 @@ from .funscheme import (
     FunctorialScheme,
     SchemePoint,
     _reduce_factor,
+    atomic_factors,
     eval_points,
-    factor_projection,
     functorial,
-    idempotent_atoms,
     map_point,
     membership,
     open_at_point,
@@ -104,11 +104,9 @@ def point_morphism(
                     loc_piece.algebra,
                     [loc_piece.to_loc(B.var(i)) for i in range(B.nvars)],
                 )
-                psi_base = phi.then(collapse)  # A_c -> B_piece
-                inv = loc_piece.algebra.try_invert(psi_base(Q.f))
-                if inv is None:
+                psi = try_extend(Q.loc_f, phi.then(collapse))  # (A_c)_f -> B_piece
+                if psi is None:
                     continue
-                psi = extend_to_localization(Q.loc_f, psi_base, inv, validate=False)
                 out.append(
                     (0, piece, Q.loc_g.to_loc.then(Q.bwd).then(psi))
                 )
@@ -127,9 +125,7 @@ def adjunction_sharp(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     return point_morphism(X, p)
 
 
-def adjunction_flat(
-    fun: FunctorialScheme, pi: SchemeMorphism, cap: int = 64
-) -> SchemePoint:
+def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
     """Morphism Spec(B) -> X to the point of X(B) it evaluates to."""
     X = fun.lat
     if pi.target is not X:
@@ -140,9 +136,7 @@ def adjunction_flat(
     if B.is_trivial():
         return SchemePoint(fun, B, ())
     factors = []
-    for e in idempotent_atoms(B):
-        quot = factor_projection(B, e)
-        Bt = quot.target
+    for e, quot in atomic_factors(B):
         hit = None
         for j in range(X.ncharts):
             for (i0, f, phi) in pi.chart_comorphisms(j):
@@ -150,11 +144,9 @@ def adjunction_flat(
                     continue
                 if not leq(basic_open(B, [e]), basic_open(B, [f])):
                     continue
-                inv = Bt.try_invert(quot(f))
-                if inv is None:
+                down = try_extend(make_localization(B, f), quot)
+                if down is None:
                     continue
-                loc_f = make_localization(B, f)
-                down = extend_to_localization(loc_f, quot, inv, validate=False)
                 hit = (j, phi.then(down))
                 break
             if hit is not None:
@@ -227,10 +219,8 @@ def section_value_at_point(s: GlobalSection, p: SchemePoint) -> AlgebraElement:
         w = s.domain.components[c]
         if len(w.generators) != 1 or w.generators[0] != X.charts[c].one:
             raise ValueError("section is not presented over chart tops")
-        loc1 = make_localization(X.charts[c], X.charts[c].one)
-        Bt = phi.target
-        inv = Bt.try_invert(phi(X.charts[c].one))
-        lifted = extend_to_localization(loc1, phi, inv, validate=False)
+        # 1 is a unit everywhere, so the extension always exists
+        lifted = try_extend(make_localization(X.charts[c], X.charts[c].one), phi)
         value_t = lifted(s.values[c][0])
         total = total + B.element(value_t.poly) * e
     return total
@@ -257,19 +247,19 @@ class RealizationData:
     def sections(self, U: CompactOpen):
         return ring_of_functions(realization(self.fun, U))
 
-    def support(self, U: CompactOpen, s: GlobalSection, cap: int = 64) -> CompactOpen:
+    def support(self, U: CompactOpen, s: GlobalSection) -> CompactOpen:
         Y = realization(self.fun, U)
         if s.scheme is not Y.lat:
             raise ValueError("section does not live over the realized open")
-        W = invertibility_support_scheme(Y.lat, top_open(Y.lat), s, cap)
-        return open_from_realization(self.fun, U, W, cap)
+        W = invertibility_support_scheme(Y.lat, top_open(Y.lat), s)
+        return open_from_realization(self.fun, U, W)
 
 
 def realize(fun: FunctorialScheme) -> RealizationData:
     return RealizationData(fun)
 
 
-def realization_certificate(fun: FunctorialScheme, cap: int = 64) -> Optional[str]:
+def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
     """Check that realizing the top open reproduces the chart data.
 
     The realized charts are the localizations of the charts at 1; the
@@ -339,10 +329,10 @@ def realization_certificate(fun: FunctorialScheme, cap: int = 64) -> Optional[st
             for k in range(X.charts[i].nvars):
                 v = X.charts[i].var(k)
                 val_q = q.fwd(q.loc_f.to_loc(fwd_i(v)))
-                num_q, k_q = extract_fraction(q.loc_g, val_q, cap)
+                num_q, k_q = extract_fraction(q.loc_g, val_q)
                 n_q = back_j(num_q)
                 val_p = P.fwd(P.loc_f.to_loc(v))
-                num_p, k_p = extract_fraction(P.loc_g, val_p, cap)
+                num_p, k_p = extract_fraction(P.loc_g, val_p)
                 common = make_localization(X.charts[j], P.g * g_orig)
                 lhs = common.to_loc(num_p * g_orig ** k_q)
                 rhs = common.to_loc(n_q * P.g ** k_p)
@@ -406,17 +396,8 @@ def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
     return out
 
 
-def _pulled_variable(pi: SchemeMorphism, j: int, v: AlgebraElement):
-    A = pi.target.charts[j]
-    loc1 = make_localization(A, A.one)
-    return pi.pull_basic(j, A.one, loc1.to_loc(v))
-
-
 def morphisms_agree(
-    pi1: SchemeMorphism,
-    pi2: SchemeMorphism,
-    opens: Sequence[CompactOpen],
-    cap: int = 64,
+    pi1: SchemeMorphism, pi2: SchemeMorphism, opens: Sequence[CompactOpen]
 ) -> bool:
     """Extensional agreement of two morphisms with one-chart affine source.
 
@@ -432,20 +413,19 @@ def morphisms_agree(
     if pi1.source.ncharts != 1:
         return True
     B = pi1.source.charts[0]
-    for j, A in enumerate(pi1.target.charts):
-        for k in range(A.nvars):
-            v = A.var(k)
-            fam1 = _pulled_variable(pi1, j, v)
-            fam2 = _pulled_variable(pi2, j, v)
+    for j in range(pi1.target.ncharts):
+        for sample in chart_variable_samples(pi1.target, j):
+            fam1 = pi1.pull_basic(*sample)
+            fam2 = pi2.pull_basic(*sample)
             # fam2's fractions, each extracted once and only when first reached,
             # so an early mismatch still returns before a later extraction can raise
             fracs2: List[Tuple[AlgebraElement, int]] = []
             for (_, h1, val1) in fam1:
-                n1, k1 = extract_fraction(make_localization(B, h1), val1, cap)
+                n1, k1 = extract_fraction(make_localization(B, h1), val1)
                 for idx, (_, h2, val2) in enumerate(fam2):
                     if idx == len(fracs2):
                         fracs2.append(
-                            extract_fraction(make_localization(B, h2), val2, cap)
+                            extract_fraction(make_localization(B, h2), val2)
                         )
                     n2, k2 = fracs2[idx]
                     common = make_localization(B, h1 * h2)

@@ -23,8 +23,9 @@ from .algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
     enumerate_homs,
-    extend_to_localization,
+    extract_fraction,
     make_localization,
+    try_extend,
 )
 from .lattice import ZarElement, basic_open, bottom, eq, induced_hom, join, leq, top
 from .latscheme import (
@@ -182,14 +183,20 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     return out
 
 
-_ATOMS_CACHE: Dict[PresentedAlgebra, Tuple[AlgebraElement, ...]] = {}
+_ATOMS_CACHE: Dict[
+    PresentedAlgebra, Tuple[Tuple[AlgebraElement, AlgebraMorphism], ...]
+] = {}
 
 
 def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
-    """The minimal nonzero idempotents, sorted canonically (a fresh list)."""
+    """The minimal nonzero idempotents, sorted canonically (a fresh list).
+
+    Memoized per algebra together with each atom's factor projection, which
+    ``atomic_factors`` hands out.
+    """
     cached = _ATOMS_CACHE.get(B)
     if cached is not None:
-        return list(cached)
+        return [e for e, _ in cached]
     idems = [
         b for b in B.enumerate_elements() if b * b == b and not b.is_zero()
     ]
@@ -210,8 +217,15 @@ def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
         raise NonReducedAlgebraError(
             f"atomic idempotents of {B!r} do not decompose the unit"
         )
-    _ATOMS_CACHE[B] = tuple(atoms)
+    _ATOMS_CACHE[B] = tuple((e, factor_projection(B, e)) for e in atoms)
     return atoms
+
+
+def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
+    """Each atom e of B with its projection B -> B/(1 - e): one factor
+    algebra per atom, shared by every caller."""
+    idempotent_atoms(B)  # fills the memo
+    return list(_ATOMS_CACHE[B])
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
@@ -261,13 +275,11 @@ def eval_points(X: FunctorialScheme, B: PresentedAlgebra) -> List[SchemePoint]:
         raise NonReducedAlgebraError(
             f"cannot enumerate multi-chart points over the non-reduced {B!r}"
         )
-    atoms = idempotent_atoms(B)
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
-    for e in atoms:
-        Bt = connected_factor(B, e)
+    for e, to_factor in atomic_factors(B):
         options = []
         for j in range(X.lat.ncharts):
-            for beta in _chart_candidates(X, j, Bt):
+            for beta in _chart_candidates(X, j, to_factor.target):
                 options.append((e, j, beta))
         per_atom.append(options)
     points = []
@@ -320,10 +332,9 @@ def _reduce_factor(
             if not eq(induced_hom(hom, u_ji), t_b):
                 continue
             for Q in X.lat.data.patches_for(j, i):
-                inv = Bt.try_invert(hom(Q.f))
-                if inv is None:
+                hom_ext = try_extend(Q.loc_f, hom)
+                if hom_ext is None:
                     continue
-                hom_ext = extend_to_localization(Q.loc_f, hom, inv, validate=False)
                 hom = Q.loc_g.to_loc.then(Q.bwd).then(hom_ext)
                 j = i
                 moved = True
@@ -351,10 +362,8 @@ def map_point(
         raise NonReducedAlgebraError(
             f"cannot push multi-chart points into the non-reduced {B2!r}"
         )
-    atoms2 = idempotent_atoms(B2)
     factors2 = []
-    for e2 in atoms2:
-        to_factor = factor_projection(B2, e2)
+    for e2, to_factor in atomic_factors(B2):
         B2e = to_factor.target
         hit = None
         for (e, j, phi) in p.factors:
@@ -439,11 +448,9 @@ def open_to_realization(
 
 
 def open_from_realization(
-    X: FunctorialScheme, U: CompactOpen, W: CompactOpen, cap: int = 64
+    X: FunctorialScheme, U: CompactOpen, W: CompactOpen
 ) -> CompactOpen:
     """Carry a compact open of the realization back into X (below U)."""
-    from .algebra import extract_fraction
-
     if W.owner is not _realized(U)[0].lat:
         raise ValueError("open does not live on the realization")
     pieces: List[Tuple[int, AlgebraElement]] = []
@@ -454,7 +461,7 @@ def open_from_realization(
     for idx, (i, g) in enumerate(pieces):
         loc = make_localization(X.lat.charts[i], g)
         for h in W.components[idx].generators:
-            num, _ = extract_fraction(loc, h, cap)
+            num, _ = extract_fraction(loc, h)
             comps[i].append(g * num)
     return CompactOpen(
         X.lat,

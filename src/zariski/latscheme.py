@@ -19,14 +19,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    POWER_CAP,
     AlgebraElement,
     AlgebraMorphism,
-    ExtractionCapError,
     Localization,
     PresentedAlgebra,
-    extend_to_localization,
     extract_fraction,
     make_localization,
+    try_extend,
 )
 from .lattice import (
     ZarElement,
@@ -57,21 +57,15 @@ class GluingError(ValueError):
     """Gluing data failed validation; the message carries the witness."""
 
 
-def _numerator(loc: Localization, value: AlgebraElement, cap: int = 64) -> AlgebraElement:
-    return extract_fraction(loc, value, cap)[0]
-
-
-def extend_over(
-    loc: Localization, phi: AlgebraMorphism, cap: int = 64
-) -> AlgebraMorphism:
+def extend_over(loc: Localization, phi: AlgebraMorphism) -> AlgebraMorphism:
     """Extend ``phi : base -> C`` to ``base_f -> C``; f's image must be a unit."""
-    inv = phi.target.try_invert(phi(loc.denominator))
-    if inv is None:
+    out = try_extend(loc, phi)
+    if out is None:
         raise GluingError(
             f"{phi(loc.denominator)} is not invertible in {phi.target!r}; "
             "cannot extend through the localization"
         )
-    return extend_to_localization(loc, phi, inv, validate=False)
+    return out
 
 
 class Patch:
@@ -136,11 +130,11 @@ def make_patch(
     return Patch(i, j, loc_f, loc_g, fwd, bwd)
 
 
-def transport_piece(patch: Patch, h: AlgebraElement, cap: int = 64) -> AlgebraElement:
+def transport_piece(patch: Patch, h: AlgebraElement) -> AlgebraElement:
     """Carry the basic piece D(h) ∧ D(f) across the patch: an element of A_j
     whose basic open is the image of D(h) ∧ D(f) under the patch map."""
     image = patch.fwd(patch.loc_f.to_loc(h))
-    return patch.g * _numerator(patch.loc_g, image, cap)
+    return patch.g * extract_fraction(patch.loc_g, image)[0]
 
 
 class GluingData:
@@ -153,7 +147,6 @@ class GluingData:
         charts: Sequence[PresentedAlgebra],
         patches: Sequence[Patch] = (),
         validate: bool = True,
-        cap: int = 64,
     ):
         charts = tuple(charts)
         full: List[Patch] = []
@@ -173,7 +166,7 @@ class GluingData:
         object.__setattr__(self, "patches", tuple(full))
         object.__setattr__(self, "_by_pair", by_pair)
         if validate:
-            self._validate(cap)
+            self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GluingData is immutable")
@@ -186,7 +179,7 @@ class GluingData:
         return basic_open(self.charts[i], [p.f for p in self.patches_for(i, j)])
 
     # -- validation -------------------------------------------------------
-    def _validate(self, cap: int):
+    def _validate(self):
         for p in self.patches:
             self._check_patch_iso(p)
         pairs = sorted({(p.i, p.j) for p in self.patches if p.i < p.j})
@@ -194,7 +187,7 @@ class GluingData:
             ps = self.patches_for(i, j)
             for a in range(len(ps)):
                 for b in range(a + 1, len(ps)):
-                    self._check_patch_agreement(ps[a], ps[b], cap)
+                    self._check_patch_agreement(ps[a], ps[b])
         n = len(self.charts)
         for i in range(n):
             for j in range(n):
@@ -203,7 +196,7 @@ class GluingData:
                         continue
                     for P in self.patches_for(i, j):
                         for Q in self.patches_for(j, k):
-                            self._check_cocycle(P, Q, cap)
+                            self._check_cocycle(P, Q)
 
     def _check_patch_iso(self, p: Patch):
         if p.fwd.source != p.loc_f.algebra or p.fwd.target != p.loc_g.algebra:
@@ -229,17 +222,17 @@ class GluingData:
                     f"{p.fwd(p.bwd(v))})"
                 )
 
-    def _check_patch_agreement(self, P: Patch, Q: Patch, cap: int):
+    def _check_patch_agreement(self, P: Patch, Q: Patch):
         """Two patches over one chart pair must agree where both transport."""
         Aj = self.charts[P.j]
-        t_pq = _numerator(P.loc_g, P.fwd(P.loc_f.to_loc(Q.f)), cap)
-        t_qp = _numerator(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.f)), cap)
+        t_pq = extract_fraction(P.loc_g, P.fwd(P.loc_f.to_loc(Q.f)))[0]
+        t_qp = extract_fraction(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.f)))[0]
         s = P.g * Q.g * t_pq * t_qp
         loc_s = make_localization(Aj, s)
         if loc_s.algebra.is_trivial():
             return
-        via_p = restriction_map(P.loc_g, loc_s, cap)
-        via_q = restriction_map(Q.loc_g, loc_s, cap)
+        via_p = restriction_map(P.loc_g, loc_s)
+        via_q = restriction_map(Q.loc_g, loc_s)
         Ai = self.charts[P.i]
         for idx in range(Ai.nvars):
             v = Ai.var(idx)
@@ -251,14 +244,14 @@ class GluingData:
                     f"region at {Ai.names[idx]}: {left} vs {right}"
                 )
 
-    def _check_cocycle(self, P: Patch, Q: Patch, cap: int):
+    def _check_cocycle(self, P: Patch, Q: Patch):
         """Composite transport i->j->k must match the direct patches i->k."""
         Ai = self.charts[P.i]
         Ak = self.charts[Q.j]
         # region on chart i where both hops are defined, pushed to chart k
-        r = _numerator(P.loc_f, P.bwd(P.loc_g.to_loc(Q.f)), cap)
-        n_r = _numerator(P.loc_g, P.fwd(P.loc_f.to_loc(r)), cap)
-        b = _numerator(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.g * n_r)), cap)
+        r = extract_fraction(P.loc_f, P.bwd(P.loc_g.to_loc(Q.f)))[0]
+        n_r = extract_fraction(P.loc_g, P.fwd(P.loc_f.to_loc(r)))[0]
+        b = extract_fraction(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.g * n_r)))[0]
         via_region = basic_open(Ak, [Q.g * b])
         direct = self.patches_for(P.i, Q.j)
         u_ki = basic_open(Ak, [R.g for R in direct])
@@ -274,9 +267,9 @@ class GluingData:
             loc_s = make_localization(Ak, s)
             if loc_s.algebra.is_trivial():
                 continue
-            into_s_from_q = restriction_map(Q.loc_g, loc_s, cap)
-            into_s_from_r = restriction_map(R.loc_g, loc_s, cap)
-            hop_j = extend_over(P.loc_g, psi2.then(into_s_from_q), cap)
+            into_s_from_q = restriction_map(Q.loc_g, loc_s)
+            into_s_from_r = restriction_map(R.loc_g, loc_s)
+            hop_j = extend_over(P.loc_g, psi2.then(into_s_from_q))
             for idx in range(Ai.nvars):
                 v = Ai.var(idx)
                 via = hop_j(P.fwd(P.loc_f.to_loc(v)))
@@ -398,7 +391,7 @@ def bottom_open(X: LatticeScheme) -> CompactOpen:
     return CompactOpen(X, [bottom(A) for A in X.charts])
 
 
-def embed_basic(X: LatticeScheme, i: int, w: ZarElement, cap: int = 64) -> CompactOpen:
+def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     """The compact open generated by an open of one chart: transported
     copies fill in the other charts' components."""
     if w.owner != X.charts[i]:
@@ -411,20 +404,18 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement, cap: int = 64) -> Compa
         gens: List[AlgebraElement] = []
         for p in X.data.patches_for(i, j):
             for h in w.generators:
-                gens.append(transport_piece(p, h, cap))
+                gens.append(transport_piece(p, h))
         comps.append(basic_open(Aj, gens))
     return CompactOpen(X, comps)
 
 
-def open_compatibility_witness(
-    u: CompactOpen, cap: int = 64
-) -> Optional[str]:
+def open_compatibility_witness(u: CompactOpen) -> Optional[str]:
     """None if the components agree across all patches, else a witness."""
     X = u.owner
     for p in X.data.patches:
         wi, wj = u.components[p.i], u.components[p.j]
         transported = basic_open(
-            X.charts[p.j], [transport_piece(p, h, cap) for h in wi.generators]
+            X.charts[p.j], [transport_piece(p, h) for h in wi.generators]
         )
         expected = meet(wj, basic_open(X.charts[p.j], [p.g]))
         if not eq(transported, expected):
@@ -435,8 +426,8 @@ def open_compatibility_witness(
     return None
 
 
-def is_compatible_open(u: CompactOpen, cap: int = 64) -> bool:
-    return open_compatibility_witness(u, cap) is None
+def is_compatible_open(u: CompactOpen) -> bool:
+    return open_compatibility_witness(u) is None
 
 
 # -- global sections --------------------------------------------------------------
@@ -515,17 +506,15 @@ class GlobalSection:
         return f"<section [{rows}] over {self.domain}>"
 
 
-def section_compatibility_witness(
-    s: GlobalSection, cap: int = 64
-) -> Optional[str]:
+def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
     """None if the family is a section: compatible within and across charts."""
     X = s.scheme
     for i, w in enumerate(s.domain.components):
         gens = w.generators
         for k in range(len(gens)):
             for l in range(k + 1, len(gens)):
-                a = restrict(s.piece(i, k), gens[k] * gens[l], cap)
-                b = restrict(s.piece(i, l), gens[k] * gens[l], cap)
+                a = restrict(s.piece(i, k), gens[k] * gens[l])
+                b = restrict(s.piece(i, l), gens[k] * gens[l])
                 if not section_equal(a, b):
                     return (
                         f"chart {i}: values over D({gens[k]}) and "
@@ -538,17 +527,17 @@ def section_compatibility_witness(
         Ai, Aj = X.charts[p.i], X.charts[p.j]
         for k, gk in enumerate(s.domain.components[p.i].generators):
             for l, gl in enumerate(s.domain.components[p.j].generators):
-                r = _numerator(p.loc_f, p.bwd(p.loc_g.to_loc(gl)), cap)
+                r = extract_fraction(p.loc_f, p.bwd(p.loc_g.to_loc(gl)))[0]
                 m = gk * p.f * r
                 loc_m = make_localization(Ai, m)
                 if loc_m.algebra.is_trivial():
                     continue
-                a_side = restrict(s.piece(p.i, k), m, cap)
+                a_side = restrict(s.piece(p.i, k), m)
                 carry = p.loc_g.to_loc.then(p.bwd).then(
-                    restriction_map(p.loc_f, loc_m, cap)
+                    restriction_map(p.loc_f, loc_m)
                 )
                 loc_gl = make_localization(Aj, gl)
-                carry_loc = extend_over(loc_gl, carry, cap)
+                carry_loc = extend_over(loc_gl, carry)
                 b_side = BasicOpenSection(loc_m, carry_loc(s.values[p.j][l]))
                 if not section_equal(a_side, b_side):
                     return (
@@ -642,7 +631,7 @@ class SectionRing:
         values = [[loc.to_loc(a) for loc in self._locs(0)]]
         return GlobalSection(self.scheme, self.domain, values)
 
-    def extract_chart_element(self, s: GlobalSection, i: int, cap: int = 64) -> AlgebraElement:
+    def extract_chart_element(self, s: GlobalSection, i: int) -> AlgebraElement:
         """Reassemble a chart element from a section whose chart-i component
         covers the chart (glue of the pieces)."""
         A = self.scheme.charts[i]
@@ -651,7 +640,7 @@ class SectionRing:
         fam = SectionFamily(
             cover, [self.piece_of(s, i, k) for k in range(len(gens))]
         )
-        return glue(fam, cap)
+        return glue(fam)
 
     def piece_of(self, s: GlobalSection, i: int, k: int) -> BasicOpenSection:
         return s.piece(i, k)
@@ -666,7 +655,7 @@ def global_sections(X: LatticeScheme) -> SectionRing:
 
 
 def restrict_global(
-    X: LatticeScheme, s: GlobalSection, v: CompactOpen, cap: int = 64
+    X: LatticeScheme, s: GlobalSection, v: CompactOpen
 ) -> GlobalSection:
     """Restrict a section to a smaller compact open, regluing per piece."""
     if not v.leq(s.domain):
@@ -684,13 +673,13 @@ def restrict_global(
             for k, g in enumerate(src_gens):
                 loc_piece = make_localization(loc_new.algebra, pieces[k])
                 carry = extend_over(
-                    make_localization(A, g), loc_new.to_loc.then(loc_piece.to_loc), cap
+                    make_localization(A, g), loc_new.to_loc.then(loc_piece.to_loc)
                 )
                 local_secs.append(
                     BasicOpenSection(loc_piece, carry(s.values[i][k]))
                 )
             fam = SectionFamily(cover, local_secs)
-            row.append(glue(fam, cap))
+            row.append(glue(fam))
         values.append(row)
     return GlobalSection(X, v, values)
 
@@ -699,7 +688,7 @@ def restrict_global(
 
 
 def invertibility_support_scheme(
-    X: LatticeScheme, u: CompactOpen, s: GlobalSection, cap: int = 64
+    X: LatticeScheme, u: CompactOpen, s: GlobalSection
 ) -> CompactOpen:
     """The largest compact open below u where the section is invertible:
     chartwise, the join of the basic invertibility supports of the pieces."""
@@ -710,7 +699,7 @@ def invertibility_support_scheme(
         A = X.charts[i]
         gens = u.components[i].generators
         pieces = [
-            invertibility_support_basic(s.piece(i, k), cap)
+            invertibility_support_basic(s.piece(i, k))
             for k in range(len(gens))
         ]
         comps.append(join_all(A, pieces))
@@ -718,7 +707,7 @@ def invertibility_support_scheme(
 
 
 def affine_hull_map(
-    X: LatticeScheme, cap: int = 64
+    X: LatticeScheme
 ) -> Tuple[Callable[[Sequence[GlobalSection]], CompactOpen], Callable[[GlobalSection], GlobalSection]]:
     """The canonical comparison data from X to the spectrum of its sections:
     the lattice-side map takes a generator list of global sections to the
@@ -729,7 +718,7 @@ def affine_hull_map(
     def lattice_side(sections: Sequence[GlobalSection]) -> CompactOpen:
         out = bottom_open(X)
         for s in sections:
-            out = out.join(invertibility_support_scheme(X, t, s, cap))
+            out = out.join(invertibility_support_scheme(X, t, s))
         return out
 
     def section_side(s: GlobalSection) -> GlobalSection:
@@ -786,13 +775,13 @@ class SchemeMorphism:
         return out
 
     def pull_basic(
-        self, j: int, f: AlgebraElement, value: AlgebraElement, cap: int = 64
+        self, j: int, f: AlgebraElement, value: AlgebraElement
     ) -> Tuple[Tuple[int, AlgebraElement, AlgebraElement], ...]:
         """Pull a section over D(f) of target chart j back to the source.
 
         Returns pieces (i, h, value in the localization of chart i at h).
         """
-        key = (j, f, value, cap)
+        key = (j, f, value)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -804,11 +793,11 @@ class SchemeMorphism:
         for (i, fp, phi) in self.chart_comorphisms(j):
             loc_fp = make_localization(self.source.charts[i], fp)
             img_f = phi(f)
-            num = _numerator(loc_fp, img_f, cap)
+            num = extract_fraction(loc_fp, img_f)[0]
             h = fp * num
             loc_h = make_localization(self.source.charts[i], h)
-            step = phi.then(restriction_map(loc_fp, loc_h, cap))
-            lifted = extend_over(loc_f, step, cap)
+            step = phi.then(restriction_map(loc_fp, loc_h))
+            lifted = extend_over(loc_f, step)
             out.append((i, h, lifted(value)))
         out = tuple(out)
         self._memo[key] = out
@@ -855,10 +844,20 @@ def spec_morphism(
     return SchemeMorphism(X, Y, chart_open, comorphisms)
 
 
+def chart_variable_samples(
+    Y: LatticeScheme, j: int
+) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
+    """The sections x/1 over D(1) of chart j of Y, one per variable x, as
+    ``pull_basic`` arguments.  ``local_morphism_witness`` pulls them back by
+    default, so later checks built from this list reuse a morphism's memo."""
+    B = Y.charts[j]
+    loc1 = make_localization(B, B.one)
+    return [(j, B.one, loc1.to_loc(B.var(idx))) for idx in range(B.nvars)]
+
+
 def local_morphism_witness(
     pi: SchemeMorphism,
     samples: Optional[Sequence[Tuple[int, AlgebraElement, AlgebraElement]]] = None,
-    cap: int = 64,
 ) -> Optional[str]:
     """Check that pulling back commutes with invertibility supports.
 
@@ -874,21 +873,19 @@ def local_morphism_witness(
     if samples is None:
         samples = []
         for j, B in enumerate(Y.charts):
-            loc1 = make_localization(B, B.one)
-            for idx in range(B.nvars):
-                samples.append((j, B.one, loc1.to_loc(B.var(idx))))
-            samples.append((j, B.one, loc1.algebra.one))
+            samples.extend(chart_variable_samples(Y, j))
+            samples.append((j, B.one, make_localization(B, B.one).algebra.one))
     for (j, f, value) in samples:
         B = Y.charts[j]
         loc_f = make_localization(B, f)
         sec = BasicOpenSection(loc_f, value)
-        support_target = invertibility_support_basic(sec, cap)
+        support_target = invertibility_support_basic(sec)
         lhs = pi.chart_open(j, support_target)
-        pieces = pi.pull_basic(j, f, value, cap)
+        pieces = pi.pull_basic(j, f, value)
         comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
         for (i, h, v) in pieces:
             loc_h = make_localization(X.charts[i], h)
-            num = _numerator(loc_h, v, cap)
+            num = extract_fraction(loc_h, v)[0]
             comps[i].append(h * num)
         rhs = CompactOpen(
             X, [basic_open(X.charts[i], comps[i]) for i in range(X.ncharts)]
@@ -911,9 +908,8 @@ def local_morphism_witness(
 def check_local_morphism(
     pi: SchemeMorphism,
     samples: Optional[Sequence[Tuple[int, AlgebraElement, AlgebraElement]]] = None,
-    cap: int = 64,
 ) -> bool:
-    return local_morphism_witness(pi, samples, cap) is None
+    return local_morphism_witness(pi, samples) is None
 
 
 def verify_affine_certificate(
@@ -921,7 +917,6 @@ def verify_affine_certificate(
     A: PresentedAlgebra,
     to_affine: SchemeMorphism,
     from_affine: SchemeMorphism,
-    cap: int = 64,
 ) -> bool:
     """Check that the two morphisms exhibit X as the spectrum of A.
 
@@ -951,23 +946,22 @@ def verify_affine_certificate(
     for i, Ai in enumerate(X.charts):
         for idx in range(Ai.nvars + 1):
             w = top(Ai) if idx == Ai.nvars else basic_open(Ai, [Ai.var(idx)])
-            u = embed_basic(X, i, w, cap)
+            u = embed_basic(X, i, w)
             down = from_affine.pullback(u)
             up = to_affine.pullback(down)
             if not up.eq(u):
                 return False
     # section roundtrip on the affine side
     loc1 = make_localization(A, A.one)
-    for idx in range(A.nvars):
-        a = loc1.to_loc(A.var(idx))
-        over_X = to_affine.pull_basic(0, A.one, a, cap)
+    for (_, _, a) in chart_variable_samples(SpA, 0):
+        over_X = to_affine.pull_basic(0, A.one, a)
         total: List[Tuple[int, AlgebraElement, AlgebraElement]] = []
         for (i, h, v) in over_X:
-            back_pieces = from_affine.pull_basic(i, h, v, cap)
+            back_pieces = from_affine.pull_basic(i, h, v)
             total.extend(back_pieces)
         for (_, h2, v2) in total:
             loc_h2 = make_localization(A, h2)
-            expected = restriction_map(loc1, loc_h2, cap)(a)
+            expected = restriction_map(loc1, loc_h2)(a)
             if v2 != expected:
                 return False
     return True
@@ -981,20 +975,19 @@ def qcqs_lemma_check(
     u: CompactOpen,
     s: GlobalSection,
     extra_samples: Optional[Sequence[GlobalSection]] = None,
-    cap: int = 64,
 ) -> bool:
     """Sections over the invertibility support of s are the localization of
     the sections over u at s: verified by solving, for each sampled section
     over the support, a representation t / s**n with t over u, and checking
     the roundtrips.
     """
-    v = invertibility_support_scheme(X, u, s, cap)
+    v = invertibility_support_scheme(X, u, s)
     # explicit piece bookkeeping: (chart, u-generator w, s-numerator, exponent)
     piece_data: List[List[Tuple[AlgebraElement, AlgebraElement, int]]] = []
     for i in range(X.ncharts):
         rows = []
         for k, w in enumerate(u.components[i].generators):
-            r, k0 = extract_fraction(s.piece(i, k).loc, s.values[i][k], cap)
+            r, k0 = extract_fraction(s.piece(i, k).loc, s.values[i][k])
             rows.append((w, r, k0))
         piece_data.append(rows)
     # the aligned domain keeps one generator per piece, uncanonicalized,
@@ -1014,7 +1007,7 @@ def qcqs_lemma_check(
     # samples over the support: the restriction of s, the unit, the inverse
     samples: List[GlobalSection] = []
     ring_v = SectionRing(X, v_explicit)
-    s_on_v = _restrict_to_pieces(X, s, u, piece_data, cap)
+    s_on_v = _restrict_to_pieces(X, s, u, piece_data)
     samples.append(s_on_v)
     samples.append(ring_v.one)
     inverse_values = []
@@ -1031,12 +1024,12 @@ def qcqs_lemma_check(
     if extra_samples:
         samples.extend(extra_samples)
     for sigma in samples:
-        solved = _solve_fraction_over(X, sigma, u, s, piece_data, cap)
+        solved = _solve_fraction_over(X, sigma, u, s, piece_data)
         if solved is None:
             return False
         tau, n = solved
         # roundtrip: tau / s**n restricts back to sigma
-        tau_on_v = _restrict_to_pieces(X, tau, u, piece_data, cap)
+        tau_on_v = _restrict_to_pieces(X, tau, u, piece_data)
         lhs = tau_on_v
         rhs = sigma
         for _ in range(n):
@@ -1051,14 +1044,13 @@ def _restrict_to_pieces(
     s: GlobalSection,
     u: CompactOpen,
     piece_data: List[List[Tuple[AlgebraElement, AlgebraElement, int]]],
-    cap: int,
 ) -> GlobalSection:
     """Restrict a section over u to the aligned support pieces D(w*r)."""
     values = []
     for i in range(X.ncharts):
         row = []
         for k, (w, r, _) in enumerate(piece_data[i]):
-            row.append(restrict(s.piece(i, k), w * r, cap).value)
+            row.append(restrict(s.piece(i, k), w * r).value)
         values.append(row)
     domain = CompactOpen(
         X,
@@ -1079,7 +1071,6 @@ def _solve_fraction_over(
     u: CompactOpen,
     s: GlobalSection,
     piece_data: List[List[Tuple[AlgebraElement, AlgebraElement, int]]],
-    cap: int,
 ) -> Optional[Tuple[GlobalSection, int]]:
     """Find (tau over u, n) with sigma = tau / s**n on the support pieces."""
     raw: List[List[Tuple[AlgebraElement, int]]] = []
@@ -1089,12 +1080,12 @@ def _solve_fraction_over(
         for k, (w, r, k0) in enumerate(piece_data[i]):
             loc_w = make_localization(A, w)
             loc_h = make_localization(A, w * r)
-            c, kk = extract_fraction(loc_h, sigma.values[i][k], cap)
+            c, kk = extract_fraction(loc_h, sigma.values[i][k])
             tau_piece = loc_w.to_loc(c) * loc_w.inverse ** (kk * (1 + k0))
             rows.append((tau_piece, kk))
         raw.append(rows)
     top_n = max((kk for rows in raw for (_, kk) in rows), default=0)
-    for n in range(top_n, cap + 1):
+    for n in range(top_n, POWER_CAP + 1):
         values = []
         for i in range(X.ncharts):
             row = []
@@ -1102,7 +1093,7 @@ def _solve_fraction_over(
                 row.append(tau_piece * s.values[i][k] ** (n - kk))
             values.append(row)
         candidate = GlobalSection(X, u, values)
-        if section_compatibility_witness(candidate, cap) is None:
+        if section_compatibility_witness(candidate) is None:
             return candidate, n
     return None
 
@@ -1111,7 +1102,7 @@ def _solve_fraction_over(
 
 
 def restrict_scheme(
-    X: LatticeScheme, u: CompactOpen, cap: int = 64
+    X: LatticeScheme, u: CompactOpen
 ) -> Tuple[LatticeScheme, SchemeMorphism]:
     """The scheme below a compact open, plus its inclusion morphism into X.
 
@@ -1135,44 +1126,44 @@ def restrict_scheme(
                 lf = make_localization(charts[a], f_new)
                 lg = make_localization(charts[b], g_new)
                 base_fwd = locb.to_loc.then(lg.to_loc)  # A_i -> (C_b)_{g_new}
-                fwd_base = extend_over(loca, base_fwd, cap)
+                fwd_base = extend_over(loca, base_fwd)
                 base_bwd = loca.to_loc.then(lf.to_loc)
-                bwd_base = extend_over(locb, base_bwd, cap)
+                bwd_base = extend_over(locb, base_bwd)
                 patches.append(
                     Patch(
                         a,
                         b,
                         lf,
                         lg,
-                        extend_over(lf, fwd_base, cap),
-                        extend_over(lg, bwd_base, cap),
+                        extend_over(lf, fwd_base),
+                        extend_over(lg, bwd_base),
                     )
                 )
                 continue
             for p in X.data.patches_for(ia, ib):
-                r = _numerator(p.loc_f, p.bwd(p.loc_g.to_loc(gb)), cap)
-                r2 = _numerator(p.loc_g, p.fwd(p.loc_f.to_loc(ga)), cap)
+                r = extract_fraction(p.loc_f, p.bwd(p.loc_g.to_loc(gb)))[0]
+                r2 = extract_fraction(p.loc_g, p.fwd(p.loc_f.to_loc(ga)))[0]
                 f_new = loca.to_loc(p.f * r)
                 g_new = locb.to_loc(p.g * r2)
                 lf = make_localization(charts[a], f_new)
                 lg = make_localization(charts[b], g_new)
                 # A_ia -> (C_b)_{g_new} through the patch
                 to_b_loc = locb.to_loc.then(lg.to_loc)  # A_ib -> target
-                through = extend_over(p.loc_g, to_b_loc, cap)  # (A_ib)_g -> target
+                through = extend_over(p.loc_g, to_b_loc)  # (A_ib)_g -> target
                 base_fwd = p.loc_f.to_loc.then(p.fwd).then(through)
-                mid_fwd = extend_over(loca, base_fwd, cap)
+                mid_fwd = extend_over(loca, base_fwd)
                 to_a_loc = loca.to_loc.then(lf.to_loc)
-                through_b = extend_over(p.loc_f, to_a_loc, cap)
+                through_b = extend_over(p.loc_f, to_a_loc)
                 base_bwd = p.loc_g.to_loc.then(p.bwd).then(through_b)
-                mid_bwd = extend_over(locb, base_bwd, cap)
+                mid_bwd = extend_over(locb, base_bwd)
                 patches.append(
                     Patch(
                         a,
                         b,
                         lf,
                         lg,
-                        extend_over(lf, mid_fwd, cap),
-                        extend_over(lg, mid_bwd, cap),
+                        extend_over(lf, mid_fwd),
+                        extend_over(lg, mid_bwd),
                     )
                 )
     Xu = LatticeScheme(GluingData(charts, patches, validate=False))
@@ -1191,7 +1182,7 @@ def restrict_scheme(
                 gens = []
                 for p in X.data.patches_for(j, i):
                     for h in w.generators:
-                        gens.append(loc.to_loc(transport_piece(p, h, cap)))
+                        gens.append(loc.to_loc(transport_piece(p, h)))
                 comps.append(basic_open(charts[idx], gens))
         return CompactOpen(Xu, comps)
 
@@ -1206,7 +1197,7 @@ def restrict_scheme(
                     piece_f = loc.to_loc(p.g)
                     loc_pf = make_localization(charts[idx], piece_f)
                     through = extend_over(
-                        p.loc_g, loc.to_loc.then(loc_pf.to_loc), cap
+                        p.loc_g, loc.to_loc.then(loc_pf.to_loc)
                     )
                     out.append(
                         (idx, piece_f, p.loc_f.to_loc.then(p.fwd).then(through))
@@ -1222,7 +1213,6 @@ def check_locally_affine(
     covers: Sequence[
         Tuple[CompactOpen, CompactOpen, LatticeScheme, PresentedAlgebra, SchemeMorphism, SchemeMorphism]
     ],
-    cap: int = 64,
 ) -> bool:
     """Verify local affineness data for a morphism.
 
@@ -1240,7 +1230,7 @@ def check_locally_affine(
     for (w, u, Xu, A, to_aff, from_aff) in covers:
         if not u.eq(pi.pullback(w)):
             raise ValueError(f"recorded pullback of {w} does not match")
-        if not verify_affine_certificate(Xu, A, to_aff, from_aff, cap):
+        if not verify_affine_certificate(Xu, A, to_aff, from_aff):
             return False
     return True
 

@@ -237,9 +237,7 @@ def extend_support(d: SupportMap, u: ZarElement):
 # -- the localization isomorphism ------------------------------------------------
 
 
-def open_from_localization(
-    loc: Localization, u: ZarElement, cap: int = 64
-) -> ZarElement:
+def open_from_localization(loc: Localization, u: ZarElement) -> ZarElement:
     """Carry an open of A_f down to A: D(r/f^n) lands on D(r*f).
 
     The image always lies below D(f); this is one direction of the
@@ -250,7 +248,7 @@ def open_from_localization(
         raise ValueError("element does not live over the localization")
     gens = []
     for s in u.generators:
-        numerator, _ = extract_fraction(loc, s, cap)
+        numerator, _ = extract_fraction(loc, s)
         gens.append(numerator * loc.denominator)
     return basic_open(loc.base, gens)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
+    POWER_CAP,
     AlgebraElement,
     AlgebraMorphism,
     ExtractionCapError,
@@ -119,17 +120,14 @@ def section_equal(s: BasicOpenSection, t: BasicOpenSection) -> bool:
 
 
 def denominator_power_identity(
-    base: PresentedAlgebra,
-    f: AlgebraElement,
-    g: AlgebraElement,
-    cap: int = 64,
+    base: PresentedAlgebra, f: AlgebraElement, g: AlgebraElement
 ) -> Tuple[int, AlgebraElement]:
     """The least k with g**k = c*f in ``base``, together with the cofactor c.
 
     Exists exactly when D(g) <= D(f); raises ValueError otherwise.
     """
     gk = base.one
-    for k in range(cap + 1):
+    for k in range(POWER_CAP + 1):
         cofs = base.ideal_member(gk, [f])
         if cofs is not None:
             return k, cofs[0]
@@ -139,13 +137,11 @@ def denominator_power_identity(
             f"D({g}) is not below D({f}); no restriction map exists"
         )
     raise ExtractionCapError(
-        f"no power of {g} reached the ideal of {f} within cap {cap}"
+        f"no power of {g} reached the ideal of {f} within cap {POWER_CAP}"
     )
 
 
-def restriction_map(
-    loc_f: Localization, loc_g: Localization, cap: int = 64
-) -> AlgebraMorphism:
+def restriction_map(loc_f: Localization, loc_g: Localization) -> AlgebraMorphism:
     """The canonical map A_f -> A_g for D(g) <= D(f).
 
     Sends base variables to themselves and the inverse of f to c * (1/g)**k,
@@ -154,20 +150,18 @@ def restriction_map(
     if loc_f.base != loc_g.base:
         raise ValueError("localizations of different algebras")
     base = loc_f.base
-    k, c = denominator_power_identity(base, loc_f.denominator, loc_g.denominator, cap)
+    k, c = denominator_power_identity(base, loc_f.denominator, loc_g.denominator)
     images = [loc_g.to_loc(base.var(i)) for i in range(base.nvars)]
     images.append(loc_g.to_loc(c) * loc_g.inverse ** k)
     return AlgebraMorphism(loc_f.algebra, loc_g.algebra, images)
 
 
-def restrict(
-    s: BasicOpenSection, g: AlgebraElement, cap: int = 64
-) -> BasicOpenSection:
+def restrict(s: BasicOpenSection, g: AlgebraElement) -> BasicOpenSection:
     """Restrict a section over D(f) to D(g) <= D(f)."""
     base = s.base
     g = base.element(g)
     loc_g = make_localization(base, g)
-    phi = restriction_map(s.loc, loc_g, cap)
+    phi = restriction_map(s.loc, loc_g)
     return BasicOpenSection(loc_g, phi(s.value))
 
 
@@ -228,33 +222,33 @@ class SectionFamily:
 
 
 def incompatibility_witness(
-    fam: SectionFamily, cap: int = 64
+    fam: SectionFamily
 ) -> Optional[Tuple[int, int, BasicOpenSection, BasicOpenSection]]:
     """The first (i, j, restricted values) where the family disagrees."""
     pieces = fam.cover.pieces
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             overlap = pieces[i] * pieces[j]
-            ri = restrict(fam.sections[i], overlap, cap)
-            rj = restrict(fam.sections[j], overlap, cap)
+            ri = restrict(fam.sections[i], overlap)
+            rj = restrict(fam.sections[j], overlap)
             if not section_equal(ri, rj):
                 return (i, j, ri, rj)
     return None
 
 
-def is_compatible(fam: SectionFamily, cap: int = 64) -> bool:
-    return incompatibility_witness(fam, cap) is None
+def is_compatible(fam: SectionFamily) -> bool:
+    return incompatibility_witness(fam) is None
 
 
-def glue(fam: SectionFamily, cap: int = 64) -> AlgebraElement:
+def glue(fam: SectionFamily) -> AlgebraElement:
     """The unique global element restricting to the family's sections.
 
     Clears every section to a shared denominator exponent N, combines with
     the unit-ideal cofactors of the pieces' N-th powers, and verifies all
-    restrictions; N grows (within the cap) until verification passes, which
-    compatibility guarantees.
+    restrictions; N grows (up to ``POWER_CAP``) until verification passes,
+    which compatibility guarantees.
     """
-    witness = incompatibility_witness(fam, cap)
+    witness = incompatibility_witness(fam)
     if witness is not None:
         i, j, ri, rj = witness
         raise ValueError(
@@ -263,9 +257,9 @@ def glue(fam: SectionFamily, cap: int = 64) -> AlgebraElement:
         )
     base = fam.cover.base
     pieces = fam.cover.pieces
-    extracted = [extract_fraction(s.loc, s.value, cap) for s in fam.sections]
+    extracted = [extract_fraction(s.loc, s.value) for s in fam.sections]
     start = max((k for _, k in extracted), default=0)
-    for n in range(start, cap + 1):
+    for n in range(start, POWER_CAP + 1):
         numerators = [r * p ** (n - k) for (r, k), p in zip(extracted, pieces)]
         powered = [p ** n for p in pieces]
         cert = base.unit_certificate(powered)
@@ -283,26 +277,24 @@ def glue(fam: SectionFamily, cap: int = 64) -> AlgebraElement:
         if ok:
             return candidate
     raise ExtractionCapError(
-        f"gluing did not stabilize within denominator exponent cap {cap}"
+        f"gluing did not stabilize within denominator exponent cap {POWER_CAP}"
     )
 
 
-def invertibility_support_basic(
-    s: BasicOpenSection, cap: int = 64
-) -> ZarElement:
+def invertibility_support_basic(s: BasicOpenSection) -> ZarElement:
     """The largest open below D(f) on which the section is invertible.
 
     For s = r/f**n this is D(f*r); its defining property — restricting s
     there is invertible, and it dominates every basic open below D(f) on
     which s restricts invertibly — is what the tests check.
     """
-    numerator, _ = extract_fraction(s.loc, s.value, cap)
+    numerator, _ = extract_fraction(s.loc, s.value)
     return basic_open(s.base, [s.denominator * numerator])
 
 
-def is_invertible(s: BasicOpenSection, cap: int = 64) -> bool:
+def is_invertible(s: BasicOpenSection) -> bool:
     """Whether the section is a unit of A_f."""
-    numerator, _ = extract_fraction(s.loc, s.value, cap)
+    numerator, _ = extract_fraction(s.loc, s.value)
     return s.base.radical_member(
         s.denominator, [s.denominator * numerator]
     )

@@ -7,11 +7,14 @@ independently.  Run with ``pytest -v tests/test_acceptance.py`` to get one
 pass/fail line per criterion.
 """
 
+import ast
 import io
 import pathlib
 import random
 import time
 import tokenize
+
+from click.testing import CliRunner
 
 import oracles as O
 from support import (
@@ -31,6 +34,7 @@ from zariski.algebra import (
     make_localization,
     morphism,
 )
+from zariski.cli import main as cli_main
 from zariski.compare import comparison_check
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
@@ -421,3 +425,25 @@ def test_c11_the_kernel_is_float_free():
                 )
             if tok.type == tokenize.NAME and tok.string == "float":
                 raise AssertionError(f"float builtin used in {path.name}")
+
+
+def test_the_power_bound_is_one_constant_not_a_knob():
+    """Every search over denominator powers reads ``POWER_CAP``: no function
+    of the package declares a ``cap`` parameter and no subcommand offers
+    ``--cap``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "cap" not in names, f"{path.name}:{node.lineno} takes cap"
+    runner = CliRunner()
+    pending = [([], cli_main)]
+    while pending:
+        path, cmd = pending.pop()
+        for name, sub in getattr(cmd, "commands", {}).items():
+            pending.append((path + [name], sub))
+        r = runner.invoke(cli_main, path + ["--help"])
+        assert r.exit_code == 0, (path, r.output)
+        assert "--cap" not in r.output, " ".join(path)

@@ -18,6 +18,7 @@ from support import (
     random_poly,
 )
 from zariski.algebra import (
+    POWER_CAP,
     AlgebraMorphism,
     ExtractionCapError,
     PresentedAlgebra,
@@ -258,12 +259,11 @@ def test_extract_fraction_cap_guards_nontermination():
     A = qq_xy()
     x, y = A.gens()
     loc = make_localization(A, x)
-    # y / x^5 needs five multiplications; a cap of 3 must fail loudly
-    s = loc.fraction(y, 5)
-    with pytest.raises(ExtractionCapError):
-        extract_fraction(loc, s, cap=3)
-    num, k = extract_fraction(loc, s, cap=8)
-    assert (num, k) == (y, 5)
+    # y / x^k needs k multiplications: one past the cap must fail loudly
+    with pytest.raises(ExtractionCapError, match=f"within {POWER_CAP} powers of x$"):
+        extract_fraction(loc, loc.fraction(y, POWER_CAP + 1))
+    num, k = extract_fraction(loc, loc.fraction(y, POWER_CAP))
+    assert (num, k) == (y, POWER_CAP)
 
 
 def test_extension_to_a_localization_validates_the_inverse():
