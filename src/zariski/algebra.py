@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .fields import Field, Scalar
 from .groebner import (
     GroebnerBasis,
-    divide,
     ideal_contains_one,
     unit_ideal_certificate,
 )

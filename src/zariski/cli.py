@@ -24,14 +24,13 @@ import click
 from .algebra import (
     POWER_CAP,
     AlgebraElement,
-    AlgebraMorphism,
     PresentedAlgebra,
     ExtractionCapError,
     make_localization,
 )
 from .funscheme import check_locality, eval_points, functorial
 from .compare import comparison_check
-from .lattice import ZarElement, basic_open, eq, join, leq, meet
+from .lattice import ZarElement, basic_open, join, leq, meet
 from .latscheme import (
     CompactOpen,
     GlobalSection,

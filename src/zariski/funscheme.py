@@ -27,13 +27,12 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, bottom, eq, induced_hom, join, leq, top
+from .lattice import ZarElement, basic_open, bottom, eq, induced_hom, join, top
 from .latscheme import (
     CompactOpen,
     GluingData,
     LatticeScheme,
     SchemeMorphism,
-    SectionRing,
     bottom_open,
     extend_over,
     global_sections,

@@ -10,6 +10,8 @@ monomial, which makes them canonical for the chosen order.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomials import Monomial, Poly, PolyRing
@@ -40,30 +42,59 @@ def divide(
     No term of the remainder ``r`` is divisible by any divisor's leading
     monomial.  With ``want_quotients=False`` the quotients are skipped and
     ``None`` is returned in their place.
+
+    The working polynomial is one mutable term dict; its monomials sit in a
+    heap under the ring's descending key, so each step pops the largest term
+    without a scan (the heap of Monagan & Pearce, *Sparse polynomial
+    division using a heap*, JSC 2011, here over terms rather than
+    products).  Reducing by ``d`` subtracts ``q*x^a*(d - lt(d))`` in place;
+    over GF(p) a coefficient is reduced when its term is popped.
     """
     ring = f.ring
-    fld = ring.field
-    leads = [
-        (d.lead_monomial(), d.lead_coeff()) if not d.is_zero() else None
-        for d in divisors
-    ]
-    quots = [ring.zero] * len(divisors) if want_quotients else None
-    rem_terms: Dict[Monomial, object] = {}
-    p = f
-    while not p.is_zero():
-        mp = p.lead_monomial()
-        cp = p.terms[mp]
-        for idx, ld in enumerate(leads):
-            if ld is not None and _divides(ld[0], mp):
-                t = Poly(ring, {_mono_sub(mp, ld[0]): fld.div(cp, ld[1])})
-                if quots is not None:
-                    quots[idx] = quots[idx] + t
-                p = p - t * divisors[idx]
+    p = ring.field.char
+    hkey = ring._heap_key
+    leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
+    # (inverse lead coefficient, tail terms) of each divisor, on first use
+    tails: Dict[int, tuple] = {}
+    quots = [{} for _ in divisors] if want_quotients else None
+    rem: Dict[Monomial, object] = {}
+    terms = dict(f.terms)
+    heap = [(hkey(m), m) for m in terms]
+    heapify(heap)
+    while heap:
+        mp = heappop(heap)[1]
+        cp = terms.pop(mp)
+        if p:
+            cp %= p
+        if not cp:
+            continue
+        for idx, lm in leads:
+            if all(map(le, lm, mp)):
                 break
         else:
-            rem_terms[mp] = cp
-            p = Poly(ring, {m: c for m, c in p.terms.items() if m != mp})
-    return quots, Poly(ring, rem_terms)
+            rem[mp] = cp
+            continue
+        if idx not in tails:
+            d = divisors[idx].terms
+            lc = d[lm]
+            inv = pow(lc, -1, p) if p else 1 / lc
+            tails[idx] = (inv, [(m, c) for m, c in d.items() if m != lm])
+        inv, tail = tails[idx]
+        q = cp if inv == 1 else (cp * inv % p if p else cp * inv)
+        a = tuple(map(sub, mp, lm))
+        if quots is not None:
+            quots[idx][a] = q
+        for mt, ct in tail:
+            m = tuple(map(add, mt, a))
+            c = terms.get(m)
+            if c is None:
+                terms[m] = -q * ct
+                heappush(heap, (hkey(m), m))
+            else:
+                terms[m] = c - q * ct
+    if quots is not None:
+        quots = [Poly(ring, q) for q in quots]
+    return quots, Poly(ring, rem)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly]) -> Poly:
@@ -80,7 +111,8 @@ class _Engine:
         self.want = want_cofactors
         self.G: List[Poly] = []
         self.rows: List[List[Poly]] = []
-        self.pairs: List[Tuple[Monomial, int, int]] = []
+        # (order key of the lcm, lcm, i, j), the key taken once at creation
+        self.pairs: List[Tuple[tuple, Monomial, int, int]] = []
         self.unit_row: Optional[List[Poly]] = None
         self.found_unit = False
 
@@ -139,21 +171,21 @@ class _Engine:
             )
             if not dominated:
                 kept.append(i)
+        key = self.ring.monomial_key
         new_pairs = [
-            (lcms[i], i, h_idx)
+            (key(lcms[i]), lcms[i], i, h_idx)
             for i in kept
             if not _coprime(h_lm, G[i].lead_monomial())
         ]
         survivors = []
-        for (l, i, j) in self.pairs:
-            if not _divides(h_lm, l):
-                survivors.append((l, i, j))
-                continue
-            if _mono_lcm(G[i].lead_monomial(), h_lm) == l:
-                survivors.append((l, i, j))
-                continue
-            if _mono_lcm(G[j].lead_monomial(), h_lm) == l:
-                survivors.append((l, i, j))
+        for pair in self.pairs:
+            _, l, i, j = pair
+            if (
+                not _divides(h_lm, l)
+                or _mono_lcm(G[i].lead_monomial(), h_lm) == l
+                or _mono_lcm(G[j].lead_monomial(), h_lm) == l
+            ):
+                survivors.append(pair)
         self.pairs = survivors + new_pairs
 
     def run(self, stop_at_unit: bool) -> None:
@@ -168,10 +200,10 @@ class _Engine:
                 row = self._combine(self._unit_vector(i), quots)
             if self._insert(r, row, stop_at_unit):
                 return
-        key = self.ring.monomial_key
         while self.pairs:
-            best = min(range(len(self.pairs)), key=lambda k: key(self.pairs[k][0]))
-            l, i, j = self.pairs.pop(best)
+            # the first pair with the least lcm
+            best = min(range(len(self.pairs)), key=lambda k: self.pairs[k][0])
+            _, l, i, j = self.pairs.pop(best)
             fi, fj = self.G[i], self.G[j]
             ti = Poly(self.ring, {_mono_sub(l, fi.lead_monomial()): self.fld.one})
             tj = Poly(self.ring, {_mono_sub(l, fj.lead_monomial()): self.fld.one})

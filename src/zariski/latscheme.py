@@ -45,7 +45,6 @@ from .sheaf import (
     CoverData,
     SectionFamily,
     glue,
-    global_section,
     invertibility_support_basic,
     restrict,
     restriction_map,

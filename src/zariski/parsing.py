@@ -12,7 +12,7 @@ Parse errors carry 1-based line and column positions.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .fields import Field, GF, QQ, Scalar
 from .polynomials import MonomialOrder, Poly, PolyRing

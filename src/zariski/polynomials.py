@@ -10,6 +10,9 @@ the division and basis-completion algorithms built on top.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter, neg
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .fields import Field, Scalar
@@ -50,21 +53,33 @@ class MonomialOrder:
             return f"MonomialOrder({self.kind!r})"
         return f"MonomialOrder({self.kind!r}, perm={self.perm})"
 
-    def key_function(self, nvars: int) -> Callable[[Monomial], tuple]:
-        """Key under which Python's ``max``/``sorted`` realize this order."""
+    def key_function(self, nvars: int, descending: bool = False) -> Callable[[Monomial], tuple]:
+        """Key under which Python's ``max``/``sorted`` realize this order.
+
+        Keys are flat tuples of ints.  With ``descending`` every entry is
+        negated, so ``heapq`` (a min-heap) pops the largest monomial first.
+        """
         perm = self.perm if self.perm is not None else tuple(range(nvars))
         if len(perm) != nvars or sorted(perm) != list(range(nvars)):
             raise ValueError(f"permutation {perm} does not cover {nvars} variables")
+        # m -> the exponents in priority order (reversed for grevlex); with
+        # fewer than two variables every order is the identity, and
+        # itemgetter would return a bare int
         if self.kind == "lex":
-            return lambda m: tuple(m[i] for i in perm)
-        rev = tuple(reversed(perm))
-        return lambda m: (sum(m), tuple(-m[i] for i in rev))
+            pick = itemgetter(*perm) if nvars > 1 else tuple
+            if descending:
+                return lambda m: tuple(map(neg, pick(m)))
+            return pick
+        rpick = itemgetter(*perm[::-1]) if nvars > 1 else tuple
+        if descending:
+            return lambda m: (-sum(m), *rpick(m))
+        return lambda m: (sum(m), *map(neg, rpick(m)))
 
 
 class PolyRing:
     """A polynomial ring ``field[names]`` with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "_key", "_hash")
+    __slots__ = ("field", "names", "order", "_key", "_heap_key", "_hash")
 
     def __init__(
         self,
@@ -83,12 +98,15 @@ class PolyRing:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_key", order.key_function(len(names)))
+        object.__setattr__(self, "_heap_key", order.key_function(len(names), True))
         object.__setattr__(self, "_hash", hash(("PolyRing", field, names, order)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyRing is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
@@ -195,12 +213,13 @@ class PolyRing:
 class Poly:
     """Immutable sparse polynomial; construct through ``PolyRing`` methods."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lm")
 
     def __init__(self, ring: PolyRing, terms: Dict[Monomial, Scalar]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lm", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
@@ -236,9 +255,13 @@ class Poly:
 
     # -- leading data ------------------------------------------------------
     def lead_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.monomial_key)
+        lm = self._lm
+        if lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            lm = max(self.terms, key=self.ring._key)
+            object.__setattr__(self, "_lm", lm)
+        return lm
 
     def lead_coeff(self) -> Scalar:
         return self.terms[self.lead_monomial()]
@@ -250,9 +273,12 @@ class Poly:
             yield m, self.terms[m]
 
     # -- arithmetic --------------------------------------------------------
+    # Coefficients are handled as plain numbers here rather than through
+    # ``Field``: residues are reduced mod p once per result term, and over
+    # QQ products run on integers scaled by a common denominator.
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         if isinstance(other, int):
@@ -263,27 +289,22 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fld = self.ring.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = fld.add(terms.get(m, fld.zero), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Poly(self.ring, terms)
+        return Poly(self.ring, _sum_terms(self.terms, other.terms, self.ring.field.char))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        fld = self.ring.field
-        return Poly(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
+        p = self.ring.field.char
+        if p:
+            return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
+        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        p = self.ring.field.char
+        return Poly(self.ring, _sum_terms(self.terms, other.terms, p, negate=True))
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -292,17 +313,15 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fld = self.ring.field
-        terms: Dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = fld.add(terms.get(m, fld.zero), fld.mul(c1, c2))
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Poly(self.ring, terms)
+        p = self.ring.field.char
+        if p:
+            acc = _int_product(self.terms.items(), other.terms.items())
+            return Poly(self.ring, {m: r for m, c in acc.items() if (r := c % p)})
+        da, a = _integer_terms(self.terms)
+        db, b = _integer_terms(other.terms)
+        d = da * db
+        acc = _int_product(a, b)
+        return Poly(self.ring, {m: Fraction(c, d) for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -319,10 +338,12 @@ class Poly:
         return result
 
     def scale(self, c: Scalar) -> "Poly":
-        fld = self.ring.field
         if not c:
             return self.ring.zero
-        return Poly(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
+        p = self.ring.field.char
+        if p:
+            return Poly(self.ring, {m: v * c % p for m, v in self.terms.items()})
+        return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -406,3 +427,44 @@ def poly_sort_key(p: Poly) -> tuple:
     """Total order on polynomials of one ring, for canonical generator lists."""
     key = p.ring.monomial_key
     return (p.total_degree(), tuple((key(m), c) for m, c in p.sorted_terms()))
+
+
+# -- coefficient loops ---------------------------------------------------------
+# Plain-number kernels behind ``Poly`` arithmetic: ``p`` is the field's
+# characteristic (0 for QQ), and every result holds nonzero coefficients only.
+
+
+def _sum_terms(a: Dict, b: Dict, p: int, negate: bool = False) -> Dict:
+    """Terms of ``a + b`` (``a - b`` with ``negate``), zero sums dropped."""
+    terms = dict(a)
+    for m, c in b.items():
+        s = terms.get(m)
+        if s is None:
+            terms[m] = ((p - c) if p else -c) if negate else c
+            continue
+        s = s - c if negate else s + c
+        if p:
+            s %= p
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
+    return terms
+
+
+def _integer_terms(a: Dict) -> Tuple[int, list]:
+    """``(d, [(m, d*c)])`` with ``d`` the lcm of the denominators of ``a``."""
+    d = lcm(*[c.denominator for c in a.values()])
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in a.items()]
+
+
+def _int_product(a: Iterable, b: Iterable) -> Dict[Monomial, int]:
+    """Unreduced products of two term lists, summed per monomial."""
+    b = list(b)
+    acc: Dict[Monomial, int] = {}
+    get = acc.get
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = tuple(map(add, m1, m2))
+            acc[m] = get(m, 0) + c1 * c2
+    return acc

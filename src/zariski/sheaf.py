@@ -13,7 +13,7 @@ invertible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import (
     POWER_CAP,
@@ -25,7 +25,7 @@ from .algebra import (
     extract_fraction,
     make_localization,
 )
-from .lattice import ZarElement, basic_open, eq, leq
+from .lattice import ZarElement, basic_open
 
 
 class BasicOpenSection:

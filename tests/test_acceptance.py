@@ -427,6 +427,27 @@ def test_c11_the_kernel_is_float_free():
                 raise AssertionError(f"float builtin used in {path.name}")
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a package module imports is read somewhere in that module
+    (``__init__.py`` re-exports, so it is exempt)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"unused imports: {unused}"
+
+
 def test_the_power_bound_is_one_constant_not_a_knob():
     """Every search over denominator powers reads ``POWER_CAP``: no function
     of the package declares a ``cap`` parameter and no subcommand offers

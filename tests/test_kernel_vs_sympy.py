@@ -1,0 +1,161 @@
+"""The polynomial and Groebner kernel, differentially against sympy.
+
+Hypothesis draws small sparse polynomials over QQ (non-integer and negative
+coefficients) and over GF(2), GF(3), GF(32003) and GF(2**31 - 1), then
+checks products, powers, sums and differences against ``sympy.Poly``,
+reduced bases against ``sympy.groebner``, and division by its defining
+identity under grevlex, lex and permuted orders.  No result may hold a
+zero coefficient.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from zariski.fields import GF, QQ
+from zariski.groebner import GroebnerBasis, divide
+from zariski.polynomials import MonomialOrder, PolyRing
+
+CHARS = [0, 2, 3, 32003, 2147483647]
+NAMES = ("x", "y", "z")
+ORDERS = [
+    MonomialOrder("grevlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("grevlex", (2, 0, 1)),
+    MonomialOrder("lex", (1, 2, 0)),
+]
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _coeff(char):
+    if char == 0:
+        return st.builds(
+            Fraction,
+            st.integers(-30, 30).filter(bool),
+            st.integers(1, 12),
+        )
+    return st.integers(1, char - 1)
+
+
+@st.composite
+def polys(draw, char, nvars=3, max_exp=3, max_terms=5):
+    monos = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return draw(st.dictionaries(monos, _coeff(char), max_size=max_terms))
+
+
+def _ring(char, order=ORDERS[0]):
+    return PolyRing(QQ if char == 0 else GF(char), NAMES, order)
+
+
+def _sympy_gens(order):
+    """sympy's generators, highest priority first, as ``order`` ranks them."""
+    perm = order.perm if order.perm is not None else (0, 1, 2)
+    return [sympy.Symbol(NAMES[i]) for i in perm], perm
+
+
+def _to_sympy(f, order):
+    gens, perm = _sympy_gens(order)
+    char = f.ring.field.char
+    terms = {}
+    for m, c in f.terms.items():
+        key = tuple(m[i] for i in perm)
+        terms[key] = sympy.Rational(c.numerator, c.denominator) if char == 0 else c
+    domain = sympy.QQ if char == 0 else sympy.GF(char)
+    return sympy.Poly.from_dict(terms, *gens, domain=domain)
+
+
+def _from_sympy(P, ring):
+    """Terms of a sympy polynomial as a zariski term dict of ``ring``."""
+    _, perm = _sympy_gens(ring.order)
+    char = ring.field.char
+    out = {}
+    for monom, c in P.terms():
+        m = [0] * len(perm)
+        for e, i in zip(monom, perm):
+            m[i] = e
+        if char == 0:
+            c = sympy.Rational(c)
+            out[tuple(m)] = Fraction(int(c.p), int(c.q))
+        else:
+            out[tuple(m)] = int(c) % char
+    return {m: c for m, c in out.items() if c}
+
+
+def _assert_clean(f):
+    """Every stored coefficient is nonzero and, over GF(p), a reduced residue."""
+    char = f.ring.field.char
+    for c in f.terms.values():
+        assert c != 0, f
+        if char:
+            assert 0 < c < char, f
+
+
+@SETTINGS
+@given(st.data())
+def test_ring_operations_match_sympy(data):
+    char = data.draw(st.sampled_from(CHARS))
+    R = _ring(char)
+    f = R.from_terms(data.draw(polys(char)))
+    g = R.from_terms(data.draw(polys(char)))
+    k = data.draw(st.integers(0, 4))
+    F, G = _to_sympy(f, R.order), _to_sympy(g, R.order)
+    for ours, theirs in [(f * g, F * G), (f + g, F + G), (f - g, F - G), (-f, -F), (f**k, F**k)]:
+        _assert_clean(ours)
+        assert ours.terms == _from_sympy(theirs, R)
+    assert (f - f).is_zero() and (f + (-f)).is_zero()
+
+
+@SETTINGS
+@given(st.data())
+def test_division_identity_and_irreducible_remainder(data):
+    char = data.draw(st.sampled_from(CHARS))
+    R = _ring(char, data.draw(st.sampled_from(ORDERS)))
+    f = R.from_terms(data.draw(polys(char, max_terms=8)))
+    divisors = [
+        R.from_terms(data.draw(polys(char, max_exp=2, max_terms=3)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    quots, r = divide(f, divisors)
+    combo = r
+    for q, d in zip(quots, divisors):
+        _assert_clean(q)
+        combo = combo + q * d
+    _assert_clean(r)
+    assert combo == f
+    leads = [d.lead_monomial() for d in divisors if not d.is_zero()]
+    for m in r.terms:
+        assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+    assert divide(f, divisors, want_quotients=False) == (None, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduced_bases_match_sympy_groebner(data):
+    char = data.draw(st.sampled_from(CHARS))
+    order = data.draw(st.sampled_from(ORDERS))
+    R = _ring(char, order)
+    gens = [
+        R.from_terms(data.draw(polys(char, max_exp=2, max_terms=3)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    G = GroebnerBasis(R, gens)
+    sym_gens, _ = _sympy_gens(order)
+    domain = sympy.QQ if char == 0 else sympy.GF(char)
+    nonzero = [_to_sympy(g, order).as_expr() for g in gens if not g.is_zero()]
+    expected = set()
+    if nonzero:
+        basis = sympy.groebner(nonzero, *sym_gens, order=order.kind, domain=domain)
+        for b in basis.exprs:
+            P = sympy.Poly(b, *sym_gens, domain=domain)
+            P = P.quo_ground(P.LC(order=order.kind))
+            expected.add(frozenset(_from_sympy(P, R).items()))
+    got = {frozenset(b.terms.items()) for b in G.basis}
+    assert got == expected and len(G.basis) == len(expected)
+    for b, row in zip(G.basis, G.cofactors):
+        _assert_clean(b)
+        combo = R.zero
+        for c, g in zip(row, gens):
+            _assert_clean(c)
+            combo = combo + c * g
+        assert combo == b
