@@ -76,6 +76,8 @@ class PresentedAlgebra:
         return cls(PolyRing(field, names, order))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PresentedAlgebra)
             and self.ring == other.ring
@@ -367,9 +369,6 @@ class AlgebraMorphism:
             elt.poly.substitute(image_polys, self.target.ring)
         )
 
-    def apply_poly(self, p: Poly) -> AlgebraElement:
-        return self(self.source.element(p))
-
     def _relation_image(self, r: Poly) -> AlgebraElement:
         # substitute into the raw relation polynomial: normalizing it in the
         # source first would fold every defining relation to zero and make
@@ -438,19 +437,75 @@ def morphism(
 def enumerate_homs(
     source: PresentedAlgebra, target: PresentedAlgebra
 ) -> List[AlgebraMorphism]:
-    """All algebra maps source -> target, by exhaustive assignment search."""
+    """All algebra maps source -> target, in the lexicographic order of their
+    images over ``target.enumerate_elements()``.
+
+    Variables are assigned in index order, and each relation is checked as
+    soon as its last variable is assigned.  A relation ``c*x + d`` linear in
+    its last variable x, whose coefficient c takes a unit value, fixes x to
+    ``-d/c``: that one value is tried instead of every element.
+    """
     if source.field != target.field:
         raise ValueError("field mismatch")
     candidates = target.enumerate_elements()
-    out = []
-    for images in itertools.product(candidates, repeat=source.nvars):
-        image_polys = [im.poly for im in images]
-        ok = all(
-            target.element(r.substitute(image_polys, target.ring)).is_zero()
-            for r in source.relations
+    n = source.nvars
+    if not source.relations:
+        return [
+            AlgebraMorphism(source, target, images)
+            for images in itertools.product(candidates, repeat=n)
+        ]
+    ring = target.ring
+    # checks[k + 1]: the relations whose last variable is k (k = -1: constants);
+    # solvers[k]: (relation, c, d) for those of the form c*x_k + d
+    checks: List[List[Poly]] = [[] for _ in range(n + 1)]
+    solvers: List[List[Tuple[Poly, Poly, Poly]]] = [[] for _ in range(n)]
+    for r in source.relations:
+        last = max((i for i in range(n) if r.involves(i)), default=-1)
+        checks[last + 1].append(r)
+        if last >= 0 and r.degree_in(last) == 1:
+            c_terms, d_terms = {}, {}
+            for m, coeff in r.terms.items():
+                if m[last]:
+                    c_terms[m[:last] + (0,) + m[last + 1:]] = coeff
+                else:
+                    d_terms[m] = coeff
+            solvers[last].append(
+                (r, Poly(source.ring, c_terms), Poly(source.ring, d_terms))
+            )
+    polys = [ring.zero] * n  # images so far; later variables occur in no check
+    images: List[AlgebraElement] = [target.zero] * n
+    inverses: Dict[AlgebraElement, Optional[AlgebraElement]] = {}
+    out: List[AlgebraMorphism] = []
+
+    def value(p: Poly) -> AlgebraElement:
+        return target.element(p.substitute(polys, ring))
+
+    def holds(k: int, solved: Optional[Poly]) -> bool:
+        return all(
+            value(r).is_zero() for r in checks[k + 1] if r is not solved
         )
-        if ok:
+
+    def assign(k: int) -> None:
+        if k == n:
             out.append(AlgebraMorphism(source, target, images))
+            return
+        options, solved = candidates, None
+        for (r, c, d) in solvers[k]:
+            c_val = value(c)
+            if c_val not in inverses:
+                inverses[c_val] = target.try_invert(c_val)
+            inv = inverses[c_val]
+            if inv is not None:
+                options, solved = [-(value(d) * inv)], r
+                break
+        for b in options:
+            images[k] = b
+            polys[k] = b.poly
+            if holds(k, solved):
+                assign(k + 1)
+
+    if holds(-1, None):
+        assign(0)
     return out
 
 

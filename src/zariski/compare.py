@@ -34,6 +34,7 @@ from .latscheme import (
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
+    local_samples,
     mk_affine,
     top_open,
 )
@@ -44,6 +45,7 @@ from .funscheme import (
     atomic_factors,
     eval_points,
     functorial,
+    is_reduced,
     map_point,
     membership,
     open_at_point,
@@ -52,6 +54,9 @@ from .funscheme import (
     ring_of_functions,
 )
 
+
+# (target chart j, basic piece f, section over D(f)): a ``pull_basic`` argument
+_Sample = Tuple[int, AlgebraElement, AlgebraElement]
 
 _AFFINE_CACHE: Dict[PresentedAlgebra, LatticeScheme] = {}
 
@@ -68,9 +73,15 @@ def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
 
 
 def point_morphism(
-    X: LatticeScheme, p: SchemePoint, validate: bool = False
+    X: LatticeScheme,
+    p: SchemePoint,
+    validate: bool = False,
+    samples: Optional[Sequence[_Sample]] = None,
 ) -> SchemeMorphism:
-    """The scheme morphism Spec(B) -> X carried by a point of X(B)."""
+    """The scheme morphism Spec(B) -> X carried by a point of X(B).
+
+    With ``validate`` it is checked to be local on ``samples`` (by default
+    those of ``local_morphism_witness``)."""
     fun = p.scheme
     if fun.lat is not X:
         raise ValueError("point does not belong to the given chart presentation")
@@ -114,7 +125,7 @@ def point_morphism(
 
     pi = SchemeMorphism(S, X, chart_open, comorphisms)
     if validate:
-        witness = local_morphism_witness(pi)
+        witness = local_morphism_witness(pi, samples)
         if witness is not None:
             raise ValueError(f"point does not carry a local morphism: {witness}")
     return pi
@@ -397,13 +408,17 @@ def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
 
 
 def morphisms_agree(
-    pi1: SchemeMorphism, pi2: SchemeMorphism, opens: Sequence[CompactOpen]
+    pi1: SchemeMorphism,
+    pi2: SchemeMorphism,
+    opens: Sequence[CompactOpen],
+    samples: Optional[Sequence[_Sample]] = None,
 ) -> bool:
     """Extensional agreement of two morphisms with one-chart affine source.
 
     Compares pullbacks on the sample compact opens, then the pulled-back
-    chart variables: the pulled pieces of the two morphisms must agree as
-    fractions on every pairwise intersection of their regions.
+    chart variables (``samples``, by default ``chart_variable_samples`` of
+    every target chart): the pulled pieces of the two morphisms must agree
+    as fractions on every pairwise intersection of their regions.
     """
     if pi1.source is not pi2.source or pi1.target is not pi2.target:
         return False
@@ -413,25 +428,101 @@ def morphisms_agree(
     if pi1.source.ncharts != 1:
         return True
     B = pi1.source.charts[0]
-    for j in range(pi1.target.ncharts):
-        for sample in chart_variable_samples(pi1.target, j):
-            fam1 = pi1.pull_basic(*sample)
-            fam2 = pi2.pull_basic(*sample)
-            # fam2's fractions, each extracted once and only when first reached,
-            # so an early mismatch still returns before a later extraction can raise
-            fracs2: List[Tuple[AlgebraElement, int]] = []
-            for (_, h1, val1) in fam1:
-                n1, k1 = extract_fraction(make_localization(B, h1), val1)
-                for idx, (_, h2, val2) in enumerate(fam2):
-                    if idx == len(fracs2):
-                        fracs2.append(
-                            extract_fraction(make_localization(B, h2), val2)
-                        )
-                    n2, k2 = fracs2[idx]
-                    common = make_localization(B, h1 * h2)
-                    if common.to_loc(n1 * h2 ** k2) != common.to_loc(n2 * h1 ** k1):
-                        return False
+    if samples is None:
+        samples = [
+            s
+            for j in range(pi1.target.ncharts)
+            for s in chart_variable_samples(pi1.target, j)
+        ]
+    for sample in samples:
+        fam1 = pi1.pull_basic(*sample)
+        fam2 = pi2.pull_basic(*sample)
+        # fam2's fractions, each extracted once and only when first reached,
+        # so an early mismatch still returns before a later extraction can raise
+        fracs2: List[Tuple[AlgebraElement, int]] = []
+        for (_, h1, val1) in fam1:
+            n1, k1 = extract_fraction(make_localization(B, h1), val1)
+            for idx, (_, h2, val2) in enumerate(fam2):
+                if idx == len(fracs2):
+                    fracs2.append(extract_fraction(make_localization(B, h2), val2))
+                n2, k2 = fracs2[idx]
+                common = make_localization(B, h1 * h2)
+                if common.to_loc(n1 * h2 ** k2) != common.to_loc(n2 * h1 ** k1):
+                    return False
     return True
+
+
+def _fingerprint(
+    pi: SchemeMorphism,
+    opens: Sequence[CompactOpen],
+    samples: Sequence[_Sample],
+    inverses: Dict[AlgebraElement, AlgebraElement],
+) -> tuple:
+    """A hashable summary of a morphism Spec(B) -> X, B reduced: two such
+    morphisms agree in the sense of ``morphisms_agree`` iff their
+    fingerprints are equal.
+
+    B is then a product of fields, one per atom.  A sample open pulls back
+    to the atoms it contains (those where one of its generators is
+    nonzero).  A sample section pulls back to fractions n/h**k, one per
+    piece; each atom inside some D(h) records the fraction's value in its
+    field, and every other atom records None.  ``inverses`` holds inverses
+    in the factor fields, shared by the morphisms of one B.
+    """
+    B = pi.source.charts[0]
+    factors = atomic_factors(B)
+    out: List[tuple] = []
+    for u in opens:
+        gens = pi.pullback(u).components[0].generators
+        out.append(tuple(
+            idx
+            for idx, (_, quot) in enumerate(factors)
+            if any(not quot(g).is_zero() for g in gens)
+        ))
+    for sample in samples:
+        values: List[Optional[AlgebraElement]] = [None] * len(factors)
+        for (_, h, val) in pi.pull_basic(*sample):
+            n, k = extract_fraction(make_localization(B, h), val)
+            for idx, (_, quot) in enumerate(factors):
+                if values[idx] is not None:
+                    continue
+                h_e = quot(h)
+                if h_e.is_zero():
+                    continue
+                value = quot(n)
+                if k:
+                    if h_e not in inverses:
+                        inverses[h_e] = h_e.algebra.try_invert(h_e)
+                    value = value * inverses[h_e] ** k
+                values[idx] = value
+        out.append(tuple(values))
+    return tuple(out)
+
+
+def _agreeing_pair(
+    B: PresentedAlgebra,
+    carried: Sequence[SchemeMorphism],
+    opens: Sequence[CompactOpen],
+    samples: Sequence[_Sample],
+) -> Optional[Tuple[int, int]]:
+    """The first pair a < b of carried morphisms that agree, in the order
+    of the pairwise sweep; None if all are distinct.
+
+    Over a reduced B one fingerprint per morphism decides it; otherwise the
+    pairs are compared by ``morphisms_agree``.
+    """
+    if not is_reduced(B):
+        for a in range(len(carried)):
+            for b in range(a + 1, len(carried)):
+                if morphisms_agree(carried[a], carried[b], opens, samples):
+                    return a, b
+        return None
+    inverses: Dict[AlgebraElement, AlgebraElement] = {}
+    groups: Dict[tuple, List[int]] = {}
+    for idx, pi in enumerate(carried):
+        groups.setdefault(_fingerprint(pi, opens, samples, inverses), []).append(idx)
+    first = min((g for g in groups.values() if len(g) > 1), default=None)
+    return None if first is None else (first[0], first[1])
 
 
 def comparison_check(
@@ -444,7 +535,11 @@ def comparison_check(
 
     For each B: enumerate the points, carry each to a scheme morphism,
     validate it as a local morphism, and check the flat/sharp roundtrip
-    recovers the point.  For each supplied algebra morphism chi: B -> B2,
+    recovers the point.  Distinct points must carry extensionally distinct
+    morphisms: over a reduced B this compares one fingerprint per point
+    (``_fingerprint``), over other B every pair (``morphisms_agree``).  Both
+    read the pulled-back sections of ``local_samples``, built once and
+    shared with the validation.  For each supplied algebra morphism chi: B -> B2,
     check naturality: pushing a point along chi then taking its pullback
     agrees with pulling back first and applying the lattice map of chi.
     Finally check the realization certificate.  Returns (ok, report).
@@ -455,6 +550,7 @@ def comparison_check(
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
     opens = _sample_opens(X)
+    samples = local_samples(X)
     points_by_algebra: Dict[PresentedAlgebra, List[SchemePoint]] = {}
     for B in test_algebras:
         pts = ev.at(B)
@@ -466,7 +562,7 @@ def comparison_check(
         carried: List[SchemeMorphism] = []
         for p in pts:
             try:
-                pi = ev.morphism(p, validate=True)
+                pi = point_morphism(X, p, validate=True, samples=samples)
             except ValueError as exc:
                 valid = False
                 entry["witness"] = str(exc)
@@ -478,18 +574,15 @@ def comparison_check(
                 entry["witness"] = f"flat(sharp({p!r})) = {back!r}"
                 break
         distinct = len(set(pts)) == len(pts)
-        if valid and roundtrip and distinct:
-            for a in range(len(carried)):
-                for b in range(a + 1, len(carried)):
-                    if morphisms_agree(carried[a], carried[b], opens):
-                        distinct = False
-                        entry["witness"] = (
-                            f"points {pts[a]!r} and {pts[b]!r} carry "
-                            "extensionally equal morphisms"
-                        )
-                        break
-                if not distinct:
-                    break
+        if valid and roundtrip and distinct and len(carried) > 1:
+            pair = _agreeing_pair(B, carried, opens, samples)
+            if pair is not None:
+                a, b = pair
+                distinct = False
+                entry["witness"] = (
+                    f"points {pts[a]!r} and {pts[b]!r} carry "
+                    "extensionally equal morphisms"
+                )
         entry["morphisms_valid"] = valid
         entry["roundtrip"] = roundtrip
         entry["distinct"] = distinct

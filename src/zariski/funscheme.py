@@ -165,21 +165,48 @@ class SchemePoint:
 # -- reducedness and idempotents ------------------------------------------------
 
 
-_REDUCED_CACHE: Dict[PresentedAlgebra, bool] = {}
-
-
 def is_reduced(B: PresentedAlgebra) -> bool:
-    """No nonzero nilpotents, checked by enumeration."""
-    cached = _REDUCED_CACHE.get(B)
-    if cached is not None:
-        return cached
-    out = True
-    for b in B.enumerate_elements():
-        if not b.is_zero() and B.radical_member(b, []):
-            out = False
-            break
-    _REDUCED_CACHE[B] = out
-    return out
+    """No nonzero nilpotents, decided by the rank of Frobenius.
+
+    Over GF(p) the map b -> b**p is GF(p)-linear, and it kills a nonzero
+    element exactly when B has a nonzero nilpotent (b**(p**k) = 0 makes some
+    b**(p**i) a nonzero element with zero p-th power).  So B is reduced iff
+    Frobenius has full rank on the staircase basis: dim B normal forms and
+    one rank computation over GF(p).
+    """
+    if not B.field.is_finite:
+        raise ValueError("cannot enumerate an algebra over QQ")
+    if B.is_trivial():
+        return True
+    stairs = B.staircase()
+    column = {m: i for i, m in enumerate(stairs)}
+    p = B.field.char
+    rows = []
+    for m in stairs:
+        row = [0] * len(stairs)
+        power = B.element(B.ring.from_terms({m: 1})) ** p
+        for mono, c in power.poly.terms.items():
+            row[column[mono]] = c
+        rows.append(row)
+    return _rank_mod_p(rows, p) == len(stairs)
+
+
+def _rank_mod_p(rows: List[List[int]], p: int) -> int:
+    """The rank of an integer matrix over GF(p), by row reduction in place."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top_row = rows[rank]
+        inv = pow(top_row[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv % p
+            if factor:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], top_row)]
+        rank += 1
+    return rank
 
 
 _ATOMS_CACHE: Dict[

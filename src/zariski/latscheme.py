@@ -591,11 +591,6 @@ class SectionRing:
                 raise ValueError(f"not a section: {witness}")
         return s
 
-    def membership_witness(self, candidate: GlobalSection) -> Optional[str]:
-        if candidate.domain != self.domain:
-            return "candidate lives over a different compact open"
-        return section_compatibility_witness(candidate)
-
     def _zip(self, s: GlobalSection, t: GlobalSection, op) -> GlobalSection:
         if s.domain != self.domain or t.domain != self.domain:
             raise ValueError("sections over a different compact open")
@@ -637,12 +632,9 @@ class SectionRing:
         gens = self.domain.components[i].generators
         cover = CoverData(A, gens)
         fam = SectionFamily(
-            cover, [self.piece_of(s, i, k) for k in range(len(gens))]
+            cover, [s.piece(i, k) for k in range(len(gens))]
         )
         return glue(fam)
-
-    def piece_of(self, s: GlobalSection, i: int, k: int) -> BasicOpenSection:
-        return s.piece(i, k)
 
 
 def sections_over(X: LatticeScheme, u: CompactOpen) -> SectionRing:
@@ -854,6 +846,19 @@ def chart_variable_samples(
     return [(j, B.one, loc1.to_loc(B.var(idx))) for idx in range(B.nvars)]
 
 
+def local_samples(
+    Y: LatticeScheme,
+) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
+    """The default samples of ``local_morphism_witness``: for each chart j
+    of Y, the variable sections of ``chart_variable_samples`` and then the
+    unit 1 over D(1)."""
+    samples = []
+    for j, B in enumerate(Y.charts):
+        samples.extend(chart_variable_samples(Y, j))
+        samples.append((j, B.one, make_localization(B, B.one).algebra.one))
+    return samples
+
+
 def local_morphism_witness(
     pi: SchemeMorphism,
     samples: Optional[Sequence[Tuple[int, AlgebraElement, AlgebraElement]]] = None,
@@ -870,10 +875,7 @@ def local_morphism_witness(
     """
     X, Y = pi.source, pi.target
     if samples is None:
-        samples = []
-        for j, B in enumerate(Y.charts):
-            samples.extend(chart_variable_samples(Y, j))
-            samples.append((j, B.one, make_localization(B, B.one).algebra.one))
+        samples = local_samples(Y)
     for (j, f, value) in samples:
         B = Y.charts[j]
         loc_f = make_localization(B, f)

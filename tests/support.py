@@ -4,7 +4,9 @@ Randomness is always driven by a caller-supplied ``random.Random`` so every
 test run is reproducible from its seed.
 """
 
-from zariski.algebra import PresentedAlgebra
+import itertools
+
+from zariski.algebra import AlgebraMorphism, PresentedAlgebra
 from zariski.fields import GF, QQ
 from zariski.polynomials import MonomialOrder, PolyRing
 
@@ -97,3 +99,29 @@ def random_open(rng, algebra, max_gens=3, max_degree=2, max_terms=3):
         for _ in range(rng.randint(0, max_gens))
     ]
     return basic_open(algebra, [algebra.element(g) for g in gens])
+
+
+# -- brute-force oracles for the finite-algebra searches ---------------------------
+
+
+def exhaustive_homs(source, target):
+    """All algebra maps source -> target by trying every assignment of
+    elements of ``target`` to the variables: the oracle for ``enumerate_homs``."""
+    candidates = target.enumerate_elements()
+    out = []
+    for images in itertools.product(candidates, repeat=source.nvars):
+        image_polys = [im.poly for im in images]
+        if all(
+            target.element(r.substitute(image_polys, target.ring)).is_zero()
+            for r in source.relations
+        ):
+            out.append(AlgebraMorphism(source, target, images))
+    return out
+
+
+def reduced_by_definition(B):
+    """No nonzero element of ``B`` lies in the radical of the zero ideal:
+    the oracle for ``is_reduced``."""
+    return not any(
+        not b.is_zero() and B.radical_member(b, []) for b in B.enumerate_elements()
+    )

@@ -410,7 +410,6 @@ def test_c10_spec_is_local_and_the_broken_morphism_is_caught():
 def test_c11_the_kernel_is_float_free():
     """Every number in the package source is an integer literal and the
     float builtin is never used: all arithmetic is exact by construction.
-    (The suite's wall-clock bound is witnessed by the recorded test run.)
     """
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
     files = sorted(src.glob("*.py"))

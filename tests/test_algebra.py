@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from support import (
+    exhaustive_homs,
     gf3_split,
     gf5_circle,
     gf5_hyperbola,
+    product_of_points,
     qq_triple_point,
     qq_x,
     qq_xy,
@@ -32,6 +34,7 @@ from zariski.algebra import (
     tower,
 )
 from zariski.fields import GF, QQ
+from zariski.latscheme import projective_line, punctured_plane
 from zariski.polynomials import PolyRing
 
 
@@ -209,6 +212,103 @@ def test_homs_into_a_product_split_into_components():
     assert len(homs) == 9  # one element of B per hom
     for phi in homs:
         assert phi.is_valid()
+
+
+def _quotient(p, names, rels):
+    ring = PolyRing(GF(p), names)
+    return PresentedAlgebra(ring, [rel(*ring.gens()) for rel in rels])
+
+
+def _hom_targets(p):
+    """GF(p), GF(p)[t]/(t^2) (a zero divisor t), and GF(p)[t]/(t^2 - t)."""
+    return [
+        PresentedAlgebra.free(GF(p), []),
+        _quotient(p, ["t"], [lambda t: t * t]),
+        _quotient(p, ["t"], [lambda t: t * t - t]),
+    ]
+
+
+def _hom_sources(p):
+    sources = [PresentedAlgebra.free(GF(p), ["x", "y"]), product_of_points(p, 2)]
+    if p == 3:
+        sources.append(gf3_split())
+        for X in (projective_line(GF(p)), punctured_plane(GF(p))[0]):
+            sources.extend(X.charts)
+    if p == 5:
+        sources += [gf5_circle(), gf5_hyperbola()]
+    return sources
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hom_search_matches_the_exhaustive_search_on_the_fixtures(p):
+    for A in _hom_sources(p):
+        for B in _hom_targets(p):
+            assert enumerate_homs(A, B) == exhaustive_homs(A, B), (A, B)
+
+
+def test_hom_search_enumerates_a_variable_whose_coefficient_is_a_zero_divisor():
+    # x*y - x is linear in y with coefficient x; x -> t makes it a zero divisor
+    A = _quotient(3, ["x", "y"], [lambda x, y: x * y - x])
+    B = _quotient(3, ["t"], [lambda t: t * t])
+    homs = enumerate_homs(A, B)
+    assert homs == exhaustive_homs(A, B)
+    # t*(y - 1) = 0 leaves y = 1 + a*t for each a in GF(3)
+    assert sum(1 for h in homs if h.images[0] == B.var(0)) == 3
+
+
+def test_hom_search_inverts_each_coefficient_value_once(monkeypatch):
+    # the chart relation y*z - 1 is solved for z once per (x, y) branch
+    A = _quotient(3, ["x", "y", "z"], [lambda x, y, z: y * z - 1])
+    B = _quotient(3, ["t"], [lambda t: t * t + 1])
+    calls = []
+    inner = PresentedAlgebra.try_invert
+
+    def counted(self, c):
+        calls.append(c)
+        return inner(self, c)
+
+    monkeypatch.setattr(PresentedAlgebra, "try_invert", counted)
+    homs = enumerate_homs(A, B)
+    monkeypatch.undo()
+    assert homs == exhaustive_homs(A, B)
+    assert len(homs) == 9 * 8
+    assert len(calls) == len(set(calls)) == 9  # once per value of y, not per (x, y)
+
+
+@st.composite
+def _small_presentations(draw):
+    """A source with 1-2 variables and up to two relations over GF(2) or
+    GF(3), and a target GF(p)[t]/(m) with m monic of degree 1 or 2."""
+    p = draw(st.sampled_from([2, 3]))
+    names = ["x", "y"][: draw(st.integers(1, 2))]
+    ring = PolyRing(GF(p), names)
+    monomials = st.tuples(*[st.integers(0, 2)] * len(names))
+    coefficients = st.integers(1, p - 1)
+    rels = draw(
+        st.lists(
+            st.dictionaries(monomials, coefficients, min_size=1, max_size=3),
+            max_size=2,
+        )
+    )
+    # half the time, a relation c*y + d that the search can solve for y
+    if len(names) == 2 and draw(st.booleans()):
+        c = draw(st.sampled_from([ring.one, ring.var(0), ring.var(0) + ring.one]))
+        rels.append((c * ring.var(1) - ring.var(0) ** 2).terms)
+    source = PresentedAlgebra(ring, [ring.from_terms(r) for r in rels])
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2))
+    t_ring = PolyRing(GF(p), ["t"])
+    (t,) = t_ring.gens()
+    m = t ** len(coeffs)
+    for k, c in enumerate(coeffs):
+        m = m + (t**k).scale(c)
+    return source, PresentedAlgebra(t_ring, [m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_presentations())
+def test_hom_search_matches_the_exhaustive_search_on_random_presentations(pair):
+    source, target = pair
+    assert enumerate_homs(source, target) == exhaustive_homs(source, target)
 
 
 # -- localization ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 import oracles as O
-from support import gf3_split, product_of_points, qq_xy
+import itertools
+
+from support import gf3_split, product_of_points, qq_xy, reduced_by_definition
 from zariski.algebra import (
     PresentedAlgebra,
     enumerate_homs,
@@ -146,6 +148,27 @@ def test_reducedness_detection():
     assert is_reduced(gf3_split())
     ring, rels = parse_ring("GF(2)[t]/(t^2)")
     assert not is_reduced(PresentedAlgebra(ring, rels))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_reducedness_matches_the_definition_for_every_small_monic(p):
+    ring = PolyRing(GF(p), ["t"])
+    (t,) = ring.gens()
+    seen = {True: 0, False: 0}
+    for degree in range(4):
+        for coeffs in itertools.product(range(p), repeat=degree):
+            m = t**degree
+            for k, c in enumerate(coeffs):
+                m = m + (t**k).scale(c)
+            B = PresentedAlgebra(ring, [m])
+            assert is_reduced(B) == reduced_by_definition(B), m
+            seen[is_reduced(B)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_reducedness_needs_a_finite_field():
+    with pytest.raises(ValueError):
+        is_reduced(qq_xy())
 
 
 # -- idempotent decomposition --------------------------------------------------------

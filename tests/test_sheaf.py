@@ -10,8 +10,10 @@ from zariski.algebra import (
     extract_fraction,
     make_localization,
 )
+from zariski.algebra import PresentedAlgebra
 from zariski.fields import GF, QQ
 from zariski.lattice import basic_open, eq, leq, meet
+from zariski.parsing import parse_ring
 from zariski.sheaf import (
     CoverData,
     SectionFamily,
@@ -180,6 +182,21 @@ def test_gluing_true_fractions_needs_denominator_clearing():
     witness = incompatibility_witness(fam)
     assert witness is None
     assert glue(fam) == 1 - x
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ExtractionCapError,
+    reason="known defect: localizations use plain grevlex, so at a unit "
+    "denominator extract_fraction cannot clear the inverse variable",
+)
+def test_gluing_along_a_cover_by_one_unit_piece():
+    ring, rels = parse_ring("QQ[t]/(t^2 - 2)")
+    A = PresentedAlgebra(ring, rels)
+    t = A.var(0)
+    cov = CoverData(A, [t])
+    fam = SectionFamily(cov, [global_section(make_localization(A, t), t + 1)])
+    assert glue(fam) == t + 1
 
 
 def test_incompatible_families_are_refused_with_a_witness():
