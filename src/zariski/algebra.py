@@ -47,9 +47,14 @@ def _fresh_names(stems: Sequence[str], used: Iterable[str]) -> List[str]:
 
 
 class PresentedAlgebra:
-    """A quotient of a polynomial ring by finitely many relations."""
+    """A quotient of a polynomial ring by finitely many relations.
 
-    __slots__ = ("ring", "relations", "gb", "_member_gbs", "_radical_memo", "_hash")
+    ``_memo`` remembers facts that depend on the algebra alone, for its
+    lifetime: ``try_invert``'s answer per element (keyed by the normal form)
+    and ``funscheme.is_reduced``'s answer (under ``"reduced"``).
+    """
+
+    __slots__ = ("ring", "relations", "gb", "_member_gbs", "_radical_memo", "_memo", "_hash")
 
     def __init__(self, ring: PolyRing, relations: Sequence[Poly] = ()):
         rels = tuple(r for r in relations if not r.is_zero())
@@ -61,6 +66,7 @@ class PresentedAlgebra:
         object.__setattr__(self, "gb", GroebnerBasis(ring, rels))
         object.__setattr__(self, "_member_gbs", {})
         object.__setattr__(self, "_radical_memo", {})
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash(("PresentedAlgebra", ring, rels)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -200,11 +206,16 @@ class PresentedAlgebra:
         return result
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
-        """The inverse of ``c`` with certificate, or None if not a unit."""
-        row = self.unit_certificate([c])
-        if row is None:
-            return None
-        return row[0]
+        """The inverse of ``c`` with certificate, or None if not a unit.
+
+        Remembered in ``_memo`` (None for a non-unit too), so each element
+        of this algebra is certified by ``unit_certificate`` once.
+        """
+        memo = self._memo
+        if c.poly not in memo:
+            row = self.unit_certificate([c])
+            memo[c.poly] = None if row is None else row[0]
+        return memo[c.poly]
 
     # -- enumeration (finite algebras over prime fields) ----------------------
     def staircase(self) -> List[Monomial]:
@@ -474,7 +485,6 @@ def enumerate_homs(
             )
     polys = [ring.zero] * n  # images so far; later variables occur in no check
     images: List[AlgebraElement] = [target.zero] * n
-    inverses: Dict[AlgebraElement, Optional[AlgebraElement]] = {}
     out: List[AlgebraMorphism] = []
 
     def value(p: Poly) -> AlgebraElement:
@@ -491,10 +501,7 @@ def enumerate_homs(
             return
         options, solved = candidates, None
         for (r, c, d) in solvers[k]:
-            c_val = value(c)
-            if c_val not in inverses:
-                inverses[c_val] = target.try_invert(c_val)
-            inv = inverses[c_val]
+            inv = target.try_invert(value(c))
             if inv is not None:
                 options, solved = [-(value(d) * inv)], r
                 break

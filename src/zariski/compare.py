@@ -72,6 +72,22 @@ def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
 # -- points as morphisms (the comparison functor) -----------------------------------
 
 
+def _collapse(
+    S: LatticeScheme, Bt: PresentedAlgebra, piece: AlgebraElement
+) -> AlgebraMorphism:
+    """The map B/(1-e) -> B_piece of S = Spec(B), for a piece below the
+    idempotent e (1-e dies in B_piece); remembered on S by (Bt, piece)."""
+    got = S._memo.get((Bt, piece))
+    if got is None:
+        B = S.charts[0]
+        loc_piece = make_localization(B, piece)
+        got = AlgebraMorphism(
+            Bt, loc_piece.algebra, [loc_piece.to_loc(B.var(i)) for i in range(B.nvars)]
+        )
+        S._memo[(Bt, piece)] = got
+    return got
+
+
 def point_morphism(
     X: LatticeScheme,
     p: SchemePoint,
@@ -81,7 +97,11 @@ def point_morphism(
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
     With ``validate`` it is checked to be local on ``samples`` (by default
-    those of ``local_morphism_witness``)."""
+    those of ``local_morphism_witness``).  Only the evaluation at the point
+    is done per point: the opens of X come from ``embed_basic`` (remembered
+    on X), the patch maps from ``Patch.chart_bwd`` (kept on the patch) and
+    the collapse maps ``B/(1-e) -> B_piece`` are remembered on Spec(B).
+    """
     fun = p.scheme
     if fun.lat is not X:
         raise ValueError("point does not belong to the given chart presentation")
@@ -96,31 +116,15 @@ def point_morphism(
         for (e, c, phi) in p.factors:
             Bt = phi.target
             if c == j:
-                piece = e
-                loc_piece = make_localization(B, piece)
-                # B/(1-e) -> B_e is well defined: 1-e dies in B_e
-                collapse = AlgebraMorphism(
-                    Bt,
-                    loc_piece.algebra,
-                    [loc_piece.to_loc(B.var(i)) for i in range(B.nvars)],
-                )
-                out.append((0, piece, phi.then(collapse)))
+                out.append((0, e, phi.then(_collapse(S, Bt, e))))
                 continue
             for Q in X.data.patches_for(c, j):
-                f_img = phi(Q.f)
-                piece = B.element(f_img.poly) * e
-                loc_piece = make_localization(B, piece)
-                collapse = AlgebraMorphism(
-                    Bt,
-                    loc_piece.algebra,
-                    [loc_piece.to_loc(B.var(i)) for i in range(B.nvars)],
-                )
-                psi = try_extend(Q.loc_f, phi.then(collapse))  # (A_c)_f -> B_piece
+                piece = B.element(phi(Q.f).poly) * e
+                # (A_c)_f -> B_piece
+                psi = try_extend(Q.loc_f, phi.then(_collapse(S, Bt, piece)))
                 if psi is None:
                     continue
-                out.append(
-                    (0, piece, Q.loc_g.to_loc.then(Q.bwd).then(psi))
-                )
+                out.append((0, piece, Q.chart_bwd.then(psi)))
         return out
 
     pi = SchemeMorphism(S, X, chart_open, comorphisms)
@@ -453,10 +457,7 @@ def morphisms_agree(
 
 
 def _fingerprint(
-    pi: SchemeMorphism,
-    opens: Sequence[CompactOpen],
-    samples: Sequence[_Sample],
-    inverses: Dict[AlgebraElement, AlgebraElement],
+    pi: SchemeMorphism, opens: Sequence[CompactOpen], samples: Sequence[_Sample]
 ) -> tuple:
     """A hashable summary of a morphism Spec(B) -> X, B reduced: two such
     morphisms agree in the sense of ``morphisms_agree`` iff their
@@ -466,8 +467,8 @@ def _fingerprint(
     to the atoms it contains (those where one of its generators is
     nonzero).  A sample section pulls back to fractions n/h**k, one per
     piece; each atom inside some D(h) records the fraction's value in its
-    field, and every other atom records None.  ``inverses`` holds inverses
-    in the factor fields, shared by the morphisms of one B.
+    field, and every other atom records None.  The factor fields remember
+    their inverses (``try_invert``), so the morphisms of one B share them.
     """
     B = pi.source.charts[0]
     factors = atomic_factors(B)
@@ -491,9 +492,7 @@ def _fingerprint(
                     continue
                 value = quot(n)
                 if k:
-                    if h_e not in inverses:
-                        inverses[h_e] = h_e.algebra.try_invert(h_e)
-                    value = value * inverses[h_e] ** k
+                    value = value * h_e.algebra.try_invert(h_e) ** k
                 values[idx] = value
         out.append(tuple(values))
     return tuple(out)
@@ -517,10 +516,9 @@ def _agreeing_pair(
                 if morphisms_agree(carried[a], carried[b], opens, samples):
                     return a, b
         return None
-    inverses: Dict[AlgebraElement, AlgebraElement] = {}
     groups: Dict[tuple, List[int]] = {}
     for idx, pi in enumerate(carried):
-        groups.setdefault(_fingerprint(pi, opens, samples, inverses), []).append(idx)
+        groups.setdefault(_fingerprint(pi, opens, samples), []).append(idx)
     first = min((g for g in groups.values() if len(g) > 1), default=None)
     return None if first is None else (first[0], first[1])
 

@@ -172,12 +172,18 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     element exactly when B has a nonzero nilpotent (b**(p**k) = 0 makes some
     b**(p**i) a nonzero element with zero p-th power).  So B is reduced iff
     Frobenius has full rank on the staircase basis: dim B normal forms and
-    one rank computation over GF(p).
+    one rank computation over GF(p).  The answer is remembered on B (in
+    ``B._memo``, next to its inverses), so pushing many points into one
+    algebra decides it once.
     """
     if not B.field.is_finite:
         raise ValueError("cannot enumerate an algebra over QQ")
-    if B.is_trivial():
-        return True
+    if "reduced" not in B._memo:
+        B._memo["reduced"] = B.is_trivial() or _frobenius_is_injective(B)
+    return B._memo["reduced"]
+
+
+def _frobenius_is_injective(B: PresentedAlgebra) -> bool:
     stairs = B.staircase()
     column = {m: i for i, m in enumerate(stairs)}
     p = B.field.char
@@ -361,7 +367,7 @@ def _reduce_factor(
                 hom_ext = try_extend(Q.loc_f, hom)
                 if hom_ext is None:
                     continue
-                hom = Q.loc_g.to_loc.then(Q.bwd).then(hom_ext)
+                hom = Q.chart_bwd.then(hom_ext)
                 j = i
                 moved = True
                 break

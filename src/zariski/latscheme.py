@@ -74,7 +74,7 @@ class Patch:
     (A_j)_g; validation happens in GluingData, not here.
     """
 
-    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd")
+    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "_chart_bwd")
 
     def __init__(
         self,
@@ -93,9 +93,18 @@ class Patch:
         object.__setattr__(self, "g", loc_g.denominator)
         object.__setattr__(self, "fwd", fwd)
         object.__setattr__(self, "bwd", bwd)
+        object.__setattr__(self, "_chart_bwd", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Patch is immutable")
+
+    @property
+    def chart_bwd(self) -> AlgebraMorphism:
+        """``A_j -> (A_i)_f``: chart j's localization map followed by
+        ``bwd``, composed on first use and kept on the patch."""
+        if self._chart_bwd is None:
+            object.__setattr__(self, "_chart_bwd", self.loc_g.to_loc.then(self.bwd))
+        return self._chart_bwd
 
     def mirror(self) -> "Patch":
         return Patch(self.j, self.i, self.loc_g, self.loc_f, self.bwd, self.fwd)
@@ -282,12 +291,19 @@ class GluingData:
 
 
 class LatticeScheme:
-    """A scheme presented by validated gluing data."""
+    """A scheme presented by validated gluing data.
 
-    __slots__ = ("data",)
+    ``_memo`` remembers values that depend on the scheme alone, for its
+    lifetime: ``embed_basic`` by ``(i, w)``, the invertibility support of a
+    ``local_morphism_witness`` sample by ``(j, f, value)``, and, on the
+    spectrum of a test algebra, ``compare.point_morphism``'s collapse maps.
+    """
+
+    __slots__ = ("data", "_memo")
 
     def __init__(self, data: GluingData):
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LatticeScheme is immutable")
@@ -392,9 +408,17 @@ def bottom_open(X: LatticeScheme) -> CompactOpen:
 
 def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     """The compact open generated by an open of one chart: transported
-    copies fill in the other charts' components."""
+    copies fill in the other charts' components.
+
+    Remembered on X by ``(i, w)``: point morphisms into X ask for the same
+    few opens at every point, and each costs a ``transport_piece`` per
+    patch and generator.
+    """
     if w.owner != X.charts[i]:
         raise ValueError("open does not live on the named chart")
+    hit = X._memo.get((i, w))
+    if hit is not None:
+        return hit
     comps: List[ZarElement] = []
     for j, Aj in enumerate(X.charts):
         if j == i:
@@ -405,7 +429,9 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
             for h in w.generators:
                 gens.append(transport_piece(p, h))
         comps.append(basic_open(Aj, gens))
-    return CompactOpen(X, comps)
+    out = CompactOpen(X, comps)
+    X._memo[(i, w)] = out
+    return out
 
 
 def open_compatibility_witness(u: CompactOpen) -> Optional[str]:
@@ -532,9 +558,7 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
                 if loc_m.algebra.is_trivial():
                     continue
                 a_side = restrict(s.piece(p.i, k), m)
-                carry = p.loc_g.to_loc.then(p.bwd).then(
-                    restriction_map(p.loc_f, loc_m)
-                )
+                carry = p.chart_bwd.then(restriction_map(p.loc_f, loc_m))
                 loc_gl = make_localization(Aj, gl)
                 carry_loc = extend_over(loc_gl, carry)
                 b_side = BasicOpenSection(loc_m, carry_loc(s.values[p.j][l]))
@@ -730,9 +754,12 @@ class SchemeMorphism:
     chart i in D(f), where sections pull back along ``phi : B_j ->
     (A_i)_f``.  The constructor does not validate; the checkers do.
 
-    ``pullback`` and ``pull_basic`` are memoized per morphism (the data is
-    immutable and both closures are pure), so a morphism compared against
-    many others pulls each open and each section back once.
+    ``pullback`` and ``pull_basic`` are memoized per morphism in ``_memo``
+    (the data is immutable and both closures are pure), so a morphism
+    validated and then fingerprinted or compared against others pulls each
+    open and each section back once.  What does not depend on the morphism
+    is remembered elsewhere: opens of the target on the target scheme
+    (``embed_basic``), inverses on the algebras (``try_invert``).
     """
 
     __slots__ = ("source", "target", "chart_open", "chart_comorphisms", "_memo")
@@ -771,6 +798,8 @@ class SchemeMorphism:
         """Pull a section over D(f) of target chart j back to the source.
 
         Returns pieces (i, h, value in the localization of chart i at h).
+        Where D(h) is the comorphism's own piece D(fp) (as for every section
+        over D(1)), the value is carried by the comorphism alone.
         """
         key = (j, f, value)
         hit = self._memo.get(key)
@@ -787,7 +816,7 @@ class SchemeMorphism:
             num = extract_fraction(loc_fp, img_f)[0]
             h = fp * num
             loc_h = make_localization(self.source.charts[i], h)
-            step = phi.then(restriction_map(loc_fp, loc_h))
+            step = phi if loc_h is loc_fp else phi.then(restriction_map(loc_fp, loc_h))
             lifted = extend_over(loc_f, step)
             out.append((i, h, lifted(value)))
         out = tuple(out)
@@ -803,7 +832,7 @@ def identity_morphism(X: LatticeScheme) -> SchemeMorphism:
         out = [(j, X.charts[j].one, make_localization(X.charts[j], X.charts[j].one).to_loc)]
         for p in X.data.patches:
             if p.j == j:
-                out.append((p.i, p.f, p.loc_g.to_loc.then(p.bwd)))
+                out.append((p.i, p.f, p.chart_bwd))
         return out
 
     return SchemeMorphism(X, X, chart_open, comorphisms)
@@ -872,15 +901,20 @@ def local_morphism_witness(
     of the pulled-back section.  The first never exceeds the second for
     honest morphism data (that inequality is asserted unconditionally); the
     checker reports equality.
+
+    Only the pullbacks depend on ``pi``.  Each sample's own support is
+    remembered on Y by ``(j, f, value)``, and ``pi``'s memo keeps what it
+    pulls back for later comparisons.
     """
     X, Y = pi.source, pi.target
     if samples is None:
         samples = local_samples(Y)
     for (j, f, value) in samples:
-        B = Y.charts[j]
-        loc_f = make_localization(B, f)
-        sec = BasicOpenSection(loc_f, value)
-        support_target = invertibility_support_basic(sec)
+        support_target = Y._memo.get((j, f, value))
+        if support_target is None:
+            sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
+            support_target = invertibility_support_basic(sec)
+            Y._memo[(j, f, value)] = support_target
         lhs = pi.chart_open(j, support_target)
         pieces = pi.pull_basic(j, f, value)
         comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
@@ -1155,7 +1189,7 @@ def restrict_scheme(
                 mid_fwd = extend_over(loca, base_fwd)
                 to_a_loc = loca.to_loc.then(lf.to_loc)
                 through_b = extend_over(p.loc_f, to_a_loc)
-                base_bwd = p.loc_g.to_loc.then(p.bwd).then(through_b)
+                base_bwd = p.chart_bwd.then(through_b)
                 mid_bwd = extend_over(locb, base_bwd)
                 patches.append(
                     Patch(

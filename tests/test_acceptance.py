@@ -8,6 +8,7 @@ pass/fail line per criterion.
 """
 
 import ast
+import importlib
 import io
 import pathlib
 import random
@@ -467,3 +468,28 @@ def test_the_power_bound_is_one_constant_not_a_knob():
         r = runner.invoke(cli_main, path + ["--help"])
         assert r.exit_code == 0, (path, r.output)
         assert "--cap" not in r.output, " ".join(path)
+
+
+def test_module_level_caches_are_the_four_known_ones():
+    """Every module-level dict of the package, by name.  Memos belong on the
+    object they describe (an algebra, a scheme, a morphism) and die with it;
+    the four module caches below are the fixed list a bounded cache facility
+    is to replace."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        name = "zariski" if path.stem == "__init__" else f"zariski.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)
+            ]
+            for t in targets:
+                if isinstance(t, ast.Name) and isinstance(getattr(module, t.id, None), dict):
+                    found.add(f"{path.stem}.{t.id}")
+    assert found == {
+        "algebra._LOC_CACHE",
+        "compare._AFFINE_CACHE",
+        "funscheme._ATOMS_CACHE",
+        "funscheme._REALIZATION_CACHE",
+    }

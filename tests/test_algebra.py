@@ -257,17 +257,18 @@ def test_hom_search_enumerates_a_variable_whose_coefficient_is_a_zero_divisor():
 
 
 def test_hom_search_inverts_each_coefficient_value_once(monkeypatch):
-    # the chart relation y*z - 1 is solved for z once per (x, y) branch
+    # the chart relation y*z - 1 is solved for z once per (x, y) branch; the
+    # target remembers its inverses, so each value of y is certified once
     A = _quotient(3, ["x", "y", "z"], [lambda x, y, z: y * z - 1])
     B = _quotient(3, ["t"], [lambda t: t * t + 1])
     calls = []
-    inner = PresentedAlgebra.try_invert
+    inner = PresentedAlgebra.unit_certificate
 
-    def counted(self, c):
-        calls.append(c)
-        return inner(self, c)
+    def counted(self, gens):
+        calls.append(tuple(gens))
+        return inner(self, gens)
 
-    monkeypatch.setattr(PresentedAlgebra, "try_invert", counted)
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
     homs = enumerate_homs(A, B)
     monkeypatch.undo()
     assert homs == exhaustive_homs(A, B)

@@ -11,7 +11,7 @@ import pytest
 
 import oracles as O
 from support import gf3_split, product_of_points
-from zariski import compare
+from zariski import compare, latscheme, sheaf
 from zariski.algebra import (
     AlgebraMorphism,
     ExtractionCapError,
@@ -48,7 +48,9 @@ from zariski.lattice import basic_open, eq, join, meet, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
+    SchemeMorphism,
     embed_basic,
+    local_morphism_witness,
     local_samples,
     mk_affine,
     projective_line,
@@ -61,6 +63,7 @@ from zariski.polynomials import PolyRing
 
 F2 = PresentedAlgebra(PolyRing(GF(2), []))
 F3 = PresentedAlgebra(PolyRing(GF(3), []))
+F5 = PresentedAlgebra(PolyRing(GF(5), []))
 
 
 def quadratic_field(p: int, c: int) -> PresentedAlgebra:
@@ -348,8 +351,7 @@ def test_fingerprints_are_equal_exactly_when_the_morphisms_agree(X, B):
     # the first point carried a second time must collide with itself
     carried = [point_morphism(X, p, validate=True) for p in pts]
     carried.append(point_morphism(X, pts[0]))
-    inverses = {}
-    prints = [compare._fingerprint(pi, opens, samples, inverses) for pi in carried]
+    prints = [compare._fingerprint(pi, opens, samples) for pi in carried]
     for a in range(len(carried)):
         for b in range(a + 1, len(carried)):
             agree = morphisms_agree(carried[a], carried[b], opens, samples)
@@ -424,6 +426,136 @@ def test_comparison_over_a_split_algebra_does_not_rebuild_its_factors(monkeypatc
     assert ok, report
     assert report["counts"] == [16]
     assert len(calls) <= 4
+
+
+# -- validation does per point only what depends on the point ---------------------------
+
+
+def _unused_name_algebra(name: str, relation) -> PresentedAlgebra:
+    ring = PolyRing(GF(3), [name])
+    return PresentedAlgebra(ring, [relation(ring.var(0))])
+
+
+# built fresh for each test, over a variable name the test passes and no other
+# test uses, so no memo left by an earlier comparison answers for this one
+VALIDATION_CASES = [
+    lambda name: (affine_line(3), _unused_name_algebra(name, lambda u: u * u + 1)),
+    lambda name: (projective_line(GF(3)), _unused_name_algebra(name, lambda v: v * v - v)),
+]
+VALIDATION_IDS = ["A1/GF9", "P1/GF3xGF3"]
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES, ids=VALIDATION_IDS)
+def test_comparison_never_restricts_a_localization_to_itself(monkeypatch, case):
+    X, B = case("r")
+    same_sided = []
+    for module in (latscheme, sheaf):
+        inner = module.restriction_map
+
+        def counted(loc_f, loc_g, inner=inner):
+            if loc_f == loc_g:
+                same_sided.append(loc_f)
+            return inner(loc_f, loc_g)
+
+        monkeypatch.setattr(module, "restriction_map", counted)
+    ok, report = comparison_check(X, [B])
+    assert ok, report
+    assert same_sided == []
+
+
+@pytest.mark.parametrize(
+    "make, small, large",
+    [
+        (projective_line, F5, GF25),
+        (lambda F: punctured_plane(F)[0], F3, gf3_split()),
+    ],
+    ids=["P1/GF5-GF25", "PP/GF3-GF3xGF3"],
+)
+def test_transports_per_comparison_do_not_grow_with_the_points(
+    monkeypatch, make, small, large
+):
+    calls = []
+    inner = latscheme.transport_piece
+
+    def counted(patch, h):
+        calls.append(h)
+        return inner(patch, h)
+
+    monkeypatch.setattr(latscheme, "transport_piece", counted)
+    per_comparison = []
+    for B in (small, large):
+        calls.clear()
+        ok, report = comparison_check(make(GF(B.field.char)), [B])
+        assert ok, report
+        per_comparison.append((report["counts"][0], len(calls)))
+    (n_small, t_small), (n_large, t_large) = per_comparison
+    assert n_large > 3 * n_small
+    # each sample open and sample support of the fresh scheme is embedded once
+    assert t_large == t_small
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES, ids=VALIDATION_IDS)
+def test_each_unit_certificate_is_computed_once_per_comparison(monkeypatch, case):
+    X, B = case("u")
+    calls, algebras = [], []
+    inner = PresentedAlgebra.unit_certificate
+
+    def counted(self, gens):
+        algebras.append(self)  # keeps ids unique for the whole run
+        calls.append((id(self), tuple(g.poly for g in gens)))
+        return inner(self, gens)
+
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
+    ok, report = comparison_check(X, [B])
+    assert ok, report
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_remembered_embeddings_equal_those_of_a_fresh_scheme():
+    for make, B in ((projective_line, GF9), (lambda F: punctured_plane(F)[0], F3)):
+        X, fresh = make(GF(3)), make(GF(3))
+        ok, report = comparison_check(X, [B])
+        assert ok, report
+        for i, A in enumerate(X.charts):
+            opens = [top(A), basic_open(A, [A.var(0)]), basic_open(A, [A.var(0) + 1])]
+            for w in opens:
+                first = embed_basic(X, i, w)
+                assert embed_basic(X, i, w) is first
+                assert first.components == embed_basic(fresh, i, w).components
+
+
+def test_remembered_inverses_are_the_certified_ones():
+    B = gf3_split()  # GF(3) x GF(3): e and e - 1 are zero divisors
+    e = B.var(0)
+    for c in B.enumerate_elements():
+        first = B.try_invert(c)
+        for _ in range(2):
+            again = B.try_invert(c)
+            if first is None:
+                assert again is None
+                assert B.unit_certificate([c]) is None
+            else:
+                assert again is first  # remembered, not certified again
+                assert again * c == B.one
+    assert B.try_invert(e) is None and B.try_invert(e) is None
+    assert B.try_invert(2 * e - 1) * (2 * e - 1) == B.one
+
+
+def test_the_broken_morphism_is_still_caught_with_the_same_witness():
+    B = PresentedAlgebra(PolyRing(QQ, ["x"]))
+    X, Y = mk_affine(B), mk_affine(B)
+    loc1 = make_localization(B, B.one)
+    kill = morphism(B, loc1.algebra, [loc1.algebra.zero], validate=False)
+    broken = SchemeMorphism(X, Y, lambda j, w: top_open(X), lambda j: [(0, B.one, kill)])
+    honest = spec_morphism(morphism(B, B, [B.var(0) ** 2]), source=X, target=Y)
+    witness = (
+        "one-sided bound failed on chart 0, piece D(1), section x: pulled-back "
+        "support [D(1)] is not below the support of the pulled-back section [D()]"
+    )
+    assert local_morphism_witness(broken) == witness
+    # after an honest morphism has been validated against the same target
+    assert local_morphism_witness(honest) is None
+    assert local_morphism_witness(broken) == witness
 
 
 def test_comparison_check_flags_wrong_expectations(ev_p13):

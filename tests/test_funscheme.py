@@ -6,6 +6,7 @@ import oracles as O
 import itertools
 
 from support import gf3_split, product_of_points, qq_xy, reduced_by_definition
+from zariski import funscheme
 from zariski.algebra import (
     PresentedAlgebra,
     enumerate_homs,
@@ -169,6 +170,28 @@ def test_frobenius_reducedness_matches_the_definition_for_every_small_monic(p):
 def test_reducedness_needs_a_finite_field():
     with pytest.raises(ValueError):
         is_reduced(qq_xy())
+
+
+def test_map_point_decides_reducedness_once_per_algebra(monkeypatch, punctured3):
+    ranks = []
+    inner = funscheme._rank_mod_p
+
+    def counted(rows, p):
+        ranks.append(p)
+        return inner(rows, p)
+
+    monkeypatch.setattr(funscheme, "_rank_mod_p", counted)
+    B = gf3_split()
+    e = B.var(0)
+    assert check_locality(punctured3, B, [e, B.one - e])
+    assert len(ranks) <= 3  # B and its two localizations, not once per pushed point
+    # a remembered "not reduced" still refuses every push
+    ring_eps, rels_eps = parse_ring("GF(3)[t]/(t^2)")
+    EPS = PresentedAlgebra(ring_eps, rels_eps)
+    p = eval_points(punctured3, F3)[0]
+    for _ in range(2):
+        with pytest.raises(NonReducedAlgebraError, match="non-reduced"):
+            map_point(punctured3, p, morphism(F3, EPS, []))
 
 
 # -- idempotent decomposition --------------------------------------------------------
