@@ -347,7 +347,7 @@ class AlgebraElement:
 class AlgebraMorphism:
     """An algebra map determined by where the source variables go."""
 
-    __slots__ = ("source", "target", "images", "_hash")
+    __slots__ = ("source", "target", "images", "_polys", "_hash")
 
     def __init__(
         self,
@@ -359,10 +359,11 @@ class AlgebraMorphism:
             raise ValueError("need exactly one image per source variable")
         if source.field != target.field:
             raise ValueError("field mismatch")
-        images = tuple(target.element(im) for im in images)
+        images = tuple([target.element(im) for im in images])
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_polys", tuple([im.poly for im in images]))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -375,27 +376,24 @@ class AlgebraMorphism:
     def __call__(self, elt: AlgebraElement) -> AlgebraElement:
         if elt.algebra != self.source:
             raise ValueError("argument is not an element of the source")
-        image_polys = [im.poly for im in self.images]
-        return self.target.element(
-            elt.poly.substitute(image_polys, self.target.ring)
-        )
+        return self._apply(elt.poly)
 
-    def _relation_image(self, r: Poly) -> AlgebraElement:
-        # substitute into the raw relation polynomial: normalizing it in the
-        # source first would fold every defining relation to zero and make
-        # the check vacuous
-        image_polys = [im.poly for im in self.images]
-        return self.target.element(r.substitute(image_polys, self.target.ring))
+    def _apply(self, p: Poly) -> AlgebraElement:
+        """The normalized image of a polynomial of the source ring.
+
+        The validity checks pass raw relation polynomials here: normalizing
+        one in the source first would fold it to zero and make the check
+        vacuous.
+        """
+        return self.target.element(p.substitute(self._polys, self.target.ring))
 
     def is_valid(self) -> bool:
         """Whether every relation of the source maps to zero."""
-        return all(
-            self._relation_image(r).is_zero() for r in self.source.relations
-        )
+        return all(self._apply(r).is_zero() for r in self.source.relations)
 
     def check_valid(self) -> "AlgebraMorphism":
         for r in self.source.relations:
-            img = self._relation_image(r)
+            img = self._apply(r)
             if not img.is_zero():
                 raise ValueError(
                     f"not an algebra morphism: relation {r} maps to {img}"

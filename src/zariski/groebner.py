@@ -251,7 +251,7 @@ class GroebnerBasis:
     this identity is what downstream certificate checks re-evaluate.
     """
 
-    __slots__ = ("ring", "gens", "basis", "cofactors")
+    __slots__ = ("ring", "gens", "basis", "cofactors", "_leads")
 
     def __init__(self, ring: PolyRing, gens: Sequence[Poly]):
         for g in gens:
@@ -264,6 +264,7 @@ class GroebnerBasis:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "cofactors", cofactors)
+        object.__setattr__(self, "_leads", tuple(b.lead_monomial() for b in basis))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GroebnerBasis is immutable")
@@ -272,7 +273,19 @@ class GroebnerBasis:
         return f"GroebnerBasis({[str(b) for b in self.basis]})"
 
     def normal_form(self, f: Poly) -> Poly:
-        return divide(f, self.basis, want_quotients=False)[1]
+        """The remainder of ``f`` on division by the basis.
+
+        When no term of ``f`` is divisible by a leading monomial of the
+        basis, ``f`` is its own remainder and is returned as it is; this
+        relies on ``f`` holding reduced coefficients, as every ``Poly``
+        built through ``PolyRing`` and its arithmetic does.
+        """
+        leads = self._leads
+        for m in f.terms:
+            for lm in leads:
+                if all(map(le, lm, m)):
+                    return divide(f, self.basis, want_quotients=False)[1]
+        return f
 
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0] == self.ring.one

@@ -129,7 +129,18 @@ class PolyRing:
 
     # -- constructors ---------------------------------------------------
     def from_terms(self, terms: Dict[Monomial, Scalar]) -> "Poly":
-        clean = {m: c for m, c in terms.items() if c}
+        """The polynomial with these terms; zero coefficients are dropped.
+
+        Coefficients are brought to the field's canonical form first: over
+        GF(p) the residue in ``{0, ..., p-1}`` (so ``{(0,): p}`` gives the
+        zero polynomial), over QQ a ``Fraction`` (so an ``int`` coefficient
+        never reaches ``Field.inv`` as an ``int``).
+        """
+        p = self.field.char
+        if p:
+            clean = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            clean = {m: Fraction(c) for m, c in terms.items() if c}
         for m in clean:
             if len(m) != self.nvars:
                 raise ValueError(f"monomial {m} has wrong arity for {self!r}")
@@ -328,14 +339,17 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one
+        if n == 0:
+            return self.ring.one
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c: Scalar) -> "Poly":
         if not c:
@@ -352,17 +366,41 @@ class Poly:
 
     # -- substitution -------------------------------------------------------
     def substitute(self, images: Sequence["Poly"], target: PolyRing) -> "Poly":
-        """Evaluate at ``names[i] -> images[i]``, landing in ``target``."""
+        """Evaluate at ``names[i] -> images[i]``, landing in ``target``.
+
+        Each image power that a monomial needs is computed once per call
+        (``images[i]`` itself for exponent 1).  Every monomial's product of
+        powers, times its coefficient, is added into one coefficient dict,
+        which is reduced mod p once per result term; zero sums are dropped.
+        Raises ``ValueError`` unless there is one image per variable and
+        every image lies in ``target``.
+        """
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
-        result = target.zero
+        for im in images:
+            if im.ring != target:
+                raise ValueError("image from a ring other than the target")
+        powers: Dict[Tuple[int, int], Poly] = {}
+        acc: Dict[Monomial, Scalar] = {}
+        get = acc.get
         for m, c in self.terms.items():
-            term = target.const(c)
+            term = None
             for i, e in enumerate(m):
                 if e:
-                    term = term * images[i] ** e
-            result = result + term
-        return result
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[i, e] = images[i] ** e
+                    term = pw if term is None else term * pw
+            if term is None:
+                one = (0,) * target.nvars
+                acc[one] = get(one, 0) + c
+                continue
+            for tm, tc in term.terms.items():
+                acc[tm] = get(tm, 0) + c * tc
+        p = target.field.char
+        if p:
+            return Poly(target, {m: r for m, v in acc.items() if (r := v % p)})
+        return Poly(target, {m: v for m, v in acc.items() if v})
 
     def evaluate(self, values: Sequence[Scalar]) -> Scalar:
         """Evaluate at a point with coordinates in the coefficient field."""

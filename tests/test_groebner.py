@@ -6,6 +6,7 @@ by plain polynomial arithmetic.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,3 +170,33 @@ def test_normal_form_respects_ideal_congruence(seed):
     assert gb.normal_form(f + gens[0] * g) == gb.normal_form(f)
     # and normal_form is linear
     assert gb.normal_form(f + g) == gb.normal_form(gb.normal_form(f) + gb.normal_form(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 2, 7]))
+def test_normal_form_is_the_division_remainder(seed, modulus):
+    rng = random.Random(seed)
+    ring = _ring_for(modulus)
+    gens = [random_poly(rng, ring) for _ in range(rng.randint(1, 3))]
+    gb = GroebnerBasis(ring, gens)
+    for f in (random_poly(rng, ring), random_poly(rng, ring) * gens[0]):
+        assert gb.normal_form(f) == divide(f, gb.basis, want_quotients=False)[1]
+
+
+def test_a_reduced_polynomial_is_its_own_normal_form_without_division(monkeypatch):
+    ring, _ = parse_ring("GF(5)[x,y]")
+    x, y = ring.gens()
+    gb = groebner([x**2 - 1, y**2 - x], ring)
+    calls = []
+
+    def counting_divide(*args, **kwargs):
+        calls.append(args)
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules[GroebnerBasis.__module__], "divide", counting_divide)
+    for f in (x * y + 3 * y + 2, ring.zero, ring.one, x):
+        assert gb.normal_form(f) is f
+    assert calls == []
+    # one divisible term is enough to divide
+    assert gb.normal_form(x * y + x**2) == x * y + 1
+    assert len(calls) == 1

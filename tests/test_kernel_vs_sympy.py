@@ -3,13 +3,14 @@
 Hypothesis draws small sparse polynomials over QQ (non-integer and negative
 coefficients) and over GF(2), GF(3), GF(32003) and GF(2**31 - 1), then
 checks products, powers, sums and differences against ``sympy.Poly``,
-reduced bases against ``sympy.groebner``, and division by its defining
-identity under grevlex, lex and permuted orders.  No result may hold a
-zero coefficient.
+substitution against sympy's simultaneous ``subs``, reduced bases against
+``sympy.groebner``, and division by its defining identity under grevlex,
+lex and permuted orders.  No result may hold a zero coefficient.
 """
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +105,35 @@ def test_ring_operations_match_sympy(data):
         _assert_clean(ours)
         assert ours.terms == _from_sympy(theirs, R)
     assert (f - f).is_zero() and (f + (-f)).is_zero()
+
+
+@SETTINGS
+@given(st.data())
+def test_substitution_matches_sympy(data):
+    char = data.draw(st.sampled_from(CHARS))
+    R = _ring(char)
+    f = R.from_terms(data.draw(polys(char)))
+    images = []
+    for _ in NAMES:
+        kind = data.draw(st.sampled_from(["random", "zero", "constant", "repeat"]))
+        if kind == "zero":
+            images.append(R.zero)
+        elif kind == "constant":
+            images.append(R.from_terms({(0, 0, 0): data.draw(_coeff(char))}))
+        elif kind == "repeat" and images:
+            images.append(images[-1])
+        else:
+            images.append(R.from_terms(data.draw(polys(char, max_exp=2, max_terms=3))))
+    ours = f.substitute(images, R)
+    _assert_clean(ours)
+    gens, _ = _sympy_gens(R.order)
+    by_name = {sympy.Symbol(nm): _to_sympy(g, R.order).as_expr() for nm, g in zip(NAMES, images)}
+    theirs = _to_sympy(f, R.order).as_expr().subs(by_name, simultaneous=True)
+    domain = sympy.QQ if char == 0 else sympy.GF(char)
+    assert ours.terms == _from_sympy(sympy.Poly(theirs, *gens, domain=domain), R)
+    other = _ring(char, ORDERS[1])
+    with pytest.raises(ValueError):
+        f.substitute([images[0], images[1], other.zero], R)
 
 
 @SETTINGS

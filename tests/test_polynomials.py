@@ -108,6 +108,23 @@ def test_from_terms_validates_arity():
         R.from_terms({(1,): Fraction(1)})  # wrong exponent width
 
 
+def test_from_terms_reduces_prime_field_coefficients():
+    R = PolyRing(GF(5), ["t"])
+    (t,) = R.gens()
+    assert R.from_terms({(0,): 5}).is_zero()
+    assert R.from_terms({(1,): 7}) == R.from_terms({(1,): 2}) == t.scale(2)
+    assert R.from_terms({(2,): -1, (0,): 10}).terms == {(2,): 4}
+
+
+def test_from_terms_makes_rational_coefficients_fractions():
+    R = PolyRing(QQ, ["x"])
+    f = R.from_terms({(1,): 2, (0,): 1})
+    assert all(type(c) is Fraction for c in f.terms.values())
+    monic = f.monic().terms
+    assert monic == {(1,): 1, (0,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in monic.values())
+
+
 def test_string_forms_round_trip_mentally():
     R = ring_qq_xy()
     x, y = R.gens()
@@ -159,6 +176,7 @@ def test_power_is_iterated_product(seed):
     for n in range(5):
         assert f**n == prod
         prod = prod * f
+    assert f**1 is f
 
 
 def test_polynomials_are_immutable_and_hashable():
