@@ -1,9 +1,18 @@
 """Exact coefficient fields: the rationals QQ and prime fields GF(p).
 
-Every coefficient in the kernel is either a ``fractions.Fraction`` (over QQ)
-or a reduced residue ``int`` in ``{0, ..., p-1}`` (over GF(p)).  A ``Field``
-object carries the characteristic and performs the arithmetic; scalar values
-themselves stay plain Python objects so they hash and compare cheaply.
+Every coefficient a ``Poly`` holds is either a normalized
+``fractions.Fraction`` (over QQ) or a reduced residue ``int`` in
+``{0, ..., p-1}`` (over GF(p)), and every ``Field`` operation returns one of
+these for ``int`` or ``Fraction`` input.  A ``Field`` object carries the
+characteristic and performs the arithmetic; scalar values themselves stay
+plain Python objects so they hash and compare cheaply.
+
+The inner loops of the kernel work on ``int``s for both fields.  Over QQ a
+polynomial is read as integer terms over one common denominator: products
+(``Poly.__mul__``) scale each factor by the lcm of its denominators, and the
+division loop (``groebner.divide``) keeps its working polynomial
+fraction-free, with each divisor's integer form (``Poly._division_form``)
+computed once.  Results leave those loops as normalized ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _fraction(s: Scalar) -> Fraction:
+    """``s`` as a ``Fraction``: arithmetic on ``int``s alone returns an ``int``."""
+    return s if type(s) is Fraction else Fraction(s)
 
 
 class Field:
@@ -93,24 +107,21 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a + b
-        return s if self.char == 0 else s % self.char
+        return (a + b) % self.char if self.char else _fraction(a + b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a - b
-        return s if self.char == 0 else s % self.char
+        return (a - b) % self.char if self.char else _fraction(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a * b
-        return s if self.char == 0 else s % self.char
+        return a * b % self.char if self.char else _fraction(a * b)
 
     def neg(self, a: Scalar) -> Scalar:
-        return -a if self.char == 0 else (-a) % self.char
+        return (-a) % self.char if self.char else _fraction(-a)
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        return pow(a, -1, self.char) if self.char else 1 / _fraction(a)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))

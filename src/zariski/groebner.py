@@ -10,11 +10,13 @@ monomial, which makes them canonical for the chosen order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomials import Monomial, Poly, PolyRing
+from .polynomials import Monomial, Poly, PolyRing, _integer_terms
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -43,22 +45,33 @@ def divide(
     monomial.  With ``want_quotients=False`` the quotients are skipped and
     ``None`` is returned in their place.
 
-    The working polynomial is one mutable term dict; its monomials sit in a
-    heap under the ring's descending key, so each step pops the largest term
-    without a scan (the heap of Monagan & Pearce, *Sparse polynomial
-    division using a heap*, JSC 2011, here over terms rather than
-    products).  Reducing by ``d`` subtracts ``q*x^a*(d - lt(d))`` in place;
-    over GF(p) a coefficient is reduced when its term is popped.
+    The working polynomial is fraction-free: integer terms ``W`` over one
+    common denominator ``D`` (1 over GF(p), where a coefficient is reduced
+    when its term is popped).  Its monomials sit in a heap under the
+    ring's descending key, so each step pops the largest term without a
+    scan (the heap of Monagan & Pearce, *Sparse polynomial division using
+    a heap*, JSC 2011, here over terms rather than products).  A divisor
+    ``d`` is read as ``(lc*x^lm + tail) / dd`` on ints
+    (``Poly._division_form``, kept on ``d``).  Reducing the popped term
+    ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and
+    ``x^a = x^mp / x^lm``, scales ``W`` and ``D`` by ``s`` and subtracts
+    ``(cp/g)*x^a*tail`` in place; after a scaled step the content
+    ``gcd(D, W)`` is divided out, so the integers stay as small as
+    normalized fractions would.  These are the steps of the division over
+    the field itself, and quotient and remainder coefficients leave as the
+    field's normalized scalars.
     """
     ring = f.ring
     p = ring.field.char
     hkey = ring._heap_key
     leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
-    # (inverse lead coefficient, tail terms) of each divisor, on first use
-    tails: Dict[int, tuple] = {}
     quots = [{} for _ in divisors] if want_quotients else None
     rem: Dict[Monomial, object] = {}
-    terms = dict(f.terms)
+    if p:
+        D, terms = 1, dict(f.terms)
+    else:
+        D, items = _integer_terms(f.terms)
+        terms = dict(items)
     heap = [(hkey(m), m) for m in terms]
     heapify(heap)
     while heap:
@@ -72,26 +85,33 @@ def divide(
             if all(map(le, lm, mp)):
                 break
         else:
-            rem[mp] = cp
+            rem[mp] = cp if p else Fraction(cp, D)
             continue
-        if idx not in tails:
-            d = divisors[idx].terms
-            lc = d[lm]
-            inv = pow(lc, -1, p) if p else 1 / lc
-            tails[idx] = (inv, [(m, c) for m, c in d.items() if m != lm])
-        inv, tail = tails[idx]
-        q = cp if inv == 1 else (cp * inv % p if p else cp * inv)
+        dd, lc, tail = divisors[idx]._division_form()
+        s = 1
+        if lc != 1:
+            g = gcd(cp, lc)
+            s = lc // g
+            cp //= g
         a = tuple(map(sub, mp, lm))
         if quots is not None:
-            quots[idx][a] = q
+            quots[idx][a] = cp * dd % p if p else Fraction(cp * dd, D * s)
+        if s != 1:
+            D *= s
+            terms = {m: c * s for m, c in terms.items()}
         for mt, ct in tail:
             m = tuple(map(add, mt, a))
             c = terms.get(m)
             if c is None:
-                terms[m] = -q * ct
+                terms[m] = -cp * ct
                 heappush(heap, (hkey(m), m))
             else:
-                terms[m] = c - q * ct
+                terms[m] = c - cp * ct
+        if s != 1:
+            g = gcd(D, *terms.values())
+            if g != 1:
+                D //= g
+                terms = {m: c // g for m, c in terms.items()}
     if quots is not None:
         quots = [Poly(ring, q) for q in quots]
     return quots, Poly(ring, rem)

@@ -221,16 +221,21 @@ class PolyRing:
         return target.from_terms(terms)
 
 
+# ``object.__setattr__`` bound once: ``Poly.__init__`` runs for every result
+_set = object.__setattr__
+
+
 class Poly:
     """Immutable sparse polynomial; construct through ``PolyRing`` methods."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lm")
+    __slots__ = ("ring", "terms", "_hash", "_lm", "_div")
 
     def __init__(self, ring: PolyRing, terms: Dict[Monomial, Scalar]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lm", None)
+        _set(self, "ring", ring)
+        _set(self, "terms", terms)
+        _set(self, "_hash", None)
+        _set(self, "_lm", None)
+        _set(self, "_div", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
@@ -276,6 +281,32 @@ class Poly:
 
     def lead_coeff(self) -> Scalar:
         return self.terms[self.lead_monomial()]
+
+    def _division_form(self) -> Tuple[int, int, list]:
+        """``(dd, lc, tail)`` on ints with ``self == (lc*x^lm + tail) / dd``,
+        kept after first use: the form ``groebner.divide`` reduces by.
+
+        Over QQ ``dd`` is the lcm of the denominators, signed so ``lc > 0``;
+        over GF(p) it is the inverse of the leading coefficient, ``lc`` is 1
+        and ``tail`` is monic.
+        """
+        form = self._div
+        if form is None:
+            lm = self.lead_monomial()
+            terms = self.terms
+            p = self.ring.field.char
+            if p:
+                dd = pow(terms[lm], -1, p)
+                ints = {m: c * dd % p for m, c in terms.items()}
+            else:
+                dd, items = _integer_terms(terms)
+                if terms[lm] < 0:  # no step then scales by a negative factor
+                    dd, items = -dd, [(m, -c) for m, c in items]
+                ints = dict(items)
+            lc = ints.pop(lm)
+            form = (dd, lc, list(ints.items()))
+            _set(self, "_div", form)
+        return form
 
     def sorted_terms(self) -> Iterable[Tuple[Monomial, Scalar]]:
         """Terms in decreasing monomial order."""

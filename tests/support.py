@@ -5,10 +5,12 @@ test run is reproducible from its seed.
 """
 
 import itertools
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 from zariski.algebra import AlgebraMorphism, PresentedAlgebra
 from zariski.fields import GF, QQ
-from zariski.polynomials import MonomialOrder, PolyRing
+from zariski.polynomials import MonomialOrder, Poly, PolyRing
 
 
 def qq_x() -> PresentedAlgebra:
@@ -125,3 +127,56 @@ def reduced_by_definition(B):
     return not any(
         not b.is_zero() and B.radical_member(b, []) for b in B.enumerate_elements()
     )
+
+
+def fraction_divide(f, divisors, want_quotients=True):
+    """Multivariate division on the field's own scalars: the oracle for
+    ``groebner.divide``.
+
+    The same steps in the same order (largest working term first, the first
+    divisor whose leading monomial divides it), with one field operation
+    per tail term: over QQ on ``Fraction``s, over GF(p) on residues reduced
+    when their term is popped.
+    """
+    ring = f.ring
+    p = ring.field.char
+    hkey = ring._heap_key
+    leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
+    tails = {}
+    quots = [{} for _ in divisors] if want_quotients else None
+    rem = {}
+    terms = dict(f.terms)
+    heap = [(hkey(m), m) for m in terms]
+    heapify(heap)
+    while heap:
+        mp = heappop(heap)[1]
+        cp = terms.pop(mp)
+        if p:
+            cp %= p
+        if not cp:
+            continue
+        for idx, lm in leads:
+            if all(map(le, lm, mp)):
+                break
+        else:
+            rem[mp] = cp
+            continue
+        if idx not in tails:
+            d = divisors[idx].terms
+            tails[idx] = (ring.field.inv(d[lm]), [(m, c) for m, c in d.items() if m != lm])
+        inv, tail = tails[idx]
+        q = cp * inv % p if p else cp * inv
+        a = tuple(map(sub, mp, lm))
+        if quots is not None:
+            quots[idx][a] = q
+        for mt, ct in tail:
+            m = tuple(map(add, mt, a))
+            c = terms.get(m)
+            if c is None:
+                terms[m] = -q * ct
+                heappush(heap, (hkey(m), m))
+            else:
+                terms[m] = c - q * ct
+    if quots is not None:
+        quots = [Poly(ring, q) for q in quots]
+    return quots, Poly(ring, rem)

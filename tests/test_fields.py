@@ -17,6 +17,23 @@ def test_rationals_are_exact_fractions():
     assert not isinstance(QQ.inv(Fraction(2)), float)
 
 
+def test_every_rational_operation_returns_a_fraction():
+    """Over QQ no operation leaks a float or an int, whether its input is an
+    ``int`` or a ``Fraction``: ``1 / 2`` would be ``0.5``."""
+    for a, b in [(2, 3), (Fraction(2), Fraction(3)), (-4, Fraction(1, 6)), (Fraction(-5, 7), 7)]:
+        results = {
+            "add": (QQ.add(a, b), Fraction(a) + Fraction(b)),
+            "sub": (QQ.sub(a, b), Fraction(a) - Fraction(b)),
+            "mul": (QQ.mul(a, b), Fraction(a) * Fraction(b)),
+            "neg": (QQ.neg(a), -Fraction(a)),
+            "inv": (QQ.inv(b), 1 / Fraction(b)),
+            "div": (QQ.div(a, b), Fraction(a) / Fraction(b)),
+        }
+        for name, (got, want) in results.items():
+            assert type(got) is Fraction and got == want, (name, a, b, got)
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.div(1, 3) == Fraction(1, 3)
+
+
 def test_prime_field_arithmetic_is_reduced_residues():
     F = GF(7)
     assert F.of_int(10) == 3

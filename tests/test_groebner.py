@@ -7,12 +7,13 @@ by plain polynomial arithmetic.
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from support import random_poly
+from support import fraction_divide, random_poly
 from zariski.fields import GF, QQ
 from zariski.groebner import (
     GroebnerBasis,
@@ -23,7 +24,7 @@ from zariski.groebner import (
     unit_ideal_certificate,
 )
 from zariski.parsing import parse_poly, parse_ring
-from zariski.polynomials import MonomialOrder, PolyRing
+from zariski.polynomials import MonomialOrder, Poly, PolyRing
 
 
 def _ring_for(modulus, names=("x", "y"), order="grevlex"):
@@ -200,3 +201,70 @@ def test_a_reduced_polynomial_is_its_own_normal_form_without_division(monkeypatc
     # one divisible term is enough to divide
     assert gb.normal_form(x * y + x**2) == x * y + 1
     assert len(calls) == 1
+
+
+def _coefficients(char):
+    """Nonzero scalars: over QQ fractional and negative ones, so leading
+    coefficients come non-monic, negative and with denominators."""
+    if char == 0:
+        return st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+    return st.integers(1, char - 1)
+
+
+def _terms(char, max_exp, max_terms):
+    monos = st.tuples(*[st.integers(0, max_exp)] * 3)
+    return st.dictionaries(monos, _coefficients(char), max_size=max_terms)
+
+
+def _term_list(f):
+    return [(m, type(c), c) for m, c in f.terms.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_divide_takes_the_steps_of_division_over_the_field(data):
+    """The integer loop returns what the division on ``Fraction``s (over
+    GF(p), on residues) returns: the same quotients and remainder, term for
+    term, in the same order and as the same scalar type."""
+    char = data.draw(st.sampled_from([0, 0, 2, 7, 32003]))
+    order = data.draw(st.sampled_from([MonomialOrder("grevlex"), MonomialOrder("lex", (2, 0, 1))]))
+    ring = PolyRing(QQ if char == 0 else GF(char), ["x", "y", "z"], order)
+    f = ring.from_terms(data.draw(_terms(char, 4, 10)))
+    divisors = [
+        ring.zero if data.draw(st.integers(0, 4)) == 0
+        else ring.from_terms(data.draw(_terms(char, 2, 4)))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    quots, rem = divide(f, divisors)
+    ref_quots, ref_rem = fraction_divide(f, divisors)
+    assert _term_list(rem) == _term_list(ref_rem)
+    assert [_term_list(q) for q in quots] == [_term_list(q) for q in ref_quots]
+    none, rem_only = divide(f, divisors, want_quotients=False)
+    assert none is None and _term_list(rem_only) == _term_list(ref_rem)
+
+
+def test_each_divisor_keeps_its_integer_form():
+    """A basis element is lifted to integers on its first use as a divisor
+    and keeps that form; the form belongs to the ``Poly`` and its ring's
+    order, not to its terms."""
+    ring, _ = parse_ring("QQ[x,y]")
+    x, y = ring.gens()
+    gb = groebner([2 * x**2 - y.scale(Fraction(1, 3)), y**3 * -5 - x.scale(Fraction(2))], ring)
+    assert [b._div for b in gb.basis] == [None, None]
+    f = 3 * x**2 + 5 * y**3 + x * y
+    nf = gb.normal_form(f)
+    forms = [b._div for b in gb.basis]
+    assert forms == [(6, 6, [((0, 1), -1)]), (5, 5, [((1, 0), 2)])]  # x^2 - y/6, y^3 + 2x/5
+    assert gb.normal_form(f) == nf and gb.member(f - nf) is not None
+    assert all(b._div is form and b._division_form() is form for b, form in zip(gb.basis, forms))
+    # the same terms in a lex ring lead with x^2, not y^3
+    g = ring.from_terms({(2, 0): Fraction(-3), (0, 3): Fraction(1, 2)})
+    assert g._division_form() == (2, 1, [((2, 0), -6)])
+    h = Poly(PolyRing(QQ, ["x", "y"], MonomialOrder("lex")), g.terms)
+    assert h._lm is None and h._div is None
+    assert h.lead_monomial() == (2, 0)
+    assert h._division_form() == (-2, 6, [((0, 3), -1)])  # (6x^2 - y^3) / -2
+    assert g.lead_monomial() == (0, 3) and g._division_form() == (2, 1, [((2, 0), -6)])
+    # over GF(7): 3x^2 + y == (x^2 + 5y) / 5, since 5 is the inverse of 3
+    u, v = parse_ring("GF(7)[u,v]")[0].gens()
+    assert (3 * u**2 + v)._division_form() == (5, 1, [((0, 1), 5)])

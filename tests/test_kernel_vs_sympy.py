@@ -5,7 +5,9 @@ coefficients) and over GF(2), GF(3), GF(32003) and GF(2**31 - 1), then
 checks products, powers, sums and differences against ``sympy.Poly``,
 substitution against sympy's simultaneous ``subs``, reduced bases against
 ``sympy.groebner``, and division by its defining identity under grevlex,
-lex and permuted orders.  No result may hold a zero coefficient.
+lex and permuted orders.  No result may hold a zero coefficient.  katsura-4 over QQ, whose reduced
+basis has denominators near 2e9, checks the division loop's growing
+integers against sympy as well.
 """
 
 from fractions import Fraction
@@ -84,12 +86,15 @@ def _from_sympy(P, ring):
 
 
 def _assert_clean(f):
-    """Every stored coefficient is nonzero and, over GF(p), a reduced residue."""
+    """Every stored coefficient is nonzero and, over GF(p), a reduced residue;
+    over QQ it is a ``Fraction`` (an ``int`` would compare equal to one)."""
     char = f.ring.field.char
     for c in f.terms.values():
         assert c != 0, f
         if char:
             assert 0 < c < char, f
+        else:
+            assert type(c) is Fraction, f
 
 
 @SETTINGS
@@ -182,6 +187,46 @@ def test_reduced_bases_match_sympy_groebner(data):
             expected.add(frozenset(_from_sympy(P, R).items()))
     got = {frozenset(b.terms.items()) for b in G.basis}
     assert got == expected and len(G.basis) == len(expected)
+    for b, row in zip(G.basis, G.cofactors):
+        _assert_clean(b)
+        combo = R.zero
+        for c, g in zip(row, gens):
+            _assert_clean(c)
+            combo = combo + c * g
+        assert combo == b
+
+
+def test_katsura4_over_qq_matches_sympy_with_exact_cofactors():
+    """katsura-4 in grevlex: 13 basis elements with large denominators, so
+    the division loop scales its working polynomial and removes content
+    many times; the basis must equal sympy's and every row re-evaluate."""
+    names = [f"x{i}" for i in range(5)]
+    R = PolyRing(QQ, names)
+    x = R.gens()
+    gens = [x[0] + 2 * (x[1] + x[2] + x[3] + x[4]) - 1]
+    for m in range(4):
+        total = R.zero
+        for i in range(-4, 5):
+            if abs(m - i) <= 4:
+                total = total + x[abs(i)] * x[abs(m - i)]
+        gens.append(total - x[m])
+    G = GroebnerBasis(R, gens)
+    syms = sympy.symbols(names)
+    sym_gens = [
+        sympy.Poly.from_dict(
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()},
+            *syms, domain=sympy.QQ,
+        ).as_expr()
+        for g in gens
+    ]
+    expected = set()
+    for b in sympy.groebner(sym_gens, *syms, order="grevlex", domain=sympy.QQ).exprs:
+        P = sympy.Poly(b, *syms, domain=sympy.QQ)
+        P = P.quo_ground(P.LC(order="grevlex"))
+        expected.add(frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in P.terms()))
+    assert len(G.basis) == 13
+    assert {frozenset(b.terms.items()) for b in G.basis} == expected
+    assert max(c.denominator for b in G.basis for c in b.terms.values()) > 10**9
     for b, row in zip(G.basis, G.cofactors):
         _assert_clean(b)
         combo = R.zero
