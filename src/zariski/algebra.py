@@ -11,7 +11,7 @@ present iterated localizations of one base ring.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .groebner import (
@@ -50,11 +50,14 @@ class PresentedAlgebra:
     """A quotient of a polynomial ring by finitely many relations.
 
     ``_memo`` remembers facts that depend on the algebra alone, for its
-    lifetime: ``try_invert``'s answer per element (keyed by the normal form)
-    and ``funscheme.is_reduced``'s answer (under ``"reduced"``).
+    lifetime and for no other algebra, equal or not: ``make_localization``
+    by ``("loc", f)``, ``_member_gb`` by ``("member", gens)``,
+    ``radical_member`` by ``("radical", f, gens)``, ``try_invert`` by
+    ``("inv", c)``, ``funscheme.is_reduced`` by ``"reduced"``,
+    ``funscheme.atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
-    __slots__ = ("ring", "relations", "gb", "_member_gbs", "_radical_memo", "_memo", "_hash")
+    __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
 
     def __init__(self, ring: PolyRing, relations: Sequence[Poly] = ()):
         rels = tuple(r for r in relations if not r.is_zero())
@@ -64,8 +67,6 @@ class PresentedAlgebra:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "gb", GroebnerBasis(ring, rels))
-        object.__setattr__(self, "_member_gbs", {})
-        object.__setattr__(self, "_radical_memo", {})
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash(("PresentedAlgebra", ring, rels)))
 
@@ -120,7 +121,7 @@ class PresentedAlgebra:
 
     def element(self, value: Union[Poly, int, "AlgebraElement"]) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
-            if value.algebra != self:
+            if value.algebra is not self and value.algebra != self:
                 raise ValueError("element of a different algebra")
             return value
         if isinstance(value, int):
@@ -154,10 +155,10 @@ class PresentedAlgebra:
 
     # -- ideal and radical membership in the quotient ------------------------
     def _member_gb(self, gens: Tuple[Poly, ...]) -> GroebnerBasis:
-        gb = self._member_gbs.get(gens)
+        gb = self._memo.get(("member", gens))
         if gb is None:
             gb = GroebnerBasis(self.ring, gens + self.relations)
-            self._member_gbs[gens] = gb
+            self._memo[("member", gens)] = gb
         return gb
 
     def ideal_member(
@@ -186,23 +187,23 @@ class PresentedAlgebra:
         """Whether some power of ``f`` lies in the ideal the ``gens`` span."""
         if f.poly.is_zero():
             return True
-        key = (f.poly, tuple(sorted((g.poly for g in gens), key=poly_sort_key)))
-        hit = self._radical_memo.get(key)
+        key = ("radical", f.poly, tuple(sorted((g.poly for g in gens), key=poly_sort_key)))
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         if f.poly.is_constant():
             # a nonzero constant is in the radical iff the ideal is all of A
-            result = ideal_contains_one(key[1] + self.relations, self.ring)
-            self._radical_memo[key] = result
+            result = ideal_contains_one(key[2] + self.relations, self.ring)
+            self._memo[key] = result
             return result
         wname = _fresh_names(["w"], self.ring.names)[0]
         ext = self.ring.with_vars([wname])
         w = ext.var(ext.nvars - 1)
-        polys = [self.ring.lift(g, ext) for g in key[1]]
+        polys = [self.ring.lift(g, ext) for g in key[2]]
         polys.extend(self.ring.lift(r, ext) for r in self.relations)
         polys.append(ext.one - w * self.ring.lift(f.poly, ext))
         result = ideal_contains_one(polys, ext)
-        self._radical_memo[key] = result
+        self._memo[key] = result
         return result
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
@@ -211,11 +212,11 @@ class PresentedAlgebra:
         Remembered in ``_memo`` (None for a non-unit too), so each element
         of this algebra is certified by ``unit_certificate`` once.
         """
-        memo = self._memo
-        if c.poly not in memo:
+        memo, key = self._memo, ("inv", c.poly)
+        if key not in memo:
             row = self.unit_certificate([c])
-            memo[c.poly] = None if row is None else row[0]
-        return memo[c.poly]
+            memo[key] = None if row is None else row[0]
+        return memo[key]
 
     # -- enumeration (finite algebras over prime fields) ----------------------
     def staircase(self) -> List[Monomial]:
@@ -275,7 +276,7 @@ class AlgebraElement:
 
     def _coerce(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("elements of different algebras")
             return other
         if isinstance(other, int):
@@ -374,7 +375,7 @@ class AlgebraMorphism:
         return cls(algebra, algebra, algebra.gens())
 
     def __call__(self, elt: AlgebraElement) -> AlgebraElement:
-        if elt.algebra != self.source:
+        if elt.algebra is not self.source and elt.algebra != self.source:
             raise ValueError("argument is not an element of the source")
         return self._apply(elt.poly)
 
@@ -566,15 +567,13 @@ class Localization:
         return self.to_loc(numerator) * self.inverse ** power
 
 
-_LOC_CACHE: Dict[Tuple[PresentedAlgebra, AlgebraElement], Localization] = {}
-
-
 def make_localization(base: PresentedAlgebra, f: AlgebraElement) -> Localization:
     f = base.element(f)
-    loc = _LOC_CACHE.get((base, f))
+    key = ("loc", f.poly)
+    loc = base._memo.get(key)
     if loc is None:
         loc = Localization(base, f)
-        _LOC_CACHE[(base, f)] = loc
+        base._memo[key] = loc
     return loc
 
 

@@ -58,14 +58,12 @@ from .funscheme import (
 # (target chart j, basic piece f, section over D(f)): a ``pull_basic`` argument
 _Sample = Tuple[int, AlgebraElement, AlgebraElement]
 
-_AFFINE_CACHE: Dict[PresentedAlgebra, LatticeScheme] = {}
-
 
 def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
-    got = _AFFINE_CACHE.get(B)
+    got = B._memo.get("spec")
     if got is None:
         got = mk_affine(B)
-        _AFFINE_CACHE[B] = got
+        B._memo["spec"] = got
     return got
 
 

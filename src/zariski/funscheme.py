@@ -215,20 +215,33 @@ def _rank_mod_p(rows: List[List[int]], p: int) -> int:
     return rank
 
 
-_ATOMS_CACHE: Dict[
-    PresentedAlgebra, Tuple[Tuple[AlgebraElement, AlgebraMorphism], ...]
-] = {}
-
-
 def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
-    """The minimal nonzero idempotents, sorted canonically (a fresh list).
+    """The minimal nonzero idempotents, sorted canonically (a fresh list)."""
+    return [e for e, _ in atomic_factors(B)]
 
-    Memoized per algebra together with each atom's factor projection, which
-    ``atomic_factors`` hands out.
+
+def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
+    """Each atom e of B with its projection B -> B/(1 - e): one factor
+    algebra per atom, shared by every caller (a fresh list).
+
+    Remembered on B, in ``B._memo["atoms"]``.  A nontrivial finite B of
+    dimension one is its field: its one atom is 1, projected by the
+    identity.  Other algebras are searched by ``_atoms_by_search``, which
+    refuses algebras over QQ.
     """
-    cached = _ATOMS_CACHE.get(B)
-    if cached is not None:
-        return [e for e, _ in cached]
+    memo = B._memo
+    if "atoms" not in memo:
+        if B.field.is_finite and not B.is_trivial() and len(B.staircase()) == 1:
+            memo["atoms"] = ((B.one, AlgebraMorphism.identity(B)),)
+        else:
+            atoms = _atoms_by_search(B)
+            memo["atoms"] = tuple((e, factor_projection(B, e)) for e in atoms)
+    return list(memo["atoms"])
+
+
+def _atoms_by_search(B: PresentedAlgebra) -> List[AlgebraElement]:
+    """The atoms of B by brute force: its minimal nonzero idempotents among
+    all its elements, O(|B|^2) products."""
     idems = [
         b for b in B.enumerate_elements() if b * b == b and not b.is_zero()
     ]
@@ -249,15 +262,7 @@ def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
         raise NonReducedAlgebraError(
             f"atomic idempotents of {B!r} do not decompose the unit"
         )
-    _ATOMS_CACHE[B] = tuple((e, factor_projection(B, e)) for e in atoms)
     return atoms
-
-
-def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
-    """Each atom e of B with its projection B -> B/(1 - e): one factor
-    algebra per atom, shared by every caller."""
-    idempotent_atoms(B)  # fills the memo
-    return list(_ATOMS_CACHE[B])
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
@@ -443,18 +448,14 @@ def zar_points(B: PresentedAlgebra) -> List[ZarElement]:
 # -- realization of a compact open ---------------------------------------------------
 
 
-_REALIZATION_CACHE: Dict[
-    CompactOpen, Tuple[FunctorialScheme, SchemeMorphism]
-] = {}
-
-
 def _realized(U: CompactOpen) -> Tuple[FunctorialScheme, SchemeMorphism]:
-    """The realization of U with its inclusion into the ambient charts."""
-    got = _REALIZATION_CACHE.get(U)
+    """The realization of U with its inclusion, remembered on U's scheme."""
+    key = ("realized", U)
+    got = U.owner._memo.get(key)
     if got is None:
         Xu, inc = restrict_scheme(U.owner, U)
         got = (FunctorialScheme(Xu), inc)
-        _REALIZATION_CACHE[U] = got
+        U.owner._memo[key] = got
     return got
 
 
@@ -462,8 +463,8 @@ def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
     """The compact open U as a scheme of its own.
 
     Glued from one localized chart per basic piece of U, so a single piece
-    realizes to the affine scheme of the localization.  Memoized so points
-    of the same realized open always compare equal.
+    realizes to the affine scheme of the localization.  Kept with U's
+    inclusion in ``X.lat._memo[("realized", U)]``, so its points compare equal.
     """
     if U.owner is not X.lat:
         raise ValueError("open does not live on the scheme")

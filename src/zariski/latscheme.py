@@ -295,8 +295,9 @@ class LatticeScheme:
 
     ``_memo`` remembers values that depend on the scheme alone, for its
     lifetime: ``embed_basic`` by ``(i, w)``, the invertibility support of a
-    ``local_morphism_witness`` sample by ``(j, f, value)``, and, on the
-    spectrum of a test algebra, ``compare.point_morphism``'s collapse maps.
+    ``local_morphism_witness`` sample by ``(j, f, value)``, the realization
+    of an open U by ``("realized", U)``, and, on the spectrum of a test
+    algebra, ``compare.point_morphism``'s collapse maps by ``(Bt, piece)``.
     """
 
     __slots__ = ("data", "_memo")

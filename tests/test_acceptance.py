@@ -470,11 +470,10 @@ def test_the_power_bound_is_one_constant_not_a_knob():
         assert "--cap" not in r.output, " ".join(path)
 
 
-def test_module_level_caches_are_the_four_known_ones():
-    """Every module-level dict of the package, by name.  Memos belong on the
-    object they describe (an algebra, a scheme, a morphism) and die with it;
-    the four module caches below are the fixed list a bounded cache facility
-    is to replace."""
+def test_the_package_has_no_module_level_caches():
+    """No module of the package holds a dict.  Memos belong on the object
+    they describe (an algebra, a scheme, a morphism) and die with it, so no
+    caller's answers outlive it or reach an equal object built later."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
     found = set()
     for path in sorted(src.glob("*.py")):
@@ -487,9 +486,4 @@ def test_module_level_caches_are_the_four_known_ones():
             for t in targets:
                 if isinstance(t, ast.Name) and isinstance(getattr(module, t.id, None), dict):
                     found.add(f"{path.stem}.{t.id}")
-    assert found == {
-        "algebra._LOC_CACHE",
-        "compare._AFFINE_CACHE",
-        "funscheme._ATOMS_CACHE",
-        "funscheme._REALIZATION_CACHE",
-    }
+    assert found == set()

@@ -38,6 +38,7 @@ from zariski.compare import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
+    atomic_factors,
     eval_points,
     functorial,
     map_point,
@@ -431,23 +432,22 @@ def test_comparison_over_a_split_algebra_does_not_rebuild_its_factors(monkeypatc
 # -- validation does per point only what depends on the point ---------------------------
 
 
-def _unused_name_algebra(name: str, relation) -> PresentedAlgebra:
-    ring = PolyRing(GF(3), [name])
+def _gf3_quotient(relation) -> PresentedAlgebra:
+    ring = PolyRing(GF(3), ["t"])
     return PresentedAlgebra(ring, [relation(ring.var(0))])
 
 
-# built fresh for each test, over a variable name the test passes and no other
-# test uses, so no memo left by an earlier comparison answers for this one
+# built fresh for each test
 VALIDATION_CASES = [
-    lambda name: (affine_line(3), _unused_name_algebra(name, lambda u: u * u + 1)),
-    lambda name: (projective_line(GF(3)), _unused_name_algebra(name, lambda v: v * v - v)),
+    lambda: (affine_line(3), _gf3_quotient(lambda t: t * t + 1)),
+    lambda: (projective_line(GF(3)), _gf3_quotient(lambda t: t * t - t)),
 ]
 VALIDATION_IDS = ["A1/GF9", "P1/GF3xGF3"]
 
 
 @pytest.mark.parametrize("case", VALIDATION_CASES, ids=VALIDATION_IDS)
 def test_comparison_never_restricts_a_localization_to_itself(monkeypatch, case):
-    X, B = case("r")
+    X, B = case()
     same_sided = []
     for module in (latscheme, sheaf):
         inner = module.restriction_map
@@ -496,7 +496,7 @@ def test_transports_per_comparison_do_not_grow_with_the_points(
 
 @pytest.mark.parametrize("case", VALIDATION_CASES, ids=VALIDATION_IDS)
 def test_each_unit_certificate_is_computed_once_per_comparison(monkeypatch, case):
-    X, B = case("u")
+    X, B = case()
     calls, algebras = [], []
     inner = PresentedAlgebra.unit_certificate
 
@@ -509,6 +509,28 @@ def test_each_unit_certificate_is_computed_once_per_comparison(monkeypatch, case
     ok, report = comparison_check(X, [B])
     assert ok, report
     assert calls and len(calls) == len(set(calls))
+
+
+def test_an_equal_algebra_built_later_gets_memos_of_its_own(monkeypatch):
+    B1 = _gf3_quotient(lambda t: t * t + 1)
+    ok, report = comparison_check(affine_line(3), [B1])
+    assert ok, report
+    B2 = _gf3_quotient(lambda t: t * t + 1)
+    assert B2 == B1 and B2 is not B1
+    calls = []
+    inner = PresentedAlgebra.unit_certificate
+
+    def counted(self, gens):
+        calls.append(self)
+        return inner(self, gens)
+
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
+    ok, report = comparison_check(affine_line(3), [B2])
+    assert ok, report
+    assert calls  # B2's inverses are certified for B2, not read off B1
+    assert make_localization(B2, B2.var(0)).base is B2
+    assert atomic_factors(B2)[0][1].source is B2
+    assert compare._affine_of(B2).charts[0] is B2
 
 
 def test_remembered_embeddings_equal_those_of_a_fresh_scheme():

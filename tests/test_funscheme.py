@@ -8,6 +8,7 @@ import itertools
 from support import gf3_split, product_of_points, qq_xy, reduced_by_definition
 from zariski import funscheme
 from zariski.algebra import (
+    AlgebraMorphism,
     PresentedAlgebra,
     enumerate_homs,
     make_localization,
@@ -216,6 +217,44 @@ def test_idempotent_atoms_are_a_fresh_list_on_every_call():
     first.clear()
     assert idempotent_atoms(B) == second
     assert idempotent_atoms(product_of_points(3, 3)) == second
+
+
+def _gf5_at_2() -> PresentedAlgebra:
+    ring = PolyRing(GF(5), ["t"])
+    return PresentedAlgebra(ring, [ring.var(0) - 2])
+
+
+def _trivial(names) -> PresentedAlgebra:
+    ring = PolyRing(GF(3), names)
+    return PresentedAlgebra(ring, [ring.one])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p=p: PresentedAlgebra(PolyRing(GF(p), [])) for p in (2, 3, 5, 7)]
+    + [_gf5_at_2],
+    ids=["GF2", "GF3", "GF5", "GF7", "GF5[t]/(t-2)"],
+)
+def test_the_atoms_of_a_field_are_those_the_search_finds(monkeypatch, make):
+    B = make()
+    expected = [
+        (e, funscheme.factor_projection(B, e)) for e in funscheme._atoms_by_search(B)
+    ]
+
+    def no_search(B):
+        raise AssertionError("a field's atoms are read off, not searched")
+
+    monkeypatch.setattr(funscheme, "_atoms_by_search", no_search)
+    assert funscheme.atomic_factors(B) == expected == [
+        (B.one, AlgebraMorphism.identity(B))
+    ]
+
+
+@pytest.mark.parametrize("names", [[], ["x"]], ids=["no-vars", "one-var"])
+def test_the_trivial_algebra_has_no_atoms(names):
+    B = _trivial(names)
+    assert funscheme._atoms_by_search(B) == funscheme.atomic_factors(B) == []
+    assert idempotent_atoms(B) == []
 
 
 def test_connected_factors_are_fields_here():

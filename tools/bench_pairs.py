@@ -7,7 +7,9 @@ For each seed it runs the unchanged ``perfbench/run.py`` once in each
 checkout, one right after the other, and flips which side goes first from
 one pair to the next, so a slow minute of the host falls on both sides.  It
 then prints, for every end-to-end metric of ``BENCHMARK.json``, each side's
-median and quartiles and the number of pairs the change won.  Stdlib only.
+median and quartiles, the ratio of the medians next to the metric's bound,
+and the number of pairs the change won.  Quartiles need at least two seeds.
+Stdlib only.
 """
 
 import argparse
@@ -49,8 +51,12 @@ def main(argv=None):
     ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 3001-3010 or 1,5,9")
     ap.add_argument("--seconds", type=int, default=6)
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error("--seeds: need at least two seeds for quartiles")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bound = {m["name"]: m["bound"] for m in metrics}
     sides = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -66,7 +72,8 @@ def main(argv=None):
         wins = sum((c > p) if way == "higher" else (c < p) for p, c in zip(par, chg))
         (p1, p2, p3), (c1, c2, c3) = quartiles(par), quartiles(chg)
         print(f"  {name:15} {p2:.4g} [{p1:.4g}-{p3:.4g}] -> {c2:.4g} [{c1:.4g}-{c3:.4g}]"
-              f"  x{c2 / p2:.3f}, won {wins}/{len(par)}, median gap {abs(c2 - p2):.3g}"
+              f"  x{c2 / p2:.3f} (bound {bound[name]}), won {wins}/{len(par)},"
+              f" median gap {abs(c2 - p2):.3g}"
               f" vs parent IQR {p3 - p1:.3g}")
 
 
