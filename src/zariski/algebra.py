@@ -626,52 +626,6 @@ def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMor
     return extend_to_localization(loc, alpha, inv, validate=False)
 
 
-class LocTower:
-    """A chain of localizations of one base at images of base elements."""
-
-    __slots__ = ("base", "denominators", "stages")
-
-    def __init__(
-        self,
-        base: PresentedAlgebra,
-        denominators: Tuple[AlgebraElement, ...] = (),
-        stages: Tuple[Localization, ...] = (),
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "denominators", denominators)
-        object.__setattr__(self, "stages", stages)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LocTower is immutable")
-
-    @property
-    def top(self) -> PresentedAlgebra:
-        return self.stages[-1].algebra if self.stages else self.base
-
-    @property
-    def from_base(self) -> AlgebraMorphism:
-        phi = AlgebraMorphism.identity(self.base)
-        for stage in self.stages:
-            phi = phi.then(stage.to_loc)
-        return phi
-
-    def extend(self, d: AlgebraElement) -> "LocTower":
-        if d.algebra != self.base:
-            raise ValueError("denominator must be a base element")
-        stage = Localization(self.top, self.from_base(d))
-        return LocTower(
-            self.base, self.denominators + (d,), self.stages + (stage,)
-        )
-
-    def inverse_in_top(self, i: int) -> AlgebraElement:
-        """The inverse of the i-th denominator's image, in the top algebra."""
-        return self.top.var_named(self.stages[i].inv_name)
-
-
-def tower(base: PresentedAlgebra) -> LocTower:
-    return LocTower(base)
-
-
 # -- tensor products ------------------------------------------------------------
 
 

@@ -40,7 +40,7 @@ from .latscheme import (
     restrict_scheme,
     top_open,
 )
-from .polynomials import PolyRing, poly_sort_key
+from .polynomials import Monomial, PolyRing, poly_sort_key
 
 
 class NonReducedAlgebraError(ValueError):
@@ -166,103 +166,129 @@ class SchemePoint:
 
 
 def is_reduced(B: PresentedAlgebra) -> bool:
-    """No nonzero nilpotents, decided by the rank of Frobenius.
+    """No nonzero nilpotents, decided by the kernel of Frobenius.
 
     Over GF(p) the map b -> b**p is GF(p)-linear, and it kills a nonzero
     element exactly when B has a nonzero nilpotent (b**(p**k) = 0 makes some
     b**(p**i) a nonzero element with zero p-th power).  So B is reduced iff
     Frobenius has full rank on the staircase basis: dim B normal forms and
-    one rank computation over GF(p).  The answer is remembered on B (in
+    one row reduction over GF(p).  The same matrix less the identity gives
+    the atoms (``atomic_factors``).  The answer is remembered on B (in
     ``B._memo``, next to its inverses), so pushing many points into one
     algebra decides it once.
     """
     if not B.field.is_finite:
         raise ValueError("cannot enumerate an algebra over QQ")
     if "reduced" not in B._memo:
-        B._memo["reduced"] = B.is_trivial() or _frobenius_is_injective(B)
+        B._memo["reduced"] = B.is_trivial() or not _kernel_mod_p(
+            _frobenius(B)[1], B.field.char
+        )
     return B._memo["reduced"]
 
 
-def _frobenius_is_injective(B: PresentedAlgebra) -> bool:
-    stairs = B.staircase()
-    column = {m: i for i, m in enumerate(stairs)}
-    p = B.field.char
-    rows = []
-    for m in stairs:
-        row = [0] * len(stairs)
-        power = B.element(B.ring.from_terms({m: 1})) ** p
-        for mono, c in power.poly.terms.items():
-            row[column[mono]] = c
-        rows.append(row)
-    return _rank_mod_p(rows, p) == len(stairs)
-
-
-def _rank_mod_p(rows: List[List[int]], p: int) -> int:
-    """The rank of an integer matrix over GF(p), by row reduction in place."""
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top_row = rows[rank]
-        inv = pow(top_row[col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] * inv % p
-            if factor:
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], top_row)]
-        rank += 1
-    return rank
-
-
-def idempotent_atoms(B: PresentedAlgebra) -> List[AlgebraElement]:
-    """The minimal nonzero idempotents, sorted canonically (a fresh list)."""
-    return [e for e, _ in atomic_factors(B)]
-
-
 def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
-    """Each atom e of B with its projection B -> B/(1 - e): one factor
-    algebra per atom, shared by every caller (a fresh list).
+    """Each atom e of B, in ``poly_sort_key`` order, with its projection
+    B -> B/(1 - e): one factor algebra per atom (a fresh list).
 
-    Remembered on B, in ``B._memo["atoms"]``.  A nontrivial finite B of
-    dimension one is its field: its one atom is 1, projected by the
-    identity.  Other algebras are searched by ``_atoms_by_search``, which
-    refuses algebras over QQ.
+    The atoms (minimal nonzero idempotents) are read off Frobenius.  In any
+    finite GF(p)-algebra, reduced or not, the fixed space of b -> b**p is
+    GF(p)^r, spanned by the r atoms: B is a product of local rings, and in
+    a local one b**p == b forces b into GF(p).  So a fixed b is a sum of
+    c_k * e_k, the idempotent 1 - (b - c)**(p - 1) is the sum of the atoms
+    on which b takes the value c, and splitting 1 along every basis vector
+    of the fixed space leaves exactly the atoms (Berlekamp).  A fixed space
+    of dimension one makes 1 the only atom, projected by the identity.  The
+    trivial algebra has no atoms; algebras over QQ are refused.  Remembered
+    on B, in ``B._memo["atoms"]``.
     """
     memo = B._memo
     if "atoms" not in memo:
-        if B.field.is_finite and not B.is_trivial() and len(B.staircase()) == 1:
-            memo["atoms"] = ((B.one, AlgebraMorphism.identity(B)),)
-        else:
-            atoms = _atoms_by_search(B)
-            memo["atoms"] = tuple((e, factor_projection(B, e)) for e in atoms)
+        memo["atoms"] = tuple(_atomic_factors(B))
     return list(memo["atoms"])
 
 
-def _atoms_by_search(B: PresentedAlgebra) -> List[AlgebraElement]:
-    """The atoms of B by brute force: its minimal nonzero idempotents among
-    all its elements, O(|B|^2) products."""
-    idems = [
-        b for b in B.enumerate_elements() if b * b == b and not b.is_zero()
-    ]
-    atoms = []
-    for e in idems:
-        minimal = True
-        for f in idems:
-            if f != e and f * e == f:
-                minimal = False
-                break
-        if minimal:
-            atoms.append(e)
+def _atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
+    if not B.field.is_finite:
+        raise ValueError("cannot enumerate an algebra over QQ")
+    if B.is_trivial():
+        return []
+    p = B.field.char
+    stairs, frob = _frobenius(B)
+    for i, row in enumerate(frob):
+        row[i] = (row[i] - 1) % p
+    fixed = _kernel_mod_p(frob, p)
+    if len(fixed) == 1:
+        return [(B.one, AlgebraMorphism.identity(B))]
+    atoms = [B.one]
+    for x in fixed:
+        b = AlgebraElement(B, B.ring.from_terms(dict(zip(stairs, x))))
+        if b.poly.is_constant():
+            continue
+        level_sets = [1 - (b - c) ** (p - 1) for c in range(p)]
+        atoms = [
+            piece
+            for e in atoms
+            for piece in (e * u for u in level_sets)
+            if not piece.is_zero()
+        ]
+        if len(atoms) == len(fixed):
+            break
     atoms.sort(key=lambda e: poly_sort_key(e.poly))
-    total = B.zero
-    for e in atoms:
-        total = total + e
-    if total != B.one:
+    if sum(atoms, B.zero) != B.one:
         raise NonReducedAlgebraError(
             f"atomic idempotents of {B!r} do not decompose the unit"
         )
-    return atoms
+    return [(e, factor_projection(B, e)) for e in atoms]
+
+
+def _frobenius(B: PresentedAlgebra) -> Tuple[List[Monomial], List[List[int]]]:
+    """The staircase basis of a nontrivial finite B over GF(p) and the matrix
+    of b -> b**p on it: column j holds the coordinates of (basis j)**p."""
+    stairs = B.staircase()
+    row_of = {m: i for i, m in enumerate(stairs)}
+    p = B.field.char
+    rows = [[0] * len(stairs) for _ in stairs]
+    for j, m in enumerate(stairs):
+        if not any(m):
+            rows[j][j] = 1  # 1**p == 1, without a normal form
+            continue
+        power = B.element(B.ring.from_terms({m: 1})) ** p
+        for mono, c in power.poly.terms.items():
+            rows[row_of[mono]][j] = c
+    return stairs, rows
+
+
+def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
+    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
+    column, by reducing ``rows`` to reduced row echelon form in place."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        inv = pow(rows[pivot][col], -1, p)
+        top_row = [a * inv % p for a in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows[r] = top_row
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != r:
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free] % p
+        basis.append(x)
+    return basis
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:

@@ -60,10 +60,6 @@ class ZarElement:
     def __repr__(self):
         return f"<{self} over {self.owner!r}>"
 
-    def is_bottom_list(self) -> bool:
-        """Syntactic bottom: the empty generator list."""
-        return not self.generators
-
 
 def basic_open(
     owner: PresentedAlgebra, elems: Sequence[AlgebraElement]

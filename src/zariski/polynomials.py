@@ -177,9 +177,6 @@ class PolyRing:
         """Same field, the old variables followed by ``extra`` new ones."""
         return PolyRing(self.field, self.names + tuple(extra), order)
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.names, order)
-
     def lift(self, p: "Poly", target: "PolyRing") -> "Poly":
         """Reinterpret ``p`` in ``target``, matching variables by name."""
         if p.ring is not self and p.ring != self:

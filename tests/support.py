@@ -10,7 +10,7 @@ from operator import add, le, sub
 
 from zariski.algebra import AlgebraMorphism, PresentedAlgebra
 from zariski.fields import GF, QQ
-from zariski.polynomials import MonomialOrder, Poly, PolyRing
+from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
 
 def qq_x() -> PresentedAlgebra:
@@ -127,6 +127,14 @@ def reduced_by_definition(B):
     return not any(
         not b.is_zero() and B.radical_member(b, []) for b in B.enumerate_elements()
     )
+
+
+def atoms_by_search(B):
+    """The minimal nonzero idempotents of ``B`` among all its elements,
+    sorted by ``poly_sort_key``: the oracle for ``funscheme.atomic_factors``."""
+    idems = [b for b in B.enumerate_elements() if b * b == b and not b.is_zero()]
+    atoms = [e for e in idems if not any(f != e and f * e == f for f in idems)]
+    return sorted(atoms, key=lambda e: poly_sort_key(e.poly))
 
 
 def fraction_divide(f, divisors, want_quotients=True):

@@ -448,6 +448,38 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert not unused, f"unused imports: {unused}"
 
 
+def test_every_public_name_of_the_package_is_used():
+    """Every public top-level name and public method of a package module
+    (``cli.py`` aside: its commands are called by click) is read somewhere
+    in the package or the tests besides its own definition."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = root / "src" / "zariski"
+    used = set()
+    for path in sorted(src.glob("*.py")) + sorted((root / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            defs = [node]
+            if isinstance(node, ast.ClassDef):
+                defs += [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, ast.Assign):
+                defs = [t for t in node.targets if isinstance(t, ast.Name)]
+            for d in defs:
+                name = getattr(d, "name", None) or getattr(d, "id", None)
+                if name and not name.startswith("_") and name not in used:
+                    unused.append(f"{path.name}:{d.lineno} {name}")
+    assert not unused, f"public names nothing uses: {unused}"
+
+
 def test_the_power_bound_is_one_constant_not_a_knob():
     """Every search over denominator powers reads ``POWER_CAP``: no function
     of the package declares a ``cap`` parameter and no subcommand offers

@@ -31,7 +31,6 @@ from zariski.algebra import (
     make_tensor,
     morphism,
     tensor_over_base,
-    tower,
 )
 from zariski.fields import GF, QQ
 from zariski.latscheme import projective_line, punctured_plane
@@ -381,18 +380,6 @@ def test_extension_to_a_localization_validates_the_inverse():
     assert phi(loc.inverse) == Cuv.var(1)
     with pytest.raises(ValueError):
         extend_to_localization(loc, alpha, v)  # u*v != 1 in C
-
-
-def test_towers_of_localizations_compose():
-    A = qq_x()
-    x = A.var(0)
-    t = tower(A).extend(x).extend(x + 1)
-    top = t.top
-    img = t.from_base(x)
-    assert top.try_invert(img) is not None
-    assert top.try_invert(t.from_base(x + 1)) is not None
-    inv0 = t.inverse_in_top(0)
-    assert t.from_base(x) * inv0 == top.one
 
 
 # -- tensor products --------------------------------------------------------------

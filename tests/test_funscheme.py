@@ -1,11 +1,18 @@
 """Schemes as functors on test algebras: points, covers, locality, gluing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as O
 import itertools
 
-from support import gf3_split, product_of_points, qq_xy, reduced_by_definition
+from support import (
+    atoms_by_search,
+    gf3_split,
+    product_of_points,
+    qq_xy,
+    reduced_by_definition,
+)
 from zariski import funscheme
 from zariski.algebra import (
     AlgebraMorphism,
@@ -23,8 +30,8 @@ from zariski.funscheme import (
     connected_factor,
     eval_points,
     functorial,
+    atomic_factors,
     glue_morphism,
-    idempotent_atoms,
     is_cover,
     is_reduced,
     map_point,
@@ -174,18 +181,20 @@ def test_reducedness_needs_a_finite_field():
 
 
 def test_map_point_decides_reducedness_once_per_algebra(monkeypatch, punctured3):
-    ranks = []
-    inner = funscheme._rank_mod_p
+    built = []
+    inner = funscheme._frobenius
 
-    def counted(rows, p):
-        ranks.append(p)
-        return inner(rows, p)
+    def counted(B):
+        built.append(B)
+        return inner(B)
 
-    monkeypatch.setattr(funscheme, "_rank_mod_p", counted)
+    monkeypatch.setattr(funscheme, "_frobenius", counted)
     B = gf3_split()
     e = B.var(0)
     assert check_locality(punctured3, B, [e, B.one - e])
-    assert len(ranks) <= 3  # B and its two localizations, not once per pushed point
+    # B and its two localizations, each once for reducedness and once for
+    # its atoms, not once per pushed point
+    assert len(built) <= 6
     # a remembered "not reduced" still refuses every push
     ring_eps, rels_eps = parse_ring("GF(3)[t]/(t^2)")
     EPS = PresentedAlgebra(ring_eps, rels_eps)
@@ -198,25 +207,29 @@ def test_map_point_decides_reducedness_once_per_algebra(monkeypatch, punctured3)
 # -- idempotent decomposition --------------------------------------------------------
 
 
-def test_idempotent_atoms_split_products():
+def _atoms(B):
+    return [e for e, _ in atomic_factors(B)]
+
+
+def test_atomic_factors_split_products():
     B = gf3_split()
-    atoms = idempotent_atoms(B)
+    atoms = _atoms(B)
     assert len(atoms) == 2
     for a in atoms:
         assert a * a == a
     assert atoms[0] * atoms[1] == B.zero
     assert atoms[0] + atoms[1] == B.one
-    assert idempotent_atoms(F3) == [F3.one]
+    assert _atoms(F3) == [F3.one]
 
 
-def test_idempotent_atoms_are_a_fresh_list_on_every_call():
+def test_atomic_factors_are_a_fresh_list_on_every_call():
     B = product_of_points(3, 3)
-    first = idempotent_atoms(B)
-    second = idempotent_atoms(B)
+    first = atomic_factors(B)
+    second = atomic_factors(B)
     assert first == second and first is not second
     first.clear()
-    assert idempotent_atoms(B) == second
-    assert idempotent_atoms(product_of_points(3, 3)) == second
+    assert atomic_factors(B) == second
+    assert atomic_factors(product_of_points(3, 3)) == second
 
 
 def _gf5_at_2() -> PresentedAlgebra:
@@ -235,33 +248,81 @@ def _trivial(names) -> PresentedAlgebra:
     + [_gf5_at_2],
     ids=["GF2", "GF3", "GF5", "GF7", "GF5[t]/(t-2)"],
 )
-def test_the_atoms_of_a_field_are_those_the_search_finds(monkeypatch, make):
+def test_the_atoms_of_a_field_are_those_the_search_finds(make):
     B = make()
-    expected = [
-        (e, funscheme.factor_projection(B, e)) for e in funscheme._atoms_by_search(B)
-    ]
-
-    def no_search(B):
-        raise AssertionError("a field's atoms are read off, not searched")
-
-    monkeypatch.setattr(funscheme, "_atoms_by_search", no_search)
-    assert funscheme.atomic_factors(B) == expected == [
-        (B.one, AlgebraMorphism.identity(B))
-    ]
+    assert atoms_by_search(B) == [B.one]
+    assert atomic_factors(B) == [(B.one, AlgebraMorphism.identity(B))]
 
 
 @pytest.mark.parametrize("names", [[], ["x"]], ids=["no-vars", "one-var"])
 def test_the_trivial_algebra_has_no_atoms(names):
     B = _trivial(names)
-    assert funscheme._atoms_by_search(B) == funscheme.atomic_factors(B) == []
-    assert idempotent_atoms(B) == []
+    assert atoms_by_search(B) == atomic_factors(B) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["GF(7)[t]/(t^4 - 1)", "GF(3)[t]/(t^3 - t^2)", "GF(2)[x,y]/(x^2, y^2 + y)"],
+)
+def test_the_atoms_never_enumerate_the_algebra(monkeypatch, text):
+    expected = atoms_by_search(PresentedAlgebra(*parse_ring(text)))
+
+    def no_enumeration(self):
+        raise AssertionError("the atoms are read off Frobenius, not searched")
+
+    monkeypatch.setattr(PresentedAlgebra, "enumerate_elements", no_enumeration)
+    B = PresentedAlgebra(*parse_ring(text))
+    assert atomic_factors(B) == [(e, funscheme.factor_projection(B, e)) for e in expected]
+
+
+def test_the_atoms_refuse_algebras_over_qq_and_infinite_ones():
+    with pytest.raises(ValueError, match="over QQ"):
+        atomic_factors(qq_xy())
+    with pytest.raises(ValueError, match="not finite"):
+        atomic_factors(PresentedAlgebra(*parse_ring("GF(3)[x,y]/(x^2)")))
 
 
 def test_connected_factors_are_fields_here():
     B = gf3_split()
-    for a in idempotent_atoms(B):
+    for a in _atoms(B):
         C = connected_factor(B, a)
-        assert len(idempotent_atoms(C)) == 1
+        assert len(_atoms(C)) == 1
+
+
+@st.composite
+def _finite_algebras(draw):
+    """GF(p)[x] or GF(p)[x, y] over GF(2), GF(3) or GF(5), modulo a monic
+    relation in each variable and, half the time, a mixed one: at most 125
+    elements, reduced or not, connected or not, sometimes trivial."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    room = {2: 6, 3: 4, 5: 3}[p]  # p**room <= 125: the product of the degrees
+    ring = PolyRing(GF(p), ["x", "y"][: draw(st.integers(1, 2))])
+    rels, degrees = [], []
+    for v in ring.gens():
+        d = draw(st.integers(1, room))
+        room //= d
+        degrees.append(d)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        rels.append(v**d + sum(((v**k).scale(c) for k, c in enumerate(coeffs)), ring.zero))
+    if ring.nvars == 2 and draw(st.booleans()):
+        below = st.tuples(*[st.integers(0, d - 1) for d in degrees])
+        terms = draw(st.dictionaries(below, st.integers(1, p - 1), min_size=1, max_size=3))
+        rels.append(ring.from_terms(terms))
+    return PresentedAlgebra(ring, rels)
+
+
+@settings(max_examples=80)
+@given(_finite_algebras())
+def test_the_atoms_and_reducedness_of_random_finite_algebras(B):
+    atoms = _atoms(B)
+    assert atoms == atoms_by_search(B)
+    for i, e in enumerate(atoms):
+        assert e * e == e
+        assert all((e * f).is_zero() for f in atoms[i + 1 :])
+    assert sum(atoms, B.zero) == B.one
+    assert is_reduced(B) == reduced_by_definition(B)
+    for e in atoms:
+        assert len(atomic_factors(connected_factor(B, e))) == 1
 
 
 def test_compact_open_classes_match_the_ideal_count_oracle():

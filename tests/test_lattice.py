@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import gf3_split, gf5_circle, qq_x, qq_xy, random_open, random_poly
-from zariski.algebra import make_localization, morphism
+from zariski.algebra import ExtractionCapError, PresentedAlgebra, make_localization, morphism
 from zariski.fields import GF, QQ
 from zariski.lattice import (
     ZarElement,
@@ -32,6 +32,7 @@ from zariski.lattice import (
     open_to_localization,
     top,
 )
+from zariski.parsing import parse_ring
 
 
 def _random_opens(seed, algebra, count=3):
@@ -253,6 +254,20 @@ def test_localization_isomorphism_round_trips(algebra_factory, var_index):
         down = open_from_localization(loc, w)
         assert leq(down, basic_open(A, [f]))
         assert eq(open_to_localization(loc, down), w)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ExtractionCapError,
+    reason="known defect: localizations use plain grevlex, so at a unit "
+    "denominator extract_fraction cannot clear the inverse variable",
+)
+def test_an_open_comes_down_from_a_localization_at_a_unit():
+    A = PresentedAlgebra(*parse_ring("QQ[t]/(t^2 - 2)"))
+    t = A.var(0)
+    loc = make_localization(A, t)
+    down = open_from_localization(loc, basic_open(loc.algebra, [loc.to_loc(t + 1)]))
+    assert eq(down, basic_open(A, [(t + 1) * t]))
 
 
 def test_localization_isomorphism_rejects_foreign_elements():
