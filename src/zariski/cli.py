@@ -106,17 +106,27 @@ def _fmt_compact(u: CompactOpen) -> str:
     return "; ".join(_fmt_open(w) for w in u.components)
 
 
-def _parse_fields(over: str) -> List:
-    out = []
+def _test_fields(over: str, X: LatticeScheme) -> List[PresentedAlgebra]:
+    """The fields of ``--over`` as test algebras: each must be finite and
+    the chart field of X."""
+    fields = []
     for part in over.split(","):
         part = part.strip()
         if not part:
             _input_error("--over: empty field name")
         try:
-            out.append(parse_field(part))
+            fields.append(parse_field(part))
         except ParseError as exc:
             _input_error(f"--over: {exc}")
-    return out
+    for field in fields:
+        if not field.char:
+            _input_error(f"--over: {field!r} is not a finite field")
+        if field != X.charts[0].field:
+            _input_error(
+                f"--over: {field!r} does not match the chart field "
+                f"{X.charts[0].field!r}"
+            )
+    return [PresentedAlgebra(PolyRing(field, [])) for field in fields]
 
 
 def _load_json(path: str) -> Dict:
@@ -700,21 +710,14 @@ def points_cmd(data_path, over, order_text, fmt) -> None:
     order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     fun = functorial(X)
-    fields = _parse_fields(over)
     payload = {}
-    for field in fields:
-        if field != X.charts[0].field:
-            _input_error(
-                f"--over: {field!r} does not match the chart field "
-                f"{X.charts[0].field!r}"
-            )
-        B = PresentedAlgebra(PolyRing(field, []))
+    for B in _test_fields(over, X):
         rows = []
         for p in eval_points(fun, B):
             for (_, chart, phi) in p.factors:
                 rows.append((chart, tuple(str(v) for v in phi.images)))
         rows.sort()
-        payload[repr(field)] = rows
+        payload[repr(B.field)] = rows
     if fmt == "json":
         _emit_json(
             {
@@ -836,28 +839,20 @@ def compare_cmd(data_path, over, order_text, fmt) -> None:
     """
     order = parse_order(order_text)
     X = _load_scheme(data_path, order)
-    fields = _parse_fields(over)
-    tests = []
-    for field in fields:
-        if field != X.charts[0].field:
-            _input_error(
-                f"--over: {field!r} does not match the chart field "
-                f"{X.charts[0].field!r}"
-            )
-        tests.append(PresentedAlgebra(PolyRing(field, [])))
+    tests = _test_fields(over, X)
     ok, report = comparison_check(X, tests)
     if fmt == "json":
         _emit_json({"ok": ok, "report": report})
         if not ok:
             sys.exit(1)
         return
-    for field, entry in zip(fields, report["per_algebra"]):
+    for B, entry in zip(tests, report["per_algebra"]):
         bij = (
             entry["count"]
             if entry["morphisms_valid"] and entry["roundtrip"] and entry["distinct"]
             else "?"
         )
-        click.echo(f"over {field!r}: {bij} = {entry['count']}")
+        click.echo(f"over {B.field!r}: {bij} = {entry['count']}")
     click.echo(f"realization: {report['realization']}")
     if not ok:
         witnesses = [

@@ -8,7 +8,10 @@ compact opens of the functor side as schemes, and packages the whole
 comparison as one decision procedure over a list of finite test algebras:
 point sets biject with hom sets, the correspondence is natural in the test
 algebra, and the realization reproduces the chart data by an explicit
-certificate.
+certificate.  Distinct points carry distinct morphisms, decided by one
+fingerprint per point: a finite test algebra is the product of its local
+factors, one per atom, so a morphism out of its spectrum is fixed by the
+atoms each open contains and the value of each section in each factor.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .latscheme import (
     GluingData,
     LatticeScheme,
     SchemeMorphism,
-    chart_variable_samples,
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -47,7 +49,6 @@ from .funscheme import (
     functorial,
     is_reduced,
     map_point,
-    membership,
     open_at_point,
     open_from_realization,
     realization,
@@ -363,19 +364,6 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
     return None
 
 
-def realization_points_biject(
-    fun: FunctorialScheme, u: CompactOpen, B: PresentedAlgebra
-) -> bool:
-    """Points of the realized open are exactly the points inside the open."""
-    Y = realization(fun, u)
-    inner = eval_points(Y, B)
-    carried = [carry_point_in(fun, u, rp) for rp in inner]
-    if len(set(carried)) != len(carried):
-        return False
-    members = [p for p in eval_points(fun, B) if membership(u, p)]
-    return set(carried) == set(members)
-
-
 def carry_point_in(
     fun: FunctorialScheme, u: CompactOpen, rp: SchemePoint
 ) -> SchemePoint:
@@ -409,84 +397,47 @@ def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
     return out
 
 
-def morphisms_agree(
-    pi1: SchemeMorphism,
-    pi2: SchemeMorphism,
-    opens: Sequence[CompactOpen],
-    samples: Optional[Sequence[_Sample]] = None,
-) -> bool:
-    """Extensional agreement of two morphisms with one-chart affine source.
-
-    Compares pullbacks on the sample compact opens, then the pulled-back
-    chart variables (``samples``, by default ``chart_variable_samples`` of
-    every target chart): the pulled pieces of the two morphisms must agree
-    as fractions on every pairwise intersection of their regions.
-    """
-    if pi1.source is not pi2.source or pi1.target is not pi2.target:
-        return False
-    for u in opens:
-        if not pi1.pullback(u).eq(pi2.pullback(u)):
-            return False
-    if pi1.source.ncharts != 1:
-        return True
-    B = pi1.source.charts[0]
-    if samples is None:
-        samples = [
-            s
-            for j in range(pi1.target.ncharts)
-            for s in chart_variable_samples(pi1.target, j)
-        ]
-    for sample in samples:
-        fam1 = pi1.pull_basic(*sample)
-        fam2 = pi2.pull_basic(*sample)
-        # fam2's fractions, each extracted once and only when first reached,
-        # so an early mismatch still returns before a later extraction can raise
-        fracs2: List[Tuple[AlgebraElement, int]] = []
-        for (_, h1, val1) in fam1:
-            n1, k1 = extract_fraction(make_localization(B, h1), val1)
-            for idx, (_, h2, val2) in enumerate(fam2):
-                if idx == len(fracs2):
-                    fracs2.append(extract_fraction(make_localization(B, h2), val2))
-                n2, k2 = fracs2[idx]
-                common = make_localization(B, h1 * h2)
-                if common.to_loc(n1 * h2 ** k2) != common.to_loc(n2 * h1 ** k1):
-                    return False
-    return True
-
-
 def _fingerprint(
     pi: SchemeMorphism, opens: Sequence[CompactOpen], samples: Sequence[_Sample]
 ) -> tuple:
-    """A hashable summary of a morphism Spec(B) -> X, B reduced: two such
-    morphisms agree in the sense of ``morphisms_agree`` iff their
-    fingerprints are equal.
+    """A hashable summary of a morphism Spec(B) -> X: two such morphisms
+    agree extensionally iff their fingerprints are equal.
 
-    B is then a product of fields, one per atom.  A sample open pulls back
-    to the atoms it contains (those where one of its generators is
-    nonzero).  A sample section pulls back to fractions n/h**k, one per
-    piece; each atom inside some D(h) records the fraction's value in its
-    field, and every other atom records None.  The factor fields remember
-    their inverses (``try_invert``), so the morphisms of one B share them.
+    A finite B is the product of its local factors B_e = B/(1-e), one per
+    atom e, so D(g) contains the atom e iff g_e is a unit of B_e, and B_h is
+    the product of the B_e in which h_e is a unit.  A sample open pulls back
+    to the atoms it contains.  A sample section pulls back to fractions
+    n/h**k, one per piece; each atom records n_e * h_e**-k from the first
+    piece whose h_e is a unit, and None if there is none.  Over a reduced B
+    the factors are fields, where a unit is a nonzero element; otherwise
+    ``try_invert`` decides, and the factors remember its answers.
     """
     B = pi.source.charts[0]
-    factors = atomic_factors(B)
+    factors = [quot for (_, quot) in atomic_factors(B)]
+    reduced = is_reduced(B)
+
+    def is_unit(c: AlgebraElement) -> bool:
+        if reduced:
+            return not c.is_zero()
+        return c.algebra.try_invert(c) is not None
+
     out: List[tuple] = []
     for u in opens:
         gens = pi.pullback(u).components[0].generators
         out.append(tuple(
             idx
-            for idx, (_, quot) in enumerate(factors)
-            if any(not quot(g).is_zero() for g in gens)
+            for idx, quot in enumerate(factors)
+            if any(is_unit(quot(g)) for g in gens)
         ))
     for sample in samples:
         values: List[Optional[AlgebraElement]] = [None] * len(factors)
         for (_, h, val) in pi.pull_basic(*sample):
             n, k = extract_fraction(make_localization(B, h), val)
-            for idx, (_, quot) in enumerate(factors):
+            for idx, quot in enumerate(factors):
                 if values[idx] is not None:
                     continue
                 h_e = quot(h)
-                if h_e.is_zero():
+                if not is_unit(h_e):
                     continue
                 value = quot(n)
                 if k:
@@ -497,7 +448,6 @@ def _fingerprint(
 
 
 def _agreeing_pair(
-    B: PresentedAlgebra,
     carried: Sequence[SchemeMorphism],
     opens: Sequence[CompactOpen],
     samples: Sequence[_Sample],
@@ -505,15 +455,10 @@ def _agreeing_pair(
     """The first pair a < b of carried morphisms that agree, in the order
     of the pairwise sweep; None if all are distinct.
 
-    Over a reduced B one fingerprint per morphism decides it; otherwise the
-    pairs are compared by ``morphisms_agree``.
+    Agreement is equality of fingerprints, so one ``_fingerprint`` per
+    morphism decides it over any finite B, and the first pair is the first
+    two members of the group whose first member comes first.
     """
-    if not is_reduced(B):
-        for a in range(len(carried)):
-            for b in range(a + 1, len(carried)):
-                if morphisms_agree(carried[a], carried[b], opens, samples):
-                    return a, b
-        return None
     groups: Dict[tuple, List[int]] = {}
     for idx, pi in enumerate(carried):
         groups.setdefault(_fingerprint(pi, opens, samples), []).append(idx)
@@ -532,13 +477,15 @@ def comparison_check(
     For each B: enumerate the points, carry each to a scheme morphism,
     validate it as a local morphism, and check the flat/sharp roundtrip
     recovers the point.  Distinct points must carry extensionally distinct
-    morphisms: over a reduced B this compares one fingerprint per point
-    (``_fingerprint``), over other B every pair (``morphisms_agree``).  Both
-    read the pulled-back sections of ``local_samples``, built once and
-    shared with the validation.  For each supplied algebra morphism chi: B -> B2,
-    check naturality: pushing a point along chi then taking its pullback
-    agrees with pulling back first and applying the lattice map of chi.
-    Finally check the realization certificate.  Returns (ok, report).
+    morphisms: B is the product of its local factors, so one fingerprint
+    per point (``_fingerprint``: the atoms each sample open contains and the
+    value of each pulled-back section in each factor) decides it for any
+    finite B.  The fingerprints read the pulled-back sections of
+    ``local_samples``, built once and shared with the validation.  For each
+    supplied algebra morphism chi: B -> B2, check naturality: pushing a
+    point along chi then taking its pullback agrees with pulling back first
+    and applying the lattice map of chi.  Finally check the realization
+    certificate.  Returns (ok, report).
     """
     ev = functor_of_points(G)
     fun = ev.fun
@@ -571,7 +518,7 @@ def comparison_check(
                 break
         distinct = len(set(pts)) == len(pts)
         if valid and roundtrip and distinct and len(carried) > 1:
-            pair = _agreeing_pair(B, carried, opens, samples)
+            pair = _agreeing_pair(carried, opens, samples)
             if pair is not None:
                 a, b = pair
                 distinct = False

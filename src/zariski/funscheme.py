@@ -27,7 +27,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, bottom, eq, induced_hom, join, top
+from .lattice import ZarElement, basic_open, eq, induced_hom, top
 from .latscheme import (
     CompactOpen,
     GluingData,
@@ -447,28 +447,6 @@ def map_point(
         j2, psi2 = _reduce_factor(X, j, psi)
         factors2.append((e2, j2, psi2))
     return SchemePoint(X, B2, factors2)
-
-
-# -- the finite lattice of a test algebra -------------------------------------------
-
-
-def zar_points(B: PresentedAlgebra) -> List[ZarElement]:
-    """Representatives of all basic-open classes of a finite algebra."""
-    reps: List[ZarElement] = [bottom(B)]
-    for b in B.enumerate_elements():
-        u = basic_open(B, [b])
-        if not any(eq(u, r) for r in reps):
-            reps.append(u)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(reps):
-            for b in list(reps):
-                u = join(a, b)
-                if not any(eq(u, r) for r in reps):
-                    reps.append(u)
-                    changed = True
-    return reps
 
 
 # -- realization of a compact open ---------------------------------------------------

@@ -8,8 +8,16 @@ import itertools
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
-from zariski.algebra import AlgebraMorphism, PresentedAlgebra
+from hypothesis import strategies as st
+
+from zariski.algebra import (
+    AlgebraMorphism,
+    PresentedAlgebra,
+    extract_fraction,
+    make_localization,
+)
 from zariski.fields import GF, QQ
+from zariski.latscheme import chart_variable_samples
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
 
@@ -135,6 +143,66 @@ def atoms_by_search(B):
     idems = [b for b in B.enumerate_elements() if b * b == b and not b.is_zero()]
     atoms = [e for e in idems if not any(f != e and f * e == f for f in idems)]
     return sorted(atoms, key=lambda e: poly_sort_key(e.poly))
+
+
+@st.composite
+def finite_algebras(draw, max_size=125):
+    """GF(p)[x] or GF(p)[x, y] over GF(2), GF(3) or GF(5), modulo a monic
+    relation in each variable and, half the time, a mixed one: at most
+    ``max_size`` elements, reduced or not, connected or not, sometimes
+    trivial."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    room = 0  # p**room <= max_size: the product of the degrees
+    while p ** (room + 1) <= max_size:
+        room += 1
+    ring = PolyRing(GF(p), ["x", "y"][: draw(st.integers(1, 2))])
+    rels, degrees = [], []
+    for v in ring.gens():
+        d = draw(st.integers(1, room))
+        room //= d
+        degrees.append(d)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        rels.append(v**d + sum(((v**k).scale(c) for k, c in enumerate(coeffs)), ring.zero))
+    if ring.nvars == 2 and draw(st.booleans()):
+        below = st.tuples(*[st.integers(0, d - 1) for d in degrees])
+        terms = draw(st.dictionaries(below, st.integers(1, p - 1), min_size=1, max_size=3))
+        rels.append(ring.from_terms(terms))
+    return PresentedAlgebra(ring, rels)
+
+
+def morphisms_agree(pi1, pi2, opens, samples=None):
+    """Extensional agreement of two morphisms with one-chart affine source,
+    pair by pair: the oracle for ``compare._fingerprint``.
+
+    Compares pullbacks on the sample compact opens, then the pulled-back
+    chart variables (``samples``, by default ``chart_variable_samples`` of
+    every target chart): the pulled pieces of the two morphisms must agree
+    as fractions on every pairwise intersection of their regions.
+    """
+    if pi1.source is not pi2.source or pi1.target is not pi2.target:
+        return False
+    for u in opens:
+        if not pi1.pullback(u).eq(pi2.pullback(u)):
+            return False
+    if pi1.source.ncharts != 1:
+        return True
+    B = pi1.source.charts[0]
+    if samples is None:
+        samples = [
+            s
+            for j in range(pi1.target.ncharts)
+            for s in chart_variable_samples(pi1.target, j)
+        ]
+    for sample in samples:
+        fam2 = pi2.pull_basic(*sample)
+        for (_, h1, val1) in pi1.pull_basic(*sample):
+            n1, k1 = extract_fraction(make_localization(B, h1), val1)
+            for (_, h2, val2) in fam2:
+                n2, k2 = extract_fraction(make_localization(B, h2), val2)
+                common = make_localization(B, h1 * h2)
+                if common.to_loc(n1 * h2**k2) != common.to_loc(n2 * h1**k1):
+                    return False
+    return True
 
 
 def fraction_divide(f, divisors, want_quotients=True):

@@ -41,6 +41,8 @@ AFFINE_GF3 = {
     "relations": [],
 }
 
+AFFINE_QQ = dict(AFFINE_GF3, field="QQ")
+
 CONST2 = {"schema": 1, "kind": "family", "values": ["2", "2"]}
 BADFAM = {"schema": 1, "kind": "family", "values": ["t", "s"]}
 B_DOUBLE = {
@@ -58,6 +60,7 @@ def files(tmp_path):
     for name, payload in [
         ("p1.json", P1_GF3),
         ("affine.json", AFFINE_GF3),
+        ("affine_qq.json", AFFINE_QQ),
         ("const2.json", CONST2),
         ("badfam.json", BADFAM),
         ("double.json", B_DOUBLE),
@@ -178,6 +181,14 @@ def test_wrong_schema_version_exits_2(tmp_path):
 def test_field_mismatch_exits_2(files):
     r = invoke("points", files["p1.json"], "--over", "GF(5)")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["points", "compare"])
+def test_points_over_qq_are_refused_as_input_errors(files, command):
+    for scheme in ("affine_qq.json", "affine.json"):
+        r = invoke(command, files[scheme], "--over", "QQ")
+        assert r.exit_code == 2, r.output
+        assert "--over: QQ is not a finite field" in r.output
 
 
 # -- schemes --------------------------------------------------------------------------

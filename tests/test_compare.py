@@ -8,9 +8,10 @@ gluing data; the whole bundle is wrapped by comparison_check.
 """
 
 import pytest
+from hypothesis import given, settings
 
 import oracles as O
-from support import gf3_split, product_of_points
+from support import finite_algebras, gf3_split, morphisms_agree, product_of_points
 from zariski import compare, latscheme, sheaf
 from zariski.algebra import (
     AlgebraMorphism,
@@ -28,11 +29,9 @@ from zariski.compare import (
     carry_point_in,
     comparison_check,
     functor_of_points,
-    morphisms_agree,
     open_of_points,
     point_morphism,
     realization_certificate,
-    realization_points_biject,
     realize,
     section_value_at_point,
 )
@@ -43,9 +42,10 @@ from zariski.funscheme import (
     functorial,
     map_point,
     membership,
+    multiplicative_group,
     realization,
 )
-from zariski.lattice import basic_open, eq, join, meet, top
+from zariski.lattice import basic_open, eq, join, leq, meet, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
@@ -59,6 +59,7 @@ from zariski.latscheme import (
     spec_morphism,
     top_open,
 )
+from zariski.parsing import parse_ring
 from zariski.polynomials import PolyRing
 
 
@@ -200,7 +201,6 @@ def test_realized_points_biject_with_members():
     plane = mk_affine(A2)
     fun_plane = functorial(plane)
     u_punct = CompactOpen(plane, [basic_open(A2, [A2.var(0), A2.var(1)])])
-    assert realization_points_biject(fun_plane, u_punct, F3)
     inner = eval_points(realization(fun_plane, u_punct), F3)
     assert len(inner) == O.FROZEN_POINT_COUNTS[("punctured_plane", 3)]
     carried = {carry_point_in(fun_plane, u_punct, rp) for rp in inner}
@@ -322,73 +322,127 @@ def test_comparison_check_on_the_punctured_plane_over_a_quadratic_field():
     assert report["counts"] == [9 * 9 - 1]
 
 
-# -- distinctness: fingerprints over reduced algebras, pairs otherwise -------------------------
+# -- distinctness: one fingerprint per point, over any finite test algebra --------------
 
 
-def _count_pairwise_calls(monkeypatch):
+def _algebra(text: str) -> PresentedAlgebra:
+    return PresentedAlgebra(*parse_ring(text))
+
+
+def _count_fingerprints(monkeypatch):
     calls = []
-    inner = compare.morphisms_agree
+    inner = compare._fingerprint
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def counted(pi, *args):
+        calls.append(pi)
+        return inner(pi, *args)
 
-    monkeypatch.setattr(compare, "morphisms_agree", counted)
+    monkeypatch.setattr(compare, "_fingerprint", counted)
     return calls
 
 
-FINGERPRINT_CASES = [
+REDUCED_CASES = [
     (projective_line(GF(3)), gf3_split()),
     (affine_line(3), GF9),
     (punctured_plane(GF(3))[0], F3),
 ]
-FINGERPRINT_IDS = ["P1/GF3xGF3", "A1/GF9", "PP/GF3"]
+REDUCED_IDS = ["P1/GF3xGF3", "A1/GF9", "PP/GF3"]
+# local factors that are not fields: x may go to a nonzero nilpotent
+NON_REDUCED_CASES = [
+    (affine_line(3), _algebra("GF(3)[t]/(t^2)")),
+    (affine_line(2), _algebra("GF(2)[s,t]/(s^2, t^2)")),
+    (multiplicative_group(GF(3)).lat, _algebra("GF(3)[t]/(t^2)")),
+]
+NON_REDUCED_IDS = ["A1/GF3-t2", "A1/GF2-s2t2", "Gm/GF3-t2"]
+FINGERPRINT_CASES = REDUCED_CASES + NON_REDUCED_CASES
+FINGERPRINT_IDS = REDUCED_IDS + NON_REDUCED_IDS
 
 
-@pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
-def test_fingerprints_are_equal_exactly_when_the_morphisms_agree(X, B):
-    opens, samples = _sample_opens(X), local_samples(X)
+def _carried_with_a_repeat(X, B):
+    """Every point's validated morphism, then the first point's again."""
     pts = eval_points(functorial(X), B)
-    # the first point carried a second time must collide with itself
     carried = [point_morphism(X, p, validate=True) for p in pts]
-    carried.append(point_morphism(X, pts[0]))
+    return pts, carried + [point_morphism(X, pts[0])]
+
+
+def _assert_fingerprints_match_the_oracle(pts, carried, opens, samples):
+    """Fingerprint equality is ``morphisms_agree`` on every pair."""
     prints = [compare._fingerprint(pi, opens, samples) for pi in carried]
     for a in range(len(carried)):
         for b in range(a + 1, len(carried)):
             agree = morphisms_agree(carried[a], carried[b], opens, samples)
             assert (prints[a] == prints[b]) == agree, (pts[a], b)
-    assert compare._agreeing_pair(B, carried, opens, samples) == (0, len(pts))
 
 
-def test_a_repeated_point_is_reported_first_pair_first(monkeypatch):
+@pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
+def test_fingerprints_are_equal_exactly_when_the_morphisms_agree(X, B):
+    opens, samples = _sample_opens(X), local_samples(X)
+    pts, carried = _carried_with_a_repeat(X, B)
+    _assert_fingerprints_match_the_oracle(pts, carried, opens, samples)
+    # the first point carried a second time is the only pair that agrees
+    assert compare._agreeing_pair(carried, opens, samples) == (0, len(pts))
+
+
+@pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
+def test_a_pulled_back_open_contains_the_atoms_below_it(X, B):
+    opens, samples = _sample_opens(X), local_samples(X)
+    atoms = [e for (e, _) in atomic_factors(B)]
+    for pi in _carried_with_a_repeat(X, B)[1]:
+        got = compare._fingerprint(pi, opens, samples)[: len(opens)]
+        pulled = [pi.pullback(u).components[0] for u in opens]
+        assert list(got) == [
+            tuple(idx for idx, e in enumerate(atoms) if leq(basic_open(B, [e]), w))
+            for w in pulled
+        ]
+
+
+def test_the_non_reduced_cases_send_x_to_a_nonzero_nilpotent():
+    for X, B in NON_REDUCED_CASES[:2]:
+        images = [p.as_hom().images[0] for p in eval_points(functorial(X), B)]
+        assert any(not x.is_zero() and (x * x).is_zero() for x in images)
+
+
+def test_a_repeated_point_is_reported_first_pair_first():
     X = projective_line(GF(3))
     opens, samples = _sample_opens(X), local_samples(X)
     pts = eval_points(functorial(X), gf3_split())
     order = [1, 0, 2, 0, 1]
     carried = [point_morphism(X, pts[i]) for i in order]
-    assert compare._agreeing_pair(gf3_split(), carried, opens, samples) == (0, 4)
-    monkeypatch.setattr(compare, "is_reduced", lambda B: False)
-    calls = _count_pairwise_calls(monkeypatch)
-    assert compare._agreeing_pair(gf3_split(), carried, opens, samples) == (0, 4)
-    assert len(calls) == 4
+    assert compare._agreeing_pair(carried, opens, samples) == (0, 4)
 
 
-@pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
+@pytest.mark.parametrize("X, B", REDUCED_CASES, ids=REDUCED_IDS)
 def test_comparison_over_a_reduced_algebra_compares_no_pairs(monkeypatch, X, B):
-    calls = _count_pairwise_calls(monkeypatch)
+    calls = _count_fingerprints(monkeypatch)
     ok, report = comparison_check(X, [B])
     assert ok, report
-    assert calls == []
+    assert len(calls) == len(set(map(id, calls))) == report["counts"][0]
 
 
-def test_comparison_over_a_non_reduced_algebra_compares_every_pair(monkeypatch):
-    calls = _count_pairwise_calls(monkeypatch)
-    ring = PolyRing(GF(3), ["t"])
-    EPS = PresentedAlgebra(ring, [ring.var(0) ** 2])
-    ok, report = comparison_check(affine_line(3), [EPS])
+def test_comparison_over_a_non_reduced_algebra_compares_no_pairs(monkeypatch):
+    calls = _count_fingerprints(monkeypatch)
+    ok, report = comparison_check(affine_line(3), [_algebra("GF(3)[t]/(t^2)")])
     assert ok, report
     assert report["counts"] == [9]
-    assert len(calls) == 9 * 8 // 2
+    assert len(calls) == len(set(map(id, calls))) == 9
+
+
+def test_comparison_over_a_thick_point_verifies_every_point():
+    ok, report = comparison_check(affine_line(5), [_algebra("GF(5)[t]/(t^3)")])
+    assert ok, report
+    assert report["counts"] == [125]
+
+
+@settings(max_examples=25)
+@given(finite_algebras(max_size=27))
+def test_fingerprints_decide_agreement_over_random_finite_algebras(B):
+    for X in (affine_line(B.field.char), multiplicative_group(B.field).lat):
+        opens, samples = _sample_opens(X), local_samples(X)
+        pts = eval_points(functorial(X), B)
+        carried = [point_morphism(X, p) for p in pts]
+        _assert_fingerprints_match_the_oracle(pts, carried, opens, samples)
+        ok, report = comparison_check(X, [B])
+        assert ok, report
 
 
 # -- the comparison's work grows linearly in the points ----------------------------------------

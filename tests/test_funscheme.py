@@ -1,13 +1,14 @@
 """Schemes as functors on test algebras: points, covers, locality, gluing."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import oracles as O
 import itertools
 
 from support import (
     atoms_by_search,
+    finite_algebras,
     gf3_split,
     product_of_points,
     qq_xy,
@@ -43,7 +44,6 @@ from zariski.funscheme import (
     realization,
     representable,
     ring_of_functions,
-    zar_points,
 )
 from zariski.lattice import basic_open, eq, top
 from zariski.latscheme import CompactOpen, projective_line, punctured_plane, top_open
@@ -289,30 +289,8 @@ def test_connected_factors_are_fields_here():
         assert len(_atoms(C)) == 1
 
 
-@st.composite
-def _finite_algebras(draw):
-    """GF(p)[x] or GF(p)[x, y] over GF(2), GF(3) or GF(5), modulo a monic
-    relation in each variable and, half the time, a mixed one: at most 125
-    elements, reduced or not, connected or not, sometimes trivial."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    room = {2: 6, 3: 4, 5: 3}[p]  # p**room <= 125: the product of the degrees
-    ring = PolyRing(GF(p), ["x", "y"][: draw(st.integers(1, 2))])
-    rels, degrees = [], []
-    for v in ring.gens():
-        d = draw(st.integers(1, room))
-        room //= d
-        degrees.append(d)
-        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
-        rels.append(v**d + sum(((v**k).scale(c) for k, c in enumerate(coeffs)), ring.zero))
-    if ring.nvars == 2 and draw(st.booleans()):
-        below = st.tuples(*[st.integers(0, d - 1) for d in degrees])
-        terms = draw(st.dictionaries(below, st.integers(1, p - 1), min_size=1, max_size=3))
-        rels.append(ring.from_terms(terms))
-    return PresentedAlgebra(ring, rels)
-
-
 @settings(max_examples=80)
-@given(_finite_algebras())
+@given(finite_algebras())
 def test_the_atoms_and_reducedness_of_random_finite_algebras(B):
     atoms = _atoms(B)
     assert atoms == atoms_by_search(B)
@@ -323,11 +301,6 @@ def test_the_atoms_and_reducedness_of_random_finite_algebras(B):
     assert is_reduced(B) == reduced_by_definition(B)
     for e in atoms:
         assert len(atomic_factors(connected_factor(B, e))) == 1
-
-
-def test_compact_open_classes_match_the_ideal_count_oracle():
-    assert len(zar_points(F3)) == O.FROZEN_IDEAL_COUNTS[(3, 1)]
-    assert len(zar_points(gf3_split())) == O.FROZEN_IDEAL_COUNTS[(3, 2)]
 
 
 # -- membership of points in compact opens --------------------------------------------

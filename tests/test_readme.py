@@ -1,0 +1,51 @@
+"""README's Python tour runs as written and gives the results it claims.
+
+The tour's ```python blocks are executed in order in one namespace.  An
+expression statement whose line ends in a comment such as ``# True`` or
+``# 4`` is evaluated and compared with the literal that starts the comment.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _tour_blocks():
+    text = README.read_text(encoding="utf-8")
+    tour = text.split("## Python tour", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", tour, flags=re.DOTALL)
+
+
+def _comments(source):
+    """The comment text at the end of each line, by line number."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokens
+        if tok.type == tokenize.COMMENT
+    }
+
+
+def test_the_python_tour_gives_the_results_it_claims():
+    blocks = _tour_blocks()
+    assert len(blocks) == 3
+    namespace = {}
+    claims = []
+    for source in blocks:
+        comments = _comments(source)
+        for stmt in ast.parse(source).body:
+            comment = comments.get(stmt.end_lineno, "")
+            literal = re.match(r"(True|False|\d+)\b", comment)
+            if isinstance(stmt, ast.Expr) and literal:
+                value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+                expected = ast.literal_eval(literal.group(1))
+                assert value == expected, ast.unparse(stmt)
+                claims.append(ast.unparse(stmt))
+            else:
+                exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    # leq and eq in the first block, glue in the second, the point count in the third
+    assert len(claims) == 4, claims
