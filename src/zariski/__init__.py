@@ -93,12 +93,9 @@ from .funscheme import (
     ring_of_functions,
 )
 from .compare import (
-    PointsEvaluator,
     RealizationData,
     adjunction_flat,
-    adjunction_sharp,
     comparison_check,
-    functor_of_points,
     point_morphism,
     realization_certificate,
     realize,

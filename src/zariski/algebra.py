@@ -19,7 +19,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import Monomial, MonomialOrder, Poly, PolyRing, poly_sort_key
+from .polynomials import Monomial, Poly, PolyRing, poly_sort_key
 
 
 class ExtractionCapError(RuntimeError):
@@ -74,13 +74,8 @@ class PresentedAlgebra:
         raise AttributeError("PresentedAlgebra is immutable")
 
     @classmethod
-    def free(
-        cls,
-        field: Field,
-        names: Sequence[str],
-        order: MonomialOrder | None = None,
-    ) -> "PresentedAlgebra":
-        return cls(PolyRing(field, names, order))
+    def free(cls, field: Field, names: Sequence[str]) -> "PresentedAlgebra":
+        return cls(PolyRing(field, names))
 
     def __eq__(self, other):
         if self is other:
@@ -436,12 +431,10 @@ def morphism(
     source: PresentedAlgebra,
     target: PresentedAlgebra,
     images: Sequence[Union[AlgebraElement, Poly, int]],
-    validate: bool = True,
 ) -> AlgebraMorphism:
-    phi = AlgebraMorphism(source, target, [target.element(im) for im in images])
-    if validate:
-        phi.check_valid()
-    return phi
+    """The algebra map sending the source variables to ``images``; raises
+    ``ValueError`` unless every relation of the source maps to zero."""
+    return AlgebraMorphism(source, target, images).check_valid()
 
 
 def enumerate_homs(
@@ -601,29 +594,13 @@ def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraEleme
     )
 
 
-def extend_to_localization(
-    loc: Localization,
-    alpha: AlgebraMorphism,
-    f_inverse: AlgebraElement,
-    validate: bool = True,
-) -> AlgebraMorphism:
-    """Extend ``alpha : base -> C`` to ``A_f -> C`` sending 1/f to f_inverse."""
-    if alpha.source != loc.base:
-        raise ValueError("morphism does not start at the localization's base")
-    images = list(alpha.images) + [f_inverse]
-    phi = AlgebraMorphism(loc.algebra, alpha.target, images)
-    if validate:
-        phi.check_valid()
-    return phi
-
-
 def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMorphism]:
     """Extend ``alpha : base -> C`` to ``A_f -> C`` if alpha(f) is a unit of C,
     sending 1/f to its certified inverse; None if alpha(f) is not a unit."""
     inv = alpha.target.try_invert(alpha(loc.denominator))
     if inv is None:
         return None
-    return extend_to_localization(loc, alpha, inv, validate=False)
+    return AlgebraMorphism(loc.algebra, alpha.target, alpha.images + (inv,))
 
 
 # -- tensor products ------------------------------------------------------------

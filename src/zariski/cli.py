@@ -53,7 +53,7 @@ from .parsing import (
     parse_poly,
     parse_ring,
 )
-from .polynomials import MonomialOrder, PolyRing
+from .polynomials import MonomialOrder, Poly, PolyRing
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -83,11 +83,17 @@ def _parse_algebra_text(ring_text: str, order_text: str) -> PresentedAlgebra:
     return PresentedAlgebra(ring, rels)
 
 
-def _parse_element(text: str, A: PresentedAlgebra, where: str) -> AlgebraElement:
+def _parse_poly_at(text: str, ring: PolyRing, where: str) -> Poly:
+    if not isinstance(text, str):
+        _input_error(f"{where}: must be a string")
     try:
-        return A.element(parse_poly(text, A.ring))
+        return parse_poly(text, ring)
     except ParseError as exc:
         _input_error(f"{where}: {exc}")
+
+
+def _parse_element(text: str, A: PresentedAlgebra, where: str) -> AlgebraElement:
+    return A.element(_parse_poly_at(text, A.ring, where))
 
 
 def _parse_open(text: str, A: PresentedAlgebra, where: str) -> ZarElement:
@@ -148,6 +154,8 @@ def _load_json(path: str) -> Dict:
 def _check_keys(
     obj: Dict, allowed: set, required: set, where: str
 ) -> None:
+    if not isinstance(obj, dict):
+        _input_error(f"{where}: must be an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         _input_error(f"{where}: unknown field(s) {', '.join(unknown)}")
@@ -172,13 +180,17 @@ def _algebra_from_spec(
     names = obj["vars"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         _input_error(f"{where}.vars: must be a list of variable names")
-    ring = PolyRing(field, names, order)
-    rels = []
-    for k, text in enumerate(obj.get("relations", [])):
-        try:
-            rels.append(parse_poly(text, ring))
-        except ParseError as exc:
-            _input_error(f"{where}.relations[{k}]: {exc}")
+    try:
+        ring = PolyRing(field, names, order)
+    except ValueError as exc:
+        _input_error(f"{where}.vars: {exc}")
+    texts = obj.get("relations", [])
+    if not isinstance(texts, list):
+        _input_error(f"{where}.relations: must be a list of polynomials")
+    rels = [
+        _parse_poly_at(text, ring, f"{where}.relations[{k}]")
+        for k, text in enumerate(texts)
+    ]
     return PresentedAlgebra(ring, rels)
 
 
@@ -201,8 +213,17 @@ def _gluing_from_spec(
         _algebra_from_spec(c, f"{where}.charts[{k}]", order)
         for k, c in enumerate(charts_spec)
     ]
-    patches = []
-    for k, p in enumerate(obj.get("patches", [])):
+    for k, A in enumerate(charts):
+        if A.field != charts[0].field:
+            _input_error(
+                f"{where}.charts[{k}].field: {A.field!r} does not match "
+                f"chart 0's field {charts[0].field!r}"
+            )
+    patches_spec = obj.get("patches", [])
+    if not isinstance(patches_spec, list):
+        _input_error(f"{where}.patches: must be a list")
+    patch_args = []
+    for k, p in enumerate(patches_spec):
         pwhere = f"{where}.patches[{k}]"
         _check_keys(
             p,
@@ -211,9 +232,9 @@ def _gluing_from_spec(
             pwhere,
         )
         i, j = p["from"], p["to"]
-        if not (isinstance(i, int) and 0 <= i < len(charts)):
+        if not (type(i) is int and 0 <= i < len(charts)):
             _input_error(f"{pwhere}.from: chart index out of range")
-        if not (isinstance(j, int) and 0 <= j < len(charts)) or i == j:
+        if not (type(j) is int and 0 <= j < len(charts)) or i == j:
             _input_error(f"{pwhere}.to: must name a different chart")
         Ai, Aj = charts[i], charts[j]
         f = _parse_element(p["f"], Ai, f"{pwhere}.f")
@@ -221,7 +242,7 @@ def _gluing_from_spec(
         loc_f = make_localization(Ai, f)
         loc_g = make_localization(Aj, g)
         for nm, base in ((p["f_inverse"], Ai), (p["g_inverse"], Aj)):
-            if not isinstance(nm, str) or not nm:
+            if not isinstance(nm, str) or not nm.isidentifier():
                 _input_error(f"{pwhere}: declared inverses must be names")
             if nm in base.ring.names:
                 _input_error(
@@ -237,22 +258,21 @@ def _gluing_from_spec(
             _input_error(
                 f"{pwhere}.backward: need one image per variable of chart {j}"
             )
-        fwd_imgs = []
+        fwd_imgs, bwd_imgs = [], []
         for m, text in enumerate(p["forward"]):
-            try:
-                raw = parse_poly(text, scratch_fwd)
-            except ParseError as exc:
-                _input_error(f"{pwhere}.forward[{m}]: {exc}")
+            raw = _parse_poly_at(text, scratch_fwd, f"{pwhere}.forward[{m}]")
             fwd_imgs.append(loc_g.algebra.element(_rebind(raw, loc_g.algebra.ring)))
-        bwd_imgs = []
         for m, text in enumerate(p["backward"]):
-            try:
-                raw = parse_poly(text, scratch_bwd)
-            except ParseError as exc:
-                _input_error(f"{pwhere}.backward[{m}]: {exc}")
+            raw = _parse_poly_at(text, scratch_bwd, f"{pwhere}.backward[{m}]")
             bwd_imgs.append(loc_f.algebra.element(_rebind(raw, loc_f.algebra.ring)))
-        patches.append(make_patch(charts, i, j, f, g, fwd_imgs, bwd_imgs))
-    return GluingData(charts, patches, validate=False)
+        patch_args.append((i, j, f, g, fwd_imgs, bwd_imgs))
+    try:
+        patches = [make_patch(charts, *args) for args in patch_args]
+        # each overlap is stored from its lower chart, as the file may list
+        # it from either side
+        return GluingData(charts, [P if P.i < P.j else P.mirror() for P in patches])
+    except (GluingError, ValueError) as exc:
+        _refute(f"invalid gluing data: {exc}")
 
 
 def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
@@ -264,12 +284,7 @@ def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
         spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
         return mk_affine(_algebra_from_spec(spec, path, order))
     if kind == "gluedata":
-        raw = _gluing_from_spec(obj, path, order)
-        try:
-            data = GluingData(raw.charts, [p for p in raw.patches if p.i < p.j])
-        except (GluingError, ValueError) as exc:
-            _refute(f"invalid gluing data: {exc}")
-        return glue_schemes(data)
+        return glue_schemes(_gluing_from_spec(obj, path, order))
     _input_error(f"{path}: kind must be 'algebra' or 'gluedata'")
 
 

@@ -16,7 +16,7 @@ atoms each open contains and the value of each section in each factor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -30,7 +30,6 @@ from .lattice import ZarElement, basic_open, eq, induced_hom, leq, top
 from .latscheme import (
     CompactOpen,
     GlobalSection,
-    GluingData,
     LatticeScheme,
     SchemeMorphism,
     embed_basic,
@@ -87,19 +86,14 @@ def _collapse(
     return got
 
 
-def point_morphism(
-    X: LatticeScheme,
-    p: SchemePoint,
-    validate: bool = False,
-    samples: Optional[Sequence[_Sample]] = None,
-) -> SchemeMorphism:
+def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
-    With ``validate`` it is checked to be local on ``samples`` (by default
-    those of ``local_morphism_witness``).  Only the evaluation at the point
-    is done per point: the opens of X come from ``embed_basic`` (remembered
-    on X), the patch maps from ``Patch.chart_bwd`` (kept on the patch) and
-    the collapse maps ``B/(1-e) -> B_piece`` are remembered on Spec(B).
+    It is built, not checked: ``local_morphism_witness`` checks that it is
+    local.  Only the evaluation at the point is done per point: the opens of
+    X come from ``embed_basic`` (remembered on X), the patch maps from
+    ``Patch.chart_bwd`` (kept on the patch) and the collapse maps
+    ``B/(1-e) -> B_piece`` are remembered on Spec(B).
     """
     fun = p.scheme
     if fun.lat is not X:
@@ -126,17 +120,7 @@ def point_morphism(
                 out.append((0, piece, Q.chart_bwd.then(psi)))
         return out
 
-    pi = SchemeMorphism(S, X, chart_open, comorphisms)
-    if validate:
-        witness = local_morphism_witness(pi, samples)
-        if witness is not None:
-            raise ValueError(f"point does not carry a local morphism: {witness}")
-    return pi
-
-
-def adjunction_sharp(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
-    """Point to morphism (one adjunction direction)."""
-    return point_morphism(X, p)
+    return SchemeMorphism(S, X, chart_open, comorphisms)
 
 
 def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
@@ -173,50 +157,6 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
         j2, hom2 = _reduce_factor(fun, j, hom)
         factors.append((e, j2, hom2))
     return SchemePoint(fun, B, factors)
-
-
-class PointsEvaluator:
-    """The functor of points of chart data, with its comparison morphisms."""
-
-    __slots__ = ("fun",)
-
-    def __init__(self, fun: FunctorialScheme):
-        object.__setattr__(self, "fun", fun)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PointsEvaluator is immutable")
-
-    @property
-    def scheme(self) -> LatticeScheme:
-        return self.fun.lat
-
-    def at(self, B: PresentedAlgebra) -> List[SchemePoint]:
-        return eval_points(self.fun, B)
-
-    def morphism(self, p: SchemePoint, validate: bool = True) -> SchemeMorphism:
-        return point_morphism(self.fun.lat, p, validate=validate)
-
-
-def functor_of_points(G) -> PointsEvaluator:
-    """The points functor of gluing data (or of a chart presentation)."""
-    if isinstance(G, GluingData):
-        fun = functorial(LatticeScheme(G))
-    elif isinstance(G, LatticeScheme):
-        fun = functorial(G)
-    elif isinstance(G, FunctorialScheme):
-        fun = G
-    else:
-        raise TypeError("expected gluing data or a scheme")
-    return PointsEvaluator(fun)
-
-
-def open_of_points(u: CompactOpen) -> Callable[[SchemePoint], ZarElement]:
-    """A compact open as a pointwise family of basic opens of test algebras."""
-
-    def at_point(p: SchemePoint) -> ZarElement:
-        return open_at_point(u, p)
-
-    return at_point
 
 
 # -- realization data ---------------------------------------------------------------
@@ -467,36 +407,36 @@ def _agreeing_pair(
 
 
 def comparison_check(
-    G,
+    X: LatticeScheme,
     test_algebras: Sequence[PresentedAlgebra],
     morphisms: Sequence[AlgebraMorphism] = (),
     expected_counts: Optional[Sequence[int]] = None,
 ) -> Tuple[bool, Dict[str, object]]:
     """Run the full extensional comparison over the test algebras.
 
-    For each B: enumerate the points, carry each to a scheme morphism,
-    validate it as a local morphism, and check the flat/sharp roundtrip
+    For each B: enumerate the points, build the scheme morphism each
+    carries (``point_morphism``), check that it is local
+    (``local_morphism_witness``), and check the flat/sharp roundtrip
     recovers the point.  Distinct points must carry extensionally distinct
     morphisms: B is the product of its local factors, so one fingerprint
     per point (``_fingerprint``: the atoms each sample open contains and the
     value of each pulled-back section in each factor) decides it for any
-    finite B.  The fingerprints read the pulled-back sections of
-    ``local_samples``, built once and shared with the validation.  For each
+    finite B.  The fingerprints read the sections of ``local_samples(X)``,
+    the one list X remembers and the local check reads, so each morphism's
+    memo of those pullbacks serves both.  For each
     supplied algebra morphism chi: B -> B2, check naturality: pushing a
     point along chi then taking its pullback agrees with pulling back first
     and applying the lattice map of chi.  Finally check the realization
     certificate.  Returns (ok, report).
     """
-    ev = functor_of_points(G)
-    fun = ev.fun
-    X = fun.lat
+    fun = functorial(X)
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
     opens = _sample_opens(X)
     samples = local_samples(X)
     points_by_algebra: Dict[PresentedAlgebra, List[SchemePoint]] = {}
     for B in test_algebras:
-        pts = ev.at(B)
+        pts = eval_points(fun, B)
         points_by_algebra[B] = pts
         entry = {"algebra": repr(B), "count": len(pts)}
         report["counts"].append(len(pts))
@@ -505,10 +445,15 @@ def comparison_check(
         carried: List[SchemeMorphism] = []
         for p in pts:
             try:
-                pi = point_morphism(X, p, validate=True, samples=samples)
+                pi = point_morphism(X, p)
+                witness = local_morphism_witness(pi)
+                if witness is not None:
+                    witness = f"point does not carry a local morphism: {witness}"
             except ValueError as exc:
+                witness = str(exc)
+            if witness is not None:
                 valid = False
-                entry["witness"] = str(exc)
+                entry["witness"] = witness
                 break
             carried.append(pi)
             back = adjunction_flat(fun, pi)
@@ -535,11 +480,11 @@ def comparison_check(
     for chi in morphisms:
         B, B2 = chi.source, chi.target
         if B not in points_by_algebra:
-            points_by_algebra[B] = ev.at(B)
+            points_by_algebra[B] = eval_points(fun, B)
         for p in points_by_algebra[B]:
             q = map_point(fun, p, chi)
-            pi_p = ev.morphism(p, validate=False)
-            pi_q = ev.morphism(q, validate=False)
+            pi_p = point_morphism(X, p)
+            pi_q = point_morphism(X, q)
             for u in opens:
                 lhs = pi_q.pullback(u).components[0]
                 rhs = induced_hom(chi, pi_p.pullback(u).components[0])

@@ -294,10 +294,11 @@ class LatticeScheme:
     """A scheme presented by validated gluing data.
 
     ``_memo`` remembers values that depend on the scheme alone, for its
-    lifetime: ``embed_basic`` by ``(i, w)``, the invertibility support of a
-    ``local_morphism_witness`` sample by ``(j, f, value)``, the realization
-    of an open U by ``("realized", U)``, and, on the spectrum of a test
-    algebra, ``compare.point_morphism``'s collapse maps by ``(Bt, piece)``.
+    lifetime: ``embed_basic`` by ``(i, w)``, the ``local_samples`` list by
+    ``"samples"``, the invertibility support of a sample by
+    ``(j, f, value)``, the realization of an open U by ``("realized", U)``,
+    and, on the spectrum of a test algebra, ``compare.point_morphism``'s
+    collapse maps by ``(Bt, piece)``.
     """
 
     __slots__ = ("data", "_memo")
@@ -606,14 +607,11 @@ class SectionRing:
     def one(self) -> GlobalSection:
         return self._const(1)
 
-    def section(
-        self, values: Sequence[Sequence[AlgebraElement]], check: bool = True
-    ) -> GlobalSection:
+    def section(self, values: Sequence[Sequence[AlgebraElement]]) -> GlobalSection:
         s = GlobalSection(self.scheme, self.domain, values)
-        if check:
-            witness = section_compatibility_witness(s)
-            if witness is not None:
-                raise ValueError(f"not a section: {witness}")
+        witness = section_compatibility_witness(s)
+        if witness is not None:
+            raise ValueError(f"not a section: {witness}")
         return s
 
     def _zip(self, s: GlobalSection, t: GlobalSection, op) -> GlobalSection:
@@ -869,8 +867,8 @@ def chart_variable_samples(
     Y: LatticeScheme, j: int
 ) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
     """The sections x/1 over D(1) of chart j of Y, one per variable x, as
-    ``pull_basic`` arguments.  ``local_morphism_witness`` pulls them back by
-    default, so later checks built from this list reuse a morphism's memo."""
+    ``pull_basic`` arguments.  ``local_morphism_witness`` pulls them back,
+    so later checks built from this list reuse a morphism's memo."""
     B = Y.charts[j]
     loc1 = make_localization(B, B.one)
     return [(j, B.one, loc1.to_loc(B.var(idx))) for idx in range(B.nvars)]
@@ -878,39 +876,37 @@ def chart_variable_samples(
 
 def local_samples(
     Y: LatticeScheme,
-) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
-    """The default samples of ``local_morphism_witness``: for each chart j
-    of Y, the variable sections of ``chart_variable_samples`` and then the
-    unit 1 over D(1)."""
-    samples = []
-    for j, B in enumerate(Y.charts):
-        samples.extend(chart_variable_samples(Y, j))
-        samples.append((j, B.one, make_localization(B, B.one).algebra.one))
+) -> Tuple[Tuple[int, AlgebraElement, AlgebraElement], ...]:
+    """The samples of ``local_morphism_witness``: for each chart j of Y, the
+    variable sections of ``chart_variable_samples`` and then the unit 1 over
+    D(1).  Built once and remembered on Y."""
+    samples = Y._memo.get("samples")
+    if samples is None:
+        samples = []
+        for j, B in enumerate(Y.charts):
+            samples.extend(chart_variable_samples(Y, j))
+            samples.append((j, B.one, make_localization(B, B.one).algebra.one))
+        samples = Y._memo["samples"] = tuple(samples)
     return samples
 
 
-def local_morphism_witness(
-    pi: SchemeMorphism,
-    samples: Optional[Sequence[Tuple[int, AlgebraElement, AlgebraElement]]] = None,
-) -> Optional[str]:
+def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
     """Check that pulling back commutes with invertibility supports.
 
-    Samples are (target chart j, basic piece f, section value in (B_j)_f);
-    the default samples are the chart tops with variable sections.  For
-    every sample two compact opens of the source are compared: the pullback
-    of the section's invertibility support, and the invertibility support
-    of the pulled-back section.  The first never exceeds the second for
-    honest morphism data (that inequality is asserted unconditionally); the
-    checker reports equality.
+    The samples are ``local_samples(Y)`` of the target Y: (target chart j,
+    basic piece f, section value in (B_j)_f), the chart tops with variable
+    sections.  For every sample two compact opens of the source are
+    compared: the pullback of the section's invertibility support, and the
+    invertibility support of the pulled-back section.  The first never
+    exceeds the second for honest morphism data (that inequality is asserted
+    unconditionally); the checker reports equality.
 
     Only the pullbacks depend on ``pi``.  Each sample's own support is
     remembered on Y by ``(j, f, value)``, and ``pi``'s memo keeps what it
     pulls back for later comparisons.
     """
     X, Y = pi.source, pi.target
-    if samples is None:
-        samples = local_samples(Y)
-    for (j, f, value) in samples:
+    for (j, f, value) in local_samples(Y):
         support_target = Y._memo.get((j, f, value))
         if support_target is None:
             sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
@@ -941,11 +937,8 @@ def local_morphism_witness(
     return None
 
 
-def check_local_morphism(
-    pi: SchemeMorphism,
-    samples: Optional[Sequence[Tuple[int, AlgebraElement, AlgebraElement]]] = None,
-) -> bool:
-    return local_morphism_witness(pi, samples) is None
+def check_local_morphism(pi: SchemeMorphism) -> bool:
+    return local_morphism_witness(pi) is None
 
 
 def verify_affine_certificate(
@@ -1006,12 +999,7 @@ def verify_affine_certificate(
 # -- qcqs lemma -------------------------------------------------------------------
 
 
-def qcqs_lemma_check(
-    X: LatticeScheme,
-    u: CompactOpen,
-    s: GlobalSection,
-    extra_samples: Optional[Sequence[GlobalSection]] = None,
-) -> bool:
+def qcqs_lemma_check(X: LatticeScheme, u: CompactOpen, s: GlobalSection) -> bool:
     """Sections over the invertibility support of s are the localization of
     the sections over u at s: verified by solving, for each sampled section
     over the support, a representation t / s**n with t over u, and checking
@@ -1043,7 +1031,7 @@ def qcqs_lemma_check(
     # samples over the support: the restriction of s, the unit, the inverse
     samples: List[GlobalSection] = []
     ring_v = SectionRing(X, v_explicit)
-    s_on_v = _restrict_to_pieces(X, s, u, piece_data)
+    s_on_v = _restrict_to_pieces(X, s, v_explicit, piece_data)
     samples.append(s_on_v)
     samples.append(ring_v.one)
     inverse_values = []
@@ -1057,15 +1045,13 @@ def qcqs_lemma_check(
             row.append(inv)
         inverse_values.append(row)
     samples.append(GlobalSection(X, v_explicit, inverse_values))
-    if extra_samples:
-        samples.extend(extra_samples)
     for sigma in samples:
         solved = _solve_fraction_over(X, sigma, u, s, piece_data)
         if solved is None:
             return False
         tau, n = solved
         # roundtrip: tau / s**n restricts back to sigma
-        tau_on_v = _restrict_to_pieces(X, tau, u, piece_data)
+        tau_on_v = _restrict_to_pieces(X, tau, v_explicit, piece_data)
         lhs = tau_on_v
         rhs = sigma
         for _ in range(n):
@@ -1078,26 +1064,17 @@ def qcqs_lemma_check(
 def _restrict_to_pieces(
     X: LatticeScheme,
     s: GlobalSection,
-    u: CompactOpen,
+    domain: CompactOpen,
     piece_data: List[List[Tuple[AlgebraElement, AlgebraElement, int]]],
 ) -> GlobalSection:
-    """Restrict a section over u to the aligned support pieces D(w*r)."""
+    """Restrict a section over u to the aligned support pieces D(w*r), which
+    make up ``domain``."""
     values = []
     for i in range(X.ncharts):
         row = []
         for k, (w, r, _) in enumerate(piece_data[i]):
             row.append(restrict(s.piece(i, k), w * r).value)
         values.append(row)
-    domain = CompactOpen(
-        X,
-        [
-            ZarElement(
-                X.charts[i],
-                tuple(X.charts[i].element(w * r) for (w, r, _) in piece_data[i]),
-            )
-            for i in range(X.ncharts)
-        ],
-    )
     return GlobalSection(X, domain, values)
 
 

@@ -3,16 +3,16 @@
 A monomial is a tuple of exponents, one per ring variable; a ``Poly`` is an
 immutable sparse map from monomials to nonzero coefficients, tagged with its
 ``PolyRing``.  Monomial orders (graded reverse lexicographic by default,
-lexicographic on request, both with an optional variable priority
-permutation) live in ``MonomialOrder`` and drive leading-term selection for
-the division and basis-completion algorithms built on top.
+lexicographic on request, both ranking the variables in declaration order)
+live in ``MonomialOrder`` and drive leading-term selection for the division
+and basis-completion algorithms built on top.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, neg
+from operator import add, neg
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .fields import Field, Scalar
@@ -21,59 +21,41 @@ Monomial = Tuple[int, ...]
 
 
 class MonomialOrder:
-    """A monomial order: ``grevlex`` or ``lex`` plus a variable priority.
+    """A monomial order, ``grevlex`` or ``lex``, that ranks the variables in
+    the declaration order of the ring."""
 
-    ``perm`` lists variable indices from highest to lowest priority; the
-    default is the declaration order of the ring's variables.
-    """
+    __slots__ = ("kind",)
 
-    __slots__ = ("kind", "perm")
-
-    def __init__(self, kind: str = "grevlex", perm: Tuple[int, ...] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "perm", tuple(perm) if perm is not None else None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MonomialOrder is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.perm == other.perm
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash(("MonomialOrder", self.kind, self.perm))
+        return hash(("MonomialOrder", self.kind))
 
     def __repr__(self):
-        if self.perm is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, perm={self.perm})"
+        return f"MonomialOrder({self.kind!r})"
 
-    def key_function(self, nvars: int, descending: bool = False) -> Callable[[Monomial], tuple]:
+    def key_function(self, descending: bool = False) -> Callable[[Monomial], tuple]:
         """Key under which Python's ``max``/``sorted`` realize this order.
 
         Keys are flat tuples of ints.  With ``descending`` every entry is
         negated, so ``heapq`` (a min-heap) pops the largest monomial first.
         """
-        perm = self.perm if self.perm is not None else tuple(range(nvars))
-        if len(perm) != nvars or sorted(perm) != list(range(nvars)):
-            raise ValueError(f"permutation {perm} does not cover {nvars} variables")
-        # m -> the exponents in priority order (reversed for grevlex); with
-        # fewer than two variables every order is the identity, and
-        # itemgetter would return a bare int
         if self.kind == "lex":
-            pick = itemgetter(*perm) if nvars > 1 else tuple
             if descending:
-                return lambda m: tuple(map(neg, pick(m)))
-            return pick
-        rpick = itemgetter(*perm[::-1]) if nvars > 1 else tuple
+                return lambda m: tuple(map(neg, m))
+            return tuple
         if descending:
-            return lambda m: (-sum(m), *rpick(m))
-        return lambda m: (sum(m), *map(neg, rpick(m)))
+            return lambda m: (-sum(m), *m[::-1])
+        return lambda m: (sum(m), *map(neg, m[::-1]))
 
 
 class PolyRing:
@@ -97,8 +79,8 @@ class PolyRing:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_key", order.key_function(len(names)))
-        object.__setattr__(self, "_heap_key", order.key_function(len(names), True))
+        object.__setattr__(self, "_key", order.key_function())
+        object.__setattr__(self, "_heap_key", order.key_function(True))
         object.__setattr__(self, "_hash", hash(("PolyRing", field, names, order)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

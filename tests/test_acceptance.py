@@ -398,7 +398,7 @@ def test_c10_spec_is_local_and_the_broken_morphism_is_caught():
             (
                 0,
                 B.one,
-                morphism(B, loc1.algebra, [loc1.algebra.zero], validate=False),
+                AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero]),
             )
         ]
 
@@ -500,6 +500,55 @@ def test_the_power_bound_is_one_constant_not_a_knob():
         r = runner.invoke(cli_main, path + ["--help"])
         assert r.exit_code == 0, (path, r.output)
         assert "--cap" not in r.output, " ".join(path)
+
+
+KNOWN_OPTIONS = {
+    "algebra.Localization.fraction.power",
+    "algebra.PresentedAlgebra.__init__.relations",
+    "compare.comparison_check.expected_counts",
+    "compare.comparison_check.morphisms",
+    "fields.Field.__init__.char",
+    "groebner.divide.want_quotients",
+    "latscheme.GluingData.__init__.patches",
+    "latscheme.GluingData.__init__.validate",
+    "latscheme.spec_morphism.source",
+    "latscheme.spec_morphism.target",
+    "parsing.parse_ring.order",
+    "polynomials.MonomialOrder.__init__.kind",
+    "polynomials.MonomialOrder.key_function.descending",
+    "polynomials.PolyRing.__init__.order",
+    "polynomials.PolyRing.with_vars.order",
+    "sheaf.section.power",
+}
+
+
+def test_the_package_options_are_the_known_ones():
+    """Every defaulted parameter of a public function or method of the
+    package (``cli.py`` aside) is listed in ``KNOWN_OPTIONS``.  An option
+    doubles the cases to test, so a new one is added to the list on
+    purpose, with a second caller that needs a value of its own."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+
+    def public(name):
+        return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+    def options(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and public(node.name):
+                yield from options(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and public(node.name):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                for arg in named:
+                    yield f"{prefix}{node.name}.{arg.arg}"
+
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "cli.py":
+            found.update(options(ast.parse(path.read_text()).body, f"{path.stem}."))
+    assert found == KNOWN_OPTIONS
 
 
 def test_the_package_has_no_module_level_caches():

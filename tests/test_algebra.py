@@ -25,12 +25,12 @@ from zariski.algebra import (
     ExtractionCapError,
     PresentedAlgebra,
     enumerate_homs,
-    extend_to_localization,
     extract_fraction,
     make_localization,
     make_tensor,
     morphism,
     tensor_over_base,
+    try_extend,
 )
 from zariski.fields import GF, QQ
 from zariski.latscheme import projective_line, punctured_plane
@@ -368,18 +368,16 @@ def test_extract_fraction_cap_guards_nontermination():
 
 def test_extension_to_a_localization_validates_the_inverse():
     A = qq_x()
-    x = A.var(0)
-    loc = make_localization(A, x)
-    B = gf5_hyperbola()  # wrong field entirely; use a QQ target instead
+    loc = make_localization(A, A.var(0))
     C = PresentedAlgebra.free(QQ, ["u", "v"])
     u, v = C.gens()
-    alpha = morphism(A, C, [u])
     Cuv = C.with_relations([(u * v - 1).poly])
-    alpha2 = morphism(A, Cuv, [Cuv.var(0)])
-    phi = extend_to_localization(loc, alpha2, Cuv.var(1))
+    phi = try_extend(loc, morphism(A, Cuv, [Cuv.var(0)]))
     assert phi(loc.inverse) == Cuv.var(1)
+    assert phi == morphism(loc.algebra, Cuv, Cuv.gens())
+    assert try_extend(loc, morphism(A, C, [u])) is None  # u is not a unit of C
     with pytest.raises(ValueError):
-        extend_to_localization(loc, alpha, v)  # u*v != 1 in C
+        morphism(loc.algebra, C, [u, v])  # u*v != 1 in C
 
 
 # -- tensor products --------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from zariski.cli import main
 
@@ -216,6 +217,123 @@ def test_broken_gluing_is_refuted(tmp_path):
         "invalid gluing data: Patch(0->1: D(t) ~ D(s)): transition maps are "
         "not mutually inverse (backward(forward(t)) = y)\n"
     )
+
+
+def test_a_transition_that_does_not_invert_f_is_refuted(tmp_path):
+    payload = json.loads(json.dumps(P1_GF3))
+    payload["patches"][0]["forward"] = ["s+1"]  # t -> s + 1 leaves 1/t unmapped
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(payload))
+    r = invoke("glue", "check", str(path))
+    assert r.exit_code == 1
+    assert r.output == (
+        "invalid gluing data: s + 1 is not invertible in GF(3)[s, y]/(s*y + 2); "
+        "cannot extend through the localization\n"
+    )
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON document ``doc`` with the value at ``path`` (a
+    sequence of keys and indices) replaced by ``value``."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+MALFORMED_GLUEDATA = [
+    (("charts", 0), 5, "charts[0]: must be an object"),
+    (("patches", 0), "x", "patches[0]: must be an object"),
+    (("patches",), 5, "patches: must be a list"),
+    (("charts", 0, "relations"), "t", "charts[0].relations: must be a list of polynomials"),
+    (("charts", 0, "relations"), 5, "charts[0].relations: must be a list of polynomials"),
+    (("patches", 0, "f"), 1, "patches[0].f: must be a string"),
+    (("patches", 0, "g"), None, "patches[0].g: must be a string"),
+    (("patches", 0, "forward", 0), 1, "patches[0].forward[0]: must be a string"),
+    (("patches", 0, "backward", 0), ["v"], "patches[0].backward[0]: must be a string"),
+    (("patches", 0, "from"), True, "patches[0].from: chart index out of range"),
+    (("patches", 0, "to"), True, "patches[0].to: must name a different chart"),
+    (("charts", 0, "vars"), ["1t"], "charts[0].vars: variable name '1t' is not an identifier"),
+    (("charts", 0, "vars"), ["t", "t"], "charts[0].vars: duplicate variable names"),
+    (
+        ("charts", 1, "field"),
+        "GF(5)",
+        "charts[1].field: GF(5) does not match chart 0's field GF(3)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    MALFORMED_GLUEDATA,
+    ids=[".".join(map(str, p)) + f"={v!r}" for p, v, _ in MALFORMED_GLUEDATA],
+)
+def test_malformed_gluedata_values_exit_2_with_their_path(
+    tmp_path, path, value, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(P1_GF3, path, value)))
+    r = invoke("glue", "check", str(bad))
+    assert r.exit_code == 2, (r.output, r.exception)
+    assert f"Error: {bad}.{message}" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("points", dict(AFFINE_GF3, relations="x"), "relations: must be a list of polynomials"),
+        ("sections", dict(CONST2, values=[2, "2"]), "values[0]: must be a string"),
+    ],
+    ids=["algebra-relations", "family-values"],
+)
+def test_malformed_algebra_and_family_values_exit_2(
+    files, tmp_path, command, payload, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "points":
+        r = invoke("points", str(bad), "--over", "GF(3)")
+    else:
+        r = invoke("scheme", "sections", files["p1.json"], str(bad))
+    assert r.exit_code == 2, (r.output, r.exception)
+    assert f"Error: {bad}.{message}" in r.stderr
+
+
+def _json_paths(doc, prefix=()):
+    """The path of ``doc`` and of every value inside it."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+# scalars and short containers, with strings that parse in the P1 charts
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.text(max_size=6)
+    | st.sampled_from(["t", "s", "v", "w", "0", "1", "t+1", "s^2", "GF(3)", "GF(5)"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(list(_json_paths(P1_GF3))), value=JSON_VALUES)
+def test_no_gluedata_value_ends_in_a_traceback(tmp_path_factory, path, value):
+    """Any one value of a valid document replaced by any JSON value gives
+    an answer, a refutation or an input error: never an uncaught exception."""
+    doc = tmp_path_factory.getbasetemp() / "drawn.json"
+    doc.write_text(json.dumps(_replaced(P1_GF3, path, value)))
+    r = invoke("glue", "check", str(doc))
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+    assert r.exit_code in (0, 1, 2)
 
 
 def test_sections_verified_and_printed(files):

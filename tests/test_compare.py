@@ -22,14 +22,10 @@ from zariski.algebra import (
     morphism,
 )
 from zariski.compare import (
-    PointsEvaluator,
     _sample_opens,
     adjunction_flat,
-    adjunction_sharp,
     carry_point_in,
     comparison_check,
-    functor_of_points,
-    open_of_points,
     point_morphism,
     realization_certificate,
     realize,
@@ -43,6 +39,7 @@ from zariski.funscheme import (
     map_point,
     membership,
     multiplicative_group,
+    open_at_point,
     realization,
 )
 from zariski.lattice import basic_open, eq, join, leq, meet, top
@@ -84,47 +81,54 @@ def affine_line(p: int):
 
 
 @pytest.fixture(scope="module")
-def ev_a1():
+def fun_a1():
     A1 = PresentedAlgebra(PolyRing(GF(3), ["x"]))
-    return functor_of_points(mk_affine(A1))
+    return functorial(mk_affine(A1))
 
 
 @pytest.fixture(scope="module")
-def ev_p13():
-    return functor_of_points(projective_line(GF(3)))
+def fun_p13():
+    return functorial(projective_line(GF(3)))
+
+
+def local_point_morphism(fun, p):
+    """The morphism a point carries, checked to be local."""
+    pi = point_morphism(fun.lat, p)
+    assert local_morphism_witness(pi) is None
+    return pi
 
 
 # -- points become validated morphisms and come back --------------------------------
 
 
-def test_affine_points_round_trip_through_the_adjunction(ev_a1):
-    pts = ev_a1.at(F3)
+def test_affine_points_round_trip_through_the_adjunction(fun_a1):
+    pts = eval_points(fun_a1, F3)
     assert len(pts) == O.FROZEN_POINT_COUNTS[("affine_line", 3)]
-    A1 = ev_a1.fun.algebra
+    A1 = fun_a1.algebra
     assert [p.as_hom() for p in pts] == enumerate_homs(A1, F3)
     for p in pts:
-        pi = ev_a1.morphism(p)  # validates the locality of the morphism
-        assert adjunction_flat(ev_a1.fun, pi) == p
+        pi = local_point_morphism(fun_a1, p)
+        assert adjunction_flat(fun_a1, pi) == p
 
 
-def test_projective_points_round_trip_through_the_adjunction(ev_p13):
-    pts = ev_p13.at(F3)
+def test_projective_points_round_trip_through_the_adjunction(fun_p13):
+    pts = eval_points(fun_p13, F3)
     assert len(pts) == O.FROZEN_POINT_COUNTS[("projective_line", 3)]
     for p in pts:
-        pi = ev_p13.morphism(p)
-        assert adjunction_flat(ev_p13.fun, pi) == p
+        pi = local_point_morphism(fun_p13, p)
+        assert adjunction_flat(fun_p13, pi) == p
 
 
-def test_the_trivial_test_algebra_has_exactly_one_point(ev_a1):
+def test_the_trivial_test_algebra_has_exactly_one_point(fun_a1):
     TRIV = F3.with_relations([F3.one.poly])
-    assert len(ev_a1.at(TRIV)) == 1
+    assert len(eval_points(fun_a1, TRIV)) == 1
 
 
-def test_distinct_points_carry_extensionally_distinct_morphisms(ev_p13):
-    opens = _sample_opens(ev_p13.scheme)
+def test_distinct_points_carry_extensionally_distinct_morphisms(fun_p13):
+    opens = _sample_opens(fun_p13.lat)
     for B in (F3, gf3_split()):
-        pts = ev_p13.at(B)
-        sharp = [ev_p13.morphism(p) for p in pts]
+        pts = eval_points(fun_p13, B)
+        sharp = [local_point_morphism(fun_p13, p) for p in pts]
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
                 assert not morphisms_agree(sharp[a], sharp[b], opens)
@@ -150,7 +154,8 @@ def test_memoized_pullbacks_equal_a_fresh_morphisms():
     loc1 = make_localization(A0, A0.one)
     value = loc1.to_loc(A0.var(0))
     for p in eval_points(functorial(X), gf3_split()):
-        pi = point_morphism(X, p, validate=True)
+        pi = point_morphism(X, p)
+        assert local_morphism_witness(pi) is None
         for u in opens:
             first = pi.pullback(u)
             assert pi.pullback(u) == first
@@ -161,35 +166,35 @@ def test_memoized_pullbacks_equal_a_fresh_morphisms():
         assert point_morphism(X, p).pull_basic(0, A0.one, value) == pieces
 
 
-def test_point_morphisms_of_products_round_trip(ev_p13):
+def test_point_morphisms_of_products_round_trip(fun_p13):
     D3 = product_of_points(3, 2)
-    pts = ev_p13.at(D3)
+    pts = eval_points(fun_p13, D3)
     assert len(pts) == O.FROZEN_PRODUCT_COUNTS[("projective_line", 3, 2)]
     for p in pts[:4]:
-        pi = ev_p13.morphism(p)
-        assert adjunction_flat(ev_p13.fun, pi) == p
+        pi = local_point_morphism(fun_p13, p)
+        assert adjunction_flat(fun_p13, pi) == p
 
 
 # -- compact opens act pointwise ------------------------------------------------------
 
 
-def test_opens_act_pointwise_preserving_the_lattice(ev_p13):
-    X = ev_p13.scheme
+def test_opens_act_pointwise_preserving_the_lattice(fun_p13):
+    X = fun_p13.lat
     A0, A1 = X.charts
     u_t = embed_basic(X, 0, basic_open(A0, [A0.var(0)]))
     u_inf = embed_basic(X, 1, basic_open(A1, [A1.var(0)]))
-    for p in ev_p13.at(F3):
-        of = open_of_points
-        assert eq(of(u_t.join(u_inf))(p), join(of(u_t)(p), of(u_inf)(p)))
-        assert eq(of(u_t.meet(u_inf))(p), meet(of(u_t)(p), of(u_inf)(p)))
-        assert eq(of(top_open(X))(p), top(F3))
+    for p in eval_points(fun_p13, F3):
+        at = open_at_point
+        assert eq(at(u_t.join(u_inf), p), join(at(u_t, p), at(u_inf, p)))
+        assert eq(at(u_t.meet(u_inf), p), meet(at(u_t, p), at(u_inf, p)))
+        assert eq(at(top_open(X), p), top(F3))
 
 
-def test_membership_counts_on_the_projective_line(ev_p13):
-    X = ev_p13.scheme
+def test_membership_counts_on_the_projective_line(fun_p13):
+    X = fun_p13.lat
     A0 = X.charts[0]
     u_t = embed_basic(X, 0, basic_open(A0, [A0.var(0)]))
-    pts = ev_p13.at(F3)
+    pts = eval_points(fun_p13, F3)
     assert sum(1 for p in pts if membership(u_t, p)) == 2  # misses 0 and infinity
 
 
@@ -209,9 +214,9 @@ def test_realized_points_biject_with_members():
     }
 
 
-def test_realization_certificates_hold_for_the_fixtures(ev_a1, ev_p13):
-    assert realization_certificate(ev_a1.fun) is None
-    assert realization_certificate(ev_p13.fun) is None
+def test_realization_certificates_hold_for_the_fixtures(fun_a1, fun_p13):
+    assert realization_certificate(fun_a1) is None
+    assert realization_certificate(fun_p13) is None
     Xu, _, _ = punctured_plane(GF(3))
     assert realization_certificate(functorial(Xu)) is None
 
@@ -219,13 +224,13 @@ def test_realization_certificates_hold_for_the_fixtures(ev_a1, ev_p13):
 # -- sections and supports ----------------------------------------------------------------
 
 
-def test_section_support_over_the_whole_line(ev_a1):
-    rd = realize(ev_a1.fun)
-    A1 = ev_a1.fun.algebra
-    t_top = top_open(ev_a1.scheme)
+def test_section_support_over_the_whole_line(fun_a1):
+    rd = realize(fun_a1)
+    A1 = fun_a1.algebra
+    t_top = top_open(fun_a1.lat)
     R_top = rd.sections(t_top)
     assert isinstance(R_top, PresentedAlgebra)
-    Y_top = realization(ev_a1.fun, t_top)
+    Y_top = realization(fun_a1, t_top)
     C_top = Y_top.lat.charts[0]
     loc_top = make_localization(C_top, C_top.one)
     s_x = GlobalSection(Y_top.lat, top_open(Y_top.lat), [[loc_top.to_loc(C_top.var(0))]])
@@ -233,12 +238,12 @@ def test_section_support_over_the_whole_line(ev_a1):
     assert eq(supp.components[0], basic_open(A1, [A1.var(0)]))
 
 
-def test_section_support_over_a_smaller_open_multiplies_in(ev_a1):
-    rd = realize(ev_a1.fun)
-    A1 = ev_a1.fun.algebra
+def test_section_support_over_a_smaller_open_multiplies_in(fun_a1):
+    rd = realize(fun_a1)
+    A1 = fun_a1.algebra
     x = A1.var(0)
-    u_shift = embed_basic(ev_a1.scheme, 0, basic_open(A1, [x + A1.one]))
-    Y_u = realization(ev_a1.fun, u_shift)
+    u_shift = embed_basic(fun_a1.lat, 0, basic_open(A1, [x + A1.one]))
+    Y_u = realization(fun_a1, u_shift)
     C_u = Y_u.lat.charts[0]
     loc_u = make_localization(C_u, C_u.one)
     s_xu = GlobalSection(Y_u.lat, top_open(Y_u.lat), [[loc_u.to_loc(C_u.var(0))]])
@@ -248,23 +253,23 @@ def test_section_support_over_a_smaller_open_multiplies_in(ev_a1):
     # section's value there
     for rp in eval_points(Y_u, F3):
         b = section_value_at_point(s_xu, rp)
-        p_amb = carry_point_in(ev_a1.fun, u_shift, rp)
-        assert eq(basic_open(F3, [b]), open_of_points(supp_u)(p_amb))
+        p_amb = carry_point_in(fun_a1, u_shift, rp)
+        assert eq(basic_open(F3, [b]), open_at_point(supp_u, p_amb))
 
 
 # -- fullness on an independent morphism -----------------------------------------------------
 
 
-def test_independent_spec_morphisms_land_in_the_image(ev_a1):
-    A1 = ev_a1.fun.algebra
+def test_independent_spec_morphisms_land_in_the_image(fun_a1):
+    A1 = fun_a1.algebra
     ring_b = PolyRing(GF(3), ["a"])
     B27 = PresentedAlgebra(ring_b, [ring_b.var(0) ** 3 - ring_b.var(0)])
     phi = AlgebraMorphism(A1, B27, [B27.var(0)])
-    target = ev_a1.scheme
+    target = fun_a1.lat
     pi_ind = spec_morphism(phi, target=target)
-    p_back = adjunction_flat(ev_a1.fun, pi_ind)
+    p_back = adjunction_flat(fun_a1, pi_ind)
     assert len(p_back.factors) == 3  # B27 splits into three points
-    pi_round = adjunction_sharp(target, p_back)
+    pi_round = point_morphism(target, p_back)
     assert morphisms_agree(
         pi_round,
         spec_morphism(phi, source=pi_round.source, target=target),
@@ -275,13 +280,13 @@ def test_independent_spec_morphisms_land_in_the_image(ev_a1):
 # -- the bundled comparison -------------------------------------------------------------------
 
 
-def test_comparison_check_on_the_projective_line_with_naturality(ev_p13):
+def test_comparison_check_on_the_projective_line_with_naturality(fun_p13):
     D3 = product_of_points(3, 2)
     diag3 = AlgebraMorphism(F3, D3, [])
     pr0 = AlgebraMorphism(D3, F3, [F3.zero])
     pr1 = AlgebraMorphism(D3, F3, [F3.one])
     ok, report = comparison_check(
-        ev_p13.scheme.data,
+        fun_p13.lat,
         [F3, D3],
         morphisms=[diag3, pr0, pr1],
         expected_counts=[
@@ -302,7 +307,7 @@ def test_comparison_check_on_the_projective_line_with_naturality(ev_p13):
 def test_comparison_check_on_the_punctured_plane():
     Xu, _, _ = punctured_plane(GF(3))
     ok, report = comparison_check(
-        Xu.data,
+        Xu,
         [F3],
         expected_counts=[O.FROZEN_POINT_COUNTS[("punctured_plane", 3)]],
     )
@@ -317,7 +322,7 @@ def test_comparison_check_on_the_punctured_plane():
 )
 def test_comparison_check_on_the_punctured_plane_over_a_quadratic_field():
     Xu, _, _ = punctured_plane(GF(3))
-    ok, report = comparison_check(Xu.data, [GF9])
+    ok, report = comparison_check(Xu, [GF9])
     assert ok, report
     assert report["counts"] == [9 * 9 - 1]
 
@@ -361,7 +366,8 @@ FINGERPRINT_IDS = REDUCED_IDS + NON_REDUCED_IDS
 def _carried_with_a_repeat(X, B):
     """Every point's validated morphism, then the first point's again."""
     pts = eval_points(functorial(X), B)
-    carried = [point_morphism(X, p, validate=True) for p in pts]
+    carried = [point_morphism(X, p) for p in pts]
+    assert all(local_morphism_witness(pi) is None for pi in carried)
     return pts, carried + [point_morphism(X, pts[0])]
 
 
@@ -460,7 +466,7 @@ def test_comparison_evaluates_each_open_a_bounded_number_of_times_per_point(
         return inner(U, pt)
 
     monkeypatch.setattr(compare, "open_at_point", counted)
-    ok, report = comparison_check(affine_line(p).data, [B])
+    ok, report = comparison_check(affine_line(p), [B])
     assert ok, report
     n = report["counts"][0]
     assert n == p * p
@@ -621,7 +627,7 @@ def test_the_broken_morphism_is_still_caught_with_the_same_witness():
     B = PresentedAlgebra(PolyRing(QQ, ["x"]))
     X, Y = mk_affine(B), mk_affine(B)
     loc1 = make_localization(B, B.one)
-    kill = morphism(B, loc1.algebra, [loc1.algebra.zero], validate=False)
+    kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
     broken = SchemeMorphism(X, Y, lambda j, w: top_open(X), lambda j: [(0, B.one, kill)])
     honest = spec_morphism(morphism(B, B, [B.var(0) ** 2]), source=X, target=Y)
     witness = (
@@ -634,8 +640,8 @@ def test_the_broken_morphism_is_still_caught_with_the_same_witness():
     assert local_morphism_witness(broken) == witness
 
 
-def test_comparison_check_flags_wrong_expectations(ev_p13):
-    ok, report = comparison_check(ev_p13.scheme.data, [F3], expected_counts=[5])
+def test_comparison_check_flags_wrong_expectations(fun_p13):
+    ok, report = comparison_check(fun_p13.lat, [F3], expected_counts=[5])
     assert not ok
     assert report["counts"] == [4]
     assert report["expected_counts"] == [5]

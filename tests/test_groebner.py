@@ -227,7 +227,7 @@ def test_divide_takes_the_steps_of_division_over_the_field(data):
     GF(p), on residues) returns: the same quotients and remainder, term for
     term, in the same order and as the same scalar type."""
     char = data.draw(st.sampled_from([0, 0, 2, 7, 32003]))
-    order = data.draw(st.sampled_from([MonomialOrder("grevlex"), MonomialOrder("lex", (2, 0, 1))]))
+    order = data.draw(st.sampled_from([MonomialOrder("grevlex"), MonomialOrder("lex")]))
     ring = PolyRing(QQ if char == 0 else GF(char), ["x", "y", "z"], order)
     f = ring.from_terms(data.draw(_terms(char, 4, 10)))
     divisors = [

@@ -4,8 +4,8 @@ Hypothesis draws small sparse polynomials over QQ (non-integer and negative
 coefficients) and over GF(2), GF(3), GF(32003) and GF(2**31 - 1), then
 checks products, powers, sums and differences against ``sympy.Poly``,
 substitution against sympy's simultaneous ``subs``, reduced bases against
-``sympy.groebner``, and division by its defining identity under grevlex,
-lex and permuted orders.  No result may hold a zero coefficient.  katsura-4 over QQ, whose reduced
+``sympy.groebner``, and division by its defining identity under grevlex
+and lex.  No result may hold a zero coefficient.  katsura-4 over QQ, whose reduced
 basis has denominators near 2e9, checks the division loop's growing
 integers against sympy as well.
 """
@@ -22,12 +22,8 @@ from zariski.polynomials import MonomialOrder, PolyRing
 
 CHARS = [0, 2, 3, 32003, 2147483647]
 NAMES = ("x", "y", "z")
-ORDERS = [
-    MonomialOrder("grevlex"),
-    MonomialOrder("lex"),
-    MonomialOrder("grevlex", (2, 0, 1)),
-    MonomialOrder("lex", (1, 2, 0)),
-]
+SYMS = [sympy.Symbol(nm) for nm in NAMES]
+ORDERS = [MonomialOrder("grevlex"), MonomialOrder("lex")]
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -51,37 +47,26 @@ def _ring(char, order=ORDERS[0]):
     return PolyRing(QQ if char == 0 else GF(char), NAMES, order)
 
 
-def _sympy_gens(order):
-    """sympy's generators, highest priority first, as ``order`` ranks them."""
-    perm = order.perm if order.perm is not None else (0, 1, 2)
-    return [sympy.Symbol(NAMES[i]) for i in perm], perm
-
-
-def _to_sympy(f, order):
-    gens, perm = _sympy_gens(order)
+def _to_sympy(f):
     char = f.ring.field.char
-    terms = {}
-    for m, c in f.terms.items():
-        key = tuple(m[i] for i in perm)
-        terms[key] = sympy.Rational(c.numerator, c.denominator) if char == 0 else c
+    terms = {
+        m: sympy.Rational(c.numerator, c.denominator) if char == 0 else c
+        for m, c in f.terms.items()
+    }
     domain = sympy.QQ if char == 0 else sympy.GF(char)
-    return sympy.Poly.from_dict(terms, *gens, domain=domain)
+    return sympy.Poly.from_dict(terms, *SYMS, domain=domain)
 
 
 def _from_sympy(P, ring):
     """Terms of a sympy polynomial as a zariski term dict of ``ring``."""
-    _, perm = _sympy_gens(ring.order)
     char = ring.field.char
     out = {}
-    for monom, c in P.terms():
-        m = [0] * len(perm)
-        for e, i in zip(monom, perm):
-            m[i] = e
+    for m, c in P.terms():
         if char == 0:
             c = sympy.Rational(c)
-            out[tuple(m)] = Fraction(int(c.p), int(c.q))
+            out[m] = Fraction(int(c.p), int(c.q))
         else:
-            out[tuple(m)] = int(c) % char
+            out[m] = int(c) % char
     return {m: c for m, c in out.items() if c}
 
 
@@ -105,7 +90,7 @@ def test_ring_operations_match_sympy(data):
     f = R.from_terms(data.draw(polys(char)))
     g = R.from_terms(data.draw(polys(char)))
     k = data.draw(st.integers(0, 4))
-    F, G = _to_sympy(f, R.order), _to_sympy(g, R.order)
+    F, G = _to_sympy(f), _to_sympy(g)
     for ours, theirs in [(f * g, F * G), (f + g, F + G), (f - g, F - G), (-f, -F), (f**k, F**k)]:
         _assert_clean(ours)
         assert ours.terms == _from_sympy(theirs, R)
@@ -131,11 +116,10 @@ def test_substitution_matches_sympy(data):
             images.append(R.from_terms(data.draw(polys(char, max_exp=2, max_terms=3))))
     ours = f.substitute(images, R)
     _assert_clean(ours)
-    gens, _ = _sympy_gens(R.order)
-    by_name = {sympy.Symbol(nm): _to_sympy(g, R.order).as_expr() for nm, g in zip(NAMES, images)}
-    theirs = _to_sympy(f, R.order).as_expr().subs(by_name, simultaneous=True)
+    by_name = {sym: _to_sympy(g).as_expr() for sym, g in zip(SYMS, images)}
+    theirs = _to_sympy(f).as_expr().subs(by_name, simultaneous=True)
     domain = sympy.QQ if char == 0 else sympy.GF(char)
-    assert ours.terms == _from_sympy(sympy.Poly(theirs, *gens, domain=domain), R)
+    assert ours.terms == _from_sympy(sympy.Poly(theirs, *SYMS, domain=domain), R)
     other = _ring(char, ORDERS[1])
     with pytest.raises(ValueError):
         f.substitute([images[0], images[1], other.zero], R)
@@ -175,14 +159,13 @@ def test_reduced_bases_match_sympy_groebner(data):
         for _ in range(data.draw(st.integers(1, 3)))
     ]
     G = GroebnerBasis(R, gens)
-    sym_gens, _ = _sympy_gens(order)
     domain = sympy.QQ if char == 0 else sympy.GF(char)
-    nonzero = [_to_sympy(g, order).as_expr() for g in gens if not g.is_zero()]
+    nonzero = [_to_sympy(g).as_expr() for g in gens if not g.is_zero()]
     expected = set()
     if nonzero:
-        basis = sympy.groebner(nonzero, *sym_gens, order=order.kind, domain=domain)
+        basis = sympy.groebner(nonzero, *SYMS, order=order.kind, domain=domain)
         for b in basis.exprs:
-            P = sympy.Poly(b, *sym_gens, domain=domain)
+            P = sympy.Poly(b, *SYMS, domain=domain)
             P = P.quo_ground(P.LC(order=order.kind))
             expected.add(frozenset(_from_sympy(P, R).items()))
     got = {frozenset(b.terms.items()) for b in G.basis}

@@ -9,6 +9,7 @@ import pytest
 
 from support import qq_triple_point, qq_x, qq_xy
 from zariski.algebra import (
+    AlgebraMorphism,
     PresentedAlgebra,
     make_localization,
     morphism,
@@ -357,7 +358,7 @@ def test_broken_morphisms_are_detected_with_a_witness():
             (
                 0,
                 B.one,
-                morphism(B, loc1.algebra, [loc1.algebra.zero], validate=False),
+                AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero]),
             )
         ]
 
