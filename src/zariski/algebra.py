@@ -4,8 +4,7 @@ A ``PresentedAlgebra`` eagerly computes the reduced basis of its relation
 ideal; elements are stored as normal forms, so equality is plain comparison.
 Ideal and radical membership in the quotient come with explicit cofactor
 certificates where consumers need them.  Localizations A_f are presented as
-A[y]/(f*y - 1) and carry the canonical map A -> A_f; towers of localizations
-present iterated localizations of one base ring.
+A[y]/(f*y - 1) and carry the canonical map A -> A_f.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ def _check_keys(
 
 
 def _require_schema(obj: Dict, where: str) -> None:
-    if obj.get("schema") != 1:
+    if type(obj.get("schema")) is not int or obj["schema"] != 1:
         _input_error(f"{where}: schema must be 1")
 
 

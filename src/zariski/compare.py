@@ -10,8 +10,9 @@ point sets biject with hom sets, the correspondence is natural in the test
 algebra, and the realization reproduces the chart data by an explicit
 certificate.  Distinct points carry distinct morphisms, decided by one
 fingerprint per point: a finite test algebra is the product of its local
-factors, one per atom, so a morphism out of its spectrum is fixed by the
-atoms each open contains and the value of each section in each factor.
+factors, one per atom, so a local morphism out of its spectrum is fixed by
+the value of each pulled-back section in each factor; those values also
+decide which atoms each pulled-back open contains.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, eq, induced_hom, leq, top
+from .lattice import ZarElement, basic_open, eq, induced_hom, top
 from .latscheme import (
     CompactOpen,
     GlobalSection,
@@ -90,8 +91,9 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
     It is built, not checked: ``local_morphism_witness`` checks that it is
-    local.  Only the evaluation at the point is done per point: the opens of
-    X come from ``embed_basic`` (remembered on X), the patch maps from
+    local.  Only the evaluation at the point is done per point, and the
+    comorphism pieces are built here once: the opens of X come from
+    ``embed_basic`` (remembered on X), the patch maps from
     ``Patch.chart_bwd`` (kept on the patch) and the collapse maps
     ``B/(1-e) -> B_piece`` are remembered on Spec(B).
     """
@@ -104,10 +106,10 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         return CompactOpen(S, [open_at_point(embed_basic(X, j, w), p)])
 
-    def comorphisms(j: int):
-        out = []
-        for (e, c, phi) in p.factors:
-            Bt = phi.target
+    comorphisms = [[] for _ in X.charts]
+    for (e, c, phi) in p.factors:
+        Bt = phi.target
+        for j, out in enumerate(comorphisms):
             if c == j:
                 out.append((0, e, phi.then(_collapse(S, Bt, e))))
                 continue
@@ -115,11 +117,8 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
                 piece = B.element(phi(Q.f).poly) * e
                 # (A_c)_f -> B_piece
                 psi = try_extend(Q.loc_f, phi.then(_collapse(S, Bt, piece)))
-                if psi is None:
-                    continue
-                out.append((0, piece, Q.chart_bwd.then(psi)))
-        return out
-
+                if psi is not None:
+                    out.append((0, piece, Q.chart_bwd.then(psi)))
     return SchemeMorphism(S, X, chart_open, comorphisms)
 
 
@@ -136,17 +135,12 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
     factors = []
     for e, quot in atomic_factors(B):
         hit = None
-        for j in range(X.ncharts):
-            for (i0, f, phi) in pi.chart_comorphisms(j):
-                if i0 != 0:
-                    continue
-                if not leq(basic_open(B, [e]), basic_open(B, [f])):
-                    continue
+        for j, pieces in enumerate(pi.chart_comorphisms):
+            for (_, f, phi) in pieces:
                 down = try_extend(make_localization(B, f), quot)
-                if down is None:
-                    continue
-                hit = (j, phi.then(down))
-                break
+                if down is not None:
+                    hit = (j, phi.then(down))
+                    break
             if hit is not None:
                 break
         if hit is None:
@@ -337,20 +331,20 @@ def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
     return out
 
 
-def _fingerprint(
-    pi: SchemeMorphism, opens: Sequence[CompactOpen], samples: Sequence[_Sample]
-) -> tuple:
-    """A hashable summary of a morphism Spec(B) -> X: two such morphisms
-    agree extensionally iff their fingerprints are equal.
+def _fingerprint(pi: SchemeMorphism, samples: Sequence[_Sample]) -> tuple:
+    """A hashable summary of a morphism Spec(B) -> X that passed
+    ``local_morphism_witness`` on ``samples``: two such morphisms agree
+    extensionally iff their fingerprints are equal.
 
     A finite B is the product of its local factors B_e = B/(1-e), one per
-    atom e, so D(g) contains the atom e iff g_e is a unit of B_e, and B_h is
-    the product of the B_e in which h_e is a unit.  A sample open pulls back
-    to the atoms it contains.  A sample section pulls back to fractions
-    n/h**k, one per piece; each atom records n_e * h_e**-k from the first
-    piece whose h_e is a unit, and None if there is none.  Over a reduced B
-    the factors are fields, where a unit is a nonzero element; otherwise
-    ``try_invert`` decides, and the factors remember its answers.
+    atom e, so B_h is the product of the B_e in which h_e is a unit.  A
+    sample section pulls back to fractions n/h**k, one per piece; each atom
+    records n_e * h_e**-k from the first piece whose h_e is a unit, and None
+    if there is none.  Over a reduced B the factors are fields, where a unit
+    is a nonzero element; otherwise ``try_invert`` decides, and the factors
+    remember its answers.  The values decide the sample opens as well: pi is
+    local, so D(x_k) of chart j pulls back to the atoms where x_k's value is
+    a unit, and chart j's top to the atoms where 1 has a value.
     """
     B = pi.source.charts[0]
     factors = [quot for (_, quot) in atomic_factors(B)]
@@ -362,13 +356,6 @@ def _fingerprint(
         return c.algebra.try_invert(c) is not None
 
     out: List[tuple] = []
-    for u in opens:
-        gens = pi.pullback(u).components[0].generators
-        out.append(tuple(
-            idx
-            for idx, quot in enumerate(factors)
-            if any(is_unit(quot(g)) for g in gens)
-        ))
     for sample in samples:
         values: List[Optional[AlgebraElement]] = [None] * len(factors)
         for (_, h, val) in pi.pull_basic(*sample):
@@ -388,9 +375,7 @@ def _fingerprint(
 
 
 def _agreeing_pair(
-    carried: Sequence[SchemeMorphism],
-    opens: Sequence[CompactOpen],
-    samples: Sequence[_Sample],
+    carried: Sequence[SchemeMorphism], samples: Sequence[_Sample]
 ) -> Optional[Tuple[int, int]]:
     """The first pair a < b of carried morphisms that agree, in the order
     of the pairwise sweep; None if all are distinct.
@@ -401,7 +386,7 @@ def _agreeing_pair(
     """
     groups: Dict[tuple, List[int]] = {}
     for idx, pi in enumerate(carried):
-        groups.setdefault(_fingerprint(pi, opens, samples), []).append(idx)
+        groups.setdefault(_fingerprint(pi, samples), []).append(idx)
     first = min((g for g in groups.values() if len(g) > 1), default=None)
     return None if first is None else (first[0], first[1])
 
@@ -419,14 +404,14 @@ def comparison_check(
     (``local_morphism_witness``), and check the flat/sharp roundtrip
     recovers the point.  Distinct points must carry extensionally distinct
     morphisms: B is the product of its local factors, so one fingerprint
-    per point (``_fingerprint``: the atoms each sample open contains and the
-    value of each pulled-back section in each factor) decides it for any
-    finite B.  The fingerprints read the sections of ``local_samples(X)``,
-    the one list X remembers and the local check reads, so each morphism's
-    memo of those pullbacks serves both.  For each
-    supplied algebra morphism chi: B -> B2, check naturality: pushing a
-    point along chi then taking its pullback agrees with pulling back first
-    and applying the lattice map of chi.  Finally check the realization
+    per point (``_fingerprint``: the value of each pulled-back section of
+    ``local_samples(X)`` in each factor) decides it for any finite B.  The
+    local check has just pulled back the same sections, so the fingerprint
+    reads each morphism's memo, and for a local morphism those values also
+    fix the pulled-back sample opens.  For each supplied algebra morphism
+    chi: B -> B2, check naturality: pushing a point along chi then taking
+    its pullback of each sample open agrees with pulling back first and
+    applying the lattice map of chi.  Finally check the realization
     certificate.  Returns (ok, report).
     """
     fun = functorial(X)
@@ -463,7 +448,7 @@ def comparison_check(
                 break
         distinct = len(set(pts)) == len(pts)
         if valid and roundtrip and distinct and len(carried) > 1:
-            pair = _agreeing_pair(carried, opens, samples)
+            pair = _agreeing_pair(carried, samples)
             if pair is not None:
                 a, b = pair
                 distinct = False

@@ -748,17 +748,18 @@ class SchemeMorphism:
     """A morphism of schemes, stored as its action data.
 
     ``chart_open(j, w)`` gives the source compact open pulled back from the
-    basic open ``w`` of target chart j; ``chart_comorphisms(j)`` lists
+    basic open ``w`` of target chart j; ``chart_comorphisms[j]`` lists
     pieces ``(i, f, phi)``: the preimage of target chart j meets source
     chart i in D(f), where sections pull back along ``phi : B_j ->
-    (A_i)_f``.  The constructor does not validate; the checkers do.
+    (A_i)_f``.  The comorphisms are data, built once by the constructor's
+    caller.  The constructor does not validate; the checkers do.
 
     ``pullback`` and ``pull_basic`` are memoized per morphism in ``_memo``
-    (the data is immutable and both closures are pure), so a morphism
-    validated and then fingerprinted or compared against others pulls each
-    open and each section back once.  What does not depend on the morphism
-    is remembered elsewhere: opens of the target on the target scheme
-    (``embed_basic``), inverses on the algebras (``try_invert``).
+    (the data is immutable and ``chart_open`` is pure), so a morphism
+    validated and then fingerprinted pulls each open and each section back
+    once.  What does not depend on the morphism is remembered elsewhere:
+    opens of the target on the target scheme (``embed_basic``), inverses on
+    the algebras (``try_invert``).
     """
 
     __slots__ = ("source", "target", "chart_open", "chart_comorphisms", "_memo")
@@ -768,12 +769,14 @@ class SchemeMorphism:
         source: LatticeScheme,
         target: LatticeScheme,
         chart_open: Callable[[int, ZarElement], CompactOpen],
-        chart_comorphisms: Callable[[int], Sequence[Tuple[int, AlgebraElement, AlgebraMorphism]]],
+        chart_comorphisms: Sequence[Sequence[Tuple[int, AlgebraElement, AlgebraMorphism]]],
     ):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "chart_open", chart_open)
-        object.__setattr__(self, "chart_comorphisms", chart_comorphisms)
+        object.__setattr__(
+            self, "chart_comorphisms", tuple(map(tuple, chart_comorphisms))
+        )
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -809,7 +812,7 @@ class SchemeMorphism:
         if value.algebra != loc_f.algebra:
             raise ValueError("value does not live over D(f) of chart j")
         out = []
-        for (i, fp, phi) in self.chart_comorphisms(j):
+        for (i, fp, phi) in self.chart_comorphisms[j]:
             loc_fp = make_localization(self.source.charts[i], fp)
             img_f = phi(f)
             num = extract_fraction(loc_fp, img_f)[0]
@@ -827,13 +830,11 @@ def identity_morphism(X: LatticeScheme) -> SchemeMorphism:
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         return embed_basic(X, j, w)
 
-    def comorphisms(j: int):
-        out = [(j, X.charts[j].one, make_localization(X.charts[j], X.charts[j].one).to_loc)]
-        for p in X.data.patches:
-            if p.j == j:
-                out.append((p.i, p.f, p.chart_bwd))
-        return out
-
+    comorphisms = [
+        [(j, A.one, make_localization(A, A.one).to_loc)]
+        + [(p.i, p.f, p.chart_bwd) for p in X.data.patches if p.j == j]
+        for j, A in enumerate(X.charts)
+    ]
     return SchemeMorphism(X, X, chart_open, comorphisms)
 
 
@@ -856,11 +857,7 @@ def spec_morphism(
 
     one = phi.target.one
     loc_one = make_localization(phi.target, one)
-
-    def comorphisms(j: int):
-        return [(0, one, phi.then(loc_one.to_loc))]
-
-    return SchemeMorphism(X, Y, chart_open, comorphisms)
+    return SchemeMorphism(X, Y, chart_open, [[(0, one, phi.then(loc_one.to_loc))]])
 
 
 def chart_variable_samples(
@@ -1199,24 +1196,20 @@ def restrict_scheme(
                 comps.append(basic_open(charts[idx], gens))
         return CompactOpen(Xu, comps)
 
-    def comorphisms(j: int):
+    comorphisms = []
+    for j in range(X.ncharts):
         out = []
         for idx, (i, g, loc) in enumerate(pieces):
             if i == j:
                 loc1 = make_localization(charts[idx], charts[idx].one)
                 out.append((idx, charts[idx].one, loc.to_loc.then(loc1.to_loc)))
-            else:
-                for p in X.data.patches_for(j, i):
-                    piece_f = loc.to_loc(p.g)
-                    loc_pf = make_localization(charts[idx], piece_f)
-                    through = extend_over(
-                        p.loc_g, loc.to_loc.then(loc_pf.to_loc)
-                    )
-                    out.append(
-                        (idx, piece_f, p.loc_f.to_loc.then(p.fwd).then(through))
-                    )
-        return out
-
+                continue
+            for p in X.data.patches_for(j, i):
+                piece_f = loc.to_loc(p.g)
+                loc_pf = make_localization(charts[idx], piece_f)
+                through = extend_over(p.loc_g, loc.to_loc.then(loc_pf.to_loc))
+                out.append((idx, piece_f, p.loc_f.to_loc.then(p.fwd).then(through)))
+        comorphisms.append(out)
     inclusion = SchemeMorphism(Xu, X, chart_open, comorphisms)
     return Xu, inclusion
 

@@ -392,17 +392,9 @@ def test_c10_spec_is_local_and_the_broken_morphism_is_caught():
     def broken_open(j, w):
         return top_open(X)
 
-    def broken_com(j):
-        loc1 = make_localization(B, B.one)
-        return [
-            (
-                0,
-                B.one,
-                AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero]),
-            )
-        ]
-
-    broken = SchemeMorphism(X, Y, broken_open, broken_com)
+    loc1 = make_localization(B, B.one)
+    kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
+    broken = SchemeMorphism(X, Y, broken_open, [[(0, B.one, kill)]])
     witness = local_morphism_witness(broken)
     assert witness is not None and "support" in witness
     assert not check_local_morphism(broken)

@@ -171,12 +171,16 @@ def test_unknown_json_fields_exit_2(tmp_path):
 
 
 def test_wrong_schema_version_exits_2(tmp_path):
-    payload = dict(AFFINE_GF3)
-    payload["schema"] = 2
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    r = invoke("points", str(path), "--over", "GF(3)")
-    assert r.exit_code == 2
+    # True and 1.0 compare equal to 1 in Python, but are not the integer 1
+    for schema in (2, True, 1.0):
+        path.write_text(json.dumps(dict(AFFINE_GF3, schema=schema)))
+        r = invoke("points", str(path), "--over", "GF(3)")
+        assert r.exit_code == 2, schema
+        path.write_text(json.dumps(dict(P1_GF3, schema=schema)))
+        r = invoke("glue", "check", str(path))
+        assert r.exit_code == 2, schema
+        assert f"Error: {path}: schema must be 1" in r.stderr
 
 
 def test_field_mismatch_exits_2(files):

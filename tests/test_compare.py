@@ -373,7 +373,7 @@ def _carried_with_a_repeat(X, B):
 
 def _assert_fingerprints_match_the_oracle(pts, carried, opens, samples):
     """Fingerprint equality is ``morphisms_agree`` on every pair."""
-    prints = [compare._fingerprint(pi, opens, samples) for pi in carried]
+    prints = [compare._fingerprint(pi, samples) for pi in carried]
     for a in range(len(carried)):
         for b in range(a + 1, len(carried)):
             agree = morphisms_agree(carried[a], carried[b], opens, samples)
@@ -386,20 +386,43 @@ def test_fingerprints_are_equal_exactly_when_the_morphisms_agree(X, B):
     pts, carried = _carried_with_a_repeat(X, B)
     _assert_fingerprints_match_the_oracle(pts, carried, opens, samples)
     # the first point carried a second time is the only pair that agrees
-    assert compare._agreeing_pair(carried, opens, samples) == (0, len(pts))
+    assert compare._agreeing_pair(carried, samples) == (0, len(pts))
 
 
 @pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
-def test_a_pulled_back_open_contains_the_atoms_below_it(X, B):
-    opens, samples = _sample_opens(X), local_samples(X)
-    atoms = [e for (e, _) in atomic_factors(B)]
+def test_the_fingerprint_decides_every_sample_opens_pullback(X, B):
+    """For a local morphism the section values fix the pulled-back opens:
+    D(x_k) of chart j pulls back to the atoms where x_k's value is a unit,
+    chart j's top to the atoms where 1 has a value, and X's top to all."""
+    samples = local_samples(X)
+    factors = atomic_factors(B)
+    every = set(range(len(factors)))
+
+    def is_unit(c):
+        return c.algebra.try_invert(c) is not None
+
     for pi in _carried_with_a_repeat(X, B)[1]:
-        got = compare._fingerprint(pi, opens, samples)[: len(opens)]
-        pulled = [pi.pullback(u).components[0] for u in opens]
-        assert list(got) == [
-            tuple(idx for idx, e in enumerate(atoms) if leq(basic_open(B, [e]), w))
-            for w in pulled
-        ]
+        values = dict(zip(samples, compare._fingerprint(pi, samples)))
+        expected = [(top_open(X), every)]
+        for j, A in enumerate(X.charts):
+            loc1 = make_localization(A, A.one)
+            at_one = values[(j, A.one, loc1.algebra.one)]
+            expected.append((
+                embed_basic(X, j, top(A)),
+                {idx for idx in every if at_one[idx] is not None},
+            ))
+            for k in range(A.nvars):
+                at_x = values[(j, A.one, loc1.to_loc(A.var(k)))]
+                expected.append((
+                    embed_basic(X, j, basic_open(A, [A.var(k)])),
+                    {idx for idx in every if at_x[idx] is not None and is_unit(at_x[idx])},
+                ))
+        assert [u for (u, _) in expected] == _sample_opens(X)
+        for u, atoms in expected:
+            w = pi.pullback(u).components[0]
+            assert atoms == {
+                idx for idx, (e, _) in enumerate(factors) if leq(basic_open(B, [e]), w)
+            }, u
 
 
 def test_the_non_reduced_cases_send_x_to_a_nonzero_nilpotent():
@@ -414,7 +437,7 @@ def test_a_repeated_point_is_reported_first_pair_first():
     pts = eval_points(functorial(X), gf3_split())
     order = [1, 0, 2, 0, 1]
     carried = [point_morphism(X, pts[i]) for i in order]
-    assert compare._agreeing_pair(carried, opens, samples) == (0, 4)
+    assert compare._agreeing_pair(carried, samples) == (0, 4)
 
 
 @pytest.mark.parametrize("X, B", REDUCED_CASES, ids=REDUCED_IDS)
@@ -470,8 +493,25 @@ def test_comparison_evaluates_each_open_a_bounded_number_of_times_per_point(
     assert ok, report
     n = report["counts"][0]
     assert n == p * p
-    # each carried morphism pulls back its 4 sample opens once, not once per pair
-    assert len(calls) <= 4 * n
+    # each carried morphism evaluates one open per local sample, x and 1:
+    # the fingerprint pulls back no opens
+    assert len(calls) <= 2 * n
+
+
+def test_each_point_builds_its_comorphisms_once(monkeypatch):
+    calls = []
+    inner = compare._collapse
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(compare, "_collapse", counted)
+    ok, report = comparison_check(projective_line(GF(3)), [GF9])
+    assert ok, report
+    assert report["counts"] == [10]
+    # one collapse per point and target chart of P^1
+    assert len(calls) == 2 * 10
 
 
 def test_comparison_over_a_split_algebra_does_not_rebuild_its_factors(monkeypatch):
@@ -628,7 +668,7 @@ def test_the_broken_morphism_is_still_caught_with_the_same_witness():
     X, Y = mk_affine(B), mk_affine(B)
     loc1 = make_localization(B, B.one)
     kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
-    broken = SchemeMorphism(X, Y, lambda j, w: top_open(X), lambda j: [(0, B.one, kill)])
+    broken = SchemeMorphism(X, Y, lambda j, w: top_open(X), [[(0, B.one, kill)]])
     honest = spec_morphism(morphism(B, B, [B.var(0) ** 2]), source=X, target=Y)
     witness = (
         "one-sided bound failed on chart 0, piece D(1), section x: pulled-back "

@@ -352,17 +352,9 @@ def test_broken_morphisms_are_detected_with_a_witness():
     def broken_open(j, w):
         return top_open(X)
 
-    def broken_com(j):
-        loc1 = make_localization(B, B.one)
-        return [
-            (
-                0,
-                B.one,
-                AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero]),
-            )
-        ]
-
-    broken = SchemeMorphism(X, Y, broken_open, broken_com)
+    loc1 = make_localization(B, B.one)
+    kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
+    broken = SchemeMorphism(X, Y, broken_open, [[(0, B.one, kill)]])
     assert local_morphism_witness(broken) is not None
     assert not check_local_morphism(broken)
 
