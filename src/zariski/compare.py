@@ -2,17 +2,16 @@
 
 One side presents a scheme by chart-and-patch data with its lattice of
 compact opens and section rings; the other evaluates a functor of points
-on finite test algebras.  This module carries points to genuine validated
-scheme morphisms and back (an adjunction checked by roundtrips), realizes
-compact opens of the functor side as schemes, and packages the whole
-comparison as one decision procedure over a list of finite test algebras:
-point sets biject with hom sets, the correspondence is natural in the test
-algebra, and the realization reproduces the chart data by an explicit
-certificate.  Distinct points carry distinct morphisms, decided by one
-fingerprint per point: a finite test algebra is the product of its local
-factors, one per atom, so a local morphism out of its spectrum is fixed by
-the value of each pulled-back section in each factor; those values also
-decide which atoms each pulled-back open contains.
+on finite test algebras.  This module carries points to scheme morphisms
+and back (an adjunction), realizes compact opens of the functor side as
+schemes, and packages the comparison as one decision procedure over finite
+test algebras: point sets biject with hom sets, naturally in the test
+algebra, and the realization reproduces the chart data by a certificate.
+A finite test algebra is the product of its local factors, one per atom,
+so an open of its spectrum is a set of atoms and a section a tuple of
+factor values: one table per point, read off the point's chart maps,
+decides locality, the roundtrip and distinctness without building the
+morphism the point carries.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .latscheme import (
     GlobalSection,
     LatticeScheme,
     SchemeMorphism,
+    _sample_support,
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -54,10 +54,6 @@ from .funscheme import (
     realization,
     ring_of_functions,
 )
-
-
-# (target chart j, basic piece f, section over D(f)): a ``pull_basic`` argument
-_Sample = Tuple[int, AlgebraElement, AlgebraElement]
 
 
 def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
@@ -90,12 +86,9 @@ def _collapse(
 def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
-    It is built, not checked: ``local_morphism_witness`` checks that it is
-    local.  Only the evaluation at the point is done per point, and the
-    comorphism pieces are built here once: the opens of X come from
-    ``embed_basic`` (remembered on X), the patch maps from
-    ``Patch.chart_bwd`` (kept on the patch) and the collapse maps
-    ``B/(1-e) -> B_piece`` are remembered on Spec(B).
+    It is built, not checked (``local_morphism_witness`` checks it).  The
+    opens of X are remembered on X by ``embed_basic``, the patch maps on the
+    patches, and the collapse maps ``B/(1-e) -> B_piece`` on Spec(B).
     """
     fun = p.scheme
     if fun.lat is not X:
@@ -331,64 +324,60 @@ def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
     return out
 
 
-def _fingerprint(pi: SchemeMorphism, samples: Sequence[_Sample]) -> tuple:
-    """A hashable summary of a morphism Spec(B) -> X that passed
-    ``local_morphism_witness`` on ``samples``: two such morphisms agree
-    extensionally iff their fingerprints are equal.
+def _sample_plan(X: LatticeScheme) -> List[tuple]:
+    """Each sample (j, f, n/f**k) of ``local_samples(X)`` as (j, f, n, k, the
+    generators of its support embedded in each chart of X)."""
+    plan = []
+    for (j, f, value) in local_samples(X):
+        n, k = extract_fraction(make_localization(X.charts[j], f), value)
+        U = embed_basic(X, j, _sample_support(X, j, f, value))
+        plan.append((j, f, n, k, [w.generators for w in U.components]))
+    return plan
 
-    A finite B is the product of its local factors B_e = B/(1-e), one per
-    atom e, so B_h is the product of the B_e in which h_e is a unit.  A
-    sample section pulls back to fractions n/h**k, one per piece; each atom
-    records n_e * h_e**-k from the first piece whose h_e is a unit, and None
-    if there is none.  Over a reduced B the factors are fields, where a unit
-    is a nonzero element; otherwise ``try_invert`` decides, and the factors
-    remember its answers.  The values decide the sample opens as well: pi is
-    local, so D(x_k) of chart j pulls back to the atoms where x_k's value is
-    a unit, and chart j's top to the atoms where 1 has a value.
+
+def _chart_map(X: LatticeScheme, c: int, phi: AlgebraMorphism, j: int):
+    """The map A_j -> B_e of an atom carried on chart c by phi: phi itself, or
+    through the first patch Q from c to j at which phi(Q.f) is a unit."""
+    if j == c:
+        return phi
+    for Q in X.data.patches_for(c, j):
+        psi = try_extend(Q.loc_f, phi)
+        if psi is not None:
+            return Q.chart_bwd.then(psi)
+    return None
+
+
+def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
+    """(values, local, roundtrip) of a point of X(B), one entry per atom
+    (e, c, phi) of the point, that is per local factor B_e of B.
+
+    A sample n/f**k of chart j is m(n) * m(f)**-k at an atom whose map
+    m = ``_chart_map(X, c, phi, j)`` sends f to a unit, else None; a unit is
+    nonzero when B is reduced (the B_e are fields), else ``try_invert``
+    decides.  Local: per sample, the atoms with a unit value are those where
+    phi sends a generator of the sample's support in chart c to a unit.
+    Roundtrip: ``_reduce_factor`` takes each lowest chart map to (c, phi).
     """
-    B = pi.source.charts[0]
-    factors = [quot for (_, quot) in atomic_factors(B)]
-    reduced = is_reduced(B)
+    reduced = is_reduced(p.test_algebra)
 
-    def is_unit(c: AlgebraElement) -> bool:
-        if reduced:
-            return not c.is_zero()
-        return c.algebra.try_invert(c) is not None
+    def is_unit(b: AlgebraElement) -> bool:
+        return not b.is_zero() if reduced else b.algebra.try_invert(b) is not None
 
-    out: List[tuple] = []
-    for sample in samples:
-        values: List[Optional[AlgebraElement]] = [None] * len(factors)
-        for (_, h, val) in pi.pull_basic(*sample):
-            n, k = extract_fraction(make_localization(B, h), val)
-            for idx, quot in enumerate(factors):
-                if values[idx] is not None:
-                    continue
-                h_e = quot(h)
-                if not is_unit(h_e):
-                    continue
-                value = quot(n)
-                if k:
-                    value = value * h_e.algebra.try_invert(h_e) ** k
-                values[idx] = value
-        out.append(tuple(values))
-    return tuple(out)
-
-
-def _agreeing_pair(
-    carried: Sequence[SchemeMorphism], samples: Sequence[_Sample]
-) -> Optional[Tuple[int, int]]:
-    """The first pair a < b of carried morphisms that agree, in the order
-    of the pairwise sweep; None if all are distinct.
-
-    Agreement is equality of fingerprints, so one ``_fingerprint`` per
-    morphism decides it over any finite B, and the first pair is the first
-    two members of the group whose first member comes first.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for idx, pi in enumerate(carried):
-        groups.setdefault(_fingerprint(pi, samples), []).append(idx)
-    first = min((g for g in groups.values() if len(g) > 1), default=None)
-    return None if first is None else (first[0], first[1])
+    maps = [[_chart_map(X, c, phi, j) for j in range(X.ncharts)] for (_, c, phi) in p.factors]
+    values, local = [], True
+    for (j, f, n, k, gens) in plan:
+        row = []
+        for (_, c, phi), ms in zip(p.factors, maps):
+            m, value = ms[j], None
+            if m is not None and is_unit(m(f)):
+                value = m(n) * m(f).algebra.try_invert(m(f)) ** k if k else m(n)
+            row.append(value)
+            unit = value is not None and is_unit(value)
+            local = local and unit == any(is_unit(phi(g)) for g in gens[c])
+        values.append(tuple(row))
+    lowest = [next((j, m) for j, m in enumerate(ms) if m is not None) for ms in maps]
+    back = [_reduce_factor(p.scheme, j, m) for (j, m) in lowest] if local else None
+    return tuple(values), local, back == [(c, phi) for (_, c, phi) in p.factors]
 
 
 def comparison_check(
@@ -399,18 +388,15 @@ def comparison_check(
 ) -> Tuple[bool, Dict[str, object]]:
     """Run the full extensional comparison over the test algebras.
 
-    For each B: enumerate the points, build the scheme morphism each
-    carries (``point_morphism``), check that it is local
-    (``local_morphism_witness``), and check the flat/sharp roundtrip
-    recovers the point.  Distinct points must carry extensionally distinct
-    morphisms: B is the product of its local factors, so one fingerprint
-    per point (``_fingerprint``: the value of each pulled-back section of
-    ``local_samples(X)`` in each factor) decides it for any finite B.  The
-    local check has just pulled back the same sections, so the fingerprint
-    reads each morphism's memo, and for a local morphism those values also
-    fix the pulled-back sample opens.  For each supplied algebra morphism
-    chi: B -> B2, check naturality: pushing a point along chi then taking
-    its pullback of each sample open agrees with pulling back first and
+    For each B: enumerate the points and read one table per point
+    (``_atom_table``): the values of the sections of ``local_samples(X)``
+    in each local factor of B decide that the morphism a point carries is
+    local, that the flat/sharp roundtrip recovers the point and, as one
+    fingerprint per point, that distinct points carry distinct morphisms.
+    A point the table turns down gets the witness of the generic checkers
+    (``local_morphism_witness``, ``adjunction_flat``).  For each algebra
+    morphism chi: B -> B2, check naturality: pushing a point along chi then
+    pulling back each sample open agrees with pulling back first and
     applying the lattice map of chi.  Finally check the realization
     certificate.  Returns (ok, report).
     """
@@ -418,42 +404,50 @@ def comparison_check(
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
     opens = _sample_opens(X)
-    samples = local_samples(X)
+    plan = _sample_plan(X)
     points_by_algebra: Dict[PresentedAlgebra, List[SchemePoint]] = {}
     for B in test_algebras:
         pts = eval_points(fun, B)
         points_by_algebra[B] = pts
         entry = {"algebra": repr(B), "count": len(pts)}
         report["counts"].append(len(pts))
-        valid = True
-        roundtrip = True
-        carried: List[SchemeMorphism] = []
+        valid = roundtrip = True
+        prints: List[tuple] = []
         for p in pts:
-            try:
-                pi = point_morphism(X, p)
-                witness = local_morphism_witness(pi)
-                if witness is not None:
-                    witness = f"point does not carry a local morphism: {witness}"
-            except ValueError as exc:
-                witness = str(exc)
-            if witness is not None:
+            values, local, back_ok = _atom_table(X, p, plan)
+            if not local:
                 valid = False
-                entry["witness"] = witness
+                try:
+                    why = local_morphism_witness(point_morphism(X, p))
+                except ValueError as exc:
+                    entry["witness"] = str(exc)
+                else:
+                    entry["witness"] = (
+                        f"point does not carry a local morphism: {why}" if why is not None
+                        else f"the per-atom check finds {p!r} not local, the generic one local"
+                    )
                 break
-            carried.append(pi)
-            back = adjunction_flat(fun, pi)
-            if back != p:
+            if not back_ok:
                 roundtrip = False
-                entry["witness"] = f"flat(sharp({p!r})) = {back!r}"
+                back = adjunction_flat(fun, point_morphism(X, p))
+                entry["witness"] = (
+                    f"flat(sharp({p!r})) = {back!r}" if back != p
+                    else f"the per-atom roundtrip misses {p!r}, adjunction_flat returns it"
+                )
                 break
+            prints.append(values)
         distinct = len(set(pts)) == len(pts)
-        if valid and roundtrip and distinct and len(carried) > 1:
-            pair = _agreeing_pair(carried, samples)
-            if pair is not None:
-                a, b = pair
+        if valid and roundtrip and distinct and len(prints) > 1:
+            # the first agreeing pair of the pairwise sweep: the first two
+            # members of the group whose first member comes first
+            groups: Dict[tuple, List[int]] = {}
+            for idx, values in enumerate(prints):
+                groups.setdefault(values, []).append(idx)
+            first = min((g for g in groups.values() if len(g) > 1), default=None)
+            if first is not None:
                 distinct = False
                 entry["witness"] = (
-                    f"points {pts[a]!r} and {pts[b]!r} carry "
+                    f"points {pts[first[0]]!r} and {pts[first[1]]!r} carry "
                     "extensionally equal morphisms"
                 )
         entry["morphisms_valid"] = valid

@@ -756,7 +756,7 @@ class SchemeMorphism:
 
     ``pullback`` and ``pull_basic`` are memoized per morphism in ``_memo``
     (the data is immutable and ``chart_open`` is pure), so a morphism
-    validated and then fingerprinted pulls each open and each section back
+    validated and then compared pulls each open and each section back
     once.  What does not depend on the morphism is remembered elsewhere:
     opens of the target on the target scheme (``embed_basic``), inverses on
     the algebras (``try_invert``).
@@ -887,6 +887,18 @@ def local_samples(
     return samples
 
 
+def _sample_support(
+    Y: LatticeScheme, j: int, f: AlgebraElement, value: AlgebraElement
+) -> ZarElement:
+    """The invertibility support of a sample section over D(f) of chart j,
+    remembered on Y by ``(j, f, value)``."""
+    got = Y._memo.get((j, f, value))
+    if got is None:
+        sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
+        got = Y._memo[(j, f, value)] = invertibility_support_basic(sec)
+    return got
+
+
 def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
     """Check that pulling back commutes with invertibility supports.
 
@@ -904,15 +916,9 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
     """
     X, Y = pi.source, pi.target
     for (j, f, value) in local_samples(Y):
-        support_target = Y._memo.get((j, f, value))
-        if support_target is None:
-            sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
-            support_target = invertibility_support_basic(sec)
-            Y._memo[(j, f, value)] = support_target
-        lhs = pi.chart_open(j, support_target)
-        pieces = pi.pull_basic(j, f, value)
+        lhs = pi.chart_open(j, _sample_support(Y, j, f, value))
         comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
-        for (i, h, v) in pieces:
+        for (i, h, v) in pi.pull_basic(j, f, value):
             loc_h = make_localization(X.charts[i], h)
             num = extract_fraction(loc_h, v)[0]
             comps[i].append(h * num)

@@ -172,7 +172,7 @@ def finite_algebras(draw, max_size=125):
 
 def morphisms_agree(pi1, pi2, opens, samples=None):
     """Extensional agreement of two morphisms with one-chart affine source,
-    pair by pair: the oracle for ``compare._fingerprint``.
+    pair by pair: the oracle for the values of ``compare._atom_table``.
 
     Compares pullbacks on the sample compact opens, then the pulled-back
     chart variables (``samples``, by default ``chart_variable_samples`` of

@@ -1,15 +1,17 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload groebner_kernel \
+    python3 tools/bench_pairs.py PARENT CHANGE \
+        --workload points_compare,lattice_sheaf,groebner_kernel \
         --seeds 3001-3010 --seconds 6
 
-For each seed it runs the unchanged ``perfbench/run.py`` once in each
-checkout, one right after the other, and flips which side goes first from
-one pair to the next, so a slow minute of the host falls on both sides.  It
-then prints, for every end-to-end metric of ``BENCHMARK.json``, each side's
-median and quartiles, the ratio of the medians next to the metric's bound,
-and the number of pairs the change won.  Quartiles need at least two seeds.
-Stdlib only.
+For each workload of the comma list, and each seed, it runs the unchanged
+``perfbench/run.py`` once in each checkout, one right after the other, and
+flips which side goes first from one pair to the next, so a slow minute of
+the host falls on both sides.  It then prints one table per workload: for
+every end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, the ratio of the medians next to the metric's bound, and the
+number of pairs the change won.  Quartiles need at least two seeds.  Stdlib
+only.
 """
 
 import argparse
@@ -43,29 +45,37 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def main(argv=None):
+def workloads(text):
+    names = text.split(",")
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"empty name in workload list {text!r}")
+    return names
+
+
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", type=workloads, required=True,
+                    help="one name or a comma list, e.g. points_compare,lattice_sheaf")
     ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 3001-3010 or 1,5,9")
     ap.add_argument("--seconds", type=int, default=6)
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("--seeds: need at least two seeds for quartiles")
-    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
-    bound = {m["name"]: m["bound"] for m in metrics}
+    return args
+
+
+def compare_workload(args, workload, better, bound):
     sides = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            sides[side].append(run(getattr(args, side), args.workload, seed, args.seconds))
+            sides[side].append(run(getattr(args, side), workload, seed, args.seconds))
         par, chg = sides["parent"][-1], sides["change"][-1]
-        print(f"seed {seed}: ops_per_s {par['ops_per_s']:.4g} -> {chg['ops_per_s']:.4g}",
-              flush=True)
-    print(f"{args.workload}, {len(args.seeds)} pairs: median [quartiles], parent -> change, wins")
+        print(f"{workload} seed {seed}: ops_per_s {par['ops_per_s']:.4g} -> "
+              f"{chg['ops_per_s']:.4g}", flush=True)
+    print(f"{workload}, {len(args.seeds)} pairs: median [quartiles], parent -> change, wins")
     for name, way in better.items():
         par = [r[name] for r in sides["parent"]]
         chg = [r[name] for r in sides["change"]]
@@ -74,7 +84,17 @@ def main(argv=None):
         print(f"  {name:15} {p2:.4g} [{p1:.4g}-{p3:.4g}] -> {c2:.4g} [{c1:.4g}-{c3:.4g}]"
               f"  x{c2 / p2:.3f} (bound {bound[name]}), won {wins}/{len(par)},"
               f" median gap {abs(c2 - p2):.3g}"
-              f" vs parent IQR {p3 - p1:.3g}")
+              f" vs parent IQR {p3 - p1:.3g}", flush=True)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bound = {m["name"]: m["bound"] for m in metrics}
+    for workload in args.workload:
+        compare_workload(args, workload, better, bound)
 
 
 if __name__ == "__main__":
