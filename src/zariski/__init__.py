@@ -45,7 +45,6 @@ from .sheaf import (
     glue,
     incompatibility_witness,
     invertibility_support_basic,
-    is_compatible,
     is_invertible,
     restrict,
     restriction_map,
@@ -61,11 +60,9 @@ from .latscheme import (
     SchemeMorphism,
     SectionRing,
     affine_hull_map,
-    check_local_morphism,
     check_locally_affine,
     embed_basic,
     global_sections,
-    glue_schemes,
     identity_morphism,
     invertibility_support_scheme,
     make_patch,
@@ -73,7 +70,6 @@ from .latscheme import (
     projective_line,
     punctured_plane,
     restrict_scheme,
-    sections_over,
     spec_morphism,
     top_open,
 )
@@ -86,7 +82,6 @@ from .funscheme import (
     check_locality,
     eval_points,
     functorial,
-    glue_morphism,
     multiplicative_group,
     realization,
     representable,
@@ -98,8 +93,6 @@ from .compare import (
     comparison_check,
     point_morphism,
     realization_certificate,
-    realize,
-    section_value_at_point,
 )
 
 __version__ = "0.1.0"

@@ -511,7 +511,11 @@ def enumerate_homs(
 
 
 class Localization:
-    """The presentation A_f = A[y]/(f*y - 1) plus the canonical map into it."""
+    """The presentation A_f = A[y]/(f*y - 1) plus the canonical map into it.
+
+    Its ring orders monomials by the power of ``y`` first and by the base
+    ring's own order within each power, which eliminates ``y``.
+    """
 
     __slots__ = ("base", "denominator", "algebra", "to_loc", "inv_index", "inv_name")
 
@@ -519,7 +523,7 @@ class Localization:
         if denominator.algebra != base:
             raise ValueError("denominator is not an element of the base")
         inv_name = _fresh_names(["y"], base.ring.names)[0]
-        ring = base.ring.with_vars([inv_name])
+        ring = base.ring.with_vars([inv_name], base.ring.order.eliminating())
         rels = [base.ring.lift(r, ring) for r in base.relations]
         f_lift = base.ring.lift(denominator.poly, ring)
         rels.append(f_lift * ring.var(ring.nvars - 1) - ring.one)
@@ -573,8 +577,12 @@ def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraEleme
     """Write ``s = r / f**k`` with ``r`` from the base ring; least such k.
 
     Multiplies by the denominator until the normal form no longer involves
-    the inverse variable.  ``POWER_CAP`` guards against defects; compatibility
-    of the inputs guarantees termination well below it in practice.
+    the inverse variable.  The localization's ring eliminates that variable
+    (``MonomialOrder.eliminating``), so an element that comes from the base
+    has a normal form free of it (the elimination theorem, Cox-Little-O'Shea
+    §3.1): the loop ends at the least k with ``s * f**k`` from the base.
+    Such a k exists for every ``s``; past ``POWER_CAP`` the search raises
+    ``ExtractionCapError``.
     """
     if s.algebra != loc.algebra:
         raise ValueError("section does not live in this localization")

@@ -38,7 +38,6 @@ from .latscheme import (
     GluingError,
     LatticeScheme,
     affine_hull_map,
-    glue_schemes,
     make_patch,
     mk_affine,
     restrict_scheme,
@@ -284,7 +283,7 @@ def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
         spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
         return mk_affine(_algebra_from_spec(spec, path, order))
     if kind == "gluedata":
-        return glue_schemes(_gluing_from_spec(obj, path, order))
+        return LatticeScheme(_gluing_from_spec(obj, path, order))
     _input_error(f"{path}: kind must be 'algebra' or 'gluedata'")
 
 

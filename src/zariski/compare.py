@@ -149,24 +149,6 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
 # -- realization data ---------------------------------------------------------------
 
 
-def section_value_at_point(s: GlobalSection, p: SchemePoint) -> AlgebraElement:
-    """Evaluate a section over the top open at a point of the same scheme."""
-    X = s.scheme
-    if p.scheme.lat is not X:
-        raise ValueError("point does not live on the section's scheme")
-    B = p.test_algebra
-    total = B.zero
-    for (e, c, phi) in p.factors:
-        w = s.domain.components[c]
-        if len(w.generators) != 1 or w.generators[0] != X.charts[c].one:
-            raise ValueError("section is not presented over chart tops")
-        # 1 is a unit everywhere, so the extension always exists
-        lifted = try_extend(make_localization(X.charts[c], X.charts[c].one), phi)
-        value_t = lifted(s.values[c][0])
-        total = total + B.element(value_t.poly) * e
-    return total
-
-
 class RealizationData:
     """A functorial scheme realized on the lattice side.
 
@@ -194,10 +176,6 @@ class RealizationData:
             raise ValueError("section does not live over the realized open")
         W = invertibility_support_scheme(Y.lat, top_open(Y.lat), s)
         return open_from_realization(self.fun, U, W)
-
-
-def realize(fun: FunctorialScheme) -> RealizationData:
-    return RealizationData(fun)
 
 
 def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
@@ -289,27 +267,6 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
                 "does not match any original patch"
             )
     return None
-
-
-def carry_point_in(
-    fun: FunctorialScheme, u: CompactOpen, rp: SchemePoint
-) -> SchemePoint:
-    """Carry a point of the realized open to a point of the ambient scheme."""
-    Y = realization(fun, u)
-    if rp.scheme is not Y:
-        raise ValueError("point does not live on the realization of the open")
-    pieces: List[Tuple[int, AlgebraElement]] = []
-    for i, w in enumerate(u.components):
-        for g in w.generators:
-            pieces.append((i, g))
-    factors = []
-    for (e, idx, phi) in rp.factors:
-        parent, g = pieces[idx]
-        loc = make_localization(fun.lat.charts[parent], g)
-        hom = loc.to_loc.then(phi)
-        j2, hom2 = _reduce_factor(fun, parent, hom)
-        factors.append((e, j2, hom2))
-    return SchemePoint(fun, rp.test_algebra, factors)
 
 
 # -- the comparison decision procedure -------------------------------------------------

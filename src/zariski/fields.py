@@ -123,9 +123,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.char) if self.char else 1 / _fraction(a)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- enumeration (prime fields only) --------------------------------
     @property
     def is_finite(self) -> bool:

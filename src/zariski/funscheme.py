@@ -8,9 +8,9 @@ factors, and each factor's points are the chart homs kept at their lowest
 chart.  With several charts the factors must be fields (B reduced) so that
 every point lands entirely in one chart.  Compact opens of the functor are
 compact opens of the underlying chart data and evaluate pointwise to basic
-opens of B; covers, locality (the equalizer condition along a cover of B),
-morphism gluing, and the realization of a compact open as a scheme of its
-own are all decidable at this scale.
+opens of B; locality (the equalizer condition along a cover of B) and the
+realization of a compact open as a scheme of its own are decidable at this
+scale.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from .algebra import (
 from .lattice import ZarElement, basic_open, eq, induced_hom, top
 from .latscheme import (
     CompactOpen,
-    GluingData,
     LatticeScheme,
     SchemeMorphism,
-    bottom_open,
     extend_over,
     global_sections,
     mk_affine,
     restrict_scheme,
-    top_open,
 )
 from .polynomials import Monomial, PolyRing, poly_sort_key
 
@@ -81,10 +78,6 @@ class FunctorialScheme:
 
 def representable(A: PresentedAlgebra) -> FunctorialScheme:
     return FunctorialScheme(mk_affine(A))
-
-
-def glued(data: GluingData) -> FunctorialScheme:
-    return FunctorialScheme(LatticeScheme(data))
 
 
 def functorial(X: LatticeScheme) -> FunctorialScheme:
@@ -133,26 +126,6 @@ class SchemePoint:
             h = hash((id(self.scheme), self.test_algebra, self.factors))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def as_hom(self) -> AlgebraMorphism:
-        """The underlying morphism, for a point of an affine scheme.
-
-        Reassembles the factor morphisms through the idempotent
-        decomposition: a(x) is the sum over factors of e * phi_e(x).
-        """
-        A = self.scheme.algebra
-        if A is None:
-            raise ValueError("not a point of an affine scheme")
-        B = self.test_algebra
-        if len(self.factors) == 1 and self.factors[0][0] == B.one:
-            return self.factors[0][2]
-        images = []
-        for i in range(A.nvars):
-            total = B.zero
-            for (e, _, phi) in self.factors:
-                total = total + B.element(phi.images[i].poly) * e
-            images.append(total)
-        return AlgebraMorphism(A, B, images)
 
     def __repr__(self):
         parts = []
@@ -371,13 +344,6 @@ def membership(U: CompactOpen, p: SchemePoint) -> bool:
     return eq(open_at_point(U, p), top(p.test_algebra))
 
 
-def is_cover(X: FunctorialScheme, opens: Sequence[CompactOpen]) -> bool:
-    total = bottom_open(X.lat)
-    for u in opens:
-        total = total.join(u)
-    return total.eq(top_open(X.lat))
-
-
 # -- functoriality ----------------------------------------------------------------
 
 
@@ -475,15 +441,6 @@ def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
     return _realized(U)[0]
 
 
-def open_to_realization(
-    X: FunctorialScheme, U: CompactOpen, V: CompactOpen
-) -> CompactOpen:
-    """Carry a compact open V <= U of X to a compact open of the realization."""
-    if not V.leq(U):
-        raise ValueError("the open is not below the realized one")
-    return _realized(U)[1].pullback(V)
-
-
 def open_from_realization(
     X: FunctorialScheme, U: CompactOpen, W: CompactOpen
 ) -> CompactOpen:
@@ -509,16 +466,6 @@ def open_from_realization(
 # -- locality along a cover of the test algebra ---------------------------------------
 
 
-def _loc_restriction_data(
-    B: PresentedAlgebra, pieces: Sequence[AlgebraElement]
-) -> List[Tuple[PresentedAlgebra, AlgebraMorphism]]:
-    out = []
-    for f in pieces:
-        loc = make_localization(B, f)
-        out.append((loc.algebra, loc.to_loc))
-    return out
-
-
 def check_locality(
     X: FunctorialScheme, B: PresentedAlgebra, pieces: Sequence[AlgebraElement]
 ) -> bool:
@@ -530,14 +477,14 @@ def check_locality(
     """
     if not eq(basic_open(B, list(pieces)), top(B)):
         raise ValueError("the given elements do not cover the test algebra")
-    locs = _loc_restriction_data(B, pieces)
+    locs = [make_localization(B, f) for f in pieces]
     global_points = eval_points(X, B)
     restricted = []
     for p in global_points:
-        restricted.append(tuple(map_point(X, p, chi) for (_, chi) in locs))
+        restricted.append(tuple(map_point(X, p, loc.to_loc) for loc in locs))
     if len(set(restricted)) != len(global_points):
         return False
-    local_points = [eval_points(X, Bi) for (Bi, _) in locs]
+    local_points = [eval_points(X, loc.algebra) for loc in locs]
     # pairwise-overlap restriction maps into a shared double localization
     n = len(pieces)
     overlap_maps: Dict[Tuple[int, int], AlgebraMorphism] = {}
@@ -545,12 +492,8 @@ def check_locality(
         for j in range(n):
             if i == j:
                 continue
-            Bi, chi_i = locs[i]
             loc_ij = make_localization(B, pieces[i] * pieces[j])
-            carry = extend_over(
-                make_localization(B, pieces[i]), loc_ij.to_loc
-            )
-            overlap_maps[(i, j)] = carry
+            overlap_maps[(i, j)] = extend_over(locs[i], loc_ij.to_loc)
     matching = 0
     for family in _iproduct(*local_points):
         good = True
@@ -566,51 +509,6 @@ def check_locality(
         if good:
             matching += 1
     return matching == len(global_points)
-
-
-def glue_morphism(
-    X: FunctorialScheme,
-    B: PresentedAlgebra,
-    pieces: Sequence[AlgebraElement],
-    local_points: Sequence[SchemePoint],
-) -> SchemePoint:
-    """The unique point of X(B) restricting to the given local points.
-
-    Raises with a concrete (i, j, point) witness when two local points
-    disagree on their overlap, and reports when no or several global
-    points match (neither happens for honest local data).
-    """
-    if len(local_points) != len(pieces):
-        raise ValueError("need one local point per cover piece")
-    if not eq(basic_open(B, list(pieces)), top(B)):
-        raise ValueError("the given elements do not cover the test algebra")
-    locs = _loc_restriction_data(B, pieces)
-    n = len(pieces)
-    for i in range(n):
-        for j in range(i + 1, n):
-            loc_ij = make_localization(B, pieces[i] * pieces[j])
-            carry_i = extend_over(make_localization(B, pieces[i]), loc_ij.to_loc)
-            carry_j = extend_over(make_localization(B, pieces[j]), loc_ij.to_loc)
-            left = map_point(X, local_points[i], carry_i)
-            right = map_point(X, local_points[j], carry_j)
-            if left != right:
-                raise ValueError(
-                    f"local points {i} and {j} disagree on the overlap: "
-                    f"{left!r} vs {right!r}"
-                )
-    hits = []
-    for p in eval_points(X, B):
-        if all(
-            map_point(X, p, chi) == q
-            for (q, (_, chi)) in zip(local_points, locs)
-        ):
-            hits.append(p)
-    if len(hits) != 1:
-        raise ValueError(
-            f"matching family has {len(hits)} global points; locality "
-            "demands exactly one"
-        )
-    return hits[0]
 
 
 # -- rings of functions ---------------------------------------------------------------

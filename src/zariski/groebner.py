@@ -323,9 +323,6 @@ class GroebnerBasis:
             out = [a + q * b for a, b in zip(out, row)]
         return out
 
-    def one_cofactors(self) -> Optional[List[Poly]]:
-        return self.member(self.ring.one)
-
 
 def groebner(gens: Sequence[Poly], ring: PolyRing) -> GroebnerBasis:
     return GroebnerBasis(ring, gens)

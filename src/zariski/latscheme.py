@@ -326,18 +326,15 @@ def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
     return LatticeScheme(GluingData([A], []))
 
 
-def glue_schemes(data: GluingData) -> LatticeScheme:
-    return LatticeScheme(data)
-
-
 # -- compact opens ---------------------------------------------------------------
 
 
 class CompactOpen:
     """A compact open of a scheme: one lattice element per chart.
 
-    The components must agree across patches (``is_compatible_open``); the
-    constructors used by the library produce compatible data.
+    The components must agree across patches (``open_compatibility_witness``
+    finds none that disagree); the constructors used by the library produce
+    compatible data.
     """
 
     __slots__ = ("owner", "components", "_hash")
@@ -451,10 +448,6 @@ def open_compatibility_witness(u: CompactOpen) -> Optional[str]:
                 f"{transported}, chart {p.j} holds {expected}"
             )
     return None
-
-
-def is_compatible_open(u: CompactOpen) -> bool:
-    return open_compatibility_witness(u) is None
 
 
 # -- global sections --------------------------------------------------------------
@@ -660,12 +653,8 @@ class SectionRing:
         return glue(fam)
 
 
-def sections_over(X: LatticeScheme, u: CompactOpen) -> SectionRing:
-    return SectionRing(X, u)
-
-
 def global_sections(X: LatticeScheme) -> SectionRing:
-    return sections_over(X, top_open(X))
+    return SectionRing(X, top_open(X))
 
 
 def restrict_global(
@@ -938,10 +927,6 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
                 f"exceeds the pulled-back support {lhs}"
             )
     return None
-
-
-def check_local_morphism(pi: SchemeMorphism) -> bool:
-    return local_morphism_witness(pi) is None
 
 
 def verify_affine_certificate(

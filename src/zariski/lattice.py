@@ -21,7 +21,7 @@ from .algebra import (
     PresentedAlgebra,
     extract_fraction,
 )
-from .polynomials import Poly, poly_sort_key
+from .polynomials import poly_sort_key
 
 
 class ZarElement:
@@ -132,17 +132,6 @@ def induced_hom(phi: AlgebraMorphism, u: ZarElement) -> ZarElement:
     if u.owner != phi.source:
         raise ValueError("element does not live over the morphism's source")
     return basic_open(phi.target, [phi(f) for f in u.generators])
-
-
-def display_normal_form(u: ZarElement) -> List[Poly]:
-    """Stable display form: the reduced basis of the generated ideal.
-
-    Display only — the ideal is not the radical, so distinct display forms
-    can still denote equal lattice elements.
-    """
-    owner = u.owner
-    gb = owner._member_gb(tuple(g.poly for g in u.generators))
-    return [b for b in gb.basis if not owner.normal_form(b).is_zero()]
 
 
 # -- supports ------------------------------------------------------------------

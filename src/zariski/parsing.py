@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .fields import Field, GF, QQ, Scalar
+from .fields import Field, GF, QQ
 from .polynomials import MonomialOrder, Poly, PolyRing
 
 
@@ -254,15 +254,3 @@ def parse_order(text: str) -> MonomialOrder:
     if text not in ("grevlex", "lex"):
         raise ParseError(f"unknown order {text!r} (use grevlex or lex)", 1, 1)
     return MonomialOrder(text)
-
-
-def parse_scalar(text: str, field: Field) -> Scalar:
-    """Parse an integer or ``p/q`` literal into a field scalar."""
-    text = text.strip()
-    m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
-    if m is None:
-        raise ParseError(f"bad scalar literal {text!r}", 1, 1)
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return field.of_int(num)
-    return field.of_fraction(num, int(m.group(2)))

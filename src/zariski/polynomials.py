@@ -22,26 +22,45 @@ Monomial = Tuple[int, ...]
 
 class MonomialOrder:
     """A monomial order, ``grevlex`` or ``lex``, that ranks the variables in
-    the declaration order of the ring."""
+    the declaration order of the ring, or the elimination order
+    ``inner.eliminating()`` on one more variable."""
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "inner")
 
     def __init__(self, kind: str = "grevlex"):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "inner", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MonomialOrder is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
+        return (
+            isinstance(other, MonomialOrder)
+            and self.kind == other.kind
+            and self.inner == other.inner
+        )
 
     def __hash__(self):
-        return hash(("MonomialOrder", self.kind))
+        return hash(("MonomialOrder", self.kind, self.inner))
 
     def __repr__(self):
+        if self.inner is not None:
+            return f"{self.inner!r}.eliminating()"
         return f"MonomialOrder({self.kind!r})"
+
+    def eliminating(self) -> "MonomialOrder":
+        """The block order for one more variable, appended last, that
+        eliminates it: a higher power of the new variable is larger, and
+        this order ranks the old variables within each power.  A monomial
+        that involves the new variable outranks every monomial free of it
+        (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, §3.1)."""
+        block = object.__new__(MonomialOrder)
+        object.__setattr__(block, "kind", "elim")
+        object.__setattr__(block, "inner", self)
+        return block
 
     def key_function(self, descending: bool = False) -> Callable[[Monomial], tuple]:
         """Key under which Python's ``max``/``sorted`` realize this order.
@@ -49,6 +68,11 @@ class MonomialOrder:
         Keys are flat tuples of ints.  With ``descending`` every entry is
         negated, so ``heapq`` (a min-heap) pops the largest monomial first.
         """
+        if self.inner is not None:
+            inner = self.inner.key_function(descending)
+            if descending:
+                return lambda m: (-m[-1], *inner(m[:-1]))
+            return lambda m: (m[-1], *inner(m[:-1]))
         if self.kind == "lex":
             if descending:
                 return lambda m: tuple(map(neg, m))
@@ -369,11 +393,6 @@ class Poly:
             return Poly(self.ring, {m: v * c % p for m, v in self.terms.items()})
         return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
-
     # -- substitution -------------------------------------------------------
     def substitute(self, images: Sequence["Poly"], target: PolyRing) -> "Poly":
         """Evaluate at ``names[i] -> images[i]``, landing in ``target``.
@@ -411,18 +430,6 @@ class Poly:
         if p:
             return Poly(target, {m: r for m, v in acc.items() if (r := v % p)})
         return Poly(target, {m: v for m, v in acc.items() if v})
-
-    def evaluate(self, values: Sequence[Scalar]) -> Scalar:
-        """Evaluate at a point with coordinates in the coefficient field."""
-        fld = self.ring.field
-        total = fld.zero
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    v = fld.mul(v, values[i])
-            total = fld.add(total, v)
-        return total
 
     # -- equality / hashing ---------------------------------------------------
     def __eq__(self, other):

@@ -236,10 +236,6 @@ def incompatibility_witness(
     return None
 
 
-def is_compatible(fam: SectionFamily) -> bool:
-    return incompatibility_witness(fam) is None
-
-
 def glue(fam: SectionFamily) -> AlgebraElement:
     """The unique global element restricting to the family's sections.
 

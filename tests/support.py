@@ -15,8 +15,10 @@ from zariski.algebra import (
     PresentedAlgebra,
     extract_fraction,
     make_localization,
+    try_extend,
 )
 from zariski.fields import GF, QQ
+from zariski.funscheme import SchemePoint, _realized, _reduce_factor, realization
 from zariski.latscheme import chart_variable_samples
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
@@ -256,3 +258,72 @@ def fraction_divide(f, divisors, want_quotients=True):
     if quots is not None:
         quots = [Poly(ring, q) for q in quots]
     return quots, Poly(ring, rem)
+
+
+def monic(f):
+    """``f`` scaled to leading coefficient 1 (zero stays zero)."""
+    if f.is_zero():
+        return f
+    return f.scale(f.ring.field.inv(f.lead_coeff()))
+
+
+# -- points carried by hand: oracles for the comparison --------------------------------
+
+
+def as_hom(p):
+    """The morphism ``A -> B`` a point of an affine scheme is, reassembled
+    from its factor morphisms: a(x) is the sum over atoms of e * phi_e(x)."""
+    A = p.scheme.algebra
+    if A is None:
+        raise ValueError("not a point of an affine scheme")
+    B = p.test_algebra
+    if len(p.factors) == 1 and p.factors[0][0] == B.one:
+        return p.factors[0][2]
+    images = []
+    for i in range(A.nvars):
+        total = B.zero
+        for (e, _, phi) in p.factors:
+            total = total + B.element(phi.images[i].poly) * e
+        images.append(total)
+    return AlgebraMorphism(A, B, images)
+
+
+def section_value_at_point(s, p):
+    """The value in B of a section over the top open at a point of the same
+    scheme: on each atom, the chart value carried by the point's chart map."""
+    X = s.scheme
+    if p.scheme.lat is not X:
+        raise ValueError("point does not live on the section's scheme")
+    B = p.test_algebra
+    total = B.zero
+    for (e, c, phi) in p.factors:
+        w = s.domain.components[c]
+        if len(w.generators) != 1 or w.generators[0] != X.charts[c].one:
+            raise ValueError("section is not presented over chart tops")
+        # 1 is a unit everywhere, so the extension always exists
+        lifted = try_extend(make_localization(X.charts[c], X.charts[c].one), phi)
+        total = total + B.element(lifted(s.values[c][0]).poly) * e
+    return total
+
+
+def carry_point_in(fun, u, rp):
+    """Push a point of the realization of ``u`` along the inclusion into the
+    ambient scheme: compose each atom's chart map with ``A_i -> (A_i)_g``."""
+    if rp.scheme is not realization(fun, u):
+        raise ValueError("point does not live on the realization of the open")
+    pieces = [(i, g) for i, w in enumerate(u.components) for g in w.generators]
+    factors = []
+    for (e, idx, phi) in rp.factors:
+        parent, g = pieces[idx]
+        hom = make_localization(fun.lat.charts[parent], g).to_loc.then(phi)
+        factors.append((e, *_reduce_factor(fun, parent, hom)))
+    return SchemePoint(fun, rp.test_algebra, factors)
+
+
+def open_to_realization(X, U, V):
+    """A compact open ``V <= U`` of X carried to the realization of U, by
+    pulling back along its inclusion: the oracle that
+    ``open_from_realization`` inverts."""
+    if not V.leq(U):
+        raise ValueError("the open is not below the realized one")
+    return _realized(U)[1].pullback(V)

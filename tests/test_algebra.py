@@ -34,7 +34,8 @@ from zariski.algebra import (
 )
 from zariski.fields import GF, QQ
 from zariski.latscheme import projective_line, punctured_plane
-from zariski.polynomials import PolyRing
+from zariski.parsing import parse_ring
+from zariski.polynomials import MonomialOrder, PolyRing
 
 
 # -- quotient arithmetic ------------------------------------------------------
@@ -366,6 +367,35 @@ def test_extract_fraction_cap_guards_nontermination():
     assert (num, k) == (y, POWER_CAP)
 
 
+def test_extract_fraction_at_units_of_a_localization_of_a_localization():
+    """Both inverse variables are eliminated: in QQ[t]/(t^2 - 2) localized at
+    t and then at t + 1, both units, 1/(t(t+1)) comes from A at power 0."""
+    A = PresentedAlgebra(*parse_ring("QQ[t]/(t^2 - 2)"))
+    t = A.var(0)
+    inner = make_localization(A, t)
+    outer = make_localization(inner.algebra, inner.to_loc(t + 1))
+    assert outer.algebra.ring.order == MonomialOrder().eliminating().eliminating()
+    s = outer.inverse * outer.to_loc(inner.inverse)
+    assert not s.poly.involves(outer.inv_index)
+    assert not s.poly.involves(inner.inv_index)
+    r, k = extract_fraction(outer, s)
+    assert k == 0 and outer.to_loc(r) == s
+    a, j = extract_fraction(inner, r)
+    assert j == 0 and inner.to_loc(a) == r
+    assert a * t * (t + 1) == A.one
+
+
+def test_a_localization_keeps_a_lex_base_order_inside_its_block():
+    A = PresentedAlgebra(*parse_ring("QQ[x,y]", MonomialOrder("lex")))
+    R = make_localization(A, A.var(1)).algebra.ring
+    assert R.order == MonomialOrder("lex").eliminating()
+    # within one power of the inverse, lex: x outranks every power of y
+    assert R.monomial_key((1, 0, 0)) > R.monomial_key((0, 5, 0))
+    assert R.monomial_key((1, 0, 2)) > R.monomial_key((0, 5, 2))
+    # any power of the inverse outranks every monomial free of it
+    assert R.monomial_key((0, 0, 1)) > R.monomial_key((9, 9, 0))
+
+
 def test_extension_to_a_localization_validates_the_inverse():
     A = qq_x()
     loc = make_localization(A, A.var(0))
@@ -442,3 +472,28 @@ def test_extract_round_trips_random_fractions(seed):
     got_num, got_k = extract_fraction(loc, s)
     assert got_k <= power
     assert loc.to_loc(got_num) == s * loc.to_loc(x) ** got_k
+
+
+@st.composite
+def _fractions_in_localizations(draw):
+    """A = GF(p)[x] or GF(p)[x, y] over GF(2), GF(3) or GF(5), modulo at most
+    one relation; an element f of A, unit, zero divisor or zero; and an
+    element s of A_f, drawn in the ring of A_f with 1/f up to the cube."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = PolyRing(GF(p), ["x", "y"][: draw(st.integers(1, 2))])
+
+    def poly(r):
+        monomials = st.tuples(*[st.integers(0, 3)] * r.nvars)
+        return r.from_terms(draw(st.dictionaries(monomials, st.integers(1, p - 1), max_size=3)))
+
+    A = PresentedAlgebra(ring, [poly(ring) for _ in range(draw(st.integers(0, 1)))])
+    loc = make_localization(A, A.element(poly(ring)))
+    return loc, loc.algebra.element(poly(loc.algebra.ring))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions_in_localizations())
+def test_extract_fraction_writes_every_element_of_a_localization(case):
+    loc, s = case
+    r, k = extract_fraction(loc, s)
+    assert loc.fraction(r, k) == s

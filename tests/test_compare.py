@@ -11,25 +11,30 @@ import pytest
 from hypothesis import given, settings
 
 import oracles as O
-from support import finite_algebras, gf3_split, morphisms_agree, product_of_points
+from support import (
+    as_hom,
+    carry_point_in,
+    finite_algebras,
+    gf3_split,
+    morphisms_agree,
+    product_of_points,
+    section_value_at_point,
+)
 from zariski import compare, latscheme, sheaf
 from zariski.algebra import (
     AlgebraMorphism,
-    ExtractionCapError,
     PresentedAlgebra,
     enumerate_homs,
     make_localization,
     morphism,
 )
 from zariski.compare import (
+    RealizationData,
     _sample_opens,
     adjunction_flat,
-    carry_point_in,
     comparison_check,
     point_morphism,
     realization_certificate,
-    realize,
-    section_value_at_point,
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
@@ -106,7 +111,7 @@ def test_affine_points_round_trip_through_the_adjunction(fun_a1):
     pts = eval_points(fun_a1, F3)
     assert len(pts) == O.FROZEN_POINT_COUNTS[("affine_line", 3)]
     A1 = fun_a1.algebra
-    assert [p.as_hom() for p in pts] == enumerate_homs(A1, F3)
+    assert [as_hom(p) for p in pts] == enumerate_homs(A1, F3)
     for p in pts:
         pi = local_point_morphism(fun_a1, p)
         assert adjunction_flat(fun_a1, pi) == p
@@ -226,7 +231,7 @@ def test_realization_certificates_hold_for_the_fixtures(fun_a1, fun_p13):
 
 
 def test_section_support_over_the_whole_line(fun_a1):
-    rd = realize(fun_a1)
+    rd = RealizationData(fun_a1)
     A1 = fun_a1.algebra
     t_top = top_open(fun_a1.lat)
     R_top = rd.sections(t_top)
@@ -240,7 +245,7 @@ def test_section_support_over_the_whole_line(fun_a1):
 
 
 def test_section_support_over_a_smaller_open_multiplies_in(fun_a1):
-    rd = realize(fun_a1)
+    rd = RealizationData(fun_a1)
     A1 = fun_a1.algebra
     x = A1.var(0)
     u_shift = embed_basic(fun_a1.lat, 0, basic_open(A1, [x + A1.one]))
@@ -322,12 +327,6 @@ def test_comparison_check_on_the_punctured_plane_over_a_quadratic_field():
     assert report["counts"] == [9 * 9 - 1]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ExtractionCapError,
-    reason="known defect: localizations use plain grevlex, so at a unit "
-    "denominator extract_fraction cannot clear the inverse variable",
-)
 def test_the_generic_check_of_a_punctured_plane_point_over_a_quadratic_field():
     Xu, _, _ = punctured_plane(GF(3))
     p = eval_points(functorial(Xu), GF9)[11]
@@ -469,7 +468,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
     (j, f, n, k, _), one = compare._sample_plan(X)
     wrong = [(j, f, n, k, one[4]), one]
     points = eval_points(functorial(X), F3)
-    assert [p.as_hom().images[0] for p in points] == [F3.zero, F3.one, -F3.one]
+    assert [as_hom(p).images[0] for p in points] == [F3.zero, F3.one, -F3.one]
     assert [compare._atom_table(X, p, wrong)[1:] for p in points] == [
         (False, False), (True, True), (True, True)
     ]
@@ -477,7 +476,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
 
 def test_the_non_reduced_cases_send_x_to_a_nonzero_nilpotent():
     for X, B in NON_REDUCED_CASES[:2]:
-        images = [p.as_hom().images[0] for p in eval_points(functorial(X), B)]
+        images = [as_hom(p).images[0] for p in eval_points(functorial(X), B)]
         assert any(not x.is_zero() and (x * x).is_zero() for x in images)
 
 

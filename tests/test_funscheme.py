@@ -7,9 +7,11 @@ import oracles as O
 import itertools
 
 from support import (
+    as_hom,
     atoms_by_search,
     finite_algebras,
     gf3_split,
+    open_to_realization,
     product_of_points,
     qq_xy,
     reduced_by_definition,
@@ -32,15 +34,12 @@ from zariski.funscheme import (
     eval_points,
     functorial,
     atomic_factors,
-    glue_morphism,
-    is_cover,
     is_reduced,
     map_point,
     membership,
     multiplicative_group,
     open_at_point,
     open_from_realization,
-    open_to_realization,
     realization,
     representable,
     ring_of_functions,
@@ -134,9 +133,9 @@ def test_representable_points_are_exactly_the_algebra_maps():
             pts = eval_points(X, B)
             homs = enumerate_homs(X.algebra, B)
             assert len(pts) == len(homs)
-            assert {p.as_hom() for p in pts} == set(homs)
+            assert {as_hom(p) for p in pts} == set(homs)
             for p in pts:
-                assert map_point(X, p, chi).as_hom() == p.as_hom().then(chi)
+                assert as_hom(map_point(X, p, chi)) == as_hom(p).then(chi)
 
 
 # -- reducedness guard ------------------------------------------------------------
@@ -328,8 +327,8 @@ def test_cover_detection_on_the_affine_line():
     xq = Aq.var(0)
     u_x = CompactOpen(line_q.lat, [basic_open(Aq, [xq])])
     u_1mx = CompactOpen(line_q.lat, [basic_open(Aq, [Aq.one - xq])])
-    assert is_cover(line_q, [u_x, u_1mx])
-    assert not is_cover(line_q, [u_x])
+    assert u_x.join(u_1mx).eq(top_open(line_q.lat))
+    assert not u_x.eq(top_open(line_q.lat))
 
 
 # -- realizations of compact opens ------------------------------------------------------
@@ -345,7 +344,7 @@ def test_realization_of_the_punctured_plane_has_two_charts():
     assert realization(plane, U_xy) is XU  # memoized
     cx = open_to_realization(plane, U_xy, CompactOpen(plane.lat, [basic_open(Axy, [x])]))
     cy = open_to_realization(plane, U_xy, CompactOpen(plane.lat, [basic_open(Axy, [y])]))
-    assert is_cover(XU, [cx, cy])
+    assert cx.join(cy).eq(top_open(XU.lat))
 
 
 def test_opens_round_trip_through_the_realization():
@@ -383,41 +382,6 @@ def test_locality_check_requires_a_cover():
     B = gf3_split()
     with pytest.raises(ValueError, match="do not cover"):
         check_locality(affine_line(GF(3)), B, [B.var(0)])
-
-
-# -- gluing points from local data --------------------------------------------------------
-
-
-def test_glue_morphism_reassembles_split_points(punctured3):
-    B = gf3_split()
-    e = B.var(0)
-    pts = eval_points(punctured3, B)
-    loc_e = make_localization(B, e)
-    loc_f = make_localization(B, B.one - e)
-    p0 = pts[0]
-    pe = map_point(punctured3, p0, loc_e.to_loc)
-    pf = map_point(punctured3, p0, loc_f.to_loc)
-    assert glue_morphism(punctured3, B, [e, B.one - e], [pe, pf]) == p0
-
-
-def test_incompatible_local_points_are_rejected_with_a_witness():
-    ring_s, rels_s = parse_ring("GF(3)[x]/(x^2 - x)")
-    S = PresentedAlgebra(ring_s, rels_s)
-    xs = S.var(0)
-    line3 = affine_line(GF(3))
-    pts = eval_points(line3, S)
-    pieces = [xs + S.one, S.one - xs]  # overlap D((x+1)(1-x)) is not empty
-    la = make_localization(S, pieces[0])
-    lb = make_localization(S, pieces[1])
-    pa = map_point(line3, pts[0], la.to_loc)
-    pb_good = map_point(line3, pts[0], lb.to_loc)
-    pb_bad = next(
-        map_point(line3, cand, lb.to_loc)
-        for cand in pts
-        if map_point(line3, cand, lb.to_loc) != pb_good
-    )
-    with pytest.raises(ValueError):
-        glue_morphism(line3, S, pieces, [pa, pb_bad])
 
 
 # -- ring of functions ----------------------------------------------------------------------

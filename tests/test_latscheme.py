@@ -22,15 +22,14 @@ from zariski.latscheme import (
     GluingData,
     GluingError,
     SchemeMorphism,
+    SectionRing,
     affine_hull_map,
     bottom_open,
-    check_local_morphism,
     check_locally_affine,
     embed_basic,
     global_sections,
     identity_morphism,
     invertibility_support_scheme,
-    is_compatible_open,
     local_morphism_witness,
     make_patch,
     mk_affine,
@@ -41,7 +40,6 @@ from zariski.latscheme import (
     restrict_global,
     restrict_scheme,
     section_compatibility_witness,
-    sections_over,
     spec_morphism,
     top_open,
     verify_affine_certificate,
@@ -153,11 +151,11 @@ def test_embedded_basic_opens_spread_across_charts(p1):
     u0 = embed_basic(p1, 0, basic_open(A0, [t]))
     assert eq(u0.components[0], basic_open(A0, [t]))
     assert eq(u0.components[1], basic_open(A1, [s]))
-    assert is_compatible_open(u0)
+    assert open_compatibility_witness(u0) is None
     # embedding the part of chart 0 away from the overlap leaves chart 1 empty
     w = embed_basic(p1, 0, basic_open(A0, [t - 1]))
     assert eq(w.components[1], basic_open(A1, [s])) is False
-    assert is_compatible_open(w)
+    assert open_compatibility_witness(w) is None
 
 
 def test_compact_open_lattice_operations(p1):
@@ -178,9 +176,7 @@ def test_compact_open_lattice_operations(p1):
 def test_incompatible_opens_carry_a_witness(p1):
     A0, A1 = p1.charts
     lopsided = CompactOpen(p1, [top(A0), bottom(A1)])
-    w = open_compatibility_witness(lopsided)
-    assert w is not None
-    assert not is_compatible_open(lopsided)
+    assert open_compatibility_witness(lopsided) is not None
 
 
 # -- section rings -------------------------------------------------------------------
@@ -242,7 +238,7 @@ def test_sections_restrict_along_smaller_opens(punctured):
     PP, u_xy, inc = punctured
     C0, C1 = PP.charts
     lc0 = make_localization(C0, C0.one)
-    G = sections_over(PP, top_open(PP))
+    G = SectionRing(PP, top_open(PP))
     sec = G.section(
         [[lc0.to_loc(C0.var(0))], [make_localization(C1, C1.one).to_loc(C1.var(0))]]
     )
@@ -259,7 +255,7 @@ def test_invertibility_support_on_the_punctured_plane(punctured):
     PP, _, _ = punctured
     C0, C1 = PP.charts
     x0, x1 = C0.var(0), C1.var(0)
-    G = sections_over(PP, top_open(PP))
+    G = SectionRing(PP, top_open(PP))
     sec_x = G.section(
         [
             [make_localization(C0, C0.one).to_loc(x0)],
@@ -282,7 +278,7 @@ def test_affine_hull_identifies_jointly_covering_sections(punctured):
     Axy = plane.charts[0]
     px, py = Axy.var(0), Axy.var(1)
     C0, C1 = PP.charts
-    G = sections_over(PP, top_open(PP))
+    G = SectionRing(PP, top_open(PP))
     sec_x = G.section(
         [
             [make_localization(C0, C0.one).to_loc(C0.var(0))],
@@ -310,7 +306,7 @@ def test_qcqs_invertibility_lemma_on_fixtures(punctured):
     assert qcqs_lemma_check(X_line, top_open(X_line), s_line)
     PP, _, _ = punctured
     C0, C1 = PP.charts
-    GPP = sections_over(PP, top_open(PP))
+    GPP = SectionRing(PP, top_open(PP))
     sec_x = GPP.section(
         [
             [make_localization(C0, C0.one).to_loc(C0.var(0))],
@@ -327,7 +323,7 @@ def test_spec_is_contravariant_on_algebra_maps():
     A = qq_x()
     x = A.var(0)
     sq = spec_morphism(morphism(A, A, [x * x]))
-    assert check_local_morphism(sq)
+    assert local_morphism_witness(sq) is None
     u = embed_basic(sq.target, 0, basic_open(A, [A.var(0)]))
     pulled = sq.pullback(u)
     # preimage of D(x) under x -> x^2 is D(x^2) = D(x)
@@ -356,7 +352,6 @@ def test_broken_morphisms_are_detected_with_a_witness():
     kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
     broken = SchemeMorphism(X, Y, broken_open, [[(0, B.one, kill)]])
     assert local_morphism_witness(broken) is not None
-    assert not check_local_morphism(broken)
 
 
 def test_identity_morphism_fixes_opens_and_is_local(p1):
@@ -365,7 +360,7 @@ def test_identity_morphism_fixes_opens_and_is_local(p1):
     ident = identity_morphism(p1)
     assert ident.pullback(u0).eq(u0)
     assert ident.pullback(top_open(p1)).eq(top_open(p1))
-    assert check_local_morphism(ident)
+    assert local_morphism_witness(ident) is None
 
 
 # -- restriction to opens ---------------------------------------------------------------
@@ -376,7 +371,7 @@ def test_punctured_plane_is_the_plane_away_from_the_origin(punctured):
     plane = inc.target
     assert plane.ncharts == 1
     assert PP.ncharts == 2
-    assert check_local_morphism(inc)
+    assert local_morphism_witness(inc) is None
     originals = [p for p in PP.data.patches if p.i < p.j]
     GluingData(PP.data.charts, originals, validate=True)  # re-validates
 
@@ -395,4 +390,4 @@ def test_restricting_an_affine_line_to_a_basic_open():
     assert Xu.ncharts == 1
     # the restricted chart presents A localized at x
     assert Xu.charts[0] == make_localization(A, A.var(0)).algebra
-    assert check_local_morphism(inc)
+    assert local_morphism_witness(inc) is None

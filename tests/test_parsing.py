@@ -15,7 +15,6 @@ from zariski.parsing import (
     parse_order,
     parse_poly,
     parse_ring,
-    parse_scalar,
 )
 from zariski.polynomials import MonomialOrder, PolyRing
 
@@ -97,9 +96,11 @@ def test_basic_open_lists():
 
 
 def test_scalar_parsing():
-    assert parse_scalar("3/4", QQ) == Fraction(3, 4)
-    assert parse_scalar("-2", QQ) == Fraction(-2)
-    assert parse_scalar("7", GF(5)) == 2
+    ring, _ = parse_ring("QQ[x]")
+    assert parse_poly("3/4", ring) == ring.const(Fraction(3, 4))
+    assert parse_poly("-2", ring) == ring.const(Fraction(-2))
+    ring5, _ = parse_ring("GF(5)[x]")
+    assert parse_poly("7", ring5) == ring5.const(2)
 
 
 @settings(max_examples=80, deadline=None)

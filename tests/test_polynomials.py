@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_poly
+from support import monic, random_poly
 from zariski.fields import GF, QQ
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
@@ -76,8 +76,10 @@ def test_substitution_and_evaluation_agree():
     (t,) = S.gens()
     g = f.substitute([t, t * t], S)  # x := t, y := t^2
     assert g == t * t + t * t - S.one
+    point = PolyRing(QQ, [])
     for a in (Fraction(0), Fraction(2), Fraction(-1, 2)):
-        assert g.evaluate([a]) == f.evaluate([a, a * a])
+        c = point.const(a)
+        assert g.substitute([c], point) == f.substitute([c, c * c], point)
 
 
 def test_lift_matches_variables_by_name():
@@ -120,9 +122,9 @@ def test_from_terms_makes_rational_coefficients_fractions():
     R = PolyRing(QQ, ["x"])
     f = R.from_terms({(1,): 2, (0,): 1})
     assert all(type(c) is Fraction for c in f.terms.values())
-    monic = f.monic().terms
-    assert monic == {(1,): 1, (0,): Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in monic.values())
+    monic_terms = monic(f).terms
+    assert monic_terms == {(1,): 1, (0,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in monic_terms.values())
 
 
 def test_string_forms_round_trip_mentally():

@@ -1,4 +1,5 @@
-"""README's Python tour runs as written and gives the results it claims.
+"""README's Python tour runs as written and gives the results it claims,
+and its module table names only what each module has.
 
 The tour's ```python blocks are executed in order in one namespace.  An
 expression statement whose line ends in a comment such as ``# True`` or
@@ -6,6 +7,7 @@ expression statement whose line ends in a comment such as ``# True`` or
 """
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -49,3 +51,28 @@ def test_the_python_tour_gives_the_results_it_claims():
                 exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     # leq and eq in the first block, glue in the second, the point count in the third
     assert len(claims) == 4, claims
+
+
+def test_every_name_in_the_module_table_is_in_its_module():
+    """A backticked identifier (``leq``, ``SectionRing.section``) in a row of
+    the "What is inside" table is an attribute of that row's module, so a
+    README mention, which counts as a use of a public name, cannot outlive
+    the name."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(zariski\.\w+)` \| (.*) \|$", table, flags=re.MULTILINE)
+    assert len(rows) == 11
+    missing, checked = [], 0
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]+)`", contents):
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span):
+                continue  # grammar samples such as `GF(p)` or `D(x, y-1)`
+            obj = module
+            for part in span.split("."):
+                obj = getattr(obj, part, None)
+            checked += 1
+            if obj is None:
+                missing.append(f"{module_name}: {span}")
+    assert not missing, missing
+    assert checked >= 30, checked

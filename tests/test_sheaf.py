@@ -6,7 +6,6 @@ import pytest
 
 from support import gf3_split, qq_x, qq_xy, random_element
 from zariski.algebra import (
-    ExtractionCapError,
     extract_fraction,
     make_localization,
 )
@@ -22,7 +21,6 @@ from zariski.sheaf import (
     glue,
     incompatibility_witness,
     invertibility_support_basic,
-    is_compatible,
     is_invertible,
     restrict,
     restriction_map,
@@ -184,12 +182,6 @@ def test_gluing_true_fractions_needs_denominator_clearing():
     assert glue(fam) == 1 - x
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ExtractionCapError,
-    reason="known defect: localizations use plain grevlex, so at a unit "
-    "denominator extract_fraction cannot clear the inverse variable",
-)
 def test_gluing_along_a_cover_by_one_unit_piece():
     ring, rels = parse_ring("QQ[t]/(t^2 - 2)")
     A = PresentedAlgebra(ring, rels)
@@ -214,7 +206,6 @@ def test_incompatible_families_are_refused_with_a_witness():
     i, j, ri, rj = w
     assert (i, j) == (0, 1)
     assert not section_equal(ri, rj)
-    assert not is_compatible(fam)
     with pytest.raises(ValueError, match="not compatible"):
         glue(fam)
 
