@@ -661,7 +661,7 @@ def scheme_eta(data_path, section_paths, against_paths, order_text) -> None:
     """
     order = parse_order(order_text)
     X = _load_scheme(data_path, order)
-    hull_open, _ = affine_hull_map(X)
+    hull_open = affine_hull_map(X)
 
     def load_list(paths):
         sections = []

@@ -43,7 +43,8 @@ from .latscheme import (
 from .funscheme import (
     FunctorialScheme,
     SchemePoint,
-    _reduce_factor,
+    _chart_map,
+    _lowest_chart,
     atomic_factors,
     eval_points,
     functorial,
@@ -68,50 +69,45 @@ def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
 
 
 def _collapse(
-    S: LatticeScheme, Bt: PresentedAlgebra, piece: AlgebraElement
+    S: LatticeScheme, Bt: PresentedAlgebra, e: AlgebraElement
 ) -> AlgebraMorphism:
-    """The map B/(1-e) -> B_piece of S = Spec(B), for a piece below the
-    idempotent e (1-e dies in B_piece); remembered on S by (Bt, piece)."""
-    got = S._memo.get((Bt, piece))
+    """The map B/(1-e) -> B_e of S = Spec(B) for an atom e of B, which is
+    well defined because 1-e dies in B_e; remembered on S by (Bt, e)."""
+    got = S._memo.get((Bt, e))
     if got is None:
         B = S.charts[0]
-        loc_piece = make_localization(B, piece)
+        loc_e = make_localization(B, e)
         got = AlgebraMorphism(
-            Bt, loc_piece.algebra, [loc_piece.to_loc(B.var(i)) for i in range(B.nvars)]
+            Bt, loc_e.algebra, [loc_e.to_loc(B.var(i)) for i in range(B.nvars)]
         )
-        S._memo[(Bt, piece)] = got
+        S._memo[(Bt, e)] = got
     return got
 
 
 def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
-    It is built, not checked (``local_morphism_witness`` checks it).  The
-    opens of X are remembered on X by ``embed_basic``, the patch maps on the
-    patches, and the collapse maps ``B/(1-e) -> B_piece`` on Spec(B).
+    It is built, not checked (``local_morphism_witness`` checks it): one
+    comorphism piece per atom e of the point and chart j that holds it, the
+    atom's chart map A_j -> B/(1-e) (``_chart_map``) followed by the
+    collapse to B_e.  The opens of X are remembered on X by
+    ``embed_basic``, the patch maps on the patches, and the collapse maps
+    on Spec(B).
     """
     fun = p.scheme
     if fun.lat is not X:
         raise ValueError("point does not belong to the given chart presentation")
-    B = p.test_algebra
-    S = _affine_of(B)
+    S = _affine_of(p.test_algebra)
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         return CompactOpen(S, [open_at_point(embed_basic(X, j, w), p)])
 
     comorphisms = [[] for _ in X.charts]
     for (e, c, phi) in p.factors:
-        Bt = phi.target
         for j, out in enumerate(comorphisms):
-            if c == j:
-                out.append((0, e, phi.then(_collapse(S, Bt, e))))
-                continue
-            for Q in X.data.patches_for(c, j):
-                piece = B.element(phi(Q.f).poly) * e
-                # (A_c)_f -> B_piece
-                psi = try_extend(Q.loc_f, phi.then(_collapse(S, Bt, piece)))
-                if psi is not None:
-                    out.append((0, piece, Q.chart_bwd.then(psi)))
+            m = _chart_map(X, c, phi, j)
+            if m is not None:
+                out.append((0, e, m.then(_collapse(S, phi.target, e))))
     return SchemeMorphism(S, X, chart_open, comorphisms)
 
 
@@ -140,9 +136,7 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
             raise ValueError(
                 f"no comorphism piece of the morphism covers the atom {e}"
             )
-        j, hom = hit
-        j2, hom2 = _reduce_factor(fun, j, hom)
-        factors.append((e, j2, hom2))
+        factors.append((e, *_lowest_chart(X, *hit)))
     return SchemePoint(fun, B, factors)
 
 
@@ -292,28 +286,18 @@ def _sample_plan(X: LatticeScheme) -> List[tuple]:
     return plan
 
 
-def _chart_map(X: LatticeScheme, c: int, phi: AlgebraMorphism, j: int):
-    """The map A_j -> B_e of an atom carried on chart c by phi: phi itself, or
-    through the first patch Q from c to j at which phi(Q.f) is a unit."""
-    if j == c:
-        return phi
-    for Q in X.data.patches_for(c, j):
-        psi = try_extend(Q.loc_f, phi)
-        if psi is not None:
-            return Q.chart_bwd.then(psi)
-    return None
-
-
 def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
     """(values, local, roundtrip) of a point of X(B), one entry per atom
     (e, c, phi) of the point, that is per local factor B_e of B.
 
     A sample n/f**k of chart j is m(n) * m(f)**-k at an atom whose map
-    m = ``_chart_map(X, c, phi, j)`` sends f to a unit, else None; a unit is
-    nonzero when B is reduced (the B_e are fields), else ``try_invert``
-    decides.  Local: per sample, the atoms with a unit value are those where
-    phi sends a generator of the sample's support in chart c to a unit.
-    Roundtrip: ``_reduce_factor`` takes each lowest chart map to (c, phi).
+    m = ``funscheme._chart_map(X, c, phi, j)`` sends f to a unit, else None;
+    each m(f) is evaluated once.  A unit is nonzero when B is reduced (the
+    B_e are fields), else ``try_invert`` decides.  Local: per sample, the
+    atoms with a unit value are those where phi sends a generator of the
+    sample's support in chart c to a unit.  Roundtrip: ``_lowest_chart``
+    takes each atom's lowest chart map, the piece ``adjunction_flat`` reads
+    first, back to (c, phi).
     """
     reduced = is_reduced(p.test_algebra)
 
@@ -326,14 +310,16 @@ def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
         row = []
         for (_, c, phi), ms in zip(p.factors, maps):
             m, value = ms[j], None
-            if m is not None and is_unit(m(f)):
-                value = m(n) * m(f).algebra.try_invert(m(f)) ** k if k else m(n)
+            if m is not None:
+                mf = m(f)
+                if is_unit(mf):
+                    value = m(n) * mf.algebra.try_invert(mf) ** k if k else m(n)
             row.append(value)
             unit = value is not None and is_unit(value)
             local = local and unit == any(is_unit(phi(g)) for g in gens[c])
         values.append(tuple(row))
     lowest = [next((j, m) for j, m in enumerate(ms) if m is not None) for ms in maps]
-    back = [_reduce_factor(p.scheme, j, m) for (j, m) in lowest] if local else None
+    back = [_lowest_chart(X, j, m) for (j, m) in lowest] if local else None
     return tuple(values), local, back == [(c, phi) for (_, c, phi) in p.factors]
 
 

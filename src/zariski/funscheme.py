@@ -3,14 +3,15 @@
 A functorial scheme is the functor of points of chart-and-patch data, the
 same data that presents a lattice scheme; an affine scheme is the case of
 one chart and no patches.  Its points over a finite test algebra B are
-computed exactly: B splits along its atomic idempotents into connected
-factors, and each factor's points are the chart homs kept at their lowest
-chart.  With several charts the factors must be fields (B reduced) so that
-every point lands entirely in one chart.  Compact opens of the functor are
-compact opens of the underlying chart data and evaluate pointwise to basic
-opens of B; locality (the equalizer condition along a cover of B) and the
-realization of a compact open as a scheme of its own are decidable at this
-scale.
+computed exactly: B splits along its atomic idempotents into local
+factors B_e, and each factor's points are the chart homs kept at their
+lowest chart.  A point over a local ring lies in chart j exactly when some
+patch denominator to chart j maps to a unit, so one chart map
+(``_chart_map``) places every point, over reduced B or not.  Compact opens
+of the functor are compact opens of the underlying chart data and evaluate
+pointwise to basic opens of B; locality (the equalizer condition along a
+cover of B) and the realization of a compact open as a scheme of its own
+are decidable at this scale.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, eq, induced_hom, top
+from .lattice import ZarElement, basic_open, eq, top
 from .latscheme import (
     CompactOpen,
     LatticeScheme,
@@ -41,7 +42,7 @@ from .polynomials import Monomial, PolyRing, poly_sort_key
 
 
 class NonReducedAlgebraError(ValueError):
-    """Multi-chart point enumeration needs a reduced test algebra."""
+    """A test algebra's atoms do not decompose it as they must."""
 
 
 class FunctorialScheme:
@@ -147,8 +148,8 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     Frobenius has full rank on the staircase basis: dim B normal forms and
     one row reduction over GF(p).  The same matrix less the identity gives
     the atoms (``atomic_factors``).  The answer is remembered on B (in
-    ``B._memo``, next to its inverses), so pushing many points into one
-    algebra decides it once.
+    ``B._memo``, next to its inverses), so tabling many points over one
+    algebra (``compare._atom_table``) decides it once.
     """
     if not B.field.is_finite:
         raise ValueError("cannot enumerate an algebra over QQ")
@@ -280,48 +281,50 @@ def factor_projection(B: PresentedAlgebra, e: AlgebraElement) -> AlgebraMorphism
 # -- point enumeration -----------------------------------------------------------
 
 
-def _chart_candidates(
-    X: FunctorialScheme, j: int, Bt: PresentedAlgebra
-) -> List[AlgebraMorphism]:
-    """Homs from chart j that do not reduce to a lower chart."""
-    out = []
-    t_b = top(Bt)
-    for beta in enumerate_homs(X.charts[j], Bt):
-        reducible = False
-        for i in range(j):
-            u_ji = X.lat.data.overlap(j, i)
-            if eq(induced_hom(beta, u_ji), t_b):
-                reducible = True
-                break
-        if not reducible:
-            out.append(beta)
-    return out
+def _chart_map(
+    X: LatticeScheme, c: int, phi: AlgebraMorphism, j: int
+) -> Optional[AlgebraMorphism]:
+    """The map A_j -> B_e of an atom carried on chart c by phi: phi itself, or
+    through the first patch Q from c to j at which phi(Q.f) is a unit.  B_e
+    is local, so a map exists exactly when the atom lies in chart j."""
+    if j == c:
+        return phi
+    for Q in X.data.patches_for(c, j):
+        psi = try_extend(Q.loc_f, phi)
+        if psi is not None:
+            return Q.chart_bwd.then(psi)
+    return None
+
+
+def _lowest_chart(
+    X: LatticeScheme, c: int, phi: AlgebraMorphism
+) -> Tuple[int, AlgebraMorphism]:
+    """The lowest chart of an atom carried on chart c by phi, with its map."""
+    for j in range(c):
+        m = _chart_map(X, c, phi, j)
+        if m is not None:
+            return j, m
+    return c, phi
 
 
 def eval_points(X: FunctorialScheme, B: PresentedAlgebra) -> List[SchemePoint]:
-    """All points of X over the test algebra B, canonically represented.
+    """All points of X over the finite test algebra B, canonically represented.
 
-    B splits along its atomic idempotents, and each factor's points are the
-    chart homs kept at their lowest chart.  One-chart schemes accept any
-    finite B; with several charts B must also be reduced.
+    B splits along its atomic idempotents into local factors, and each
+    factor's points are the chart homs kept at their lowest chart: a hom of
+    chart 0 always, one of chart j > 0 when ``_lowest_chart`` keeps it at j.
     """
     if B.is_trivial():
         return [SchemePoint(X, B, ())]
-    if X.lat.ncharts > 1 and not is_reduced(B):
-        raise NonReducedAlgebraError(
-            f"cannot enumerate multi-chart points over the non-reduced {B!r}"
-        )
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
     for e, to_factor in atomic_factors(B):
-        options = []
-        for j in range(X.lat.ncharts):
-            for beta in _chart_candidates(X, j, to_factor.target):
-                options.append((e, j, beta))
-        per_atom.append(options)
-    points = []
-    for combo in _iproduct(*per_atom):
-        points.append(SchemePoint(X, B, list(combo)))
-    return points
+        per_atom.append([
+            (e, j, beta)
+            for j, A in enumerate(X.charts)
+            for beta in enumerate_homs(A, to_factor.target)
+            if j == 0 or _lowest_chart(X.lat, j, beta)[0] == j
+        ])
+    return [SchemePoint(X, B, list(combo)) for combo in _iproduct(*per_atom)]
 
 
 def open_at_point(U: CompactOpen, p: SchemePoint) -> ZarElement:
@@ -347,37 +350,6 @@ def membership(U: CompactOpen, p: SchemePoint) -> bool:
 # -- functoriality ----------------------------------------------------------------
 
 
-def _reduce_factor(
-    X: FunctorialScheme, chart: int, hom: AlgebraMorphism
-) -> Tuple[int, AlgebraMorphism]:
-    """Carry a chart hom to the lowest chart containing its point."""
-    Bt = hom.target
-    t_b = top(Bt)
-    j = chart
-    while True:
-        moved = False
-        for i in range(j):
-            u_ji = X.lat.data.overlap(j, i)
-            if not eq(induced_hom(hom, u_ji), t_b):
-                continue
-            for Q in X.lat.data.patches_for(j, i):
-                hom_ext = try_extend(Q.loc_f, hom)
-                if hom_ext is None:
-                    continue
-                hom = Q.chart_bwd.then(hom_ext)
-                j = i
-                moved = True
-                break
-            if moved:
-                break
-            raise NonReducedAlgebraError(
-                "factor algebra is not connected: no single patch carries "
-                "the point"
-            )
-        if not moved:
-            return j, hom
-
-
 def map_point(
     X: FunctorialScheme, p: SchemePoint, chi: AlgebraMorphism
 ) -> SchemePoint:
@@ -387,10 +359,6 @@ def map_point(
         raise ValueError("point does not live over the morphism's source")
     if B2.is_trivial():
         return SchemePoint(X, B2, ())
-    if X.lat.ncharts > 1 and not is_reduced(B2):
-        raise NonReducedAlgebraError(
-            f"cannot push multi-chart points into the non-reduced {B2!r}"
-        )
     factors2 = []
     for e2, to_factor in atomic_factors(B2):
         B2e = to_factor.target
@@ -410,8 +378,7 @@ def map_point(
             for v in phi.images
         ]
         psi = AlgebraMorphism(X.charts[j], B2e, images)
-        j2, psi2 = _reduce_factor(X, j, psi)
-        factors2.append((e2, j2, psi2))
+        factors2.append((e2, *_lowest_chart(X.lat, j, psi)))
     return SchemePoint(X, B2, factors2)
 
 

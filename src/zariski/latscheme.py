@@ -709,13 +709,10 @@ def invertibility_support_scheme(
     return CompactOpen(X, comps)
 
 
-def affine_hull_map(
-    X: LatticeScheme
-) -> Tuple[Callable[[Sequence[GlobalSection]], CompactOpen], Callable[[GlobalSection], GlobalSection]]:
-    """The canonical comparison data from X to the spectrum of its sections:
-    the lattice-side map takes a generator list of global sections to the
-    join of their invertibility supports; the section-side map is the
-    identity on the restriction family."""
+def affine_hull_map(X: LatticeScheme) -> Callable[[Sequence[GlobalSection]], CompactOpen]:
+    """The lattice side of the canonical comparison from X to the spectrum
+    of its sections: a generator list of global sections goes to the join
+    of their invertibility supports (the section side is the identity)."""
     t = top_open(X)
 
     def lattice_side(sections: Sequence[GlobalSection]) -> CompactOpen:
@@ -724,10 +721,7 @@ def affine_hull_map(
             out = out.join(invertibility_support_scheme(X, t, s))
         return out
 
-    def section_side(s: GlobalSection) -> GlobalSection:
-        return s
-
-    return lattice_side, section_side
+    return lattice_side
 
 
 # -- morphisms --------------------------------------------------------------------

@@ -67,6 +67,60 @@ def punctured_plane_count(p):
 
 
 # ---------------------------------------------------------------------------
+# unimodular pairs over small rings with nilpotents, by exhaustive search
+# ---------------------------------------------------------------------------
+
+
+def _nilpotent_ring(p, k, split):
+    """The elements, product and one of R = GF(p)[t]/(t^k), or with ``split``
+    of GF(p)[t,u]/(t^k, u^2 - u): coefficient tuples over the monomials
+    t^i u^j, multiplied term by term with t^k = 0 and u^2 = u."""
+    basis = [(i, j) for j in range(1 + split) for i in range(k)]
+    where = {m: n for n, m in enumerate(basis)}
+
+    def mul(a, b):
+        out = [0] * len(basis)
+        for (i1, j1), c1 in zip(basis, a):
+            for (i2, j2), c2 in zip(basis, b):
+                if c1 and c2 and i1 + i2 < k:
+                    n = where[(i1 + i2, min(j1 + j2, 1))]
+                    out[n] = (out[n] + c1 * c2) % p
+        return tuple(out)
+
+    one = tuple(int(m == (0, 0)) for m in basis)
+    return list(itertools.product(range(p), repeat=len(basis))), mul, one
+
+
+def _unimodular_pairs(p, k, split):
+    """The pairs (a, b) of R (see ``_nilpotent_ring``) with aR + bR = R,
+    each found by a c with 1 - a*c in bR, and the units of R."""
+    ring, mul, one = _nilpotent_ring(p, k, split)
+    multiples = {b: {mul(b, c) for c in ring} for b in ring}
+    rest = {v: tuple((x - y) % p for x, y in zip(one, v)) for v in ring}
+    pairs = [
+        (a, b)
+        for a in ring
+        for b in ring
+        if any(rest[v] in multiples[b] for v in multiples[a])
+    ]
+    units = [a for a in ring if one in multiples[a]]
+    return pairs, units, mul
+
+
+def unimodular_pair_count(p, k, split=False):
+    """Count the points of the punctured plane over R: pairs generating R."""
+    return len(_unimodular_pairs(p, k, split)[0])
+
+
+def unimodular_line_count(p, k, split=False):
+    """Count the points of the projective line over R: unimodular pairs up
+    to scaling by a unit, one orbit per point (R is a finite product of
+    local rings, so every line bundle on Spec R is trivial)."""
+    pairs, units, mul = _unimodular_pairs(p, k, split)
+    return len({frozenset((mul(u, a), mul(u, b)) for u in units) for a, b in pairs})
+
+
+# ---------------------------------------------------------------------------
 # ideal lattices of split semisimple rings, by subset enumeration
 # ---------------------------------------------------------------------------
 
@@ -224,6 +278,20 @@ FROZEN_PRODUCT_COUNTS = {
     ("projective_line", 3, 2): 16,
     ("punctured_plane", 3, 2): 64,
     ("multiplicative_group", 5, 2): 16,
+}
+
+# points over GF(p)[t]/(t^k) and, split True, over GF(2)[t,u]/(t^2, u^2 + u)
+FROZEN_NILPOTENT_COUNTS = {
+    ("projective_line", 2, 2, False): 6,
+    ("projective_line", 2, 3, False): 12,
+    ("projective_line", 3, 2, False): 12,
+    ("projective_line", 3, 3, False): 36,
+    ("projective_line", 2, 2, True): 36,
+    ("punctured_plane", 2, 2, False): 12,
+    ("punctured_plane", 2, 3, False): 48,
+    ("punctured_plane", 3, 2, False): 72,
+    ("punctured_plane", 3, 3, False): 648,
+    ("punctured_plane", 2, 2, True): 144,
 }
 
 # number of radical ideals (= compact opens) of GF(p)^k

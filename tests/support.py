@@ -18,8 +18,9 @@ from zariski.algebra import (
     try_extend,
 )
 from zariski.fields import GF, QQ
-from zariski.funscheme import SchemePoint, _realized, _reduce_factor, realization
+from zariski.funscheme import SchemePoint, _lowest_chart, _realized, realization
 from zariski.latscheme import chart_variable_samples
+from zariski.lattice import eq, induced_hom, top
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
 
@@ -75,6 +76,20 @@ def product_of_points(p: int, k: int) -> PresentedAlgebra:
         for j in range(i + 1, len(gens)):
             rels.append(gens[i] * gens[j])
     return PresentedAlgebra(ring, rels)
+
+
+# GF(p)[t]/(t^k) as (p, k, False), and GF(2)[t,u]/(t^2, u^2 + u), the product of
+# two copies of GF(2)[t]/(t^2), as (2, 2, True): none of them reduced
+NILPOTENT_CASES = [(2, 2, False), (2, 3, False), (3, 2, False), (3, 3, False), (2, 2, True)]
+NILPOTENT_IDS = ["GF2-t2", "GF2-t3", "GF3-t2", "GF3-t3", "GF2-t2xGF2-t2"]
+
+
+def nilpotent_algebra(p, k, split):
+    """GF(p)[t]/(t^k) or, with ``split``, GF(p)[t,u]/(t^k, u^2 - u): the rings
+    whose unimodular pairs ``oracles.unimodular_pair_count`` counts."""
+    ring = PolyRing(GF(p), ["t", "u"][: 1 + split])
+    gens = ring.gens()
+    return PresentedAlgebra(ring, [gens[0] ** k] + [gens[-1] ** 2 - gens[-1]] * split)
 
 
 def random_poly(rng, ring, max_degree=2, max_terms=3, coeff_bound=3):
@@ -316,8 +331,18 @@ def carry_point_in(fun, u, rp):
     for (e, idx, phi) in rp.factors:
         parent, g = pieces[idx]
         hom = make_localization(fun.lat.charts[parent], g).to_loc.then(phi)
-        factors.append((e, *_reduce_factor(fun, parent, hom)))
+        factors.append((e, *_lowest_chart(fun.lat, parent, hom)))
     return SchemePoint(fun, rp.test_algebra, factors)
+
+
+def lowest_chart_by_overlap(X, c, phi):
+    """The lowest chart i <= c whose overlap with chart c, pulled back along
+    the atom's chart map phi, is the top of B_e: the radical-membership
+    criterion, the oracle for ``funscheme._lowest_chart``."""
+    t_b = top(phi.target)
+    return next(
+        (i for i in range(c) if eq(induced_hom(phi, X.data.overlap(c, i)), t_b)), c
+    )
 
 
 def open_to_realization(X, U, V):

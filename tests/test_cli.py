@@ -53,6 +53,7 @@ B_DOUBLE = {
     "vars": ["e"],
     "relations": ["e^2 - e"],
 }
+B_DOUBLE_NILPOTENT = dict(B_DOUBLE, vars=["t", "e"], relations=["t^2", "e^2 - e"])
 
 
 @pytest.fixture()
@@ -65,6 +66,7 @@ def files(tmp_path):
         ("const2.json", CONST2),
         ("badfam.json", BADFAM),
         ("double.json", B_DOUBLE),
+        ("double_nilpotent.json", B_DOUBLE_NILPOTENT),
     ]:
         path = tmp_path / name
         path.write_text(json.dumps(payload))
@@ -419,6 +421,22 @@ def test_locality_check_reports_the_cover(files):
     assert r.output == (
         "local: points over GF(3)[e]/(e^2 + 2*e) are exactly the matching "
         "families along D(e, 2*e + 1)\n"
+    )
+
+
+def test_locality_check_accepts_a_test_algebra_with_nilpotents(files):
+    r = invoke(
+        "locality-check",
+        files["p1.json"],
+        "--test-algebra",
+        files["double_nilpotent.json"],
+        "--pieces",
+        "e,1-e",
+    )
+    assert (r.exit_code, r.output) == (
+        0,
+        "local: points over GF(3)[t, e]/(t^2, e^2 + 2*e) are exactly the matching "
+        "families along D(e, 2*e + 1)\n",
     )
 
 

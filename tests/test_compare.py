@@ -12,11 +12,14 @@ from hypothesis import given, settings
 
 import oracles as O
 from support import (
+    NILPOTENT_CASES,
+    NILPOTENT_IDS,
     as_hom,
     carry_point_in,
     finite_algebras,
     gf3_split,
     morphisms_agree,
+    nilpotent_algebra,
     product_of_points,
     section_value_at_point,
 )
@@ -41,7 +44,6 @@ from zariski.funscheme import (
     atomic_factors,
     eval_points,
     functorial,
-    is_reduced,
     map_point,
     membership,
     multiplicative_group,
@@ -369,8 +371,10 @@ NON_REDUCED_CASES = [
     (affine_line(3), _algebra("GF(3)[t]/(t^2)")),
     (affine_line(2), _algebra("GF(2)[s,t]/(s^2, t^2)")),
     (multiplicative_group(GF(3)).lat, _algebra("GF(3)[t]/(t^2)")),
+    (projective_line(GF(3)), _algebra("GF(3)[t]/(t^2)")),
+    (punctured_plane(GF(2))[0], _algebra("GF(2)[t]/(t^2)")),
 ]
-NON_REDUCED_IDS = ["A1/GF3-t2", "A1/GF2-s2t2", "Gm/GF3-t2"]
+NON_REDUCED_IDS = ["A1/GF3-t2", "A1/GF2-s2t2", "Gm/GF3-t2", "P1/GF3-t2", "PP/GF2-t2"]
 FINGERPRINT_CASES = REDUCED_CASES + NON_REDUCED_CASES
 FINGERPRINT_IDS = REDUCED_IDS + NON_REDUCED_IDS
 
@@ -517,6 +521,19 @@ def test_comparison_over_a_non_reduced_algebra_compares_no_pairs(monkeypatch):
     assert len(calls) == len(set(calls)) == 9
 
 
+@pytest.mark.parametrize("p, k, split", NILPOTENT_CASES, ids=NILPOTENT_IDS)
+def test_glued_schemes_compare_over_algebras_with_nilpotents(p, k, split):
+    B = nilpotent_algebra(p, k, split)
+    chi = morphism(PresentedAlgebra(PolyRing(GF(p), [])), B, [])
+    for name, X in (
+        ("projective_line", projective_line(GF(p))),
+        ("punctured_plane", punctured_plane(GF(p))[0]),
+    ):
+        count = O.FROZEN_NILPOTENT_COUNTS[(name, p, k, split)]
+        ok, report = comparison_check(X, [B], morphisms=[chi], expected_counts=[count])
+        assert ok, report
+
+
 def test_comparison_over_a_thick_point_verifies_every_point():
     ok, report = comparison_check(affine_line(5), [_algebra("GF(5)[t]/(t^3)")])
     assert ok, report
@@ -532,8 +549,7 @@ def test_fingerprints_decide_agreement_over_random_finite_algebras(B):
     compares every pair of points."""
     F, size = B.field, len(B.enumerate_elements())
     schemes = [affine_line(F.char), multiplicative_group(F).lat]
-    if is_reduced(B):
-        schemes += [projective_line(F)] * (size <= 9) + [punctured_plane(F)[0]] * (size <= 5)
+    schemes += [projective_line(F)] * (size <= 9) + [punctured_plane(F)[0]] * (size <= 5)
     for X in schemes:
         _assert_the_table_matches_the_generic_checkers(X, eval_points(functorial(X), B))
         ok, report = comparison_check(X, [B])

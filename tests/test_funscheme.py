@@ -1,16 +1,21 @@
 """Schemes as functors on test algebras: points, covers, locality, gluing."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 import oracles as O
-import itertools
-
 from support import (
+    NILPOTENT_CASES,
+    NILPOTENT_IDS,
     as_hom,
     atoms_by_search,
     finite_algebras,
     gf3_split,
+    lowest_chart_by_overlap,
+    nilpotent_algebra,
     open_to_realization,
     product_of_points,
     qq_xy,
@@ -26,7 +31,6 @@ from zariski.algebra import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
-    NonReducedAlgebraError,
     affine_line,
     affine_plane,
     check_locality,
@@ -138,17 +142,41 @@ def test_representable_points_are_exactly_the_algebra_maps():
                 assert as_hom(map_point(X, p, chi)) == as_hom(p).then(chi)
 
 
-# -- reducedness guard ------------------------------------------------------------
+# -- test algebras with nilpotents -------------------------------------------------
+
+@pytest.mark.parametrize("p, k, split", NILPOTENT_CASES, ids=NILPOTENT_IDS)
+def test_glued_schemes_count_their_points_over_algebras_with_nilpotents(p, k, split):
+    """P^1 and the punctured plane over B count the unimodular pairs of B,
+    up to units for P^1; the points over GF(p) push into B among them."""
+    B = nilpotent_algebra(p, k, split)
+    assert not is_reduced(B)
+    chi = morphism(_field_algebra(p), B, [])
+    for name, X in zip(("projective_line", "punctured_plane"), _glued(p)):
+        fun = functorial(X)
+        pts = eval_points(fun, B)
+        assert len(pts) == len(set(pts)) == O.FROZEN_NILPOTENT_COUNTS[(name, p, k, split)]
+        assert {map_point(fun, q, chi) for q in eval_points(fun, chi.source)} <= set(pts)
 
 
-def test_points_of_glued_schemes_require_reduced_test_algebras(punctured3):
-    ring_eps, rels_eps = parse_ring("GF(3)[t]/(t^2)")
-    EPS = PresentedAlgebra(ring_eps, rels_eps)
-    assert not is_reduced(EPS)
-    with pytest.raises(NonReducedAlgebraError):
-        eval_points(punctured3, EPS)
-    # representable functors accept any test algebra
-    assert len(eval_points(affine_line(GF(3)), EPS)) == 9
+@settings(max_examples=15)
+@given(finite_algebras(max_size=27))
+def test_the_lowest_chart_is_the_one_the_overlaps_pick(B):
+    """Over each local factor of B, a chart hom's lowest chart is the first
+    whose pulled-back overlap is the top (``lowest_chart_by_overlap``), and
+    the map it comes with is an algebra map from that chart."""
+    factors = [to_factor.target for _, to_factor in atomic_factors(B)]
+    for X in _glued(B.field.char):
+        for c, A in enumerate(X.charts):
+            for Bt in factors:
+                for phi in enumerate_homs(A, Bt):
+                    j, m = funscheme._lowest_chart(X, c, phi)
+                    assert j == lowest_chart_by_overlap(X, c, phi), phi
+                    assert m.source == X.charts[j] and m.is_valid()
+
+
+@functools.lru_cache(maxsize=None)
+def _glued(p):
+    return projective_line(GF(p)), punctured_plane(GF(p))[0]
 
 
 def test_reducedness_detection():
@@ -179,7 +207,7 @@ def test_reducedness_needs_a_finite_field():
         is_reduced(qq_xy())
 
 
-def test_map_point_decides_reducedness_once_per_algebra(monkeypatch, punctured3):
+def test_map_point_splits_each_algebra_once(monkeypatch, punctured3):
     built = []
     inner = funscheme._frobenius
 
@@ -191,16 +219,17 @@ def test_map_point_decides_reducedness_once_per_algebra(monkeypatch, punctured3)
     B = gf3_split()
     e = B.var(0)
     assert check_locality(punctured3, B, [e, B.one - e])
-    # B and its two localizations, each once for reducedness and once for
-    # its atoms, not once per pushed point
-    assert len(built) <= 6
-    # a remembered "not reduced" still refuses every push
-    ring_eps, rels_eps = parse_ring("GF(3)[t]/(t^2)")
-    EPS = PresentedAlgebra(ring_eps, rels_eps)
-    p = eval_points(punctured3, F3)[0]
-    for _ in range(2):
-        with pytest.raises(NonReducedAlgebraError, match="non-reduced"):
-            map_point(punctured3, p, morphism(F3, EPS, []))
+    # B and its two localizations, each once for its atoms, not once per
+    # pushed point: no push decides reducedness
+    assert len(built) == 3
+    EPS = _parsed("GF(3)[t]/(t^2)")
+    chi = morphism(F3, EPS, [])
+    source = eval_points(punctured3, F3)
+    pushed = [map_point(punctured3, p, chi) for p in source]
+    assert pushed == [map_point(punctured3, p, chi) for p in source]
+    assert set(pushed) <= set(eval_points(punctured3, EPS))
+    # one matrix for EPS too, however many points are pushed into it
+    assert built.count(EPS) == 1
 
 
 # -- idempotent decomposition --------------------------------------------------------

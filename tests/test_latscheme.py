@@ -291,7 +291,7 @@ def test_affine_hull_identifies_jointly_covering_sections(punctured):
             [make_localization(C1, C1.one).to_loc(C1.var(1))],
         ]
     )
-    eta_star, _ = affine_hull_map(PP)
+    eta_star = affine_hull_map(PP)
     assert eta_star([G.one]).eq(top_open(PP))
     assert eta_star([sec_x, sec_y]).eq(top_open(PP))
     # downstairs the corresponding opens stay distinct

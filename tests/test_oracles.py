@@ -35,6 +35,24 @@ def test_product_counts_multiply_factor_counts():
         assert expected == O.FROZEN_POINT_COUNTS[(name, p)] ** k
 
 
+def test_unimodular_pairs_by_exhaustive_search():
+    # over GF(p) they are the nonzero pairs and, up to scaling, the lines
+    for p in (2, 3):
+        assert O.unimodular_pair_count(p, 1) == O.punctured_plane_count(p)
+        assert O.unimodular_line_count(p, 1) == O.projective_line_count(p)
+    for (name, p, k, split), expected in O.FROZEN_NILPOTENT_COUNTS.items():
+        count = O.unimodular_line_count if name == "projective_line" else O.unimodular_pair_count
+        assert count(p, k, split) == expected, (name, p, k, split)
+        # over the local R = GF(p)[t]/(t^k) a pair is unimodular when its
+        # residue pair over GF(p) is nonzero, and each coordinate has
+        # p**(k-1) lifts; the (p - 1) * p**(k-1) units act freely, which
+        # leaves (p + 1) * p**(k-1) lines.  The split ring is R x R, whose
+        # counts are squares.
+        lifts = p ** (2 * (k - 1))
+        local = (p * p - 1) * lifts if name == "punctured_plane" else (p + 1) * p ** (k - 1)
+        assert expected == (local**2 if split else local)
+
+
 def test_ideal_lattice_sizes_by_subset_enumeration():
     for (p, k), expected in O.FROZEN_IDEAL_COUNTS.items():
         assert O.ideal_count_product_ring(p, k) == expected

@@ -1,4 +1,5 @@
-"""The command-line parsing of ``tools/bench_pairs.py``; no benchmark runs."""
+"""The command-line parsing and output lines of ``tools/bench_pairs.py``; no
+benchmark runs."""
 
 import importlib.util
 import os
@@ -42,3 +43,12 @@ def test_bad_arguments_exit_with_usage(argv, capsys):
         bench_pairs.parse_args(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_a_seed_line_shows_throughput_and_both_latencies():
+    par = {"ops_per_s": 934.25, "latency_p50_ms": 0.2097, "latency_p95_ms": 4.4, "setup_s": 1.0}
+    chg = {"ops_per_s": 951.0, "latency_p50_ms": 0.19714, "latency_p95_ms": 4.35, "setup_s": 1.0}
+    assert bench_pairs.seed_line("points_compare", 8101, par, chg) == (
+        "points_compare seed 8101: ops_per_s 934.2 -> 951, "
+        "latency_p50_ms 0.2097 -> 0.1971, latency_p95_ms 4.4 -> 4.35"
+    )

@@ -66,15 +66,21 @@ def parse_args(argv=None):
     return args
 
 
+def seed_line(workload, seed, par, chg):
+    """One pair's throughput and latencies, parent -> change."""
+    return f"{workload} seed {seed}: " + ", ".join(
+        f"{name} {par[name]:.4g} -> {chg[name]:.4g}"
+        for name in ("ops_per_s", "latency_p50_ms", "latency_p95_ms")
+    )
+
+
 def compare_workload(args, workload, better, bound):
     sides = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             sides[side].append(run(getattr(args, side), workload, seed, args.seconds))
-        par, chg = sides["parent"][-1], sides["change"][-1]
-        print(f"{workload} seed {seed}: ops_per_s {par['ops_per_s']:.4g} -> "
-              f"{chg['ops_per_s']:.4g}", flush=True)
+        print(seed_line(workload, seed, sides["parent"][-1], sides["change"][-1]), flush=True)
     print(f"{workload}, {len(args.seeds)} pairs: median [quartiles], parent -> change, wins")
     for name, way in better.items():
         par = [r[name] for r in sides["parent"]]
