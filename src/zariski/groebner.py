@@ -6,6 +6,9 @@ come with checkable certificates: ``member(f)`` returns cofactors ``c`` with
 ``f == sum(c[j] * gens[j])``.  Pair elimination follows Gebauer-Moller;
 bases are returned monic, fully inter-reduced, and sorted by leading
 monomial, which makes them canonical for the chosen order.
+
+Each entry of a cofactor row, each S-polynomial and each certificate check
+is one ``polynomials._dot``: a sum of products in one integer dict.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import gcd
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomials import Monomial, Poly, PolyRing, _integer_terms
+from .polynomials import Monomial, Poly, PolyRing, _dot, _integer_terms
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -121,8 +124,19 @@ def normal_form(f: Poly, basis: Sequence[Poly]) -> Poly:
     return divide(f, basis, want_quotients=False)[1]
 
 
+def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
+    """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry."""
+    return [_dot(ring, [(c, row[j]) for c, row in terms]) for j in range(width)]
+
+
 class _Engine:
-    """Buchberger loop over one generator list; rows track cofactors."""
+    """Buchberger loop over one generator list; rows track cofactors.
+
+    An element enters as the remainder ``h`` of ``sum(c * f)`` over its
+    heads (a generator, or the S-pair ``ti*G[i] - tj*G[j]``) with quotients
+    ``q``; its row is ``(sum(c * row(f)) - sum(q[k] * rows[k])) / lc(h)``,
+    the scalar applied to the multipliers rather than to the row.
+    """
 
     def __init__(self, gens: Sequence[Poly], ring: PolyRing, want_cofactors: bool):
         self.ring = ring
@@ -137,39 +151,39 @@ class _Engine:
         self.found_unit = False
 
     def _unit_vector(self, i: int) -> List[Poly]:
-        return [
-            self.ring.one if j == i else self.ring.zero
-            for j in range(len(self.gens))
-        ]
+        row = [self.ring.zero] * len(self.gens)
+        row[i] = self.ring.one
+        return row
 
-    def _combine(self, base: List[Poly], quots: Sequence[Poly]) -> List[Poly]:
-        out = list(base)
-        for q, row in zip(quots, self.rows):
-            if q.is_zero():
-                continue
-            out = [a - q * b for a, b in zip(out, row)]
-        return out
+    def _combine(self, heads: list, quots: Sequence[Poly], rows: list, k) -> List[Poly]:
+        """The row ``k * (sum(c * row for c, row in heads) - sum(q[i] * rows[i]))``."""
+        terms = heads + [(-q, row) for q, row in zip(quots, rows) if q.terms]
+        if len(terms) == 1 and terms[0][0].is_constant():  # one constant: scale its row
+            return [r.scale(k * terms[0][0].constant_value()) for r in terms[0][1]]
+        if k != 1:
+            terms = [(c.scale(k), row) for c, row in terms]
+        return _row_sum(self.ring, len(self.gens), terms)
 
-    def _insert(self, h: Poly, row: Optional[List[Poly]], stop_at_unit: bool) -> bool:
-        """Monic-normalize, check for a constant, add with pair update.
+    def _insert(self, h: Poly, heads: list, quots: Optional[list], stop_at_unit: bool) -> bool:
+        """Monic-normalize ``h`` and its row, check for a constant, add with
+        pair update.
 
         Returns True when a unit certificate was found and we should stop.
         """
         c = h.lead_coeff()
-        if c != self.fld.one:
-            inv = self.fld.inv(c)
-            h = h.scale(inv)
-            if row is not None:
-                row = [r.scale(inv) for r in row]
+        k = self.fld.one
+        if c != k:
+            k = self.fld.inv(c)
+            h = h.scale(k)
+        row = self._combine(heads, quots, self.rows, k) if self.want else []
         if h.is_constant():
             self.found_unit = True
-            if row is not None:
-                self.unit_row = row
+            self.unit_row = row
             if stop_at_unit:
                 return True
         self._update_pairs(h)
         self.G.append(h)
-        self.rows.append(row if row is not None else [])
+        self.rows.append(row)
         return False
 
     def _update_pairs(self, h: Poly):
@@ -215,10 +229,8 @@ class _Engine:
             quots, r = divide(g, self.G, want_quotients=self.want)
             if r.is_zero():
                 continue
-            row = None
-            if self.want:
-                row = self._combine(self._unit_vector(i), quots)
-            if self._insert(r, row, stop_at_unit):
+            heads = [(self.ring.one, self._unit_vector(i))] if self.want else []
+            if self._insert(r, heads, quots, stop_at_unit):
                 return
         while self.pairs:
             # the first pair with the least lcm
@@ -226,16 +238,12 @@ class _Engine:
             _, l, i, j = self.pairs.pop(best)
             fi, fj = self.G[i], self.G[j]
             ti = Poly(self.ring, {_mono_sub(l, fi.lead_monomial()): self.fld.one})
-            tj = Poly(self.ring, {_mono_sub(l, fj.lead_monomial()): self.fld.one})
-            s = ti * fi - tj * fj
+            tj = -Poly(self.ring, {_mono_sub(l, fj.lead_monomial()): self.fld.one})
+            s = _dot(self.ring, [(ti, fi), (tj, fj)])
             quots, r = divide(s, self.G, want_quotients=self.want)
             if r.is_zero():
                 continue
-            row = None
-            if self.want:
-                srow = [ti * a - tj * b for a, b in zip(self.rows[i], self.rows[j])]
-                row = self._combine(srow, quots)
-            if self._insert(r, row, stop_at_unit):
+            if self._insert(r, [(ti, self.rows[i]), (tj, self.rows[j])], quots, stop_at_unit):
                 return
 
     def reduced(self) -> Tuple[Tuple[Poly, ...], Tuple[Tuple[Poly, ...], ...]]:
@@ -252,14 +260,10 @@ class _Engine:
         for pos in range(len(basis)):
             others = basis[:pos] + basis[pos + 1 :]
             quots, r = divide(basis[pos], others, want_quotients=self.want)
-            if self.want and quots is not None:
-                row = rows[pos]
+            if self.want and any(q.terms for q in quots):
+                heads = [(self.ring.one, rows[pos])]
                 other_rows = rows[:pos] + rows[pos + 1 :]
-                for q, orow in zip(quots, other_rows):
-                    if q.is_zero():
-                        continue
-                    row = [a - q * b for a, b in zip(row, orow)]
-                rows[pos] = row
+                rows[pos] = self._combine(heads, quots, other_rows, self.fld.one)
             basis[pos] = r
         return tuple(basis), tuple(tuple(rw) for rw in rows)
 
@@ -315,13 +319,9 @@ class GroebnerBasis:
         quots, r = divide(f, self.basis)
         if not r.is_zero():
             return None
-        out = [self.ring.zero] * len(self.gens)
         assert quots is not None
-        for q, row in zip(quots, self.cofactors):
-            if q.is_zero():
-                continue
-            out = [a + q * b for a, b in zip(out, row)]
-        return out
+        terms = [(q, row) for q, row in zip(quots, self.cofactors) if q.terms]
+        return _row_sum(self.ring, len(self.gens), terms)
 
 
 def groebner(gens: Sequence[Poly], ring: PolyRing) -> GroebnerBasis:
@@ -348,9 +348,6 @@ def unit_ideal_certificate(
         return None
     row = engine.unit_row
     assert row is not None
-    combo = ring.zero
-    for c, g in zip(row, gens):
-        combo = combo + c * g
-    value = combo.constant_value()
+    value = _dot(ring, zip(row, gens)).constant_value()
     inv = ring.field.inv(value)
     return [c.scale(inv) for c in row]

@@ -360,30 +360,46 @@ class Poly:
             return NotImplemented
         p = self.ring.field.char
         if p:
-            acc = _int_product(self.terms.items(), other.terms.items())
+            acc = _int_product({}, self.terms.items(), other.terms.items())
             return Poly(self.ring, {m: r for m, c in acc.items() if (r := c % p)})
         da, a = _integer_terms(self.terms)
         db, b = _integer_terms(other.terms)
         d = da * db
-        acc = _int_product(a, b)
+        acc = _int_product({}, a, b)
         return Poly(self.ring, {m: Fraction(c, d) for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """``self**n`` by repeated multiplication by the base, which for
+        dense multivariate powers beats squaring (Fateman, *Stud. Appl.
+        Math.* 1974).  The base's integer terms are taken once and the
+        running product stays on ints: reduced mod p at each step over
+        GF(p), divided by ``d**n`` only at the end over QQ.  A monomial is
+        raised directly."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return self.ring.one
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if n == 1:
+            return self
+        p = self.ring.field.char
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Poly(self.ring, {tuple(e * n for e in m): pow(c, n, p) if p else c**n})
+        if p:
+            base = list(self.terms.items())
+            acc = self.terms
+            for _ in range(n - 1):
+                acc = _int_product({}, acc.items(), base)
+                acc = {m: r for m, c in acc.items() if (r := c % p)}
+            return Poly(self.ring, acc)
+        d, base = _integer_terms(self.terms)
+        acc = dict(base)
+        for _ in range(n - 1):
+            acc = _int_product({}, acc.items(), base)
+        d **= n
+        return Poly(self.ring, {m: Fraction(c, d) for m, c in acc.items() if c})
 
     def scale(self, c: Scalar) -> "Poly":
         if not c:
@@ -513,13 +529,40 @@ def _integer_terms(a: Dict) -> Tuple[int, list]:
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in a.items()]
 
 
-def _int_product(a: Iterable, b: Iterable) -> Dict[Monomial, int]:
-    """Unreduced products of two term lists, summed per monomial."""
+def _int_product(acc: Dict[Monomial, int], a: Iterable, b: Iterable) -> Dict[Monomial, int]:
+    """``acc`` plus the unreduced products of two term lists, per monomial."""
     b = list(b)
-    acc: Dict[Monomial, int] = {}
     get = acc.get
     for m1, c1 in a:
         for m2, c2 in b:
             m = tuple(map(add, m1, m2))
             acc[m] = get(m, 0) + c1 * c2
     return acc
+
+
+def _dot(ring: PolyRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """``sum(l * r for l, r in pairs)`` summed in one integer dict; the
+    kernel behind every cofactor row.
+
+    Over GF(p) each result term is reduced once.  Over QQ each product's
+    integer form ``(a * b) / (dl * dr)`` is scaled to one common
+    denominator ``d``, the lcm of the ``dl * dr``, and each result term
+    becomes one ``Fraction(c, d)``.  No pairs give the ring's zero.
+    """
+    acc: Dict[Monomial, int] = {}
+    p = ring.field.char
+    if p:
+        for l, r in pairs:
+            _int_product(acc, l.terms.items(), r.terms.items())
+        return Poly(ring, {m: v for m, c in acc.items() if (v := c % p)})
+    forms = []
+    for l, r in pairs:
+        if l.terms and r.terms:
+            dl, a = _integer_terms(l.terms)
+            dr, b = _integer_terms(r.terms)
+            forms.append((dl * dr, a, b))
+    d = lcm(*[f[0] for f in forms])
+    for dp, a, b in forms:
+        s = d // dp
+        _int_product(acc, [(m, c * s) for m, c in a] if s != 1 else a, b)
+    return Poly(ring, {m: Fraction(c, d) for m, c in acc.items() if c})

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from support import fraction_divide, monic, random_poly
+from test_kernel_vs_sympy import _assert_clean
 from zariski.fields import GF, QQ
 from zariski.groebner import (
     GroebnerBasis,
@@ -88,6 +89,31 @@ def test_unit_certificates_reevaluate_exactly():
     assert ideal_contains_one(gens, ring)
     assert not ideal_contains_one([x], ring)
     assert unit_ideal_certificate([x], ring) is None
+
+
+def test_rational_generators_give_exact_normalized_certificates():
+    """Generators with fractional coefficients: every cofactor row, member
+    row and unit certificate re-evaluates exactly, and each of their
+    coefficients is a normalized nonzero ``Fraction``."""
+    ring, _ = parse_ring("QQ[x,y,z]")
+    x, y, z = ring.gens()
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    gens = [x**2 * y.scale(half) - z.scale(third), y**2 - x.scale(Fraction(5, 7)) * z, x * z - 3]
+
+    def value(row, gens=gens):
+        for c in row:
+            _assert_clean(c)
+        return sum((c * g for c, g in zip(row, gens)), ring.zero)
+
+    gb = GroebnerBasis(ring, gens)
+    for b, row in zip(gb.basis, gb.cofactors):
+        _assert_clean(b)
+        assert value(row) == b
+    for f in (gens[0] * z.scale(third) + gens[2] * y**2, gb.basis[-1] * (x + ring.const(half))):
+        assert value(gb.member(f)) == f
+    wider = gens + [x.scale(half) - 1, z - ring.const(third)]
+    cert = unit_ideal_certificate(wider, ring)
+    assert cert is not None and value(cert, wider) == ring.one
 
 
 def test_division_identity_and_irreducible_remainder():

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from support import monic, random_poly
+from zariski import polynomials
 from zariski.fields import GF, QQ
-from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
+from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, poly_sort_key
 
 
 def ring_qq_xy(order="grevlex"):
@@ -179,6 +181,91 @@ def test_power_is_iterated_product(seed):
         assert f**n == prod
         prod = prod * f
     assert f**1 is f
+
+
+def test_a_monomial_power_makes_no_product(monkeypatch):
+    """A one-term base is raised directly: exponents times n and one
+    coefficient power, where repeated multiplication would take n - 1
+    products."""
+    calls = []
+    product = polynomials._int_product
+    monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
+    f = ring_qq_xy().from_terms({(3, 1): Fraction(-2, 3)})
+    assert f**100000 == Poly(f.ring, {(300000, 100000): Fraction(2**100000, 3**100000)})
+    u = PolyRing(GF(7), ["u"]).var(0).scale(3)
+    assert (u**100000).terms == {(100000,): pow(3, 100000, 7)}
+    assert calls == []
+    x, y = f.ring.gens()
+    assert (x + y) ** 2 == x * x + 2 * x * y + y * y and calls
+
+
+@st.composite
+def _field_and_terms(draw):
+    char = draw(st.sampled_from([0, 2, 3, 7, 32003]))
+    nvars = draw(st.integers(0, 3))
+    if char:
+        coeff = st.integers(1, char - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    monos = st.tuples(*[st.integers(0, 2)] * nvars)
+    return char, nvars, draw(st.dictionaries(monos, coeff, max_size=4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_field_and_terms(), st.integers(0, 25))
+@example((0, 3, {(1, 0, 2): Fraction(-3, 4), (0, 1, 0): Fraction(5, 6), (0, 0, 0): Fraction(1, 9)}), 25)
+@example((0, 2, {(2, 1): Fraction(7, 2), (0, 2): Fraction(-1, 3)}), 22)
+@example((2, 3, {(1, 0, 0): 1, (0, 1, 1): 1, (0, 0, 0): 1}), 25)
+@example((3, 2, {(1, 1): 2, (0, 2): 1}), 24)
+@example((32003, 3, {(2, 0, 1): 31000, (0, 1, 0): 5, (0, 0, 2): 17}), 21)
+@example((7, 0, {(): 3}), 25)
+@example((0, 1, {}), 0)
+def test_power_matches_sympy(case, n):
+    """``f**n`` against sympy's power over QQ and GF(p), in 0 to 3
+    variables, for the zero polynomial, constants, monomials and sums."""
+    char, nvars, terms = case
+    R = PolyRing(GF(char) if char else QQ, [f"x{i}" for i in range(nvars)])
+    f = R.from_terms(terms)
+    ours = f**n
+    # sympy's sparse ring powers by the multinomial expansion; it needs a
+    # generator, so a variable-free polynomial gets a dummy one
+    domain = sympy.GF(char) if char else sympy.QQ
+    S = sympy.polys.rings.ring(",".join(R.names) or "t", domain)[0]
+    pad = () if nvars else (0,)
+    P = S.from_dict({m + pad: domain.convert(sympy.Rational(c)) for m, c in f.terms.items()})
+    expected = {}
+    for m, c in (P**n if n else S.one).items():  # sympy refuses 0**0
+        c = int(c) % char if char else Fraction(int(c.numerator), int(c.denominator))
+        if c:
+            expected[m[:nvars]] = c
+    assert ours.terms == expected
+    for c in ours.terms.values():
+        assert type(c) is (int if char else Fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 2, 32003]), st.data())
+def test_dot_is_the_left_fold_of_products(char, data):
+    """``_dot`` equals ``sum(l * r)`` folded pair by pair, for zero
+    entries, operands over unequal denominators and the empty list."""
+    R = PolyRing(GF(char) if char else QQ, ["x", "y"])
+    if char:
+        coeff = st.integers(0, char - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 9, 35]))
+    poly = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeff, max_size=4)
+    pairs = [
+        (R.from_terms(data.draw(poly)), R.from_terms(data.draw(poly)))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    fold = R.zero
+    for l, r in pairs:
+        fold = fold + l * r
+    got = _dot(R, pairs)
+    assert got.terms == fold.terms and got.ring is R
+    for c in got.terms.values():
+        assert c and (0 < c < char if char else type(c) is Fraction)
+    assert _dot(R, []) == R.zero
 
 
 def test_polynomials_are_immutable_and_hashable():
