@@ -10,7 +10,7 @@ extensional comparison between the two sides on desk-scale fixtures.
 from .fields import GF, QQ, Field
 from .polynomials import MonomialOrder, Poly, PolyRing
 from .parsing import parse_field, parse_poly, parse_ring
-from .groebner import GroebnerBasis, groebner
+from .groebner import GroebnerBasis
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,

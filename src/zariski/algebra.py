@@ -138,9 +138,6 @@ class PresentedAlgebra:
     def var(self, i: int) -> "AlgebraElement":
         return self.element(self.ring.var(i))
 
-    def var_named(self, name: str) -> "AlgebraElement":
-        return self.element(self.ring.var_named(name))
-
     def gens(self) -> Tuple["AlgebraElement", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
 
@@ -558,7 +555,7 @@ class Localization:
     def inverse(self) -> AlgebraElement:
         return self.algebra.var(self.inv_index)
 
-    def fraction(self, numerator: AlgebraElement, power: int = 0) -> AlgebraElement:
+    def fraction(self, numerator: AlgebraElement, power: int) -> AlgebraElement:
         """The element numerator / denominator**power of the localization."""
         return self.to_loc(numerator) * self.inverse ** power
 

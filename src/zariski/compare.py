@@ -228,7 +228,7 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
         if i == j:
             return f"unexpected sibling patch inside chart {i} of the realized top"
         fwd_i, back_i = isos[q.i]
-        fwd_j, back_j = isos[q.j]
+        back_j = isos[q.j][1]
         f_orig = back_i(q.f)
         g_orig = back_j(q.g)
         matched = False
@@ -400,7 +400,7 @@ def comparison_check(
         ok = ok and valid and roundtrip and distinct
     natural = True
     for chi in morphisms:
-        B, B2 = chi.source, chi.target
+        B = chi.source
         if B not in points_by_algebra:
             points_by_algebra[B] = eval_points(fun, B)
         for p in points_by_algebra[B]:

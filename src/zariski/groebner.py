@@ -120,10 +120,6 @@ def divide(
     return quots, Poly(ring, rem)
 
 
-def normal_form(f: Poly, basis: Sequence[Poly]) -> Poly:
-    return divide(f, basis, want_quotients=False)[1]
-
-
 def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
     """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry."""
     return [_dot(ring, [(c, row[j]) for c, row in terms]) for j in range(width)]
@@ -192,17 +188,14 @@ class _Engine:
         h_lm = h.lead_monomial()
         h_idx = len(G)
         lcms = [_mono_lcm(h_lm, g.lead_monomial()) for g in G]
-        candidates = list(range(len(G)))
         kept: List[int] = []
-        while candidates:
-            i = candidates.pop(0)
-            li = lcms[i]
+        for i, li in enumerate(lcms):
             if _coprime(h_lm, G[i].lead_monomial()):
                 kept.append(i)
                 continue
-            dominated = any(_divides(lcms[j], li) for j in candidates) or any(
-                _divides(lcms[j], li) for j in kept
-            )
+            dominated = any(
+                _divides(lcms[j], li) for j in range(i + 1, len(G))
+            ) or any(_divides(lcms[j], li) for j in kept)
             if not dominated:
                 kept.append(i)
         key = self.ring.monomial_key
@@ -322,10 +315,6 @@ class GroebnerBasis:
         assert quots is not None
         terms = [(q, row) for q, row in zip(quots, self.cofactors) if q.terms]
         return _row_sum(self.ring, len(self.gens), terms)
-
-
-def groebner(gens: Sequence[Poly], ring: PolyRing) -> GroebnerBasis:
-    return GroebnerBasis(ring, gens)
 
 
 def ideal_contains_one(gens: Sequence[Poly], ring: PolyRing) -> bool:

@@ -232,11 +232,8 @@ class GluingData:
 
     def _check_patch_agreement(self, P: Patch, Q: Patch):
         """Two patches over one chart pair must agree where both transport."""
-        Aj = self.charts[P.j]
-        t_pq = extract_fraction(P.loc_g, P.fwd(P.loc_f.to_loc(Q.f)))[0]
-        t_qp = extract_fraction(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.f)))[0]
-        s = P.g * Q.g * t_pq * t_qp
-        loc_s = make_localization(Aj, s)
+        s = transport_piece(P, Q.f) * transport_piece(Q, P.f)
+        loc_s = make_localization(self.charts[P.j], s)
         if loc_s.algebra.is_trivial():
             return
         via_p = restriction_map(P.loc_g, loc_s)
@@ -258,20 +255,19 @@ class GluingData:
         Ak = self.charts[Q.j]
         # region on chart i where both hops are defined, pushed to chart k
         r = extract_fraction(P.loc_f, P.bwd(P.loc_g.to_loc(Q.f)))[0]
-        n_r = extract_fraction(P.loc_g, P.fwd(P.loc_f.to_loc(r)))[0]
-        b = extract_fraction(Q.loc_g, Q.fwd(Q.loc_f.to_loc(P.g * n_r)))[0]
-        via_region = basic_open(Ak, [Q.g * b])
+        n = transport_piece(Q, transport_piece(P, r))
+        via_region = basic_open(Ak, [n])
         direct = self.patches_for(P.i, Q.j)
         u_ki = basic_open(Ak, [R.g for R in direct])
         if not leq(via_region, u_ki):
             raise GluingError(
                 f"cocycle violation: the composite image of charts "
-                f"({P.i},{P.j},{Q.j}) reaches D({Q.g * b}), outside the "
+                f"({P.i},{P.j},{Q.j}) reaches D({n}), outside the "
                 f"recorded overlap with chart {P.i}"
             )
         psi2 = Q.loc_f.to_loc.then(Q.fwd)  # A_j -> (A_k)_{g_Q}
         for R in direct:
-            s = Q.g * b * R.g
+            s = n * R.g
             loc_s = make_localization(Ak, s)
             if loc_s.algebra.is_trivial():
                 continue
@@ -460,7 +456,7 @@ class GlobalSection:
     generator of ``domain.components[i]``.
     """
 
-    __slots__ = ("scheme", "domain", "values", "_hash")
+    __slots__ = ("scheme", "domain", "values")
 
     def __init__(
         self,
@@ -486,7 +482,6 @@ class GlobalSection:
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GlobalSection is immutable")
@@ -495,29 +490,6 @@ class GlobalSection:
         g = self.domain.components[i].generators[k]
         loc = make_localization(self.scheme.charts[i], g)
         return BasicOpenSection(loc, self.values[i][k])
-
-    def pieces(self) -> List[Tuple[int, AlgebraElement, BasicOpenSection]]:
-        out = []
-        for i, w in enumerate(self.domain.components):
-            for k, g in enumerate(w.generators):
-                out.append((i, g, self.piece(i, k)))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, GlobalSection):
-            return NotImplemented
-        return (
-            self.scheme is other.scheme
-            and self.domain == other.domain
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.scheme), self.domain, self.values))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         rows = "; ".join(
@@ -544,17 +516,16 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
     for p in X.data.patches:
         if p.i > p.j:
             continue
-        Ai, Aj = X.charts[p.i], X.charts[p.j]
+        back = p.mirror()
         for k, gk in enumerate(s.domain.components[p.i].generators):
             for l, gl in enumerate(s.domain.components[p.j].generators):
-                r = extract_fraction(p.loc_f, p.bwd(p.loc_g.to_loc(gl)))[0]
-                m = gk * p.f * r
-                loc_m = make_localization(Ai, m)
+                m = gk * transport_piece(back, gl)
+                loc_m = make_localization(X.charts[p.i], m)
                 if loc_m.algebra.is_trivial():
                     continue
                 a_side = restrict(s.piece(p.i, k), m)
                 carry = p.chart_bwd.then(restriction_map(p.loc_f, loc_m))
-                loc_gl = make_localization(Aj, gl)
+                loc_gl = make_localization(X.charts[p.j], gl)
                 carry_loc = extend_over(loc_gl, carry)
                 b_side = BasicOpenSection(loc_m, carry_loc(s.values[p.j][l]))
                 if not section_equal(a_side, b_side):
@@ -945,7 +916,6 @@ def verify_affine_certificate(
         or from_affine.target is not X
     ):
         return False
-    SpA2 = from_affine.source
     # lattice roundtrip on the affine side
     for idx in range(A.nvars + 1):
         w = top(A) if idx == A.nvars else basic_open(A, [A.var(idx)])
@@ -1116,55 +1086,25 @@ def restrict_scheme(
             ia, ga, loca = pieces[a]
             ib, gb, locb = pieces[b]
             if ia == ib:
-                f_new = loca.to_loc(gb)
-                g_new = locb.to_loc(ga)
+                f_new, g_new = loca.to_loc(gb), locb.to_loc(ga)
                 lf = make_localization(charts[a], f_new)
                 lg = make_localization(charts[b], g_new)
-                base_fwd = locb.to_loc.then(lg.to_loc)  # A_i -> (C_b)_{g_new}
-                fwd_base = extend_over(loca, base_fwd)
-                base_bwd = loca.to_loc.then(lf.to_loc)
-                bwd_base = extend_over(locb, base_bwd)
-                patches.append(
-                    Patch(
-                        a,
-                        b,
-                        lf,
-                        lg,
-                        extend_over(lf, fwd_base),
-                        extend_over(lg, bwd_base),
-                    )
-                )
+                fwd = extend_over(loca, locb.to_loc.then(lg.to_loc))
+                bwd = extend_over(locb, loca.to_loc.then(lf.to_loc))
+                patches.append(make_patch(charts, a, b, f_new, g_new, fwd.images, bwd.images))
                 continue
             for p in X.data.patches_for(ia, ib):
-                r = extract_fraction(p.loc_f, p.bwd(p.loc_g.to_loc(gb)))[0]
-                r2 = extract_fraction(p.loc_g, p.fwd(p.loc_f.to_loc(ga)))[0]
-                f_new = loca.to_loc(p.f * r)
-                g_new = locb.to_loc(p.g * r2)
+                f_new = loca.to_loc(transport_piece(p.mirror(), gb))
+                g_new = locb.to_loc(transport_piece(p, ga))
                 lf = make_localization(charts[a], f_new)
                 lg = make_localization(charts[b], g_new)
-                # A_ia -> (C_b)_{g_new} through the patch
-                to_b_loc = locb.to_loc.then(lg.to_loc)  # A_ib -> target
-                through = extend_over(p.loc_g, to_b_loc)  # (A_ib)_g -> target
-                base_fwd = p.loc_f.to_loc.then(p.fwd).then(through)
-                mid_fwd = extend_over(loca, base_fwd)
-                to_a_loc = loca.to_loc.then(lf.to_loc)
-                through_b = extend_over(p.loc_f, to_a_loc)
-                base_bwd = p.chart_bwd.then(through_b)
-                mid_bwd = extend_over(locb, base_bwd)
-                patches.append(
-                    Patch(
-                        a,
-                        b,
-                        lf,
-                        lg,
-                        extend_over(lf, mid_fwd),
-                        extend_over(lg, mid_bwd),
-                    )
-                )
+                # A_ia -> (C_b)_{g_new} and A_ib -> (C_a)_{f_new} through the patch
+                to_b = extend_over(p.loc_g, locb.to_loc.then(lg.to_loc))
+                to_a = extend_over(p.loc_f, loca.to_loc.then(lf.to_loc))
+                fwd = extend_over(loca, p.loc_f.to_loc.then(p.fwd).then(to_b))
+                bwd = extend_over(locb, p.chart_bwd.then(to_a))
+                patches.append(make_patch(charts, a, b, f_new, g_new, fwd.images, bwd.images))
     Xu = LatticeScheme(GluingData(charts, patches, validate=False))
-    piece_index: Dict[int, List[int]] = {}
-    for idx, (i, _, _) in enumerate(pieces):
-        piece_index.setdefault(i, []).append(idx)
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         comps: List[ZarElement] = []

@@ -50,51 +50,6 @@ class BasicOpenSection:
     def denominator(self) -> AlgebraElement:
         return self.loc.denominator
 
-    def _coerce(self, other) -> "BasicOpenSection":
-        if isinstance(other, BasicOpenSection):
-            if other.loc != self.loc:
-                raise ValueError("sections over different basic opens")
-            return other
-        if isinstance(other, int):
-            return BasicOpenSection(self.loc, self.loc.algebra.element(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BasicOpenSection(self.loc, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BasicOpenSection(self.loc, -self.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BasicOpenSection(self.loc, self.value - other.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BasicOpenSection(self.loc, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return BasicOpenSection(self.loc, self.value ** n)
-
-    def __eq__(self, other):
-        if not isinstance(other, BasicOpenSection):
-            return NotImplemented
-        return self.loc == other.loc and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.loc, self.value))
-
     def __str__(self):
         return f"{self.value} over D({self.denominator})"
 
@@ -102,7 +57,7 @@ class BasicOpenSection:
         return f"<section {self}>"
 
 
-def section(loc: Localization, numerator: AlgebraElement, power: int = 0) -> BasicOpenSection:
+def section(loc: Localization, numerator: AlgebraElement, power: int) -> BasicOpenSection:
     """The section numerator / f**power over D(f)."""
     return BasicOpenSection(loc, loc.fraction(loc.base.element(numerator), power))
 
@@ -193,9 +148,6 @@ class CoverData:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CoverData is immutable")
-
-    def __len__(self):
-        return len(self.pieces)
 
     def __repr__(self):
         return f"CoverData({', '.join(str(p) for p in self.pieces)})"

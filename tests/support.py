@@ -19,7 +19,7 @@ from zariski.algebra import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import SchemePoint, _lowest_chart, _realized, realization
-from zariski.latscheme import chart_variable_samples
+from zariski.latscheme import GluingData, LatticeScheme, chart_variable_samples, make_patch
 from zariski.lattice import eq, induced_hom, top
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
@@ -58,6 +58,27 @@ def gf3_split() -> PresentedAlgebra:
     ring = PolyRing(GF(3), ["e"])
     (e,) = ring.gens()
     return PresentedAlgebra(ring, [e * e - e])
+
+
+def projective_plane(field) -> LatticeScheme:
+    """P² as three affine planes: chart i has the coordinates X_k/X_i
+    (k != i), named by k's letter, and charts i and j are glued along
+    D(X_j/X_i) ~ D(X_i/X_j), where X_k/X_i = (X_k/X_j) / (X_i/X_j)."""
+    coords = [[k for k in range(3) if k != i] for i in range(3)]
+    charts = [PresentedAlgebra.free(field, ["xyz"[k] for k in ks]) for ks in coords]
+
+    def var(i, k):  # X_k/X_i on chart i
+        return charts[i].var(coords[i].index(k))
+
+    def images(i, j):  # chart i's variables in chart j, localized at X_i/X_j
+        loc = make_localization(charts[j], var(j, i))
+        return [loc.inverse if k == j else loc.to_loc(var(j, k)) * loc.inverse for k in coords[i]]
+
+    patches = [
+        make_patch(charts, i, j, var(i, j), var(j, i), images(i, j), images(j, i))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    return LatticeScheme(GluingData(charts, patches))
 
 
 def product_of_points(p: int, k: int) -> PresentedAlgebra:

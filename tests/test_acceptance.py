@@ -519,7 +519,6 @@ def test_the_power_bound_is_one_constant_not_a_knob():
 
 
 KNOWN_OPTIONS = {
-    "algebra.Localization.fraction.power",
     "algebra.PresentedAlgebra.__init__.relations",
     "compare.comparison_check.expected_counts",
     "compare.comparison_check.morphisms",
@@ -534,7 +533,6 @@ KNOWN_OPTIONS = {
     "polynomials.MonomialOrder.key_function.descending",
     "polynomials.PolyRing.__init__.order",
     "polynomials.PolyRing.with_vars.order",
-    "sheaf.section.power",
 }
 
 

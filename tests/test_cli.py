@@ -110,6 +110,25 @@ def test_lattice_operations_print_canonical_generators():
 # -- ring -------------------------------------------------------------------------
 
 
+def test_ring_show_prints_the_presentation_and_its_basis():
+    r = invoke("ring", "show", "--ring", "GF(5)[x,y]/(x^2-y,y^2-1)")
+    assert (r.exit_code, r.output) == (
+        0,
+        "field: GF(5)\n"
+        "vars: x, y\n"
+        "relations: x^2 + 4*y, y^2 + 4\n"
+        "reduced basis: y^2 + 4, x^2 + 4*y\n",
+    )
+    r = invoke("ring", "show", "--ring", "GF(5)[x,y]/(x^2-y,y^2-1)", "--format", "json")
+    assert r.exit_code == 0
+    assert json.loads(r.output) == {
+        "field": "GF(5)",
+        "vars": ["x", "y"],
+        "relations": ["x^2 + 4*y", "y^2 + 4"],
+        "reduced_basis": ["y^2 + 4", "x^2 + 4*y"],
+    }
+
+
 def test_ring_normal_form():
     r = invoke("ring", "nf", "x^3", "--ring", "QQ[x]/(x^2-1)")
     assert (r.exit_code, r.output) == (0, "x\n")
@@ -155,6 +174,9 @@ def test_parse_errors_exit_2_with_line_and_column():
         "Error: EXPR: expected a polynomial factor, found '*' (line 1, column 5)"
         in r.stderr
     )
+    r = invoke("ring", "nf", "1/0", "--ring", "QQ[x]")
+    assert r.exit_code == 2
+    assert "Error: EXPR: zero denominator (line 1, column 3)" in r.stderr
 
 
 def test_missing_files_exit_2(tmp_path):

@@ -21,6 +21,7 @@ from support import (
     morphisms_agree,
     nilpotent_algebra,
     product_of_points,
+    projective_plane,
     section_value_at_point,
 )
 from zariski import compare, latscheme, sheaf
@@ -310,6 +311,14 @@ def test_comparison_check_on_the_projective_line_with_naturality(fun_p13):
         assert entry["morphisms_valid"]
         assert entry["roundtrip"]
         assert entry["distinct"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_comparison_check_on_the_projective_plane(p):
+    F = PresentedAlgebra(PolyRing(GF(p), []))
+    ok, report = comparison_check(projective_plane(GF(p)), [F])
+    assert ok, report
+    assert report["counts"] == [p * p + p + 1]
 
 
 def test_comparison_check_on_the_punctured_plane():

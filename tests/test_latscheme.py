@@ -7,7 +7,7 @@ punctured plane).
 
 import pytest
 
-from support import qq_triple_point, qq_x, qq_xy
+from support import projective_plane, qq_triple_point, qq_x, qq_xy
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -31,6 +31,8 @@ from zariski.latscheme import (
     identity_morphism,
     invertibility_support_scheme,
     local_morphism_witness,
+    Patch,
+    extend_over,
     make_patch,
     mk_affine,
     open_compatibility_witness,
@@ -120,6 +122,37 @@ def test_conflicting_patches_for_the_same_pair_are_rejected(p1):
     )
     with pytest.raises(GluingError):
         GluingData([A0, A1], [honest, doubled])
+
+
+def test_the_projective_plane_validates_its_triple_overlaps(monkeypatch):
+    checked = []
+    real = GluingData._check_cocycle
+
+    def counting(self, P, Q):
+        checked.append((P.i, P.j, Q.j))
+        real(self, P, Q)
+
+    monkeypatch.setattr(GluingData, "_check_cocycle", counting)
+    X = projective_plane(GF(3))
+    assert X.ncharts == 3 and len(X.data.patches) == 6
+    # one check per ordered triple of distinct charts
+    assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def test_a_twisted_transition_breaks_the_cocycle():
+    X = projective_plane(GF(3))
+    P = X.data.patches_for(1, 2)[0]
+    A2 = X.charts[2]
+    # e -> 2e on chart 2, an involution over GF(3), extended to D(y)
+    sigma = AlgebraMorphism(A2, A2, [2 * v for v in A2.gens()])
+    twist = extend_over(P.loc_g, sigma.then(P.loc_g.to_loc))
+    twisted = Patch(1, 2, P.loc_f, P.loc_g, P.fwd.then(twist), twist.then(P.bwd))
+    others = [q for q in X.data.patches if q.i < q.j and (q.i, q.j) != (1, 2)]
+    # each patch alone is still an isomorphism: only the triple overlap fails
+    GluingData(X.charts, [twisted])
+    with pytest.raises(GluingError) as err:
+        GluingData(X.charts, others + [twisted])
+    assert str(err.value).startswith("cocycle violation on charts (0,1,2)")
 
 
 def test_single_chart_scheme_from_an_algebra():
@@ -232,6 +265,20 @@ def test_section_compatibility_witness_names_the_break(p1):
         [[l0.algebra.const(QQ.of_int(3))], [l1.algebra.const(QQ.of_int(3))]],
     )
     assert section_compatibility_witness(good) is None
+
+
+def test_section_compatibility_witness_within_one_chart():
+    X = projective_line(GF(3))
+    A0 = X.charts[0]
+    t = A0.var(0)
+    u = embed_basic(X, 0, basic_open(A0, [t, t + 1]))
+    one = SectionRing(X, u).one
+    assert section_compatibility_witness(one) is None
+    values = [list(row) for row in one.values]
+    values[0][1] = values[0][1].algebra.element(2)
+    assert section_compatibility_witness(GlobalSection(X, u, values)) == (
+        "chart 0: values over D(t) and D(t + 1) disagree on the overlap: 1 vs 2"
+    )
 
 
 def test_sections_restrict_along_smaller_opens(punctured):
@@ -374,6 +421,17 @@ def test_punctured_plane_is_the_plane_away_from_the_origin(punctured):
     assert local_morphism_witness(inc) is None
     originals = [p for p in PP.data.patches if p.i < p.j]
     GluingData(PP.data.charts, originals, validate=True)  # re-validates
+
+
+def test_restricting_across_charts_gives_a_local_inclusion():
+    X = projective_line(GF(3))
+    A0 = X.charts[0]
+    t = A0.var(0)
+    u = embed_basic(X, 0, basic_open(A0, [t, t + 1]))
+    Xu, inc = restrict_scheme(X, u)
+    # two pieces on each chart: chart_open reaches pieces of the other chart
+    assert Xu.ncharts == 4
+    assert local_morphism_witness(inc) is None
 
 
 def test_restricting_to_the_bottom_leaves_nothing():

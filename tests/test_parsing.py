@@ -57,6 +57,10 @@ def test_polynomial_grammar():
     assert parse_poly("x*(y - 1)", ring) == x * y - x
     assert parse_poly("7", ring) == ring.const(Fraction(7))
     assert parse_poly("x^0", ring) == ring.one
+    # juxtaposition multiplies
+    assert parse_poly("(x+1)(x-1)", ring) == x * x - ring.one
+    assert parse_poly("2(x+1)y", ring) == (x * y + y).scale(Fraction(2))
+    assert parse_poly("x y^2", ring) == x * y * y
 
 
 def test_modular_constants_reduce():

@@ -1,17 +1,25 @@
-"""The command-line parsing and output lines of ``tools/bench_pairs.py``; no
-benchmark runs."""
+"""The command-line parsing and output lines of ``tools/bench_pairs.py``, with
+no benchmark run, and the report of ``tools/uncalled.py`` on a small
+synthetic module, without the traced suite."""
 
 import importlib.util
 import os
+import textwrap
 
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", os.path.join(HERE, os.pardir, "tools", "bench_pairs.py")
-)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", os.path.join(HERE, os.pardir, "tools", "bench_pairs.py"))
+uncalled = _load("uncalled", os.path.join(HERE, os.pardir, "tools", "uncalled.py"))
 
 
 def test_a_comma_list_names_one_table_per_workload():
@@ -52,3 +60,58 @@ def test_a_seed_line_shows_throughput_and_both_latencies():
         "points_compare seed 8101: ops_per_s 934.2 -> 951, "
         "latency_p50_ms 0.2097 -> 0.1971, latency_p95_ms 4.4 -> 4.35"
     )
+
+
+SYNTH = textwrap.dedent(
+    """\
+    import functools
+
+
+    def called():
+        return helper()
+
+
+    def helper():
+        return 1
+
+
+    def never():
+        return 2
+
+
+    @functools.lru_cache(maxsize=None)
+    def decorated_never():
+        return 3
+
+
+    class Box:
+        def __setattr__(self, name, value):
+            raise AttributeError("Box is immutable")
+
+        def used(self):
+            def inner():
+                return 4
+
+            return inner()
+
+        def unused(self):
+            return 5
+    """
+)
+
+
+def test_the_uncalled_report_names_each_function_that_never_ran(tmp_path):
+    path = tmp_path / "synth.py"
+    path.write_text(SYNTH)
+    synth = _load("synth", str(path))
+    ran = uncalled.trace_calls(lambda: (synth.called(), synth.Box().used()))
+    lines, ok = uncalled.report([str(path)], ran, {"*.__setattr__": "guard"})
+    assert lines == [
+        "synth:12 never",
+        "synth:16 decorated_never",
+        "synth:22 Box.__setattr__  (allowed: guard)",
+        "synth:31 Box.unused",
+    ]
+    assert not ok
+    allowed = {"never": "a", "decorated_never": "b", "Box.*": "c"}
+    assert uncalled.report([str(path)], ran, allowed)[1]
