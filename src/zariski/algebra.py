@@ -18,7 +18,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import Monomial, Poly, PolyRing, poly_sort_key
+from .polynomials import Monomial, Poly, PolyRing, _poly, poly_sort_key
 
 
 class ExtractionCapError(RuntimeError):
@@ -240,12 +240,12 @@ class PresentedAlgebra:
             raise ValueError("cannot enumerate an algebra over QQ")
         if self.is_trivial():
             return [self.zero]
-        stairs = self.staircase()
+        stairs = [self.ring._pack(m) for m in self.staircase()]
         scalars = list(self.field.elements())
         out = []
         for coeffs in itertools.product(scalars, repeat=len(stairs)):
             terms = {m: c for m, c in zip(stairs, coeffs) if c}
-            out.append(AlgebraElement(self, Poly(self.ring, terms)))
+            out.append(AlgebraElement(self, _poly(self.ring, terms)))
         return out
 
 

@@ -52,7 +52,7 @@ from .parsing import (
     parse_poly,
     parse_ring,
 )
-from .polynomials import MonomialOrder, Poly, PolyRing
+from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -367,7 +367,18 @@ FORMAT_OPTION = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a monomial past the exponent limit of packed
+    monomials (``polynomials``), wherever it arises, is malformed input."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _ExponentLimitError as exc:
+            _input_error(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Decision procedures for schemes presented by charts and patches."""
 

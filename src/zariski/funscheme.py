@@ -219,7 +219,7 @@ def _frobenius(B: PresentedAlgebra) -> Tuple[List[Monomial], List[List[int]]]:
     """The staircase basis of a nontrivial finite B over GF(p) and the matrix
     of b -> b**p on it: column j holds the coordinates of (basis j)**p."""
     stairs = B.staircase()
-    row_of = {m: i for i, m in enumerate(stairs)}
+    row_of = {B.ring._pack(m): i for i, m in enumerate(stairs)}
     p = B.field.char
     rows = [[0] * len(stairs) for _ in stairs]
     for j, m in enumerate(stairs):
@@ -227,7 +227,7 @@ def _frobenius(B: PresentedAlgebra) -> Tuple[List[Monomial], List[List[int]]]:
             rows[j][j] = 1  # 1**p == 1, without a normal form
             continue
         power = B.element(B.ring.from_terms({m: 1})) ** p
-        for mono, c in power.poly.terms.items():
+        for mono, c in power.poly._t.items():
             rows[row_of[mono]][j] = c
     return stairs, rows
 

@@ -16,25 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomials import Monomial, Poly, PolyRing, _dot, _integer_terms
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+from .polynomials import (
+    Poly,
+    PolyRing,
+    _dot,
+    _ExponentLimitError,
+    _int_form,
+    _integer_terms,
+    _poly,
+)
 
 
 def divide(
@@ -48,15 +40,20 @@ def divide(
     monomial.  With ``want_quotients=False`` the quotients are skipped and
     ``None`` is returned in their place.
 
+    Monomials are the ring's packed ints (``polynomials``): a product is
+    an int sum, ``lm`` divides ``m`` when ``((m + G) - lm) & G == G`` for
+    ``G`` the guard bits of every field, and a tail product that sets a
+    guard bit has passed the exponent limit of ``2**31`` and raises.
+
     The working polynomial is fraction-free: integer terms ``W`` over one
     common denominator ``D`` (1 over GF(p), where a coefficient is reduced
-    when its term is popped).  Its monomials sit in a heap under the
-    ring's descending key, so each step pops the largest term without a
-    scan (the heap of Monagan & Pearce, *Sparse polynomial division using
-    a heap*, JSC 2011, here over terms rather than products).  A divisor
-    ``d`` is read as ``(lc*x^lm + tail) / dd`` on ints
-    (``Poly._division_form``, kept on ``d``).  Reducing the popped term
-    ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and
+    when its term is popped).  Its monomials sit in a heap of plain ints,
+    the negated order keys ``-(m ^ NEG)``, so each step pops the largest
+    term without a scan (the heap of Monagan & Pearce, *Sparse polynomial
+    division using a heap*, JSC 2011, here over terms rather than
+    products).  A divisor ``d`` is read as ``(lc*x^lm + tail) / dd`` on
+    ints (``Poly._division_form``, kept on ``d``).  Reducing the popped
+    term ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and
     ``x^a = x^mp / x^lm``, scales ``W`` and ``D`` by ``s`` and subtracts
     ``(cp/g)*x^a*tail`` in place; after a scaled step the content
     ``gcd(D, W)`` is divided out, so the integers stay as small as
@@ -66,26 +63,28 @@ def divide(
     """
     ring = f.ring
     p = ring.field.char
-    hkey = ring._heap_key
-    leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
+    G = ring._guard
+    neg = ring._neg
+    leads = [(i, d._lead()) for i, d in enumerate(divisors) if d._t]
     quots = [{} for _ in divisors] if want_quotients else None
-    rem: Dict[Monomial, object] = {}
+    rem: Dict[int, object] = {}
     if p:
-        D, terms = 1, dict(f.terms)
+        D, terms = 1, dict(f._t)
     else:
-        D, items = _integer_terms(f.terms)
+        D, items = _integer_terms(f._t)
         terms = dict(items)
-    heap = [(hkey(m), m) for m in terms]
+    heap = [-(m ^ neg) for m in terms]
     heapify(heap)
     while heap:
-        mp = heappop(heap)[1]
+        mp = -heappop(heap) ^ neg
         cp = terms.pop(mp)
         if p:
             cp %= p
         if not cp:
             continue
+        bound = mp + G
         for idx, lm in leads:
-            if all(map(le, lm, mp)):
+            if (bound - lm) & G == G:
                 break
         else:
             rem[mp] = cp if p else Fraction(cp, D)
@@ -96,18 +95,20 @@ def divide(
             g = gcd(cp, lc)
             s = lc // g
             cp //= g
-        a = tuple(map(sub, mp, lm))
+        a = mp - lm
         if quots is not None:
             quots[idx][a] = cp * dd % p if p else Fraction(cp * dd, D * s)
         if s != 1:
             D *= s
             terms = {m: c * s for m, c in terms.items()}
         for mt, ct in tail:
-            m = tuple(map(add, mt, a))
+            m = mt + a
             c = terms.get(m)
             if c is None:
+                if m & G:
+                    raise _ExponentLimitError(ring, ring._mono(m))
                 terms[m] = -cp * ct
-                heappush(heap, (hkey(m), m))
+                heappush(heap, -(m ^ neg))
             else:
                 terms[m] = c - cp * ct
         if s != 1:
@@ -116,13 +117,15 @@ def divide(
                 D //= g
                 terms = {m: c // g for m, c in terms.items()}
     if quots is not None:
-        quots = [Poly(ring, q) for q in quots]
-    return quots, Poly(ring, rem)
+        quots = [_poly(ring, q) for q in quots]
+    return quots, _poly(ring, rem)
 
 
 def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
-    """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry."""
-    return [_dot(ring, [(c, row[j]) for c, row in terms]) for j in range(width)]
+    """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry;
+    each multiplier's integer form is taken once, not once per entry."""
+    forms = [(_int_form(c), row) for c, row in terms]
+    return [_dot(ring, [(fc, _int_form(row[j])) for fc, row in forms]) for j in range(width)]
 
 
 class _Engine:
@@ -141,8 +144,8 @@ class _Engine:
         self.want = want_cofactors
         self.G: List[Poly] = []
         self.rows: List[List[Poly]] = []
-        # (order key of the lcm, lcm, i, j), the key taken once at creation
-        self.pairs: List[Tuple[tuple, Monomial, int, int]] = []
+        # (order key of the lcm, packed lcm, i, j), the key taken once at creation
+        self.pairs: List[Tuple[int, int, int, int]] = []
         self.unit_row: Optional[List[Poly]] = None
         self.found_unit = False
 
@@ -153,7 +156,7 @@ class _Engine:
 
     def _combine(self, heads: list, quots: Sequence[Poly], rows: list, k) -> List[Poly]:
         """The row ``k * (sum(c * row for c, row in heads) - sum(q[i] * rows[i]))``."""
-        terms = heads + [(-q, row) for q, row in zip(quots, rows) if q.terms]
+        terms = heads + [(-q, row) for q, row in zip(quots, rows) if q._t]
         if len(terms) == 1 and terms[0][0].is_constant():  # one constant: scale its row
             return [r.scale(k * terms[0][0].constant_value()) for r in terms[0][1]]
         if k != 1:
@@ -183,35 +186,35 @@ class _Engine:
         return False
 
     def _update_pairs(self, h: Poly):
-        """Gebauer-Moller pair update for the incoming element ``h``."""
-        G = self.G
-        h_lm = h.lead_monomial()
-        h_idx = len(G)
-        lcms = [_mono_lcm(h_lm, g.lead_monomial()) for g in G]
+        """Gebauer-Moller pair update for the incoming element ``h``.
+
+        On packed monomials: ``a`` divides ``b`` when ``((b + G) - a) & G
+        == G``, and two leading monomials are coprime when their lcm is
+        their product."""
+        ring = self.ring
+        G = ring._guard
+        leads = [g._lead() for g in self.G]
+        h_lm = h._lead()
+        h_idx = len(leads)
+        lcms = [ring._lcm(h_lm, g) for g in leads]
+        coprime = [l == h_lm + g for l, g in zip(lcms, leads)]
         kept: List[int] = []
         for i, li in enumerate(lcms):
-            if _coprime(h_lm, G[i].lead_monomial()):
+            if coprime[i]:
                 kept.append(i)
                 continue
+            bound = li + G
             dominated = any(
-                _divides(lcms[j], li) for j in range(i + 1, len(G))
-            ) or any(_divides(lcms[j], li) for j in kept)
+                (bound - lcms[j]) & G == G for j in range(i + 1, h_idx)
+            ) or any((bound - lcms[j]) & G == G for j in kept)
             if not dominated:
                 kept.append(i)
-        key = self.ring.monomial_key
-        new_pairs = [
-            (key(lcms[i]), lcms[i], i, h_idx)
-            for i in kept
-            if not _coprime(h_lm, G[i].lead_monomial())
-        ]
+        neg = ring._neg
+        new_pairs = [(lcms[i] ^ neg, lcms[i], i, h_idx) for i in kept if not coprime[i]]
         survivors = []
         for pair in self.pairs:
             _, l, i, j = pair
-            if (
-                not _divides(h_lm, l)
-                or _mono_lcm(G[i].lead_monomial(), h_lm) == l
-                or _mono_lcm(G[j].lead_monomial(), h_lm) == l
-            ):
+            if (l + G - h_lm) & G != G or lcms[i] == l or lcms[j] == l:
                 survivors.append(pair)
         self.pairs = survivors + new_pairs
 
@@ -230,9 +233,9 @@ class _Engine:
             best = min(range(len(self.pairs)), key=lambda k: self.pairs[k][0])
             _, l, i, j = self.pairs.pop(best)
             fi, fj = self.G[i], self.G[j]
-            ti = Poly(self.ring, {_mono_sub(l, fi.lead_monomial()): self.fld.one})
-            tj = -Poly(self.ring, {_mono_sub(l, fj.lead_monomial()): self.fld.one})
-            s = _dot(self.ring, [(ti, fi), (tj, fj)])
+            ti = _poly(self.ring, {l - fi._lead(): self.fld.one})
+            tj = -_poly(self.ring, {l - fj._lead(): self.fld.one})
+            s = _dot(self.ring, [(_int_form(t), _int_form(f)) for t, f in ((ti, fi), (tj, fj))])
             quots, r = divide(s, self.G, want_quotients=self.want)
             if r.is_zero():
                 continue
@@ -241,19 +244,20 @@ class _Engine:
 
     def reduced(self) -> Tuple[Tuple[Poly, ...], Tuple[Tuple[Poly, ...], ...]]:
         """Minimal, tail-reduced, monic basis sorted by leading monomial."""
-        key = self.ring.monomial_key
-        order = sorted(range(len(self.G)), key=lambda i: key(self.G[i].lead_monomial()))
+        neg, G = self.ring._neg, self.ring._guard
+        leads = [g._lead() for g in self.G]
+        order = sorted(range(len(leads)), key=lambda i: leads[i] ^ neg)
         kept: List[int] = []
         for i in order:
-            lm = self.G[i].lead_monomial()
-            if not any(_divides(self.G[j].lead_monomial(), lm) for j in kept):
+            bound = leads[i] + G
+            if not any((bound - leads[j]) & G == G for j in kept):
                 kept.append(i)
         basis = [self.G[i] for i in kept]
         rows = [list(self.rows[i]) for i in kept]
         for pos in range(len(basis)):
             others = basis[:pos] + basis[pos + 1 :]
             quots, r = divide(basis[pos], others, want_quotients=self.want)
-            if self.want and any(q.terms for q in quots):
+            if self.want and any(q._t for q in quots):
                 heads = [(self.ring.one, rows[pos])]
                 other_rows = rows[:pos] + rows[pos + 1 :]
                 rows[pos] = self._combine(heads, quots, other_rows, self.fld.one)
@@ -281,7 +285,7 @@ class GroebnerBasis:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "cofactors", cofactors)
-        object.__setattr__(self, "_leads", tuple(b.lead_monomial() for b in basis))
+        object.__setattr__(self, "_leads", tuple(b._lead() for b in basis))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GroebnerBasis is immutable")
@@ -297,10 +301,11 @@ class GroebnerBasis:
         relies on ``f`` holding reduced coefficients, as every ``Poly``
         built through ``PolyRing`` and its arithmetic does.
         """
-        leads = self._leads
-        for m in f.terms:
+        leads, G = self._leads, self.ring._guard
+        for m in f._t:
+            bound = m + G
             for lm in leads:
-                if all(map(le, lm, m)):
+                if (bound - lm) & G == G:
                     return divide(f, self.basis, want_quotients=False)[1]
         return f
 
@@ -313,7 +318,7 @@ class GroebnerBasis:
         if not r.is_zero():
             return None
         assert quots is not None
-        terms = [(q, row) for q, row in zip(quots, self.cofactors) if q.terms]
+        terms = [(q, row) for q, row in zip(quots, self.cofactors) if q._t]
         return _row_sum(self.ring, len(self.gens), terms)
 
 
@@ -337,6 +342,6 @@ def unit_ideal_certificate(
         return None
     row = engine.unit_row
     assert row is not None
-    value = _dot(ring, zip(row, gens)).constant_value()
+    value = _dot(ring, [(_int_form(c), _int_form(g)) for c, g in zip(row, gens)]).constant_value()
     inv = ring.field.inv(value)
     return [c.scale(inv) for c in row]

@@ -15,7 +15,7 @@ import re
 from typing import List, Tuple
 
 from .fields import Field, GF, QQ
-from .polynomials import MonomialOrder, Poly, PolyRing
+from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError
 
 
 class ParseError(ValueError):
@@ -159,7 +159,10 @@ class _Parser:
         if self.current.kind == "^":
             self.advance()
             exp_tok = self.expect("num")
-            base = base ** int(exp_tok.text)
+            try:
+                base = base ** int(exp_tok.text)
+            except _ExponentLimitError as exc:
+                raise ParseError(str(exc), exp_tok.line, exp_tok.col) from None
         return base
 
     # field / ring specs ----------------------------------------------------

@@ -243,6 +243,45 @@ def morphisms_agree(pi1, pi2, opens, samples=None):
     return True
 
 
+# -- tuple reference for packed monomials ---------------------------------------
+# Monomials as exponent tuples, the representation the kernels packed into
+# ints replace: the oracle for ``polynomials``' packed arithmetic.
+
+
+def tuple_key(order, m):
+    """The order on exponent tuples as a tuple key: grevlex ranks by total
+    degree, then by the last exponent reversed; lex by the exponents in
+    turn; ``inner.eliminating()`` by the last exponent, then by ``inner``."""
+    if order.inner is not None:
+        return (m[-1], *tuple_key(order.inner, m[:-1]))
+    if order.kind == "lex":
+        return tuple(m)
+    return (sum(m), *(-e for e in reversed(m)))
+
+
+def tuple_divides(a, b):
+    return all(map(le, a, b))
+
+
+def tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def tuple_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def tuple_product(f, g):
+    """The terms of ``f * g`` as a dict of exponent tuples, zero sums dropped."""
+    p = f.ring.field.char
+    acc = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c % p if p else c for m, c in acc.items() if (c % p if p else c)}
+
+
 def fraction_divide(f, divisors, want_quotients=True):
     """Multivariate division on the field's own scalars: the oracle for
     ``groebner.divide``.
@@ -254,13 +293,13 @@ def fraction_divide(f, divisors, want_quotients=True):
     """
     ring = f.ring
     p = ring.field.char
-    hkey = ring._heap_key
+    key = ring.monomial_key
     leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
     tails = {}
     quots = [{} for _ in divisors] if want_quotients else None
     rem = {}
     terms = dict(f.terms)
-    heap = [(hkey(m), m) for m in terms]
+    heap = [(-key(m), m) for m in terms]
     heapify(heap)
     while heap:
         mp = heappop(heap)[1]
@@ -288,7 +327,7 @@ def fraction_divide(f, divisors, want_quotients=True):
             c = terms.get(m)
             if c is None:
                 terms[m] = -q * ct
-                heappush(heap, (hkey(m), m))
+                heappush(heap, (-key(m), m))
             else:
                 terms[m] = c - q * ct
     if quots is not None:

@@ -530,7 +530,6 @@ KNOWN_OPTIONS = {
     "latscheme.spec_morphism.target",
     "parsing.parse_ring.order",
     "polynomials.MonomialOrder.__init__.kind",
-    "polynomials.MonomialOrder.key_function.descending",
     "polynomials.PolyRing.__init__.order",
     "polynomials.PolyRing.with_vars.order",
 }

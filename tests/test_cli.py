@@ -179,6 +179,18 @@ def test_parse_errors_exit_2_with_line_and_column():
     assert "Error: EXPR: zero denominator (line 1, column 3)" in r.stderr
 
 
+def test_the_exponent_limit_exits_2():
+    """An exponent past ``2**31`` is malformed input: at its ``^`` token in
+    the parser, and wherever a product passes the limit later."""
+    r = invoke("ideal", "member", "x^3000000000", "x", "--ring", "QQ[x,y]")
+    assert r.exit_code == 2
+    assert "Error: F: monomial x^3000000000 is past the exponent limit" in r.stderr
+    assert "(line 1, column 3)" in r.stderr
+    r = invoke("ideal", "member", "x^2000000000*x^2000000000", "x", "--ring", "QQ[x,y]")
+    assert r.exit_code == 2
+    assert "Error: monomial x^4000000000 is past the exponent limit" in r.stderr
+
+
 def test_missing_files_exit_2(tmp_path):
     r = invoke("glue", "check", str(tmp_path / "nope.json"))
     assert r.exit_code == 2

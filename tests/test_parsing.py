@@ -114,3 +114,13 @@ def test_printing_then_parsing_is_the_identity(seed, field_name):
     ring = PolyRing(parse_field(field_name), ["x", "y"])
     p = random_poly(rng, ring, max_degree=3, max_terms=4, coeff_bound=6)
     assert parse_poly(str(p), ring) == p
+
+
+def test_an_exponent_past_the_limit_is_a_parse_error_at_its_token():
+    R = PolyRing(QQ, ["x", "y"])
+    with pytest.raises(ParseError, match=r"x\^3000000000 is past the exponent limit.*\(line 1, column 7\)"):
+        parse_poly("y + x^3000000000", R)
+    with pytest.raises(ParseError, match=r"x\^1073741824\*y\^1073741824 is past.*column 7"):
+        parse_poly("(x*y)^1073741824", R)
+    lex = PolyRing(QQ, ["x", "y"], MonomialOrder("lex"))
+    assert parse_poly("(x*y)^1073741824", lex).terms == {(2**30, 2**30): 1}

@@ -2,15 +2,26 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from support import monic, random_poly
+from support import (
+    fraction_divide,
+    monic,
+    random_poly,
+    tuple_coprime,
+    tuple_divides,
+    tuple_key,
+    tuple_lcm,
+    tuple_product,
+)
 from zariski import polynomials
 from zariski.fields import GF, QQ
-from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, poly_sort_key
+from zariski.groebner import divide
+from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, _int_form, poly_sort_key
 
 
 def ring_qq_xy(order="grevlex"):
@@ -246,8 +257,9 @@ def test_power_matches_sympy(case, n):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0, 2, 32003]), st.data())
 def test_dot_is_the_left_fold_of_products(char, data):
-    """``_dot`` equals ``sum(l * r)`` folded pair by pair, for zero
-    entries, operands over unequal denominators and the empty list."""
+    """``_dot`` on the operands' integer forms equals ``sum(l * r)`` folded
+    pair by pair, for zero entries, operands over unequal denominators and
+    the empty list."""
     R = PolyRing(GF(char) if char else QQ, ["x", "y"])
     if char:
         coeff = st.integers(0, char - 1)
@@ -261,7 +273,7 @@ def test_dot_is_the_left_fold_of_products(char, data):
     fold = R.zero
     for l, r in pairs:
         fold = fold + l * r
-    got = _dot(R, pairs)
+    got = _dot(R, [(_int_form(l), _int_form(r)) for l, r in pairs])
     assert got.terms == fold.terms and got.ring is R
     for c in got.terms.values():
         assert c and (0 < c < char if char else type(c) is Fraction)
@@ -275,3 +287,109 @@ def test_polynomials_are_immutable_and_hashable():
         x.ring = None
     assert hash(x + y) == hash(y + x)
     assert len({x, x + 0, y}) == 2
+
+
+# -- packed monomials ------------------------------------------------------------
+
+ORDERS = [
+    MonomialOrder("grevlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("grevlex").eliminating(),
+    MonomialOrder("lex").eliminating(),
+    MonomialOrder("grevlex").eliminating().eliminating(),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORDERS), st.integers(2, 4), st.data())
+def test_packed_monomials_match_the_tuple_reference(order, n, data):
+    """On packed ints, the order key, divisibility, lcm, coprimality and
+    products agree with the same operations on exponent tuples, for small
+    exponents and for exponents of 27 bits."""
+    R = PolyRing(QQ, [f"x{i}" for i in range(n)], order)
+    exps = st.one_of(st.integers(0, 3), st.integers(0, 2**27))
+    monos = data.draw(st.lists(st.tuples(*[exps] * n), min_size=2, max_size=6))
+    packed = [R._pack(m) for m in monos]
+    assert [R._mono(m) for m in packed] == monos
+    G = R._guard
+    for a, pa in zip(monos, packed):
+        for b, pb in zip(monos, packed):
+            assert (R.monomial_key(a) < R.monomial_key(b)) == (tuple_key(order, a) < tuple_key(order, b))
+            assert (((pb + G) - pa) & G == G) == tuple_divides(a, b)
+            # the lcm's degree field sums the larger exponents, which can
+            # exceed the larger of the two degrees
+            lcm = R._lcm(pa, pb)
+            assert lcm == R._pack(tuple_lcm(a, b))
+            assert (lcm == pa + pb) == tuple_coprime(a, b)
+            assert R._mono(pa + pb) == tuple(map(add, a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORDERS), st.sampled_from([0, 7, 32003]), st.data())
+def test_packed_kernels_match_the_tuple_reference(order, char, data):
+    """Products, powers and ``divide`` on packed monomials give the terms
+    that tuple arithmetic gives: the division term for term and in the
+    order of ``support.fraction_divide``."""
+    R = PolyRing(GF(char) if char else QQ, ["w", "x", "y", "z"], order)
+    if char:
+        coeff = st.integers(1, char - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), coeff, max_size=5)
+    f, g = (R.from_terms(data.draw(polys)) for _ in range(2))
+    assert (f * g).terms == tuple_product(f, g)
+    power = R.one
+    for k in range(4):
+        assert (f**k).terms == power.terms
+        power = R.from_terms(tuple_product(power, f))
+    divisors = [R.from_terms(data.draw(polys)) for _ in range(data.draw(st.integers(1, 3)))]
+    quots, rem = divide(f * g + f, divisors)
+    ref_quots, ref_rem = fraction_divide(f * g + f, divisors)
+    assert list(rem.terms.items()) == list(ref_rem.terms.items())
+    assert [list(q.terms.items()) for q in quots] == [list(q.terms.items()) for q in ref_quots]
+
+
+def test_the_exponent_limit_is_checked_before_a_power_is_built():
+    """A power past ``2**31`` raises at once, whatever the base: the bound
+    is read off the base's terms before any product is formed."""
+    R = ring_qq_xy()
+    x, y = R.gens()
+    for base, named in ((x, "x^2147483648"), (x + y + 1, "x^2147483648"), ((x * y).scale(3), "x^2147483648*y^2147483648")):
+        with pytest.raises(ValueError, match=r"past the exponent limit.*2\^31") as info:
+            base ** (2**31)
+        assert type(info.value) is polynomials._ExponentLimitError
+        assert str(info.value).startswith(f"monomial {named} is past")
+    assert (x ** (2**31 - 1)).terms == {(2**31 - 1, 0): 1}
+    # near the limit the bound is exact, not a rough cut
+    assert ((x ** (2**29)) ** 3).terms == {(3 * 2**29, 0): 1}
+    assert ((x ** (2**30 - 1) + y) ** 2).terms == {(2**31 - 2, 0): 1, (2**30 - 1, 1): 2, (0, 2): 1}
+    with pytest.raises(polynomials._ExponentLimitError, match=r"x\^2147483648 "):
+        (x ** (2**30) + 1) ** 2
+    # under grevlex the degree field bounds the total degree as well
+    with pytest.raises(polynomials._ExponentLimitError, match=r"x\^1073741824\*y\^1073741824"):
+        (x * y) ** (2**30)
+    lex = ring_qq_xy("lex")
+    assert ((lex.var(0) * lex.var(1)) ** (2**30)).terms == {(2**30, 2**30): 1}
+
+
+def test_products_packing_and_division_past_the_limit_raise():
+    R = ring_qq_xy()
+    x, y = R.gens()
+    big = x ** (2**30)
+    with pytest.raises(polynomials._ExponentLimitError, match=r"monomial x\^2147483648 "):
+        big * big
+    with pytest.raises(polynomials._ExponentLimitError, match=r"x\^1073741824\*y\^1073741824"):
+        big * y ** (2**30)
+    with pytest.raises(polynomials._ExponentLimitError):
+        R.from_terms({(2**31, 0): 1})
+    with pytest.raises(polynomials._ExponentLimitError):
+        Poly(R, {(2**30, 2**30): Fraction(1)})
+    with pytest.raises(ValueError, match="negative exponent"):
+        R.from_terms({(-1, 0): 1})
+    lex = ring_qq_xy("lex")
+    u, v = lex.gens()
+    assert (u ** (2**30) * v ** (2**30)).total_degree() == 2**31
+    # lex ranks x above y**(2**30): reducing x*y**(2**30) by x + y**(2**30)
+    # forms y**(2**31)
+    with pytest.raises(polynomials._ExponentLimitError, match=r"monomial y\^2147483648 "):
+        divide(u * v ** (2**30), [u + v ** (2**30)])
