@@ -10,8 +10,9 @@ algebra, and the realization reproduces the chart data by a certificate.
 A finite test algebra is the product of its local factors, one per atom,
 so an open of its spectrum is a set of atoms and a section a tuple of
 factor values: one table per point, read off the point's chart maps,
-decides locality, the roundtrip and distinctness without building the
-morphism the point carries.
+decides locality, the roundtrip, distinctness and, carried atom by atom
+along a map of test algebras, naturality, without building the morphism
+the point carries.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, eq, induced_hom, top
+from .lattice import ZarElement, basic_open, eq
 from .latscheme import (
     CompactOpen,
     GlobalSection,
@@ -43,6 +44,7 @@ from .latscheme import (
 from .funscheme import (
     FunctorialScheme,
     SchemePoint,
+    _atom_under,
     _chart_map,
     _lowest_chart,
     atomic_factors,
@@ -57,31 +59,14 @@ from .funscheme import (
 )
 
 
-def _affine_of(B: PresentedAlgebra) -> LatticeScheme:
-    got = B._memo.get("spec")
-    if got is None:
-        got = mk_affine(B)
-        B._memo["spec"] = got
-    return got
-
-
 # -- points as morphisms (the comparison functor) -----------------------------------
 
 
-def _collapse(
-    S: LatticeScheme, Bt: PresentedAlgebra, e: AlgebraElement
-) -> AlgebraMorphism:
-    """The map B/(1-e) -> B_e of S = Spec(B) for an atom e of B, which is
-    well defined because 1-e dies in B_e; remembered on S by (Bt, e)."""
-    got = S._memo.get((Bt, e))
-    if got is None:
-        B = S.charts[0]
-        loc_e = make_localization(B, e)
-        got = AlgebraMorphism(
-            Bt, loc_e.algebra, [loc_e.to_loc(B.var(i)) for i in range(B.nvars)]
-        )
-        S._memo[(Bt, e)] = got
-    return got
+def _collapse(B: PresentedAlgebra, Bt: PresentedAlgebra, e: AlgebraElement) -> AlgebraMorphism:
+    """The map Bt = B/(1-e) -> B_e for an atom e of B, which is well defined
+    because 1-e dies in B_e."""
+    loc_e = make_localization(B, e)
+    return AlgebraMorphism(Bt, loc_e.algebra, [loc_e.to_loc(B.var(i)) for i in range(B.nvars)])
 
 
 def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
@@ -90,14 +75,15 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     It is built, not checked (``local_morphism_witness`` checks it): one
     comorphism piece per atom e of the point and chart j that holds it, the
     atom's chart map A_j -> B/(1-e) (``_chart_map``) followed by the
-    collapse to B_e.  The opens of X are remembered on X by
-    ``embed_basic``, the patch maps on the patches, and the collapse maps
-    on Spec(B).
+    collapse to B_e.  The comparison builds one only for the witness of a
+    point its table turns down.
     """
-    fun = p.scheme
-    if fun.lat is not X:
+    if p.scheme.lat is not X:
         raise ValueError("point does not belong to the given chart presentation")
-    S = _affine_of(p.test_algebra)
+    B = p.test_algebra
+    if "spec" not in B._memo:  # one Spec(B) for every point over B
+        B._memo["spec"] = mk_affine(B)
+    S = B._memo["spec"]
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         return CompactOpen(S, [open_at_point(embed_basic(X, j, w), p)])
@@ -107,7 +93,7 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
         for j, out in enumerate(comorphisms):
             m = _chart_map(X, c, phi, j)
             if m is not None:
-                out.append((0, e, m.then(_collapse(S, phi.target, e))))
+                out.append((0, e, m.then(_collapse(B, phi.target, e))))
     return SchemeMorphism(S, X, chart_open, comorphisms)
 
 
@@ -182,10 +168,7 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
     X = fun.lat
     t = top_open(X)
     Y = realization(fun, t)
-    pieces: List[Tuple[int, AlgebraElement]] = []
-    for i, w in enumerate(t.components):
-        for g in w.generators:
-            pieces.append((i, g))
+    pieces = [(i, g) for i, w in enumerate(t.components) for g in w.generators]
     if len(pieces) != X.ncharts or Y.lat.ncharts != len(pieces):
         return "realized top does not have one chart per original chart"
     isos = []
@@ -211,11 +194,7 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
                 return f"chart {idx}: reverse roundtrip fails on {C.names[k]}"
         isos.append((fwd, back))
     n_realized = sum(1 for q in Y.lat.data.patches if q.i < q.j)
-    n_original = sum(
-        len(X.data.patches_for(i, j))
-        for i in range(X.ncharts)
-        for j in range(i + 1, X.ncharts)
-    )
+    n_original = sum(1 for P in X.data.patches if P.i < P.j)
     if n_realized != n_original:
         return (
             f"realized top has {n_realized} patches where the original data "
@@ -231,14 +210,12 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
         back_j = isos[q.j][1]
         f_orig = back_i(q.f)
         g_orig = back_j(q.g)
-        matched = False
         for P in X.data.patches_for(i, j):
             if not (
                 eq(basic_open(X.charts[i], [f_orig]), basic_open(X.charts[i], [P.f]))
                 and eq(basic_open(X.charts[j], [g_orig]), basic_open(X.charts[j], [P.g]))
             ):
                 continue
-            agree = True
             for k in range(X.charts[i].nvars):
                 v = X.charts[i].var(k)
                 val_q = q.fwd(q.loc_f.to_loc(fwd_i(v)))
@@ -250,12 +227,10 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
                 lhs = common.to_loc(num_p * g_orig ** k_q)
                 rhs = common.to_loc(n_q * P.g ** k_p)
                 if lhs != rhs:
-                    agree = False
                     break
-            if agree:
-                matched = True
-                break
-        if not matched:
+            else:
+                break  # every chart variable agrees: P is q's patch
+        else:
             return (
                 f"realized patch between charts {i} and {j} at D({f_orig}) "
                 "does not match any original patch"
@@ -264,15 +239,6 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
 
 
 # -- the comparison decision procedure -------------------------------------------------
-
-
-def _sample_opens(X: LatticeScheme) -> List[CompactOpen]:
-    out = [top_open(X)]
-    for j, A in enumerate(X.charts):
-        out.append(embed_basic(X, j, top(A)))
-        for k in range(A.nvars):
-            out.append(embed_basic(X, j, basic_open(A, [A.var(k)])))
-    return out
 
 
 def _sample_plan(X: LatticeScheme) -> List[tuple]:
@@ -338,26 +304,29 @@ def comparison_check(
     fingerprint per point, that distinct points carry distinct morphisms.
     A point the table turns down gets the witness of the generic checkers
     (``local_morphism_witness``, ``adjunction_flat``).  For each algebra
-    morphism chi: B -> B2, check naturality: pushing a point along chi then
-    pulling back each sample open agrees with pulling back first and
-    applying the lattice map of chi.  Finally check the realization
-    certificate.  Returns (ok, report).
+    morphism chi: B -> B2, check naturality: both sides of the square are
+    local morphisms Spec(B2) -> X, which tables tell apart, so the table of
+    ``map_point(p, chi)`` must be p's table carried along chi.  Each atom
+    e2 of B2 reads the atom of B under it (``funscheme._atom_under``),
+    pushed into B2/(1 - e2); units and missing values carry over, as a map
+    of finite local algebras is local.  Tables of the first pass are read,
+    not rebuilt.  Finally check the realization certificate.  Returns
+    (ok, report).
     """
     fun = functorial(X)
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
-    opens = _sample_opens(X)
     plan = _sample_plan(X)
     points_by_algebra: Dict[PresentedAlgebra, List[SchemePoint]] = {}
+    tables: Dict[SchemePoint, tuple] = {}
     for B in test_algebras:
-        pts = eval_points(fun, B)
-        points_by_algebra[B] = pts
+        pts = points_by_algebra[B] = eval_points(fun, B)
         entry = {"algebra": repr(B), "count": len(pts)}
         report["counts"].append(len(pts))
         valid = roundtrip = True
         prints: List[tuple] = []
         for p in pts:
-            values, local, back_ok = _atom_table(X, p, plan)
+            values, local, back_ok = tables[p] = _atom_table(X, p, plan)
             if not local:
                 valid = False
                 try:
@@ -403,21 +372,25 @@ def comparison_check(
         B = chi.source
         if B not in points_by_algebra:
             points_by_algebra[B] = eval_points(fun, B)
+        atoms = [e for (e, _) in atomic_factors(B)]
+        pushes = [
+            (_atom_under(atoms, chi, t), chi.then(t)) for (_, t) in atomic_factors(chi.target)
+        ]
         for p in points_by_algebra[B]:
             q = map_point(fun, p, chi)
-            pi_p = point_morphism(X, p)
-            pi_q = point_morphism(X, q)
-            for u in opens:
-                lhs = pi_q.pullback(u).components[0]
-                rhs = induced_hom(chi, pi_p.pullback(u).components[0])
-                if not eq(lhs, rhs):
-                    natural = False
-                    report["naturality_witness"] = (
-                        f"point {p!r} along {chi!r} at open {u}: "
-                        f"{lhs} vs {rhs}"
-                    )
-                    break
-            if not natural:
+            got = (tables.get(q) or _atom_table(X, q, plan))[0]
+            pushed = tuple(
+                tuple(None if row[i] is None else to(B.element(row[i].poly)) for (i, to) in pushes)
+                for row in (tables.get(p) or _atom_table(X, p, plan))[0]
+            )
+            if got != pushed:
+                natural = False
+                (j, f, n, k, _), a, b = next(r for r in zip(plan, got, pushed) if r[1] != r[2])
+                a, b = (", ".join(map(str, row)) for row in (a, b))
+                report["naturality_witness"] = (
+                    f"point {p!r} along {chi!r} at chart {j}, D({f}), {n}/({f})**{k}: "
+                    f"({a}) at the pushed point vs ({b}) pushed"
+                )
                 break
         if not natural:
             break
@@ -427,7 +400,6 @@ def comparison_check(
     report["realization"] = cert if cert is not None else "ok"
     ok = ok and cert is None
     if expected_counts is not None:
-        match = list(report["counts"]) == list(expected_counts)
         report["expected_counts"] = list(expected_counts)
-        ok = ok and match
+        ok = ok and report["counts"] == report["expected_counts"]
     return ok, report

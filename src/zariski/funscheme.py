@@ -350,34 +350,34 @@ def membership(U: CompactOpen, p: SchemePoint) -> bool:
 # -- functoriality ----------------------------------------------------------------
 
 
+def _atom_under(
+    atoms: Sequence[AlgebraElement], chi: AlgebraMorphism, to_factor: AlgebraMorphism
+) -> int:
+    """For chi : B -> B2, the index among B's ``atoms`` of the one atom e
+    under the atom e2 of B2 that ``to_factor`` projects to: chi(e) = 1 in
+    B2/(1 - e2)."""
+    for i, e in enumerate(atoms):
+        if to_factor(chi(e)) == to_factor.target.one:
+            return i
+    raise NonReducedAlgebraError(
+        "no factor of the source decomposition covers an atom of the target"
+    )
+
+
 def map_point(
     X: FunctorialScheme, p: SchemePoint, chi: AlgebraMorphism
 ) -> SchemePoint:
     """Push a point of X(B) forward along chi : B -> B2."""
-    B2 = chi.target
-    if p.test_algebra != chi.source:
+    B, B2 = p.test_algebra, chi.target
+    if B != chi.source:
         raise ValueError("point does not live over the morphism's source")
     if B2.is_trivial():
         return SchemePoint(X, B2, ())
     factors2 = []
     for e2, to_factor in atomic_factors(B2):
-        B2e = to_factor.target
-        hit = None
-        for (e, j, phi) in p.factors:
-            if to_factor(chi(p.test_algebra.element(e.poly))) == B2e.one:
-                hit = (j, phi)
-                break
-        if hit is None:
-            raise NonReducedAlgebraError(
-                "no factor of the source decomposition covers an atom of "
-                "the target"
-            )
-        j, phi = hit
-        images = [
-            to_factor(chi(p.test_algebra.element(v.poly)))
-            for v in phi.images
-        ]
-        psi = AlgebraMorphism(X.charts[j], B2e, images)
+        _, j, phi = p.factors[_atom_under([e for (e, _, _) in p.factors], chi, to_factor)]
+        images = [to_factor(chi(B.element(v.poly))) for v in phi.images]
+        psi = AlgebraMorphism(X.charts[j], to_factor.target, images)
         factors2.append((e2, *_lowest_chart(X.lat, j, psi)))
     return SchemePoint(X, B2, factors2)
 

@@ -189,15 +189,24 @@ class _Engine:
         """Gebauer-Moller pair update for the incoming element ``h``.
 
         On packed monomials: ``a`` divides ``b`` when ``((b + G) - a) & G
-        == G``, and two leading monomials are coprime when their lcm is
-        their product."""
+        == G``, and ``((a | G) - (G >> 31)) & G`` marks the fields where
+        ``a`` is nonzero.  Coprimality is tested first: coprime leading
+        monomials share no nonzero variable field, their lcm is their sum,
+        and their pair is skipped.  A sum past the exponent limit divides
+        no lcm in range, so it stands as ``G``, which divides none."""
         ring = self.ring
-        G = ring._guard
+        G, k = ring._guard, ring._graded
+        one = G >> 31
+        variables = G ^ (1 << 32 * k + 31) if k else G  # not a degree field
         leads = [g._lead() for g in self.G]
         h_lm = h._lead()
         h_idx = len(leads)
-        lcms = [ring._lcm(h_lm, g) for g in leads]
-        coprime = [l == h_lm + g for l, g in zip(lcms, leads)]
+        h_support = ((h_lm | G) - one) & variables
+        coprime = [not ((g | G) - one) & h_support for g in leads]
+        lcms = [
+            (G if (h_lm + g) & G else h_lm + g) if c else ring._lcm(h_lm, g)
+            for g, c in zip(leads, coprime)
+        ]
         kept: List[int] = []
         for i, li in enumerate(lcms):
             if coprime[i]:

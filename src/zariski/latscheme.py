@@ -292,9 +292,7 @@ class LatticeScheme:
     ``_memo`` remembers values that depend on the scheme alone, for its
     lifetime: ``embed_basic`` by ``(i, w)``, the ``local_samples`` list by
     ``"samples"``, the invertibility support of a sample by
-    ``(j, f, value)``, the realization of an open U by ``("realized", U)``,
-    and, on the spectrum of a test algebra, ``compare.point_morphism``'s
-    collapse maps by ``(Bt, piece)``.
+    ``(j, f, value)`` and the realization of an open U by ``("realized", U)``.
     """
 
     __slots__ = ("data", "_memo")
@@ -405,9 +403,9 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     """The compact open generated by an open of one chart: transported
     copies fill in the other charts' components.
 
-    Remembered on X by ``(i, w)``: point morphisms into X ask for the same
-    few opens at every point, and each costs a ``transport_piece`` per
-    patch and generator.
+    Remembered on X by ``(i, w)``: every comparison over X embeds the same
+    sample supports, and every morphism into X pulls back the same few
+    opens, each at a ``transport_piece`` per patch and generator.
     """
     if w.owner != X.charts[i]:
         raise ValueError("open does not live on the named chart")

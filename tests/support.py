@@ -17,10 +17,18 @@ from zariski.algebra import (
     make_localization,
     try_extend,
 )
+from zariski.compare import point_morphism
 from zariski.fields import GF, QQ
-from zariski.funscheme import SchemePoint, _lowest_chart, _realized, realization
-from zariski.latscheme import GluingData, LatticeScheme, chart_variable_samples, make_patch
-from zariski.lattice import eq, induced_hom, top
+from zariski.funscheme import SchemePoint, _lowest_chart, _realized, map_point, realization
+from zariski.latscheme import (
+    GluingData,
+    LatticeScheme,
+    chart_variable_samples,
+    embed_basic,
+    make_patch,
+    top_open,
+)
+from zariski.lattice import basic_open, eq, induced_hom, top
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 
 
@@ -140,8 +148,6 @@ def random_nonzero_element(rng, algebra, max_degree=2, max_terms=3, coeff_bound=
 
 
 def random_open(rng, algebra, max_gens=3, max_degree=2, max_terms=3):
-    from zariski.lattice import basic_open
-
     gens = [
         random_poly(rng, algebra.ring, max_degree, max_terms)
         for _ in range(rng.randint(0, max_gens))
@@ -241,6 +247,31 @@ def morphisms_agree(pi1, pi2, opens, samples=None):
                 if common.to_loc(n1 * h2**k2) != common.to_loc(n2 * h1**k1):
                     return False
     return True
+
+
+def sample_opens(X):
+    """X's top, each chart's top and each chart variable's D(x_k), as
+    compact opens of X: the opens the pullback oracles compare on."""
+    out = [top_open(X)]
+    for j, A in enumerate(X.charts):
+        out.append(embed_basic(X, j, top(A)))
+        for k in range(A.nvars):
+            out.append(embed_basic(X, j, basic_open(A, [A.var(k)])))
+    return out
+
+
+def natural_by_pullbacks(X, p, chi):
+    """Whether the naturality square of the point p of X(B) along chi : B ->
+    B2 commutes on opens: the morphism of ``map_point(p, chi)`` pulls each
+    of ``sample_opens(X)`` back to chi's image of the pullback along p's
+    morphism.  The oracle for the naturality verdict of
+    ``compare.comparison_check``."""
+    pi_p = point_morphism(X, p)
+    pi_q = point_morphism(X, map_point(p.scheme, p, chi))
+    return all(
+        eq(pi_q.pullback(u).components[0], induced_hom(chi, pi_p.pullback(u).components[0]))
+        for u in sample_opens(X)
+    )
 
 
 # -- tuple reference for packed monomials ---------------------------------------

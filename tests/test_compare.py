@@ -9,6 +9,7 @@ gluing data; the whole bundle is wrapped by comparison_check.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from support import (
@@ -19,9 +20,11 @@ from support import (
     finite_algebras,
     gf3_split,
     morphisms_agree,
+    natural_by_pullbacks,
     nilpotent_algebra,
     product_of_points,
     projective_plane,
+    sample_opens,
     section_value_at_point,
 )
 from zariski import compare, latscheme, sheaf
@@ -34,7 +37,6 @@ from zariski.algebra import (
 )
 from zariski.compare import (
     RealizationData,
-    _sample_opens,
     adjunction_flat,
     comparison_check,
     point_morphism,
@@ -55,10 +57,13 @@ from zariski.lattice import basic_open, eq, join, leq, meet, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
+    GluingData,
+    LatticeScheme,
     SchemeMorphism,
     embed_basic,
     local_morphism_witness,
     local_samples,
+    make_patch,
     mk_affine,
     projective_line,
     punctured_plane,
@@ -134,7 +139,7 @@ def test_the_trivial_test_algebra_has_exactly_one_point(fun_a1):
 
 
 def test_distinct_points_carry_extensionally_distinct_morphisms(fun_p13):
-    opens = _sample_opens(fun_p13.lat)
+    opens = sample_opens(fun_p13.lat)
     for B in (F3, gf3_split()):
         pts = eval_points(fun_p13, B)
         sharp = [local_point_morphism(fun_p13, p) for p in pts]
@@ -149,7 +154,7 @@ def test_distinct_points_carry_extensionally_distinct_morphisms(fun_p13):
     ids=["P1/GF3xGF3", "A1/GF9"],
 )
 def test_every_point_morphism_agrees_with_itself(X, B):
-    opens = _sample_opens(X)
+    opens = sample_opens(X)
     for p in eval_points(functorial(X), B):
         pi = point_morphism(X, p)
         assert morphisms_agree(pi, point_morphism(X, p), opens)
@@ -158,7 +163,7 @@ def test_every_point_morphism_agrees_with_itself(X, B):
 
 def test_memoized_pullbacks_equal_a_fresh_morphisms():
     X = projective_line(GF(3))
-    opens = _sample_opens(X)
+    opens = sample_opens(X)
     A0 = X.charts[0]
     loc1 = make_localization(A0, A0.one)
     value = loc1.to_loc(A0.var(0))
@@ -230,6 +235,22 @@ def test_realization_certificates_hold_for_the_fixtures(fun_a1, fun_p13):
     assert realization_certificate(functorial(Xu)) is None
 
 
+def test_a_realized_patch_that_glues_differently_is_refuted():
+    """The realized top of P^1 swapped for that of the line glued by t ->
+    2/s: the charts are P^1's, the patch matches none of P^1's."""
+    X = projective_line(GF(3))
+    A0, A1 = X.charts
+    t, s = A0.var(0), A1.var(0)
+    inv_t, inv_s = make_localization(A0, t).inverse, make_localization(A1, s).inverse
+    twisted = LatticeScheme(
+        GluingData(X.charts, [make_patch(X.charts, 0, 1, t, s, [2 * inv_s], [2 * inv_t])])
+    )
+    X._memo[("realized", top_open(X))] = realization(functorial(twisted), top_open(twisted)), None
+    assert realization_certificate(functorial(X)) == (
+        "realized patch between charts 0 and 1 at D(t) does not match any original patch"
+    )
+
+
 # -- sections and supports ----------------------------------------------------------------
 
 
@@ -282,7 +303,7 @@ def test_independent_spec_morphisms_land_in_the_image(fun_a1):
     assert morphisms_agree(
         pi_round,
         spec_morphism(phi, source=pi_round.source, target=target),
-        _sample_opens(target),
+        sample_opens(target),
     )
 
 
@@ -393,7 +414,7 @@ def _assert_the_table_matches_the_generic_checkers(X, pts):
     and its roundtrip ``adjunction_flat``'s; equal values are
     ``morphisms_agree`` on every pair, with the first point taken twice."""
     fun = pts[0].scheme
-    opens, samples = _sample_opens(X), local_samples(X)
+    opens, samples = sample_opens(X), local_samples(X)
     carried, prints = [], []
     for p in pts + pts[:1]:
         values, local, roundtrip = _table(X, p)
@@ -445,7 +466,7 @@ def test_the_fingerprint_decides_every_sample_opens_pullback(X, B):
                     embed_basic(X, j, basic_open(A, [A.var(k)])),
                     {idx for idx in every if at_x[idx] is not None and is_unit(at_x[idx])},
                 ))
-        assert [u for (u, _) in expected] == _sample_opens(X)
+        assert [u for (u, _) in expected] == sample_opens(X)
         pi = point_morphism(X, p)
         for u, atoms in expected:
             w = pi.pullback(u).components[0]
@@ -565,6 +586,60 @@ def test_fingerprints_decide_agreement_over_random_finite_algebras(B):
         assert ok, report
 
 
+@settings(max_examples=25)
+@given(finite_algebras(max_size=27), st.data())
+def test_naturality_by_tables_agrees_with_the_pullback_oracle(B, data):
+    """Naturality along the Frobenius of B, along GF(p) -> B and along B ->
+    B/(1 - e) for an atom e: the table verdict of ``comparison_check``
+    against pulling every sample open back through both sides of the
+    square, on the affine line, the projective line (B of at most 9
+    elements) and the punctured plane (at most 5)."""
+    F, size = B.field, len(B.enumerate_elements())
+    atoms = atomic_factors(B)
+    kind = data.draw(st.sampled_from(["frobenius", "constants"] + ["factor"] * bool(atoms)))
+    if kind == "frobenius":
+        chi = AlgebraMorphism(B, B, [v**F.char for v in B.gens()])
+    elif kind == "constants":
+        chi = AlgebraMorphism(PresentedAlgebra(PolyRing(F, [])), B, [])
+    else:
+        chi = data.draw(st.sampled_from(atoms))[1]
+    schemes = [affine_line(F.char)]
+    schemes += [projective_line(F)] * (size <= 9) + [punctured_plane(F)[0]] * (size <= 5)
+    for X in schemes:
+        ok, report = comparison_check(X, [B], morphisms=[chi])
+        assert ok and report["natural"], report
+        assert all(
+            natural_by_pullbacks(X, p, chi) for p in eval_points(functorial(X), chi.source)
+        )
+
+
+@pytest.mark.parametrize("twist", ["next point", "identity for Frobenius"])
+def test_a_point_pushed_to_the_wrong_point_is_refuted(monkeypatch, twist):
+    """``map_point`` sends each point to the next point of A^1(GF9), or
+    pushes it along the identity in place of Frobenius: the first point it
+    moves is named with chi, the sample and both values."""
+    X, frobenius = affine_line(3), AlgebraMorphism(GF9, GF9, [GF9.var(0) ** 3])
+    honest = compare.map_point
+
+    def twisted(fun, p, chi):
+        if twist == "next point":
+            pts = eval_points(fun, chi.target)
+            return pts[(pts.index(honest(fun, p, chi)) + 1) % len(pts)]
+        return honest(fun, p, AlgebraMorphism.identity(GF9))
+
+    monkeypatch.setattr(compare, "map_point", twisted)
+    ok, report = comparison_check(X, [GF9], morphisms=[frobenius])
+    assert not ok and not report["natural"]
+    fun = functorial(X)
+    pushed = [(p, twisted(fun, p, frobenius)) for p in eval_points(fun, GF9)]
+    p, q = next((p, q) for p, q in pushed if q != honest(fun, p, frobenius))
+    x_at_q, x_at_p = as_hom(q).images[0], as_hom(p).images[0]
+    assert report["naturality_witness"] == (
+        f"point {p!r} along {frobenius!r} at chart 0, D(1), x/(1)**0: "
+        f"({x_at_q}) at the pushed point vs ({x_at_p ** 3}) pushed"
+    )
+
+
 # -- a point the table rejects is reported, never passed -------------------------------------
 
 
@@ -668,21 +743,23 @@ def test_comparison_evaluates_each_open_a_bounded_number_of_times_per_point(
     assert calls == []
 
 
-def test_each_point_builds_its_comorphisms_once(monkeypatch):
+def test_each_point_reads_one_table_and_builds_no_morphism(monkeypatch):
     calls = _count_morphism_building(monkeypatch)
+    tables = _count_tables(monkeypatch)
     ok, report = comparison_check(projective_line(GF(3)), [GF9])
     assert ok, report
     assert report["counts"] == [10]
     # without naturality morphisms no point builds a morphism at all
     assert calls == []
     D3 = product_of_points(3, 2)
+    tables.clear()
     ok, report = comparison_check(
         projective_line(GF(3)), [F3, D3], morphisms=[AlgebraMorphism(F3, D3, [])]
     )
-    assert ok, report
-    # naturality builds both sides' morphisms, once per point of F3
-    assert calls.count("point_morphism") == 2 * 4
-    assert "local_morphism_witness" not in calls and "adjunction_flat" not in calls
+    assert ok and report["natural"], report
+    # naturality reads the first pass's tables: one per point of F3 and of D3
+    assert calls == []
+    assert len(tables) == len(set(tables)) == 4 + 16
 
 
 def test_comparison_over_a_split_algebra_does_not_rebuild_its_factors(monkeypatch):

@@ -167,6 +167,21 @@ def test_same_input_gives_identical_output():
     assert a.cofactors == b.cofactors
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_coprime_leads_past_the_exponent_limit_make_no_pair(order):
+    """The leading monomials of x^(2^30) - 1 and y^(2^30) - 1 are coprime,
+    so Buchberger's first criterion skips their only pair.  Under grevlex
+    their product has total degree 2^31, past the exponent limit, and is
+    never checked against it."""
+    ring = _ring_for(0, order=order)
+    x, y = ring.gens()
+    gens = [x ** (2**30) - 1, y ** (2**30) - 1]
+    gb = GroebnerBasis(ring, gens)
+    assert set(gb.basis) == set(gens)
+    for g, row in zip(gb.basis, gb.cofactors):
+        assert sum((c * f for c, f in zip(row, gens)), ring.zero) == g
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_random_combinations_are_members_with_exact_certificates(seed):
