@@ -18,7 +18,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import Monomial, Poly, PolyRing, _poly, poly_sort_key
+from .polynomials import Monomial, Poly, PolyRing, _new, _poly, _set, poly_sort_key
 
 
 class ExtractionCapError(RuntimeError):
@@ -52,8 +52,10 @@ class PresentedAlgebra:
     lifetime and for no other algebra, equal or not: ``make_localization``
     by ``("loc", f)``, ``_member_gb`` by ``("member", gens)``,
     ``radical_member`` by ``("radical", f, gens)``, ``try_invert`` by
-    ``("inv", c)``, ``funscheme.is_reduced`` by ``"reduced"``,
-    ``funscheme.atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
+    ``("inv", c)``, ``_stairs`` by ``"stairs"``, ``enumerate_elements`` by
+    ``"elements"``, and in ``funscheme`` the Frobenius matrix by
+    ``"frobenius"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
+    ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
@@ -198,16 +200,36 @@ class PresentedAlgebra:
         return result
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
-        """The inverse of ``c`` with certificate, or None if not a unit.
-
-        Remembered in ``_memo`` (None for a non-unit too), so each element
-        of this algebra is certified by ``unit_certificate`` once.
-        """
+        """The inverse of ``c``, or None if it is not a unit: solved on the
+        staircase basis of a finite algebra over GF(p) (``_solved_inverse``),
+        else read off ``unit_certificate``.  Remembered in ``_memo`` (None for
+        a non-unit too), so each element is solved or certified once."""
         memo, key = self._memo, ("inv", c.poly)
         if key not in memo:
-            row = self.unit_certificate([c])
-            memo[key] = None if row is None else row[0]
+            try:
+                stairs = self._stairs()
+            except ValueError:  # over QQ, or not finite
+                row = self.unit_certificate([c])
+                memo[key] = None if row is None else row[0]
+            else:
+                memo[key] = self._solved_inverse(c, stairs)
         return memo[key]
+
+    def _solved_inverse(self, c: "AlgebraElement", stairs: List[int]) -> Optional["AlgebraElement"]:
+        """The inverse of ``c`` on the staircase basis, or None: column j of
+        M_c holds c * (basis j), c is a unit exactly when the kernel of
+        [M_c | 1] has a vector (x, 1), and one normal form checks c * -x = 1."""
+        if not stairs:  # the zero ring: 0 is its own inverse
+            return self.zero
+        p, ring = self.field.char, self.ring
+        cols = [self.normal_form(c.poly * _poly(ring, {m: 1}))._t for m in stairs] + [{0: 1}]
+        kernel = _kernel_mod_p([[col.get(m, 0) for col in cols] for m in stairs], p)
+        if not kernel or not kernel[-1][-1]:  # only the last vector can end in 1
+            return None
+        inv = AlgebraElement(self, _poly(ring, {m: p - a for m, a in zip(stairs, kernel[-1]) if a}))
+        if c * inv != self.one:
+            raise ArithmeticError(f"the solved inverse {inv} of {c} fails its check")
+        return inv
 
     # -- enumeration (finite algebras over prime fields) ----------------------
     def staircase(self) -> List[Monomial]:
@@ -234,19 +256,59 @@ class PresentedAlgebra:
         out.sort(key=self.ring.monomial_key)
         return out
 
+    def _stairs(self) -> List[int]:
+        """The packed staircase, a basis over GF(p) (empty for the zero ring);
+        raises ``ValueError`` over QQ and if the algebra is not finite."""
+        if "stairs" not in self._memo:
+            if not self.field.is_finite:
+                raise ValueError("cannot enumerate an algebra over QQ")
+            stairs = [] if self.is_trivial() else self.staircase()
+            self._memo["stairs"] = [self.ring._pack(m) for m in stairs]
+        return self._memo["stairs"]
+
     def enumerate_elements(self) -> List["AlgebraElement"]:
-        """All elements, in a deterministic order; finite cases only."""
-        if not self.field.is_finite:
-            raise ValueError("cannot enumerate an algebra over QQ")
-        if self.is_trivial():
-            return [self.zero]
-        stairs = [self.ring._pack(m) for m in self.staircase()]
-        scalars = list(self.field.elements())
-        out = []
-        for coeffs in itertools.product(scalars, repeat=len(stairs)):
-            terms = {m: c for m, c in zip(stairs, coeffs) if c}
-            out.append(AlgebraElement(self, _poly(self.ring, terms)))
-        return out
+        """All elements, in a deterministic order, listed once (``_memo``); finite cases only."""
+        if "elements" not in self._memo:
+            stairs = self._stairs()
+            self._memo["elements"] = tuple([
+                AlgebraElement(self, _poly(self.ring, {m: c for m, c in zip(stairs, coeffs) if c}))
+                for coeffs in itertools.product(self.field.elements(), repeat=len(stairs))
+            ])
+        return list(self._memo["elements"])
+
+
+def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
+    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
+    column in order, from the reduced row echelon form of a copy of rows."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        inv = pow(rows[pivot][col], -1, p)
+        top_row = [a * inv % p for a in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows[r] = top_row
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != r:
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free] % p
+        basis.append(x)
+    return basis
 
 
 class AlgebraElement:
@@ -341,8 +403,8 @@ class AlgebraMorphism:
 
     __slots__ = ("source", "target", "images", "_polys", "_hash")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         source: PresentedAlgebra,
         target: PresentedAlgebra,
         images: Sequence[AlgebraElement],
@@ -351,12 +413,7 @@ class AlgebraMorphism:
             raise ValueError("need exactly one image per source variable")
         if source.field != target.field:
             raise ValueError("field mismatch")
-        images = tuple([target.element(im) for im in images])
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_polys", tuple([im.poly for im in images]))
-        object.__setattr__(self, "_hash", None)
+        return _morphism(source, target, tuple([target.element(im) for im in images]))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("AlgebraMorphism is immutable")
@@ -371,13 +428,19 @@ class AlgebraMorphism:
         return self._apply(elt.poly)
 
     def _apply(self, p: Poly) -> AlgebraElement:
-        """The normalized image of a polynomial of the source ring.
-
-        The validity checks pass raw relation polynomials here: normalizing
-        one in the source first would fold it to zero and make the check
-        vacuous.
-        """
-        return self.target.element(p.substitute(self._polys, self.target.ring))
+        """The normalized image of a polynomial of the source ring: a bare
+        variable's image, a constant itself (zero in the trivial algebra),
+        anything else substituted and normalized.  The validity checks pass
+        raw relation polynomials here: normalizing one in the source first
+        would fold it to zero and make the check vacuous."""
+        units, target = self.source.ring._units, self.target
+        if len(p._t) == 1:
+            ((m, c),) = p._t.items()
+            if not m and not target.is_trivial():
+                return AlgebraElement(target, _poly(target.ring, {0: c}))
+            if c == 1 and m in units:
+                return self.images[units.index(m)]
+        return target.element(p.substitute(self._polys, target.ring))
 
     def is_valid(self) -> bool:
         """Whether every relation of the source maps to zero."""
@@ -396,8 +459,8 @@ class AlgebraMorphism:
         """The composite ``self`` followed by ``other``."""
         if other.source != self.target:
             raise ValueError("morphisms do not compose")
-        return AlgebraMorphism(
-            self.source, other.target, [other(im) for im in self.images]
+        return _morphism(
+            self.source, other.target, tuple([other._apply(im.poly) for im in self.images])
         )
 
     def __eq__(self, other):
@@ -421,6 +484,18 @@ class AlgebraMorphism:
             f"{nm} -> {im}" for nm, im in zip(self.source.names, self.images)
         )
         return f"AlgebraMorphism({arrows or 'constants only'})"
+
+
+def _morphism(source: PresentedAlgebra, target: PresentedAlgebra, images: Tuple) -> AlgebraMorphism:
+    """The ``AlgebraMorphism`` with these ``images``, normalized elements of
+    ``target``, one per source variable, taken as they are."""
+    f = _new(AlgebraMorphism)
+    _set(f, "source", source)
+    _set(f, "target", target)
+    _set(f, "images", images)
+    _set(f, "_polys", tuple([im.poly for im in images]))
+    _set(f, "_hash", None)
+    return f
 
 
 def morphism(
@@ -450,7 +525,7 @@ def enumerate_homs(
     n = source.nvars
     if not source.relations:
         return [
-            AlgebraMorphism(source, target, images)
+            _morphism(source, target, images)
             for images in itertools.product(candidates, repeat=n)
         ]
     ring = target.ring
@@ -485,7 +560,7 @@ def enumerate_homs(
 
     def assign(k: int) -> None:
         if k == n:
-            out.append(AlgebraMorphism(source, target, images))
+            out.append(_morphism(source, target, tuple(images)))
             return
         options, solved = candidates, None
         for (r, c, d) in solvers[k]:
@@ -525,9 +600,7 @@ class Localization:
         f_lift = base.ring.lift(denominator.poly, ring)
         rels.append(f_lift * ring.var(ring.nvars - 1) - ring.one)
         algebra = PresentedAlgebra(ring, rels)
-        to_loc = AlgebraMorphism(
-            base, algebra, [algebra.var(i) for i in range(base.nvars)]
-        )
+        to_loc = _morphism(base, algebra, algebra.gens()[: base.nvars])
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "algebra", algebra)
@@ -604,7 +677,7 @@ def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMor
     inv = alpha.target.try_invert(alpha(loc.denominator))
     if inv is None:
         return None
-    return AlgebraMorphism(loc.algebra, alpha.target, alpha.images + (inv,))
+    return _morphism(loc.algebra, alpha.target, alpha.images + (inv,))
 
 
 # -- tensor products ------------------------------------------------------------

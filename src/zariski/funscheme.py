@@ -23,6 +23,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
+    _kernel_mod_p,
+    _morphism,
     enumerate_homs,
     extract_fraction,
     make_localization,
@@ -38,7 +40,7 @@ from .latscheme import (
     mk_affine,
     restrict_scheme,
 )
-from .polynomials import Monomial, PolyRing, poly_sort_key
+from .polynomials import PolyRing, _poly, poly_sort_key
 
 
 class NonReducedAlgebraError(ValueError):
@@ -145,18 +147,14 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     Over GF(p) the map b -> b**p is GF(p)-linear, and it kills a nonzero
     element exactly when B has a nonzero nilpotent (b**(p**k) = 0 makes some
     b**(p**i) a nonzero element with zero p-th power).  So B is reduced iff
-    Frobenius has full rank on the staircase basis: dim B normal forms and
-    one row reduction over GF(p).  The same matrix less the identity gives
-    the atoms (``atomic_factors``).  The answer is remembered on B (in
-    ``B._memo``, next to its inverses), so tabling many points over one
-    algebra (``compare._atom_table``) decides it once.
+    Frobenius has full rank on the staircase basis: one row reduction over
+    GF(p) of the matrix ``_frobenius`` keeps on B, whose difference with the
+    identity gives the atoms (``atomic_factors``).  The answer is remembered
+    on B (in ``B._memo``, next to its inverses), so tabling many points over
+    one algebra (``compare._atom_table``) decides it once.
     """
-    if not B.field.is_finite:
-        raise ValueError("cannot enumerate an algebra over QQ")
-    if "reduced" not in B._memo:
-        B._memo["reduced"] = B.is_trivial() or not _kernel_mod_p(
-            _frobenius(B)[1], B.field.char
-        )
+    if "reduced" not in B._memo:  # over QQ, _frobenius raises on every call
+        B._memo["reduced"] = not _kernel_mod_p(_frobenius(B)[1], B.field.char)
     return B._memo["reduced"]
 
 
@@ -173,7 +171,8 @@ def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMor
     of the fixed space leaves exactly the atoms (Berlekamp).  A fixed space
     of dimension one makes 1 the only atom, projected by the identity.  The
     trivial algebra has no atoms; algebras over QQ are refused.  Remembered
-    on B, in ``B._memo["atoms"]``.
+    on B, in ``B._memo["atoms"]``; the Frobenius matrix is the one
+    ``is_reduced`` reads (``_frobenius``).
     """
     memo = B._memo
     if "atoms" not in memo:
@@ -182,20 +181,17 @@ def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMor
 
 
 def _atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
-    if not B.field.is_finite:
-        raise ValueError("cannot enumerate an algebra over QQ")
-    if B.is_trivial():
+    stairs, frob = _frobenius(B)
+    if not stairs:  # the trivial algebra
         return []
     p = B.field.char
-    stairs, frob = _frobenius(B)
-    for i, row in enumerate(frob):
-        row[i] = (row[i] - 1) % p
-    fixed = _kernel_mod_p(frob, p)
+    shifted = [[(a - (i == j)) % p for j, a in enumerate(row)] for i, row in enumerate(frob)]
+    fixed = _kernel_mod_p(shifted, p)
     if len(fixed) == 1:
         return [(B.one, AlgebraMorphism.identity(B))]
     atoms = [B.one]
     for x in fixed:
-        b = AlgebraElement(B, B.ring.from_terms(dict(zip(stairs, x))))
+        b = AlgebraElement(B, _poly(B.ring, {m: c for m, c in zip(stairs, x) if c}))
         if b.poly.is_constant():
             continue
         level_sets = [1 - (b - c) ** (p - 1) for c in range(p)]
@@ -215,54 +211,25 @@ def _atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMo
     return [(e, factor_projection(B, e)) for e in atoms]
 
 
-def _frobenius(B: PresentedAlgebra) -> Tuple[List[Monomial], List[List[int]]]:
-    """The staircase basis of a nontrivial finite B over GF(p) and the matrix
-    of b -> b**p on it: column j holds the coordinates of (basis j)**p."""
-    stairs = B.staircase()
-    row_of = {B.ring._pack(m): i for i, m in enumerate(stairs)}
-    p = B.field.char
-    rows = [[0] * len(stairs) for _ in stairs]
-    for j, m in enumerate(stairs):
-        if not any(m):
-            rows[j][j] = 1  # 1**p == 1, without a normal form
-            continue
-        power = B.element(B.ring.from_terms({m: 1})) ** p
-        for mono, c in power.poly._t.items():
-            rows[row_of[mono]][j] = c
-    return stairs, rows
-
-
-def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
-    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
-    column, by reducing ``rows`` to reduced row echelon form in place."""
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        for pivot in range(r, len(rows)):
-            if rows[pivot][col]:
-                break
-        else:
-            continue
-        inv = pow(rows[pivot][col], -1, p)
-        top_row = [a * inv % p for a in rows[pivot]]
-        rows[pivot] = rows[r]
-        rows[r] = top_row
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if factor and i != r:
-                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        x = [0] * ncols
-        x[free] = 1
-        for r, col in enumerate(pivots):
-            x[col] = -rows[r][free] % p
-        basis.append(x)
-    return basis
+def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
+    """The packed staircase basis of a finite B over GF(p) and the matrix of
+    b -> b**p on it: column j holds the coordinates of (basis j)**p.  Built
+    once per B, in ``B._memo["frobenius"]``, for ``is_reduced`` and
+    ``atomic_factors``; raises ``ValueError`` over QQ or if B is infinite."""
+    if "frobenius" not in B._memo:
+        stairs = B._stairs()
+        row_of = {m: i for i, m in enumerate(stairs)}
+        p = B.field.char
+        rows = [[0] * len(stairs) for _ in stairs]
+        for j, m in enumerate(stairs):
+            if not m:
+                rows[j][j] = 1  # 1**p == 1, without a normal form
+                continue
+            power = AlgebraElement(B, _poly(B.ring, {m: 1})) ** p
+            for mono, c in power.poly._t.items():
+                rows[row_of[mono]][j] = c
+        B._memo["frobenius"] = (stairs, rows)
+    return B._memo["frobenius"]
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
@@ -275,7 +242,7 @@ def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra
 def factor_projection(B: PresentedAlgebra, e: AlgebraElement) -> AlgebraMorphism:
     """The projection B -> B/(1 - e) onto the factor of the idempotent e."""
     Bt = connected_factor(B, e)
-    return AlgebraMorphism(B, Bt, [Bt.var(i) for i in range(B.nvars)])
+    return _morphism(B, Bt, Bt.gens())
 
 
 # -- point enumeration -----------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from support import (
+    certified_inverse,
     exhaustive_homs,
+    finite_algebras,
     gf3_split,
     gf5_circle,
     gf5_hyperbola,
@@ -156,6 +158,19 @@ def test_try_invert_returns_exact_inverses():
     assert B.try_invert(xb) == yb
 
 
+@given(finite_algebras())
+@settings(max_examples=40, deadline=None)
+def test_solved_inverses_agree_with_unit_certificates(B):
+    """Over every element of a finite algebra, reduced, non-reduced or
+    trivial, the linear solve finds the certified inverse, and no inverse
+    exactly where no certificate exists."""
+    B._stairs()  # finite: try_invert solves instead of certifying
+    for c in B.enumerate_elements():
+        inv = B.try_invert(c)
+        assert inv == certified_inverse(B, c)
+        assert inv is None or c * inv == B.one
+
+
 # -- morphisms ------------------------------------------------------------------
 
 
@@ -169,6 +184,32 @@ def test_morphism_validity_is_checked_on_relations():
     assert ok(A.var(0)) == B.zero
     raw = AlgebraMorphism(A, B, [xb])  # raw constructor skips validation
     assert not raw.is_valid()
+
+
+def test_variables_and_constants_map_as_substitution_does():
+    source = PresentedAlgebra.free(GF(3), ["x", "y"])
+    x, y = source.ring.gens()
+    polys = [x, y, source.ring.zero, source.ring.one, source.ring.const(2), 2 * x, x * y + 1]
+    for text in ["GF(3)[t]/(t^2 + 1)", "GF(3)[t]/(t^2)", "GF(3)[t]/(t, t - 1)"]:
+        B = PresentedAlgebra(*parse_ring(text))
+        t = B.var(0)
+        phi = AlgebraMorphism(source, B, [t + 1, 2 * t])
+        for p in polys:
+            assert phi._apply(p) == B.element(p.substitute(phi._polys, B.ring)), (text, p)
+
+
+def test_a_bare_variable_or_constant_relation_is_still_checked():
+    A = PresentedAlgebra(*parse_ring("GF(3)[x]/(x)"))
+    B = PresentedAlgebra(*parse_ring("GF(3)[t]/(t^2 + 1)"))
+    with pytest.raises(ValueError, match="relation x maps to 1"):
+        morphism(A, B, [B.one])
+    assert morphism(A, B, [B.zero]).is_valid()
+    ring = PolyRing(GF(3), ["x"])
+    zero_ring = PresentedAlgebra(ring, [ring.one])
+    with pytest.raises(ValueError, match="relation 1 maps to 1"):
+        morphism(zero_ring, B, [B.var(0)])
+    trivial = PresentedAlgebra(*parse_ring("GF(3)[t]/(t, t - 1)"))
+    assert morphism(zero_ring, trivial, [trivial.zero]).is_valid()
 
 
 def test_morphism_composition_and_equality():
@@ -258,17 +299,21 @@ def test_hom_search_enumerates_a_variable_whose_coefficient_is_a_zero_divisor():
 
 def test_hom_search_inverts_each_coefficient_value_once(monkeypatch):
     # the chart relation y*z - 1 is solved for z once per (x, y) branch; the
-    # target remembers its inverses, so each value of y is certified once
+    # target remembers its inverses, so each value of y is solved for once
     A = _quotient(3, ["x", "y", "z"], [lambda x, y, z: y * z - 1])
     B = _quotient(3, ["t"], [lambda t: t * t + 1])
     calls = []
-    inner = PresentedAlgebra.unit_certificate
+    inner = PresentedAlgebra._solved_inverse
 
-    def counted(self, gens):
-        calls.append(tuple(gens))
-        return inner(self, gens)
+    def counted(self, c, stairs):
+        calls.append(c)
+        return inner(self, c, stairs)
 
-    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
+    def no_certificate(self, gens):
+        raise AssertionError("a finite algebra inverts by a linear solve")
+
+    monkeypatch.setattr(PresentedAlgebra, "_solved_inverse", counted)
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", no_certificate)
     homs = enumerate_homs(A, B)
     monkeypatch.undo()
     assert homs == exhaustive_homs(A, B)
