@@ -52,10 +52,9 @@ class PresentedAlgebra:
     lifetime and for no other algebra, equal or not: ``make_localization``
     by ``("loc", f)``, ``_member_gb`` by ``("member", gens)``,
     ``radical_member`` by ``("radical", f, gens)``, ``try_invert`` by
-    ``("inv", c)``, ``_stairs`` by ``"stairs"``, ``enumerate_elements`` by
-    ``"elements"``, and in ``funscheme`` the Frobenius matrix by
-    ``"frobenius"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
-    ``"atoms"`` and Spec by ``"spec"``.
+    ``("inv", c)``, ``enumerate_elements`` by ``"elements"``, and in
+    ``funscheme`` the Frobenius matrix by ``"frobenius"``, ``is_reduced`` by
+    ``"reduced"``, ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
@@ -200,36 +199,16 @@ class PresentedAlgebra:
         return result
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
-        """The inverse of ``c``, or None if it is not a unit: solved on the
-        staircase basis of a finite algebra over GF(p) (``_solved_inverse``),
-        else read off ``unit_certificate``.  Remembered in ``_memo`` (None for
-        a non-unit too), so each element is solved or certified once."""
+        """The inverse of ``c`` with certificate, or None if not a unit.
+
+        Remembered in ``_memo`` (None for a non-unit too), so each element
+        of this algebra is certified by ``unit_certificate`` once.
+        """
         memo, key = self._memo, ("inv", c.poly)
         if key not in memo:
-            try:
-                stairs = self._stairs()
-            except ValueError:  # over QQ, or not finite
-                row = self.unit_certificate([c])
-                memo[key] = None if row is None else row[0]
-            else:
-                memo[key] = self._solved_inverse(c, stairs)
+            row = self.unit_certificate([c])
+            memo[key] = None if row is None else row[0]
         return memo[key]
-
-    def _solved_inverse(self, c: "AlgebraElement", stairs: List[int]) -> Optional["AlgebraElement"]:
-        """The inverse of ``c`` on the staircase basis, or None: column j of
-        M_c holds c * (basis j), c is a unit exactly when the kernel of
-        [M_c | 1] has a vector (x, 1), and one normal form checks c * -x = 1."""
-        if not stairs:  # the zero ring: 0 is its own inverse
-            return self.zero
-        p, ring = self.field.char, self.ring
-        cols = [self.normal_form(c.poly * _poly(ring, {m: 1}))._t for m in stairs] + [{0: 1}]
-        kernel = _kernel_mod_p([[col.get(m, 0) for col in cols] for m in stairs], p)
-        if not kernel or not kernel[-1][-1]:  # only the last vector can end in 1
-            return None
-        inv = AlgebraElement(self, _poly(ring, {m: p - a for m, a in zip(stairs, kernel[-1]) if a}))
-        if c * inv != self.one:
-            raise ArithmeticError(f"the solved inverse {inv} of {c} fails its check")
-        return inv
 
     # -- enumeration (finite algebras over prime fields) ----------------------
     def staircase(self) -> List[Monomial]:
@@ -259,12 +238,9 @@ class PresentedAlgebra:
     def _stairs(self) -> List[int]:
         """The packed staircase, a basis over GF(p) (empty for the zero ring);
         raises ``ValueError`` over QQ and if the algebra is not finite."""
-        if "stairs" not in self._memo:
-            if not self.field.is_finite:
-                raise ValueError("cannot enumerate an algebra over QQ")
-            stairs = [] if self.is_trivial() else self.staircase()
-            self._memo["stairs"] = [self.ring._pack(m) for m in stairs]
-        return self._memo["stairs"]
+        if not self.field.is_finite:
+            raise ValueError("cannot enumerate an algebra over QQ")
+        return [] if self.is_trivial() else [self.ring._pack(m) for m in self.staircase()]
 
     def enumerate_elements(self) -> List["AlgebraElement"]:
         """All elements, in a deterministic order, listed once (``_memo``); finite cases only."""
@@ -275,40 +251,6 @@ class PresentedAlgebra:
                 for coeffs in itertools.product(self.field.elements(), repeat=len(stairs))
             ])
         return list(self._memo["elements"])
-
-
-def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
-    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
-    column in order, from the reduced row echelon form of a copy of rows."""
-    rows = [list(row) for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        for pivot in range(r, len(rows)):
-            if rows[pivot][col]:
-                break
-        else:
-            continue
-        inv = pow(rows[pivot][col], -1, p)
-        top_row = [a * inv % p for a in rows[pivot]]
-        rows[pivot] = rows[r]
-        rows[r] = top_row
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if factor and i != r:
-                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        x = [0] * ncols
-        x[free] = 1
-        for r, col in enumerate(pivots):
-            x[col] = -rows[r][free] % p
-        basis.append(x)
-    return basis
 
 
 class AlgebraElement:

@@ -23,7 +23,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
-    _kernel_mod_p,
     _morphism,
     enumerate_homs,
     extract_fraction,
@@ -154,7 +153,8 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     one algebra (``compare._atom_table``) decides it once.
     """
     if "reduced" not in B._memo:  # over QQ, _frobenius raises on every call
-        B._memo["reduced"] = not _kernel_mod_p(_frobenius(B)[1], B.field.char)
+        frob = [list(row) for row in _frobenius(B)[1]]
+        B._memo["reduced"] = not _kernel_mod_p(frob, B.field.char)
     return B._memo["reduced"]
 
 
@@ -230,6 +230,39 @@ def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
                 rows[row_of[mono]][j] = c
         B._memo["frobenius"] = (stairs, rows)
     return B._memo["frobenius"]
+
+
+def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
+    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
+    column, by reducing ``rows`` to reduced row echelon form in place."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        inv = pow(rows[pivot][col], -1, p)
+        top_row = [a * inv % p for a in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows[r] = top_row
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != r:
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free] % p
+        basis.append(x)
+    return basis
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:

@@ -189,13 +189,6 @@ def atoms_by_search(B):
     return sorted(atoms, key=lambda e: poly_sort_key(e.poly))
 
 
-def certified_inverse(B, c):
-    """The inverse of ``c`` read off a Gröbner unit certificate, or None: the
-    oracle for ``PresentedAlgebra.try_invert`` on finite algebras."""
-    row = B.unit_certificate([c])
-    return None if row is None else row[0]
-
-
 @st.composite
 def finite_algebras(draw, max_size=125):
     """GF(p)[x] or GF(p)[x, y] over GF(2), GF(3) or GF(5), modulo a monic

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from support import (
-    certified_inverse,
     exhaustive_homs,
-    finite_algebras,
     gf3_split,
     gf5_circle,
     gf5_hyperbola,
@@ -158,19 +156,6 @@ def test_try_invert_returns_exact_inverses():
     assert B.try_invert(xb) == yb
 
 
-@given(finite_algebras())
-@settings(max_examples=40, deadline=None)
-def test_solved_inverses_agree_with_unit_certificates(B):
-    """Over every element of a finite algebra, reduced, non-reduced or
-    trivial, the linear solve finds the certified inverse, and no inverse
-    exactly where no certificate exists."""
-    B._stairs()  # finite: try_invert solves instead of certifying
-    for c in B.enumerate_elements():
-        inv = B.try_invert(c)
-        assert inv == certified_inverse(B, c)
-        assert inv is None or c * inv == B.one
-
-
 # -- morphisms ------------------------------------------------------------------
 
 
@@ -299,21 +284,17 @@ def test_hom_search_enumerates_a_variable_whose_coefficient_is_a_zero_divisor():
 
 def test_hom_search_inverts_each_coefficient_value_once(monkeypatch):
     # the chart relation y*z - 1 is solved for z once per (x, y) branch; the
-    # target remembers its inverses, so each value of y is solved for once
+    # target remembers its inverses, so each value of y is certified once
     A = _quotient(3, ["x", "y", "z"], [lambda x, y, z: y * z - 1])
     B = _quotient(3, ["t"], [lambda t: t * t + 1])
     calls = []
-    inner = PresentedAlgebra._solved_inverse
+    inner = PresentedAlgebra.unit_certificate
 
-    def counted(self, c, stairs):
-        calls.append(c)
-        return inner(self, c, stairs)
+    def counted(self, gens):
+        calls.append(tuple(gens))
+        return inner(self, gens)
 
-    def no_certificate(self, gens):
-        raise AssertionError("a finite algebra inverts by a linear solve")
-
-    monkeypatch.setattr(PresentedAlgebra, "_solved_inverse", counted)
-    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", no_certificate)
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
     homs = enumerate_homs(A, B)
     monkeypatch.undo()
     assert homs == exhaustive_homs(A, B)

@@ -842,35 +842,27 @@ def test_transports_per_comparison_do_not_grow_with_the_points(
     assert t_large == t_small
 
 
-def _inverses_of_one_comparison(monkeypatch, case):
-    """The unit certificates and the linear inverse solves one comparison
-    makes, each at most once per algebra and value."""
+def _certificates_of_one_comparison(monkeypatch, case):
+    """The unit certificates one comparison computes, each at most once."""
     X, B = case()
-    algebras = []  # keeps ids unique for the whole run
+    calls, algebras = [], []
+    inner = PresentedAlgebra.unit_certificate
 
-    def counted(name, key):
-        inner, out = getattr(PresentedAlgebra, name), []
+    def counted(self, gens):
+        algebras.append(self)  # keeps ids unique for the whole run
+        calls.append((id(self), tuple(g.poly for g in gens)))
+        return inner(self, gens)
 
-        def wrapper(self, arg, *rest):
-            algebras.append(self)
-            out.append((id(self), key(arg)))
-            return inner(self, arg, *rest)
-
-        monkeypatch.setattr(PresentedAlgebra, name, wrapper)
-        return out
-
-    certified = counted("unit_certificate", lambda gens: tuple(g.poly for g in gens))
-    solved = counted("_solved_inverse", lambda c: c.poly)
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
     ok, report = comparison_check(X, [B])
     assert ok, report
-    assert len(certified) == len(set(certified))
-    assert len(solved) == len(set(solved))
-    return certified, solved
+    assert len(calls) == len(set(calls))
+    return calls
 
 
 @pytest.mark.parametrize("case", VALIDATION_CASES, ids=VALIDATION_IDS)
 def test_each_unit_certificate_is_computed_once_per_comparison(monkeypatch, case):
-    _inverses_of_one_comparison(monkeypatch, case)
+    _certificates_of_one_comparison(monkeypatch, case)
 
 
 @pytest.mark.parametrize(
@@ -883,9 +875,8 @@ def test_each_unit_certificate_is_computed_once_per_comparison(monkeypatch, case
 )
 def test_a_comparison_that_needs_inverses_certifies_each_once(monkeypatch, case):
     """A patch map on P^1 inverts phi(Q.f); over a non-reduced algebra a
-    value's unit test is an inverse.  Both invert in finite algebras, by a
-    linear solve."""
-    assert _inverses_of_one_comparison(monkeypatch, case)[1]
+    value's unit test is an inverse."""
+    assert _certificates_of_one_comparison(monkeypatch, case)
 
 
 def test_an_equal_algebra_built_later_gets_memos_of_its_own(monkeypatch):
@@ -896,16 +887,16 @@ def test_an_equal_algebra_built_later_gets_memos_of_its_own(monkeypatch):
     B2 = _gf3_quotient(lambda t: t * t + 1)
     assert B2 == B1 and B2 is not B1
     calls = []
-    inner = PresentedAlgebra._solved_inverse
+    inner = PresentedAlgebra.unit_certificate
 
-    def counted(self, c, stairs):
+    def counted(self, gens):
         calls.append(self)
-        return inner(self, c, stairs)
+        return inner(self, gens)
 
-    monkeypatch.setattr(PresentedAlgebra, "_solved_inverse", counted)
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", counted)
     ok, report = comparison_check(X, [B2])
     assert ok, report
-    # B2's inverses are solved for B2, not read off B1
+    # B2's inverses are certified for B2, not read off B1
     assert any(A is B2 for A in calls) and not any(A is B1 for A in calls)
     assert B2._memo["atoms"][0][1].source is B2
     assert B2._memo["atoms"] is not B1._memo["atoms"]
