@@ -370,19 +370,7 @@ class AlgebraMorphism:
         return self._apply(elt.poly)
 
     def _apply(self, p: Poly) -> AlgebraElement:
-        """The normalized image of a polynomial of the source ring: a bare
-        variable's image, a constant itself (zero in the trivial algebra),
-        anything else substituted and normalized.  The validity checks pass
-        raw relation polynomials here: normalizing one in the source first
-        would fold it to zero and make the check vacuous."""
-        units, target = self.source.ring._units, self.target
-        if len(p._t) == 1:
-            ((m, c),) = p._t.items()
-            if not m and not target.is_trivial():
-                return AlgebraElement(target, _poly(target.ring, {0: c}))
-            if c == 1 and m in units:
-                return self.images[units.index(m)]
-        return target.element(p.substitute(self._polys, target.ring))
+        return _evaluate(p, self.target, self.images, self._polys)
 
     def is_valid(self) -> bool:
         """Whether every relation of the source maps to zero."""
@@ -428,6 +416,23 @@ class AlgebraMorphism:
         return f"AlgebraMorphism({arrows or 'constants only'})"
 
 
+def _evaluate(p: Poly, target: PresentedAlgebra, images: Sequence, polys: Sequence) -> AlgebraElement:
+    """The normalized image in ``target`` of ``p``, a polynomial of the
+    source ring, where variable k goes to ``images[k]`` (``polys[k]`` its
+    polynomial): a bare variable's image, a constant itself (zero in the
+    trivial algebra), anything else substituted and normalized.  Morphisms
+    and the hom search both evaluate here.  The validity checks pass raw
+    relations: normalizing one in the source would fold it to zero."""
+    if len(p._t) == 1:
+        ((m, c),) = p._t.items()
+        if not m and not target.is_trivial():
+            return AlgebraElement(target, _poly(target.ring, {0: c}))
+        units = p.ring._units
+        if c == 1 and m in units:
+            return images[units.index(m)]
+    return target.element(p.substitute(polys, target.ring))
+
+
 def _morphism(source: PresentedAlgebra, target: PresentedAlgebra, images: Tuple) -> AlgebraMorphism:
     """The ``AlgebraMorphism`` with these ``images``, normalized elements of
     ``target``, one per source variable, taken as they are."""
@@ -470,7 +475,6 @@ def enumerate_homs(
             _morphism(source, target, images)
             for images in itertools.product(candidates, repeat=n)
         ]
-    ring = target.ring
     # checks[k + 1]: the relations whose last variable is k (k = -1: constants);
     # solvers[k]: (relation, c, d) for those of the form c*x_k + d
     checks: List[List[Poly]] = [[] for _ in range(n + 1)]
@@ -488,16 +492,14 @@ def enumerate_homs(
             solvers[last].append(
                 (r, Poly(source.ring, c_terms), Poly(source.ring, d_terms))
             )
-    polys = [ring.zero] * n  # images so far; later variables occur in no check
+    polys = [target.ring.zero] * n  # images so far; later variables occur in no check
     images: List[AlgebraElement] = [target.zero] * n
     out: List[AlgebraMorphism] = []
 
-    def value(p: Poly) -> AlgebraElement:
-        return target.element(p.substitute(polys, ring))
-
     def holds(k: int, solved: Optional[Poly]) -> bool:
         return all(
-            value(r).is_zero() for r in checks[k + 1] if r is not solved
+            _evaluate(r, target, images, polys).is_zero()
+            for r in checks[k + 1] if r is not solved
         )
 
     def assign(k: int) -> None:
@@ -506,9 +508,9 @@ def enumerate_homs(
             return
         options, solved = candidates, None
         for (r, c, d) in solvers[k]:
-            inv = target.try_invert(value(c))
+            inv = target.try_invert(_evaluate(c, target, images, polys))
             if inv is not None:
-                options, solved = [-(value(d) * inv)], r
+                options, solved = [-(_evaluate(d, target, images, polys) * inv)], r
                 break
         for b in options:
             images[k] = b

@@ -33,7 +33,6 @@ from .latscheme import (
     GlobalSection,
     LatticeScheme,
     SchemeMorphism,
-    _sample_support,
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -241,14 +240,18 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
 # -- the comparison decision procedure -------------------------------------------------
 
 
-def _sample_plan(X: LatticeScheme) -> List[tuple]:
+def _sample_plan(X: LatticeScheme) -> Tuple[tuple, ...]:
     """Each sample (j, f, n/f**k) of ``local_samples(X)`` as (j, f, n, k, the
-    generators of its support embedded in each chart of X)."""
-    plan = []
-    for (j, f, value) in local_samples(X):
-        n, k = extract_fraction(make_localization(X.charts[j], f), value)
-        U = embed_basic(X, j, _sample_support(X, j, f, value))
-        plan.append((j, f, n, k, [w.generators for w in U.components]))
+    generators of its support D(f*n) embedded in each chart of X).  Built
+    once per scheme and remembered on X, as ``X._memo["plan"]``."""
+    plan = X._memo.get("plan")
+    if plan is None:
+        plan = []
+        for (j, f, value) in local_samples(X):
+            n, k = extract_fraction(make_localization(X.charts[j], f), value)
+            U = embed_basic(X, j, basic_open(X.charts[j], [f * n]))
+            plan.append((j, f, n, k, tuple([w.generators for w in U.components])))
+        plan = X._memo["plan"] = tuple(plan)
     return plan
 
 

@@ -319,7 +319,8 @@ class GroebnerBasis:
         return f
 
     def contains_one(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0] == self.ring.one
+        """Whether the reduced basis is one element led by 1 (packed as 0)."""
+        return self._leads == (0,)
 
     def member(self, f: Poly) -> Optional[List[Poly]]:
         """Cofactors of ``f`` on the original generators, or None."""

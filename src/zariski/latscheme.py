@@ -290,9 +290,10 @@ class LatticeScheme:
     """A scheme presented by validated gluing data.
 
     ``_memo`` remembers values that depend on the scheme alone, for its
-    lifetime: ``embed_basic`` by ``(i, w)``, the ``local_samples`` list by
-    ``"samples"``, the invertibility support of a sample by
-    ``(j, f, value)`` and the realization of an open U by ``("realized", U)``.
+    lifetime, and this module reads none of them: the realization of an
+    open U by ``("realized", U)`` (``funscheme.realization``, so its points
+    compare equal) and the comparison's sample plan by ``"plan"``
+    (``compare._sample_plan``).
     """
 
     __slots__ = ("data", "_memo")
@@ -401,17 +402,12 @@ def bottom_open(X: LatticeScheme) -> CompactOpen:
 
 def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     """The compact open generated by an open of one chart: transported
-    copies fill in the other charts' components.
-
-    Remembered on X by ``(i, w)``: every comparison over X embeds the same
-    sample supports, and every morphism into X pulls back the same few
-    opens, each at a ``transport_piece`` per patch and generator.
+    copies fill in the other charts' components, one ``transport_piece``
+    per patch and generator.  Nothing is remembered: the comparison keeps
+    the embedded sample supports in its plan (``compare._sample_plan``).
     """
     if w.owner != X.charts[i]:
         raise ValueError("open does not live on the named chart")
-    hit = X._memo.get((i, w))
-    if hit is not None:
-        return hit
     comps: List[ZarElement] = []
     for j, Aj in enumerate(X.charts):
         if j == i:
@@ -422,9 +418,7 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
             for h in w.generators:
                 gens.append(transport_piece(p, h))
         comps.append(basic_open(Aj, gens))
-    out = CompactOpen(X, comps)
-    X._memo[(i, w)] = out
-    return out
+    return CompactOpen(X, comps)
 
 
 def open_compatibility_witness(u: CompactOpen) -> Optional[str]:
@@ -706,15 +700,12 @@ class SchemeMorphism:
     (A_i)_f``.  The comorphisms are data, built once by the constructor's
     caller.  The constructor does not validate; the checkers do.
 
-    ``pullback`` and ``pull_basic`` are memoized per morphism in ``_memo``
-    (the data is immutable and ``chart_open`` is pure), so a morphism
-    validated and then compared pulls each open and each section back
-    once.  What does not depend on the morphism is remembered elsewhere:
-    opens of the target on the target scheme (``embed_basic``), inverses on
-    the algebras (``try_invert``).
+    A morphism remembers nothing: ``pullback`` and ``pull_basic`` compute
+    on every call.  A comparison reads its points' tables and builds a
+    morphism only for the witness of a point it refutes.
     """
 
-    __slots__ = ("source", "target", "chart_open", "chart_comorphisms", "_memo")
+    __slots__ = ("source", "target", "chart_open", "chart_comorphisms")
 
     def __init__(
         self,
@@ -729,7 +720,6 @@ class SchemeMorphism:
         object.__setattr__(
             self, "chart_comorphisms", tuple(map(tuple, chart_comorphisms))
         )
-        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SchemeMorphism is immutable")
@@ -737,13 +727,9 @@ class SchemeMorphism:
     def pullback(self, u: CompactOpen) -> CompactOpen:
         if u.owner is not self.target:
             raise ValueError("open does not live on the morphism's target")
-        hit = self._memo.get(u)
-        if hit is not None:
-            return hit
         out = bottom_open(self.source)
         for j, w in enumerate(u.components):
             out = out.join(self.chart_open(j, w))
-        self._memo[u] = out
         return out
 
     def pull_basic(
@@ -755,10 +741,6 @@ class SchemeMorphism:
         Where D(h) is the comorphism's own piece D(fp) (as for every section
         over D(1)), the value is carried by the comorphism alone.
         """
-        key = (j, f, value)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         B = self.target.charts[j]
         loc_f = make_localization(B, f)
         if value.algebra != loc_f.algebra:
@@ -773,9 +755,7 @@ class SchemeMorphism:
             step = phi if loc_h is loc_fp else phi.then(restriction_map(loc_fp, loc_h))
             lifted = extend_over(loc_f, step)
             out.append((i, h, lifted(value)))
-        out = tuple(out)
-        self._memo[key] = out
-        return out
+        return tuple(out)
 
 
 def identity_morphism(X: LatticeScheme) -> SchemeMorphism:
@@ -816,8 +796,7 @@ def chart_variable_samples(
     Y: LatticeScheme, j: int
 ) -> List[Tuple[int, AlgebraElement, AlgebraElement]]:
     """The sections x/1 over D(1) of chart j of Y, one per variable x, as
-    ``pull_basic`` arguments.  ``local_morphism_witness`` pulls them back,
-    so later checks built from this list reuse a morphism's memo."""
+    ``pull_basic`` arguments, built afresh on every call."""
     B = Y.charts[j]
     loc1 = make_localization(B, B.one)
     return [(j, B.one, loc1.to_loc(B.var(idx))) for idx in range(B.nvars)]
@@ -828,27 +807,13 @@ def local_samples(
 ) -> Tuple[Tuple[int, AlgebraElement, AlgebraElement], ...]:
     """The samples of ``local_morphism_witness``: for each chart j of Y, the
     variable sections of ``chart_variable_samples`` and then the unit 1 over
-    D(1).  Built once and remembered on Y."""
-    samples = Y._memo.get("samples")
-    if samples is None:
-        samples = []
-        for j, B in enumerate(Y.charts):
-            samples.extend(chart_variable_samples(Y, j))
-            samples.append((j, B.one, make_localization(B, B.one).algebra.one))
-        samples = Y._memo["samples"] = tuple(samples)
-    return samples
-
-
-def _sample_support(
-    Y: LatticeScheme, j: int, f: AlgebraElement, value: AlgebraElement
-) -> ZarElement:
-    """The invertibility support of a sample section over D(f) of chart j,
-    remembered on Y by ``(j, f, value)``."""
-    got = Y._memo.get((j, f, value))
-    if got is None:
-        sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
-        got = Y._memo[(j, f, value)] = invertibility_support_basic(sec)
-    return got
+    D(1).  Built afresh on every call; the comparison remembers them, with
+    their supports, in its plan (``compare._sample_plan``)."""
+    samples = []
+    for j, B in enumerate(Y.charts):
+        samples.extend(chart_variable_samples(Y, j))
+        samples.append((j, B.one, make_localization(B, B.one).algebra.one))
+    return tuple(samples)
 
 
 def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
@@ -860,15 +825,13 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
     compared: the pullback of the section's invertibility support, and the
     invertibility support of the pulled-back section.  The first never
     exceeds the second for honest morphism data (that inequality is asserted
-    unconditionally); the checker reports equality.
-
-    Only the pullbacks depend on ``pi``.  Each sample's own support is
-    remembered on Y by ``(j, f, value)``, and ``pi``'s memo keeps what it
-    pulls back for later comparisons.
+    unconditionally); the checker reports equality.  Nothing is remembered:
+    a comparison calls this only for the witness of a refuted point.
     """
     X, Y = pi.source, pi.target
     for (j, f, value) in local_samples(Y):
-        lhs = pi.chart_open(j, _sample_support(Y, j, f, value))
+        sec = BasicOpenSection(make_localization(Y.charts[j], f), value)
+        lhs = pi.chart_open(j, invertibility_support_basic(sec))
         comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
         for (i, h, v) in pi.pull_basic(j, f, value):
             loc_h = make_localization(X.charts[i], h)

@@ -21,11 +21,13 @@ from zariski.compare import point_morphism
 from zariski.fields import GF, QQ
 from zariski.funscheme import SchemePoint, _lowest_chart, _realized, map_point, realization
 from zariski.latscheme import (
+    CompactOpen,
     GluingData,
     LatticeScheme,
     chart_variable_samples,
     embed_basic,
     make_patch,
+    mk_affine,
     top_open,
 )
 from zariski.lattice import basic_open, eq, induced_hom, top
@@ -212,6 +214,19 @@ def finite_algebras(draw, max_size=125):
         terms = draw(st.dictionaries(below, st.integers(1, p - 1), min_size=1, max_size=3))
         rels.append(ring.from_terms(terms))
     return PresentedAlgebra(ring, rels)
+
+
+@st.composite
+def affine_opens(draw, field):
+    """A¹ or A² over ``field`` with a compact open D(g_1..g_k), k = 1..3:
+    each g has one to three terms of degree at most 2 in each variable, and
+    may be a unit."""
+    A = PresentedAlgebra(PolyRing(field, ["x", "y"][: draw(st.integers(1, 2))]))
+    exponents = st.tuples(*[st.integers(0, 2)] * A.nvars)
+    terms = st.dictionaries(exponents, st.integers(1, field.char - 1), min_size=1, max_size=3)
+    gens = [A.element(A.ring.from_terms(t)) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    X = mk_affine(A)
+    return X, CompactOpen(X, [basic_open(A, gens)])
 
 
 def morphisms_agree(pi1, pi2, opens, samples=None):

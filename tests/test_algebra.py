@@ -367,6 +367,29 @@ def test_localization_at_zero_is_trivial():
     assert loc.algebra.is_trivial()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_triviality_is_read_off_the_reduced_basis(field):
+    """``is_trivial`` agrees with reducing 1 to 0 on zero rings (a constant
+    relation, monic or not, or coprime ones), zero ideals, a proper ideal
+    and localizations at a unit, a zero divisor, a nilpotent and zero."""
+    R0, R = PolyRing(field, []), PolyRing(field, ["x", "y"])
+    x, y = R.gens()
+    cases = [
+        (PresentedAlgebra(R0, [R0.one]), True),
+        (PresentedAlgebra(R0, [R0.const(3)]), True),
+        (PresentedAlgebra(R0), False),
+        (PresentedAlgebra(R, [x.scale(3) + 1]), False),
+        (PresentedAlgebra(R, [x, x - 1]), True),
+        (PresentedAlgebra(R), False),
+    ]
+    A = PresentedAlgebra(R, [x * x - x, y * y])
+    for f, trivial in ((A.one, False), (A.var(0), False), (A.var(1), True), (A.zero, True)):
+        cases.append((make_localization(A, f).algebra, trivial))
+    for B, trivial in cases:
+        assert B.is_trivial() == trivial == B.gb.contains_one(), B
+        assert trivial == B.gb.normal_form(B.ring.one).is_zero(), B
+
+
 def test_extract_fraction_finds_least_power():
     A = qq_x()
     x = A.var(0)

@@ -15,6 +15,7 @@ import oracles as O
 from support import (
     NILPOTENT_CASES,
     NILPOTENT_IDS,
+    affine_opens,
     as_hom,
     carry_point_in,
     finite_algebras,
@@ -44,6 +45,7 @@ from zariski.compare import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
+    _realized,
     atomic_factors,
     eval_points,
     functorial,
@@ -158,10 +160,12 @@ def test_every_point_morphism_agrees_with_itself(X, B):
     for p in eval_points(functorial(X), B):
         pi = point_morphism(X, p)
         assert morphisms_agree(pi, point_morphism(X, p), opens)
-        assert morphisms_agree(pi, pi, opens)  # both sides read one memo
+        assert morphisms_agree(pi, pi, opens)  # one object on both sides
 
 
-def test_memoized_pullbacks_equal_a_fresh_morphisms():
+def test_repeated_pullbacks_equal_a_fresh_morphisms():
+    """A morphism remembers nothing: asking it again, or asking a fresh
+    morphism of the same point, gives the same opens and pieces."""
     X = projective_line(GF(3))
     opens = sample_opens(X)
     A0 = X.charts[0]
@@ -169,6 +173,7 @@ def test_memoized_pullbacks_equal_a_fresh_morphisms():
     value = loc1.to_loc(A0.var(0))
     for p in eval_points(functorial(X), gf3_split()):
         pi = point_morphism(X, p)
+        assert not hasattr(pi, "_memo")
         assert local_morphism_witness(pi) is None
         for u in opens:
             first = pi.pullback(u)
@@ -215,17 +220,39 @@ def test_membership_counts_on_the_projective_line(fun_p13):
 # -- realizations of compact opens ------------------------------------------------------
 
 
+def _assert_realized_points_biject_with_members(B, X, u):
+    """The points of the realization of u, pushed along its inclusion, are
+    the points of X(B) in u, each once; and the morphism a pushed point
+    carries pulls each sample open back as the realized point's morphism
+    pulls back the open's preimage in u.  Returns the realized points."""
+    fun = functorial(X)
+    Xu, inc = _realized(u)
+    inner = eval_points(Xu, B)
+    carried = [carry_point_in(fun, u, p) for p in inner]
+    assert len(set(carried)) == len(carried)
+    assert set(carried) == {q for q in eval_points(fun, B) if membership(u, q)}
+    opens = sample_opens(X)
+    preimages = [inc.pullback(U) for U in opens]
+    for p, q in zip(inner, carried):
+        here, there = point_morphism(Xu.lat, p), point_morphism(X, q)
+        for U, V in zip(opens, preimages):
+            assert there.pullback(U).eq(here.pullback(V)), (p, U)
+    return inner
+
+
 def test_realized_points_biject_with_members():
     A2 = PresentedAlgebra(PolyRing(GF(3), ["x", "y"]))
     plane = mk_affine(A2)
-    fun_plane = functorial(plane)
     u_punct = CompactOpen(plane, [basic_open(A2, [A2.var(0), A2.var(1)])])
-    inner = eval_points(realization(fun_plane, u_punct), F3)
+    inner = _assert_realized_points_biject_with_members(F3, plane, u_punct)
     assert len(inner) == O.FROZEN_POINT_COUNTS[("punctured_plane", 3)]
-    carried = {carry_point_in(fun_plane, u_punct, rp) for rp in inner}
-    assert carried == {
-        p for p in eval_points(fun_plane, F3) if membership(u_punct, p)
-    }
+
+
+@settings(max_examples=80)
+@given(finite_algebras(max_size=9), st.data())
+def test_realized_points_of_random_opens_biject_with_members(B, data):
+    """u = D(g_1..g_k) on A¹ or A² over the field of B."""
+    _assert_realized_points_biject_with_members(B, *data.draw(affine_opens(B.field)))
 
 
 def test_realization_certificates_hold_for_the_fixtures(fun_a1, fun_p13):
@@ -412,20 +439,24 @@ FINGERPRINT_IDS = REDUCED_IDS + NON_REDUCED_IDS
 def _assert_the_table_matches_the_generic_checkers(X, pts):
     """Per point, the table's locality verdict is ``local_morphism_witness``'s
     and its roundtrip ``adjunction_flat``'s; equal values are
-    ``morphisms_agree`` on every pair, with the first point taken twice."""
+    ``morphisms_agree`` on every pair, with the first point taken twice.
+    Morphisms remember nothing, so each one's pullbacks of the sample opens
+    are taken once here, and ``morphisms_agree`` compares the samples."""
     fun = pts[0].scheme
     opens, samples = sample_opens(X), local_samples(X)
-    carried, prints = [], []
+    carried, pulled, prints = [], [], []
     for p in pts + pts[:1]:
         values, local, roundtrip = _table(X, p)
         pi = point_morphism(X, p)
         assert local == (local_morphism_witness(pi) is None), p
         assert roundtrip == (adjunction_flat(fun, pi) == p), p
         carried.append(pi)
+        pulled.append([pi.pullback(u) for u in opens])
         prints.append(values)
     for a in range(len(carried)):
         for b in range(a + 1, len(carried)):
-            agree = morphisms_agree(carried[a], carried[b], opens, samples)
+            same_opens = all(u.eq(v) for u, v in zip(pulled[a], pulled[b]))
+            agree = same_opens and morphisms_agree(carried[a], carried[b], (), samples)
             assert (prints[a] == prints[b]) == agree, (pts[a], b)
             # the first point taken a second time is the only pair that agrees
             assert agree == (a == 0 and b == len(pts))
@@ -905,17 +936,25 @@ def test_an_equal_algebra_built_later_gets_memos_of_its_own(monkeypatch):
     assert not any(isinstance(k, tuple) and k[0] == "loc" for k in B2._memo)
 
 
-def test_remembered_embeddings_equal_those_of_a_fresh_scheme():
+def test_the_sample_plan_is_remembered_once_per_scheme():
+    """A comparison leaves exactly two entries on its scheme: the plan and
+    the realization of the top.  The remembered plan is the one a fresh
+    scheme builds, component by component."""
     for make, B in ((projective_line, GF9), (lambda F: punctured_plane(F)[0], F3)):
         X, fresh = make(GF(3)), make(GF(3))
+        plan = compare._sample_plan(X)
+        assert compare._sample_plan(X) is plan
+        assert set(X._memo) == {"plan"}
         ok, report = comparison_check(X, [B])
         assert ok, report
-        for i, A in enumerate(X.charts):
-            opens = [top(A), basic_open(A, [A.var(0)]), basic_open(A, [A.var(0) + 1])]
-            for w in opens:
-                first = embed_basic(X, i, w)
-                assert embed_basic(X, i, w) is first
-                assert first.components == embed_basic(fresh, i, w).components
+        assert compare._sample_plan(X) is plan
+        assert set(X._memo) == {"plan", ("realized", top_open(X))}
+        theirs = compare._sample_plan(fresh)
+        assert len(plan) == len(theirs)
+        for mine, other in zip(plan, theirs):
+            assert len(mine) == len(other) == 5
+            for a, b in zip(mine, other):
+                assert a == b, (mine, other)
 
 
 def test_remembered_inverses_are_the_certified_ones():
