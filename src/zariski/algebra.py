@@ -153,16 +153,6 @@ class PresentedAlgebra:
             self._memo[("member", gens)] = gb
         return gb
 
-    def ideal_member(
-        self, f: "AlgebraElement", gens: Sequence["AlgebraElement"]
-    ) -> Optional[List["AlgebraElement"]]:
-        """Cofactors ``c`` with ``f == sum(c[i]*gens[i])`` in this algebra."""
-        polys = tuple(g.poly for g in gens)
-        row = self._member_gb(polys).member(f.poly)
-        if row is None:
-            return None
-        return [self.element(c) for c in row[: len(gens)]]
-
     def unit_certificate(
         self, gens: Sequence["AlgebraElement"]
     ) -> Optional[List["AlgebraElement"]]:

@@ -17,7 +17,7 @@ are decidable at this scale.
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -34,12 +34,12 @@ from .latscheme import (
     CompactOpen,
     LatticeScheme,
     SchemeMorphism,
-    extend_over,
     global_sections,
     mk_affine,
     restrict_scheme,
 )
 from .polynomials import PolyRing, _poly, poly_sort_key
+from .sheaf import restriction_map
 
 
 class NonReducedAlgebraError(ValueError):
@@ -439,43 +439,36 @@ def check_locality(
     """X(B) is exactly the matching families along the cover {D(f)} of B.
 
     Checks by enumeration that restriction to the cover pieces is injective
-    and that every family agreeing on the pairwise overlaps comes from a
-    unique global point.
+    and that the families agreeing on the pairwise overlaps are as many as
+    the global points.  Each local point is restricted to each overlap once;
+    the families are then joined piece by piece, a point of piece k joining
+    a partial family whose points it equals on their overlaps with piece k.
     """
     if not eq(basic_open(B, list(pieces)), top(B)):
         raise ValueError("the given elements do not cover the test algebra")
     locs = [make_localization(B, f) for f in pieces]
     global_points = eval_points(X, B)
-    restricted = []
-    for p in global_points:
-        restricted.append(tuple(map_point(X, p, loc.to_loc) for loc in locs))
-    if len(set(restricted)) != len(global_points):
+    restricted = {tuple(map_point(X, p, loc.to_loc) for loc in locs) for p in global_points}
+    if len(restricted) != len(global_points):
         return False
-    local_points = [eval_points(X, loc.algebra) for loc in locs]
-    # pairwise-overlap restriction maps into a shared double localization
-    n = len(pieces)
-    overlap_maps: Dict[Tuple[int, int], AlgebraMorphism] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            loc_ij = make_localization(B, pieces[i] * pieces[j])
-            overlap_maps[(i, j)] = extend_over(locs[i], loc_ij.to_loc)
-    matching = 0
-    for family in _iproduct(*local_points):
-        good = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                left = map_point(X, family[i], overlap_maps[(i, j)])
-                right = map_point(X, family[j], overlap_maps[(j, i)])
-                if left != right:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            matching += 1
-    return matching == len(global_points)
+    rows = []  # per piece i: each point of X(B_fi) as its images on the overlaps D(fi*fj)
+    for i, loc in enumerate(locs):
+        maps = [
+            (j, restriction_map(loc, make_localization(B, pieces[i] * g)))
+            for j, g in enumerate(pieces)
+            if j != i
+        ]
+        local_points = eval_points(X, loc.algebra)
+        rows.append([{j: map_point(X, p, m) for j, m in maps} for p in local_points])
+    families: List[tuple] = [()]
+    for k, piece_rows in enumerate(rows):
+        families = [
+            family + (row,)
+            for family in families
+            for row in piece_rows
+            if all(earlier[k] == row[i] for i, earlier in enumerate(family))
+        ]
+    return len(families) == len(global_points)
 
 
 # -- rings of functions ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A section over the basic open of ``f`` is an element of the localization
 A_f; restriction to a smaller basic open D(g) <= D(f) is the canonical map
-A_f -> A_g, computed from an explicit identity g**k = c*f in A.  A cover is
+A_f -> A_g, the extension of A -> A_g that sends 1/f to the inverse of f
+in A_g (the universal property of localization).  A cover is
 a generator list with a unit-ideal certificate; ``glue`` reassembles a
 global element from a compatible family of local sections and verifies the
 result, realizing the equalizer property of the structure sheaf
@@ -24,6 +25,7 @@ from .algebra import (
     PresentedAlgebra,
     extract_fraction,
     make_localization,
+    try_extend,
 )
 from .lattice import ZarElement, basic_open
 
@@ -74,50 +76,28 @@ def section_equal(s: BasicOpenSection, t: BasicOpenSection) -> bool:
     return s.value == t.value
 
 
-def denominator_power_identity(
-    base: PresentedAlgebra, f: AlgebraElement, g: AlgebraElement
-) -> Tuple[int, AlgebraElement]:
-    """The least k with g**k = c*f in ``base``, together with the cofactor c.
-
-    Exists exactly when D(g) <= D(f); raises ValueError otherwise.
-    """
-    gk = base.one
-    for k in range(POWER_CAP + 1):
-        cofs = base.ideal_member(gk, [f])
-        if cofs is not None:
-            return k, cofs[0]
-        gk = gk * g
-    if not base.radical_member(g, [f]):
-        raise ValueError(
-            f"D({g}) is not below D({f}); no restriction map exists"
-        )
-    raise ExtractionCapError(
-        f"no power of {g} reached the ideal of {f} within cap {POWER_CAP}"
-    )
-
-
 def restriction_map(loc_f: Localization, loc_g: Localization) -> AlgebraMorphism:
     """The canonical map A_f -> A_g for D(g) <= D(f).
 
-    Sends base variables to themselves and the inverse of f to c * (1/g)**k,
-    where g**k = c*f in the base.
+    The universal property of A_f (``try_extend``) applied to A -> A_g: f
+    maps to a unit of A_g exactly when D(g) <= D(f), and 1/f goes to its
+    certified inverse there.
     """
     if loc_f.base != loc_g.base:
         raise ValueError("localizations of different algebras")
-    base = loc_f.base
-    k, c = denominator_power_identity(base, loc_f.denominator, loc_g.denominator)
-    images = [loc_g.to_loc(base.var(i)) for i in range(base.nvars)]
-    images.append(loc_g.to_loc(c) * loc_g.inverse ** k)
-    return AlgebraMorphism(loc_f.algebra, loc_g.algebra, images)
+    phi = try_extend(loc_f, loc_g.to_loc)
+    if phi is None:
+        raise ValueError(
+            f"D({loc_g.denominator}) is not below D({loc_f.denominator}); "
+            "no restriction map exists"
+        )
+    return phi
 
 
 def restrict(s: BasicOpenSection, g: AlgebraElement) -> BasicOpenSection:
     """Restrict a section over D(f) to D(g) <= D(f)."""
-    base = s.base
-    g = base.element(g)
-    loc_g = make_localization(base, g)
-    phi = restriction_map(s.loc, loc_g)
-    return BasicOpenSection(loc_g, phi(s.value))
+    loc_g = make_localization(s.base, g)
+    return BasicOpenSection(loc_g, restriction_map(s.loc, loc_g)(s.value))
 
 
 class CoverData:

@@ -10,6 +10,7 @@ from operator import add, le, sub
 
 from hypothesis import strategies as st
 
+from zariski import funscheme
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -32,6 +33,7 @@ from zariski.latscheme import (
 )
 from zariski.lattice import basic_open, eq, induced_hom, top
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
+from zariski.sheaf import restriction_map
 
 
 def qq_x() -> PresentedAlgebra:
@@ -212,8 +214,21 @@ def finite_algebras(draw, max_size=125):
     if ring.nvars == 2 and draw(st.booleans()):
         below = st.tuples(*[st.integers(0, d - 1) for d in degrees])
         terms = draw(st.dictionaries(below, st.integers(1, p - 1), min_size=1, max_size=3))
-        rels.append(ring.from_terms(terms))
+        if any(any(m) for m in terms):  # a constant alone would give the zero ring
+            rels.append(ring.from_terms(terms))
     return PresentedAlgebra(ring, rels)
+
+
+@st.composite
+def unit_covers(draw, B):
+    """One to three elements of the finite algebra ``B`` that generate the
+    unit ideal: arbitrary g_1..g_{k-1} and h = 1 - sum(c_i * g_i), so that
+    sum(c_i * g_i) + h = 1.  Pieces that are units come up often (h = 1
+    when every c_i is zero)."""
+    elements = st.sampled_from(B.enumerate_elements())
+    gs = [draw(elements) for _ in range(draw(st.integers(0, 2)))]
+    h = B.one - sum((draw(elements) * g for g in gs), B.zero)
+    return draw(st.permutations(gs + [h]))
 
 
 @st.composite
@@ -273,6 +288,37 @@ def sample_opens(X):
         for k in range(A.nvars):
             out.append(embed_basic(X, j, basic_open(A, [A.var(k)])))
     return out
+
+
+def locality_by_product(X, B, pieces):
+    """Locality of X along the cover {D(f)} of B by walking every family of
+    local points and comparing each pair's restrictions to their overlap:
+    the oracle for ``funscheme.check_locality``.  Reads ``eval_points``
+    through the module, so a test that patches it patches the oracle too."""
+    if not eq(basic_open(B, list(pieces)), top(B)):
+        raise ValueError("the given elements do not cover the test algebra")
+    locs = [make_localization(B, f) for f in pieces]
+    global_points = funscheme.eval_points(X, B)
+    restricted = {tuple(map_point(X, p, loc.to_loc) for loc in locs) for p in global_points}
+    if len(restricted) != len(global_points):
+        return False
+    local_points = [funscheme.eval_points(X, loc.algebra) for loc in locs]
+    n = len(pieces)
+
+    def restricted(i, j):  # the points of piece i restricted to D(f_i * f_j)
+        to_overlap = restriction_map(locs[i], make_localization(B, pieces[i] * pieces[j]))
+        return [map_point(X, q, to_overlap) for q in local_points[i]]
+
+    images = [{j: restricted(i, j) for j in range(n) if j != i} for i in range(n)]
+    matching = sum(
+        all(
+            images[i][j][family[i]] == images[j][i][family[j]]
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        for family in itertools.product(*(range(len(q)) for q in local_points))
+    )
+    return matching == len(global_points)
 
 
 def natural_by_pullbacks(X, p, chi):

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from support import (
@@ -14,12 +15,14 @@ from support import (
     atoms_by_search,
     finite_algebras,
     gf3_split,
+    locality_by_product,
     lowest_chart_by_overlap,
     nilpotent_algebra,
     open_to_realization,
     product_of_points,
     qq_xy,
     reduced_by_definition,
+    unit_covers,
 )
 from zariski import funscheme
 from zariski.algebra import (
@@ -47,6 +50,7 @@ from zariski.funscheme import (
     realization,
     representable,
     ring_of_functions,
+    SchemePoint,
 )
 from zariski.lattice import basic_open, eq, top
 from zariski.latscheme import CompactOpen, projective_line, punctured_plane, top_open
@@ -411,6 +415,83 @@ def test_locality_check_requires_a_cover():
     B = gf3_split()
     with pytest.raises(ValueError, match="do not cover"):
         check_locality(affine_line(GF(3)), B, [B.var(0)])
+
+
+@settings(max_examples=30)
+@given(finite_algebras(max_size=27), st.data())
+def test_locality_along_random_covers_matches_the_product_walk(B, data):
+    pieces = data.draw(unit_covers(B))
+    p = B.field.char
+    for X in (affine_line(GF(p)), functorial(_glued(p)[0])):
+        assert check_locality(X, B, pieces) == locality_by_product(X, B, pieces) is True
+
+
+def _line_over_two_points():
+    """P¹ over GF(3)[x]/(x^2 - x) with the cover D(x + 1), D(1 - x): the
+    first piece is a unit, the second is the point x = 0, and their overlap
+    is the second piece again."""
+    S = _parsed("GF(3)[x]/(x^2 - x)")
+    x = S.var(0)
+    return functorial(_glued(3)[0]), S, [x + S.one, S.one - x]
+
+
+def _patch_points(monkeypatch, C, change):
+    inner = funscheme.eval_points
+
+    def patched(X, B):
+        points = inner(X, B)
+        return change(points) if B == C else points
+
+    monkeypatch.setattr(funscheme, "eval_points", patched)
+
+
+def test_locality_refutes_a_piece_that_lost_a_point(monkeypatch):
+    X, S, pieces = _line_over_two_points()
+    loc = make_localization(S, pieces[1])
+    lost = map_point(X, eval_points(X, S)[0], loc.to_loc)
+    assert lost in eval_points(X, loc.algebra)
+    _patch_points(monkeypatch, loc.algebra, lambda points: [q for q in points if q != lost])
+    assert not check_locality(X, S, pieces)
+    assert not locality_by_product(X, S, pieces)
+
+
+def test_locality_refutes_a_spurious_local_point(monkeypatch):
+    X, S, pieces = _line_over_two_points()
+    loc = make_localization(S, pieces[1])
+    points = eval_points(X, loc.algebra)
+    # a point of chart 0 carried on chart 1, which contains it too: not the
+    # canonical form, so not listed, yet it restricts like its twin
+    e, _, phi = next(
+        (e, c, phi)
+        for (e, c, phi), in (q.factors for q in points)
+        if c == 0 and funscheme._chart_map(X.lat, 0, phi, 1)
+    )
+    spurious = SchemePoint(X, loc.algebra, [(e, 1, funscheme._chart_map(X.lat, 0, phi, 1))])
+    assert spurious not in points
+    _patch_points(monkeypatch, loc.algebra, lambda points: points + [spurious])
+    assert not check_locality(X, S, pieces)
+    assert not locality_by_product(X, S, pieces)
+
+
+def test_locality_restricts_each_point_once_per_overlap(monkeypatch):
+    X = functorial(_glued(5)[0])
+    B = _parsed("GF(5)[t]/(t^3 - t)")
+    t = B.var(0)
+    pieces = [t, t - B.one, t + B.one]
+    n = len(pieces)
+    bound = n * len(eval_points(X, B)) + sum(
+        (n - 1) * len(eval_points(X, make_localization(B, f).algebra)) for f in pieces
+    )
+    calls = []
+    inner = funscheme.map_point
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(funscheme, "map_point", counted)
+    assert check_locality(X, B, pieces)
+    assert 0 < len(calls) <= bound
 
 
 # -- ring of functions ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from zariski.parsing import parse_ring
 from zariski.sheaf import (
     CoverData,
     SectionFamily,
-    denominator_power_identity,
     global_section,
     glue,
     incompatibility_witness,
@@ -56,15 +55,18 @@ def test_sections_are_fractions_over_a_basic_open():
         section_equal(s, global_section(make_localization(A, x + 1), x))
 
 
-def test_denominator_power_identities_reevaluate():
+def test_restriction_maps_exist_only_onto_smaller_opens():
     A = qq_x()
     x = A.var(0)
-    k, c = denominator_power_identity(A, x, x * (x + 1))
-    assert (x * (x + 1)) ** k == c * x
-    k2, c2 = denominator_power_identity(A, x * x, x)
-    assert x**k2 == c2 * x * x
-    with pytest.raises(ValueError):
-        denominator_power_identity(A, x, x + 1)  # D(x+1) not below D(x)
+    lx, lxx1 = make_localization(A, x), make_localization(A, x * (x + 1))
+    to_smaller = restriction_map(lx, lxx1)
+    assert to_smaller(lx.inverse) * lxx1.to_loc(x) == lxx1.algebra.one
+    lx2 = make_localization(A, x * x)  # the same open, another denominator
+    assert restriction_map(lx2, lx)(lx2.inverse) == lx.inverse**2
+    with pytest.raises(ValueError, match=r"D\(x \+ 1\) is not below D\(x\)"):
+        restriction_map(lx, make_localization(A, x + 1))
+    with pytest.raises(ValueError, match="different algebras"):
+        restriction_map(lx, make_localization(qq_xy(), qq_xy().var(0)))
 
 
 def test_restriction_maps_compose():
