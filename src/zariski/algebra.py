@@ -416,9 +416,9 @@ def _evaluate(p: Poly, target: PresentedAlgebra, images: Sequence, polys: Sequen
     if len(p._t) == 1:
         ((m, c),) = p._t.items()
         if not m and not target.is_trivial():
-            return AlgebraElement(target, _poly(target.ring, {0: c}))
+            return AlgebraElement(target, _poly(target.ring, {0: c}, p._d))
         units = p.ring._units
-        if c == 1 and m in units:
+        if c == p._d == 1 and m in units:
             return images[units.index(m)]
     return target.element(p.substitute(polys, target.ring))
 

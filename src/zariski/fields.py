@@ -1,18 +1,15 @@
 """Exact coefficient fields: the rationals QQ and prime fields GF(p).
 
-Every coefficient a ``Poly`` holds is either a normalized
-``fractions.Fraction`` (over QQ) or a reduced residue ``int`` in
-``{0, ..., p-1}`` (over GF(p)), and every ``Field`` operation returns one of
-these for ``int`` or ``Fraction`` input.  A ``Field`` object carries the
-characteristic and performs the arithmetic; scalar values themselves stay
-plain Python objects so they hash and compare cheaply.
+A ``Field`` carries the characteristic, the unit, conversions (``of_int``,
+``of_fraction``), inverses, enumeration of a prime field and printing.  Its
+scalars are plain Python objects: a normalized ``fractions.Fraction`` over
+QQ, a residue ``int`` in ``{0, ..., p-1}`` over GF(p).  These are the
+coefficients that ``Poly.terms``, ``lead_coeff`` and ``constant_value``
+return and that ``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take.
 
-The inner loops of the kernel work on ``int``s for both fields.  Over QQ a
-polynomial is read as integer terms over one common denominator: products
-(``Poly.__mul__``) scale each factor by the lcm of its denominators, and the
-division loop (``groebner.divide``) keeps its working polynomial
-fraction-free, with each divisor's integer form (``Poly._division_form``)
-computed once.  Results leave those loops as normalized ``Fraction``s.
+Inside a ``Poly`` no coefficient is a ``Fraction``: it holds integer terms
+over one integer denominator, 1 over GF(p), and its arithmetic runs on
+those ints rather than through ``Field`` (see ``polynomials``).
 """
 
 from __future__ import annotations
@@ -52,11 +49,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _fraction(s: Scalar) -> Fraction:
-    """``s`` as a ``Fraction``: arithmetic on ``int``s alone returns an ``int``."""
-    return s if type(s) is Fraction else Fraction(s)
-
-
 class Field:
     """QQ (characteristic 0) or GF(p) for a prime p <= 2**31.
 
@@ -87,10 +79,6 @@ class Field:
 
     # -- constants -----------------------------------------------------
     @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
     def one(self) -> Scalar:
         return Fraction(1) if self.char == 0 else 1
 
@@ -105,23 +93,10 @@ class Field:
             raise ZeroDivisionError(f"denominator {den} is 0 in GF({self.char})")
         return num * pow(den_red, -1, self.char) % self.char
 
-    # -- arithmetic ----------------------------------------------------
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.char if self.char else _fraction(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.char if self.char else _fraction(a - b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b % self.char if self.char else _fraction(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.char if self.char else _fraction(-a)
-
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.char) if self.char else 1 / _fraction(a)
+        return pow(a, -1, self.char) if self.char else 1 / Fraction(a)
 
     # -- enumeration (prime fields only) --------------------------------
     @property

@@ -13,9 +13,8 @@ is one ``polynomials._dot``: a sum of products in one integer dict.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomials import (
@@ -23,8 +22,7 @@ from .polynomials import (
     PolyRing,
     _dot,
     _ExponentLimitError,
-    _int_form,
-    _integer_terms,
+    _norm,
     _poly,
 )
 
@@ -46,20 +44,22 @@ def divide(
     guard bit has passed the exponent limit of ``2**31`` and raises.
 
     The working polynomial is fraction-free: integer terms ``W`` over one
-    common denominator ``D`` (1 over GF(p), where a coefficient is reduced
-    when its term is popped).  Its monomials sit in a heap of plain ints,
-    the negated order keys ``-(m ^ NEG)``, so each step pops the largest
-    term without a scan (the heap of Monagan & Pearce, *Sparse polynomial
-    division using a heap*, JSC 2011, here over terms rather than
-    products).  A divisor ``d`` is read as ``(lc*x^lm + tail) / dd`` on
-    ints (``Poly._division_form``, kept on ``d``).  Reducing the popped
-    term ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and
-    ``x^a = x^mp / x^lm``, scales ``W`` and ``D`` by ``s`` and subtracts
-    ``(cp/g)*x^a*tail`` in place; after a scaled step the content
-    ``gcd(D, W)`` is divided out, so the integers stay as small as
-    normalized fractions would.  These are the steps of the division over
-    the field itself, and quotient and remainder coefficients leave as the
-    field's normalized scalars.
+    common denominator ``D``, starting from ``f``'s own ``(_d, _t)`` (``D``
+    is 1 over GF(p), where a coefficient is reduced when its term is
+    popped).  Its monomials sit in a heap of plain ints, the negated order
+    keys ``-(m ^ NEG)``, so each step pops the largest term without a scan
+    (the heap of Monagan & Pearce, *Sparse polynomial division using a
+    heap*, JSC 2011, here over terms rather than products).  A divisor
+    ``d`` is read as ``(lc*x^lm + tail) / dd`` on ints
+    (``Poly._division_form``, kept on ``d``).  Reducing the popped term
+    ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and ``x^a =
+    x^mp / x^lm``, scales ``W`` and ``D`` by ``s`` and subtracts
+    ``(cp/g)*x^a*tail`` in place; after a scaled step the content ``gcd(D,
+    W)`` is divided out, so the integers stay as small as normalized
+    fractions would.  These are the steps of the division over the field
+    itself.  Over QQ each remainder and quotient term is kept as its
+    numerator over the ``D`` of its step, and each result is normalized
+    once over the lcm of those denominators.
     """
     ring = f.ring
     p = ring.field.char
@@ -68,11 +68,7 @@ def divide(
     leads = [(i, d._lead()) for i, d in enumerate(divisors) if d._t]
     quots = [{} for _ in divisors] if want_quotients else None
     rem: Dict[int, object] = {}
-    if p:
-        D, terms = 1, dict(f._t)
-    else:
-        D, items = _integer_terms(f._t)
-        terms = dict(items)
+    D, terms = f._d, dict(f._t)
     heap = [-(m ^ neg) for m in terms]
     heapify(heap)
     while heap:
@@ -87,7 +83,7 @@ def divide(
             if (bound - lm) & G == G:
                 break
         else:
-            rem[mp] = cp if p else Fraction(cp, D)
+            rem[mp] = cp if p else (cp, D)
             continue
         dd, lc, tail = divisors[idx]._division_form()
         s = 1
@@ -97,7 +93,7 @@ def divide(
             cp //= g
         a = mp - lm
         if quots is not None:
-            quots[idx][a] = cp * dd % p if p else Fraction(cp * dd, D * s)
+            quots[idx][a] = cp * dd % p if p else (cp * dd, D * s)
         if s != 1:
             D *= s
             terms = {m: c * s for m, c in terms.items()}
@@ -116,16 +112,22 @@ def divide(
             if g != 1:
                 D //= g
                 terms = {m: c // g for m, c in terms.items()}
+    done = _poly if p else _over_lcm
     if quots is not None:
-        quots = [_poly(ring, q) for q in quots]
-    return quots, _poly(ring, rem)
+        quots = [done(ring, q) for q in quots]
+    return quots, done(ring, rem)
+
+
+def _over_lcm(ring: PolyRing, fracs: Dict[int, Tuple[int, int]]) -> Poly:
+    """The ``Poly`` of the QQ terms ``m: (numerator, denominator)``, brought
+    over the lcm of the denominators and normalized once."""
+    d = lcm(*[den for _, den in fracs.values()])
+    return _norm(ring, d, {m: n * (d // den) for m, (n, den) in fracs.items()})
 
 
 def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
-    """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry;
-    each multiplier's integer form is taken once, not once per entry."""
-    forms = [(_int_form(c), row) for c, row in terms]
-    return [_dot(ring, [(fc, _int_form(row[j])) for fc, row in forms]) for j in range(width)]
+    """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry."""
+    return [_dot(ring, [(c, row[j]) for c, row in terms]) for j in range(width)]
 
 
 class _Engine:
@@ -242,9 +244,9 @@ class _Engine:
             best = min(range(len(self.pairs)), key=lambda k: self.pairs[k][0])
             _, l, i, j = self.pairs.pop(best)
             fi, fj = self.G[i], self.G[j]
-            ti = _poly(self.ring, {l - fi._lead(): self.fld.one})
-            tj = -_poly(self.ring, {l - fj._lead(): self.fld.one})
-            s = _dot(self.ring, [(_int_form(t), _int_form(f)) for t, f in ((ti, fi), (tj, fj))])
+            ti = _poly(self.ring, {l - fi._lead(): 1})
+            tj = -_poly(self.ring, {l - fj._lead(): 1})
+            s = _dot(self.ring, [(ti, fi), (tj, fj)])
             quots, r = divide(s, self.G, want_quotients=self.want)
             if r.is_zero():
                 continue
@@ -352,6 +354,6 @@ def unit_ideal_certificate(
         return None
     row = engine.unit_row
     assert row is not None
-    value = _dot(ring, [(_int_form(c), _int_form(g)) for c, g in zip(row, gens)]).constant_value()
+    value = _dot(ring, list(zip(row, gens))).constant_value()
     inv = ring.field.inv(value)
     return [c.scale(inv) for c in row]

@@ -7,6 +7,14 @@ the variables in declaration order, and the elimination order
 ``inner.eliminating()``) live in ``MonomialOrder`` and drive leading-term
 selection for the division and basis-completion algorithms built on top.
 
+Coefficients take one integer form for both fields, the layout of FLINT's
+``fmpq_poly``: integer terms ``_t`` over one denominator ``_d``, with
+``_d > 0`` and ``gcd(_d, *_t.values()) == 1`` over QQ, and ``_d == 1`` and
+residues in ``1 .. p-1`` over GF(p).  Both forms are canonical.  The
+arithmetic runs on these ints; ``Fraction`` appears only at the boundary,
+where ``terms``, ``lead_coeff``, ``constant_value`` and printing return the
+field's scalars and ``from_terms``, ``const`` and ``scale`` take them.
+
 Inside the package a monomial is one int, as in the POLY structure of
 Monagan & Pearce (*Sparse polynomial division using a heap*, JSC 2011;
 Maple 17, 2013).  The int holds one 32-bit field per exponent, 31 value
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import mul, or_
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -219,18 +227,13 @@ class PolyRing:
 
     # -- constructors ---------------------------------------------------
     def from_terms(self, terms: Dict[Monomial, Scalar]) -> "Poly":
-        """The polynomial with these terms; zero coefficients are dropped.
-
-        Coefficients are brought to the field's canonical form first: over
-        GF(p) the residue in ``{0, ..., p-1}`` (so ``{(0,): p}`` gives the
-        zero polynomial), over QQ a ``Fraction`` (so an ``int`` coefficient
-        never reaches ``Field.inv`` as an ``int``).
-        """
-        p = self.field.char
+        """The polynomial with these terms, ``int`` or ``Fraction``
+        coefficients; zero coefficients are dropped.  Over GF(p) each
+        coefficient becomes its residue (so ``{(0,): p}`` gives the zero
+        polynomial, and a denominator is inverted mod p)."""
+        d = lcm(*[c.denominator for c in terms.values()])
         pack = self._pack
-        if p:
-            return _poly(self, {pack(m): r for m, c in terms.items() if (r := c % p)})
-        return _poly(self, {pack(m): Fraction(c) for m, c in terms.items() if c})
+        return _norm(self, d, {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()})
 
     @property
     def zero(self) -> "Poly":
@@ -238,18 +241,15 @@ class PolyRing:
 
     @property
     def one(self) -> "Poly":
-        return _poly(self, {0: self.field.one})
+        return _poly(self, {0: 1})
 
     def const(self, c: Scalar) -> "Poly":
-        c = self.field.add(c, self.field.zero)
-        if not c:
-            return self.zero
-        return _poly(self, {0: c})
+        return _norm(self, c.denominator, {0: c.numerator})
 
     def var(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range for {self!r}")
-        return _poly(self, {self._units[i]: self.field.one})
+        return _poly(self, {self._units[i]: 1})
 
     def gens(self) -> Tuple["Poly", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
@@ -272,7 +272,7 @@ class PolyRing:
             raise ValueError("polynomial does not belong to this ring")
         n = self.nvars
         if target.names[:n] == self.names and target._units[:n] == self._units:
-            return _poly(target, p._t)
+            return _poly(target, p._t, p._d)
         where = [target.names.index(nm) for nm in self.names]
         mono, pack = self._mono, target._pack
         terms = {}
@@ -281,7 +281,7 @@ class PolyRing:
             for i, e in zip(where, mono(m)):
                 big[i] = e
             terms[pack(tuple(big))] = c
-        return _poly(target, terms)
+        return _poly(target, terms, p._d)
 
     def project(self, p: "Poly", target: "PolyRing") -> "Poly":
         """Map ``p`` into the smaller ring ``target`` (matching names).
@@ -293,7 +293,7 @@ class PolyRing:
         for i, nm in enumerate(self.names):
             where.append(target.names.index(nm) if nm in target.names else -1)
         mono, pack = self._mono, target._pack
-        terms: Dict[int, Scalar] = {}
+        terms: Dict[int, int] = {}
         for m, c in p._t.items():
             small = [0] * target.nvars
             for i, e in enumerate(mono(m)):
@@ -305,28 +305,33 @@ class PolyRing:
                     )
                 small[where[i]] = e
             terms[pack(tuple(small))] = c
-        return _poly(target, terms)
+        return _poly(target, terms, p._d)
 
 
 class Poly:
-    """Immutable sparse polynomial; construct through ``PolyRing`` methods,
-    or as ``Poly(ring, terms)`` from a dict of exponent tuples to canonical
-    coefficients."""
+    """Immutable sparse polynomial, integer terms ``_t`` over ``_d``;
+    construct through ``PolyRing`` methods, or as ``Poly(ring, terms)``
+    from a dict of exponent tuples to ``int`` or ``Fraction`` scalars."""
 
-    __slots__ = ("ring", "_t", "_hash", "_lm", "_div")
+    __slots__ = ("ring", "_t", "_d", "_hash", "_lm", "_div")
 
     def __new__(cls, ring: PolyRing, terms: Dict[Monomial, Scalar]):
-        pack = ring._pack
-        return _poly(ring, {pack(m): c for m, c in terms.items()})
+        return ring.from_terms(terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
 
+    def _scalar(self, c: int) -> Scalar:
+        """The field's scalar of the integer coefficient ``c``: the
+        ``Fraction`` ``c / _d`` over QQ, ``c`` itself over GF(p)."""
+        return c if self.ring.field.char else Fraction(c, self._d)
+
     @property
     def terms(self) -> Dict[Monomial, Scalar]:
-        """The terms keyed by exponent tuples: a new dict on every read."""
-        mono = self.ring._mono
-        return {mono(m): c for m, c in self._t.items()}
+        """The terms keyed by exponent tuples, with the field's scalars as
+        coefficients: a new dict on every read."""
+        mono, scalar = self.ring._mono, self._scalar
+        return {mono(m): scalar(c) for m, c in self._t.items()}
 
     # -- predicates ------------------------------------------------------
     def is_zero(self) -> bool:
@@ -336,12 +341,9 @@ class Poly:
         return not any(self._t)
 
     def constant_value(self) -> Scalar:
-        if not self._t:
-            return self.ring.field.zero
-        ((m, c),) = self._t.items()
-        if m:
+        if any(self._t):
             raise ValueError("polynomial is not constant")
-        return c
+        return self._scalar(self._t.get(0, 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -377,16 +379,16 @@ class Poly:
         return self.ring._mono(self._lead())
 
     def lead_coeff(self) -> Scalar:
-        return self._t[self._lead()]
+        return self._scalar(self._t[self._lead()])
 
     def _division_form(self) -> Tuple[int, int, list]:
         """``(dd, lc, tail)`` on ints with ``self == (lc*x^lm + tail) / dd``,
         ``tail`` on packed monomials, kept after first use: the form
         ``groebner.divide`` reduces by.
 
-        Over QQ ``dd`` is the lcm of the denominators, signed so ``lc > 0``;
-        over GF(p) it is the inverse of the leading coefficient, ``lc`` is 1
-        and ``tail`` is monic.
+        Over QQ it is ``(_d, _t)`` itself, negated when the leading
+        coefficient is negative so that ``lc > 0``; over GF(p) ``dd`` is the
+        inverse of the leading coefficient, ``lc`` is 1 and ``tail`` is monic.
         """
         form = self._div
         if form is None:
@@ -396,40 +398,40 @@ class Poly:
             if p:
                 dd = pow(terms[lm], -1, p)
                 ints = {m: c * dd % p for m, c in terms.items()}
+            elif terms[lm] < 0:  # no step then scales by a negative factor
+                dd, ints = -self._d, {m: -c for m, c in terms.items()}
             else:
-                dd, items = _integer_terms(terms)
-                if terms[lm] < 0:  # no step then scales by a negative factor
-                    dd, items = -dd, [(m, -c) for m, c in items]
-                ints = dict(items)
+                dd, ints = self._d, dict(terms)
             lc = ints.pop(lm)
             form = (dd, lc, list(ints.items()))
             _set(self, "_div", form)
         return form
 
     def sorted_terms(self) -> Iterable[Tuple[Monomial, Scalar]]:
-        """Terms in decreasing monomial order."""
-        mono, t = self.ring._mono, self._t
+        """Terms in decreasing monomial order, with the field's scalars."""
+        mono, t, scalar = self.ring._mono, self._t, self._scalar
         for m in sorted(t, key=self.ring._neg.__xor__, reverse=True):
-            yield mono(m), t[m]
+            yield mono(m), scalar(t[m])
 
     # -- arithmetic --------------------------------------------------------
-    # Coefficients are handled as plain numbers here rather than through
-    # ``Field``: residues are reduced mod p once per result term, and over
-    # QQ products run on integers scaled by a common denominator.
+    # Coefficients are handled as plain ints here rather than through
+    # ``Field``: over GF(p) residues are reduced mod p once per result term;
+    # over QQ integer terms are combined over their denominators and the
+    # result is normalized once by ``_norm``.
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         if isinstance(other, int):
-            return self.ring.const(self.ring.field.of_int(other))
+            return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _poly(self.ring, _sum_terms(self._t, other._t, self.ring.field.char))
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -437,14 +439,13 @@ class Poly:
         p = self.ring.field.char
         if p:
             return _poly(self.ring, {m: p - c for m, c in self._t.items()})
-        return _poly(self.ring, {m: -c for m, c in self._t.items()})
+        return _poly(self.ring, {m: -c for m, c in self._t.items()}, self._d)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.ring.field.char
-        return _poly(self.ring, _sum_terms(self._t, other._t, p, negate=True))
+        return _plus(self, other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -454,25 +455,20 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
+        acc = _checked(ring, _int_product({}, self._t.items(), other._t.items()))
         p = ring.field.char
         if p:
-            acc = _checked(ring, _int_product({}, self._t.items(), other._t.items()))
             return _poly(ring, {m: r for m, c in acc.items() if (r := c % p)})
-        da, a = _integer_terms(self._t)
-        db, b = _integer_terms(other._t)
-        d = da * db
-        acc = _checked(ring, _int_product({}, a, b))
-        return _poly(ring, {m: Fraction(c, d) for m, c in acc.items() if c})
+        return _norm(ring, self._d * other._d, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         """``self**n`` by repeated multiplication by the base, which for
         dense multivariate powers beats squaring (Fateman, *Stud. Appl.
-        Math.* 1974).  The base's integer terms are taken once and the
-        running product stays on ints: reduced mod p at each step over
-        GF(p), divided by ``d**n`` only at the end over QQ.  A monomial is
-        raised directly.
+        Math.* 1974).  The running product stays on the integer terms:
+        reduced mod p at each step over GF(p), normalized over ``_d**n``
+        at the end over QQ.  A monomial is raised directly.
 
         Each field of the power is at most ``n`` times the largest field
         of the base, reached by the ``n``-th power of a base term; that is
@@ -492,30 +488,28 @@ class Poly:
             for m in self._t:
                 ring._pack(tuple(e * n for e in ring._mono(m)))
         p = ring.field.char
-        if len(self._t) == 1:
+        if len(self._t) == 1:  # gcd(c, d) == 1, so gcd(c**n, d**n) == 1
             ((m, c),) = self._t.items()
-            return _poly(ring, {m * n: pow(c, n, p) if p else c**n})
+            return _poly(ring, {m * n: pow(c, n, p) if p else c**n}, self._d**n)
+        base = list(self._t.items())
+        acc = self._t
         if p:
-            base = list(self._t.items())
-            acc = self._t
             for _ in range(n - 1):
                 acc = _int_product({}, acc.items(), base)
                 acc = {m: r for m, c in acc.items() if (r := c % p)}
             return _poly(ring, acc)
-        d, base = _integer_terms(self._t)
-        acc = dict(base)
         for _ in range(n - 1):
             acc = _int_product({}, acc.items(), base)
-        d **= n
-        return _poly(ring, {m: Fraction(c, d) for m, c in acc.items() if c})
+        return _norm(ring, self._d**n, acc)
 
     def scale(self, c: Scalar) -> "Poly":
-        if not c:
-            return self.ring.zero
+        """``c * self`` for an ``int`` or ``Fraction`` scalar ``c``; an
+        ``int`` over GF(p) is reduced in the one pass over the terms."""
         p = self.ring.field.char
-        if p:
-            return _poly(self.ring, {m: v * c % p for m, v in self._t.items()})
-        return _poly(self.ring, {m: v * c for m, v in self._t.items()})
+        if p and type(c) is int:
+            return _poly(self.ring, {m: r for m, v in self._t.items() if (r := v * c % p)})
+        n = c.numerator
+        return _norm(self.ring, self._d * c.denominator, {m: v * n for m, v in self._t.items()})
 
     # -- substitution -------------------------------------------------------
     def substitute(self, images: Sequence["Poly"], target: PolyRing) -> "Poly":
@@ -523,10 +517,11 @@ class Poly:
 
         Each image power that a monomial needs is computed once per call
         (``images[i]`` itself for exponent 1).  Every monomial's product of
-        powers, times its coefficient, is added into one coefficient dict,
-        which is reduced mod p once per result term; zero sums are dropped.
-        Raises ``ValueError`` unless there is one image per variable and
-        every image lies in ``target``.
+        powers, times its coefficient, is added into one integer dict over
+        ``D``, the running lcm of the products' denominators (1 over
+        GF(p)); the dict is reduced mod p, or normalized over ``_d * D``,
+        once at the end.  Raises ``ValueError`` unless there is one image
+        per variable and every image lies in ``target``.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
@@ -534,8 +529,9 @@ class Poly:
             if im.ring != target:
                 raise ValueError("image from a ring other than the target")
         powers: Dict[Tuple[int, int], Poly] = {}
-        acc: Dict[int, Scalar] = {}
+        acc: Dict[int, int] = {}
         get = acc.get
+        D = 1
         shifts = self.ring._shifts
         for m, c in self._t.items():
             term = None
@@ -548,27 +544,34 @@ class Poly:
                             pw = powers[i, e] = images[i] ** e
                         term = pw if term is None else term * pw
             if term is None:
-                acc[0] = get(0, 0) + c
+                acc[0] = get(0, 0) + c * D
                 continue
+            d = term._d
+            if D % d:  # a new denominator: bring the sum over the lcm
+                k = d // gcd(D, d)
+                D *= k
+                acc = {tm: v * k for tm, v in acc.items()}
+                get = acc.get
+            c *= D // d
             for tm, tc in term._t.items():
                 acc[tm] = get(tm, 0) + c * tc
         p = target.field.char
         if p:
             return _poly(target, {m: r for m, v in acc.items() if (r := v % p)})
-        return _poly(target, {m: v for m, v in acc.items() if v})
+        return _norm(target, self._d * D, acc)
 
     # -- equality / hashing ---------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if isinstance(other, int):
-                return self == self.ring.const(self.ring.field.of_int(other))
+                return self == self.ring.const(other)
             return NotImplemented
-        return self.ring == other.ring and self._t == other._t
+        return self.ring == other.ring and self._d == other._d and self._t == other._t
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring, tuple(sorted(self._t.items()))))
+            h = hash((self.ring, self._d, tuple(sorted(self._t.items()))))
             _set(self, "_hash", h)
         return h
 
@@ -600,15 +603,35 @@ class Poly:
         return f"<{self} over {self.ring!r}>"
 
 
-def _poly(ring: PolyRing, t: Dict[int, Scalar]) -> Poly:
-    """The ``Poly`` whose terms are ``t``, packed and canonical, as they are."""
+def _poly(ring: PolyRing, t: Dict[int, int], d: int = 1) -> Poly:
+    """The ``Poly`` with integer terms ``t`` over ``d``, packed and
+    canonical, as they are."""
     f = _new(Poly)
     _set(f, "ring", ring)
     _set(f, "_t", t)
+    _set(f, "_d", d)
     _set(f, "_hash", None)
     _set(f, "_lm", None)
     _set(f, "_div", None)
     return f
+
+
+def _norm(ring: PolyRing, d: int, acc: Dict[int, int]) -> Poly:
+    """The canonical ``Poly`` of the integer terms ``acc`` over ``d > 0``,
+    zero terms dropped.  Over GF(p) each term is multiplied by the inverse
+    of ``d`` mod p (``ZeroDivisionError`` when p divides ``d``); over QQ
+    ``gcd(d, *acc.values())`` is divided out."""
+    p = ring.field.char
+    if p:
+        if d != 1:
+            d = ring.field.of_fraction(1, d)
+        return _poly(ring, {m: r for m, c in acc.items() if (r := c * d % p)})
+    acc = {m: c for m, c in acc.items() if c}
+    g = gcd(d, *acc.values())
+    if g != 1:
+        d //= g
+        acc = {m: c // g for m, c in acc.items()}
+    return _poly(ring, acc, d)
 
 
 def _monomial_text(names: Sequence[str], m: Monomial) -> str:
@@ -620,47 +643,25 @@ def _monomial_text(names: Sequence[str], m: Monomial) -> str:
 
 def poly_sort_key(p: Poly) -> tuple:
     """Total order on polynomials of one ring, for canonical generator lists."""
-    neg = p.ring._neg
-    return (p.total_degree(), tuple(sorted([(m ^ neg, c) for m, c in p._t.items()], reverse=True)))
+    neg, scalar = p.ring._neg, p._scalar
+    return (p.total_degree(), tuple(sorted([(m ^ neg, scalar(c)) for m, c in p._t.items()], reverse=True)))
 
 
 # -- coefficient loops ---------------------------------------------------------
-# Plain-number kernels behind ``Poly`` arithmetic, on packed monomials: ``p``
-# is the field's characteristic (0 for QQ), and every result holds nonzero
-# coefficients only.
+# Integer kernels behind ``Poly`` arithmetic, on packed monomials and the
+# integer terms of each operand.
 
 
-def _sum_terms(a: Dict, b: Dict, p: int, negate: bool = False) -> Dict:
-    """Terms of ``a + b`` (``a - b`` with ``negate``), zero sums dropped."""
-    terms = dict(a)
-    for m, c in b.items():
-        s = terms.get(m)
-        if s is None:
-            terms[m] = ((p - c) if p else -c) if negate else c
-            continue
-        s = s - c if negate else s + c
-        if p:
-            s %= p
-        if s:
-            terms[m] = s
-        else:
-            del terms[m]
-    return terms
-
-
-def _integer_terms(a: Dict) -> Tuple[int, list]:
-    """``(d, [(m, d*c)])`` with ``d`` the lcm of the denominators of ``a``."""
-    d = lcm(*[c.denominator for c in a.values()])
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in a.items()]
-
-
-def _int_form(f: Poly) -> Tuple[int, Iterable]:
-    """``(d, terms)`` on ints with ``f == sum(c * x^m for m, c in terms) / d``:
-    the operand form ``_dot`` takes.  Over GF(p), ``d`` is 1 and the terms
-    are ``f``'s own."""
-    if f.ring.field.char:
-        return 1, f._t.items()
-    return _integer_terms(f._t)
+def _plus(f: Poly, g: Poly, sign: int) -> Poly:
+    """``f + sign * g`` for ``sign`` 1 or -1, summed over ``lcm(f._d, g._d)``."""
+    df, dg = f._d, g._d
+    d = lcm(df, dg)
+    acc = dict(f._t) if df == d else {m: c * (d // df) for m, c in f._t.items()}
+    get = acc.get
+    s = sign * (d // dg)
+    for m, c in g._t.items():
+        acc[m] = get(m, 0) + s * c
+    return _norm(f.ring, d, acc)
 
 
 def _int_product(acc: Dict[int, int], a: Iterable, b: Iterable) -> Dict[int, int]:
@@ -687,26 +688,25 @@ def _checked(ring: PolyRing, acc: Dict[int, int]) -> Dict[int, int]:
     return acc
 
 
-def _dot(ring: PolyRing, pairs: Iterable[Tuple[tuple, tuple]]) -> Poly:
-    """``sum(l * r for l, r in pairs)``, each operand in its ``_int_form``,
-    summed in one integer dict; the kernel behind every cofactor row.
+def _dot(ring: PolyRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """``sum(l * r for l, r in pairs)`` summed in one integer dict: the
+    kernel behind every cofactor row and S-polynomial.
 
-    Over GF(p) each result term is reduced once.  Over QQ each product's
-    integer form ``(a * b) / (dl * dr)`` is scaled to one common
-    denominator ``d``, the lcm of the ``dl * dr``, and each result term
-    becomes one ``Fraction(c, d)``.  No pairs give the ring's zero.
+    Over GF(p) each result term is reduced once.  Over QQ each product
+    ``(a * b) / (dl * dr)`` of the operands' integer terms is scaled to
+    the lcm ``d`` of the ``dl * dr``, and the sum is normalized once over
+    ``d``.  No pairs give the ring's zero.
     """
     acc: Dict[int, int] = {}
     p = ring.field.char
     if p:
-        for (_, a), (_, b) in pairs:
-            _int_product(acc, a, b)
+        for l, r in pairs:
+            _int_product(acc, l._t.items(), r._t.items())
         _checked(ring, acc)
         return _poly(ring, {m: v for m, c in acc.items() if (v := c % p)})
-    forms = [(dl * dr, a, b) for (dl, a), (dr, b) in pairs if a and b]
+    forms = [(l._d * r._d, l._t, r._t) for l, r in pairs if l._t and r._t]
     d = lcm(*[f[0] for f in forms])
     for dp, a, b in forms:
         s = d // dp
-        _int_product(acc, [(m, c * s) for m, c in a] if s != 1 else a, b)
-    _checked(ring, acc)
-    return _poly(ring, {m: Fraction(c, d) for m, c in acc.items() if c})
+        _int_product(acc, [(m, c * s) for m, c in a.items()] if s != 1 else a.items(), b.items())
+    return _norm(ring, d, _checked(ring, acc))

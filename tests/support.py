@@ -4,8 +4,12 @@ Randomness is always driven by a caller-supplied ``random.Random`` so every
 test run is reproducible from its seed.
 """
 
+import fractions
 import itertools
+import sys
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, le, sub
 
 from hypothesis import strategies as st
@@ -432,6 +436,87 @@ def monic(f):
     if f.is_zero():
         return f
     return f.scale(f.ring.field.inv(f.lead_coeff()))
+
+
+# -- the integer form against Fraction-per-term arithmetic ------------------------------
+
+
+def is_canonical(f):
+    """Whether ``f`` holds its canonical integer form: nonzero ``int`` terms
+    over an ``int`` denominator, which over GF(p) is 1 with residues in
+    ``1 .. p-1``, and over QQ is positive and coprime to the terms."""
+    p, d, cs = f.ring.field.char, f._d, list(f._t.values())
+    if type(d) is not int or not all(type(c) is int and c for c in cs):
+        return False
+    if p:
+        return d == 1 and all(0 < c < p for c in cs)
+    return d > 0 and gcd(d, *cs) == 1
+
+
+def in_field(p, terms):
+    """``terms``, exponent tuples to ``int``s or ``Fraction``s, read one
+    coefficient at a time in QQ (p = 0) or GF(p), zeros dropped: the
+    Fraction-per-term reference that ``Poly.terms`` must equal."""
+    out = {}
+    for m, c in terms.items():
+        c = Fraction(c)
+        if p:
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        if c:
+            out[m] = c
+    return out
+
+
+def ref_sum(a, b, sign=1):
+    """The terms of ``a + sign * b`` on ``Fraction``s, unreduced."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * Fraction(c)
+    return out
+
+
+def ref_product(a, b):
+    """The terms of ``a * b`` on ``Fraction``s, unreduced."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + Fraction(c1) * c2
+    return out
+
+
+def ref_substitute(a, images, nvars):
+    """The terms of ``a`` at ``x_i -> images[i]``, term dicts over ``nvars``
+    variables, by repeated ``ref_product``."""
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * nvars: Fraction(c)}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = ref_product(term, images[i])
+        out = ref_sum(out, term)
+    return out
+
+
+def fraction_calls(run):
+    """``(run(), names)``: the names of the functions of the ``fractions``
+    module that ``run()`` entered, seen by a profile hook that passes every
+    event on to the hook already installed, if any."""
+    names = []
+    outer = sys.getprofile()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            names.append(frame.f_code.co_name)
+        if outer is not None:
+            outer(frame, event, arg)
+
+    sys.setprofile(hook)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(outer)
+    return out, names
 
 
 # -- points carried by hand: oracles for the comparison --------------------------------

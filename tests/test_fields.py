@@ -11,9 +11,8 @@ def test_rationals_are_exact_fractions():
     assert QQ.char == 0
     assert QQ.of_int(2) == Fraction(2)
     assert QQ.of_fraction(1, 3) == Fraction(1, 3)
-    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.inv(Fraction(2, 7)) == Fraction(7, 2)
-    assert QQ.mul(Fraction(1), QQ.inv(Fraction(3))) == Fraction(1, 3)
+    assert QQ.inv(Fraction(3)) == Fraction(1, 3)
     assert not isinstance(QQ.inv(Fraction(2)), float)
 
 
@@ -22,33 +21,29 @@ def test_every_rational_operation_returns_a_fraction():
     ``int`` or a ``Fraction``: ``1 / 2`` would be ``0.5``."""
     for a, b in [(2, 3), (Fraction(2), Fraction(3)), (-4, Fraction(1, 6)), (Fraction(-5, 7), 7)]:
         results = {
-            "add": (QQ.add(a, b), Fraction(a) + Fraction(b)),
-            "sub": (QQ.sub(a, b), Fraction(a) - Fraction(b)),
-            "mul": (QQ.mul(a, b), Fraction(a) * Fraction(b)),
-            "neg": (QQ.neg(a), -Fraction(a)),
+            "of_int": (QQ.of_int(int(a)), Fraction(int(a))),
+            "of_fraction": (QQ.of_fraction(int(a), 3), Fraction(int(a), 3)),
             "inv": (QQ.inv(b), 1 / Fraction(b)),
-            "div": (QQ.mul(a, QQ.inv(b)), Fraction(a) / Fraction(b)),
         }
         for name, (got, want) in results.items():
             assert type(got) is Fraction and got == want, (name, a, b, got)
-    assert QQ.inv(2) == Fraction(1, 2) and QQ.mul(1, QQ.inv(3)) == Fraction(1, 3)
+    assert QQ.inv(2) == Fraction(1, 2)
 
 
 def test_prime_field_arithmetic_is_reduced_residues():
     F = GF(7)
     assert F.of_int(10) == 3
     assert F.of_int(-1) == 6
-    assert F.neg(3) == 4
-    assert F.sub(2, 5) == 4
     assert F.of_fraction(1, 3) == 5  # 3 * 5 = 15 = 1 mod 7
-    assert F.mul(3, F.of_fraction(1, 3)) == 1
+    assert F.of_fraction(-2, 3) == 4
+    assert F.inv(3) == 5
 
 
 def test_every_nonzero_residue_has_an_inverse():
     for p in (2, 3, 5, 7, 11):
         F = GF(p)
         for a in range(1, p):
-            assert F.mul(a, F.inv(a)) == 1
+            assert a * F.inv(a) % p == 1
 
 
 def test_inverse_of_zero_is_refused():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from support import fraction_divide, monic, random_poly
+from support import fraction_calls, fraction_divide, monic, random_poly
 from zariski import groebner
 from test_kernel_vs_sympy import _assert_clean
 from zariski.fields import GF, QQ
@@ -290,9 +290,11 @@ def _unpacked(f):
 
 
 def test_each_divisor_keeps_its_integer_form():
-    """A basis element is lifted to integers on its first use as a divisor
-    and keeps that form; the form belongs to the ``Poly`` and its ring's
-    order, not to its terms.  The tail is kept on packed monomials."""
+    """A basis element's division form is read from its own integer terms
+    ``(_d, _t)`` on its first use as a divisor, negated when its leading
+    coefficient is negative, and kept in ``_div``; the form belongs to the
+    ``Poly`` and its ring's order, not to its terms.  The tail is kept on
+    packed monomials."""
     ring, _ = parse_ring("QQ[x,y]")
     x, y = ring.gens()
     gb = GroebnerBasis(ring, [2 * x**2 - y.scale(Fraction(1, 3)), y**3 * -5 - x.scale(Fraction(2))])
@@ -300,36 +302,37 @@ def test_each_divisor_keeps_its_integer_form():
     f = 3 * x**2 + 5 * y**3 + x * y
     nf = gb.normal_form(f)
     forms = [b._div for b in gb.basis]
-    assert all(type(m) is int for form in forms for m, _ in form[2])
+    for b, (dd, lc, tail) in zip(gb.basis, forms):
+        lm = b._lead()
+        assert (dd, lc) == (b._d, b._t[lm]) and tail == [(m, c) for m, c in b._t.items() if m != lm]
     # x^2 - y/6, y^3 + 2x/5
     assert [_unpacked(b) for b in gb.basis] == [(6, 6, [((0, 1), -1)]), (5, 5, [((1, 0), 2)])]
     assert gb.normal_form(f) == nf and gb.member(f - nf) is not None
     assert all(b._div is form and b._division_form() is form for b, form in zip(gb.basis, forms))
     # the same terms in a lex ring lead with x^2, not y^3
     g = ring.from_terms({(2, 0): Fraction(-3), (0, 3): Fraction(1, 2)})
-    assert _unpacked(g) == (2, 1, [((2, 0), -6)])
+    assert _unpacked(g) == (2, 1, [((2, 0), -6)]) and (g._d, g._t) == (2, {g._lead(): 1, ring._pack((2, 0)): -6})
     h = Poly(PolyRing(QQ, ["x", "y"], MonomialOrder("lex")), g.terms)
     assert h._lm is None and h._div is None
     assert h.lead_monomial() == (2, 0)
-    assert _unpacked(h) == (-2, 6, [((0, 3), -1)])  # (6x^2 - y^3) / -2
+    assert _unpacked(h) == (-2, 6, [((0, 3), -1)])  # (6x^2 - y^3) / -2, from _d == 2
     assert g.lead_monomial() == (0, 3) and _unpacked(g) == (2, 1, [((2, 0), -6)])
     # over GF(7): 3x^2 + y == (x^2 + 5y) / 5, since 5 is the inverse of 3
     u, v = parse_ring("GF(7)[u,v]")[0].gens()
     assert _unpacked(3 * u**2 + v) == (5, 1, [((0, 1), 5)])
 
 
-def test_a_cofactor_row_takes_each_multiplier_form_once(monkeypatch):
-    """``_row_sum`` lifts each multiplier to its integer form once for the
-    whole row, not once per row entry, and sums each entry in one
-    ``_dot``."""
+def test_a_cofactor_row_is_one_dot_per_entry_and_builds_no_fraction(monkeypatch):
+    """``_row_sum`` sums each of the ``width`` row entries in exactly one
+    ``_dot`` on the multipliers' and entries' own integer terms, and enters
+    no code of the ``fractions`` module."""
     ring, _ = parse_ring("QQ[x,y]")
     x, y = ring.gens()
     terms = [(x.scale(Fraction(1, 3)) + 1, [x, ring.zero, y]), (y - ring.const(Fraction(1, 2)), [ring.one, x, x * y])]
-    forms = []
-    real = groebner._int_form
-    monkeypatch.setattr(groebner, "_int_form", lambda f: forms.append(f) or real(f))
-    row = groebner._row_sum(ring, 3, terms)
+    dots = []
+    real = groebner._dot
+    monkeypatch.setattr(groebner, "_dot", lambda r, pairs: dots.append(pairs) or real(r, pairs))
+    row, names = fraction_calls(lambda: groebner._row_sum(ring, 3, terms))
+    assert names == []
     assert row == [sum((c * r[j] for c, r in terms), ring.zero) for j in range(3)]
-    multipliers = [c for c, _ in terms]
-    assert sum(any(f is c for c in multipliers) for f in forms) == len(multipliers)
-    assert len(forms) == len(multipliers) * (1 + 3)
+    assert dots == [[(c, r[j]) for c, r in terms] for j in range(3)]

@@ -9,9 +9,15 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from support import (
+    fraction_calls,
     fraction_divide,
+    in_field,
+    is_canonical,
     monic,
     random_poly,
+    ref_product,
+    ref_substitute,
+    ref_sum,
     tuple_coprime,
     tuple_divides,
     tuple_key,
@@ -21,7 +27,7 @@ from support import (
 from zariski import polynomials
 from zariski.fields import GF, QQ
 from zariski.groebner import divide
-from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, _int_form, poly_sort_key
+from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, poly_sort_key
 
 
 def ring_qq_xy(order="grevlex"):
@@ -39,6 +45,7 @@ def test_ring_arithmetic_and_normalization():
     # integer coercion on either side
     assert 2 * x - x == x + 0
     assert (x + 1) - 1 == x
+    assert 3 - x == R.const(3) - x and (3 - x).terms == {(0, 0): 3, (1, 0): -1}
 
 
 def test_modular_coefficients_wrap():
@@ -46,6 +53,7 @@ def test_modular_coefficients_wrap():
     (t,) = R.gens()
     assert t + t + t == R.zero
     assert (t + 1) ** 3 == t**3 + 1  # Frobenius over GF(3)
+    assert 3 - t == -t == t.scale(2) and (1 - t).terms == {(0,): 1, (1,): 2}
 
 
 def test_lead_terms_differ_between_orders():
@@ -129,6 +137,23 @@ def test_from_terms_reduces_prime_field_coefficients():
     assert R.from_terms({(0,): 5}).is_zero()
     assert R.from_terms({(1,): 7}) == R.from_terms({(1,): 2}) == t.scale(2)
     assert R.from_terms({(2,): -1, (0,): 10}).terms == {(2,): 4}
+
+
+def test_the_prime_field_boundary_is_canonical():
+    """Over GF(p) a ``Fraction`` coefficient becomes its residue and a
+    multiple of p becomes zero, on every way in: ``const``, ``from_terms``,
+    ``Poly(ring, terms)`` and ``scale``."""
+    R = PolyRing(GF(7), ["x"])
+    (x,) = R.gens()
+    third = R.const(Fraction(1, 3))
+    assert third == R.const(5) and third.terms == {(0,): 5} and hash(third) == hash(R.const(5))
+    assert R.from_terms({(1,): Fraction(1, 3)}) == x.scale(Fraction(1, 3)) == x.scale(5)
+    assert Poly(R, {(1,): Fraction(-2, 3), (0,): 14}).terms == {(1,): 4}  # -2 * 5 = -10 = 4
+    assert x.scale(Fraction(1, 3)).terms == {(1,): 5}
+    for zero in (x.scale(7), x.scale(Fraction(14, 3)), R.const(-7), R.from_terms({(1,): 7})):
+        assert zero.is_zero() and zero == R.zero and is_canonical(zero)
+    with pytest.raises(ZeroDivisionError):
+        R.const(Fraction(1, 7))
 
 
 def test_from_terms_makes_rational_coefficients_fractions():
@@ -257,9 +282,9 @@ def test_power_matches_sympy(case, n):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0, 2, 32003]), st.data())
 def test_dot_is_the_left_fold_of_products(char, data):
-    """``_dot`` on the operands' integer forms equals ``sum(l * r)`` folded
-    pair by pair, for zero entries, operands over unequal denominators and
-    the empty list."""
+    """``_dot`` of pairs of polynomials equals ``sum(l * r)`` folded pair by
+    pair, for zero entries, operands over unequal denominators and the
+    empty list."""
     R = PolyRing(GF(char) if char else QQ, ["x", "y"])
     if char:
         coeff = st.integers(0, char - 1)
@@ -273,11 +298,77 @@ def test_dot_is_the_left_fold_of_products(char, data):
     fold = R.zero
     for l, r in pairs:
         fold = fold + l * r
-    got = _dot(R, [(_int_form(l), _int_form(r)) for l, r in pairs])
+    got = _dot(R, pairs)
     assert got.terms == fold.terms and got.ring is R
     for c in got.terms.values():
         assert c and (0 < c < char if char else type(c) is Fraction)
     assert _dot(R, []) == R.zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 5]), st.data())
+def test_every_result_is_canonical_and_matches_the_fraction_reference(char, data):
+    """Every result of ``+``, ``-``, ``*``, ``**``, ``scale``, ``substitute``,
+    ``_dot`` and ``divide`` over QQ and GF(5) holds the canonical integer
+    form and has the terms of the same operation done one ``Fraction`` per
+    term (``support.ref_*``), for ``f - f``, ``scale(0)``, negative and
+    fractional scalars, rational images and non-monic divisors."""
+    p = char
+    R = PolyRing(GF(p) if p else QQ, ["x", "y"])
+    T = PolyRing(R.field, ["t", "u"])
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    raw = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, max_size=4)
+    (a, b, c), (i0, i1) = [data.draw(raw) for _ in range(3)], [data.draw(raw) for _ in range(2)]
+    f, g, h = R.from_terms(a), R.from_terms(b), R.from_terms(c)
+    k = data.draw(st.one_of(st.integers(-7, 7), coeff))
+    n = data.draw(st.integers(0, 4))
+    power = {(0, 0): 1}
+    for _ in range(n):
+        power = ref_product(power, a)
+    images = [T.from_terms(i0), T.from_terms(i1)]
+    cases = [
+        (f, a),
+        (f + g, ref_sum(a, b)),
+        (f - g, ref_sum(a, b, -1)),
+        (f - f, {}),
+        (-f, ref_sum({}, a, -1)),
+        (3 - f, ref_sum({(0, 0): 3}, a, -1)),
+        (f * g, ref_product(a, b)),
+        (f**n, power),
+        (f.scale(k), {m: v * k for m, v in a.items()}),
+        (f.scale(0), {}),
+        (f.substitute(images, T), ref_substitute(a, [i0, i1], 2)),
+        (_dot(R, [(f, g), (h, f), (g, R.zero)]), ref_sum(ref_product(a, b), ref_product(c, a))),
+    ]
+    for got, want in cases:
+        assert is_canonical(got) and got.terms == in_field(p, want)
+    # divisors scaled by 3/2 (4 over GF(5)) are not monic unless their lead was 2/3
+    divisors = [R.from_terms(data.draw(raw)).scale(Fraction(3, 2)) for _ in range(data.draw(st.integers(1, 2)))]
+    quots, rem = divide(f * g + h, divisors)
+    ref_quots, ref_rem = fraction_divide(f * g + h, divisors)
+    for got, want in zip(quots + [rem], ref_quots + [ref_rem]):
+        assert is_canonical(got) and got.terms == want.terms
+
+
+def test_rational_kernels_build_no_fraction():
+    """Over QQ, products, powers, substitution, ``_dot`` and division run on
+    the integer terms: none of them enters the ``fractions`` module."""
+    R = ring_qq_xy()
+    x, y = R.gens()
+    f = x.scale(Fraction(2, 3)) - y.scale(Fraction(5, 4)) + R.const(Fraction(1, 6))
+    g = (x * y).scale(Fraction(-3, 2)) + 7
+    images, divisors = [f, g.scale(Fraction(1, 5))], [f, g.scale(Fraction(7, 9))]
+    runs = {
+        "mul": lambda: f * g,
+        "pow": lambda: f**5,
+        "substitute": lambda: (f * g).substitute(images, R),
+        "_dot": lambda: _dot(R, [(f, g), (g, f), (f, f)]),
+        "divide": lambda: divide(f**3 + g, divisors),
+    }
+    for name, run in runs.items():
+        out, names = fraction_calls(run)
+        assert names == [], (name, names)
+    assert fraction_calls(lambda: f.terms)[1]  # the boundary does build them
 
 
 def test_polynomials_are_immutable_and_hashable():
