@@ -18,16 +18,12 @@ from .algebra import (
     PresentedAlgebra,
     enumerate_homs,
     make_localization,
-    make_tensor,
     morphism,
 )
 from .lattice import (
-    SupportMap,
     ZarElement,
     basic_open,
     bottom,
-    canonical_support,
-    check_support_laws,
     eq,
     induced_hom,
     join,
@@ -60,9 +56,7 @@ from .latscheme import (
     SchemeMorphism,
     SectionRing,
     affine_hull_map,
-    check_locally_affine,
     embed_basic,
-    global_sections,
     identity_morphism,
     invertibility_support_scheme,
     make_patch,
@@ -85,10 +79,8 @@ from .funscheme import (
     multiplicative_group,
     realization,
     representable,
-    ring_of_functions,
 )
 from .compare import (
-    RealizationData,
     adjunction_flat,
     comparison_check,
     point_morphism,

@@ -612,41 +612,3 @@ def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMor
     if inv is None:
         return None
     return _morphism(loc.algebra, alpha.target, alpha.images + (inv,))
-
-
-# -- tensor products ------------------------------------------------------------
-
-
-def make_tensor(
-    A: PresentedAlgebra, B: PresentedAlgebra
-) -> Tuple[PresentedAlgebra, AlgebraMorphism, AlgebraMorphism]:
-    """Coproduct A (x) B over the field, with the two inclusion maps."""
-    if A.field != B.field:
-        raise ValueError("field mismatch")
-    b_names = _fresh_names(B.names, A.names)
-    ring = PolyRing(A.field, A.names + tuple(b_names))
-    rels = [A.ring.lift(r, ring) for r in A.relations]
-    b_images = [ring.var(A.nvars + j) for j in range(B.nvars)]
-    rels.extend(r.substitute(b_images, ring) for r in B.relations)
-    T = PresentedAlgebra(ring, rels)
-    inA = AlgebraMorphism(A, T, [T.var(i) for i in range(A.nvars)])
-    inB = AlgebraMorphism(B, T, [T.element(p) for p in b_images])
-    return T, inA, inB
-
-
-def tensor_over_base(
-    phi: AlgebraMorphism, psi: AlgebraMorphism
-) -> Tuple[PresentedAlgebra, AlgebraMorphism, AlgebraMorphism]:
-    """Pushout of B <- A -> C: tensor with the images of A identified."""
-    if phi.source != psi.source:
-        raise ValueError("pushout legs must share their source")
-    T0, inB, inC = make_tensor(phi.target, psi.target)
-    extra = []
-    for i in range(phi.source.nvars):
-        diff = inB(phi.images[i]) - inC(psi.images[i])
-        if not diff.is_zero():
-            extra.append(diff.poly)
-    T = T0.with_relations(extra)
-    inB2 = AlgebraMorphism(phi.target, T, [T.element(im.poly) for im in inB.images])
-    inC2 = AlgebraMorphism(psi.target, T, [T.element(im.poly) for im in inC.images])
-    return T, inB2, inC2

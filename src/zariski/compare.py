@@ -3,10 +3,10 @@
 One side presents a scheme by chart-and-patch data with its lattice of
 compact opens and section rings; the other evaluates a functor of points
 on finite test algebras.  This module carries points to scheme morphisms
-and back (an adjunction), realizes compact opens of the functor side as
-schemes, and packages the comparison as one decision procedure over finite
-test algebras: point sets biject with hom sets, naturally in the test
-algebra, and the realization reproduces the chart data by a certificate.
+and back (an adjunction) and packages the comparison as one decision
+procedure over finite test algebras: point sets biject with hom sets,
+naturally in the test algebra, and the realization reproduces the chart
+data by a certificate.
 A finite test algebra is the product of its local factors, one per atom,
 so an open of its spectrum is a set of atoms and a section a tuple of
 factor values: one table per point, read off the point's chart maps,
@@ -30,11 +30,9 @@ from .algebra import (
 from .lattice import ZarElement, basic_open, eq
 from .latscheme import (
     CompactOpen,
-    GlobalSection,
     LatticeScheme,
     SchemeMorphism,
     embed_basic,
-    invertibility_support_scheme,
     local_morphism_witness,
     local_samples,
     mk_affine,
@@ -52,9 +50,7 @@ from .funscheme import (
     is_reduced,
     map_point,
     open_at_point,
-    open_from_realization,
     realization,
-    ring_of_functions,
 )
 
 
@@ -123,38 +119,6 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
             )
         factors.append((e, *_lowest_chart(X, *hit)))
     return SchemePoint(fun, B, factors)
-
-
-# -- realization data ---------------------------------------------------------------
-
-
-class RealizationData:
-    """A functorial scheme realized on the lattice side.
-
-    ``lat`` is the chart presentation; ``sections(U)`` the ring of
-    functions of the realized open; ``support(U, s)`` the compact open of
-    the base where the section s (over the realized U) is invertible,
-    carried back below U.
-    """
-
-    __slots__ = ("fun", "lat")
-
-    def __init__(self, fun: FunctorialScheme):
-        object.__setattr__(self, "fun", fun)
-        object.__setattr__(self, "lat", fun.lat)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("RealizationData is immutable")
-
-    def sections(self, U: CompactOpen):
-        return ring_of_functions(realization(self.fun, U))
-
-    def support(self, U: CompactOpen, s: GlobalSection) -> CompactOpen:
-        Y = realization(self.fun, U)
-        if s.scheme is not Y.lat:
-            raise ValueError("section does not live over the realized open")
-        W = invertibility_support_scheme(Y.lat, top_open(Y.lat), s)
-        return open_from_realization(self.fun, U, W)
 
 
 def realization_certificate(fun: FunctorialScheme) -> Optional[str]:

@@ -25,7 +25,6 @@ from .algebra import (
     PresentedAlgebra,
     _morphism,
     enumerate_homs,
-    extract_fraction,
     make_localization,
     try_extend,
 )
@@ -34,7 +33,6 @@ from .latscheme import (
     CompactOpen,
     LatticeScheme,
     SchemeMorphism,
-    global_sections,
     mk_affine,
     restrict_scheme,
 )
@@ -408,28 +406,6 @@ def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
     return _realized(U)[0]
 
 
-def open_from_realization(
-    X: FunctorialScheme, U: CompactOpen, W: CompactOpen
-) -> CompactOpen:
-    """Carry a compact open of the realization back into X (below U)."""
-    if W.owner is not _realized(U)[0].lat:
-        raise ValueError("open does not live on the realization")
-    pieces: List[Tuple[int, AlgebraElement]] = []
-    for i, w in enumerate(U.components):
-        for g in w.generators:
-            pieces.append((i, g))
-    comps: List[List[AlgebraElement]] = [[] for _ in range(X.lat.ncharts)]
-    for idx, (i, g) in enumerate(pieces):
-        loc = make_localization(X.lat.charts[i], g)
-        for h in W.components[idx].generators:
-            num, _ = extract_fraction(loc, h)
-            comps[i].append(g * num)
-    return CompactOpen(
-        X.lat,
-        [basic_open(X.lat.charts[i], comps[i]) for i in range(X.lat.ncharts)],
-    )
-
-
 # -- locality along a cover of the test algebra ---------------------------------------
 
 
@@ -469,18 +445,6 @@ def check_locality(
             if all(earlier[k] == row[i] for i, earlier in enumerate(family))
         ]
     return len(families) == len(global_points)
-
-
-# -- rings of functions ---------------------------------------------------------------
-
-
-def ring_of_functions(X: FunctorialScheme):
-    """The functions on X: the chart algebra itself when X is affine, else
-    the section ring over the top compact open."""
-    A = X.algebra
-    if A is not None:
-        return A
-    return global_sections(X.lat)
 
 
 # -- fixtures ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ directions concretely via numerator extraction.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -132,91 +132,6 @@ def induced_hom(phi: AlgebraMorphism, u: ZarElement) -> ZarElement:
     if u.owner != phi.source:
         raise ValueError("element does not live over the morphism's source")
     return basic_open(phi.target, [phi(f) for f in u.generators])
-
-
-# -- supports ------------------------------------------------------------------
-
-
-class LatticeCarrier:
-    """The operations a caller-supplied target lattice must provide."""
-
-    __slots__ = ("join", "meet", "top", "bottom", "eq")
-
-    def __init__(self, join, meet, top, bottom, eq):
-        object.__setattr__(self, "join", join)
-        object.__setattr__(self, "meet", meet)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "eq", eq)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LatticeCarrier is immutable")
-
-    def leq(self, a, b) -> bool:
-        return self.eq(self.join(a, b), b)
-
-
-class SupportMap:
-    """A map from ring elements to a lattice, expected to satisfy:
-    d(0) = bottom, d(1) = top, d(xy) = d(x) ∧ d(y), d(x+y) ≤ d(x) ∨ d(y).
-
-    The laws are the caller's responsibility; ``check_support_laws`` samples
-    them.  ``extend_support`` is the unique lattice extension to basic
-    opens, correct whenever the laws hold.
-    """
-
-    __slots__ = ("source", "value", "carrier")
-
-    def __init__(
-        self,
-        source: PresentedAlgebra,
-        value: Callable[[AlgebraElement], object],
-        carrier: LatticeCarrier,
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "carrier", carrier)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SupportMap is immutable")
-
-
-def zar_carrier(owner: PresentedAlgebra) -> LatticeCarrier:
-    return LatticeCarrier(join, meet, top(owner), bottom(owner), eq)
-
-
-def canonical_support(owner: PresentedAlgebra) -> SupportMap:
-    """The universal support: f maps to its own basic open D(f)."""
-    return SupportMap(
-        owner, lambda f: basic_open(owner, [f]), zar_carrier(owner)
-    )
-
-
-def check_support_laws(
-    d: SupportMap, pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]
-) -> Optional[str]:
-    """None if all four laws hold on the samples, else a witness string."""
-    car = d.carrier
-    if not car.eq(d.value(d.source.zero), car.bottom):
-        return "d(0) != bottom"
-    if not car.eq(d.value(d.source.one), car.top):
-        return "d(1) != top"
-    for x, y in pairs:
-        if not car.eq(d.value(x * y), car.meet(d.value(x), d.value(y))):
-            return f"d(({x})*({y})) != d({x}) meet d({y})"
-        if not car.leq(d.value(x + y), car.join(d.value(x), d.value(y))):
-            return f"d(({x})+({y})) not below d({x}) join d({y})"
-    return None
-
-
-def extend_support(d: SupportMap, u: ZarElement):
-    """The join of d over u's generators (the unique lattice extension)."""
-    if u.owner != d.source:
-        raise ValueError("element does not live over the support's source")
-    result = d.carrier.bottom
-    for f in u.generators:
-        result = d.carrier.join(result, d.value(f))
-    return result
 
 
 # -- the localization isomorphism ------------------------------------------------

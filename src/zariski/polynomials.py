@@ -468,7 +468,8 @@ class Poly:
         dense multivariate powers beats squaring (Fateman, *Stud. Appl.
         Math.* 1974).  The running product stays on the integer terms:
         reduced mod p at each step over GF(p), normalized over ``_d**n``
-        at the end over QQ.  A monomial is raised directly.
+        at the end over QQ.  A monomial is raised directly, and zero is
+        returned as it is.
 
         Each field of the power is at most ``n`` times the largest field
         of the base, reached by the ``n``-th power of a base term; that is
@@ -480,7 +481,7 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return self.ring.one
-        if n == 1:
+        if n == 1 or not self._t:
             return self
         ring = self.ring
         fields, b = reduce(or_, self._t, 0), n.bit_length()

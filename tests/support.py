@@ -76,12 +76,13 @@ def gf3_split() -> PresentedAlgebra:
     return PresentedAlgebra(ring, [e * e - e])
 
 
-def projective_plane(field) -> LatticeScheme:
-    """P² as three affine planes: chart i has the coordinates X_k/X_i
-    (k != i), named by k's letter, and charts i and j are glued along
-    D(X_j/X_i) ~ D(X_i/X_j), where X_k/X_i = (X_k/X_j) / (X_i/X_j)."""
-    coords = [[k for k in range(3) if k != i] for i in range(3)]
-    charts = [PresentedAlgebra.free(field, ["xyz"[k] for k in ks]) for ks in coords]
+def projective_space(field, n: int) -> LatticeScheme:
+    """Pⁿ (n <= 4) as n + 1 affine n-spaces: chart i has the coordinates
+    X_k/X_i (k != i), named by k's letter in "xyzwv", and every two charts
+    i < j are glued along D(X_j/X_i) ~ D(X_i/X_j), where
+    X_k/X_i = (X_k/X_j) / (X_i/X_j)."""
+    coords = [[k for k in range(n + 1) if k != i] for i in range(n + 1)]
+    charts = [PresentedAlgebra.free(field, ["xyzwv"[k] for k in ks]) for ks in coords]
 
     def var(i, k):  # X_k/X_i on chart i
         return charts[i].var(coords[i].index(k))
@@ -92,7 +93,7 @@ def projective_plane(field) -> LatticeScheme:
 
     patches = [
         make_patch(charts, i, j, var(i, j), var(j, i), images(i, j), images(j, i))
-        for i, j in ((0, 1), (0, 2), (1, 2))
+        for i, j in itertools.combinations(range(n + 1), 2)
     ]
     return LatticeScheme(GluingData(charts, patches))
 

@@ -1,4 +1,4 @@
-"""Finitely presented algebras: quotients, morphisms, localizations, tensors."""
+"""Finitely presented algebras: quotients, morphisms, localizations."""
 
 import random
 from fractions import Fraction
@@ -27,9 +27,7 @@ from zariski.algebra import (
     enumerate_homs,
     extract_fraction,
     make_localization,
-    make_tensor,
     morphism,
-    tensor_over_base,
     try_extend,
 )
 from zariski.fields import GF, QQ
@@ -458,39 +456,6 @@ def test_extension_to_a_localization_validates_the_inverse():
     assert try_extend(loc, morphism(A, C, [u])) is None  # u is not a unit of C
     with pytest.raises(ValueError):
         morphism(loc.algebra, C, [u, v])  # u*v != 1 in C
-
-
-# -- tensor products --------------------------------------------------------------
-
-
-def test_tensor_of_free_algebras_is_free_on_both_variable_sets():
-    A = qq_x()
-    B = qq_xy()
-    T, inA, inB = make_tensor(A, B)
-    assert T.nvars == 3
-    assert inA.is_valid() and inB.is_valid()
-    assert len(T.relations) == 0
-    # names stay apart even when they clash
-    T2, _, _ = make_tensor(A, A)
-    assert len(set(T2.names)) == 2
-
-
-def test_tensor_dimension_multiplies_for_finite_algebras():
-    A = gf3_split()
-    T, inA, inB = make_tensor(A, A)
-    assert len(T.staircase()) == 4  # 2 x 2
-    assert len(T.enumerate_elements()) == 81
-
-
-def test_pushout_identifies_the_shared_image():
-    A = qq_x()
-    x = A.var(0)
-    B = qq_xy()
-    phi = morphism(A, B, [B.var(0)])
-    psi = morphism(A, B, [B.var(1)])
-    T, inB1, inB2 = tensor_over_base(phi, psi)
-    # x maps equally through both legs
-    assert inB1(phi(x)) == inB2(psi(x))
 
 
 # -- randomized consistency -------------------------------------------------------

@@ -132,6 +132,8 @@ def test_ring_show_prints_the_presentation_and_its_basis():
 def test_ring_normal_form():
     r = invoke("ring", "nf", "x^3", "--ring", "QQ[x]/(x^2-1)")
     assert (r.exit_code, r.output) == (0, "x\n")
+    r = invoke("ring", "nf", "7^100000000", "--ring", "GF(7)[x]")  # zero, raised at once
+    assert (r.exit_code, r.output) == (0, "0\n")
 
 
 def test_ring_inverse_with_check_line():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
+from paper import open_from_realization, ring_of_functions
 from support import (
     NILPOTENT_CASES,
     NILPOTENT_IDS,
@@ -24,7 +25,7 @@ from support import (
     natural_by_pullbacks,
     nilpotent_algebra,
     product_of_points,
-    projective_plane,
+    projective_space,
     sample_opens,
     section_value_at_point,
 )
@@ -37,7 +38,6 @@ from zariski.algebra import (
     morphism,
 )
 from zariski.compare import (
-    RealizationData,
     adjunction_flat,
     comparison_check,
     point_morphism,
@@ -63,6 +63,7 @@ from zariski.latscheme import (
     LatticeScheme,
     SchemeMorphism,
     embed_basic,
+    invertibility_support_scheme,
     local_morphism_witness,
     local_samples,
     make_patch,
@@ -282,21 +283,19 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
 
 
 def test_section_support_over_the_whole_line(fun_a1):
-    rd = RealizationData(fun_a1)
     A1 = fun_a1.algebra
     t_top = top_open(fun_a1.lat)
-    R_top = rd.sections(t_top)
-    assert isinstance(R_top, PresentedAlgebra)
     Y_top = realization(fun_a1, t_top)
+    assert isinstance(ring_of_functions(Y_top), PresentedAlgebra)
     C_top = Y_top.lat.charts[0]
     loc_top = make_localization(C_top, C_top.one)
     s_x = GlobalSection(Y_top.lat, top_open(Y_top.lat), [[loc_top.to_loc(C_top.var(0))]])
-    supp = rd.support(t_top, s_x)
+    W = invertibility_support_scheme(Y_top.lat, top_open(Y_top.lat), s_x)
+    supp = open_from_realization(fun_a1, t_top, W)
     assert eq(supp.components[0], basic_open(A1, [A1.var(0)]))
 
 
 def test_section_support_over_a_smaller_open_multiplies_in(fun_a1):
-    rd = RealizationData(fun_a1)
     A1 = fun_a1.algebra
     x = A1.var(0)
     u_shift = embed_basic(fun_a1.lat, 0, basic_open(A1, [x + A1.one]))
@@ -304,7 +303,8 @@ def test_section_support_over_a_smaller_open_multiplies_in(fun_a1):
     C_u = Y_u.lat.charts[0]
     loc_u = make_localization(C_u, C_u.one)
     s_xu = GlobalSection(Y_u.lat, top_open(Y_u.lat), [[loc_u.to_loc(C_u.var(0))]])
-    supp_u = rd.support(u_shift, s_xu)
+    W = invertibility_support_scheme(Y_u.lat, top_open(Y_u.lat), s_xu)
+    supp_u = open_from_realization(fun_a1, u_shift, W)
     assert eq(supp_u.components[0], basic_open(A1, [(x + A1.one) * x]))
     # pointwise: the support's value at each point is the basic open of the
     # section's value there
@@ -361,12 +361,21 @@ def test_comparison_check_on_the_projective_line_with_naturality(fun_p13):
         assert entry["distinct"]
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_comparison_check_on_the_projective_plane(p):
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        pytest.param(n, p, id=str(p) if n == 2 else f"{p}-P{n}")
+        for n in (1, 2, 3, 4)
+        for p in (2, 3)
+    ],
+)
+def test_comparison_check_on_the_projective_plane(n, p):
+    """Pⁿ over GF(p), n + 1 charts glued pairwise, has (p^(n+1) - 1)/(p - 1)
+    points.  The plane's cases keep the ids [2] and [3]."""
     F = PresentedAlgebra(PolyRing(GF(p), []))
-    ok, report = comparison_check(projective_plane(GF(p)), [F])
+    ok, report = comparison_check(projective_space(GF(p), n), [F])
     assert ok, report
-    assert report["counts"] == [p * p + p + 1]
+    assert report["counts"] == [(p ** (n + 1) - 1) // (p - 1)]
 
 
 def test_comparison_check_on_the_punctured_plane():

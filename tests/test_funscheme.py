@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
+from paper import open_from_realization, ring_of_functions
 from support import (
     NILPOTENT_CASES,
     NILPOTENT_IDS,
@@ -46,10 +47,8 @@ from zariski.funscheme import (
     membership,
     multiplicative_group,
     open_at_point,
-    open_from_realization,
     realization,
     representable,
-    ring_of_functions,
     SchemePoint,
 )
 from zariski.lattice import basic_open, eq, top

@@ -7,7 +7,14 @@ punctured plane).
 
 import pytest
 
-from support import projective_plane, qq_triple_point, qq_x, qq_xy
+from paper import (
+    check_locally_affine,
+    global_sections,
+    qcqs_lemma_check,
+    restrict_global,
+    verify_affine_certificate,
+)
+from support import projective_space, qq_triple_point, qq_x, qq_xy
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -25,9 +32,7 @@ from zariski.latscheme import (
     SectionRing,
     affine_hull_map,
     bottom_open,
-    check_locally_affine,
     embed_basic,
-    global_sections,
     identity_morphism,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -38,13 +43,10 @@ from zariski.latscheme import (
     open_compatibility_witness,
     projective_line,
     punctured_plane,
-    qcqs_lemma_check,
-    restrict_global,
     restrict_scheme,
     section_compatibility_witness,
     spec_morphism,
     top_open,
-    verify_affine_certificate,
 )
 from zariski.parsing import parse_ring
 
@@ -133,14 +135,14 @@ def test_the_projective_plane_validates_its_triple_overlaps(monkeypatch):
         real(self, P, Q)
 
     monkeypatch.setattr(GluingData, "_check_cocycle", counting)
-    X = projective_plane(GF(3))
+    X = projective_space(GF(3), 2)
     assert X.ncharts == 3 and len(X.data.patches) == 6
     # one check per ordered triple of distinct charts
     assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 def test_a_twisted_transition_breaks_the_cocycle():
-    X = projective_plane(GF(3))
+    X = projective_space(GF(3), 2)
     P = X.data.patches_for(1, 2)[0]
     A2 = X.charts[2]
     # e -> 2e on chart 2, an involution over GF(3), extended to D(y)

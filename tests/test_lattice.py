@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper import support_law_witness
 from support import gf3_split, gf5_circle, qq_x, qq_xy, random_open, random_poly
 from zariski.algebra import PresentedAlgebra, make_localization, morphism
 from zariski.fields import GF, QQ
@@ -18,10 +19,7 @@ from zariski.lattice import (
     ZarElement,
     basic_open,
     bottom,
-    canonical_support,
-    check_support_laws,
     eq,
-    extend_support,
     induced_hom,
     join,
     join_all,
@@ -155,7 +153,6 @@ def test_join_all_folds():
 def test_universal_support_laws_on_random_samples():
     rng = random.Random(7)
     A = qq_xy()
-    d = canonical_support(A)
     pairs = [
         (
             A.element(random_poly(rng, A.ring)),
@@ -163,26 +160,14 @@ def test_universal_support_laws_on_random_samples():
         )
         for _ in range(25)
     ]
-    assert check_support_laws(d, pairs) is None
+    assert support_law_witness(A, lambda h: basic_open(A, [h]), pairs) is None
 
 
 def test_support_laws_fail_loudly_for_a_broken_support():
     A = qq_x()
     # constant-top "support" violates d(0) = bottom
-    from zariski.lattice import SupportMap, zar_carrier
-
-    broken = SupportMap(A, lambda f: top(A), zar_carrier(A))
-    witness = check_support_laws(broken, [])
+    witness = support_law_witness(A, lambda f: top(A), [])
     assert witness == "d(0) != bottom"
-
-
-def test_extend_support_recovers_identity_on_the_canonical_support():
-    rng = random.Random(11)
-    A = qq_xy()
-    d = canonical_support(A)
-    for _ in range(10):
-        u = random_open(rng, A)
-        assert eq(extend_support(d, u), u)
 
 
 def test_multiplicative_meet_identifies_saturated_pairs():

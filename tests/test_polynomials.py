@@ -222,7 +222,7 @@ def test_power_is_iterated_product(seed):
 def test_a_monomial_power_makes_no_product(monkeypatch):
     """A one-term base is raised directly: exponents times n and one
     coefficient power, where repeated multiplication would take n - 1
-    products."""
+    products.  Zero, with no term at all, is returned at once."""
     calls = []
     product = polynomials._int_product
     monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
@@ -230,6 +230,7 @@ def test_a_monomial_power_makes_no_product(monkeypatch):
     assert f**100000 == Poly(f.ring, {(300000, 100000): Fraction(2**100000, 3**100000)})
     u = PolyRing(GF(7), ["u"]).var(0).scale(3)
     assert (u**100000).terms == {(100000,): pow(3, 100000, 7)}
+    assert (f.ring.zero ** 10**9).is_zero() and (u.ring.zero ** 10**9).is_zero()
     assert calls == []
     x, y = f.ring.gens()
     assert (x + y) ** 2 == x * x + 2 * x * y + y * y and calls

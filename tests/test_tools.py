@@ -1,6 +1,6 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
 no benchmark run, and the report of ``tools/uncalled.py`` on a small
-synthetic module, without the traced suite."""
+synthetic module and on the paper's verifiers, without the traced suite."""
 
 import importlib.util
 import os
@@ -115,3 +115,14 @@ def test_the_uncalled_report_names_each_function_that_never_ran(tmp_path):
     assert not ok
     allowed = {"never": "a", "decorated_never": "b", "Box.*": "c"}
     assert uncalled.report([str(path)], ran, allowed)[1]
+
+
+def test_the_uncalled_report_covers_the_paper_verifiers():
+    """``tests/paper.py`` is traced with the package, so a verifier of the
+    paper that no test calls is reported and fails the check."""
+    paper = os.path.join(HERE, "paper.py")
+    files = [os.path.realpath(f) for f in uncalled.traced_files()]
+    assert os.path.realpath(paper) in files
+    lines, ok = uncalled.report([paper], set(), uncalled.ALLOWED)
+    assert any(line.startswith("paper:") and line.endswith(" qcqs_lemma_check") for line in lines)
+    assert not ok

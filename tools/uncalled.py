@@ -1,18 +1,19 @@
-"""List the functions of ``src/zariski/`` that no Tier-1 test calls.
+"""List the functions of ``src/zariski/`` and of the paper's verifiers in
+``tests/paper.py`` that no Tier-1 test calls.
 
     python3 tools/uncalled.py
 
 It runs the Tier-1 suite (``tests/``) in this process under
 ``sys.setprofile``, records the code of every Python call, and prints
 ``module:line name`` for each function or method defined in
-``src/zariski/*.py`` (nested ones included) whose code never ran.  Entries
-of ``ALLOWED`` are printed with their reason and are accepted; any other
-uncalled function makes the exit status 1, and so does a failing suite.
-The name guard in ``tests/test_acceptance.py`` misses a second
-implementation whose name collides with another one (``normal_form``,
-``pieces``) and operators; this report does not.  The traced suite takes
-about 30 s, so it is not part of Tier-1.  Standard library only, apart
-from pytest, which runs the suite.
+``src/zariski/*.py`` or ``tests/paper.py`` (nested ones included) whose
+code never ran.  Entries of ``ALLOWED`` are printed with their reason and
+are accepted; any other uncalled function makes the exit status 1, and so
+does a failing suite.  The name guard in ``tests/test_acceptance.py``
+misses a second implementation whose name collides with another one
+(``normal_form``, ``pieces``) and operators; this report does not.  The
+traced suite takes about 95 s on 2 vCPUs, so it is not part of Tier-1.
+Standard library only, apart from pytest, which runs the suite.
 """
 
 import ast
@@ -23,6 +24,7 @@ import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "zariski")
+PAPER = os.path.join(ROOT, "tests", "paper.py")
 
 # qualified-name pattern -> why the function may stay untested
 ALLOWED = {
@@ -74,6 +76,12 @@ def trace_calls(run):
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
 
 
+def traced_files():
+    """The files whose functions the report covers: the package's modules
+    and the paper's verifiers, which only the tests call."""
+    return sorted(os.path.join(PACKAGE, n) for n in os.listdir(PACKAGE) if n.endswith(".py")) + [PAPER]
+
+
 def report(paths, ran, allowed):
     """The report lines for the uncalled functions of ``paths`` and whether
     every one of them is allowed."""
@@ -96,8 +104,7 @@ def main():
     args = [os.path.join(ROOT, "tests"), "-q", "-p", "no:cacheprovider"]
     status = []
     ran = trace_calls(lambda: status.append(pytest.main(args)))
-    paths = [os.path.join(PACKAGE, n) for n in os.listdir(PACKAGE) if n.endswith(".py")]
-    lines, ok = report(paths, ran, ALLOWED)
+    lines, ok = report(traced_files(), ran, ALLOWED)
     print("\n".join(lines))
     if status[0] != 0:
         print(f"the suite failed (pytest exit {status[0]}); the report is partial", file=sys.stderr)
