@@ -25,7 +25,6 @@ from .lattice import (
     basic_open,
     bottom,
     eq,
-    induced_hom,
     join,
     leq,
     meet,
@@ -41,10 +40,8 @@ from .sheaf import (
     glue,
     incompatibility_witness,
     invertibility_support_basic,
-    is_invertible,
     restrict,
     restriction_map,
-    section,
     section_equal,
 )
 from .latscheme import (
@@ -54,31 +51,24 @@ from .latscheme import (
     GluingError,
     LatticeScheme,
     SchemeMorphism,
-    SectionRing,
     affine_hull_map,
     embed_basic,
-    identity_morphism,
     invertibility_support_scheme,
     make_patch,
     mk_affine,
     projective_line,
     punctured_plane,
     restrict_scheme,
-    spec_morphism,
     top_open,
 )
 from .funscheme import (
     FunctorialScheme,
     NonReducedAlgebraError,
     SchemePoint,
-    affine_line,
-    affine_plane,
     check_locality,
     eval_points,
     functorial,
-    multiplicative_group,
     realization,
-    representable,
 )
 from .compare import (
     adjunction_flat,

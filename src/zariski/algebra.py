@@ -73,10 +73,6 @@ class PresentedAlgebra:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PresentedAlgebra is immutable")
 
-    @classmethod
-    def free(cls, field: Field, names: Sequence[str]) -> "PresentedAlgebra":
-        return cls(PolyRing(field, names))
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -562,9 +558,6 @@ class Localization:
     def inverse(self) -> AlgebraElement:
         return self.algebra.var(self.inv_index)
 
-    def fraction(self, numerator: AlgebraElement, power: int) -> AlgebraElement:
-        """The element numerator / denominator**power of the localization."""
-        return self.to_loc(numerator) * self.inverse ** power
 
 
 def make_localization(base: PresentedAlgebra, f: AlgebraElement) -> Localization:

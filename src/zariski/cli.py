@@ -52,6 +52,7 @@ from .parsing import (
     parse_poly,
     parse_ring,
 )
+from .fields import _DigitLimitError
 from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError
 
 
@@ -163,11 +164,6 @@ def _check_keys(
         _input_error(f"{where}: missing field(s) {', '.join(missing)}")
 
 
-def _require_schema(obj: Dict, where: str) -> None:
-    if type(obj.get("schema")) is not int or obj["schema"] != 1:
-        _input_error(f"{where}: schema must be 1")
-
-
 def _algebra_from_spec(
     obj: Dict, where: str, order: Optional[MonomialOrder]
 ) -> PresentedAlgebra:
@@ -274,26 +270,34 @@ def _gluing_from_spec(
         _refute(f"invalid gluing data: {exc}")
 
 
+def _load_kind(path: str, *kinds: str) -> Dict:
+    """The object of a schema-1 file whose kind is one of ``kinds``."""
+    obj = _load_json(path)
+    if type(obj.get("schema")) is not int or obj["schema"] != 1:
+        _input_error(f"{path}: schema must be 1")
+    if obj.get("kind") not in kinds:
+        _input_error(f"{path}: kind must be " + " or ".join(f"'{k}'" for k in kinds))
+    return obj
+
+
+def _load_algebra(path: str, obj: Dict, order: Optional[MonomialOrder]) -> PresentedAlgebra:
+    """The algebra of a loaded file of kind 'algebra'."""
+    spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
+    return _algebra_from_spec(spec, path, order)
+
+
 def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
     """Load a scheme file and validate the data, refuting on failure."""
-    obj = _load_json(path)
-    _require_schema(obj, path)
-    kind = obj.get("kind")
-    if kind == "algebra":
-        spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
-        return mk_affine(_algebra_from_spec(spec, path, order))
-    if kind == "gluedata":
+    obj = _load_kind(path, "algebra", "gluedata")
+    if obj["kind"] == "gluedata":
         return LatticeScheme(_gluing_from_spec(obj, path, order))
-    _input_error(f"{path}: kind must be 'algebra' or 'gluedata'")
+    return mk_affine(_load_algebra(path, obj, order))
 
 
 def _load_family_values(
     path: str, X: LatticeScheme
 ) -> List[AlgebraElement]:
-    obj = _load_json(path)
-    _require_schema(obj, path)
-    if obj.get("kind") != "family":
-        _input_error(f"{path}: kind must be 'family'")
+    obj = _load_kind(path, "family")
     _check_keys(obj, {"schema", "kind", "values"}, {"schema", "kind", "values"}, path)
     values = obj["values"]
     if not isinstance(values, list) or len(values) != X.ncharts:
@@ -369,12 +373,13 @@ FORMAT_OPTION = click.option(
 
 class _Main(click.Group):
     """The command group: a monomial past the exponent limit of packed
-    monomials (``polynomials``), wherever it arises, is malformed input."""
+    monomials (``polynomials``) or a coefficient past the digit limit of
+    printing (``fields``), wherever it arises, is malformed input."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _ExponentLimitError as exc:
+        except (_ExponentLimitError, _DigitLimitError) as exc:
             _input_error(str(exc))
 
 
@@ -817,12 +822,7 @@ def locality_check(data_path, algebra_path, pieces_text, order_text) -> None:
     """Check the equalizer condition for the points functor along a cover of B."""
     order = parse_order(order_text)
     X = _load_scheme(data_path, order)
-    obj = _load_json(algebra_path)
-    _require_schema(obj, algebra_path)
-    if obj.get("kind") != "algebra":
-        _input_error(f"{algebra_path}: kind must be 'algebra'")
-    spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
-    B = _algebra_from_spec(spec, algebra_path, order)
+    B = _load_algebra(algebra_path, _load_kind(algebra_path, "algebra"), order)
     if B.field != X.charts[0].field:
         _input_error(
             f"{algebra_path}: field {B.field!r} does not match the chart field "

@@ -9,11 +9,14 @@ return and that ``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take.
 
 Inside a ``Poly`` no coefficient is a ``Fraction``: it holds integer terms
 over one integer denominator, 1 over GF(p), and its arithmetic runs on
-those ints rather than through ``Field`` (see ``polynomials``).
+those ints rather than through ``Field`` (see ``polynomials``).  Printing
+a coefficient too long for Python's int-to-text conversion raises
+``_DigitLimitError``, a ``ValueError`` that names the limit.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -22,6 +25,10 @@ Scalar = Union[Fraction, int]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_CHARACTERISTIC = 2**31
+
+
+class _DigitLimitError(ValueError):
+    """A coefficient with more digits than ``str`` converts."""
 
 
 def is_prime(n: int) -> bool:
@@ -109,9 +116,15 @@ class Field:
         return iter(range(self.char))
 
     def scalar_str(self, a: Scalar) -> str:
-        if self.char == 0 and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(int(a) if self.char else a.numerator)
+        try:
+            if self.char == 0 and a.denominator != 1:
+                return f"{a.numerator}/{a.denominator}"
+            return str(int(a) if self.char else a.numerator)
+        except ValueError:
+            raise _DigitLimitError(
+                "a coefficient is past the digit limit: integers print with at most "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
 
 
 QQ = Field(0)

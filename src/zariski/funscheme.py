@@ -33,10 +33,9 @@ from .latscheme import (
     CompactOpen,
     LatticeScheme,
     SchemeMorphism,
-    mk_affine,
     restrict_scheme,
 )
-from .polynomials import PolyRing, _poly, poly_sort_key
+from .polynomials import _poly, poly_sort_key
 from .sheaf import restriction_map
 
 
@@ -74,10 +73,6 @@ class FunctorialScheme:
         if self.algebra is not None:
             return f"Sp({self.algebra!r})"
         return f"FunctorialScheme({self.lat.ncharts} charts)"
-
-
-def representable(A: PresentedAlgebra) -> FunctorialScheme:
-    return FunctorialScheme(mk_affine(A))
 
 
 def functorial(X: LatticeScheme) -> FunctorialScheme:
@@ -340,11 +335,6 @@ def open_at_point(U: CompactOpen, p: SchemePoint) -> ZarElement:
     return basic_open(B, gens)
 
 
-def membership(U: CompactOpen, p: SchemePoint) -> bool:
-    """Whether the point lies in the compact open."""
-    return eq(open_at_point(U, p), top(p.test_algebra))
-
-
 # -- functoriality ----------------------------------------------------------------
 
 
@@ -446,19 +436,3 @@ def check_locality(
         ]
     return len(families) == len(global_points)
 
-
-# -- fixtures ---------------------------------------------------------------------------
-
-
-def affine_line(field) -> FunctorialScheme:
-    return representable(PresentedAlgebra(PolyRing(field, ["x"])))
-
-
-def affine_plane(field) -> FunctorialScheme:
-    return representable(PresentedAlgebra(PolyRing(field, ["x", "y"])))
-
-
-def multiplicative_group(field) -> FunctorialScheme:
-    ring = PolyRing(field, ["x", "y"])
-    xy_minus_1 = ring.var(0) * ring.var(1) - ring.one
-    return representable(PresentedAlgebra(ring, [xy_minus_1]))

@@ -8,8 +8,8 @@ patches over one chart pair, and the triple-overlap (cocycle) condition,
 each by explicit normal-form comparisons inside a common localization.
 
 On top of the validated data live compact opens (one lattice element per
-chart, compatible across patches), global sections (compatible families of
-localized elements with a decidable equality), the scheme-level
+chart, compatible across patches), global sections (families of localized
+elements with a witness of any incompatibility), the scheme-level
 invertibility support, morphisms with their pullback/pushforward data, and
 the checker for the local-morphism condition.  The verifiers of the paper's
 lemmas on these objects (restriction of sections, the qcqs lemma,
@@ -33,8 +33,6 @@ from .lattice import (
     ZarElement,
     basic_open,
     bottom,
-    eq,
-    induced_hom,
     join,
     join_all,
     leq,
@@ -43,9 +41,6 @@ from .lattice import (
 )
 from .sheaf import (
     BasicOpenSection,
-    CoverData,
-    SectionFamily,
-    glue,
     invertibility_support_basic,
     restrict,
     restriction_map,
@@ -328,9 +323,10 @@ def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
 class CompactOpen:
     """A compact open of a scheme: one lattice element per chart.
 
-    The components must agree across patches (``open_compatibility_witness``
-    finds none that disagree); the constructors used by the library produce
-    compatible data.
+    The components must agree across patches: for a patch from chart i to
+    chart j, chart j's component met with D(g) is the transport of chart
+    i's.  The constructor does not check this; ``top_open``,
+    ``embed_basic`` and the lattice operations produce compatible data.
     """
 
     __slots__ = ("owner", "components", "_hash")
@@ -422,23 +418,6 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     return CompactOpen(X, comps)
 
 
-def open_compatibility_witness(u: CompactOpen) -> Optional[str]:
-    """None if the components agree across all patches, else a witness."""
-    X = u.owner
-    for p in X.data.patches:
-        wi, wj = u.components[p.i], u.components[p.j]
-        transported = basic_open(
-            X.charts[p.j], [transport_piece(p, h) for h in wi.generators]
-        )
-        expected = meet(wj, basic_open(X.charts[p.j], [p.g]))
-        if not eq(transported, expected):
-            return (
-                f"component mismatch across {p!r}: transport gives "
-                f"{transported}, chart {p.j} holds {expected}"
-            )
-    return None
-
-
 # -- global sections --------------------------------------------------------------
 
 
@@ -528,93 +507,6 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
                         f"{a_side.value} vs {b_side.value}"
                     )
     return None
-
-
-class SectionRing:
-    """The ring of sections over a compact open, as a computable carrier:
-    pointwise operations, decidable equality, and a membership check."""
-
-    __slots__ = ("scheme", "domain")
-
-    def __init__(self, scheme: LatticeScheme, domain: CompactOpen):
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "domain", domain)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SectionRing is immutable")
-
-    def _locs(self, i: int) -> List[Localization]:
-        return [
-            make_localization(self.scheme.charts[i], g)
-            for g in self.domain.components[i].generators
-        ]
-
-    def _const(self, c: int) -> GlobalSection:
-        values = [
-            [loc.algebra.element(c) for loc in self._locs(i)]
-            for i in range(self.scheme.ncharts)
-        ]
-        return GlobalSection(self.scheme, self.domain, values)
-
-    @property
-    def zero(self) -> GlobalSection:
-        return self._const(0)
-
-    @property
-    def one(self) -> GlobalSection:
-        return self._const(1)
-
-    def section(self, values: Sequence[Sequence[AlgebraElement]]) -> GlobalSection:
-        s = GlobalSection(self.scheme, self.domain, values)
-        witness = section_compatibility_witness(s)
-        if witness is not None:
-            raise ValueError(f"not a section: {witness}")
-        return s
-
-    def _zip(self, s: GlobalSection, t: GlobalSection, op) -> GlobalSection:
-        if s.domain != self.domain or t.domain != self.domain:
-            raise ValueError("sections over a different compact open")
-        values = [
-            [op(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(s.values, t.values)
-        ]
-        return GlobalSection(self.scheme, self.domain, values)
-
-    def add(self, s: GlobalSection, t: GlobalSection) -> GlobalSection:
-        return self._zip(s, t, lambda a, b: a + b)
-
-    def sub(self, s: GlobalSection, t: GlobalSection) -> GlobalSection:
-        return self._zip(s, t, lambda a, b: a - b)
-
-    def mul(self, s: GlobalSection, t: GlobalSection) -> GlobalSection:
-        return self._zip(s, t, lambda a, b: a * b)
-
-    def neg(self, s: GlobalSection) -> GlobalSection:
-        return self._zip(s, s, lambda a, b: -a)
-
-    def eq(self, s: GlobalSection, t: GlobalSection) -> bool:
-        if s.domain != self.domain or t.domain != self.domain:
-            raise ValueError("sections over a different compact open")
-        return s.values == t.values
-
-    # -- the affine dictionary ------------------------------------------------
-    def embed_chart_element(self, i: int, a: AlgebraElement) -> GlobalSection:
-        """The section a/1 of a single-chart scheme over its top."""
-        if self.scheme.ncharts != 1 or i != 0:
-            raise ValueError("embedding applies to single-chart schemes")
-        values = [[loc.to_loc(a) for loc in self._locs(0)]]
-        return GlobalSection(self.scheme, self.domain, values)
-
-    def extract_chart_element(self, s: GlobalSection, i: int) -> AlgebraElement:
-        """Reassemble a chart element from a section whose chart-i component
-        covers the chart (glue of the pieces)."""
-        A = self.scheme.charts[i]
-        gens = self.domain.components[i].generators
-        cover = CoverData(A, gens)
-        fam = SectionFamily(
-            cover, [s.piece(i, k) for k in range(len(gens))]
-        )
-        return glue(fam)
 
 
 # -- invertibility support and the affine-hull data --------------------------------
@@ -723,40 +615,6 @@ class SchemeMorphism:
             lifted = extend_over(loc_f, step)
             out.append((i, h, lifted(value)))
         return tuple(out)
-
-
-def identity_morphism(X: LatticeScheme) -> SchemeMorphism:
-    def chart_open(j: int, w: ZarElement) -> CompactOpen:
-        return embed_basic(X, j, w)
-
-    comorphisms = [
-        [(j, A.one, make_localization(A, A.one).to_loc)]
-        + [(p.i, p.f, p.chart_bwd) for p in X.data.patches if p.j == j]
-        for j, A in enumerate(X.charts)
-    ]
-    return SchemeMorphism(X, X, chart_open, comorphisms)
-
-
-def spec_morphism(
-    phi: AlgebraMorphism,
-    source: Optional[LatticeScheme] = None,
-    target: Optional[LatticeScheme] = None,
-) -> SchemeMorphism:
-    """The morphism Spec(B) -> Spec(A) induced by ``phi : A -> B``."""
-    phi.check_valid()
-    X = source if source is not None else mk_affine(phi.target)
-    Y = target if target is not None else mk_affine(phi.source)
-    if X.ncharts != 1 or X.charts[0] != phi.target:
-        raise ValueError("source scheme does not match the morphism")
-    if Y.ncharts != 1 or Y.charts[0] != phi.source:
-        raise ValueError("target scheme does not match the morphism")
-
-    def chart_open(j: int, w: ZarElement) -> CompactOpen:
-        return CompactOpen(X, [induced_hom(phi, w)])
-
-    one = phi.target.one
-    loc_one = make_localization(phi.target, one)
-    return SchemeMorphism(X, Y, chart_open, [[(0, one, phi.then(loc_one.to_loc))]])
 
 
 def chart_variable_samples(

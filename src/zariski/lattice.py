@@ -16,7 +16,6 @@ from typing import List, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
-    AlgebraMorphism,
     Localization,
     PresentedAlgebra,
     extract_fraction,
@@ -125,13 +124,6 @@ def join_all(owner: PresentedAlgebra, elems: Sequence[ZarElement]) -> ZarElement
             raise ValueError("lattice elements over different algebras")
         gens.extend(e.generators)
     return basic_open(owner, gens)
-
-
-def induced_hom(phi: AlgebraMorphism, u: ZarElement) -> ZarElement:
-    """Push a basic open forward along an algebra morphism, generatorwise."""
-    if u.owner != phi.source:
-        raise ValueError("element does not live over the morphism's source")
-    return basic_open(phi.target, [phi(f) for f in u.generators])
 
 
 # -- the localization isomorphism ------------------------------------------------

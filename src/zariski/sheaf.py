@@ -59,11 +59,6 @@ class BasicOpenSection:
         return f"<section {self}>"
 
 
-def section(loc: Localization, numerator: AlgebraElement, power: int) -> BasicOpenSection:
-    """The section numerator / f**power over D(f)."""
-    return BasicOpenSection(loc, loc.fraction(loc.base.element(numerator), power))
-
-
 def global_section(loc: Localization, a: AlgebraElement) -> BasicOpenSection:
     """The restriction a/1 of a global element to D(f)."""
     return BasicOpenSection(loc, loc.to_loc(loc.base.element(a)))
@@ -219,10 +214,3 @@ def invertibility_support_basic(s: BasicOpenSection) -> ZarElement:
     numerator, _ = extract_fraction(s.loc, s.value)
     return basic_open(s.base, [s.denominator * numerator])
 
-
-def is_invertible(s: BasicOpenSection) -> bool:
-    """Whether the section is a unit of A_f."""
-    numerator, _ = extract_fraction(s.loc, s.value)
-    return s.base.radical_member(
-        s.denominator, [s.denominator * numerator]
-    )

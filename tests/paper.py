@@ -5,11 +5,13 @@ functions check statements the comparison rests on, on the fixtures of the
 tests: the four laws of a support map, restriction of sections, the qcqs
 lemma (sections over the invertibility support of s are the sections over
 u localized at s), affineness certificates, local affineness, and the
-functions and opens of a realized compact open.  No command of the package
-calls them, so they live here and ``tools/uncalled.py`` traces them with
-the package.
+functions and opens of a realized compact open.  Sections over a compact
+open are added and multiplied value by value (``pointwise``).  No command
+of the package calls them, so they live here and ``tools/uncalled.py``
+traces them with the package.
 """
 
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from zariski.algebra import (
@@ -26,7 +28,6 @@ from zariski.latscheme import (
     GlobalSection,
     LatticeScheme,
     SchemeMorphism,
-    SectionRing,
     bottom_open,
     chart_variable_samples,
     embed_basic,
@@ -67,8 +68,35 @@ def support_law_witness(A: PresentedAlgebra, d, pairs) -> Optional[str]:
 # -- sections of a glued scheme ------------------------------------------------------
 
 
-def global_sections(X: LatticeScheme) -> SectionRing:
-    return SectionRing(X, top_open(X))
+def constant_section(X: LatticeScheme, u: CompactOpen, c: int) -> GlobalSection:
+    """The constant c as a section over u."""
+    values = [
+        [make_localization(A, g).algebra.element(c) for g in w.generators]
+        for A, w in zip(X.charts, u.components)
+    ]
+    return GlobalSection(X, u, values)
+
+
+def pointwise(op, s: GlobalSection, t: GlobalSection) -> GlobalSection:
+    """The section over s's domain whose values are ``op`` of those of s and t."""
+    if s.domain != t.domain:
+        raise ValueError("sections over different compact opens")
+    return GlobalSection(s.scheme, s.domain, [list(map(op, a, b)) for a, b in zip(s.values, t.values)])
+
+
+def chart_section(X: LatticeScheme, a: AlgebraElement) -> GlobalSection:
+    """The section a/1 over the top of a one-chart scheme."""
+    t = top_open(X)
+    (A,), (w,) = X.charts, t.components
+    return GlobalSection(X, t, [[make_localization(A, g).to_loc(a) for g in w.generators]])
+
+
+def chart_element(s: GlobalSection) -> AlgebraElement:
+    """The chart element a section of a one-chart scheme glues to, when its
+    domain covers the chart."""
+    gens = s.domain.components[0].generators
+    cover = CoverData(s.scheme.charts[0], gens)
+    return glue(SectionFamily(cover, [s.piece(0, k) for k in range(len(gens))]))
 
 
 def restrict_global(
@@ -219,10 +247,9 @@ def qcqs_lemma_check(X: LatticeScheme, u: CompactOpen, s: GlobalSection) -> bool
         return False
     # samples over the support: the restriction of s, the unit, the inverse
     samples: List[GlobalSection] = []
-    ring_v = SectionRing(X, v_explicit)
     s_on_v = _restrict_to_pieces(X, s, v_explicit, piece_data)
     samples.append(s_on_v)
-    samples.append(ring_v.one)
+    samples.append(constant_section(X, v_explicit, 1))
     inverse_values = []
     for i in range(X.ncharts):
         row = []
@@ -244,8 +271,8 @@ def qcqs_lemma_check(X: LatticeScheme, u: CompactOpen, s: GlobalSection) -> bool
         lhs = tau_on_v
         rhs = sigma
         for _ in range(n):
-            rhs = ring_v.mul(rhs, s_on_v)
-        if not ring_v.eq(lhs, rhs):
+            rhs = pointwise(mul, rhs, s_on_v)
+        if lhs.values != rhs.values:
             return False
     return True
 
@@ -305,11 +332,11 @@ def _solve_fraction_over(
 
 def ring_of_functions(X: FunctorialScheme):
     """The functions on X: the chart algebra itself when X is affine, else
-    the section ring over the top compact open."""
+    the top compact open, whose sections they are."""
     A = X.algebra
     if A is not None:
         return A
-    return global_sections(X.lat)
+    return top_open(X.lat)
 
 
 def open_from_realization(

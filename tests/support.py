@@ -24,28 +24,49 @@ from zariski.algebra import (
 )
 from zariski.compare import point_morphism
 from zariski.fields import GF, QQ
-from zariski.funscheme import SchemePoint, _lowest_chart, _realized, map_point, realization
+from zariski.funscheme import (
+    SchemePoint,
+    _lowest_chart,
+    _realized,
+    functorial,
+    map_point,
+    realization,
+)
 from zariski.latscheme import (
     CompactOpen,
     GluingData,
     LatticeScheme,
+    SchemeMorphism,
     chart_variable_samples,
     embed_basic,
     make_patch,
     mk_affine,
     top_open,
 )
-from zariski.lattice import basic_open, eq, induced_hom, top
+from zariski.lattice import basic_open, eq, top
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
 from zariski.sheaf import restriction_map
 
 
 def qq_x() -> PresentedAlgebra:
-    return PresentedAlgebra.free(QQ, ["x"])
+    return PresentedAlgebra(PolyRing(QQ, ["x"]))
 
 
 def qq_xy() -> PresentedAlgebra:
-    return PresentedAlgebra.free(QQ, ["x", "y"])
+    return PresentedAlgebra(PolyRing(QQ, ["x", "y"]))
+
+
+def affine_line(field):
+    return functorial(mk_affine(PresentedAlgebra(PolyRing(field, ["x"]))))
+
+
+def affine_plane(field):
+    return functorial(mk_affine(PresentedAlgebra(PolyRing(field, ["x", "y"]))))
+
+
+def multiplicative_group(field):
+    A = affine_plane(field).algebra
+    return functorial(mk_affine(A.with_relations([(A.var(0) * A.var(1) - 1).poly])))
 
 
 def gf5_circle() -> PresentedAlgebra:
@@ -82,7 +103,7 @@ def projective_space(field, n: int) -> LatticeScheme:
     i < j are glued along D(X_j/X_i) ~ D(X_i/X_j), where
     X_k/X_i = (X_k/X_j) / (X_i/X_j)."""
     coords = [[k for k in range(n + 1) if k != i] for i in range(n + 1)]
-    charts = [PresentedAlgebra.free(field, ["xyzwv"[k] for k in ks]) for ks in coords]
+    charts = [PresentedAlgebra(PolyRing(field, ["xyzwv"[k] for k in ks])) for ks in coords]
 
     def var(i, k):  # X_k/X_i on chart i
         return charts[i].var(coords[i].index(k))
@@ -105,7 +126,7 @@ def product_of_points(p: int, k: int) -> PresentedAlgebra:
     idempotent is 1 - e1 - ... - e_{k-1}.
     """
     if k == 1:
-        return PresentedAlgebra.free(GF(p), [])
+        return PresentedAlgebra(PolyRing(GF(p), []))
     names = [f"e{i}" for i in range(1, k)]
     ring = PolyRing(GF(p), names)
     gens = ring.gens()
@@ -249,6 +270,24 @@ def affine_opens(draw, field):
     return X, CompactOpen(X, [basic_open(A, gens)])
 
 
+def image_open(phi, w):
+    """The open of phi's target generated by the images of w's generators."""
+    return basic_open(phi.target, [phi(g) for g in w.generators])
+
+
+def spec_morphism(phi, source=None, target=None):
+    """The morphism Spec(B) -> Spec(A) of ``phi : A -> B`` between one-chart
+    schemes, fresh ones unless given: D(g) pulls back to D(phi(g)), and
+    sections pull back along phi."""
+    B = phi.target
+    X = mk_affine(B) if source is None else source
+    Y = mk_affine(phi.source) if target is None else target
+    loc1 = make_localization(B, B.one)
+    return SchemeMorphism(
+        X, Y, lambda j, w: CompactOpen(X, [image_open(phi, w)]), [[(0, B.one, phi.then(loc1.to_loc))]]
+    )
+
+
 def morphisms_agree(pi1, pi2, opens, samples=None):
     """Extensional agreement of two morphisms with one-chart affine source,
     pair by pair: the oracle for the values of ``compare._atom_table``.
@@ -335,7 +374,7 @@ def natural_by_pullbacks(X, p, chi):
     pi_p = point_morphism(X, p)
     pi_q = point_morphism(X, map_point(p.scheme, p, chi))
     return all(
-        eq(pi_q.pullback(u).components[0], induced_hom(chi, pi_p.pullback(u).components[0]))
+        eq(pi_q.pullback(u).components[0], image_open(chi, pi_p.pullback(u).components[0]))
         for u in sample_opens(X)
     )
 
@@ -579,7 +618,7 @@ def lowest_chart_by_overlap(X, c, phi):
     criterion, the oracle for ``funscheme._lowest_chart``."""
     t_b = top(phi.target)
     return next(
-        (i for i in range(c) if eq(induced_hom(phi, X.data.overlap(c, i)), t_b)), c
+        (i for i in range(c) if eq(image_open(phi, X.data.overlap(c, i)), t_b)), c
     )
 
 

@@ -5,6 +5,7 @@ witness), 2 malformed input (with line/column where applicable).
 """
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -191,6 +192,21 @@ def test_the_exponent_limit_exits_2():
     r = invoke("ideal", "member", "x^2000000000*x^2000000000", "x", "--ring", "QQ[x,y]")
     assert r.exit_code == 2
     assert "Error: monomial x^4000000000 is past the exponent limit" in r.stderr
+
+
+def test_a_coefficient_past_the_digit_limit_exits_2():
+    """A coefficient too long for Python's int-to-text conversion is
+    malformed input: one line names the limit, and no traceback follows."""
+    line = (
+        "Error: a coefficient is past the digit limit: integers print with at most "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    for args in (
+        ("ring", "nf", "2^10000000", "--ring", "QQ[x]"),
+        ("ring", "show", "--ring", "QQ[x]/(x - 2^20000)", "--format", "json"),
+    ):
+        r = invoke(*args)
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", line), args
 
 
 def test_missing_files_exit_2(tmp_path):

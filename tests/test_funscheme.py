@@ -2,22 +2,26 @@
 
 import functools
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from paper import open_from_realization, ring_of_functions
+from paper import constant_section, open_from_realization, pointwise, ring_of_functions
 from support import (
     NILPOTENT_CASES,
     NILPOTENT_IDS,
+    affine_line,
+    affine_plane,
     as_hom,
     atoms_by_search,
     finite_algebras,
     gf3_split,
     locality_by_product,
     lowest_chart_by_overlap,
+    multiplicative_group,
     nilpotent_algebra,
     open_to_realization,
     product_of_points,
@@ -35,8 +39,6 @@ from zariski.algebra import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
-    affine_line,
-    affine_plane,
     check_locality,
     connected_factor,
     eval_points,
@@ -44,15 +46,12 @@ from zariski.funscheme import (
     atomic_factors,
     is_reduced,
     map_point,
-    membership,
-    multiplicative_group,
     open_at_point,
     realization,
-    representable,
     SchemePoint,
 )
 from zariski.lattice import basic_open, eq, top
-from zariski.latscheme import CompactOpen, projective_line, punctured_plane, top_open
+from zariski.latscheme import CompactOpen, mk_affine, projective_line, punctured_plane, top_open
 from zariski.parsing import parse_ring
 from zariski.polynomials import PolyRing
 
@@ -343,11 +342,9 @@ def test_point_membership_in_a_compact_open():
     x3, y3 = A3.var(0), A3.var(1)
     U3 = CompactOpen(plane3.lat, [basic_open(A3, [x3, y3])])
     pts = eval_points(plane3, F3)
-    inside = [p for p in pts if membership(U3, p)]
+    inside = [p for p in pts if eq(open_at_point(U3, p), top(F3))]
     assert len(pts) == 9
     assert len(inside) == 8  # only the origin misses D(x, y)
-    for p in inside:
-        assert eq(open_at_point(U3, p), top(F3))
 
 
 # -- covers ---------------------------------------------------------------------------
@@ -499,15 +496,17 @@ def test_locality_restricts_each_point_once_per_overlap(monkeypatch):
 def test_ring_of_functions_of_representables_is_the_algebra():
     ring_d, rels_d = parse_ring("QQ[x]/(x^2)")
     D = PresentedAlgebra(ring_d, rels_d)
-    assert ring_of_functions(representable(D)) is D
+    assert ring_of_functions(functorial(mk_affine(D))) is D
     GmQ = multiplicative_group(QQ)
     assert ring_of_functions(GmQ) is GmQ.algebra
 
 
 def test_ring_of_functions_of_glued_schemes_is_a_section_ring(punctured3):
-    G = ring_of_functions(punctured3)
-    assert G.eq(G.one, G.one)
-    assert G.eq(G.mul(G.one, G.zero), G.zero)
+    X = punctured3.lat
+    U = ring_of_functions(punctured3)
+    assert U.eq(top_open(X))
+    one, zero = constant_section(X, U, 1), constant_section(X, U, 0)
+    assert pointwise(mul, one, zero).values == zero.values
 
 
 # -- functoriality ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Schemes as charts glued along localization isomorphisms.
 
-Covers gluing validation, the compact-open lattice, section rings, scheme
-morphisms with locality checks, and the stock fixtures (projective line,
-punctured plane).
+Covers gluing validation, the compact-open lattice, sections over compact
+opens, scheme morphisms with locality checks, and the stock fixtures
+(projective line, punctured plane).
 """
+
+from operator import add, mul, sub
 
 import pytest
 
 from paper import (
+    chart_element,
+    chart_section,
     check_locally_affine,
-    global_sections,
+    constant_section,
+    pointwise,
     qcqs_lemma_check,
     restrict_global,
     verify_affine_certificate,
 )
-from support import projective_space, qq_triple_point, qq_x, qq_xy
+from support import projective_space, qq_triple_point, qq_x, qq_xy, spec_morphism
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -29,26 +34,23 @@ from zariski.latscheme import (
     GluingData,
     GluingError,
     SchemeMorphism,
-    SectionRing,
     affine_hull_map,
     bottom_open,
     embed_basic,
-    identity_morphism,
     invertibility_support_scheme,
     local_morphism_witness,
     Patch,
     extend_over,
     make_patch,
     mk_affine,
-    open_compatibility_witness,
     projective_line,
     punctured_plane,
     restrict_scheme,
     section_compatibility_witness,
-    spec_morphism,
     top_open,
 )
 from zariski.parsing import parse_ring
+from zariski.polynomials import PolyRing
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,23 @@ def p1():
 @pytest.fixture(scope="module")
 def punctured():
     return punctured_plane(QQ)
+
+
+def compatible(u):
+    """Whether u's components agree across patches: u is the join of the
+    opens its components generate."""
+    X = u.owner
+    spread = bottom_open(X)
+    for i, w in enumerate(u.components):
+        spread = spread.join(embed_basic(X, i, w))
+    return spread.eq(u)
+
+
+def top_section(X, values):
+    """The section over the top of X with one value x/1 per chart."""
+    return GlobalSection(
+        X, top_open(X), [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
+    )
 
 
 # -- gluing validation -------------------------------------------------------------
@@ -76,8 +95,8 @@ def test_projective_line_constructs_and_overlaps(p1):
 
 
 def test_doubled_origin_gluing_validates():
-    A0 = PresentedAlgebra.free(QQ, ["t"])
-    A1 = PresentedAlgebra.free(QQ, ["s"])
+    A0 = PresentedAlgebra(PolyRing(QQ, ["t"]))
+    A1 = PresentedAlgebra(PolyRing(QQ, ["s"]))
     t, s = A0.var(0), A1.var(0)
     doubled = make_patch(
         [A0, A1],
@@ -93,8 +112,8 @@ def test_doubled_origin_gluing_validates():
 
 
 def test_non_inverse_transition_is_rejected():
-    A0 = PresentedAlgebra.free(QQ, ["t"])
-    A1 = PresentedAlgebra.free(QQ, ["s"])
+    A0 = PresentedAlgebra(PolyRing(QQ, ["t"]))
+    A1 = PresentedAlgebra(PolyRing(QQ, ["s"]))
     t, s = A0.var(0), A1.var(0)
     with pytest.raises(GluingError):
         bad = make_patch(
@@ -167,8 +186,8 @@ def test_single_chart_scheme_from_an_algebra():
 def test_locally_affine_data_for_the_identity():
     A = qq_triple_point()
     X = mk_affine(A)
-    ident = identity_morphism(X)
     x = A.var(0)
+    ident = spec_morphism(morphism(A, A, [x]), source=X, target=X)
     to_aff = spec_morphism(morphism(A, A, [x]), source=X)
     frm_aff = spec_morphism(morphism(A, A, [x]), source=to_aff.target, target=X)
     w = top_open(X)
@@ -186,11 +205,11 @@ def test_embedded_basic_opens_spread_across_charts(p1):
     u0 = embed_basic(p1, 0, basic_open(A0, [t]))
     assert eq(u0.components[0], basic_open(A0, [t]))
     assert eq(u0.components[1], basic_open(A1, [s]))
-    assert open_compatibility_witness(u0) is None
+    assert compatible(u0)
     # embedding the part of chart 0 away from the overlap leaves chart 1 empty
     w = embed_basic(p1, 0, basic_open(A0, [t - 1]))
     assert eq(w.components[1], basic_open(A1, [s])) is False
-    assert open_compatibility_witness(w) is None
+    assert compatible(w)
 
 
 def test_compact_open_lattice_operations(p1):
@@ -211,39 +230,29 @@ def test_compact_open_lattice_operations(p1):
 def test_incompatible_opens_carry_a_witness(p1):
     A0, A1 = p1.charts
     lopsided = CompactOpen(p1, [top(A0), bottom(A1)])
-    assert open_compatibility_witness(lopsided) is not None
+    assert not compatible(lopsided)
 
 
-# -- section rings -------------------------------------------------------------------
+# -- sections over compact opens ------------------------------------------------------
 
 
 def test_global_sections_of_the_projective_line_are_constants(p1):
-    A0, A1 = p1.charts
-    t, s = A0.var(0), A1.var(0)
-    G = global_sections(p1)
-    l0 = make_localization(A0, A0.one)
-    l1 = make_localization(A1, A1.one)
-    with pytest.raises(ValueError, match="disagree"):
-        G.section([[l0.to_loc(t)], [l1.to_loc(s)]])
-    two = G.section([[l0.algebra.const(QQ.of_int(2))], [l1.algebra.const(QQ.of_int(2))]])
-    four = G.section([[l0.algebra.const(QQ.of_int(4))], [l1.algebra.const(QQ.of_int(4))]])
-    assert G.eq(G.mul(two, two), four)
-    assert G.eq(G.add(two, two), four)
-    assert G.eq(G.sub(two, two), G.zero)
-    assert G.eq(G.neg(G.neg(two)), two)
+    two, four = (constant_section(p1, top_open(p1), c) for c in (2, 4))
+    assert section_compatibility_witness(two) is None
+    assert pointwise(mul, two, two).values == four.values
+    assert pointwise(add, two, two).values == four.values
+    assert pointwise(sub, two, two).values == constant_section(p1, top_open(p1), 0).values
 
 
 def test_affine_section_ring_round_trips_the_algebra():
     A = qq_triple_point()
     X = mk_affine(A)
-    G = global_sections(X)
     x = A.var(0)
     for a in (x, x * x - 1, A.const(QQ.of_int(7)), A.zero):
-        sec = G.embed_chart_element(0, a)
-        assert G.extract_chart_element(sec, 0) == a
+        assert chart_element(chart_section(X, a)) == a
     # ring structure is preserved
-    sx = G.embed_chart_element(0, x)
-    assert G.eq(G.mul(sx, sx), G.embed_chart_element(0, x * x))
+    sx = chart_section(X, x)
+    assert pointwise(mul, sx, sx).values == chart_section(X, x * x).values
 
 
 def test_section_values_must_live_in_the_right_localization(p1):
@@ -274,7 +283,7 @@ def test_section_compatibility_witness_within_one_chart():
     A0 = X.charts[0]
     t = A0.var(0)
     u = embed_basic(X, 0, basic_open(A0, [t, t + 1]))
-    one = SectionRing(X, u).one
+    one = constant_section(X, u, 1)
     assert section_compatibility_witness(one) is None
     values = [list(row) for row in one.values]
     values[0][1] = values[0][1].algebra.element(2)
@@ -287,10 +296,8 @@ def test_sections_restrict_along_smaller_opens(punctured):
     PP, u_xy, inc = punctured
     C0, C1 = PP.charts
     lc0 = make_localization(C0, C0.one)
-    G = SectionRing(PP, top_open(PP))
-    sec = G.section(
-        [[lc0.to_loc(C0.var(0))], [make_localization(C1, C1.one).to_loc(C1.var(0))]]
-    )
+    sec = top_section(PP, [C0.var(0), C1.var(0)])
+    assert section_compatibility_witness(sec) is None
     half = CompactOpen(PP, [top(C0), bottom(C1)])
     restricted = restrict_global(PP, sec, half)
     assert restricted.values[0][0] == lc0.to_loc(C0.var(0))
@@ -304,13 +311,7 @@ def test_invertibility_support_on_the_punctured_plane(punctured):
     PP, _, _ = punctured
     C0, C1 = PP.charts
     x0, x1 = C0.var(0), C1.var(0)
-    G = SectionRing(PP, top_open(PP))
-    sec_x = G.section(
-        [
-            [make_localization(C0, C0.one).to_loc(x0)],
-            [make_localization(C1, C1.one).to_loc(x1)],
-        ]
-    )
+    sec_x = top_section(PP, [x0, x1])
     sup = invertibility_support_scheme(PP, top_open(PP), sec_x)
     charts = [C0, C1]
     xs = [x0, x1]
@@ -327,21 +328,10 @@ def test_affine_hull_identifies_jointly_covering_sections(punctured):
     Axy = plane.charts[0]
     px, py = Axy.var(0), Axy.var(1)
     C0, C1 = PP.charts
-    G = SectionRing(PP, top_open(PP))
-    sec_x = G.section(
-        [
-            [make_localization(C0, C0.one).to_loc(C0.var(0))],
-            [make_localization(C1, C1.one).to_loc(C1.var(0))],
-        ]
-    )
-    sec_y = G.section(
-        [
-            [make_localization(C0, C0.one).to_loc(C0.var(1))],
-            [make_localization(C1, C1.one).to_loc(C1.var(1))],
-        ]
-    )
+    sec_x = top_section(PP, [C0.var(0), C1.var(0)])
+    sec_y = top_section(PP, [C0.var(1), C1.var(1)])
     eta_star = affine_hull_map(PP)
-    assert eta_star([G.one]).eq(top_open(PP))
+    assert eta_star([constant_section(PP, top_open(PP), 1)]).eq(top_open(PP))
     assert eta_star([sec_x, sec_y]).eq(top_open(PP))
     # downstairs the corresponding opens stay distinct
     assert not eq(basic_open(Axy, [px, py]), top(Axy))
@@ -350,18 +340,11 @@ def test_affine_hull_identifies_jointly_covering_sections(punctured):
 def test_qcqs_invertibility_lemma_on_fixtures(punctured):
     B = qq_x()
     X_line = mk_affine(B)
-    G = global_sections(X_line)
-    s_line = G.embed_chart_element(0, B.var(0))
+    s_line = chart_section(X_line, B.var(0))
     assert qcqs_lemma_check(X_line, top_open(X_line), s_line)
     PP, _, _ = punctured
     C0, C1 = PP.charts
-    GPP = SectionRing(PP, top_open(PP))
-    sec_x = GPP.section(
-        [
-            [make_localization(C0, C0.one).to_loc(C0.var(0))],
-            [make_localization(C1, C1.one).to_loc(C1.var(0))],
-        ]
-    )
+    sec_x = top_section(PP, [C0.var(0), C1.var(0)])
     assert qcqs_lemma_check(PP, top_open(PP), sec_x)
 
 
@@ -401,15 +384,6 @@ def test_broken_morphisms_are_detected_with_a_witness():
     kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
     broken = SchemeMorphism(X, Y, broken_open, [[(0, B.one, kill)]])
     assert local_morphism_witness(broken) is not None
-
-
-def test_identity_morphism_fixes_opens_and_is_local(p1):
-    A0, _ = p1.charts
-    u0 = embed_basic(p1, 0, basic_open(A0, [A0.var(0)]))
-    ident = identity_morphism(p1)
-    assert ident.pullback(u0).eq(u0)
-    assert ident.pullback(top_open(p1)).eq(top_open(p1))
-    assert local_morphism_witness(ident) is None
 
 
 # -- restriction to opens ---------------------------------------------------------------

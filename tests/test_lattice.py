@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from paper import support_law_witness
 from support import gf3_split, gf5_circle, qq_x, qq_xy, random_open, random_poly
-from zariski.algebra import PresentedAlgebra, make_localization, morphism
-from zariski.fields import GF, QQ
+from zariski.algebra import PresentedAlgebra, make_localization
+from zariski.fields import QQ
 from zariski.lattice import (
     ZarElement,
     basic_open,
     bottom,
     eq,
-    induced_hom,
     join,
     join_all,
     leq,
@@ -178,41 +177,6 @@ def test_multiplicative_meet_identifies_saturated_pairs():
     u = basic_open(A, [x, y])
     assert not eq(top(A), u)
     assert eq(meet(top(A), u), meet(u, u))
-
-
-# -- functoriality -----------------------------------------------------------------
-
-
-def test_induced_hom_preserves_the_lattice_structure():
-    A = qq_x()
-    B = qq_xy()
-    x = A.var(0)
-    phi = morphism(A, B, [B.var(0) * B.var(1)])  # x -> x*y
-    u = basic_open(A, [x])
-    v = basic_open(A, [x - 1])
-    assert eq(induced_hom(phi, u), basic_open(B, [B.var(0) * B.var(1)]))
-    assert eq(
-        induced_hom(phi, join(u, v)), join(induced_hom(phi, u), induced_hom(phi, v))
-    )
-    assert eq(
-        induced_hom(phi, meet(u, v)), meet(induced_hom(phi, u), induced_hom(phi, v))
-    )
-    assert eq(induced_hom(phi, top(A)), top(B))
-    assert eq(induced_hom(phi, bottom(A)), bottom(B))
-
-
-def test_induced_hom_uses_the_codomain_radical():
-    # GF(3)[e]/(e^2 - e): pulling D(x) along x -> e lands on D(e), whose
-    # complementary idempotent refines the top jointly
-    A = qq_x()  # wrong field; build a GF(3) line instead
-    from zariski.algebra import PresentedAlgebra
-
-    line = PresentedAlgebra.free(GF(3), ["x"])
-    B = gf3_split()
-    phi = morphism(line, B, [B.var(0)])
-    u = induced_hom(phi, basic_open(line, [line.var(0)]))
-    assert eq(u, basic_open(B, [B.var(0)]))
-    assert not eq(u, top(B))
 
 
 # -- the localization isomorphism ----------------------------------------------------

@@ -54,10 +54,12 @@ def test_the_python_tour_gives_the_results_it_claims():
 
 
 def test_every_name_in_the_module_table_is_in_its_module():
-    """A backticked identifier (``leq``, ``SectionRing.section``) in a row of
-    the "What is inside" table is an attribute of that row's module, so a
-    README mention, which counts as a use of a public name, cannot outlive
-    the name."""
+    """A backticked identifier (``leq``, ``SchemeMorphism.pullback``) in a
+    row of the "What is inside" table is an attribute of that row's module,
+    so the table cannot name what the package has deleted.  A mention here
+    is not a use: the name guard of ``test_acceptance.py`` counts reads in
+    the tour's ```python blocks, which the test above runs, and not
+    README prose."""
     text = README.read_text(encoding="utf-8")
     table = text.split("## What is inside", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(zariski\.\w+)` \| (.*) \|$", table, flags=re.MULTILINE)
