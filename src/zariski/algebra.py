@@ -116,7 +116,7 @@ class PresentedAlgebra:
                 raise ValueError("element of a different algebra")
             return value
         if isinstance(value, int):
-            value = self.ring.const(self.field.of_int(value))
+            value = self.ring.const(value)
         if value.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         return AlgebraElement(self, self.normal_form(value))
@@ -261,7 +261,7 @@ class AlgebraElement:
                 raise ValueError("elements of different algebras")
             return other
         if isinstance(other, int):
-            return self.algebra.const(self.algebra.field.of_int(other))
+            return self.algebra.const(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -307,7 +307,7 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.algebra.const(self.algebra.field.of_int(other))
+            other = self.algebra.const(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.algebra == other.algebra and self.poly == other.poly

@@ -168,9 +168,11 @@ def _algebra_from_spec(
     obj: Dict, where: str, order: Optional[MonomialOrder]
 ) -> PresentedAlgebra:
     _check_keys(obj, {"field", "vars", "relations"}, {"field", "vars"}, where)
+    if not isinstance(obj["field"], str):
+        _input_error(f"{where}.field: must be a string")
     try:
         field = parse_field(obj["field"])
-    except (ParseError, TypeError) as exc:
+    except ParseError as exc:
         _input_error(f"{where}.field: {exc}")
     names = obj["vars"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

@@ -1,11 +1,13 @@
 """Exact coefficient fields: the rationals QQ and prime fields GF(p).
 
-A ``Field`` carries the characteristic, the unit, conversions (``of_int``,
-``of_fraction``), inverses, enumeration of a prime field and printing.  Its
-scalars are plain Python objects: a normalized ``fractions.Fraction`` over
-QQ, a residue ``int`` in ``{0, ..., p-1}`` over GF(p).  These are the
-coefficients that ``Poly.terms``, ``lead_coeff`` and ``constant_value``
-return and that ``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take.
+A ``Field`` carries the characteristic, the unit, inverses, enumeration of
+a prime field and printing.  ``QQ`` is ``Field(0)``; ``GF(p)`` refuses every
+p that is not a prime below 2**31, 0 included.  Scalars are plain Python
+objects: a normalized ``fractions.Fraction`` over QQ, a residue ``int`` in
+``{0, ..., p-1}`` over GF(p).  These are the coefficients that
+``Poly.terms``, ``lead_coeff`` and ``constant_value`` return; the
+constructors ``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take them
+or plain ints.
 
 Inside a ``Poly`` no coefficient is a ``Fraction``: it holds integer terms
 over one integer denominator, 1 over GF(p), and its arithmetic runs on
@@ -89,17 +91,6 @@ class Field:
     def one(self) -> Scalar:
         return Fraction(1) if self.char == 0 else 1
 
-    def of_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.char == 0 else n % self.char
-
-    def of_fraction(self, num: int, den: int) -> Scalar:
-        if self.char == 0:
-            return Fraction(num, den)
-        den_red = den % self.char
-        if den_red == 0:
-            raise ZeroDivisionError(f"denominator {den} is 0 in GF({self.char})")
-        return num * pow(den_red, -1, self.char) % self.char
-
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
@@ -131,4 +122,6 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    if not p:
+        raise ValueError("characteristic 0 is not prime")
     return Field(p)

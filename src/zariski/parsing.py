@@ -3,19 +3,26 @@
 The polynomial grammar: variables are identifiers, coefficients are decimal
 integers or ``p/q`` rationals, ``^`` takes powers, ``*`` is optional, and
 parentheses group, e.g. ``3*x^2*y - 1/2`` or ``(x+1)(x-1)``.  Field specs
-are ``QQ`` or ``GF(p)``.  Ring specs are ``QQ[x,y]`` with an optional
-quotient tail ``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read ``D(f1, f2, ...)``.
+are ``QQ`` or ``GF(p)`` for a prime p.  Ring specs are ``QQ[x,y]`` with an
+optional quotient tail ``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read
+``D(f1, f2, ...)``.
 
-Parse errors carry 1-based line and column positions.
+One regex pass yields ``(kind, text, offset)`` tokens; numbers go straight
+into the integer form of ``polynomials``.  Malformed input, parentheses
+nested deeper than ``MAX_NESTING`` and numbers longer than Python reads
+raise ``ParseError`` with the 1-based line and column of their token.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import List, Tuple
 
 from .fields import Field, GF, QQ
-from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError
+from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError, _norm
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -27,86 +34,68 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[-+*/^(),\[\]])"
+    r"|(?P<punct>[-+*/^(),\[\]])|(?P<bad>.)",
+    re.S,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup != "punct" else chunk
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+_Token = Tuple[str, str, int]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        """Tokenize all of ``text`` in one regex pass: punctuation is its own
+        kind, whitespace is dropped, and an ``end`` token closes the list."""
+        self.text = text
+        self.tokens: List[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind, chunk = m.lastgroup, m.group()
+            if kind == "bad":
+                raise self.error(m.start(), f"unexpected character {chunk!r}")
+            if kind != "ws":
+                self.tokens.append((chunk if kind == "punct" else kind, chunk, m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
+        self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
+    def error(self, offset: int, message: str) -> ParseError:
+        """A ``ParseError`` at ``offset`` of the text, with its line and column."""
+        text = self.text
+        return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
-    def fail(self, message: str):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str) -> _Token:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise self.error(tok[2], f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
+        return tok
+
+    def number(self) -> Tuple[int, int]:
+        """The value and offset of the next token, a number."""
+        tok = self.expect("num")
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:
+            limit = f"integers read with at most {sys.get_int_max_str_digits()} digits"
+            raise self.error(tok[2], f"a number is past the digit limit: {limit}") from None
 
     # polynomial grammar -------------------------------------------------
-    def parse_poly(self, ring: PolyRing) -> Poly:
-        result = self._sum(ring)
-        return result
-
     def _sum(self, ring: PolyRing) -> Poly:
         negate = False
-        while self.current.kind in ("-", "+"):
-            if self.advance().kind == "-":
+        while self.kind() in ("-", "+"):
+            if self.advance()[0] == "-":
                 negate = not negate
         total = self._product(ring)
         if negate:
             total = -total
-        while self.current.kind in ("+", "-"):
-            op = self.advance().kind
+        while self.kind() in ("+", "-"):
+            op = self.advance()[0]
             term = self._product(ring)
             total = total - term if op == "-" else total + term
         return total
@@ -114,143 +103,129 @@ class _Parser:
     def _product(self, ring: PolyRing) -> Poly:
         result = self._factor(ring)
         while True:
-            tok = self.current
-            if tok.kind == "*":
+            kind = self.kind()
+            if kind == "*":
                 self.advance()
-                result = result * self._factor(ring)
-            elif tok.kind in ("num", "name", "("):
-                result = result * self._factor(ring)
-            else:
+            elif kind not in ("num", "name", "("):
                 return result
+            result = result * self._factor(ring)
 
     def _factor(self, ring: PolyRing) -> Poly:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            num = int(tok.text)
-            if self.current.kind == "/":
-                self.advance()
-                den_tok = self.expect("num")
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                try:
-                    value = ring.field.of_fraction(num, den)
-                except ZeroDivisionError:
-                    raise ParseError(
-                        f"denominator {den} vanishes in {ring.field!r}",
-                        den_tok.line,
-                        den_tok.col,
-                    ) from None
-                base = ring.const(value)
+        kind, text, at = self.tokens[self.pos]
+        if kind == "num":
+            num = self.number()[0]
+            if self.kind() != "/":
+                base = ring.const(num)
             else:
-                base = ring.const(ring.field.of_int(num))
-        elif tok.kind == "name":
+                self.advance()
+                den, at = self.number()
+                if den == 0:
+                    raise self.error(at, "zero denominator")
+                try:
+                    base = _norm(ring, den, {0: num})
+                except ZeroDivisionError:
+                    raise self.error(at, f"denominator {den} vanishes in {ring.field!r}") from None
+        elif kind == "name":
             self.advance()
-            if tok.text not in ring.names:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-            base = ring.var_named(tok.text)
-        elif tok.kind == "(":
+            if text not in ring.names:
+                raise self.error(at, f"unknown variable {text!r}")
+            base = ring.var_named(text)
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(at, f"parentheses nest deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             base = self._sum(ring)
+            self.depth -= 1
             self.expect(")")
         else:
-            self.fail(f"expected a polynomial factor, found {tok.text or 'end of input'!r}")
-        if self.current.kind == "^":
+            raise self.error(at, f"expected a polynomial factor, found {text or 'end of input'!r}")
+        if self.kind() == "^":
             self.advance()
-            exp_tok = self.expect("num")
+            exp, at = self.number()
             try:
-                base = base ** int(exp_tok.text)
+                base = base**exp
             except _ExponentLimitError as exc:
-                raise ParseError(str(exc), exp_tok.line, exp_tok.col) from None
+                raise self.error(at, str(exc)) from None
         return base
+
+    def _list(self, ring: PolyRing) -> List[Poly]:
+        """``( f1, f2, ... )``, possibly empty."""
+        self.expect("(")
+        items: List[Poly] = []
+        if self.kind() != ")":
+            items.append(self._sum(ring))
+            while self.kind() == ",":
+                self.advance()
+                items.append(self._sum(ring))
+        self.expect(")")
+        return items
 
     # field / ring specs ----------------------------------------------------
     def parse_field(self) -> Field:
         tok = self.expect("name")
-        if tok.text == "QQ":
+        if tok[1] == "QQ":
             return QQ
-        if tok.text == "GF":
+        if tok[1] == "GF":
             self.expect("(")
-            p_tok = self.expect("num")
+            p, at = self.number()
             self.expect(")")
             try:
-                return GF(int(p_tok.text))
+                return GF(p)
             except ValueError as exc:
-                raise ParseError(str(exc), p_tok.line, p_tok.col) from None
-        raise ParseError(f"unknown field {tok.text!r} (use QQ or GF(p))", tok.line, tok.col)
+                raise self.error(at, str(exc)) from None
+        raise self.error(tok[2], f"unknown field {tok[1]!r} (use QQ or GF(p))")
 
-    def parse_ring(self, order: MonomialOrder | None = None) -> Tuple[PolyRing, List[Poly]]:
+    def parse_ring(self, order: MonomialOrder | None) -> Tuple[PolyRing, List[Poly]]:
         field = self.parse_field()
         self.expect("[")
-        names = [self.expect("name").text]
-        while self.current.kind == ",":
+        names = [self.expect("name")[1]]
+        while self.kind() == ",":
             self.advance()
-            names.append(self.expect("name").text)
+            names.append(self.expect("name")[1])
         self.expect("]")
-        tok = self.current
         try:
             ring = PolyRing(field, names, order)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-        relations: List[Poly] = []
-        if self.current.kind == "/":
-            self.advance()
-            self.expect("(")
-            if self.current.kind != ")":
-                relations.append(self._sum(ring))
-                while self.current.kind == ",":
-                    self.advance()
-                    relations.append(self._sum(ring))
-            self.expect(")")
-        return ring, relations
+            raise self.error(self.tokens[self.pos][2], str(exc)) from None
+        if self.kind() != "/":
+            return ring, []
+        self.advance()
+        return ring, self._list(ring)
 
     def parse_basic_open(self, ring: PolyRing) -> List[Poly]:
         tok = self.expect("name")
-        if tok.text != "D":
-            raise ParseError(f"expected 'D(...)', found {tok.text!r}", tok.line, tok.col)
-        self.expect("(")
-        gens: List[Poly] = []
-        if self.current.kind != ")":
-            gens.append(self._sum(ring))
-            while self.current.kind == ",":
-                self.advance()
-                gens.append(self._sum(ring))
-        self.expect(")")
-        return gens
+        if tok[1] != "D":
+            raise self.error(tok[2], f"expected 'D(...)', found {tok[1]!r}")
+        return self._list(ring)
 
-    def done(self):
-        if self.current.kind != "end":
-            self.fail(f"unexpected trailing input {self.current.text!r}")
+
+def _parse(text: str, rule, *args):
+    """``rule`` of a parser over ``text``, which must then be at its end."""
+    p = _Parser(text)
+    result = rule(p, *args)
+    tok = p.tokens[p.pos]
+    if tok[0] != "end":
+        raise p.error(tok[2], f"unexpected trailing input {tok[1]!r}")
+    return result
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
-    p = _Parser(text)
-    result = p.parse_poly(ring)
-    p.done()
-    return result
+    return _parse(text, _Parser._sum, ring)
 
 
 def parse_field(text: str) -> Field:
-    p = _Parser(text)
-    result = p.parse_field()
-    p.done()
-    return result
+    return _parse(text, _Parser.parse_field)
 
 
 def parse_ring(text: str, order: MonomialOrder | None = None) -> Tuple[PolyRing, List[Poly]]:
     """Parse ``QQ[x,y]`` or ``GF(5)[x,y]/(x*y-1, ...)`` into (ring, relations)."""
-    p = _Parser(text)
-    result = p.parse_ring(order)
-    p.done()
-    return result
+    return _parse(text, _Parser.parse_ring, order)
+
 
 def parse_basic_open(text: str, ring: PolyRing) -> List[Poly]:
     """Parse ``D(f1, f2, ...)`` into its generator list."""
-    p = _Parser(text)
-    result = p.parse_basic_open(ring)
-    p.done()
-    return result
+    return _parse(text, _Parser.parse_basic_open, ring)
 
 
 def parse_order(text: str) -> MonomialOrder:

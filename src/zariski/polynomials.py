@@ -625,7 +625,9 @@ def _norm(ring: PolyRing, d: int, acc: Dict[int, int]) -> Poly:
     p = ring.field.char
     if p:
         if d != 1:
-            d = ring.field.of_fraction(1, d)
+            if not d % p:
+                raise ZeroDivisionError(f"denominator {d} is 0 in GF({p})")
+            d = pow(d, -1, p)
         return _poly(ring, {m: r for m, c in acc.items() if (r := c * d % p)})
     acc = {m: c for m, c in acc.items() if c}
     g = gcd(d, *acc.values())

@@ -44,7 +44,7 @@ from zariski.latscheme import (
     top_open,
 )
 from zariski.lattice import basic_open, eq, top
-from zariski.polynomials import MonomialOrder, Poly, PolyRing, poly_sort_key
+from zariski.polynomials import Poly, PolyRing, poly_sort_key
 from zariski.sheaf import restriction_map
 
 
@@ -160,7 +160,7 @@ def random_poly(rng, ring, max_degree=2, max_terms=3, coeff_bound=3):
         mono = ring.one
         for _ in range(rng.randint(0, max_degree)):
             mono = mono * ring.var(rng.randrange(ring.nvars))
-        p = p + mono.scale(ring.field.of_int(rng.randint(-coeff_bound, coeff_bound)))
+        p = p + mono.scale(rng.randint(-coeff_bound, coeff_bound))
     return p
 
 

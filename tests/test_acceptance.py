@@ -409,11 +409,11 @@ def test_c11_the_kernel_is_float_free():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    """Every name a package module imports is read somewhere in that module
-    (``__init__.py`` re-exports, so it is exempt)."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    """Every name a package or test module imports is read somewhere in
+    that module (the package's ``__init__.py`` re-exports, so it is exempt)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
     unused = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted([*(root / "src" / "zariski").glob("*.py"), *(root / "tests").glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

@@ -1,7 +1,6 @@
 """Finitely presented algebras: quotients, morphisms, localizations."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +54,7 @@ def test_element_arithmetic_and_coercion():
     assert (1 - e) * e == A.zero
     assert 2 * e + e == A.zero
     assert (e + 1) ** 2 == e * e + 2 * e + 1 == e + 2 * e + 1 == 1
-    assert A.element(5) == A.const(GF(3).of_int(5)) == A.element(2)
+    assert A.element(5) == A.const(5) == A.element(2)
 
 
 def test_trivial_algebra_detection():
@@ -92,7 +91,7 @@ def _element_from_dict(A, terms):
         m = ring.one
         for i, e in enumerate(mono):
             m = m * ring.var(i) ** e
-        p = p + m.scale(ring.field.of_int(coeff) if not isinstance(coeff, Fraction) else coeff)
+        p = p + m.scale(coeff)
     return A.element(p)
 
 

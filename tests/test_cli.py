@@ -209,6 +209,38 @@ def test_a_coefficient_past_the_digit_limit_exits_2():
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", line), args
 
 
+def test_gf_0_is_refused_as_a_ring_and_in_an_algebra_file(tmp_path):
+    """``GF(0)`` is no field: the CLI refuses it at its number instead of
+    reading it as QQ."""
+    r = invoke("ring", "show", "--ring", "GF(0)[x]/(x^2+1)")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.endswith("Error: --ring: characteristic 0 is not prime (line 1, column 4)\n")
+    path = tmp_path / "gf0.json"
+    path.write_text(json.dumps(dict(AFFINE_GF3, field="GF(0)")))
+    r = invoke("points", str(path), "--over", "GF(3)")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.endswith(f"Error: {path}.field: characteristic 0 is not prime (line 1, column 4)\n")
+
+
+def test_deep_parentheses_and_long_numbers_exit_2_at_their_token():
+    """Nesting past ``MAX_NESTING`` and a number past Python's digit limit
+    are malformed input, not a traceback."""
+    r = invoke("ring", "nf", "(" * 3000 + "x" + ")" * 3000, "--ring", "QQ[x]")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.endswith("Error: EXPR: parentheses nest deeper than 100 (line 1, column 101)\n")
+    limit = sys.get_int_max_str_digits()
+    message = f"a number is past the digit limit: integers read with at most {limit} digits"
+    long = "1" * (limit + 700)
+    for args, error in (
+        (("ring", "nf", long, "--ring", "QQ[x]"), f"EXPR: {message} (line 1, column 1)"),
+        (("ring", "nf", f"x^{long}", "--ring", "QQ[x]"), f"EXPR: {message} (line 1, column 3)"),
+        (("ring", "show", "--ring", f"GF({long})[x]"), f"--ring: {message} (line 1, column 4)"),
+    ):
+        r = invoke(*args)
+        assert r.exit_code == 2 and r.stdout == "", args
+        assert r.stderr.endswith(f"Error: {error}\n"), args
+
+
 def test_missing_files_exit_2(tmp_path):
     r = invoke("glue", "check", str(tmp_path / "nope.json"))
     assert r.exit_code == 2
@@ -309,6 +341,7 @@ MALFORMED_GLUEDATA = [
     (("patches",), 5, "patches: must be a list"),
     (("charts", 0, "relations"), "t", "charts[0].relations: must be a list of polynomials"),
     (("charts", 0, "relations"), 5, "charts[0].relations: must be a list of polynomials"),
+    (("charts", 0, "field"), {}, "charts[0].field: must be a string"),
     (("patches", 0, "f"), 1, "patches[0].f: must be a string"),
     (("patches", 0, "g"), None, "patches[0].g: must be a string"),
     (("patches", 0, "forward", 0), 1, "patches[0].forward[0]: must be a string"),

@@ -51,7 +51,6 @@ from zariski.funscheme import (
     atomic_factors,
     eval_points,
     functorial,
-    map_point,
     open_at_point,
     realization,
 )

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from zariski.fields import GF, QQ, Field, is_prime
+from zariski.polynomials import PolyRing
 
 
 def test_rationals_are_exact_fractions():
     assert QQ.char == 0
-    assert QQ.of_int(2) == Fraction(2)
-    assert QQ.of_fraction(1, 3) == Fraction(1, 3)
     assert QQ.inv(Fraction(2, 7)) == Fraction(7, 2)
     assert QQ.inv(Fraction(3)) == Fraction(1, 3)
     assert not isinstance(QQ.inv(Fraction(2)), float)
@@ -19,23 +18,21 @@ def test_rationals_are_exact_fractions():
 def test_every_rational_operation_returns_a_fraction():
     """Over QQ no operation leaks a float or an int, whether its input is an
     ``int`` or a ``Fraction``: ``1 / 2`` would be ``0.5``."""
-    for a, b in [(2, 3), (Fraction(2), Fraction(3)), (-4, Fraction(1, 6)), (Fraction(-5, 7), 7)]:
-        results = {
-            "of_int": (QQ.of_int(int(a)), Fraction(int(a))),
-            "of_fraction": (QQ.of_fraction(int(a), 3), Fraction(int(a), 3)),
-            "inv": (QQ.inv(b), 1 / Fraction(b)),
-        }
-        for name, (got, want) in results.items():
-            assert type(got) is Fraction and got == want, (name, a, b, got)
+    for b in (3, Fraction(3), Fraction(1, 6), 7, Fraction(-5, 7)):
+        got = QQ.inv(b)
+        assert type(got) is Fraction and got == 1 / Fraction(b), (b, got)
     assert QQ.inv(2) == Fraction(1, 2)
 
 
 def test_prime_field_arithmetic_is_reduced_residues():
     F = GF(7)
-    assert F.of_int(10) == 3
-    assert F.of_int(-1) == 6
-    assert F.of_fraction(1, 3) == 5  # 3 * 5 = 15 = 1 mod 7
-    assert F.of_fraction(-2, 3) == 4
+    R = PolyRing(F, ["x"])
+    assert R.const(10).constant_value() == 3
+    assert R.const(-1).constant_value() == 6
+    assert R.from_terms({(0,): Fraction(1, 3)}).constant_value() == 5  # 3 * 5 = 15 = 1 mod 7
+    assert R.from_terms({(0,): Fraction(-2, 3)}).constant_value() == 4
+    with pytest.raises(ZeroDivisionError):
+        R.from_terms({(0,): Fraction(1, 14)})
     assert F.inv(3) == 5
 
 
@@ -51,14 +48,14 @@ def test_inverse_of_zero_is_refused():
         GF(5).inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        GF(5).of_fraction(1, 10)
 
 
 def test_composite_characteristics_are_rejected():
     for n in (1, 4, 6, 9, 561, 2**20):
         with pytest.raises(ValueError):
             GF(n)
+    with pytest.raises(ValueError, match="characteristic 0 is not prime"):
+        GF(0)
     with pytest.raises(ValueError):
         GF(2**31 + 11)  # beyond the size bound
 

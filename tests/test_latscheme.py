@@ -27,7 +27,7 @@ from zariski.algebra import (
     morphism,
 )
 from zariski.fields import GF, QQ
-from zariski.lattice import basic_open, bottom, eq, leq, top
+from zariski.lattice import basic_open, bottom, eq, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
@@ -248,7 +248,7 @@ def test_affine_section_ring_round_trips_the_algebra():
     A = qq_triple_point()
     X = mk_affine(A)
     x = A.var(0)
-    for a in (x, x * x - 1, A.const(QQ.of_int(7)), A.zero):
+    for a in (x, x * x - 1, A.const(7), A.zero):
         assert chart_element(chart_section(X, a)) == a
     # ring structure is preserved
     sx = chart_section(X, x)
@@ -273,7 +273,7 @@ def test_section_compatibility_witness_names_the_break(p1):
     good = GlobalSection(
         p1,
         top_open(p1),
-        [[l0.algebra.const(QQ.of_int(3))], [l1.algebra.const(QQ.of_int(3))]],
+        [[l0.algebra.const(3)], [l1.algebra.const(3)]],
     )
     assert section_compatibility_witness(good) is None
 

@@ -1,6 +1,8 @@
 """The text grammar for fields, rings, polynomials, and basic opens."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from support import random_poly
 from zariski.fields import GF, QQ
 from zariski.parsing import (
+    MAX_NESTING,
     ParseError,
     parse_basic_open,
     parse_field,
@@ -27,6 +30,13 @@ def test_field_names():
         parse_field("GF(6)")
     with pytest.raises(ParseError):
         parse_field("RR")
+
+
+def test_characteristic_zero_is_not_a_prime_field():
+    """``GF(0)`` is refused at its number, not read as QQ."""
+    for parse, text in ((parse_field, "GF(0)"), (parse_ring, "GF(0)[x]")):
+        with pytest.raises(ParseError, match=r"^characteristic 0 is not prime \(line 1, column 4\)$"):
+            parse(text)
 
 
 def test_ring_with_relations():
@@ -69,6 +79,10 @@ def test_modular_constants_reduce():
     assert parse_poly("t - 1", ring) == t + ring.const(2)
     assert parse_poly("4*t", ring) == t
     assert parse_poly("1/2", ring) == ring.const(2)  # 2 * 2 = 4 = 1 mod 3
+    ring5, _ = parse_ring("GF(5)[t]")
+    assert parse_poly("3/4", ring5) == ring5.const(2)  # 4 * 2 = 8 = 3 mod 5
+    with pytest.raises(ParseError, match=r"^denominator 10 vanishes in GF\(5\) \(line 1, column 3\)$"):
+        parse_poly("5/10", ring5)
 
 
 def test_errors_carry_line_and_column():
@@ -124,3 +138,90 @@ def test_an_exponent_past_the_limit_is_a_parse_error_at_its_token():
         parse_poly("(x*y)^1073741824", R)
     lex = PolyRing(QQ, ["x", "y"], MonomialOrder("lex"))
     assert parse_poly("(x*y)^1073741824", lex).terms == {(2**30, 2**30): 1}
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    """``MAX_NESTING`` levels parse; one more is a ``ParseError`` at the
+    ``(`` that opens it, well before Python's recursion limit."""
+    R = PolyRing(QQ, ["x"])
+    (x,) = R.gens()
+    n = MAX_NESTING
+    assert parse_poly("(" * n + "x" + ")" * n, R) == x
+    assert parse_poly("(" * (n - 1) + "x+(x)" + ")" * (n - 1), R) == x + x
+    with pytest.raises(ParseError, match=rf"^parentheses nest deeper than {n} \(line 1, column {n + 1}\)$"):
+        parse_poly("(" * (n + 1) + "x" + ")" * (n + 1), R)
+    with pytest.raises(ParseError, match=rf"nest deeper than {n} \(line 1, column {n + 1}\)"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000, R)
+
+
+def test_a_number_past_the_digit_limit_is_a_parse_error_at_its_token():
+    """A coefficient, denominator, exponent or characteristic longer than
+    Python reads is refused at its token, with the limit named."""
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    message = (
+        "a number is past the digit limit: integers read with at most "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+    R = PolyRing(QQ, ["x"])
+    for text, col in ((f"x + {long}", 5), (f"1/{long}", 3), (f"x^{long}", 3)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, R)
+        assert str(info.value) == f"{message} (line 1, column {col})"
+    with pytest.raises(ParseError) as info:
+        parse_field(f"GF({long})")
+    assert str(info.value) == f"{message} (line 1, column 4)"
+
+
+_FRAGMENTS = [
+    *"xyz", "x_1", "QQ", "GF", "D", *"0125", "10", "99", "\u0663",
+    *"+-*/^(),[]", " ", "\n", "\t", "\r\n", "\u00e9", "$", "\x00", "\u2028",
+]
+_POLYS = st.recursive(
+    st.sampled_from(["x", "y", "z", "x_1", "0", "1", "2", "5", "12", "1/2", "3/10", "2/0", "\u0663"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "", " ", "\n-", "\t*"]), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from(["^0", "^2", "^ 3", "^\n1"])).map("".join),
+    ),
+    max_leaves=6,
+)
+_LISTS = st.lists(_POLYS, max_size=3).map(", ".join)
+_TEXTS = st.one_of(
+    _POLYS,
+    _LISTS.map("D({})".format),
+    st.tuples(
+        st.sampled_from(["QQ", "GF(2)", "GF(5)", "GF(0)", "GF(4)", "GF( 3 )", "RR"]),
+        st.sampled_from(["", "[x]", "[x, y]", "[x,x]", "[]"]),
+        st.sampled_from(["", "/"]),
+        _LISTS.map("({})".format),
+    ).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _TEXTS,
+    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_FRAGMENTS)), max_size=3),
+    st.sampled_from([2, 3, 5]),
+)
+def test_every_text_parses_or_raises_a_parse_error(text, splices, p):
+    """Texts of the grammar with fragments of its alphabet, newlines and a
+    few foreign characters spliced in: each entry point returns a value or
+    raises ``ParseError``, nothing else.  Exponents keep at most two digits,
+    so every power stays small."""
+    for at, fragment in splices:
+        at %= len(text) + 1
+        text = text[:at] + fragment + text[at:]
+    text = re.sub(r"(\^\s*\d\d)\d+", r"\1", text)
+    calls = [
+        lambda: parse_poly(text, PolyRing(QQ, ["x", "y"])),
+        lambda: parse_poly(text, PolyRing(GF(p), ["x", "y"])),
+        lambda: parse_basic_open(text, PolyRing(GF(p), ["x", "y"])),
+        lambda: parse_ring(text),
+        lambda: parse_field(text),
+    ]
+    for call in calls:
+        try:
+            call()
+        except ParseError as exc:
+            assert exc.line >= 1 and exc.col >= 1, text

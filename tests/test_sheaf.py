@@ -5,13 +5,8 @@ import random
 import pytest
 
 from support import gf3_split, qq_x, qq_xy, random_element
-from zariski.algebra import (
-    extract_fraction,
-    make_localization,
-)
-from zariski.algebra import PresentedAlgebra
-from zariski.fields import GF, QQ
-from zariski.lattice import basic_open, eq, leq, meet
+from zariski.algebra import PresentedAlgebra, make_localization
+from zariski.lattice import basic_open, eq, leq
 from zariski.parsing import parse_ring
 from zariski.sheaf import (
     BasicOpenSection,
@@ -230,14 +225,14 @@ def test_partition_of_unity_glues_mixed_constants():
         cov,
         [
             global_section(make_localization(B, e), B.one),
-            global_section(make_localization(B, 1 - e), B.const(GF(3).of_int(2))),
+            global_section(make_localization(B, 1 - e), B.const(2)),
         ],
     )
     glued = glue(fam)
     # check by restriction: equals 1 on D(e) and 2 on D(1-e)
     le, lc = make_localization(B, e), make_localization(B, 1 - e)
     assert le.to_loc(glued) == le.to_loc(B.one)
-    assert lc.to_loc(glued) == lc.to_loc(B.const(GF(3).of_int(2)))
+    assert lc.to_loc(glued) == lc.to_loc(B.const(2))
     assert glued == e + 2 * (1 - e)  # 1 on the e-part, 2 on the complement
     assert glued * e == e  # restricts to 1 on the e-component
     assert glued * (1 - e) == 2 * (1 - e)
@@ -256,7 +251,7 @@ def test_invertibility_is_decided_in_the_localization():
     assert not is_invertible(global_section(loc, A.zero))
     full = make_localization(A, A.one)
     assert not is_invertible(global_section(full, x))
-    assert is_invertible(global_section(full, A.const(QQ.of_int(5))))
+    assert is_invertible(global_section(full, A.const(5)))
 
 
 def test_invertibility_support_is_the_largest_invertible_open():
