@@ -18,6 +18,7 @@ import time
 import tokenize
 from operator import add, mul
 
+import click
 from click.testing import CliRunner
 
 import oracles as O
@@ -546,6 +547,43 @@ def test_the_package_options_are_the_known_ones():
         if path.name != "cli.py":
             found.update(options(ast.parse(path.read_text()).body, f"{path.stem}."))
     assert found == KNOWN_OPTIONS
+
+
+CLI_OPTIONS = {
+    "compare": {"--format", "--order", "--over"},
+    "cover-check": {"--on", "--order", "--ring"},
+    "glue check": {"--format", "--order"},
+    "ideal member": {"--order", "--radical", "--ring"},
+    "lattice eq": {"--order", "--ring"},
+    "lattice join": {"--order", "--ring"},
+    "lattice leq": {"--order", "--ring"},
+    "lattice meet": {"--order", "--ring"},
+    "locality-check": {"--order", "--pieces", "--test-algebra"},
+    "points": {"--format", "--order", "--over"},
+    "ring invert": {"--order", "--ring"},
+    "ring nf": {"--order", "--ring"},
+    "ring show": {"--format", "--order", "--ring"},
+    "scheme eta": {"--against", "--order", "--sections"},
+    "scheme restrict": {"--format", "--order"},
+    "scheme sections": {"--order"},
+    "scheme validate": {"--format", "--order"},
+}
+
+
+def test_the_cli_options_are_the_known_ones():
+    """Every subcommand of ``zariski`` takes exactly the options listed in
+    ``CLI_OPTIONS``.  An option of the CLI doubles the cases to test as
+    one of the package does, so a new one is added here on purpose."""
+    found, pending = {}, [((), cli_main)]
+    while pending:
+        path, cmd = pending.pop()
+        for name, sub in getattr(cmd, "commands", {}).items():
+            pending.append((path + (name,), sub))
+        if not hasattr(cmd, "commands"):
+            found[" ".join(path)] = {
+                opt for p in cmd.params if isinstance(p, click.Option) for opt in p.opts
+            }
+    assert found == CLI_OPTIONS
 
 
 def test_the_package_has_no_module_level_caches():

@@ -108,6 +108,23 @@ def test_lattice_operations_print_canonical_generators():
     assert (r2.exit_code, r2.output) == (0, "D(x*y)\n")
 
 
+def test_lattice_equality_refuted_on_its_second_side():
+    r = invoke("lattice", "eq", "D(x)", "D(x,y)", "--ring", "QQ[x,y]")
+    assert (r.exit_code, r.output) == (1, "false: y is not in the radical of (x)\n")
+
+
+def test_lattice_help_lists_the_four_commands():
+    r = invoke("lattice", "--help")
+    assert r.exit_code == 0
+    assert r.output.endswith(
+        "Commands:\n"
+        "  eq    Decide U = V; on refusal print a witness generator and side.\n"
+        "  join  Print the canonical form of U v V.\n"
+        "  leq   Decide U <= V; on refusal print a witness generator.\n"
+        "  meet  Print the canonical form of U ^ V.\n"
+    )
+
+
 # -- ring -------------------------------------------------------------------------
 
 
@@ -128,6 +145,16 @@ def test_ring_show_prints_the_presentation_and_its_basis():
         "relations": ["x^2 + 4*y", "y^2 + 4"],
         "reduced_basis": ["y^2 + 4", "x^2 + 4*y"],
     }
+
+
+def test_ring_show_prints_the_basis_of_the_chosen_order():
+    ring = "QQ[x,y]/(x^2-y, y^2-x)"
+    r = invoke("ring", "show", "--ring", ring, "--order", "lex")
+    assert r.exit_code == 0
+    assert r.output.endswith("reduced basis: y^4 - y, x - y^2\n")
+    r = invoke("ring", "show", "--ring", ring)
+    assert r.exit_code == 0
+    assert r.output.endswith("reduced basis: y^2 - x, x^2 - y\n")
 
 
 def test_ring_normal_form():
@@ -154,6 +181,14 @@ def test_ring_inverse_refused_for_non_units():
 def test_radical_membership_prints_a_power_certificate():
     r = invoke("ideal", "member", "x", "x^2", "--radical", "--ring", "QQ[x]")
     assert (r.exit_code, r.output) == (0, "member of the radical\n(x)^2 = (1) * (x^2)\n")
+
+
+def test_a_radical_member_past_the_power_cap_has_no_certificate():
+    r = invoke("ideal", "member", "x", "x^65", "--radical", "--ring", "QQ[x]")
+    assert (r.exit_code, r.output) == (
+        0,
+        "member of the radical (power certificate exceeds the cap)\n",
+    )
 
 
 def test_plain_membership_prints_cofactors():
@@ -446,6 +481,22 @@ def test_hull_image_of_a_constant_is_everything(files):
     assert (r.exit_code, r.output) == (0, "hull image: D(2); D(2)\n")
 
 
+def test_hull_images_are_compared_against_a_second_list(files, tmp_path):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(dict(CONST2, values=["0", "0"])))
+    eta = ("scheme", "eta", files["p1.json"], "--sections", files["const2.json"])
+    r = invoke(*eta, "--against", files["const2.json"])
+    assert (r.exit_code, r.output) == (
+        0,
+        "hull image: D(2); D(2)\nagainst: D(2); D(2)\nidentified: true\n",
+    )
+    r = invoke(*eta, "--against", str(zero))
+    assert (r.exit_code, r.output) == (
+        1,
+        "hull image: D(2); D(2)\nagainst: D(); D()\nidentified: false\n",
+    )
+
+
 def test_restricting_to_a_chart_open(files):
     r = invoke("scheme", "restrict", files["p1.json"], "D(t); D()")
     assert r.exit_code == 0
@@ -491,6 +542,11 @@ def test_cover_check_refutes_non_covers():
     r = invoke("cover-check", "x", "--ring", "QQ[x]")
     assert r.exit_code == 1
     assert r.output == "does not cover: 1 is not in the radical of (x)\n"
+
+
+def test_a_cover_past_the_power_cap_has_no_certificate():
+    r = invoke("cover-check", "x^65", "--on", "x", "--ring", "QQ[x]")
+    assert (r.exit_code, r.output) == (0, "covers\n(power certificate exceeds the cap)\n")
 
 
 def test_locality_check_reports_the_cover(files):
