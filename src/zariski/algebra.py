@@ -50,11 +50,11 @@ class PresentedAlgebra:
 
     ``_memo`` remembers facts that depend on the algebra alone, for its
     lifetime and for no other algebra, equal or not: ``make_localization``
-    by ``("loc", f)``, ``_member_gb`` by ``("member", gens)``,
-    ``radical_member`` by ``("radical", f, gens)``, ``try_invert`` by
-    ``("inv", c)``, ``enumerate_elements`` by ``"elements"``, and in
-    ``funscheme`` the Frobenius matrix by ``"frobenius"``, ``is_reduced`` by
-    ``"reduced"``, ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
+    by ``("loc", f)``, ``radical_member`` by ``("radical", f, gens)``,
+    ``try_invert`` by ``("inv", c)``, ``enumerate_elements`` by
+    ``"elements"``, and in ``funscheme`` the Frobenius matrix by
+    ``"frobenius"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
+    ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
@@ -142,13 +142,6 @@ class PresentedAlgebra:
         return self.gb.contains_one()
 
     # -- ideal and radical membership in the quotient ------------------------
-    def _member_gb(self, gens: Tuple[Poly, ...]) -> GroebnerBasis:
-        gb = self._memo.get(("member", gens))
-        if gb is None:
-            gb = GroebnerBasis(self.ring, gens + self.relations)
-            self._memo[("member", gens)] = gb
-        return gb
-
     def unit_certificate(
         self, gens: Sequence["AlgebraElement"]
     ) -> Optional[List["AlgebraElement"]]:

@@ -30,7 +30,8 @@ from .algebra import (
 )
 from .funscheme import check_locality, eval_points, functorial
 from .compare import comparison_check
-from .lattice import ZarElement, basic_open, join, leq, meet
+from .groebner import GroebnerBasis
+from .lattice import ZarElement, basic_open, join, meet
 from .latscheme import (
     CompactOpen,
     GlobalSection,
@@ -59,10 +60,9 @@ from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError
 # -- plumbing ---------------------------------------------------------------------
 
 
-def _refute(*lines: str) -> None:
+def _refute(line: str) -> None:
     """Report a mathematical refutation and exit with status 1."""
-    for line in lines:
-        click.echo(line)
+    click.echo(line)
     sys.exit(1)
 
 
@@ -74,22 +74,22 @@ def _emit_json(payload: object) -> None:
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _parse_algebra_text(ring_text: str, order_text: str) -> PresentedAlgebra:
+def _parsed(where: str, parse, *args):
+    """``parse(*args)``; a ``ParseError`` is malformed input at ``where``."""
     try:
-        order = parse_order(order_text)
-        ring, rels = parse_ring(ring_text, order)
+        return parse(*args)
     except ParseError as exc:
-        _input_error(f"--ring: {exc}")
-    return PresentedAlgebra(ring, rels)
+        _input_error(f"{where}: {exc}")
+
+
+def _parse_algebra_text(ring_text: str, order: MonomialOrder) -> PresentedAlgebra:
+    return PresentedAlgebra(*_parsed("--ring", parse_ring, ring_text, order))
 
 
 def _parse_poly_at(text: str, ring: PolyRing, where: str) -> Poly:
     if not isinstance(text, str):
         _input_error(f"{where}: must be a string")
-    try:
-        return parse_poly(text, ring)
-    except ParseError as exc:
-        _input_error(f"{where}: {exc}")
+    return _parsed(where, parse_poly, text, ring)
 
 
 def _parse_element(text: str, A: PresentedAlgebra, where: str) -> AlgebraElement:
@@ -97,10 +97,7 @@ def _parse_element(text: str, A: PresentedAlgebra, where: str) -> AlgebraElement
 
 
 def _parse_open(text: str, A: PresentedAlgebra, where: str) -> ZarElement:
-    try:
-        gens = parse_basic_open(text, A.ring)
-    except ParseError as exc:
-        _input_error(f"{where}: {exc}")
+    gens = _parsed(where, parse_basic_open, text, A.ring)
     return basic_open(A, [A.element(g) for g in gens])
 
 
@@ -120,10 +117,7 @@ def _test_fields(over: str, X: LatticeScheme) -> List[PresentedAlgebra]:
         part = part.strip()
         if not part:
             _input_error("--over: empty field name")
-        try:
-            fields.append(parse_field(part))
-        except ParseError as exc:
-            _input_error(f"--over: {exc}")
+        fields.append(_parsed("--over", parse_field, part))
     for field in fields:
         if not field.char:
             _input_error(f"--over: {field!r} is not a finite field")
@@ -151,9 +145,7 @@ def _load_json(path: str) -> Dict:
     return obj
 
 
-def _check_keys(
-    obj: Dict, allowed: set, required: set, where: str
-) -> None:
+def _check_keys(obj: Dict, allowed: set, required: set, where: str) -> None:
     if not isinstance(obj, dict):
         _input_error(f"{where}: must be an object")
     unknown = sorted(set(obj) - allowed)
@@ -164,16 +156,11 @@ def _check_keys(
         _input_error(f"{where}: missing field(s) {', '.join(missing)}")
 
 
-def _algebra_from_spec(
-    obj: Dict, where: str, order: Optional[MonomialOrder]
-) -> PresentedAlgebra:
+def _algebra_from_spec(obj: Dict, where: str, order: MonomialOrder) -> PresentedAlgebra:
     _check_keys(obj, {"field", "vars", "relations"}, {"field", "vars"}, where)
     if not isinstance(obj["field"], str):
         _input_error(f"{where}.field: must be a string")
-    try:
-        field = parse_field(obj["field"])
-    except ParseError as exc:
-        _input_error(f"{where}.field: {exc}")
+    field = _parsed(f"{where}.field", parse_field, obj["field"])
     names = obj["vars"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         _input_error(f"{where}.vars: must be a list of variable names")
@@ -191,18 +178,11 @@ def _algebra_from_spec(
     return PresentedAlgebra(ring, rels)
 
 
-def _rebind(poly, target_ring: PolyRing):
-    """Move a polynomial to a ring with the same variables in the same
-    positions (only the final, inverse variable is named differently)."""
-    return target_ring.from_terms(poly.terms)
+PATCH_KEYS = {"from", "to", "f", "g", "f_inverse", "g_inverse", "forward", "backward"}
 
 
-def _gluing_from_spec(
-    obj: Dict, where: str, order: Optional[MonomialOrder]
-) -> GluingData:
-    _check_keys(
-        obj, {"schema", "kind", "charts", "patches"}, {"schema", "kind", "charts"}, where
-    )
+def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData:
+    _check_keys(obj, {"schema", "kind", "charts", "patches"}, {"schema", "kind", "charts"}, where)
     charts_spec = obj["charts"]
     if not isinstance(charts_spec, list) or not charts_spec:
         _input_error(f"{where}.charts: must be a non-empty list")
@@ -222,12 +202,7 @@ def _gluing_from_spec(
     patch_args = []
     for k, p in enumerate(patches_spec):
         pwhere = f"{where}.patches[{k}]"
-        _check_keys(
-            p,
-            {"from", "to", "f", "g", "f_inverse", "g_inverse", "forward", "backward"},
-            {"from", "to", "f", "g", "f_inverse", "g_inverse", "forward", "backward"},
-            pwhere,
-        )
+        _check_keys(p, PATCH_KEYS, PATCH_KEYS, pwhere)
         i, j = p["from"], p["to"]
         if not (type(i) is int and 0 <= i < len(charts)):
             _input_error(f"{pwhere}.from: chart index out of range")
@@ -242,27 +217,23 @@ def _gluing_from_spec(
             if not isinstance(nm, str) or not nm.isidentifier():
                 _input_error(f"{pwhere}: declared inverses must be names")
             if nm in base.ring.names:
-                _input_error(
-                    f"{pwhere}: inverse name {nm!r} collides with a chart variable"
-                )
-        scratch_fwd = PolyRing(Aj.field, tuple(Aj.ring.names) + (p["g_inverse"],))
-        scratch_bwd = PolyRing(Ai.field, tuple(Ai.ring.names) + (p["f_inverse"],))
-        if not isinstance(p["forward"], list) or len(p["forward"]) != Ai.nvars:
-            _input_error(
-                f"{pwhere}.forward: need one image per variable of chart {i}"
-            )
-        if not isinstance(p["backward"], list) or len(p["backward"]) != Aj.nvars:
-            _input_error(
-                f"{pwhere}.backward: need one image per variable of chart {j}"
-            )
-        fwd_imgs, bwd_imgs = [], []
-        for m, text in enumerate(p["forward"]):
-            raw = _parse_poly_at(text, scratch_fwd, f"{pwhere}.forward[{m}]")
-            fwd_imgs.append(loc_g.algebra.element(_rebind(raw, loc_g.algebra.ring)))
-        for m, text in enumerate(p["backward"]):
-            raw = _parse_poly_at(text, scratch_bwd, f"{pwhere}.backward[{m}]")
-            bwd_imgs.append(loc_f.algebra.element(_rebind(raw, loc_f.algebra.ring)))
-        patch_args.append((i, j, f, g, fwd_imgs, bwd_imgs))
+                _input_error(f"{pwhere}: inverse name {nm!r} collides with a chart variable")
+        # forward sends the variables of chart i into Aj_g, backward those of chart j into Ai_f
+        directions = (("forward", i, loc_g, p["g_inverse"]), ("backward", j, loc_f, p["f_inverse"]))
+        for key, k, _, _ in directions:
+            if not isinstance(p[key], list) or len(p[key]) != charts[k].nvars:
+                _input_error(f"{pwhere}.{key}: need one image per variable of chart {k}")
+        images = []
+        for key, _, loc, inverse in directions:
+            # the images name the inverse as the file declares it; the
+            # localization's ring has the same variables in the same places
+            scratch = PolyRing(loc.base.field, tuple(loc.base.ring.names) + (inverse,))
+            imgs = []
+            for m, text in enumerate(p[key]):
+                raw = _parse_poly_at(text, scratch, f"{pwhere}.{key}[{m}]")
+                imgs.append(loc.algebra.element(loc.algebra.ring.from_terms(raw.terms)))
+            images.append(imgs)
+        patch_args.append((i, j, f, g, *images))
     try:
         patches = [make_patch(charts, *args) for args in patch_args]
         # each overlap is stored from its lower chart, as the file may list
@@ -282,13 +253,13 @@ def _load_kind(path: str, *kinds: str) -> Dict:
     return obj
 
 
-def _load_algebra(path: str, obj: Dict, order: Optional[MonomialOrder]) -> PresentedAlgebra:
+def _load_algebra(path: str, obj: Dict, order: MonomialOrder) -> PresentedAlgebra:
     """The algebra of a loaded file of kind 'algebra'."""
     spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
     return _algebra_from_spec(spec, path, order)
 
 
-def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
+def _load_scheme(path: str, order: MonomialOrder) -> LatticeScheme:
     """Load a scheme file and validate the data, refuting on failure."""
     obj = _load_kind(path, "algebra", "gluedata")
     if obj["kind"] == "gluedata":
@@ -296,69 +267,78 @@ def _load_scheme(path: str, order: Optional[MonomialOrder]) -> LatticeScheme:
     return mk_affine(_load_algebra(path, obj, order))
 
 
-def _load_family_values(
-    path: str, X: LatticeScheme
-) -> List[AlgebraElement]:
+def _load_section(
+    path: str, X: LatticeScheme, prefix: str
+) -> Tuple[List[AlgebraElement], GlobalSection]:
+    """The chart values of the family file at ``path`` and the global
+    section of X over its top open that they make; refutes, after
+    ``prefix``, when the values disagree on an overlap."""
     obj = _load_kind(path, "family")
     _check_keys(obj, {"schema", "kind", "values"}, {"schema", "kind", "values"}, path)
     values = obj["values"]
     if not isinstance(values, list) or len(values) != X.ncharts:
         _input_error(f"{path}.values: need one value per chart ({X.ncharts})")
-    return [
-        _parse_element(text, X.charts[k], f"{path}.values[{k}]")
-        for k, text in enumerate(values)
+    values = [
+        _parse_element(text, A, f"{path}.values[{k}]")
+        for k, (A, text) in enumerate(zip(X.charts, values))
     ]
+    rows = [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
+    s = GlobalSection(X, top_open(X), rows)
+    witness = section_compatibility_witness(s)
+    if witness is not None:
+        _refute(f"{prefix}not a global section: {witness}")
+    return values, s
 
 
-def _global_section_from_values(
-    X: LatticeScheme, values: Sequence[AlgebraElement]
-) -> GlobalSection:
-    t = top_open(X)
-    rows = []
-    for k, v in enumerate(values):
-        loc = make_localization(X.charts[k], X.charts[k].one)
-        rows.append([loc.to_loc(v)])
-    return GlobalSection(X, t, rows)
-
-
-def _membership_certificate(
-    A: PresentedAlgebra,
-    f: AlgebraElement,
+def _refute_outside(
+    prefix: str, A: PresentedAlgebra, elems: Sequence[AlgebraElement],
     gens: Sequence[AlgebraElement],
-    radical: bool,
-) -> Optional[Tuple[int, List]]:
-    """Cofactors for f**n in the ideal of gens (n = 1 when not radical;
-    n <= POWER_CAP when radical)."""
-    gb = A._member_gb(tuple(g.poly for g in gens))
-    powers = range(1, POWER_CAP + 1) if radical else range(1, 2)
-    acc = A.one
-    for n in powers:
-        acc = acc * f
-        cof = gb.member(acc.poly)
-        if cof is not None:
-            return n, cof[: len(gens)]
-    return None
+) -> None:
+    """Refute, after ``prefix``, with the first of ``elems`` that is not
+    in the radical of the ideal of ``gens``."""
+    for f in elems:
+        if not A.radical_member(f, gens):
+            _refute(
+                f"{prefix}{f} is not in the radical of "
+                f"({', '.join(str(g) for g in gens) or '0'})"
+            )
 
 
 def _fmt_identity(
-    lhs: str, cofactors: Sequence, gens: Sequence[AlgebraElement]
+    A: PresentedAlgebra, lhs: str, cofactors: Sequence, gens: Sequence[AlgebraElement]
 ) -> str:
-    terms = [
-        f"({c}) * ({g})" for c, g in zip(cofactors, gens) if not c.is_zero()
-    ]
+    """``lhs = sum c * g`` over ``gens``.  Cofactors past them, those of the
+    relations, are left out, and the line then ends "(modulo the relations)"."""
+    terms = [f"({c}) * ({g})" for c, g in zip(cofactors, gens) if not c.is_zero()]
     rhs = " + ".join(terms) if terms else "0"
-    return f"{lhs} = {rhs}"
+    return f"{lhs} = {rhs}" + (" (modulo the relations)" if A.relations else "")
+
+
+def _power_certificate(
+    A: PresentedAlgebra, f: AlgebraElement, gens: Sequence[AlgebraElement]
+) -> Optional[str]:
+    """The identity for the least power ``f**n`` (n <= POWER_CAP) in the
+    ideal of ``gens``, or None past the cap."""
+    gb = GroebnerBasis(A.ring, tuple(g.poly for g in gens) + A.relations)
+    acc = A.one
+    for n in range(1, POWER_CAP + 1):
+        acc = acc * f
+        cof = gb.member(acc.poly)
+        if cof is not None:
+            return _fmt_identity(A, f"({f})^{n}", cof, gens)
+    return None
 
 
 # -- command tree -----------------------------------------------------------------
 
 
+# every command receives the MonomialOrder itself
 ORDER_OPTION = click.option(
     "--order",
-    "order_text",
     default="grevlex",
     show_default=True,
     type=click.Choice(["grevlex", "lex"]),
+    callback=lambda _ctx, _param, text: parse_order(text),
     help="Monomial order for all rings.",
 )
 RING_OPTION = click.option(
@@ -402,9 +382,9 @@ def ring() -> None:
 @RING_OPTION
 @ORDER_OPTION
 @FORMAT_OPTION
-def ring_show(ring_text: str, order_text: str, fmt: str) -> None:
+def ring_show(ring_text: str, order: MonomialOrder, fmt: str) -> None:
     """Print the presentation and its reduced basis."""
-    A = _parse_algebra_text(ring_text, order_text)
+    A = _parse_algebra_text(ring_text, order)
     payload = {
         "field": repr(A.field),
         "vars": list(A.ring.names),
@@ -424,9 +404,9 @@ def ring_show(ring_text: str, order_text: str, fmt: str) -> None:
 @click.argument("expr")
 @RING_OPTION
 @ORDER_OPTION
-def ring_nf(expr: str, ring_text: str, order_text: str) -> None:
+def ring_nf(expr: str, ring_text: str, order: MonomialOrder) -> None:
     """Normal form of EXPR modulo the relations."""
-    A = _parse_algebra_text(ring_text, order_text)
+    A = _parse_algebra_text(ring_text, order)
     value = _parse_element(expr, A, "EXPR")
     click.echo(str(value))
 
@@ -435,9 +415,9 @@ def ring_nf(expr: str, ring_text: str, order_text: str) -> None:
 @click.argument("expr")
 @RING_OPTION
 @ORDER_OPTION
-def ring_invert(expr: str, ring_text: str, order_text: str) -> None:
+def ring_invert(expr: str, ring_text: str, order: MonomialOrder) -> None:
     """Invert EXPR, printing the inverse and the checked identity."""
-    A = _parse_algebra_text(ring_text, order_text)
+    A = _parse_algebra_text(ring_text, order)
     value = _parse_element(expr, A, "EXPR")
     inv = A.try_invert(value)
     if inv is None:
@@ -461,45 +441,29 @@ def ideal() -> None:
 @ORDER_OPTION
 @click.option("--radical", is_flag=True, help="Test radical membership.")
 def ideal_member(
-    f: str, gens: Tuple[str, ...], ring_text: str, order_text: str, radical: bool
+    f: str, gens: Tuple[str, ...], ring_text: str, order: MonomialOrder, radical: bool
 ) -> None:
     """Decide whether F lies in the ideal (or radical) of GENS."""
-    A = _parse_algebra_text(ring_text, order_text)
+    A = _parse_algebra_text(ring_text, order)
     f_el = _parse_element(f, A, "F")
     g_els = [_parse_element(g, A, f"GENS[{k}]") for k, g in enumerate(gens)]
     if radical:
-        verdict = A.radical_member(f_el, g_els)
-        if not verdict:
-            _refute(
-                f"not a member: {f_el} is not in the radical of "
-                f"({', '.join(str(g) for g in g_els)})"
-            )
-        found = _membership_certificate(A, f_el, g_els, radical=True)
-        if found is None:
-            click.echo(
-                "member of the radical (power certificate exceeds the cap)"
-            )
-            return
-        n, cof = found
-        click.echo("member of the radical")
-        click.echo(
-            _fmt_identity(f"({f_el})^{n}", cof, g_els)
-            + (" (modulo the relations)" if A.relations else "")
-        )
+        _refute_outside("not a member: ", A, [f_el], g_els)
+        identity = _power_certificate(A, f_el, g_els)
+        if identity is None:
+            click.echo("member of the radical (power certificate exceeds the cap)")
+        else:
+            click.echo(f"member of the radical\n{identity}")
         return
-    found = _membership_certificate(A, f_el, g_els, radical=False)
-    if found is None:
-        gb = A._member_gb(tuple(g.poly for g in g_els))
+    gb = GroebnerBasis(A.ring, tuple(g.poly for g in g_els) + A.relations)
+    cof = gb.member(f_el.poly)
+    if cof is None:
         _refute(
             f"not a member: normal form of {f_el} modulo the ideal is "
             f"{gb.normal_form(f_el.poly)}"
         )
-    _, cof = found
     click.echo("member")
-    click.echo(
-        _fmt_identity(str(f_el), cof, g_els)
-        + (" (modulo the relations)" if A.relations else "")
-    )
+    click.echo(_fmt_identity(A, str(f_el), cof, g_els))
 
 
 # -- lattice ----------------------------------------------------------------------
@@ -510,73 +474,40 @@ def lattice() -> None:
     """Order and operations in the lattice of basic opens."""
 
 
-def _lattice_pair(u_text, v_text, ring_text, order_text):
-    A = _parse_algebra_text(ring_text, order_text)
-    u = _parse_open(u_text, A, "U")
-    v = _parse_open(v_text, A, "V")
-    return A, u, v
+def _lattice_command(name: str, doc: str, answer) -> None:
+    """Register ``lattice NAME U V``: parse both opens of ``--ring`` and
+    print ``answer(A, u, v)``."""
+
+    @lattice.command(name, help=doc)
+    @click.argument("u_text", metavar="U")
+    @click.argument("v_text", metavar="V")
+    @RING_OPTION
+    @ORDER_OPTION
+    def command(u_text, v_text, ring_text, order) -> None:
+        A = _parse_algebra_text(ring_text, order)
+        click.echo(answer(A, _parse_open(u_text, A, "U"), _parse_open(v_text, A, "V")))
 
 
-def _leq_witness(A: PresentedAlgebra, u: ZarElement, v: ZarElement) -> str:
-    vg = list(v.generators)
-    for g in u.generators:
-        if not A.radical_member(g, vg):
-            return (
-                f"{g} is not in the radical of "
-                f"({', '.join(str(x) for x in vg) or '0'})"
-            )
-    return "no witness (inconsistent state)"  # pragma: no cover
+def _lattice_order(A: PresentedAlgebra, pairs: Sequence[Tuple[ZarElement, ZarElement]]) -> str:
+    """"true" if ``u <= v`` for each ``(u, v)`` of ``pairs``; else refutes
+    with the first generator of a u outside the radical of its v."""
+    for u, v in pairs:
+        _refute_outside("false: ", A, u.generators, v.generators)
+    return "true"
 
 
-@lattice.command("leq")
-@click.argument("u_text", metavar="U")
-@click.argument("v_text", metavar="V")
-@RING_OPTION
-@ORDER_OPTION
-def lattice_leq(u_text, v_text, ring_text, order_text) -> None:
-    """Decide U <= V; on refusal print a witness generator."""
-    A, u, v = _lattice_pair(u_text, v_text, ring_text, order_text)
-    if leq(u, v):
-        click.echo("true")
-        return
-    _refute(f"false: {_leq_witness(A, u, v)}")
-
-
-@lattice.command("eq")
-@click.argument("u_text", metavar="U")
-@click.argument("v_text", metavar="V")
-@RING_OPTION
-@ORDER_OPTION
-def lattice_eq(u_text, v_text, ring_text, order_text) -> None:
-    """Decide U = V; on refusal print a witness generator and side."""
-    A, u, v = _lattice_pair(u_text, v_text, ring_text, order_text)
-    if not leq(u, v):
-        _refute(f"false: {_leq_witness(A, u, v)}")
-    if not leq(v, u):
-        _refute(f"false: {_leq_witness(A, v, u)}")
-    click.echo("true")
-
-
-@lattice.command("join")
-@click.argument("u_text", metavar="U")
-@click.argument("v_text", metavar="V")
-@RING_OPTION
-@ORDER_OPTION
-def lattice_join(u_text, v_text, ring_text, order_text) -> None:
-    """Print the canonical form of U v V."""
-    _, u, v = _lattice_pair(u_text, v_text, ring_text, order_text)
-    click.echo(_fmt_open(join(u, v)))
-
-
-@lattice.command("meet")
-@click.argument("u_text", metavar="U")
-@click.argument("v_text", metavar="V")
-@RING_OPTION
-@ORDER_OPTION
-def lattice_meet(u_text, v_text, ring_text, order_text) -> None:
-    """Print the canonical form of U ^ V."""
-    _, u, v = _lattice_pair(u_text, v_text, ring_text, order_text)
-    click.echo(_fmt_open(meet(u, v)))
+_lattice_command(
+    "leq",
+    "Decide U <= V; on refusal print a witness generator.",
+    lambda A, u, v: _lattice_order(A, [(u, v)]),
+)
+_lattice_command(
+    "eq",
+    "Decide U = V; on refusal print a witness generator and side.",
+    lambda A, u, v: _lattice_order(A, [(u, v), (v, u)]),
+)
+_lattice_command("join", "Print the canonical form of U v V.", lambda _, u, v: _fmt_open(join(u, v)))
+_lattice_command("meet", "Print the canonical form of U ^ V.", lambda _, u, v: _fmt_open(meet(u, v)))
 
 
 # -- glue and scheme ----------------------------------------------------------------
@@ -606,9 +537,7 @@ def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
         click.echo(f"chart {k}: {A!r}")
     for row in payload["overlaps"]:
         i, j = row["pair"]
-        click.echo(
-            f"overlap {i}~{j}: {row['in_chart_i']} | {row['in_chart_j']}"
-        )
+        click.echo(f"overlap {i}~{j}: {row['in_chart_i']} | {row['in_chart_j']}")
 
 
 @main.group()
@@ -625,11 +554,10 @@ def scheme() -> None:
 @click.argument("data_path", metavar="DATA")
 @ORDER_OPTION
 @FORMAT_OPTION
-def validate_data(data_path, order_text, fmt) -> None:
+def validate_data(data_path, order, fmt) -> None:
     """Validate DATA (patch isomorphisms, agreements, cocycle identity) and
     print the chart/overlap summary."""
-    X = _load_scheme(data_path, parse_order(order_text))
-    _scheme_summary(X, fmt)
+    _scheme_summary(_load_scheme(data_path, order), fmt)
 
 
 glue.add_command(validate_data, "check")
@@ -640,18 +568,10 @@ scheme.add_command(validate_data, "validate")
 @click.argument("data_path", metavar="DATA")
 @click.argument("family_path", metavar="FAMILY")
 @ORDER_OPTION
-def scheme_sections(data_path, family_path, order_text) -> None:
+def scheme_sections(data_path, family_path, order) -> None:
     """Check that FAMILY's chart values agree on overlaps (a global section)."""
-    order = parse_order(order_text)
-    X = _load_scheme(data_path, order)
-    values = _load_family_values(family_path, X)
-    s = _global_section_from_values(X, values)
-    witness = section_compatibility_witness(s)
-    if witness is not None:
-        _refute(f"not a global section: {witness}")
-    click.echo(
-        "global section: " + "; ".join(str(v) for v in values)
-    )
+    values, _ = _load_section(family_path, _load_scheme(data_path, order), "")
+    click.echo("global section: " + "; ".join(str(v) for v in values))
 
 
 @scheme.command("eta")
@@ -670,32 +590,19 @@ def scheme_sections(data_path, family_path, order_text) -> None:
     help="Second list of family files to compare against.",
 )
 @ORDER_OPTION
-def scheme_eta(data_path, section_paths, against_paths, order_text) -> None:
+def scheme_eta(data_path, section_paths, against_paths, order) -> None:
     """Carry global sections through the affine-hull comparison map.
 
     Prints the compact open where the listed sections are jointly
     invertible; with --against, decides whether the two lists are
     identified by the map.
     """
-    order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     hull_open = affine_hull_map(X)
-
-    def load_list(paths):
-        sections = []
-        for path in paths:
-            values = _load_family_values(path, X)
-            s = _global_section_from_values(X, values)
-            witness = section_compatibility_witness(s)
-            if witness is not None:
-                _refute(f"{path} is not a global section: {witness}")
-            sections.append(s)
-        return sections
-
-    u = hull_open(load_list(section_paths))
+    u = hull_open([_load_section(path, X, f"{path} is ")[1] for path in section_paths])
     click.echo(f"hull image: {_fmt_compact(u)}")
     if against_paths:
-        v = hull_open(load_list(against_paths))
+        v = hull_open([_load_section(path, X, f"{path} is ")[1] for path in against_paths])
         click.echo(f"against: {_fmt_compact(v)}")
         if u.eq(v):
             click.echo("identified: true")
@@ -708,15 +615,12 @@ def scheme_eta(data_path, section_paths, against_paths, order_text) -> None:
 @click.argument("open_text", metavar="OPEN")
 @ORDER_OPTION
 @FORMAT_OPTION
-def scheme_restrict(data_path, open_text, order_text, fmt) -> None:
+def scheme_restrict(data_path, open_text, order, fmt) -> None:
     """Restrict the scheme to OPEN ("D(..); D(..)", one per chart)."""
-    order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     parts = [p.strip() for p in open_text.split(";")]
     if len(parts) != X.ncharts:
-        _input_error(
-            f"OPEN: need one basic open per chart ({X.ncharts}), got {len(parts)}"
-        )
+        _input_error(f"OPEN: need one basic open per chart ({X.ncharts}), got {len(parts)}")
     comps = [
         _parse_open(part, X.charts[k], f"OPEN[{k}]")
         for k, part in enumerate(parts)
@@ -737,9 +641,8 @@ def scheme_restrict(data_path, open_text, order_text, fmt) -> None:
 @click.option("--over", required=True, help='Fields, e.g. "GF(2),GF(3)".')
 @ORDER_OPTION
 @FORMAT_OPTION
-def points_cmd(data_path, over, order_text, fmt) -> None:
+def points_cmd(data_path, over, order, fmt) -> None:
     """Enumerate the points of DATA over each finite field."""
-    order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     fun = functorial(X)
     payload = {}
@@ -778,28 +681,16 @@ def points_cmd(data_path, over, order_text, fmt) -> None:
     show_default=True,
     help="Basic open D(ON) that the pieces must cover.",
 )
-def cover_check(pieces, ring_text, order_text, on_text) -> None:
+def cover_check(pieces, ring_text, order, on_text) -> None:
     """Decide D(ON) <= D(PIECES...) and print the power certificate."""
-    A = _parse_algebra_text(ring_text, order_text)
+    A = _parse_algebra_text(ring_text, order)
     piece_els = [
         _parse_element(p, A, f"PIECES[{k}]") for k, p in enumerate(pieces)
     ]
     on_el = _parse_element(on_text, A, "--on")
-    if not leq(basic_open(A, [on_el]), basic_open(A, piece_els)):
-        _refute(
-            f"does not cover: {on_el} is not in the radical of "
-            f"({', '.join(str(p) for p in piece_els)})"
-        )
-    found = _membership_certificate(A, on_el, piece_els, radical=True)
+    _refute_outside("does not cover: ", A, [on_el], piece_els)
     click.echo("covers")
-    if found is None:
-        click.echo("(power certificate exceeds the cap)")
-        return
-    n, cof = found
-    click.echo(
-        _fmt_identity(f"({on_el})^{n}", cof, piece_els)
-        + (" (modulo the relations)" if A.relations else "")
-    )
+    click.echo(_power_certificate(A, on_el, piece_els) or "(power certificate exceeds the cap)")
 
 
 # -- locality-check -----------------------------------------------------------------
@@ -820,9 +711,8 @@ def cover_check(pieces, ring_text, order_text, on_text) -> None:
     help='Comma-separated cover of B, e.g. "e,1-e".',
 )
 @ORDER_OPTION
-def locality_check(data_path, algebra_path, pieces_text, order_text) -> None:
+def locality_check(data_path, algebra_path, pieces_text, order) -> None:
     """Check the equalizer condition for the points functor along a cover of B."""
-    order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     B = _load_algebra(algebra_path, _load_kind(algebra_path, "algebra"), order)
     if B.field != X.charts[0].field:
@@ -857,7 +747,7 @@ def locality_check(data_path, algebra_path, pieces_text, order_text) -> None:
 @click.option("--over", required=True, help='Fields, e.g. "GF(2),GF(3)".')
 @ORDER_OPTION
 @FORMAT_OPTION
-def compare_cmd(data_path, over, order_text, fmt) -> None:
+def compare_cmd(data_path, over, order, fmt) -> None:
     """Compare the two presentations of DATA over each test field.
 
     For each field: enumerate the functor's points and read one table of
@@ -865,7 +755,6 @@ def compare_cmd(data_path, over, order_text, fmt) -> None:
     morphism, that the roundtrip recovers it and that distinct points carry
     distinct morphisms; then check the realization certificate.
     """
-    order = parse_order(order_text)
     X = _load_scheme(data_path, order)
     tests = _test_fields(over, X)
     ok, report = comparison_check(X, tests)
