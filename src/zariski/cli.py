@@ -725,6 +725,10 @@ def locality_check(data_path, algebra_path, pieces_text, order) -> None:
         for k, part in enumerate(pieces_text.split(","))
     ]
     try:
+        B._stairs()  # points over B are enumerated: B must be finite over GF(p)
+    except ValueError as exc:
+        _input_error(f"{algebra_path}: {exc}")
+    try:
         verdict = check_locality(functorial(X), B, piece_els)
     except ValueError as exc:
         _refute(f"locality check refused: {exc}")

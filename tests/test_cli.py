@@ -581,6 +581,40 @@ def test_locality_check_accepts_a_test_algebra_with_nilpotents(files):
     )
 
 
+@pytest.mark.parametrize(
+    "scheme, algebra, message",
+    [
+        (
+            "p1.json",
+            dict(AFFINE_GF3, vars=["t"]),
+            "algebra is not finite over its field: no power of 't' reduces",
+        ),
+        ("affine_qq.json", AFFINE_QQ, "cannot enumerate an algebra over QQ"),
+    ],
+    ids=["GF(3)[t]", "QQ[x]"],
+)
+def test_locality_check_refuses_a_test_algebra_that_is_not_finite(
+    files, tmp_path, scheme, algebra, message
+):
+    """Points over the test algebra are enumerated, so one that is not
+    finite over GF(p) is malformed input, refused before the check runs."""
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(algebra))
+    r = invoke("locality-check", files[scheme], "--test-algebra", str(path), "--pieces", "1")
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr.endswith(f"Error: {path}: {message}\n")
+
+
+def test_locality_check_refutes_pieces_that_do_not_cover(files):
+    r = invoke(
+        "locality-check", files["p1.json"], "--test-algebra", files["double.json"], "--pieces", "e"
+    )
+    assert (r.exit_code, r.output) == (
+        1,
+        "locality check refused: the given elements do not cover the test algebra\n",
+    )
+
+
 def test_compare_verifies_the_projective_line(files):
     r = invoke("compare", files["p1.json"], "--over", "GF(3)")
     assert (r.exit_code, r.output) == (
