@@ -11,6 +11,10 @@ Exit codes: 0 when the request is verified or answered positively, 1 on
 a mathematical refutation (always with a witness), 2 on malformed input
 (parse errors carry line and column).  Output is deterministic: identical
 inputs produce identical bytes.
+
+One helper per job: ``_parsed`` (parse errors), the ``--order`` callback,
+``_refute_outside`` (radical-membership witnesses), ``_power_certificate``
+and ``_fmt_identity`` (certificates), ``_load_section`` (family files).
 """
 
 from __future__ import annotations
@@ -101,12 +105,8 @@ def _parse_open(text: str, A: PresentedAlgebra, where: str) -> ZarElement:
     return basic_open(A, [A.element(g) for g in gens])
 
 
-def _fmt_open(z: ZarElement) -> str:
-    return "D(" + ", ".join(str(g) for g in z.generators) + ")"
-
-
 def _fmt_compact(u: CompactOpen) -> str:
-    return "; ".join(_fmt_open(w) for w in u.components)
+    return "; ".join(str(w) for w in u.components)
 
 
 def _test_fields(over: str, X: LatticeScheme) -> List[PresentedAlgebra]:
@@ -129,7 +129,9 @@ def _test_fields(over: str, X: LatticeScheme) -> List[PresentedAlgebra]:
     return [PresentedAlgebra(PolyRing(field, [])) for field in fields]
 
 
-def _load_json(path: str) -> Dict:
+def _load_spec(path: str, *kinds: str) -> Tuple[str, Dict]:
+    """The kind of the schema-1 file at ``path``, one of ``kinds``, and its
+    other fields."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -142,10 +144,16 @@ def _load_json(path: str) -> Dict:
         )
     if not isinstance(obj, dict):
         _input_error(f"{path}: top level must be an object")
-    return obj
+    if type(obj.get("schema")) is not int or obj["schema"] != 1:
+        _input_error(f"{path}: schema must be 1")
+    if obj.get("kind") not in kinds:
+        _input_error(f"{path}: kind must be " + " or ".join(f"'{k}'" for k in kinds))
+    return obj["kind"], {k: v for k, v in obj.items() if k not in ("schema", "kind")}
 
 
-def _check_keys(obj: Dict, allowed: set, required: set, where: str) -> None:
+def _check_keys(
+    obj: Dict, allowed: set, required: set, where: str
+) -> None:
     if not isinstance(obj, dict):
         _input_error(f"{where}: must be an object")
     unknown = sorted(set(obj) - allowed)
@@ -182,7 +190,7 @@ PATCH_KEYS = {"from", "to", "f", "g", "f_inverse", "g_inverse", "forward", "back
 
 
 def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData:
-    _check_keys(obj, {"schema", "kind", "charts", "patches"}, {"schema", "kind", "charts"}, where)
+    _check_keys(obj, {"charts", "patches"}, {"charts"}, where)
     charts_spec = obj["charts"]
     if not isinstance(charts_spec, list) or not charts_spec:
         _input_error(f"{where}.charts: must be a non-empty list")
@@ -217,7 +225,9 @@ def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData
             if not isinstance(nm, str) or not nm.isidentifier():
                 _input_error(f"{pwhere}: declared inverses must be names")
             if nm in base.ring.names:
-                _input_error(f"{pwhere}: inverse name {nm!r} collides with a chart variable")
+                _input_error(
+                    f"{pwhere}: inverse name {nm!r} collides with a chart variable"
+                )
         # forward sends the variables of chart i into Aj_g, backward those of chart j into Ai_f
         directions = (("forward", i, loc_g, p["g_inverse"]), ("backward", j, loc_f, p["f_inverse"]))
         for key, k, _, _ in directions:
@@ -243,28 +253,12 @@ def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData
         _refute(f"invalid gluing data: {exc}")
 
 
-def _load_kind(path: str, *kinds: str) -> Dict:
-    """The object of a schema-1 file whose kind is one of ``kinds``."""
-    obj = _load_json(path)
-    if type(obj.get("schema")) is not int or obj["schema"] != 1:
-        _input_error(f"{path}: schema must be 1")
-    if obj.get("kind") not in kinds:
-        _input_error(f"{path}: kind must be " + " or ".join(f"'{k}'" for k in kinds))
-    return obj
-
-
-def _load_algebra(path: str, obj: Dict, order: MonomialOrder) -> PresentedAlgebra:
-    """The algebra of a loaded file of kind 'algebra'."""
-    spec = {k: v for k, v in obj.items() if k not in ("schema", "kind")}
-    return _algebra_from_spec(spec, path, order)
-
-
 def _load_scheme(path: str, order: MonomialOrder) -> LatticeScheme:
     """Load a scheme file and validate the data, refuting on failure."""
-    obj = _load_kind(path, "algebra", "gluedata")
-    if obj["kind"] == "gluedata":
-        return LatticeScheme(_gluing_from_spec(obj, path, order))
-    return mk_affine(_load_algebra(path, obj, order))
+    kind, spec = _load_spec(path, "algebra", "gluedata")
+    if kind == "gluedata":
+        return LatticeScheme(_gluing_from_spec(spec, path, order))
+    return mk_affine(_algebra_from_spec(spec, path, order))
 
 
 def _load_section(
@@ -273,9 +267,9 @@ def _load_section(
     """The chart values of the family file at ``path`` and the global
     section of X over its top open that they make; refutes, after
     ``prefix``, when the values disagree on an overlap."""
-    obj = _load_kind(path, "family")
-    _check_keys(obj, {"schema", "kind", "values"}, {"schema", "kind", "values"}, path)
-    values = obj["values"]
+    _, spec = _load_spec(path, "family")
+    _check_keys(spec, {"values"}, {"values"}, path)
+    values = spec["values"]
     if not isinstance(values, list) or len(values) != X.ncharts:
         _input_error(f"{path}.values: need one value per chart ({X.ncharts})")
     values = [
@@ -506,8 +500,8 @@ _lattice_command(
     "Decide U = V; on refusal print a witness generator and side.",
     lambda A, u, v: _lattice_order(A, [(u, v), (v, u)]),
 )
-_lattice_command("join", "Print the canonical form of U v V.", lambda _, u, v: _fmt_open(join(u, v)))
-_lattice_command("meet", "Print the canonical form of U ^ V.", lambda _, u, v: _fmt_open(meet(u, v)))
+_lattice_command("join", "Print the canonical form of U v V.", lambda _, u, v: str(join(u, v)))
+_lattice_command("meet", "Print the canonical form of U ^ V.", lambda _, u, v: str(meet(u, v)))
 
 
 # -- glue and scheme ----------------------------------------------------------------
@@ -525,8 +519,8 @@ def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
             payload["overlaps"].append(
                 {
                     "pair": [i, j],
-                    "in_chart_i": _fmt_open(X.data.overlap(i, j)),
-                    "in_chart_j": _fmt_open(X.data.overlap(j, i)),
+                    "in_chart_i": str(X.data.overlap(i, j)),
+                    "in_chart_j": str(X.data.overlap(j, i)),
                 }
             )
     if fmt == "json":
@@ -537,7 +531,9 @@ def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
         click.echo(f"chart {k}: {A!r}")
     for row in payload["overlaps"]:
         i, j = row["pair"]
-        click.echo(f"overlap {i}~{j}: {row['in_chart_i']} | {row['in_chart_j']}")
+        click.echo(
+            f"overlap {i}~{j}: {row['in_chart_i']} | {row['in_chart_j']}"
+        )
 
 
 @main.group()
@@ -620,7 +616,9 @@ def scheme_restrict(data_path, open_text, order, fmt) -> None:
     X = _load_scheme(data_path, order)
     parts = [p.strip() for p in open_text.split(";")]
     if len(parts) != X.ncharts:
-        _input_error(f"OPEN: need one basic open per chart ({X.ncharts}), got {len(parts)}")
+        _input_error(
+            f"OPEN: need one basic open per chart ({X.ncharts}), got {len(parts)}"
+        )
     comps = [
         _parse_open(part, X.charts[k], f"OPEN[{k}]")
         for k, part in enumerate(parts)
@@ -714,7 +712,7 @@ def cover_check(pieces, ring_text, order, on_text) -> None:
 def locality_check(data_path, algebra_path, pieces_text, order) -> None:
     """Check the equalizer condition for the points functor along a cover of B."""
     X = _load_scheme(data_path, order)
-    B = _load_algebra(algebra_path, _load_kind(algebra_path, "algebra"), order)
+    B = _algebra_from_spec(_load_spec(algebra_path, "algebra")[1], algebra_path, order)
     if B.field != X.charts[0].field:
         _input_error(
             f"{algebra_path}: field {B.field!r} does not match the chart field "
