@@ -269,12 +269,12 @@ def _load_section(
     ``prefix``, when the values disagree on an overlap."""
     _, spec = _load_spec(path, "family")
     _check_keys(spec, {"values"}, {"values"}, path)
-    values = spec["values"]
-    if not isinstance(values, list) or len(values) != X.ncharts:
+    texts = spec["values"]
+    if not isinstance(texts, list) or len(texts) != X.ncharts:
         _input_error(f"{path}.values: need one value per chart ({X.ncharts})")
     values = [
         _parse_element(text, A, f"{path}.values[{k}]")
-        for k, (A, text) in enumerate(zip(X.charts, values))
+        for k, (A, text) in enumerate(zip(X.charts, texts))
     ]
     rows = [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
     s = GlobalSection(X, top_open(X), rows)
@@ -483,8 +483,8 @@ def _lattice_command(name: str, doc: str, answer) -> None:
 
 
 def _lattice_order(A: PresentedAlgebra, pairs: Sequence[Tuple[ZarElement, ZarElement]]) -> str:
-    """"true" if ``u <= v`` for each ``(u, v)`` of ``pairs``; else refutes
-    with the first generator of a u outside the radical of its v."""
+    """Return "true" if ``u <= v`` for each ``(u, v)`` of ``pairs``; else
+    refute with the first generator of a u outside the radical of its v."""
     for u, v in pairs:
         _refute_outside("false: ", A, u.generators, v.generators)
     return "true"
@@ -553,7 +553,8 @@ def scheme() -> None:
 def validate_data(data_path, order, fmt) -> None:
     """Validate DATA (patch isomorphisms, agreements, cocycle identity) and
     print the chart/overlap summary."""
-    _scheme_summary(_load_scheme(data_path, order), fmt)
+    X = _load_scheme(data_path, order)
+    _scheme_summary(X, fmt)
 
 
 glue.add_command(validate_data, "check")
