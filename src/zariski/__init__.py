@@ -47,7 +47,6 @@ from .sheaf import (
 from .latscheme import (
     CompactOpen,
     GlobalSection,
-    GluingData,
     GluingError,
     LatticeScheme,
     SchemeMorphism,

@@ -39,7 +39,6 @@ from .lattice import ZarElement, basic_open, join, meet
 from .latscheme import (
     CompactOpen,
     GlobalSection,
-    GluingData,
     GluingError,
     LatticeScheme,
     affine_hull_map,
@@ -189,7 +188,7 @@ def _algebra_from_spec(obj: Dict, where: str, order: MonomialOrder) -> Presented
 PATCH_KEYS = {"from", "to", "f", "g", "f_inverse", "g_inverse", "forward", "backward"}
 
 
-def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData:
+def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> LatticeScheme:
     _check_keys(obj, {"charts", "patches"}, {"charts"}, where)
     charts_spec = obj["charts"]
     if not isinstance(charts_spec, list) or not charts_spec:
@@ -248,7 +247,7 @@ def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> GluingData
         patches = [make_patch(charts, *args) for args in patch_args]
         # each overlap is stored from its lower chart, as the file may list
         # it from either side
-        return GluingData(charts, [P if P.i < P.j else P.mirror() for P in patches])
+        return LatticeScheme(charts, [P if P.i < P.j else P.mirror() for P in patches])
     except (GluingError, ValueError) as exc:
         _refute(f"invalid gluing data: {exc}")
 
@@ -257,7 +256,7 @@ def _load_scheme(path: str, order: MonomialOrder) -> LatticeScheme:
     """Load a scheme file and validate the data, refuting on failure."""
     kind, spec = _load_spec(path, "algebra", "gluedata")
     if kind == "gluedata":
-        return LatticeScheme(_gluing_from_spec(spec, path, order))
+        return _gluing_from_spec(spec, path, order)
     return mk_affine(_algebra_from_spec(spec, path, order))
 
 
@@ -508,7 +507,7 @@ _lattice_command("meet", "Print the canonical form of U ^ V.", lambda _, u, v: s
 
 
 def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
-    n_patches = sum(1 for p in X.data.patches if p.i < p.j)
+    n_patches = sum(1 for p in X.patches if p.i < p.j)
     payload = {
         "charts": [repr(A) for A in X.charts],
         "patches": n_patches,
@@ -519,8 +518,8 @@ def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
             payload["overlaps"].append(
                 {
                     "pair": [i, j],
-                    "in_chart_i": str(X.data.overlap(i, j)),
-                    "in_chart_j": str(X.data.overlap(j, i)),
+                    "in_chart_i": str(X.overlap(i, j)),
+                    "in_chart_j": str(X.overlap(j, i)),
                 }
             )
     if fmt == "json":

@@ -156,14 +156,14 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
             if fwd(back(v)) != v:
                 return f"chart {idx}: reverse roundtrip fails on {C.names[k]}"
         isos.append((fwd, back))
-    n_realized = sum(1 for q in Y.lat.data.patches if q.i < q.j)
-    n_original = sum(1 for P in X.data.patches if P.i < P.j)
+    n_realized = sum(1 for q in Y.lat.patches if q.i < q.j)
+    n_original = sum(1 for P in X.patches if P.i < P.j)
     if n_realized != n_original:
         return (
             f"realized top has {n_realized} patches where the original data "
             f"has {n_original}"
         )
-    for q in Y.lat.data.patches:
+    for q in Y.lat.patches:
         if q.i >= q.j:
             continue
         (i, _), (j, _) = pieces[q.i], pieces[q.j]
@@ -173,7 +173,7 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
         back_j = isos[q.j][1]
         f_orig = back_i(q.f)
         g_orig = back_j(q.g)
-        for P in X.data.patches_for(i, j):
+        for P in X.patches_for(i, j):
             if not (
                 eq(basic_open(X.charts[i], [f_orig]), basic_open(X.charts[i], [P.f]))
                 and eq(basic_open(X.charts[j], [g_orig]), basic_open(X.charts[j], [P.g]))
@@ -228,9 +228,10 @@ def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
     each m(f) is evaluated once.  A unit is nonzero when B is reduced (the
     B_e are fields), else ``try_invert`` decides.  Local: per sample, the
     atoms with a unit value are those where phi sends a generator of the
-    sample's support in chart c to a unit.  Roundtrip: ``_lowest_chart``
-    takes each atom's lowest chart map, the piece ``adjunction_flat`` reads
-    first, back to (c, phi).
+    sample's support in chart c to a unit.  Roundtrip: each atom's lowest
+    chart map, the piece ``adjunction_flat`` reads first, is (c, phi) itself.
+    That is what ``_lowest_chart`` would decide from it: a map on a chart
+    j < c puts the atom's lowest chart at j or below, never at c.
     """
     reduced = is_reduced(p.test_algebra)
 
@@ -252,8 +253,7 @@ def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
             local = local and unit == any(is_unit(phi(g)) for g in gens[c])
         values.append(tuple(row))
     lowest = [next((j, m) for j, m in enumerate(ms) if m is not None) for ms in maps]
-    back = [_lowest_chart(X, j, m) for (j, m) in lowest] if local else None
-    return tuple(values), local, back == [(c, phi) for (_, c, phi) in p.factors]
+    return tuple(values), local, local and lowest == [(c, phi) for (_, c, phi) in p.factors]
 
 
 def comparison_check(

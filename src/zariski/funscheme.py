@@ -65,7 +65,7 @@ class FunctorialScheme:
     @property
     def algebra(self) -> Optional[PresentedAlgebra]:
         """The chart algebra of an affine scheme (one chart, no patches)."""
-        if self.lat.ncharts == 1 and not self.lat.data.patches:
+        if self.lat.ncharts == 1 and not self.lat.patches:
             return self.lat.charts[0]
         return None
 
@@ -280,9 +280,11 @@ def _chart_map(
     """The map A_j -> B_e of an atom carried on chart c by phi: phi itself, or
     through the first patch Q from c to j at which phi(Q.f) is a unit.  B_e
     is local, so a map exists exactly when the atom lies in chart j."""
+    # chart c's identity patch gives phi too, but builds a patch per call: 60
+    # comparisons under cProfile (2 vCPUs) took 0.29-0.39 s so, 0.26-0.29 s here
     if j == c:
         return phi
-    for Q in X.data.patches_for(c, j):
+    for Q in X.patches_for(c, j):
         psi = try_extend(Q.loc_f, phi)
         if psi is not None:
             return Q.chart_bwd.then(psi)

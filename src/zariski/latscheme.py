@@ -1,9 +1,10 @@
 """Schemes as finite affine gluing data over a lattice of compact opens.
 
-A scheme is a list of chart algebras plus principal patches: for charts i
-and j, a patch records basic opens D(f) and D(g) on the two sides and a
-mutually inverse pair of algebra isomorphisms between the localizations.
-Construction validates the patch isomorphisms, agreement of multiple
+A scheme (``LatticeScheme``) is a list of chart algebras plus principal
+patches: for charts i and j, a patch records basic opens D(f) and D(g) on
+the two sides and a mutually inverse pair of algebra isomorphisms between
+the localizations; a chart meets itself in the identity patch on D(1).
+Construction validates each given patch isomorphism, agreement of multiple
 patches over one chart pair, and the triple-overlap (cocycle) condition,
 each by explicit normal-form comparisons inside a common localization.
 
@@ -67,7 +68,7 @@ class Patch:
     """One principal overlap piece between charts i and j.
 
     ``fwd`` and ``bwd`` are mutually inverse maps between (A_i)_f and
-    (A_j)_g; validation happens in GluingData, not here.
+    (A_j)_g; validation happens in LatticeScheme, not here.
     """
 
     __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "_chart_bwd")
@@ -141,10 +142,24 @@ def transport_piece(patch: Patch, h: AlgebraElement) -> AlgebraElement:
     return patch.g * extract_fraction(patch.loc_g, image)[0]
 
 
-class GluingData:
-    """Validated chart-and-patch data; the combinatorial core of a scheme."""
+class LatticeScheme:
+    """A scheme presented by validated chart-and-patch data.
 
-    __slots__ = ("charts", "patches", "_by_pair")
+    Construction stores each given patch with its mirror and, unless
+    ``validate`` is false, checks every given patch once, the agreement of
+    patches over one chart pair and the cocycle condition on every triple of
+    charts; a failure raises ``GluingError`` with its witness.  A chart meets
+    itself in the identity patch on D(1), which ``patches_for`` builds on
+    each call and which is never stored or validated.
+
+    ``_memo`` remembers values that depend on the scheme alone, for its
+    lifetime, and this module reads none of them: the realization of an
+    open U by ``("realized", U)`` (``funscheme.realization``, so its points
+    compare equal) and the comparison's sample plan by ``"plan"``
+    (``compare._sample_plan``).
+    """
+
+    __slots__ = ("charts", "patches", "_by_pair", "_memo")
 
     def __init__(
         self,
@@ -169,13 +184,26 @@ class GluingData:
         object.__setattr__(self, "charts", charts)
         object.__setattr__(self, "patches", tuple(full))
         object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_memo", {})
         if validate:
             self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GluingData is immutable")
+        raise AttributeError("LatticeScheme is immutable")
+
+    @property
+    def ncharts(self) -> int:
+        return len(self.charts)
+
+    def __repr__(self):
+        return f"LatticeScheme({self.ncharts} charts, {len(self.patches)//2} patches)"
 
     def patches_for(self, i: int, j: int) -> List[Patch]:
+        """The patches from chart i to chart j; for j == i, the identity patch."""
+        if i == j:
+            loc = make_localization(self.charts[i], self.charts[i].one)
+            ident = AlgebraMorphism.identity(loc.algebra)
+            return [Patch(i, i, loc, loc, ident, ident)]
         return self._by_pair.get((i, j), [])
 
     def overlap(self, i: int, j: int) -> ZarElement:
@@ -184,7 +212,7 @@ class GluingData:
 
     # -- validation -------------------------------------------------------
     def _validate(self):
-        for p in self.patches:
+        for p in self.patches[::2]:  # a mirror repeats its patch's checks
             self._check_patch_iso(p)
         pairs = sorted({(p.i, p.j) for p in self.patches if p.i < p.j})
         for (i, j) in pairs:
@@ -282,39 +310,8 @@ class GluingData:
                     )
 
 
-class LatticeScheme:
-    """A scheme presented by validated gluing data.
-
-    ``_memo`` remembers values that depend on the scheme alone, for its
-    lifetime, and this module reads none of them: the realization of an
-    open U by ``("realized", U)`` (``funscheme.realization``, so its points
-    compare equal) and the comparison's sample plan by ``"plan"``
-    (``compare._sample_plan``).
-    """
-
-    __slots__ = ("data", "_memo")
-
-    def __init__(self, data: GluingData):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LatticeScheme is immutable")
-
-    @property
-    def charts(self) -> Tuple[PresentedAlgebra, ...]:
-        return self.data.charts
-
-    @property
-    def ncharts(self) -> int:
-        return len(self.data.charts)
-
-    def __repr__(self):
-        return f"LatticeScheme({self.ncharts} charts, {len(self.data.patches)//2} patches)"
-
-
 def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
-    return LatticeScheme(GluingData([A], []))
+    return LatticeScheme([A])
 
 
 # -- compact opens ---------------------------------------------------------------
@@ -399,19 +396,17 @@ def bottom_open(X: LatticeScheme) -> CompactOpen:
 
 def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
     """The compact open generated by an open of one chart: transported
-    copies fill in the other charts' components, one ``transport_piece``
-    per patch and generator.  Nothing is remembered: the comparison keeps
-    the embedded sample supports in its plan (``compare._sample_plan``).
+    copies fill in every chart's component, one ``transport_piece`` per
+    patch and generator, chart i's own through its identity patch.  Nothing
+    is remembered: the comparison keeps the embedded sample supports in its
+    plan (``compare._sample_plan``).
     """
     if w.owner != X.charts[i]:
         raise ValueError("open does not live on the named chart")
     comps: List[ZarElement] = []
     for j, Aj in enumerate(X.charts):
-        if j == i:
-            comps.append(basic_open(Aj, list(w.generators)))
-            continue
         gens: List[AlgebraElement] = []
-        for p in X.data.patches_for(i, j):
+        for p in X.patches_for(i, j):
             for h in w.generators:
                 gens.append(transport_piece(p, h))
         comps.append(basic_open(Aj, gens))
@@ -485,7 +480,7 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
                         f"D({gens[l]}) disagree on the overlap: "
                         f"{a.value} vs {b.value}"
                     )
-    for p in X.data.patches:
+    for p in X.patches:
         if p.i > p.j:
             continue
         back = p.mirror()
@@ -689,8 +684,8 @@ def restrict_scheme(
     """The scheme below a compact open, plus its inclusion morphism into X.
 
     Charts of the result: one localization per basic generator of each
-    component of u.  Patches: collapses of X's patches, and the overlaps of
-    sibling pieces within one original chart.
+    component of u.  Patches: collapses of X's patches onto each pair of
+    pieces; two pieces of one chart collapse its identity patch.
     """
     pieces: List[Tuple[int, AlgebraElement, Localization]] = []
     for i, w in enumerate(u.components):
@@ -702,15 +697,7 @@ def restrict_scheme(
         for b in range(a + 1, len(pieces)):
             ia, ga, loca = pieces[a]
             ib, gb, locb = pieces[b]
-            if ia == ib:
-                f_new, g_new = loca.to_loc(gb), locb.to_loc(ga)
-                lf = make_localization(charts[a], f_new)
-                lg = make_localization(charts[b], g_new)
-                fwd = extend_over(loca, locb.to_loc.then(lg.to_loc))
-                bwd = extend_over(locb, loca.to_loc.then(lf.to_loc))
-                patches.append(make_patch(charts, a, b, f_new, g_new, fwd.images, bwd.images))
-                continue
-            for p in X.data.patches_for(ia, ib):
+            for p in X.patches_for(ia, ib):
                 f_new = loca.to_loc(transport_piece(p.mirror(), gb))
                 g_new = locb.to_loc(transport_piece(p, ga))
                 lf = make_localization(charts[a], f_new)
@@ -721,32 +708,20 @@ def restrict_scheme(
                 fwd = extend_over(loca, p.loc_f.to_loc.then(p.fwd).then(to_b))
                 bwd = extend_over(locb, p.chart_bwd.then(to_a))
                 patches.append(make_patch(charts, a, b, f_new, g_new, fwd.images, bwd.images))
-    Xu = LatticeScheme(GluingData(charts, patches, validate=False))
+    Xu = LatticeScheme(charts, patches, validate=False)
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
-        comps: List[ZarElement] = []
-        for idx, (i, g, loc) in enumerate(pieces):
-            if i == j:
-                comps.append(
-                    basic_open(charts[idx], [loc.to_loc(h) for h in w.generators])
-                )
-            else:
-                gens = []
-                for p in X.data.patches_for(j, i):
-                    for h in w.generators:
-                        gens.append(loc.to_loc(transport_piece(p, h)))
-                comps.append(basic_open(charts[idx], gens))
-        return CompactOpen(Xu, comps)
+        spread = embed_basic(X, j, w).components
+        return CompactOpen(Xu, [
+            basic_open(charts[idx], [loc.to_loc(h) for h in spread[i].generators])
+            for idx, (i, _, loc) in enumerate(pieces)
+        ])
 
     comorphisms = []
     for j in range(X.ncharts):
         out = []
-        for idx, (i, g, loc) in enumerate(pieces):
-            if i == j:
-                loc1 = make_localization(charts[idx], charts[idx].one)
-                out.append((idx, charts[idx].one, loc.to_loc.then(loc1.to_loc)))
-                continue
-            for p in X.data.patches_for(j, i):
+        for idx, (i, _, loc) in enumerate(pieces):
+            for p in X.patches_for(j, i):
                 piece_f = loc.to_loc(p.g)
                 loc_pf = make_localization(charts[idx], piece_f)
                 through = extend_over(p.loc_g, loc.to_loc.then(loc_pf.to_loc))
@@ -771,7 +746,7 @@ def projective_line(field) -> LatticeScheme:
     patch = make_patch(
         [A0, A1], 0, 1, t, s, [loc_s.inverse], [loc_t.inverse]
     )
-    return LatticeScheme(GluingData([A0, A1], [patch]))
+    return LatticeScheme([A0, A1], [patch])
 
 
 def punctured_plane(field) -> Tuple[LatticeScheme, CompactOpen, SchemeMorphism]:

@@ -34,7 +34,6 @@ from zariski.funscheme import (
 )
 from zariski.latscheme import (
     CompactOpen,
-    GluingData,
     LatticeScheme,
     SchemeMorphism,
     chart_variable_samples,
@@ -116,7 +115,7 @@ def projective_space(field, n: int) -> LatticeScheme:
         make_patch(charts, i, j, var(i, j), var(j, i), images(i, j), images(j, i))
         for i, j in itertools.combinations(range(n + 1), 2)
     ]
-    return LatticeScheme(GluingData(charts, patches))
+    return LatticeScheme(charts, patches)
 
 
 def product_of_points(p: int, k: int) -> PresentedAlgebra:
@@ -618,7 +617,7 @@ def lowest_chart_by_overlap(X, c, phi):
     criterion, the oracle for ``funscheme._lowest_chart``."""
     t_b = top(phi.target)
     return next(
-        (i for i in range(c) if eq(image_open(phi, X.data.overlap(c, i)), t_b)), c
+        (i for i in range(c) if eq(image_open(phi, X.overlap(c, i)), t_b)), c
     )
 
 

@@ -511,8 +511,8 @@ KNOWN_OPTIONS = {
     "compare.comparison_check.morphisms",
     "fields.Field.__init__.char",
     "groebner.divide.want_quotients",
-    "latscheme.GluingData.__init__.patches",
-    "latscheme.GluingData.__init__.validate",
+    "latscheme.LatticeScheme.__init__.patches",
+    "latscheme.LatticeScheme.__init__.validate",
     "parsing.parse_ring.order",
     "polynomials.MonomialOrder.__init__.kind",
     "polynomials.PolyRing.__init__.order",

@@ -58,7 +58,6 @@ from zariski.lattice import basic_open, eq, join, leq, meet, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
-    GluingData,
     LatticeScheme,
     SchemeMorphism,
     embed_basic,
@@ -269,7 +268,7 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
     t, s = A0.var(0), A1.var(0)
     inv_t, inv_s = make_localization(A0, t).inverse, make_localization(A1, s).inverse
     twisted = LatticeScheme(
-        GluingData(X.charts, [make_patch(X.charts, 0, 1, t, s, [2 * inv_s], [2 * inv_t])])
+        X.charts, [make_patch(X.charts, 0, 1, t, s, [2 * inv_s], [2 * inv_t])]
     )
     X._memo[("realized", top_open(X))] = realization(functorial(twisted), top_open(twisted)), None
     assert realization_certificate(functorial(X)) == (
@@ -750,7 +749,7 @@ def _count_morphism_building(monkeypatch):
     calls = []
     for name in (
         "point_morphism", "local_morphism_witness", "adjunction_flat",
-        "_collapse", "open_at_point",
+        "_collapse", "open_at_point", "_lowest_chart",
     ):
         inner = getattr(compare, name)
 

@@ -31,7 +31,7 @@ from zariski.lattice import basic_open, bottom, eq, top
 from zariski.latscheme import (
     CompactOpen,
     GlobalSection,
-    GluingData,
+    LatticeScheme,
     GluingError,
     SchemeMorphism,
     affine_hull_map,
@@ -87,11 +87,22 @@ def test_projective_line_constructs_and_overlaps(p1):
     A0, A1 = p1.charts
     t, s = A0.var(0), A1.var(0)
     assert p1.ncharts == 2
-    assert eq(p1.data.overlap(0, 1), basic_open(A0, [t]))
-    assert eq(p1.data.overlap(1, 0), basic_open(A1, [s]))
+    assert eq(p1.overlap(0, 1), basic_open(A0, [t]))
+    assert eq(p1.overlap(1, 0), basic_open(A1, [s]))
     # both orientations of the patch are stored
-    assert len(p1.data.patches_for(0, 1)) == 1
-    assert len(p1.data.patches_for(1, 0)) == 1
+    assert len(p1.patches_for(0, 1)) == 1
+    assert len(p1.patches_for(1, 0)) == 1
+
+
+def test_a_chart_meets_itself_in_the_identity_patch(p1, punctured):
+    for X in (p1, punctured[0]):
+        assert all(p.i != p.j for p in X.patches)  # never stored
+        for i, A in enumerate(X.charts):
+            (p,) = X.patches_for(i, i)
+            assert (p.i, p.j) == (i, i) and p.f == p.g == A.one
+            assert p.loc_f is p.loc_g is make_localization(A, A.one)
+            assert p.fwd == p.bwd == AlgebraMorphism.identity(p.loc_f.algebra)
+            assert eq(X.overlap(i, i), top(A))
 
 
 def test_doubled_origin_gluing_validates():
@@ -107,7 +118,7 @@ def test_doubled_origin_gluing_validates():
         [make_localization(A1, s).to_loc(s)],
         [make_localization(A0, t).to_loc(t)],
     )
-    X = GluingData([A0, A1], [doubled])
+    X = LatticeScheme([A0, A1], [doubled])
     assert len(X.patches) == 2  # the mirror is added
 
 
@@ -125,13 +136,13 @@ def test_non_inverse_transition_is_rejected():
             [make_localization(A1, s).to_loc(s)],  # forward: t -> s
             [make_localization(A0, t).inverse],  # backward: s -> 1/t
         )
-        GluingData([A0, A1], [bad])
+        LatticeScheme([A0, A1], [bad])
 
 
 def test_conflicting_patches_for_the_same_pair_are_rejected(p1):
     A0, A1 = p1.charts
     t, s = A0.var(0), A1.var(0)
-    honest = p1.data.patches_for(0, 1)[0]
+    honest = p1.patches_for(0, 1)[0]
     doubled = make_patch(
         [A0, A1],
         0,
@@ -142,37 +153,51 @@ def test_conflicting_patches_for_the_same_pair_are_rejected(p1):
         [make_localization(A0, t).to_loc(t)],
     )
     with pytest.raises(GluingError):
-        GluingData([A0, A1], [honest, doubled])
+        LatticeScheme([A0, A1], [honest, doubled])
+
+
+def test_the_projective_plane_checks_each_given_patch_once(monkeypatch):
+    checked = []
+    real = LatticeScheme._check_patch_iso
+
+    def counting(self, p):
+        checked.append((p.i, p.j))
+        real(self, p)
+
+    monkeypatch.setattr(LatticeScheme, "_check_patch_iso", counting)
+    projective_space(GF(3), 2)
+    # a mirror would repeat its patch's checks, so it is not checked
+    assert checked == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_the_projective_plane_validates_its_triple_overlaps(monkeypatch):
     checked = []
-    real = GluingData._check_cocycle
+    real = LatticeScheme._check_cocycle
 
     def counting(self, P, Q):
         checked.append((P.i, P.j, Q.j))
         real(self, P, Q)
 
-    monkeypatch.setattr(GluingData, "_check_cocycle", counting)
+    monkeypatch.setattr(LatticeScheme, "_check_cocycle", counting)
     X = projective_space(GF(3), 2)
-    assert X.ncharts == 3 and len(X.data.patches) == 6
+    assert X.ncharts == 3 and len(X.patches) == 6
     # one check per ordered triple of distinct charts
     assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 def test_a_twisted_transition_breaks_the_cocycle():
     X = projective_space(GF(3), 2)
-    P = X.data.patches_for(1, 2)[0]
+    P = X.patches_for(1, 2)[0]
     A2 = X.charts[2]
     # e -> 2e on chart 2, an involution over GF(3), extended to D(y)
     sigma = AlgebraMorphism(A2, A2, [2 * v for v in A2.gens()])
     twist = extend_over(P.loc_g, sigma.then(P.loc_g.to_loc))
     twisted = Patch(1, 2, P.loc_f, P.loc_g, P.fwd.then(twist), twist.then(P.bwd))
-    others = [q for q in X.data.patches if q.i < q.j and (q.i, q.j) != (1, 2)]
+    others = [q for q in X.patches if q.i < q.j and (q.i, q.j) != (1, 2)]
     # each patch alone is still an isomorphism: only the triple overlap fails
-    GluingData(X.charts, [twisted])
+    LatticeScheme(X.charts, [twisted])
     with pytest.raises(GluingError) as err:
-        GluingData(X.charts, others + [twisted])
+        LatticeScheme(X.charts, others + [twisted])
     assert str(err.value).startswith("cocycle violation on charts (0,1,2)")
 
 
@@ -180,7 +205,7 @@ def test_single_chart_scheme_from_an_algebra():
     A = qq_triple_point()
     X = mk_affine(A)
     assert X.ncharts == 1
-    assert X.data.patches == ()
+    assert X.patches == ()
 
 
 def test_locally_affine_data_for_the_identity():
@@ -210,6 +235,15 @@ def test_embedded_basic_opens_spread_across_charts(p1):
     w = embed_basic(p1, 0, basic_open(A0, [t - 1]))
     assert eq(w.components[1], basic_open(A1, [s])) is False
     assert compatible(w)
+
+
+def test_embedding_keeps_an_open_on_its_own_chart(p1, punctured):
+    for X in (p1, punctured[0]):
+        for i, A in enumerate(X.charts):
+            x = A.var(0)
+            samples = [top(A), bottom(A), basic_open(A, [x + 1]), basic_open(A, [x, x - 1])]
+            for w in samples + [basic_open(A, [v]) for v in A.gens()]:
+                assert embed_basic(X, i, w).components[i] == w
 
 
 def test_compact_open_lattice_operations(p1):
@@ -395,8 +429,10 @@ def test_punctured_plane_is_the_plane_away_from_the_origin(punctured):
     assert plane.ncharts == 1
     assert PP.ncharts == 2
     assert local_morphism_witness(inc) is None
-    originals = [p for p in PP.data.patches if p.i < p.j]
-    GluingData(PP.data.charts, originals, validate=True)  # re-validates
+    originals = [p for p in PP.patches if p.i < p.j]
+    LatticeScheme(PP.charts, originals, validate=True)  # re-validates
+    # the two pieces of the plane meet through its identity patch
+    assert repr(originals) == "[Patch(0->1: D(x) ~ D(y))]"
 
 
 def test_restricting_across_charts_gives_a_local_inclusion():
