@@ -61,12 +61,10 @@ from .latscheme import (
     top_open,
 )
 from .funscheme import (
-    FunctorialScheme,
     NonReducedAlgebraError,
     SchemePoint,
     check_locality,
     eval_points,
-    functorial,
     realization,
 )
 from .compare import (

@@ -32,7 +32,7 @@ from .algebra import (
     ExtractionCapError,
     make_localization,
 )
-from .funscheme import check_locality, eval_points, functorial
+from .funscheme import check_locality, eval_points
 from .compare import comparison_check
 from .groebner import GroebnerBasis
 from .lattice import ZarElement, basic_open, join, meet
@@ -642,11 +642,10 @@ def scheme_restrict(data_path, open_text, order, fmt) -> None:
 def points_cmd(data_path, over, order, fmt) -> None:
     """Enumerate the points of DATA over each finite field."""
     X = _load_scheme(data_path, order)
-    fun = functorial(X)
     payload = {}
     for B in _test_fields(over, X):
         rows = []
-        for p in eval_points(fun, B):
+        for p in eval_points(X, B):
             for (_, chart, phi) in p.factors:
                 rows.append((chart, tuple(str(v) for v in phi.images)))
         rows.sort()
@@ -727,7 +726,7 @@ def locality_check(data_path, algebra_path, pieces_text, order) -> None:
     except ValueError as exc:
         _input_error(f"{algebra_path}: {exc}")
     try:
-        verdict = check_locality(functorial(X), B, piece_els)
+        verdict = check_locality(X, B, piece_els)
     except ValueError as exc:
         _refute(f"locality check refused: {exc}")
     if not verdict:

@@ -1,8 +1,9 @@
 """The two scheme presentations compared extensionally.
 
-One side presents a scheme by chart-and-patch data with its lattice of
-compact opens and sections; the other evaluates a functor of points
-on finite test algebras.  This module carries points to scheme morphisms
+Both sides are one ``LatticeScheme``: its lattice of compact opens and
+sections on one side, its functor of points on finite test algebras
+(``funscheme``) on the other, and each point, open or morphism names the
+scheme it lives on.  This module carries points to scheme morphisms
 and back (an adjunction) and packages the comparison as one decision
 procedure over finite test algebras: point sets biject with hom sets,
 naturally in the test algebra, and the realization reproduces the chart
@@ -39,14 +40,12 @@ from .latscheme import (
     top_open,
 )
 from .funscheme import (
-    FunctorialScheme,
     SchemePoint,
     _atom_under,
     _chart_map,
     _lowest_chart,
     atomic_factors,
     eval_points,
-    functorial,
     is_reduced,
     map_point,
     open_at_point,
@@ -64,7 +63,7 @@ def _collapse(B: PresentedAlgebra, Bt: PresentedAlgebra, e: AlgebraElement) -> A
     return AlgebraMorphism(Bt, loc_e.algebra, [loc_e.to_loc(B.var(i)) for i in range(B.nvars)])
 
 
-def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
+def point_morphism(p: SchemePoint) -> SchemeMorphism:
     """The scheme morphism Spec(B) -> X carried by a point of X(B).
 
     It is built, not checked (``local_morphism_witness`` checks it): one
@@ -73,9 +72,7 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     collapse to B_e.  The comparison builds one only for the witness of a
     point its table turns down.
     """
-    if p.scheme.lat is not X:
-        raise ValueError("point does not belong to the given chart presentation")
-    B = p.test_algebra
+    X, B = p.scheme, p.test_algebra
     if "spec" not in B._memo:  # one Spec(B) for every point over B
         B._memo["spec"] = mk_affine(B)
     S = B._memo["spec"]
@@ -92,16 +89,14 @@ def point_morphism(X: LatticeScheme, p: SchemePoint) -> SchemeMorphism:
     return SchemeMorphism(S, X, chart_open, comorphisms)
 
 
-def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
+def adjunction_flat(pi: SchemeMorphism) -> SchemePoint:
     """Morphism Spec(B) -> X to the point of X(B) it evaluates to."""
-    X = fun.lat
-    if pi.target is not X:
-        raise ValueError("morphism does not land in the given scheme")
+    X = pi.target
     if pi.source.ncharts != 1:
         raise ValueError("the morphism's source must be one affine chart")
     B = pi.source.charts[0]
     if B.is_trivial():
-        return SchemePoint(fun, B, ())
+        return SchemePoint(X, B, ())
     factors = []
     for e, quot in atomic_factors(B):
         hit = None
@@ -118,34 +113,29 @@ def adjunction_flat(fun: FunctorialScheme, pi: SchemeMorphism) -> SchemePoint:
                 f"no comorphism piece of the morphism covers the atom {e}"
             )
         factors.append((e, *_lowest_chart(X, *hit)))
-    return SchemePoint(fun, B, factors)
+    return SchemePoint(X, B, factors)
 
 
-def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
+def realization_certificate(X: LatticeScheme) -> Optional[str]:
     """Check that realizing the top open reproduces the chart data.
 
     The realized charts are the localizations of the charts at 1; the
     certificate exhibits the mutually inverse chart isomorphisms and
-    matches the induced patches against the original ones.
+    matches the induced patches against the original ones.  The top open
+    has the one piece D(1) per chart, so realized chart i is chart i's.
     """
-    X = fun.lat
     t = top_open(X)
-    Y = realization(fun, t)
-    pieces = [(i, g) for i, w in enumerate(t.components) for g in w.generators]
-    if len(pieces) != X.ncharts or Y.lat.ncharts != len(pieces):
+    Y = realization(t)
+    if sum(len(w.generators) for w in t.components) != X.ncharts or Y.ncharts != X.ncharts:
         return "realized top does not have one chart per original chart"
     isos = []
-    for idx, (i, g) in enumerate(pieces):
-        A = X.charts[i]
-        if g != A.one:
-            return f"top generator of chart {i} is {g}, not 1"
-        loc = make_localization(A, g)
-        C = Y.lat.charts[idx]
+    for idx, A in enumerate(X.charts):
+        loc = make_localization(A, A.one)
+        C = Y.charts[idx]
         if C != loc.algebra:
             return f"realized chart {idx} is not the localization at 1"
         fwd = loc.to_loc
-        back_images = [A.var(k) for k in range(A.nvars)] + [A.one]
-        back = AlgebraMorphism(C, A, back_images)
+        back = AlgebraMorphism(C, A, [A.var(k) for k in range(A.nvars)] + [A.one])
         if not back.is_valid():
             return f"chart {idx}: inverse map is not a morphism"
         for k in range(A.nvars):
@@ -156,21 +146,19 @@ def realization_certificate(fun: FunctorialScheme) -> Optional[str]:
             if fwd(back(v)) != v:
                 return f"chart {idx}: reverse roundtrip fails on {C.names[k]}"
         isos.append((fwd, back))
-    n_realized = sum(1 for q in Y.lat.patches if q.i < q.j)
+    n_realized = sum(1 for q in Y.patches if q.i < q.j)
     n_original = sum(1 for P in X.patches if P.i < P.j)
     if n_realized != n_original:
         return (
             f"realized top has {n_realized} patches where the original data "
             f"has {n_original}"
         )
-    for q in Y.lat.patches:
+    for q in Y.patches:
         if q.i >= q.j:
             continue
-        (i, _), (j, _) = pieces[q.i], pieces[q.j]
-        if i == j:
-            return f"unexpected sibling patch inside chart {i} of the realized top"
-        fwd_i, back_i = isos[q.i]
-        back_j = isos[q.j][1]
+        i, j = q.i, q.j
+        fwd_i, back_i = isos[i]
+        back_j = isos[j][1]
         f_orig = back_i(q.f)
         g_orig = back_j(q.g)
         for P in X.patches_for(i, j):
@@ -279,14 +267,13 @@ def comparison_check(
     not rebuilt.  Finally check the realization certificate.  Returns
     (ok, report).
     """
-    fun = functorial(X)
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
     plan = _sample_plan(X)
     points_by_algebra: Dict[PresentedAlgebra, List[SchemePoint]] = {}
     tables: Dict[SchemePoint, tuple] = {}
     for B in test_algebras:
-        pts = points_by_algebra[B] = eval_points(fun, B)
+        pts = points_by_algebra[B] = eval_points(X, B)
         entry = {"algebra": repr(B), "count": len(pts)}
         report["counts"].append(len(pts))
         valid = roundtrip = True
@@ -296,7 +283,7 @@ def comparison_check(
             if not local:
                 valid = False
                 try:
-                    why = local_morphism_witness(point_morphism(X, p))
+                    why = local_morphism_witness(point_morphism(p))
                 except ValueError as exc:
                     entry["witness"] = str(exc)
                 else:
@@ -307,7 +294,7 @@ def comparison_check(
                 break
             if not back_ok:
                 roundtrip = False
-                back = adjunction_flat(fun, point_morphism(X, p))
+                back = adjunction_flat(point_morphism(p))
                 entry["witness"] = (
                     f"flat(sharp({p!r})) = {back!r}" if back != p
                     else f"the per-atom roundtrip misses {p!r}, adjunction_flat returns it"
@@ -337,13 +324,13 @@ def comparison_check(
     for chi in morphisms:
         B = chi.source
         if B not in points_by_algebra:
-            points_by_algebra[B] = eval_points(fun, B)
+            points_by_algebra[B] = eval_points(X, B)
         atoms = [e for (e, _) in atomic_factors(B)]
         pushes = [
             (_atom_under(atoms, chi, t), chi.then(t)) for (_, t) in atomic_factors(chi.target)
         ]
         for p in points_by_algebra[B]:
-            q = map_point(fun, p, chi)
+            q = map_point(p, chi)
             got = (tables.get(q) or _atom_table(X, q, plan))[0]
             pushed = tuple(
                 tuple(None if row[i] is None else to(B.element(row[i].poly)) for (i, to) in pushes)
@@ -362,7 +349,7 @@ def comparison_check(
             break
     report["natural"] = natural
     ok = ok and natural
-    cert = realization_certificate(fun)
+    cert = realization_certificate(X)
     report["realization"] = cert if cert is not None else "ok"
     ok = ok and cert is None
     return ok, report

@@ -1,17 +1,16 @@
 """Schemes as functors of points on finitely presented algebras.
 
-A functorial scheme is the functor of points of chart-and-patch data, the
-same data that presents a lattice scheme; an affine scheme is the case of
-one chart and no patches.  Its points over a finite test algebra B are
-computed exactly: B splits along its atomic idempotents into local
-factors B_e, and each factor's points are the chart homs kept at their
-lowest chart.  A point over a local ring lies in chart j exactly when some
-patch denominator to chart j maps to a unit, so one chart map
-(``_chart_map``) places every point, over reduced B or not.  Compact opens
-of the functor are compact opens of the underlying chart data and evaluate
-pointwise to basic opens of B; locality (the equalizer condition along a
-cover of B) and the realization of a compact open as a scheme of its own
-are decidable at this scale.
+The functor of points of a scheme is read off the same ``LatticeScheme``
+that presents it as a locally ringed lattice, and a point names that
+scheme.  An affine scheme is the case of one chart and no patches.  Points
+over a finite test algebra B are computed exactly: B splits along its
+atomic idempotents into local factors B_e, and each factor's points are
+the chart homs kept at their lowest chart.  A point over a local ring lies
+in chart j exactly when some patch denominator to chart j maps to a unit,
+so one chart map (``_chart_map``) places every point, over reduced B or
+not.  Compact opens of the scheme evaluate pointwise to basic opens of B;
+locality (the equalizer condition along a cover of B) and the realization
+of a compact open as a scheme of its own are decidable at this scale.
 """
 
 from __future__ import annotations
@@ -43,45 +42,14 @@ class NonReducedAlgebraError(ValueError):
     """A test algebra's atoms do not decompose it as they must."""
 
 
-class FunctorialScheme:
-    """A scheme presented as a functor of points.
-
-    ``lat`` is the chart presentation; points are evaluated chart by chart
-    and compact opens of the functor live over it.
-    """
-
-    __slots__ = ("lat",)
-
-    def __init__(self, lat: LatticeScheme):
-        object.__setattr__(self, "lat", lat)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FunctorialScheme is immutable")
-
-    @property
-    def charts(self) -> Tuple[PresentedAlgebra, ...]:
-        return self.lat.charts
-
-    @property
-    def algebra(self) -> Optional[PresentedAlgebra]:
-        """The chart algebra of an affine scheme (one chart, no patches)."""
-        if self.lat.ncharts == 1 and not self.lat.patches:
-            return self.lat.charts[0]
-        return None
-
-    def __repr__(self):
-        if self.algebra is not None:
-            return f"Sp({self.algebra!r})"
-        return f"FunctorialScheme({self.lat.ncharts} charts)"
-
-
-def functorial(X: LatticeScheme) -> FunctorialScheme:
-    """Wrap a chart presentation as a functor of points."""
-    return FunctorialScheme(X)
+def functorial(X: LatticeScheme) -> LatticeScheme:
+    """The functor of points of X, which is X itself: both sides read the
+    same charts and patches.  Kept for the benchmark workloads that call it."""
+    return X
 
 
 class SchemePoint:
-    """A point of a functorial scheme over a test algebra B.
+    """A point of a scheme over a test algebra B.
 
     ``factors`` lists (idempotent e, chart index, morphism chart -> B/(1-e))
     over the atomic idempotent decomposition of B; each factor's chart index
@@ -94,7 +62,7 @@ class SchemePoint:
 
     def __init__(
         self,
-        scheme: FunctorialScheme,
+        scheme: LatticeScheme,
         test_algebra: PresentedAlgebra,
         factors: Sequence[Tuple[AlgebraElement, int, AlgebraMorphism]],
     ):
@@ -302,7 +270,7 @@ def _lowest_chart(
     return c, phi
 
 
-def eval_points(X: FunctorialScheme, B: PresentedAlgebra) -> List[SchemePoint]:
+def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     """All points of X over the finite test algebra B, canonically represented.
 
     B splits along its atomic idempotents into local factors, and each
@@ -317,15 +285,14 @@ def eval_points(X: FunctorialScheme, B: PresentedAlgebra) -> List[SchemePoint]:
             (e, j, beta)
             for j, A in enumerate(X.charts)
             for beta in enumerate_homs(A, to_factor.target)
-            if j == 0 or _lowest_chart(X.lat, j, beta)[0] == j
+            if j == 0 or _lowest_chart(X, j, beta)[0] == j
         ])
     return [SchemePoint(X, B, list(combo)) for combo in _iproduct(*per_atom)]
 
 
 def open_at_point(U: CompactOpen, p: SchemePoint) -> ZarElement:
     """Evaluate a compact open at a point: a basic open of B."""
-    X = p.scheme
-    if U.owner is not X.lat:
+    if U.owner is not p.scheme:
         raise ValueError("open does not live on the point's scheme")
     B = p.test_algebra
     gens: List[AlgebraElement] = []
@@ -354,11 +321,9 @@ def _atom_under(
     )
 
 
-def map_point(
-    X: FunctorialScheme, p: SchemePoint, chi: AlgebraMorphism
-) -> SchemePoint:
+def map_point(p: SchemePoint, chi: AlgebraMorphism) -> SchemePoint:
     """Push a point of X(B) forward along chi : B -> B2."""
-    B, B2 = p.test_algebra, chi.target
+    X, B, B2 = p.scheme, p.test_algebra, chi.target
     if B != chi.source:
         raise ValueError("point does not live over the morphism's source")
     if B2.is_trivial():
@@ -368,33 +333,29 @@ def map_point(
         _, j, phi = p.factors[_atom_under([e for (e, _, _) in p.factors], chi, to_factor)]
         images = [to_factor(chi(B.element(v.poly))) for v in phi.images]
         psi = AlgebraMorphism(X.charts[j], to_factor.target, images)
-        factors2.append((e2, *_lowest_chart(X.lat, j, psi)))
+        factors2.append((e2, *_lowest_chart(X, j, psi)))
     return SchemePoint(X, B2, factors2)
 
 
 # -- realization of a compact open ---------------------------------------------------
 
 
-def _realized(U: CompactOpen) -> Tuple[FunctorialScheme, SchemeMorphism]:
-    """The realization of U with its inclusion, remembered on U's scheme."""
+def _realized(U: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
+    """``restrict_scheme(X, U)``, the realization of U with its inclusion,
+    remembered on U's scheme X in ``X._memo[("realized", U)]``."""
     key = ("realized", U)
-    got = U.owner._memo.get(key)
-    if got is None:
-        Xu, inc = restrict_scheme(U.owner, U)
-        got = (FunctorialScheme(Xu), inc)
-        U.owner._memo[key] = got
-    return got
+    if key not in U.owner._memo:
+        U.owner._memo[key] = restrict_scheme(U.owner, U)
+    return U.owner._memo[key]
 
 
-def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
+def realization(U: CompactOpen) -> LatticeScheme:
     """The compact open U as a scheme of its own.
 
     Glued from one localized chart per basic piece of U, so a single piece
     realizes to the affine scheme of the localization.  Kept with U's
-    inclusion in ``X.lat._memo[("realized", U)]``, so its points compare equal.
+    inclusion on U's scheme (``_realized``), so its points compare equal.
     """
-    if U.owner is not X.lat:
-        raise ValueError("open does not live on the scheme")
     return _realized(U)[0]
 
 
@@ -402,7 +363,7 @@ def realization(X: FunctorialScheme, U: CompactOpen) -> FunctorialScheme:
 
 
 def check_locality(
-    X: FunctorialScheme, B: PresentedAlgebra, pieces: Sequence[AlgebraElement]
+    X: LatticeScheme, B: PresentedAlgebra, pieces: Sequence[AlgebraElement]
 ) -> bool:
     """X(B) is exactly the matching families along the cover {D(f)} of B.
 
@@ -416,7 +377,7 @@ def check_locality(
         raise ValueError("the given elements do not cover the test algebra")
     locs = [make_localization(B, f) for f in pieces]
     global_points = eval_points(X, B)
-    restricted = {tuple(map_point(X, p, loc.to_loc) for loc in locs) for p in global_points}
+    restricted = {tuple(map_point(p, loc.to_loc) for loc in locs) for p in global_points}
     if len(restricted) != len(global_points):
         return False
     rows = []  # per piece i: each point of X(B_fi) as its images on the overlaps D(fi*fj)
@@ -427,7 +388,7 @@ def check_locality(
             if j != i
         ]
         local_points = eval_points(X, loc.algebra)
-        rows.append([{j: map_point(X, p, m) for j, m in maps} for p in local_points])
+        rows.append([{j: map_point(p, m) for j, m in maps} for p in local_points])
     families: List[tuple] = [()]
     for k, piece_rows in enumerate(rows):
         families = [

@@ -152,11 +152,14 @@ class LatticeScheme:
     itself in the identity patch on D(1), which ``patches_for`` builds on
     each call and which is never stored or validated.
 
+    The same object is the scheme's functor of points (``funscheme``), and
+    the points, opens and morphisms of the scheme name it.
     ``_memo`` remembers values that depend on the scheme alone, for its
     lifetime, and this module reads none of them: the realization of an
-    open U by ``("realized", U)`` (``funscheme.realization``, so its points
-    compare equal) and the comparison's sample plan by ``"plan"``
-    (``compare._sample_plan``).
+    open U with its inclusion, ``restrict_scheme(X, U)``, by
+    ``("realized", U)`` (``funscheme._realized``, so the points of one
+    realization compare equal) and the comparison's sample plan by
+    ``"plan"`` (``compare._sample_plan``).
     """
 
     __slots__ = ("charts", "patches", "_by_pair", "_memo")
@@ -212,6 +215,18 @@ class LatticeScheme:
 
     # -- validation -------------------------------------------------------
     def _validate(self):
+        """Check the given patches, their agreement per chart pair and the
+        cocycle condition S(i,j,k): where phi_jk(phi_ij(x)) is defined, x
+        lies in U_ik and phi_ik(x) is that value.  S is checked for i < k
+        only, as S(i,j,k) implies S(k,j,i).  Take z in U_kj with y = phi_kj(z)
+        in U_ji, and put x = phi_ji(y).  The patch maps are mutual inverses
+        (``_check_patch_iso`` runs first), so phi_ij(x) = y lies in U_jk, and
+        S(i,j,k) gives x in U_ik with phi_ik(x) = phi_jk(y) = z: z lies in
+        U_ki and phi_ki(z) = x = phi_ji(phi_kj(z)).  This holds on T-valued
+        points, so for non-reduced charts too.  A failing S(k,j,i) comes after
+        its failing twin in the order of (i, j, k), so the first witness is
+        the one all six orderings would give.
+        """
         for p in self.patches[::2]:  # a mirror repeats its patch's checks
             self._check_patch_iso(p)
         pairs = sorted({(p.i, p.j) for p in self.patches if p.i < p.j})
@@ -223,8 +238,8 @@ class LatticeScheme:
         n = len(self.charts)
         for i in range(n):
             for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) < 3:
+                for k in range(i + 1, n):
+                    if j == i or j == k:
                         continue
                     for P in self.patches_for(i, j):
                         for Q in self.patches_for(j, k):

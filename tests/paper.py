@@ -21,7 +21,7 @@ from zariski.algebra import (
     extract_fraction,
     make_localization,
 )
-from zariski.funscheme import FunctorialScheme, _realized
+from zariski.funscheme import _realized
 from zariski.lattice import ZarElement, basic_open, bottom, eq, join, leq, meet, top
 from zariski.latscheme import (
     CompactOpen,
@@ -330,32 +330,31 @@ def _solve_fraction_over(
 # -- the functor side -----------------------------------------------------------------
 
 
-def ring_of_functions(X: FunctorialScheme):
+def ring_of_functions(X: LatticeScheme):
     """The functions on X: the chart algebra itself when X is affine, else
     the top compact open, whose sections they are."""
-    A = X.algebra
-    if A is not None:
-        return A
-    return top_open(X.lat)
+    if X.ncharts == 1 and not X.patches:
+        return X.charts[0]
+    return top_open(X)
 
 
-def open_from_realization(
-    X: FunctorialScheme, U: CompactOpen, W: CompactOpen
-) -> CompactOpen:
-    """Carry a compact open of the realization back into X (below U)."""
-    if W.owner is not _realized(U)[0].lat:
+def open_from_realization(U: CompactOpen, W: CompactOpen) -> CompactOpen:
+    """Carry a compact open of the realization back into U's scheme X
+    (below U)."""
+    X = U.owner
+    if W.owner is not _realized(U)[0]:
         raise ValueError("open does not live on the realization")
     pieces: List[Tuple[int, AlgebraElement]] = []
     for i, w in enumerate(U.components):
         for g in w.generators:
             pieces.append((i, g))
-    comps: List[List[AlgebraElement]] = [[] for _ in range(X.lat.ncharts)]
+    comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
     for idx, (i, g) in enumerate(pieces):
-        loc = make_localization(X.lat.charts[i], g)
+        loc = make_localization(X.charts[i], g)
         for h in W.components[idx].generators:
             num, _ = extract_fraction(loc, h)
             comps[i].append(g * num)
     return CompactOpen(
-        X.lat,
-        [basic_open(X.lat.charts[i], comps[i]) for i in range(X.lat.ncharts)],
+        X,
+        [basic_open(X.charts[i], comps[i]) for i in range(X.ncharts)],
     )

@@ -28,7 +28,6 @@ from zariski.funscheme import (
     SchemePoint,
     _lowest_chart,
     _realized,
-    functorial,
     map_point,
     realization,
 )
@@ -56,16 +55,16 @@ def qq_xy() -> PresentedAlgebra:
 
 
 def affine_line(field):
-    return functorial(mk_affine(PresentedAlgebra(PolyRing(field, ["x"]))))
+    return mk_affine(PresentedAlgebra(PolyRing(field, ["x"])))
 
 
 def affine_plane(field):
-    return functorial(mk_affine(PresentedAlgebra(PolyRing(field, ["x", "y"]))))
+    return mk_affine(PresentedAlgebra(PolyRing(field, ["x", "y"])))
 
 
 def multiplicative_group(field):
-    A = affine_plane(field).algebra
-    return functorial(mk_affine(A.with_relations([(A.var(0) * A.var(1) - 1).poly])))
+    A = affine_plane(field).charts[0]
+    return mk_affine(A.with_relations([(A.var(0) * A.var(1) - 1).poly]))
 
 
 def gf5_circle() -> PresentedAlgebra:
@@ -342,7 +341,7 @@ def locality_by_product(X, B, pieces):
         raise ValueError("the given elements do not cover the test algebra")
     locs = [make_localization(B, f) for f in pieces]
     global_points = funscheme.eval_points(X, B)
-    restricted = {tuple(map_point(X, p, loc.to_loc) for loc in locs) for p in global_points}
+    restricted = {tuple(map_point(p, loc.to_loc) for loc in locs) for p in global_points}
     if len(restricted) != len(global_points):
         return False
     local_points = [funscheme.eval_points(X, loc.algebra) for loc in locs]
@@ -350,7 +349,7 @@ def locality_by_product(X, B, pieces):
 
     def restricted(i, j):  # the points of piece i restricted to D(f_i * f_j)
         to_overlap = restriction_map(locs[i], make_localization(B, pieces[i] * pieces[j]))
-        return [map_point(X, q, to_overlap) for q in local_points[i]]
+        return [map_point(q, to_overlap) for q in local_points[i]]
 
     images = [{j: restricted(i, j) for j in range(n) if j != i} for i in range(n)]
     matching = sum(
@@ -364,17 +363,17 @@ def locality_by_product(X, B, pieces):
     return matching == len(global_points)
 
 
-def natural_by_pullbacks(X, p, chi):
+def natural_by_pullbacks(p, chi):
     """Whether the naturality square of the point p of X(B) along chi : B ->
     B2 commutes on opens: the morphism of ``map_point(p, chi)`` pulls each
     of ``sample_opens(X)`` back to chi's image of the pullback along p's
     morphism.  The oracle for the naturality verdict of
     ``compare.comparison_check``."""
-    pi_p = point_morphism(X, p)
-    pi_q = point_morphism(X, map_point(p.scheme, p, chi))
+    pi_p = point_morphism(p)
+    pi_q = point_morphism(map_point(p, chi))
     return all(
         eq(pi_q.pullback(u).components[0], image_open(chi, pi_p.pullback(u).components[0]))
-        for u in sample_opens(X)
+        for u in sample_opens(p.scheme)
     )
 
 
@@ -564,9 +563,10 @@ def fraction_calls(run):
 def as_hom(p):
     """The morphism ``A -> B`` a point of an affine scheme is, reassembled
     from its factor morphisms: a(x) is the sum over atoms of e * phi_e(x)."""
-    A = p.scheme.algebra
-    if A is None:
+    X = p.scheme
+    if X.ncharts != 1 or X.patches:
         raise ValueError("not a point of an affine scheme")
+    A = X.charts[0]
     B = p.test_algebra
     if len(p.factors) == 1 and p.factors[0][0] == B.one:
         return p.factors[0][2]
@@ -583,7 +583,7 @@ def section_value_at_point(s, p):
     """The value in B of a section over the top open at a point of the same
     scheme: on each atom, the chart value carried by the point's chart map."""
     X = s.scheme
-    if p.scheme.lat is not X:
+    if p.scheme is not X:
         raise ValueError("point does not live on the section's scheme")
     B = p.test_algebra
     total = B.zero
@@ -597,18 +597,18 @@ def section_value_at_point(s, p):
     return total
 
 
-def carry_point_in(fun, u, rp):
+def carry_point_in(u, rp):
     """Push a point of the realization of ``u`` along the inclusion into the
     ambient scheme: compose each atom's chart map with ``A_i -> (A_i)_g``."""
-    if rp.scheme is not realization(fun, u):
+    if rp.scheme is not realization(u):
         raise ValueError("point does not live on the realization of the open")
     pieces = [(i, g) for i, w in enumerate(u.components) for g in w.generators]
-    factors = []
+    X, factors = u.owner, []
     for (e, idx, phi) in rp.factors:
         parent, g = pieces[idx]
-        hom = make_localization(fun.lat.charts[parent], g).to_loc.then(phi)
-        factors.append((e, *_lowest_chart(fun.lat, parent, hom)))
-    return SchemePoint(fun, rp.test_algebra, factors)
+        hom = make_localization(X.charts[parent], g).to_loc.then(phi)
+        factors.append((e, *_lowest_chart(X, parent, hom)))
+    return SchemePoint(X, rp.test_algebra, factors)
 
 
 def lowest_chart_by_overlap(X, c, phi):
@@ -621,7 +621,7 @@ def lowest_chart_by_overlap(X, c, phi):
     )
 
 
-def open_to_realization(X, U, V):
+def open_to_realization(U, V):
     """A compact open ``V <= U`` of X carried to the realization of U, by
     pulling back along its inclusion: the oracle that
     ``open_from_realization`` inverts."""

@@ -50,7 +50,6 @@ from zariski.funscheme import (
     _realized,
     atomic_factors,
     eval_points,
-    functorial,
     open_at_point,
     realization,
 )
@@ -95,19 +94,19 @@ def affine_line(p: int):
 
 
 @pytest.fixture(scope="module")
-def fun_a1():
+def a1():
     A1 = PresentedAlgebra(PolyRing(GF(3), ["x"]))
-    return functorial(mk_affine(A1))
+    return mk_affine(A1)
 
 
 @pytest.fixture(scope="module")
-def fun_p13():
-    return functorial(projective_line(GF(3)))
+def p13():
+    return projective_line(GF(3))
 
 
-def local_point_morphism(fun, p):
+def local_point_morphism(p):
     """The morphism a point carries, checked to be local."""
-    pi = point_morphism(fun.lat, p)
+    pi = point_morphism(p)
     assert local_morphism_witness(pi) is None
     return pi
 
@@ -115,34 +114,34 @@ def local_point_morphism(fun, p):
 # -- points become validated morphisms and come back --------------------------------
 
 
-def test_affine_points_round_trip_through_the_adjunction(fun_a1):
-    pts = eval_points(fun_a1, F3)
+def test_affine_points_round_trip_through_the_adjunction(a1):
+    pts = eval_points(a1, F3)
     assert len(pts) == O.FROZEN_POINT_COUNTS[("affine_line", 3)]
-    A1 = fun_a1.algebra
+    A1 = a1.charts[0]
     assert [as_hom(p) for p in pts] == enumerate_homs(A1, F3)
     for p in pts:
-        pi = local_point_morphism(fun_a1, p)
-        assert adjunction_flat(fun_a1, pi) == p
+        pi = local_point_morphism(p)
+        assert adjunction_flat(pi) == p
 
 
-def test_projective_points_round_trip_through_the_adjunction(fun_p13):
-    pts = eval_points(fun_p13, F3)
+def test_projective_points_round_trip_through_the_adjunction(p13):
+    pts = eval_points(p13, F3)
     assert len(pts) == O.FROZEN_POINT_COUNTS[("projective_line", 3)]
     for p in pts:
-        pi = local_point_morphism(fun_p13, p)
-        assert adjunction_flat(fun_p13, pi) == p
+        pi = local_point_morphism(p)
+        assert adjunction_flat(pi) == p
 
 
-def test_the_trivial_test_algebra_has_exactly_one_point(fun_a1):
+def test_the_trivial_test_algebra_has_exactly_one_point(a1):
     TRIV = F3.with_relations([F3.one.poly])
-    assert len(eval_points(fun_a1, TRIV)) == 1
+    assert len(eval_points(a1, TRIV)) == 1
 
 
-def test_distinct_points_carry_extensionally_distinct_morphisms(fun_p13):
-    opens = sample_opens(fun_p13.lat)
+def test_distinct_points_carry_extensionally_distinct_morphisms(p13):
+    opens = sample_opens(p13)
     for B in (F3, gf3_split()):
-        pts = eval_points(fun_p13, B)
-        sharp = [local_point_morphism(fun_p13, p) for p in pts]
+        pts = eval_points(p13, B)
+        sharp = [local_point_morphism(p) for p in pts]
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
                 assert not morphisms_agree(sharp[a], sharp[b], opens)
@@ -155,9 +154,9 @@ def test_distinct_points_carry_extensionally_distinct_morphisms(fun_p13):
 )
 def test_every_point_morphism_agrees_with_itself(X, B):
     opens = sample_opens(X)
-    for p in eval_points(functorial(X), B):
-        pi = point_morphism(X, p)
-        assert morphisms_agree(pi, point_morphism(X, p), opens)
+    for p in eval_points(X, B):
+        pi = point_morphism(p)
+        assert morphisms_agree(pi, point_morphism(p), opens)
         assert morphisms_agree(pi, pi, opens)  # one object on both sides
 
 
@@ -169,49 +168,49 @@ def test_repeated_pullbacks_equal_a_fresh_morphisms():
     A0 = X.charts[0]
     loc1 = make_localization(A0, A0.one)
     value = loc1.to_loc(A0.var(0))
-    for p in eval_points(functorial(X), gf3_split()):
-        pi = point_morphism(X, p)
+    for p in eval_points(X, gf3_split()):
+        pi = point_morphism(p)
         assert not hasattr(pi, "_memo")
         assert local_morphism_witness(pi) is None
         for u in opens:
             first = pi.pullback(u)
             assert pi.pullback(u) == first
-            assert point_morphism(X, p).pullback(u) == first
+            assert point_morphism(p).pullback(u) == first
         pieces = pi.pull_basic(0, A0.one, value)
         assert isinstance(pieces, tuple)
         assert pi.pull_basic(0, A0.one, value) == pieces
-        assert point_morphism(X, p).pull_basic(0, A0.one, value) == pieces
+        assert point_morphism(p).pull_basic(0, A0.one, value) == pieces
 
 
-def test_point_morphisms_of_products_round_trip(fun_p13):
+def test_point_morphisms_of_products_round_trip(p13):
     D3 = product_of_points(3, 2)
-    pts = eval_points(fun_p13, D3)
+    pts = eval_points(p13, D3)
     assert len(pts) == O.FROZEN_PRODUCT_COUNTS[("projective_line", 3, 2)]
     for p in pts[:4]:
-        pi = local_point_morphism(fun_p13, p)
-        assert adjunction_flat(fun_p13, pi) == p
+        pi = local_point_morphism(p)
+        assert adjunction_flat(pi) == p
 
 
 # -- compact opens act pointwise ------------------------------------------------------
 
 
-def test_opens_act_pointwise_preserving_the_lattice(fun_p13):
-    X = fun_p13.lat
+def test_opens_act_pointwise_preserving_the_lattice(p13):
+    X = p13
     A0, A1 = X.charts
     u_t = embed_basic(X, 0, basic_open(A0, [A0.var(0)]))
     u_inf = embed_basic(X, 1, basic_open(A1, [A1.var(0)]))
-    for p in eval_points(fun_p13, F3):
+    for p in eval_points(p13, F3):
         at = open_at_point
         assert eq(at(u_t.join(u_inf), p), join(at(u_t, p), at(u_inf, p)))
         assert eq(at(u_t.meet(u_inf), p), meet(at(u_t, p), at(u_inf, p)))
         assert eq(at(top_open(X), p), top(F3))
 
 
-def test_membership_counts_on_the_projective_line(fun_p13):
-    X = fun_p13.lat
+def test_membership_counts_on_the_projective_line(p13):
+    X = p13
     A0 = X.charts[0]
     u_t = embed_basic(X, 0, basic_open(A0, [A0.var(0)]))
-    pts = eval_points(fun_p13, F3)
+    pts = eval_points(p13, F3)
     assert sum(1 for p in pts if eq(open_at_point(u_t, p), top(F3))) == 2  # misses 0 and infinity
 
 
@@ -223,16 +222,15 @@ def _assert_realized_points_biject_with_members(B, X, u):
     the points of X(B) in u, each once; and the morphism a pushed point
     carries pulls each sample open back as the realized point's morphism
     pulls back the open's preimage in u.  Returns the realized points."""
-    fun = functorial(X)
     Xu, inc = _realized(u)
     inner = eval_points(Xu, B)
-    carried = [carry_point_in(fun, u, p) for p in inner]
+    carried = [carry_point_in(u, p) for p in inner]
     assert len(set(carried)) == len(carried)
-    assert set(carried) == {q for q in eval_points(fun, B) if eq(open_at_point(u, q), top(B))}
+    assert set(carried) == {q for q in eval_points(X, B) if eq(open_at_point(u, q), top(B))}
     opens = sample_opens(X)
     preimages = [inc.pullback(U) for U in opens]
     for p, q in zip(inner, carried):
-        here, there = point_morphism(Xu.lat, p), point_morphism(X, q)
+        here, there = point_morphism(p), point_morphism(q)
         for U, V in zip(opens, preimages):
             assert there.pullback(U).eq(here.pullback(V)), (p, U)
     return inner
@@ -253,11 +251,11 @@ def test_realized_points_of_random_opens_biject_with_members(B, data):
     _assert_realized_points_biject_with_members(B, *data.draw(affine_opens(B.field)))
 
 
-def test_realization_certificates_hold_for_the_fixtures(fun_a1, fun_p13):
-    assert realization_certificate(fun_a1) is None
-    assert realization_certificate(fun_p13) is None
+def test_realization_certificates_hold_for_the_fixtures(a1, p13):
+    assert realization_certificate(a1) is None
+    assert realization_certificate(p13) is None
     Xu, _, _ = punctured_plane(GF(3))
-    assert realization_certificate(functorial(Xu)) is None
+    assert realization_certificate(Xu) is None
 
 
 def test_a_realized_patch_that_glues_differently_is_refuted():
@@ -270,8 +268,8 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
     twisted = LatticeScheme(
         X.charts, [make_patch(X.charts, 0, 1, t, s, [2 * inv_s], [2 * inv_t])]
     )
-    X._memo[("realized", top_open(X))] = realization(functorial(twisted), top_open(twisted)), None
-    assert realization_certificate(functorial(X)) == (
+    X._memo[("realized", top_open(X))] = realization(top_open(twisted)), None
+    assert realization_certificate(X) == (
         "realized patch between charts 0 and 1 at D(t) does not match any original patch"
     )
 
@@ -279,51 +277,51 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
 # -- sections and supports ----------------------------------------------------------------
 
 
-def test_section_support_over_the_whole_line(fun_a1):
-    A1 = fun_a1.algebra
-    t_top = top_open(fun_a1.lat)
-    Y_top = realization(fun_a1, t_top)
+def test_section_support_over_the_whole_line(a1):
+    A1 = a1.charts[0]
+    t_top = top_open(a1)
+    Y_top = realization(t_top)
     assert isinstance(ring_of_functions(Y_top), PresentedAlgebra)
-    C_top = Y_top.lat.charts[0]
+    C_top = Y_top.charts[0]
     loc_top = make_localization(C_top, C_top.one)
-    s_x = GlobalSection(Y_top.lat, top_open(Y_top.lat), [[loc_top.to_loc(C_top.var(0))]])
-    W = invertibility_support_scheme(Y_top.lat, top_open(Y_top.lat), s_x)
-    supp = open_from_realization(fun_a1, t_top, W)
+    s_x = GlobalSection(Y_top, top_open(Y_top), [[loc_top.to_loc(C_top.var(0))]])
+    W = invertibility_support_scheme(Y_top, top_open(Y_top), s_x)
+    supp = open_from_realization(t_top, W)
     assert eq(supp.components[0], basic_open(A1, [A1.var(0)]))
 
 
-def test_section_support_over_a_smaller_open_multiplies_in(fun_a1):
-    A1 = fun_a1.algebra
+def test_section_support_over_a_smaller_open_multiplies_in(a1):
+    A1 = a1.charts[0]
     x = A1.var(0)
-    u_shift = embed_basic(fun_a1.lat, 0, basic_open(A1, [x + A1.one]))
-    Y_u = realization(fun_a1, u_shift)
-    C_u = Y_u.lat.charts[0]
+    u_shift = embed_basic(a1, 0, basic_open(A1, [x + A1.one]))
+    Y_u = realization(u_shift)
+    C_u = Y_u.charts[0]
     loc_u = make_localization(C_u, C_u.one)
-    s_xu = GlobalSection(Y_u.lat, top_open(Y_u.lat), [[loc_u.to_loc(C_u.var(0))]])
-    W = invertibility_support_scheme(Y_u.lat, top_open(Y_u.lat), s_xu)
-    supp_u = open_from_realization(fun_a1, u_shift, W)
+    s_xu = GlobalSection(Y_u, top_open(Y_u), [[loc_u.to_loc(C_u.var(0))]])
+    W = invertibility_support_scheme(Y_u, top_open(Y_u), s_xu)
+    supp_u = open_from_realization(u_shift, W)
     assert eq(supp_u.components[0], basic_open(A1, [(x + A1.one) * x]))
     # pointwise: the support's value at each point is the basic open of the
     # section's value there
     for rp in eval_points(Y_u, F3):
         b = section_value_at_point(s_xu, rp)
-        p_amb = carry_point_in(fun_a1, u_shift, rp)
+        p_amb = carry_point_in(u_shift, rp)
         assert eq(basic_open(F3, [b]), open_at_point(supp_u, p_amb))
 
 
 # -- fullness on an independent morphism -----------------------------------------------------
 
 
-def test_independent_spec_morphisms_land_in_the_image(fun_a1):
-    A1 = fun_a1.algebra
+def test_independent_spec_morphisms_land_in_the_image(a1):
+    A1 = a1.charts[0]
     ring_b = PolyRing(GF(3), ["a"])
     B27 = PresentedAlgebra(ring_b, [ring_b.var(0) ** 3 - ring_b.var(0)])
     phi = AlgebraMorphism(A1, B27, [B27.var(0)])
-    target = fun_a1.lat
+    target = a1
     pi_ind = spec_morphism(phi, target=target)
-    p_back = adjunction_flat(fun_a1, pi_ind)
+    p_back = adjunction_flat(pi_ind)
     assert len(p_back.factors) == 3  # B27 splits into three points
-    pi_round = point_morphism(target, p_back)
+    pi_round = point_morphism(p_back)
     assert morphisms_agree(
         pi_round,
         spec_morphism(phi, source=pi_round.source, target=target),
@@ -334,12 +332,12 @@ def test_independent_spec_morphisms_land_in_the_image(fun_a1):
 # -- the bundled comparison -------------------------------------------------------------------
 
 
-def test_comparison_check_on_the_projective_line_with_naturality(fun_p13):
+def test_comparison_check_on_the_projective_line_with_naturality(p13):
     D3 = product_of_points(3, 2)
     diag3 = AlgebraMorphism(F3, D3, [])
     pr0 = AlgebraMorphism(D3, F3, [F3.zero])
     pr1 = AlgebraMorphism(D3, F3, [F3.one])
-    ok, report = comparison_check(fun_p13.lat, [F3, D3], morphisms=[diag3, pr0, pr1])
+    ok, report = comparison_check(p13, [F3, D3], morphisms=[diag3, pr0, pr1])
     assert ok, report
     assert report["natural"]
     assert report["realization"] == "ok"
@@ -386,9 +384,9 @@ def test_comparison_check_on_the_punctured_plane_over_a_quadratic_field():
 
 def test_the_generic_check_of_a_punctured_plane_point_over_a_quadratic_field():
     Xu, _, _ = punctured_plane(GF(3))
-    p = eval_points(functorial(Xu), GF9)[11]
+    p = eval_points(Xu, GF9)[11]
     assert repr(p) == "<point e=1: chart 0, (t, t + 1, t + 2)>"
-    assert local_morphism_witness(point_morphism(Xu, p)) is None
+    assert local_morphism_witness(point_morphism(p)) is None
 
 
 # -- one table per point: locality, distinctness and the roundtrip, per atom ------------
@@ -425,7 +423,7 @@ REDUCED_IDS = ["P1/GF3xGF3", "A1/GF9", "PP/GF3"]
 NON_REDUCED_CASES = [
     (affine_line(3), _algebra("GF(3)[t]/(t^2)")),
     (affine_line(2), _algebra("GF(2)[s,t]/(s^2, t^2)")),
-    (multiplicative_group(GF(3)).lat, _algebra("GF(3)[t]/(t^2)")),
+    (multiplicative_group(GF(3)), _algebra("GF(3)[t]/(t^2)")),
     (projective_line(GF(3)), _algebra("GF(3)[t]/(t^2)")),
     (punctured_plane(GF(2))[0], _algebra("GF(2)[t]/(t^2)")),
 ]
@@ -440,14 +438,13 @@ def _assert_the_table_matches_the_generic_checkers(X, pts):
     ``morphisms_agree`` on every pair, with the first point taken twice.
     Morphisms remember nothing, so each one's pullbacks of the sample opens
     are taken once here, and ``morphisms_agree`` compares the samples."""
-    fun = pts[0].scheme
     opens, samples = sample_opens(X), local_samples(X)
     carried, pulled, prints = [], [], []
     for p in pts + pts[:1]:
         values, local, roundtrip = _table(X, p)
-        pi = point_morphism(X, p)
+        pi = point_morphism(p)
         assert local == (local_morphism_witness(pi) is None), p
-        assert roundtrip == (adjunction_flat(fun, pi) == p), p
+        assert roundtrip == (adjunction_flat(pi) == p), p
         carried.append(pi)
         pulled.append([pi.pullback(u) for u in opens])
         prints.append(values)
@@ -462,7 +459,7 @@ def _assert_the_table_matches_the_generic_checkers(X, pts):
 
 @pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
 def test_fingerprints_are_equal_exactly_when_the_morphisms_agree(X, B):
-    _assert_the_table_matches_the_generic_checkers(X, eval_points(functorial(X), B))
+    _assert_the_table_matches_the_generic_checkers(X, eval_points(X, B))
 
 
 @pytest.mark.parametrize("X, B", FINGERPRINT_CASES, ids=FINGERPRINT_IDS)
@@ -477,7 +474,7 @@ def test_the_fingerprint_decides_every_sample_opens_pullback(X, B):
     def is_unit(c):
         return c.algebra.try_invert(c) is not None
 
-    for p in eval_points(functorial(X), B):
+    for p in eval_points(X, B):
         values, local, _ = _table(X, p)
         assert local
         values = dict(zip(samples, values))
@@ -496,7 +493,7 @@ def test_the_fingerprint_decides_every_sample_opens_pullback(X, B):
                     {idx for idx in every if at_x[idx] is not None and is_unit(at_x[idx])},
                 ))
         assert [u for (u, _) in expected] == sample_opens(X)
-        pi = point_morphism(X, p)
+        pi = point_morphism(p)
         for u, atoms in expected:
             w = pi.pullback(u).components[0]
             assert atoms == {
@@ -517,7 +514,7 @@ def test_a_sample_over_a_smaller_piece_takes_inverse_values(monkeypatch, B):
     monkeypatch.setattr(compare, "local_samples", lambda Y: local_samples(Y) + (inverse,))
     plan = compare._sample_plan(X)
     assert plan[-1][3] == 1
-    for p in eval_points(functorial(X), B):
+    for p in eval_points(X, B):
         values, local, roundtrip = compare._atom_table(X, p, plan)
         assert local and roundtrip
         images = [phi.images[0] for (_, _, phi) in p.factors]
@@ -530,7 +527,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
     X = affine_line(3)
     (j, f, n, k, _), one = compare._sample_plan(X)
     wrong = [(j, f, n, k, one[4]), one]
-    points = eval_points(functorial(X), F3)
+    points = eval_points(X, F3)
     assert [as_hom(p).images[0] for p in points] == [F3.zero, F3.one, -F3.one]
     assert [compare._atom_table(X, p, wrong)[1:] for p in points] == [
         (False, False), (True, True), (True, True)
@@ -539,7 +536,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
 
 def test_the_non_reduced_cases_send_x_to_a_nonzero_nilpotent():
     for X, B in NON_REDUCED_CASES[:2]:
-        images = [as_hom(p).images[0] for p in eval_points(functorial(X), B)]
+        images = [as_hom(p).images[0] for p in eval_points(X, B)]
         assert any(not x.is_zero() and (x * x).is_zero() for x in images)
 
 
@@ -608,10 +605,10 @@ def test_fingerprints_decide_agreement_over_random_finite_algebras(B):
     projective line) or 5 elements (the punctured plane): the oracle
     compares every pair of points."""
     F, size = B.field, len(B.enumerate_elements())
-    schemes = [affine_line(F.char), multiplicative_group(F).lat]
+    schemes = [affine_line(F.char), multiplicative_group(F)]
     schemes += [projective_line(F)] * (size <= 9) + [punctured_plane(F)[0]] * (size <= 5)
     for X in schemes:
-        _assert_the_table_matches_the_generic_checkers(X, eval_points(functorial(X), B))
+        _assert_the_table_matches_the_generic_checkers(X, eval_points(X, B))
         ok, report = comparison_check(X, [B])
         assert ok, report
 
@@ -639,7 +636,7 @@ def test_naturality_by_tables_agrees_with_the_pullback_oracle(B, data):
         ok, report = comparison_check(X, [B], morphisms=[chi])
         assert ok and report["natural"], report
         assert all(
-            natural_by_pullbacks(X, p, chi) for p in eval_points(functorial(X), chi.source)
+            natural_by_pullbacks(p, chi) for p in eval_points(X, chi.source)
         )
 
 
@@ -651,18 +648,17 @@ def test_a_point_pushed_to_the_wrong_point_is_refuted(monkeypatch, twist):
     X, frobenius = affine_line(3), AlgebraMorphism(GF9, GF9, [GF9.var(0) ** 3])
     honest = compare.map_point
 
-    def twisted(fun, p, chi):
+    def twisted(p, chi):
         if twist == "next point":
-            pts = eval_points(fun, chi.target)
-            return pts[(pts.index(honest(fun, p, chi)) + 1) % len(pts)]
-        return honest(fun, p, AlgebraMorphism.identity(GF9))
+            pts = eval_points(p.scheme, chi.target)
+            return pts[(pts.index(honest(p, chi)) + 1) % len(pts)]
+        return honest(p, AlgebraMorphism.identity(GF9))
 
     monkeypatch.setattr(compare, "map_point", twisted)
     ok, report = comparison_check(X, [GF9], morphisms=[frobenius])
     assert not ok and not report["natural"]
-    fun = functorial(X)
-    pushed = [(p, twisted(fun, p, frobenius)) for p in eval_points(fun, GF9)]
-    p, q = next((p, q) for p, q in pushed if q != honest(fun, p, frobenius))
+    pushed = [(p, twisted(p, frobenius)) for p in eval_points(X, GF9)]
+    p, q = next((p, q) for p, q in pushed if q != honest(p, frobenius))
     x_at_q, x_at_p = as_hom(q).images[0], as_hom(p).images[0]
     assert report["naturality_witness"] == (
         f"point {p!r} along {frobenius!r} at chart 0, D(1), x/(1)**0: "
@@ -689,16 +685,16 @@ def _reject_one_point(monkeypatch, at, what):
     return calls
 
 
-def _broken(X, p):
+def _broken(p):
     """A morphism that pulls every open back to the top but kills x."""
-    S = mk_affine(p.test_algebra)
+    X, S = p.scheme, mk_affine(p.test_algebra)
     B = p.test_algebra
     loc1 = make_localization(B, B.one)
     kill = AlgebraMorphism(X.charts[0], loc1.algebra, [loc1.algebra.zero])
     return SchemeMorphism(S, X, lambda j, w: top_open(S), [[(0, B.one, kill)]])
 
 
-def _raise(X, p):
+def _raise(p):
     raise ValueError("no morphism for this point")
 
 
@@ -717,7 +713,7 @@ def test_a_point_the_table_finds_not_local_is_reported(monkeypatch, carry):
     witness = {
         None: f"the per-atom check finds {pts[1]!r} not local, the generic one local",
         _broken: "point does not carry a local morphism: "
-        + local_morphism_witness(_broken(X, pts[1])),
+        + local_morphism_witness(_broken(pts[1])),
         _raise: "no morphism for this point",
     }[carry]
     assert entry["witness"] == witness
@@ -728,7 +724,7 @@ def test_a_point_the_table_does_not_get_back_is_reported(monkeypatch, flat):
     X = projective_line(GF(3))
     pts = _reject_one_point(monkeypatch, 2, "roundtrip")
     if flat == "wrong":
-        monkeypatch.setattr(compare, "adjunction_flat", lambda fun, pi: pts[0])
+        monkeypatch.setattr(compare, "adjunction_flat", lambda pi: pts[0])
     ok, report = comparison_check(X, [F3])
     assert not ok
     (entry,) = report["per_algebra"]

@@ -66,7 +66,7 @@ F2, F3, F5 = _field_algebra(2), _field_algebra(3), _field_algebra(5)
 @pytest.fixture(scope="module")
 def punctured3():
     PP, _, _ = punctured_plane(GF(3))
-    return functorial(PP)
+    return PP
 
 
 # -- point counts against the brute-force oracle ------------------------------------
@@ -91,10 +91,10 @@ def test_multiplicative_group_points_match_the_oracle():
 
 
 def test_projective_line_points_match_the_oracle():
-    assert len(eval_points(functorial(projective_line(GF(2))), F2)) == (
+    assert len(eval_points(projective_line(GF(2)), F2)) == (
         O.FROZEN_POINT_COUNTS[("projective_line", 2)]
     )
-    assert len(eval_points(functorial(projective_line(GF(3))), F3)) == (
+    assert len(eval_points(projective_line(GF(3)), F3)) == (
         O.FROZEN_POINT_COUNTS[("projective_line", 3)]
     )
 
@@ -113,12 +113,12 @@ def test_product_test_algebras_square_the_counts(punctured3):
     assert len(eval_points(affine_line(GF(3)), D3)) == O.FROZEN_PRODUCT_COUNTS[
         ("affine_line", 3, 2)
     ]
-    P13 = functorial(projective_line(GF(3)))
+    P13 = projective_line(GF(3))
     assert len(eval_points(P13, D3)) == O.FROZEN_PRODUCT_COUNTS[
         ("projective_line", 3, 2)
     ]
     D2 = product_of_points(2, 2)
-    P12 = functorial(projective_line(GF(2)))
+    P12 = projective_line(GF(2))
     assert len(eval_points(P12, D2)) == O.FROZEN_PRODUCT_COUNTS[
         ("projective_line", 2, 2)
     ]
@@ -137,11 +137,11 @@ def test_representable_points_are_exactly_the_algebra_maps():
         chi = morphism(B, Bq, list(Bq.gens()))
         for X in (multiplicative_group(B.field), affine_line(B.field)):
             pts = eval_points(X, B)
-            homs = enumerate_homs(X.algebra, B)
+            homs = enumerate_homs(X.charts[0], B)
             assert len(pts) == len(homs)
             assert {as_hom(p) for p in pts} == set(homs)
             for p in pts:
-                assert as_hom(map_point(X, p, chi)) == as_hom(p).then(chi)
+                assert as_hom(map_point(p, chi)) == as_hom(p).then(chi)
 
 
 # -- test algebras with nilpotents -------------------------------------------------
@@ -154,10 +154,9 @@ def test_glued_schemes_count_their_points_over_algebras_with_nilpotents(p, k, sp
     assert not is_reduced(B)
     chi = morphism(_field_algebra(p), B, [])
     for name, X in zip(("projective_line", "punctured_plane"), _glued(p)):
-        fun = functorial(X)
-        pts = eval_points(fun, B)
+        pts = eval_points(X, B)
         assert len(pts) == len(set(pts)) == O.FROZEN_NILPOTENT_COUNTS[(name, p, k, split)]
-        assert {map_point(fun, q, chi) for q in eval_points(fun, chi.source)} <= set(pts)
+        assert {map_point(q, chi) for q in eval_points(X, chi.source)} <= set(pts)
 
 
 @settings(max_examples=15)
@@ -227,8 +226,8 @@ def test_map_point_splits_each_algebra_once(monkeypatch, punctured3):
     EPS = _parsed("GF(3)[t]/(t^2)")
     chi = morphism(F3, EPS, [])
     source = eval_points(punctured3, F3)
-    pushed = [map_point(punctured3, p, chi) for p in source]
-    assert pushed == [map_point(punctured3, p, chi) for p in source]
+    pushed = [map_point(p, chi) for p in source]
+    assert pushed == [map_point(p, chi) for p in source]
     assert set(pushed) <= set(eval_points(punctured3, EPS))
     # one matrix for EPS too, however many points are pushed into it
     assert built.count(EPS) == 1
@@ -338,9 +337,9 @@ def test_the_atoms_and_reducedness_of_random_finite_algebras(B):
 
 def test_point_membership_in_a_compact_open():
     plane3 = affine_plane(GF(3))
-    A3 = plane3.algebra
+    A3 = plane3.charts[0]
     x3, y3 = A3.var(0), A3.var(1)
-    U3 = CompactOpen(plane3.lat, [basic_open(A3, [x3, y3])])
+    U3 = CompactOpen(plane3, [basic_open(A3, [x3, y3])])
     pts = eval_points(plane3, F3)
     inside = [p for p in pts if eq(open_at_point(U3, p), top(F3))]
     assert len(pts) == 9
@@ -352,12 +351,12 @@ def test_point_membership_in_a_compact_open():
 
 def test_cover_detection_on_the_affine_line():
     line_q = affine_line(QQ)
-    Aq = line_q.algebra
+    Aq = line_q.charts[0]
     xq = Aq.var(0)
-    u_x = CompactOpen(line_q.lat, [basic_open(Aq, [xq])])
-    u_1mx = CompactOpen(line_q.lat, [basic_open(Aq, [Aq.one - xq])])
-    assert u_x.join(u_1mx).eq(top_open(line_q.lat))
-    assert not u_x.eq(top_open(line_q.lat))
+    u_x = CompactOpen(line_q, [basic_open(Aq, [xq])])
+    u_1mx = CompactOpen(line_q, [basic_open(Aq, [Aq.one - xq])])
+    assert u_x.join(u_1mx).eq(top_open(line_q))
+    assert not u_x.eq(top_open(line_q))
 
 
 # -- realizations of compact opens ------------------------------------------------------
@@ -365,28 +364,28 @@ def test_cover_detection_on_the_affine_line():
 
 def test_realization_of_the_punctured_plane_has_two_charts():
     plane = affine_plane(QQ)
-    Axy = plane.algebra
+    Axy = plane.charts[0]
     x, y = Axy.var(0), Axy.var(1)
-    U_xy = CompactOpen(plane.lat, [basic_open(Axy, [x, y])])
-    XU = realization(plane, U_xy)
-    assert XU.lat.ncharts == 2
-    assert realization(plane, U_xy) is XU  # memoized
-    cx = open_to_realization(plane, U_xy, CompactOpen(plane.lat, [basic_open(Axy, [x])]))
-    cy = open_to_realization(plane, U_xy, CompactOpen(plane.lat, [basic_open(Axy, [y])]))
-    assert cx.join(cy).eq(top_open(XU.lat))
+    U_xy = CompactOpen(plane, [basic_open(Axy, [x, y])])
+    XU = realization(U_xy)
+    assert XU.ncharts == 2
+    assert realization(U_xy) is XU  # memoized
+    cx = open_to_realization(U_xy, CompactOpen(plane, [basic_open(Axy, [x])]))
+    cy = open_to_realization(U_xy, CompactOpen(plane, [basic_open(Axy, [y])]))
+    assert cx.join(cy).eq(top_open(XU))
 
 
 def test_opens_round_trip_through_the_realization():
     plane = affine_plane(QQ)
-    Axy = plane.algebra
+    Axy = plane.charts[0]
     x, y = Axy.var(0), Axy.var(1)
-    U_xy = CompactOpen(plane.lat, [basic_open(Axy, [x, y])])
-    XU = realization(plane, U_xy)
-    W = CompactOpen(XU.lat, [basic_open(C, [C.var(0)]) for C in XU.lat.charts])
-    back = open_from_realization(plane, U_xy, W)
+    U_xy = CompactOpen(plane, [basic_open(Axy, [x, y])])
+    XU = realization(U_xy)
+    W = CompactOpen(XU, [basic_open(C, [C.var(0)]) for C in XU.charts])
+    back = open_from_realization(U_xy, W)
     assert eq(back.components[0], basic_open(Axy, [x]))
-    V = CompactOpen(plane.lat, [basic_open(Axy, [y])])
-    assert open_from_realization(plane, U_xy, open_to_realization(plane, U_xy, V)).eq(V)
+    V = CompactOpen(plane, [basic_open(Axy, [y])])
+    assert open_from_realization(U_xy, open_to_realization(U_xy, V)).eq(V)
 
 
 # -- locality ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def test_locality_check_requires_a_cover():
 def test_locality_along_random_covers_matches_the_product_walk(B, data):
     pieces = data.draw(unit_covers(B))
     p = B.field.char
-    for X in (affine_line(GF(p)), functorial(_glued(p)[0])):
+    for X in (affine_line(GF(p)), _glued(p)[0]):
         assert check_locality(X, B, pieces) == locality_by_product(X, B, pieces) is True
 
 
@@ -428,7 +427,7 @@ def _line_over_two_points():
     is the second piece again."""
     S = _parsed("GF(3)[x]/(x^2 - x)")
     x = S.var(0)
-    return functorial(_glued(3)[0]), S, [x + S.one, S.one - x]
+    return _glued(3)[0], S, [x + S.one, S.one - x]
 
 
 def _patch_points(monkeypatch, C, change):
@@ -444,7 +443,7 @@ def _patch_points(monkeypatch, C, change):
 def test_locality_refutes_a_piece_that_lost_a_point(monkeypatch):
     X, S, pieces = _line_over_two_points()
     loc = make_localization(S, pieces[1])
-    lost = map_point(X, eval_points(X, S)[0], loc.to_loc)
+    lost = map_point(eval_points(X, S)[0], loc.to_loc)
     assert lost in eval_points(X, loc.algebra)
     _patch_points(monkeypatch, loc.algebra, lambda points: [q for q in points if q != lost])
     assert not check_locality(X, S, pieces)
@@ -460,9 +459,9 @@ def test_locality_refutes_a_spurious_local_point(monkeypatch):
     e, _, phi = next(
         (e, c, phi)
         for (e, c, phi), in (q.factors for q in points)
-        if c == 0 and funscheme._chart_map(X.lat, 0, phi, 1)
+        if c == 0 and funscheme._chart_map(X, 0, phi, 1)
     )
-    spurious = SchemePoint(X, loc.algebra, [(e, 1, funscheme._chart_map(X.lat, 0, phi, 1))])
+    spurious = SchemePoint(X, loc.algebra, [(e, 1, funscheme._chart_map(X, 0, phi, 1))])
     assert spurious not in points
     _patch_points(monkeypatch, loc.algebra, lambda points: points + [spurious])
     assert not check_locality(X, S, pieces)
@@ -470,7 +469,7 @@ def test_locality_refutes_a_spurious_local_point(monkeypatch):
 
 
 def test_locality_restricts_each_point_once_per_overlap(monkeypatch):
-    X = functorial(_glued(5)[0])
+    X = _glued(5)[0]
     B = _parsed("GF(5)[t]/(t^3 - t)")
     t = B.var(0)
     pieces = [t, t - B.one, t + B.one]
@@ -496,13 +495,13 @@ def test_locality_restricts_each_point_once_per_overlap(monkeypatch):
 def test_ring_of_functions_of_representables_is_the_algebra():
     ring_d, rels_d = parse_ring("QQ[x]/(x^2)")
     D = PresentedAlgebra(ring_d, rels_d)
-    assert ring_of_functions(functorial(mk_affine(D))) is D
+    assert ring_of_functions(mk_affine(D)) is D
     GmQ = multiplicative_group(QQ)
-    assert ring_of_functions(GmQ) is GmQ.algebra
+    assert ring_of_functions(GmQ) is GmQ.charts[0]
 
 
 def test_ring_of_functions_of_glued_schemes_is_a_section_ring(punctured3):
-    X = punctured3.lat
+    X = punctured3
     U = ring_of_functions(punctured3)
     assert U.eq(top_open(X))
     one, zero = constant_section(X, U, 1), constant_section(X, U, 0)
@@ -518,17 +517,20 @@ def test_points_push_forward_along_algebra_maps(punctured3):
     incl = morphism(F3, B, [])
     loc_e = make_localization(B, e)
     for p in eval_points(punctured3, F3):
-        q = map_point(punctured3, p, incl)
+        q = map_point(p, incl)
         assert q.test_algebra == B
-        r = map_point(punctured3, q, loc_e.to_loc)
+        r = map_point(q, loc_e.to_loc)
         assert r.test_algebra == loc_e.algebra
     # pushing forward then evaluating commutes with counting over components
-    assert len({map_point(punctured3, p, incl) for p in eval_points(punctured3, F3)}) == 8
+    assert len({map_point(p, incl) for p in eval_points(punctured3, F3)}) == 8
 
 
 def test_point_equality_is_structural():
-    line = affine_line(GF(3))
-    pts = eval_points(line, F3)
-    assert len(set(pts)) == 3
-    again = eval_points(line, F3)
-    assert set(pts) == set(again)
+    """Two evaluations over one test algebra give equal points, on an
+    affine and on a glued scheme, through ``functorial`` too."""
+    for X, n in ((affine_line(GF(3)), 3), (projective_line(GF(3)), 4)):
+        assert functorial(X) is X
+        pts = eval_points(functorial(X), F3)
+        assert len(set(pts)) == n
+        again = eval_points(functorial(X), F3)
+        assert pts == again and set(pts) == set(again)

@@ -181,8 +181,9 @@ def test_the_projective_plane_validates_its_triple_overlaps(monkeypatch):
     monkeypatch.setattr(LatticeScheme, "_check_cocycle", counting)
     X = projective_space(GF(3), 2)
     assert X.ncharts == 3 and len(X.patches) == 6
-    # one check per ordered triple of distinct charts
-    assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    # one check per ordered triple of distinct charts (i, j, k) with i < k: a
+    # mirror (k, j, i) holds once its twin does
+    assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
 
 
 def test_a_twisted_transition_breaks_the_cocycle():
