@@ -28,12 +28,14 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .lattice import ZarElement, basic_open, eq
+from .lattice import ZarElement, basic_open
 from .latscheme import (
     CompactOpen,
     LatticeScheme,
     SchemeMorphism,
+    _first_difference,
     embed_basic,
+    extend_over,
     local_morphism_witness,
     local_samples,
     mk_affine,
@@ -119,69 +121,49 @@ def adjunction_flat(pi: SchemeMorphism) -> SchemePoint:
 def realization_certificate(X: LatticeScheme) -> Optional[str]:
     """Check that realizing the top open reproduces the chart data.
 
-    The realized charts are the localizations of the charts at 1; the
-    certificate exhibits the mutually inverse chart isomorphisms and
-    matches the induced patches against the original ones.  The top open
-    has the one piece D(1) per chart, so realized chart i is chart i's.
+    The top open has the piece D(1) on each nonzero chart and none on a zero
+    chart, so realized chart k is the k-th nonzero chart localized at 1, with
+    mutually inverse chart isomorphisms.  ``restrict_scheme`` builds one
+    realized patch per original patch between nonzero charts, by chart pair
+    and in order: through the chart isomorphisms each has its original's f
+    and g, and its chart map is the original's.
     """
-    t = top_open(X)
-    Y = realization(t)
-    if sum(len(w.generators) for w in t.components) != X.ncharts or Y.ncharts != X.ncharts:
+    Y = realization(top_open(X))
+    nonzero = [i for i, A in enumerate(X.charts) if not A.is_trivial()]
+    if Y.ncharts != len(nonzero):
         return "realized top does not have one chart per original chart"
-    isos = []
-    for idx, A in enumerate(X.charts):
+    isos = {}
+    for k, i in enumerate(nonzero):
+        A, C = X.charts[i], Y.charts[k]
         loc = make_localization(A, A.one)
-        C = Y.charts[idx]
         if C != loc.algebra:
-            return f"realized chart {idx} is not the localization at 1"
+            return f"realized chart {k} is not the localization at 1"
         fwd = loc.to_loc
-        back = AlgebraMorphism(C, A, [A.var(k) for k in range(A.nvars)] + [A.one])
+        back = AlgebraMorphism(C, A, A.gens() + (A.one,))
         if not back.is_valid():
-            return f"chart {idx}: inverse map is not a morphism"
-        for k in range(A.nvars):
-            if back(fwd(A.var(k))) != A.var(k):
-                return f"chart {idx}: roundtrip fails on {A.names[k]}"
-        for k in range(C.nvars):
-            v = C.var(k)
-            if fwd(back(v)) != v:
-                return f"chart {idx}: reverse roundtrip fails on {C.names[k]}"
-        isos.append((fwd, back))
-    n_realized = sum(1 for q in Y.patches if q.i < q.j)
-    n_original = sum(1 for P in X.patches if P.i < P.j)
-    if n_realized != n_original:
+            return f"chart {i}: inverse map is not a morphism"
+        for way, there, home in (("", fwd, back), ("reverse ", back, fwd)):
+            diff = _first_difference(there.then(home), AlgebraMorphism.identity(there.source))
+            if diff is not None:
+                return f"chart {i}: {way}roundtrip fails on {diff[0]}"
+        isos[i] = (fwd, back)
+    realized = [q for q in Y.patches if q.i < q.j]
+    originals = [
+        P for a, i in enumerate(nonzero) for j in nonzero[a + 1:] for P in X.patches_for(i, j)
+    ]
+    if len(realized) != len(originals):
         return (
-            f"realized top has {n_realized} patches where the original data "
-            f"has {n_original}"
+            f"realized top has {len(realized)} patches where the original data "
+            f"has {len(originals)}"
         )
-    for q in Y.patches:
-        if q.i >= q.j:
-            continue
-        i, j = q.i, q.j
-        fwd_i, back_i = isos[i]
-        back_j = isos[j][1]
+    for q, P in zip(realized, originals):
+        i, j = nonzero[q.i], nonzero[q.j]
+        (fwd_i, back_i), back_j = isos[i], isos[j][1]
         f_orig = back_i(q.f)
-        g_orig = back_j(q.g)
-        for P in X.patches_for(i, j):
-            if not (
-                eq(basic_open(X.charts[i], [f_orig]), basic_open(X.charts[i], [P.f]))
-                and eq(basic_open(X.charts[j], [g_orig]), basic_open(X.charts[j], [P.g]))
-            ):
-                continue
-            for k in range(X.charts[i].nvars):
-                v = X.charts[i].var(k)
-                val_q = q.fwd(q.loc_f.to_loc(fwd_i(v)))
-                num_q, k_q = extract_fraction(q.loc_g, val_q)
-                n_q = back_j(num_q)
-                val_p = P.fwd(P.loc_f.to_loc(v))
-                num_p, k_p = extract_fraction(P.loc_g, val_p)
-                common = make_localization(X.charts[j], P.g * g_orig)
-                lhs = common.to_loc(num_p * g_orig ** k_q)
-                rhs = common.to_loc(n_q * P.g ** k_p)
-                if lhs != rhs:
-                    break
-            else:
-                break  # every chart variable agrees: P is q's patch
-        else:
+        if (i, j) != (P.i, P.j) or f_orig != P.f or back_j(q.g) != P.g or (
+            fwd_i.then(q.chart_fwd).then(extend_over(q.loc_g, back_j.then(P.loc_g.to_loc)))
+            != P.chart_fwd
+        ):
             return (
                 f"realized patch between charts {i} and {j} at D({f_orig}) "
                 "does not match any original patch"

@@ -6,7 +6,7 @@ the two sides and a mutually inverse pair of algebra isomorphisms between
 the localizations; a chart meets itself in the identity patch on D(1).
 Construction validates each given patch isomorphism, agreement of multiple
 patches over one chart pair, and the triple-overlap (cocycle) condition,
-each by explicit normal-form comparisons inside a common localization.
+each as an equality of composed morphisms; a differing variable is the witness.
 
 On top of the validated data live compact opens (one lattice element per
 chart, compatible across patches), global sections (families of localized
@@ -96,6 +96,11 @@ class Patch:
         raise AttributeError("Patch is immutable")
 
     @property
+    def chart_fwd(self) -> AlgebraMorphism:
+        """``A_i -> (A_j)_g``: chart i's localization map, then ``fwd``."""
+        return self.loc_f.to_loc.then(self.fwd)
+
+    @property
     def chart_bwd(self) -> AlgebraMorphism:
         """``A_j -> (A_i)_f``: chart j's localization map followed by
         ``bwd``, composed on first use and kept on the patch."""
@@ -133,6 +138,13 @@ def make_patch(
     fwd = extend_over(loc_f, alpha)
     bwd = extend_over(loc_g, beta)
     return Patch(i, j, loc_f, loc_g, fwd, bwd)
+
+
+def _first_difference(left: AlgebraMorphism, right: AlgebraMorphism) -> Optional[tuple]:
+    """(name, left image, right image) at the first source variable that two
+    maps of one source and target send apart; None if the maps are equal."""
+    if left != right:
+        return next(d for d in zip(left.source.names, left.images, right.images) if d[1] != d[2])
 
 
 def transport_piece(patch: Patch, h: AlgebraElement) -> AlgebraElement:
@@ -216,7 +228,8 @@ class LatticeScheme:
     # -- validation -------------------------------------------------------
     def _validate(self):
         """Check the given patches, their agreement per chart pair and the
-        cocycle condition S(i,j,k): where phi_jk(phi_ij(x)) is defined, x
+        cocycle condition, each an equality of morphisms (``_first_difference``).
+        The cocycle condition is S(i,j,k): where phi_jk(phi_ij(x)) is defined, x
         lies in U_ik and phi_ik(x) is that value.  S is checked for i < k
         only, as S(i,j,k) implies S(k,j,i).  Take z in U_kj with y = phi_kj(z)
         in U_ji, and put x = phi_ji(y).  The patch maps are mutual inverses
@@ -229,8 +242,7 @@ class LatticeScheme:
         """
         for p in self.patches[::2]:  # a mirror repeats its patch's checks
             self._check_patch_iso(p)
-        pairs = sorted({(p.i, p.j) for p in self.patches if p.i < p.j})
-        for (i, j) in pairs:
+        for (i, j) in sorted({(p.i, p.j) for p in self.patches if p.i < p.j}):
             ps = self.patches_for(i, j)
             for a in range(len(ps)):
                 for b in range(a + 1, len(ps)):
@@ -252,21 +264,13 @@ class LatticeScheme:
             raise GluingError(f"{p!r}: backward map has wrong endpoints")
         if not p.fwd.is_valid() or not p.bwd.is_valid():
             raise GluingError(f"{p!r}: transition is not an algebra morphism")
-        for idx in range(p.loc_f.algebra.nvars):
-            v = p.loc_f.algebra.var(idx)
-            if p.bwd(p.fwd(v)) != v:
+        for there, back, text in (
+                (p.fwd, p.bwd, "backward(forward"), (p.bwd, p.fwd, "forward(backward")):
+            diff = _first_difference(there.then(back), AlgebraMorphism.identity(there.source))
+            if diff is not None:
                 raise GluingError(
                     f"{p!r}: transition maps are not mutually inverse "
-                    f"(backward(forward({p.loc_f.algebra.names[idx]})) = "
-                    f"{p.bwd(p.fwd(v))})"
-                )
-        for idx in range(p.loc_g.algebra.nvars):
-            v = p.loc_g.algebra.var(idx)
-            if p.fwd(p.bwd(v)) != v:
-                raise GluingError(
-                    f"{p!r}: transition maps are not mutually inverse "
-                    f"(forward(backward({p.loc_g.algebra.names[idx]})) = "
-                    f"{p.fwd(p.bwd(v))})"
+                    f"({text}({diff[0]})) = {diff[1]})"
                 )
 
     def _check_patch_agreement(self, P: Patch, Q: Patch):
@@ -275,54 +279,44 @@ class LatticeScheme:
         loc_s = make_localization(self.charts[P.j], s)
         if loc_s.algebra.is_trivial():
             return
-        via_p = restriction_map(P.loc_g, loc_s)
-        via_q = restriction_map(Q.loc_g, loc_s)
-        Ai = self.charts[P.i]
-        for idx in range(Ai.nvars):
-            v = Ai.var(idx)
-            left = via_p(P.fwd(P.loc_f.to_loc(v)))
-            right = via_q(Q.fwd(Q.loc_f.to_loc(v)))
-            if left != right:
-                raise GluingError(
-                    f"patches {P!r} and {Q!r} disagree on their common "
-                    f"region at {Ai.names[idx]}: {left} vs {right}"
-                )
+        diff = _first_difference(
+            P.chart_fwd.then(restriction_map(P.loc_g, loc_s)),
+            Q.chart_fwd.then(restriction_map(Q.loc_g, loc_s)),
+        )
+        if diff is not None:
+            raise GluingError(
+                f"patches {P!r} and {Q!r} disagree on their common "
+                f"region at {diff[0]}: {diff[1]} vs {diff[2]}"
+            )
 
     def _check_cocycle(self, P: Patch, Q: Patch):
         """Composite transport i->j->k must match the direct patches i->k."""
-        Ai = self.charts[P.i]
         Ak = self.charts[Q.j]
         # region on chart i where both hops are defined, pushed to chart k
         r = extract_fraction(P.loc_f, P.bwd(P.loc_g.to_loc(Q.f)))[0]
         n = transport_piece(Q, transport_piece(P, r))
-        via_region = basic_open(Ak, [n])
         direct = self.patches_for(P.i, Q.j)
-        u_ki = basic_open(Ak, [R.g for R in direct])
-        if not leq(via_region, u_ki):
+        if not leq(basic_open(Ak, [n]), basic_open(Ak, [R.g for R in direct])):
             raise GluingError(
                 f"cocycle violation: the composite image of charts "
                 f"({P.i},{P.j},{Q.j}) reaches D({n}), outside the "
                 f"recorded overlap with chart {P.i}"
             )
-        psi2 = Q.loc_f.to_loc.then(Q.fwd)  # A_j -> (A_k)_{g_Q}
+        psi1, psi2 = P.chart_fwd, Q.chart_fwd  # A_i -> (A_j)_{g_P}, A_j -> (A_k)_{g_Q}
         for R in direct:
             s = n * R.g
             loc_s = make_localization(Ak, s)
             if loc_s.algebra.is_trivial():
                 continue
-            into_s_from_q = restriction_map(Q.loc_g, loc_s)
-            into_s_from_r = restriction_map(R.loc_g, loc_s)
-            hop_j = extend_over(P.loc_g, psi2.then(into_s_from_q))
-            for idx in range(Ai.nvars):
-                v = Ai.var(idx)
-                via = hop_j(P.fwd(P.loc_f.to_loc(v)))
-                straight = into_s_from_r(R.fwd(R.loc_f.to_loc(v)))
-                if via != straight:
-                    raise GluingError(
-                        f"cocycle violation on charts ({P.i},{P.j},{Q.j}): "
-                        f"composite sends {Ai.names[idx]} to {via} but the "
-                        f"direct patch sends it to {straight}"
-                    )
+            hop_j = extend_over(P.loc_g, psi2.then(restriction_map(Q.loc_g, loc_s)))
+            diff = _first_difference(
+                psi1.then(hop_j), R.chart_fwd.then(restriction_map(R.loc_g, loc_s))
+            )
+            if diff is not None:
+                raise GluingError(
+                    f"cocycle violation on charts ({P.i},{P.j},{Q.j}): composite "
+                    f"sends {diff[0]} to {diff[1]} but the direct patch sends it to {diff[2]}"
+                )
 
 
 def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
@@ -529,16 +523,10 @@ def invertibility_support_scheme(
     chartwise, the join of the basic invertibility supports of the pieces."""
     if s.domain != u:
         raise ValueError("section does not live over the given open")
-    comps = []
-    for i in range(X.ncharts):
-        A = X.charts[i]
-        gens = u.components[i].generators
-        pieces = [
-            invertibility_support_basic(s.piece(i, k))
-            for k in range(len(gens))
-        ]
-        comps.append(join_all(A, pieces))
-    return CompactOpen(X, comps)
+    return CompactOpen(X, [
+        join_all(A, [invertibility_support_basic(s.piece(i, k)) for k in range(len(w.generators))])
+        for i, (A, w) in enumerate(zip(X.charts, u.components))
+    ])
 
 
 def affine_hull_map(X: LatticeScheme) -> Callable[[Sequence[GlobalSection]], CompactOpen]:
@@ -702,10 +690,8 @@ def restrict_scheme(
     component of u.  Patches: collapses of X's patches onto each pair of
     pieces; two pieces of one chart collapse its identity patch.
     """
-    pieces: List[Tuple[int, AlgebraElement, Localization]] = []
-    for i, w in enumerate(u.components):
-        for g in w.generators:
-            pieces.append((i, g, make_localization(X.charts[i], g)))
+    pieces = [(i, g, make_localization(X.charts[i], g))
+              for i, w in enumerate(u.components) for g in w.generators]
     charts = [loc.algebra for (_, _, loc) in pieces]
     patches: List[Patch] = []
     for a in range(len(pieces)):
@@ -720,9 +706,9 @@ def restrict_scheme(
                 # A_ia -> (C_b)_{g_new} and A_ib -> (C_a)_{f_new} through the patch
                 to_b = extend_over(p.loc_g, locb.to_loc.then(lg.to_loc))
                 to_a = extend_over(p.loc_f, loca.to_loc.then(lf.to_loc))
-                fwd = extend_over(loca, p.loc_f.to_loc.then(p.fwd).then(to_b))
-                bwd = extend_over(locb, p.chart_bwd.then(to_a))
-                patches.append(make_patch(charts, a, b, f_new, g_new, fwd.images, bwd.images))
+                fwd = extend_over(lf, extend_over(loca, p.chart_fwd.then(to_b)))
+                bwd = extend_over(lg, extend_over(locb, p.chart_bwd.then(to_a)))
+                patches.append(Patch(a, b, lf, lg, fwd, bwd))
     Xu = LatticeScheme(charts, patches, validate=False)
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
@@ -740,7 +726,7 @@ def restrict_scheme(
                 piece_f = loc.to_loc(p.g)
                 loc_pf = make_localization(charts[idx], piece_f)
                 through = extend_over(p.loc_g, loc.to_loc.then(loc_pf.to_loc))
-                out.append((idx, piece_f, p.loc_f.to_loc.then(p.fwd).then(through)))
+                out.append((idx, piece_f, p.chart_fwd.then(through)))
         comorphisms.append(out)
     inclusion = SchemeMorphism(Xu, X, chart_open, comorphisms)
     return Xu, inclusion

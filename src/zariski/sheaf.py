@@ -163,14 +163,8 @@ def incompatibility_witness(
     return None
 
 
-def glue(fam: SectionFamily) -> AlgebraElement:
-    """The unique global element restricting to the family's sections.
-
-    Clears every section to a shared denominator exponent N, combines with
-    the unit-ideal cofactors of the pieces' N-th powers, and verifies all
-    restrictions; N grows (up to ``POWER_CAP``) until verification passes,
-    which compatibility guarantees.
-    """
+def _require_compatible(fam: SectionFamily) -> None:
+    """Raise ``ValueError`` with the first witness of an incompatible family."""
     witness = incompatibility_witness(fam)
     if witness is not None:
         i, j, ri, rj = witness
@@ -178,9 +172,24 @@ def glue(fam: SectionFamily) -> AlgebraElement:
             f"family is not compatible: pieces {i} and {j} restrict to "
             f"{ri.value} vs {rj.value} on the overlap"
         )
+
+
+def glue(fam: SectionFamily) -> AlgebraElement:
+    """The unique global element restricting to the family's sections.
+
+    Clears every section to a shared denominator exponent N, combines with
+    the unit-ideal cofactors of the pieces' N-th powers, and verifies all
+    restrictions; N grows (up to ``POWER_CAP``) until verification passes,
+    which compatibility guarantees.  A verified candidate proves the family
+    compatible: ``incompatibility_witness`` runs only on a first failure.
+    """
     base = fam.cover.base
     pieces = fam.cover.pieces
-    extracted = [extract_fraction(s.loc, s.value) for s in fam.sections]
+    try:
+        extracted = [extract_fraction(s.loc, s.value) for s in fam.sections]
+    except ExtractionCapError:
+        _require_compatible(fam)
+        raise
     start = max((k for _, k in extracted), default=0)
     for n in range(start, POWER_CAP + 1):
         numerators = [r * p ** (n - k) for (r, k), p in zip(extracted, pieces)]
@@ -194,11 +203,10 @@ def glue(fam: SectionFamily) -> AlgebraElement:
         candidate = base.zero
         for e, a in zip(cert, numerators):
             candidate = candidate + e * a
-        ok = all(
-            s.loc.to_loc(candidate) == s.value for s in fam.sections
-        )
-        if ok:
+        if all(s.loc.to_loc(candidate) == s.value for s in fam.sections):
             return candidate
+        if n == start:
+            _require_compatible(fam)
     raise ExtractionCapError(
         f"gluing did not stabilize within denominator exponent cap {POWER_CAP}"
     )

@@ -44,6 +44,7 @@ AFFINE_GF3 = {
 }
 
 AFFINE_QQ = dict(AFFINE_GF3, field="QQ")
+EMPTY_GF3 = dict(AFFINE_GF3, relations=["1"])
 
 CONST2 = {"schema": 1, "kind": "family", "values": ["2", "2"]}
 BADFAM = {"schema": 1, "kind": "family", "values": ["t", "s"]}
@@ -64,6 +65,7 @@ def files(tmp_path):
         ("p1.json", P1_GF3),
         ("affine.json", AFFINE_GF3),
         ("affine_qq.json", AFFINE_QQ),
+        ("empty.json", EMPTY_GF3),
         ("const2.json", CONST2),
         ("badfam.json", BADFAM),
         ("double.json", B_DOUBLE),
@@ -620,6 +622,15 @@ def test_compare_verifies_the_projective_line(files):
     assert (r.exit_code, r.output) == (
         0,
         "over GF(3): 4 = 4\nrealization: ok\nVERIFIED\n",
+    )
+
+
+def test_compare_verifies_the_empty_scheme(files):
+    """GF(3)[x]/(1) is the zero algebra: its top open has no piece."""
+    r = invoke("compare", files["empty.json"], "--over", "GF(3)")
+    assert (r.exit_code, r.output) == (
+        0,
+        "over GF(3): 0 = 0\nrealization: ok\nVERIFIED\n",
     )
 
 

@@ -251,11 +251,20 @@ def test_realized_points_of_random_opens_biject_with_members(B, data):
     _assert_realized_points_biject_with_members(B, *data.draw(affine_opens(B.field)))
 
 
+def _with_a_zero_chart(X):
+    """X with the zero algebra GF(3)[x]/(1) as one more chart, glued to no
+    other: the same scheme, as a zero chart has no points."""
+    return LatticeScheme(X.charts + (_algebra("GF(3)[x]/(1)"),), X.patches[::2])
+
+
 def test_realization_certificates_hold_for_the_fixtures(a1, p13):
     assert realization_certificate(a1) is None
     assert realization_certificate(p13) is None
     Xu, _, _ = punctured_plane(GF(3))
     assert realization_certificate(Xu) is None
+    # the top open has no piece on a zero chart, so neither has its realization
+    assert realization_certificate(mk_affine(_algebra("GF(3)[x]/(1)"))) is None
+    assert realization_certificate(_with_a_zero_chart(p13)) is None
 
 
 def test_a_realized_patch_that_glues_differently_is_refuted():
@@ -366,6 +375,20 @@ def test_comparison_check_on_the_projective_plane(n, p):
     ok, report = comparison_check(projective_space(GF(p), n), [F])
     assert ok, report
     assert report["counts"] == [(p ** (n + 1) - 1) // (p - 1)]
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        pytest.param(lambda: mk_affine(_algebra("GF(3)[x]/(1)")), 0, id="empty"),
+        pytest.param(lambda: _with_a_zero_chart(projective_line(GF(3))), 4, id="P1+zero"),
+    ],
+)
+def test_comparison_check_verifies_a_scheme_with_a_zero_chart(make, count):
+    ok, report = comparison_check(make(), [F3])
+    assert ok, report
+    assert report["counts"] == [count]
+    assert report["realization"] == "ok"
 
 
 def test_comparison_check_on_the_punctured_plane():

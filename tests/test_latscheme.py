@@ -152,8 +152,12 @@ def test_conflicting_patches_for_the_same_pair_are_rejected(p1):
         [make_localization(A1, s).to_loc(s)],
         [make_localization(A0, t).to_loc(t)],
     )
-    with pytest.raises(GluingError):
+    with pytest.raises(GluingError) as err:
         LatticeScheme([A0, A1], [honest, doubled])
+    assert str(err.value) == (
+        "patches Patch(0->1: D(t) ~ D(s)) and Patch(0->1: D(t) ~ D(s)) disagree "
+        "on their common region at t: s^2*y vs s"
+    )
 
 
 def test_the_projective_plane_checks_each_given_patch_once(monkeypatch):
@@ -199,7 +203,10 @@ def test_a_twisted_transition_breaks_the_cocycle():
     LatticeScheme(X.charts, [twisted])
     with pytest.raises(GluingError) as err:
         LatticeScheme(X.charts, others + [twisted])
-    assert str(err.value).startswith("cocycle violation on charts (0,1,2)")
+    assert str(err.value) == (
+        "cocycle violation on charts (0,1,2): composite sends z to x*y*y2 but "
+        "the direct patch sends it to 2*x*y*y2"
+    )
 
 
 def test_single_chart_scheme_from_an_algebra():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from support import gf3_split, qq_x, qq_xy, random_element
-from zariski.algebra import PresentedAlgebra, make_localization
+from zariski import sheaf
+from zariski.algebra import POWER_CAP, PresentedAlgebra, make_localization
 from zariski.lattice import basic_open, eq, leq
 from zariski.parsing import parse_ring
 from zariski.sheaf import (
@@ -213,6 +214,33 @@ def test_incompatible_families_are_refused_with_a_witness():
     assert not section_equal(ri, rj)
     with pytest.raises(ValueError, match="not compatible"):
         glue(fam)
+
+
+def test_a_compatible_family_glues_without_the_pairwise_sweep(monkeypatch):
+    """A candidate that verifies proves the family compatible, so the
+    pairwise sweep runs only when a candidate fails."""
+    calls = []
+    monkeypatch.setattr(
+        sheaf, "incompatibility_witness", lambda fam: calls.append(fam)
+    )
+    A, cov = _cover_qq_x()
+    x = A.var(0)
+    assert glue(_split_family(A, cov, x * x + 2)) == x * x + 2
+    s_frac = section(make_localization(A, x), x - x * x, 1)
+    t = global_section(make_localization(A, 1 - x), 1 - x)
+    assert glue(SectionFamily(cov, [s_frac, t])) == 1 - x
+    assert calls == []
+
+
+def test_an_incompatible_family_past_the_power_cap_is_refused_as_incompatible():
+    """1/x**(POWER_CAP + 1) has no fraction within the cap, but the family is
+    refused for its incompatibility first, as the sweep finds it."""
+    A, cov = _cover_qq_x()
+    x = A.var(0)
+    far = section(make_localization(A, x), A.one, POWER_CAP + 1)
+    zero = global_section(make_localization(A, 1 - x), A.zero)
+    with pytest.raises(ValueError, match="not compatible: pieces 0 and 1"):
+        glue(SectionFamily(cov, [far, zero]))
 
 
 def test_partition_of_unity_glues_mixed_constants():
