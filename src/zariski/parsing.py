@@ -7,8 +7,10 @@ are ``QQ`` or ``GF(p)`` for a prime p.  Ring specs are ``QQ[x,y]`` with an
 optional quotient tail ``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read
 ``D(f1, f2, ...)``.
 
-One regex pass yields ``(kind, text, offset)`` tokens; numbers go straight
-into the integer form of ``polynomials``.  Malformed input, parentheses
+One regex pass yields ``(kind, text, offset)`` tokens.  Numbers and
+variables go straight into the integer form of ``polynomials``: each sum is
+added into one integer dict and normalized once, and only a parenthesized
+group becomes a ``Poly`` on its own.  Malformed input, parentheses
 nested deeper than ``MAX_NESTING`` and numbers longer than Python reads
 raise ``ParseError`` with the 1-based line and column of their token.
 """
@@ -17,10 +19,13 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import List, Tuple
+from math import gcd
+from typing import Dict, List, Tuple
 
 from .fields import Field, GF, QQ
-from .polynomials import MonomialOrder, Poly, PolyRing, _ExponentLimitError, _norm
+from .polynomials import (
+    _LIMIT, MonomialOrder, Poly, PolyRing, _ExponentLimitError, _checked, _int_product, _norm,
+)
 
 MAX_NESTING = 100
 
@@ -86,56 +91,81 @@ class _Parser:
             raise self.error(tok[2], f"a number is past the digit limit: {limit}") from None
 
     # polynomial grammar -------------------------------------------------
+    # Factors and products are integer forms ``(d, t)``: packed terms ``t``
+    # over ``d``.  Each sum is added into one dict over the lcm of its
+    # products' ``d`` and normalized once.
     def _sum(self, ring: PolyRing) -> Poly:
-        negate = False
+        sign, D, acc = 1, 1, {}
         while self.kind() in ("-", "+"):
             if self.advance()[0] == "-":
-                negate = not negate
-        total = self._product(ring)
-        if negate:
-            total = -total
-        while self.kind() in ("+", "-"):
-            op = self.advance()[0]
-            term = self._product(ring)
-            total = total - term if op == "-" else total + term
-        return total
+                sign = -sign
+        while True:
+            d, t = self._product(ring)
+            if D % d:  # a new denominator: bring the sum over the lcm
+                k = d // gcd(D, d)
+                D *= k
+                acc = {m: c * k for m, c in acc.items()}
+            s = sign * (D // d)
+            for m, c in t.items():
+                acc[m] = acc.get(m, 0) + s * c
+            if self.kind() not in ("+", "-"):
+                return _norm(ring, D, acc)
+            sign = 1 if self.advance()[0] == "+" else -1
 
-    def _product(self, ring: PolyRing) -> Poly:
-        result = self._factor(ring)
+    def _product(self, ring: PolyRing) -> Tuple[int, Dict[int, int]]:
+        """The integer form of a product of factors; over GF(p) its terms
+        are residues and ``d`` is 1."""
+        d, t = self._factor(ring)
+        p = ring.field.char
         while True:
             kind = self.kind()
             if kind == "*":
                 self.advance()
             elif kind not in ("num", "name", "("):
-                return result
-            result = result * self._factor(ring)
-
-    def _factor(self, ring: PolyRing) -> Poly:
-        kind, text, at = self.tokens[self.pos]
-        if kind == "num":
-            num = self.number()[0]
-            if self.kind() != "/":
-                base = ring.const(num)
+                return d, t
+            at = self.tokens[self.pos][2]
+            e, u = self._factor(ring)
+            d *= e
+            if len(u) == 1:  # one term: add its monomial to each of t's
+                ((mu, cu),) = u.items()
+                t = {m + mu: c * cu % p if p else c * cu for m, c in t.items()}
             else:
+                t = _int_product({}, t.items(), u.items())
+                if p:
+                    t = {m: r for m, c in t.items() if (r := c % p)}
+            try:
+                _checked(ring, t)
+            except _ExponentLimitError as exc:
+                raise self.error(at, str(exc)) from None
+
+    def _factor(self, ring: PolyRing) -> Tuple[int, Dict[int, int]]:
+        """The integer form of a number, ``p/q``, variable or parenthesized
+        sum, raised to its ``^`` exponent if one follows."""
+        kind, text, at = self.tokens[self.pos]
+        p = ring.field.char
+        group = None
+        if kind == "num":
+            num, d, m = self.number()[0], 1, 0
+            if self.kind() == "/":
                 self.advance()
-                den, at = self.number()
-                if den == 0:
+                d, at = self.number()
+                if d == 0:
                     raise self.error(at, "zero denominator")
-                try:
-                    base = _norm(ring, den, {0: num})
-                except ZeroDivisionError:
-                    raise self.error(at, f"denominator {den} vanishes in {ring.field!r}") from None
+                if p:
+                    if not d % p:
+                        raise self.error(at, f"denominator {d} vanishes in {ring.field!r}")
+                    num, d = num * pow(d, -1, p), 1
         elif kind == "name":
             self.advance()
             if text not in ring.names:
                 raise self.error(at, f"unknown variable {text!r}")
-            base = ring.var_named(text)
+            num, d, m = 1, 1, ring._units[ring.names.index(text)]
         elif kind == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(at, f"parentheses nest deeper than {MAX_NESTING}")
             self.advance()
             self.depth += 1
-            base = self._sum(ring)
+            group = self._sum(ring)
             self.depth -= 1
             self.expect(")")
         else:
@@ -143,11 +173,21 @@ class _Parser:
         if self.kind() == "^":
             self.advance()
             exp, at = self.number()
-            try:
-                base = base**exp
-            except _ExponentLimitError as exc:
-                raise self.error(at, str(exc)) from None
-        return base
+            if group is not None:
+                try:
+                    group = group**exp
+                except _ExponentLimitError as exc:
+                    raise self.error(at, str(exc)) from None
+            elif m and exp >= _LIMIT:
+                mono = tuple([exp if u == m else 0 for u in ring._units])
+                raise self.error(at, str(_ExponentLimitError(ring, mono)))
+            else:
+                num, d, m = pow(num, exp, p) if p else num**exp, d**exp, m * exp
+        if group is not None:
+            return group._d, group._t
+        if p:
+            num %= p
+        return d, {m: num} if num else {}
 
     def _list(self, ring: PolyRing) -> List[Poly]:
         """``( f1, f2, ... )``, possibly empty."""

@@ -254,9 +254,6 @@ class PolyRing:
     def gens(self) -> Tuple["Poly", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
 
-    def var_named(self, name: str) -> "Poly":
-        return self.var(self.names.index(name))
-
     # -- derived rings ----------------------------------------------------
     def with_vars(self, extra: Sequence[str], order: MonomialOrder | None = None) -> "PolyRing":
         """Same field, the old variables followed by ``extra`` new ones."""
@@ -313,6 +310,7 @@ class Poly:
     construct through ``PolyRing`` methods, or as ``Poly(ring, terms)``
     from a dict of exponent tuples to ``int`` or ``Fraction`` scalars."""
 
+    # ``_hash``, ``_lm`` and ``_div`` stay unset until their first read
     __slots__ = ("ring", "_t", "_d", "_hash", "_lm", "_div")
 
     def __new__(cls, ring: PolyRing, terms: Dict[Monomial, Scalar]):
@@ -367,13 +365,14 @@ class Poly:
     # -- leading data ------------------------------------------------------
     def _lead(self) -> int:
         """The packed leading monomial, kept after first use."""
-        lm = self._lm
-        if lm is None:
+        try:
+            return self._lm
+        except AttributeError:
             if not self._t:
-                raise ValueError("zero polynomial has no leading monomial")
+                raise ValueError("zero polynomial has no leading monomial") from None
             lm = max(self._t, key=self.ring._neg.__xor__)
             _set(self, "_lm", lm)
-        return lm
+            return lm
 
     def lead_monomial(self) -> Monomial:
         return self.ring._mono(self._lead())
@@ -390,8 +389,9 @@ class Poly:
         coefficient is negative so that ``lc > 0``; over GF(p) ``dd`` is the
         inverse of the leading coefficient, ``lc`` is 1 and ``tail`` is monic.
         """
-        form = self._div
-        if form is None:
+        try:
+            return self._div
+        except AttributeError:
             lm = self._lead()
             terms = self._t
             p = self.ring.field.char
@@ -405,7 +405,7 @@ class Poly:
             lc = ints.pop(lm)
             form = (dd, lc, list(ints.items()))
             _set(self, "_div", form)
-        return form
+            return form
 
     def sorted_terms(self) -> Iterable[Tuple[Monomial, Scalar]]:
         """Terms in decreasing monomial order, with the field's scalars."""
@@ -570,11 +570,12 @@ class Poly:
         return self.ring == other.ring and self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.ring, self._d, tuple(sorted(self._t.items()))))
             _set(self, "_hash", h)
-        return h
+            return h
 
     # -- display ---------------------------------------------------------------
     def __str__(self):
@@ -611,9 +612,6 @@ def _poly(ring: PolyRing, t: Dict[int, int], d: int = 1) -> Poly:
     _set(f, "ring", ring)
     _set(f, "_t", t)
     _set(f, "_d", d)
-    _set(f, "_hash", None)
-    _set(f, "_lm", None)
-    _set(f, "_div", None)
     return f
 
 
@@ -646,8 +644,9 @@ def _monomial_text(names: Sequence[str], m: Monomial) -> str:
 
 def poly_sort_key(p: Poly) -> tuple:
     """Total order on polynomials of one ring, for canonical generator lists."""
-    neg, scalar = p.ring._neg, p._scalar
-    return (p.total_degree(), tuple(sorted([(m ^ neg, scalar(c)) for m, c in p._t.items()], reverse=True)))
+    neg, d = p.ring._neg, p._d
+    key = [(m ^ neg, c if d == 1 else Fraction(c, d)) for m, c in p._t.items()]
+    return (p.total_degree(), tuple(sorted(key, reverse=True)))
 
 
 # -- coefficient loops ---------------------------------------------------------

@@ -220,15 +220,16 @@ def test_parse_errors_exit_2_with_line_and_column():
 
 
 def test_the_exponent_limit_exits_2():
-    """An exponent past ``2**31`` is malformed input: at its ``^`` token in
-    the parser, and wherever a product passes the limit later."""
+    """An exponent past ``2**31`` is malformed input: at its exponent
+    token, and at the factor whose product passes the limit."""
     r = invoke("ideal", "member", "x^3000000000", "x", "--ring", "QQ[x,y]")
     assert r.exit_code == 2
     assert "Error: F: monomial x^3000000000 is past the exponent limit" in r.stderr
     assert "(line 1, column 3)" in r.stderr
     r = invoke("ideal", "member", "x^2000000000*x^2000000000", "x", "--ring", "QQ[x,y]")
     assert r.exit_code == 2
-    assert "Error: monomial x^4000000000 is past the exponent limit" in r.stderr
+    assert "Error: F: monomial x^4000000000 is past the exponent limit" in r.stderr
+    assert "(line 1, column 14)" in r.stderr
 
 
 def test_a_coefficient_past_the_digit_limit_exits_2():

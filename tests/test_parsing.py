@@ -225,3 +225,110 @@ def test_every_text_parses_or_raises_a_parse_error(text, splices, p):
             call()
         except ParseError as exc:
             assert exc.line >= 1 and exc.col >= 1, text
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_a_product_past_the_exponent_limit_is_a_parse_error_at_its_factor(order):
+    """A product whose monomial passes ``2**31`` is refused at the token
+    of the factor that passes it: a variable, or a parenthesized group."""
+    R = PolyRing(QQ, ["x", "y"], MonomialOrder(order))
+    for text, monomial, col in (
+        ("x^2147483647*x", "x^2147483648", 14),
+        ("(x^2147483647)*(x)", "x^2147483648", 16),
+        ("y + x^2000000000*x^2000000000", "x^4000000000", 18),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, R)
+        assert str(info.value).startswith(f"monomial {monomial} is past the exponent limit: ")
+        assert str(info.value).endswith(f"(line 1, column {col})")
+
+
+def _render(tree, level=0):
+    """The text of an expression tree, parenthesized where the grammar
+    needs it: level 0 takes a sum, 1 a product, 2 a power, 3 an atom."""
+    kind = tree[0]
+    if kind in ("num", "frac", "var"):
+        return "/".join(map(str, tree[1:]))
+    if kind == "pow":
+        text, own = f"{_render(tree[1], 3)}^{tree[2]}", 2
+    elif kind == "neg":
+        text, own = "-" + _render(tree[1], 0 if tree[1][0] == "neg" else 1), 0
+    elif kind == "mul":
+        left, right = _render(tree[1], 1), _render(tree[2], 2)
+        sep = tree[3]
+        if not sep and not (left[-1] == ")" or right[0] == "(" or left[-1].isdigit() and right[0].isalpha()):
+            sep = " "
+        text, own = left + sep + right, 1
+    else:
+        text, own = _render(tree[1], 0) + tree[3] + _render(tree[2], 1), 0
+    return text if own >= level else f"({text})"
+
+
+class _Vanishes(Exception):
+    pass
+
+
+def _value(tree, ring):
+    """The value of an expression tree by ``Poly`` arithmetic."""
+    kind = tree[0]
+    if kind == "num":
+        return ring.const(tree[1])
+    if kind == "frac":
+        if ring.field.char and tree[2] % ring.field.char == 0:
+            raise _Vanishes
+        return ring.const(Fraction(tree[1], tree[2]))
+    if kind == "var":
+        return ring.var(ring.names.index(tree[1]))
+    if kind == "pow":
+        return _value(tree[1], ring) ** tree[2]
+    if kind == "neg":
+        return -_value(tree[1], ring)
+    left, right = _value(tree[1], ring), _value(tree[2], ring)
+    if kind == "mul":
+        return left * right
+    return left + right if tree[3].strip() == "+" else left - right
+
+
+_SCALARS = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 30)),
+    st.tuples(st.just("frac"), st.integers(0, 30), st.integers(1, 30)),
+)
+_VARS = st.tuples(st.just("var"), st.sampled_from("xyz"))
+# a power of a group keeps its exponent at most 3, so no tree builds many terms
+_TREES = st.recursive(
+    st.one_of(
+        _SCALARS,
+        _VARS,
+        st.tuples(st.just("num"), st.integers(0, 10**30)),
+        st.tuples(st.just("pow"), _SCALARS, st.integers(0, 9)),
+        st.tuples(st.just("pow"), _VARS, st.integers(0, 99)),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("pow"), inner, st.integers(0, 3)),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("mul"), inner, inner, st.sampled_from(["*", " * ", "", " "])),
+        st.tuples(st.just("add"), inner, inner, st.sampled_from(["+", "-", " + ", " - "])),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_TREES, st.sampled_from(["QQ", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "QQ"]), st.sampled_from(["grevlex", "lex"]))
+def test_parsing_a_rendered_tree_gives_its_value_by_poly_arithmetic(tree, field_name, order):
+    """Random expression trees of integers, ``p/q``, variables, ``^``,
+    unary and binary ``-``, explicit and implicit ``*`` and nested
+    parentheses, rendered to text: the parsed value equals the tree's value
+    computed with ``Poly`` ``+ - * **`` and prints the same.  A ``q`` that
+    vanishes mod p is a ``ParseError``."""
+    ring = PolyRing(parse_field(field_name), ["x", "y", "z"], MonomialOrder(order))
+    text = _render(tree)
+    try:
+        expected = _value(tree, ring)
+    except _Vanishes:
+        with pytest.raises(ParseError, match=rf"vanishes in {re.escape(field_name)}"):
+            parse_poly(text, ring)
+        return
+    got = parse_poly(text, ring)
+    assert got == expected, text
+    assert str(got) == str(expected), text
