@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _Frozen
 from .groebner import (
     GroebnerBasis,
     ideal_contains_one,
@@ -45,16 +45,16 @@ def _fresh_names(stems: Sequence[str], used: Iterable[str]) -> List[str]:
     return out
 
 
-class PresentedAlgebra:
+class PresentedAlgebra(_Frozen):
     """A quotient of a polynomial ring by finitely many relations.
 
-    ``_memo`` remembers facts that depend on the algebra alone, for its
-    lifetime and for no other algebra, equal or not: ``make_localization``
-    by ``("loc", f)``, ``radical_member`` by ``("radical", f, gens)``,
-    ``try_invert`` by ``("inv", c)``, ``enumerate_elements`` by
-    ``"elements"``, and in ``funscheme`` the Frobenius matrix by
-    ``"frobenius"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
-    ``"atoms"`` and Spec by ``"spec"``.
+    ``_memo``, written only by ``_remember``, keeps facts that depend on the
+    algebra alone, for its lifetime and for no other algebra, equal or not:
+    ``make_localization`` by ``("loc", f)``, ``radical_member`` by
+    ``("radical", f, gens)``, ``try_invert`` by ``("inv", c)``,
+    ``enumerate_elements`` by ``"elements"``, and in ``funscheme`` the
+    Frobenius matrix by ``"frobenius"``, ``is_reduced`` by ``"reduced"``,
+    ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
@@ -69,9 +69,6 @@ class PresentedAlgebra:
         object.__setattr__(self, "gb", GroebnerBasis(ring, rels))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash(("PresentedAlgebra", ring, rels)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PresentedAlgebra is immutable")
 
     def __eq__(self, other):
         if self is other:
@@ -158,24 +155,20 @@ class PresentedAlgebra:
         """Whether some power of ``f`` lies in the ideal the ``gens`` span."""
         if f.poly.is_zero():
             return True
-        key = ("radical", f.poly, tuple(sorted((g.poly for g in gens), key=poly_sort_key)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if f.poly.is_constant():
+        polys = tuple(sorted((g.poly for g in gens), key=poly_sort_key))
+        return self._remember(("radical", f.poly, polys), self._radical_member, f.poly, polys)
+
+    def _radical_member(self, f: Poly, gens: Tuple[Poly, ...]) -> bool:
+        if f.is_constant():
             # a nonzero constant is in the radical iff the ideal is all of A
-            result = ideal_contains_one(key[2] + self.relations, self.ring)
-            self._memo[key] = result
-            return result
+            return ideal_contains_one(gens + self.relations, self.ring)
         wname = _fresh_names(["w"], self.ring.names)[0]
         ext = self.ring.with_vars([wname])
         w = ext.var(ext.nvars - 1)
-        polys = [self.ring.lift(g, ext) for g in key[2]]
+        polys = [self.ring.lift(g, ext) for g in gens]
         polys.extend(self.ring.lift(r, ext) for r in self.relations)
-        polys.append(ext.one - w * self.ring.lift(f.poly, ext))
-        result = ideal_contains_one(polys, ext)
-        self._memo[key] = result
-        return result
+        polys.append(ext.one - w * self.ring.lift(f, ext))
+        return ideal_contains_one(polys, ext)
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
         """The inverse of ``c`` with certificate, or None if not a unit.
@@ -183,11 +176,11 @@ class PresentedAlgebra:
         Remembered in ``_memo`` (None for a non-unit too), so each element
         of this algebra is certified by ``unit_certificate`` once.
         """
-        memo, key = self._memo, ("inv", c.poly)
-        if key not in memo:
-            row = self.unit_certificate([c])
-            memo[key] = None if row is None else row[0]
-        return memo[key]
+        return self._remember(("inv", c.poly), self._inverse, c)
+
+    def _inverse(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
+        row = self.unit_certificate([c])
+        return None if row is None else row[0]
 
     # -- enumeration (finite algebras over prime fields) ----------------------
     def staircase(self) -> List[Monomial]:
@@ -223,16 +216,17 @@ class PresentedAlgebra:
 
     def enumerate_elements(self) -> List["AlgebraElement"]:
         """All elements, in a deterministic order, listed once (``_memo``); finite cases only."""
-        if "elements" not in self._memo:
-            stairs = self._stairs()
-            self._memo["elements"] = tuple([
-                AlgebraElement(self, _poly(self.ring, {m: c for m, c in zip(stairs, coeffs) if c}))
-                for coeffs in itertools.product(self.field.elements(), repeat=len(stairs))
-            ])
-        return list(self._memo["elements"])
+        return list(self._remember("elements", self._elements))
+
+    def _elements(self) -> Tuple["AlgebraElement", ...]:
+        stairs = self._stairs()
+        return tuple([
+            AlgebraElement(self, _poly(self.ring, {m: c for m, c in zip(stairs, coeffs) if c}))
+            for coeffs in itertools.product(self.field.elements(), repeat=len(stairs))
+        ])
 
 
-class AlgebraElement:
+class AlgebraElement(_Frozen):
     """An element of a presented algebra, stored as its normal form."""
 
     __slots__ = ("algebra", "poly", "_hash")
@@ -241,9 +235,6 @@ class AlgebraElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("AlgebraElement is immutable")
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -319,7 +310,7 @@ class AlgebraElement:
         return f"<{self.poly} in {self.algebra!r}>"
 
 
-class AlgebraMorphism:
+class AlgebraMorphism(_Frozen):
     """An algebra map determined by where the source variables go."""
 
     __slots__ = ("source", "target", "images", "_polys", "_hash")
@@ -335,9 +326,6 @@ class AlgebraMorphism:
         if source.field != target.field:
             raise ValueError("field mismatch")
         return _morphism(source, target, tuple([target.element(im) for im in images]))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("AlgebraMorphism is immutable")
 
     @classmethod
     def identity(cls, algebra: PresentedAlgebra) -> "AlgebraMorphism":
@@ -505,7 +493,7 @@ def enumerate_homs(
 # -- localization -------------------------------------------------------------
 
 
-class Localization:
+class Localization(_Frozen):
     """The presentation A_f = A[y]/(f*y - 1) plus the canonical map into it.
 
     Its ring orders monomials by the power of ``y`` first and by the base
@@ -531,9 +519,6 @@ class Localization:
         object.__setattr__(self, "inv_index", ring.nvars - 1)
         object.__setattr__(self, "inv_name", inv_name)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Localization is immutable")
-
     def __eq__(self, other):
         return (
             isinstance(other, Localization)
@@ -555,12 +540,7 @@ class Localization:
 
 def make_localization(base: PresentedAlgebra, f: AlgebraElement) -> Localization:
     f = base.element(f)
-    key = ("loc", f.poly)
-    loc = base._memo.get(key)
-    if loc is None:
-        loc = Localization(base, f)
-        base._memo[key] = loc
-    return loc
+    return base._remember(("loc", f.poly), Localization, base, f)
 
 
 def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraElement, int]:

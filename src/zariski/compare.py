@@ -75,9 +75,7 @@ def point_morphism(p: SchemePoint) -> SchemeMorphism:
     point its table turns down.
     """
     X, B = p.scheme, p.test_algebra
-    if "spec" not in B._memo:  # one Spec(B) for every point over B
-        B._memo["spec"] = mk_affine(B)
-    S = B._memo["spec"]
+    S = B._remember("spec", mk_affine, B)  # one Spec(B) for every point over B
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         return CompactOpen(S, [open_at_point(embed_basic(X, j, w), p)])
@@ -178,15 +176,16 @@ def _sample_plan(X: LatticeScheme) -> Tuple[tuple, ...]:
     """Each sample (j, f, n/f**k) of ``local_samples(X)`` as (j, f, n, k, the
     generators of its support D(f*n) embedded in each chart of X).  Built
     once per scheme and remembered on X, as ``X._memo["plan"]``."""
-    plan = X._memo.get("plan")
-    if plan is None:
-        plan = []
-        for (j, f, value) in local_samples(X):
-            n, k = extract_fraction(make_localization(X.charts[j], f), value)
-            U = embed_basic(X, j, basic_open(X.charts[j], [f * n]))
-            plan.append((j, f, n, k, tuple([w.generators for w in U.components])))
-        plan = X._memo["plan"] = tuple(plan)
-    return plan
+    return X._remember("plan", _plan, X)
+
+
+def _plan(X: LatticeScheme) -> Tuple[tuple, ...]:
+    plan = []
+    for (j, f, value) in local_samples(X):
+        n, k = extract_fraction(make_localization(X.charts[j], f), value)
+        U = embed_basic(X, j, basic_open(X.charts[j], [f * n]))
+        plan.append((j, f, n, k, tuple([w.generators for w in U.components])))
+    return tuple(plan)
 
 
 def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):

@@ -58,7 +58,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Field:
+class _Frozen:
+    """Base of the package's immutable value objects: constructors set slots
+    with ``object.__setattr__``, and ``_remember`` is the one writer of a
+    subclass's ``_memo``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _remember(self, key, build, *args):
+        """``self._memo[key]``, built by ``build(*args)`` on first use (None and
+        False too); ``build`` runs outside the ``except``: no KeyError context."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = build(*args)
+        return value
+
+
+class Field(_Frozen):
     """QQ (characteristic 0) or GF(p) for a prime p <= 2**31.
 
     Frozen value object; equality and hashing go by characteristic.
@@ -73,9 +94,6 @@ class Field:
             if not is_prime(char):
                 raise ValueError(f"characteristic {char} is not prime")
         object.__setattr__(self, "char", char)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Field is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char

@@ -27,6 +27,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
+from .fields import _Frozen
 from .lattice import ZarElement, basic_open, eq, top
 from .latscheme import (
     CompactOpen,
@@ -48,7 +49,7 @@ def functorial(X: LatticeScheme) -> LatticeScheme:
     return X
 
 
-class SchemePoint:
+class SchemePoint(_Frozen):
     """A point of a scheme over a test algebra B.
 
     ``factors`` lists (idempotent e, chart index, morphism chart -> B/(1-e))
@@ -70,9 +71,6 @@ class SchemePoint:
         object.__setattr__(self, "test_algebra", test_algebra)
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SchemePoint is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, SchemePoint):
@@ -113,10 +111,7 @@ def is_reduced(B: PresentedAlgebra) -> bool:
     on B (in ``B._memo``, next to its inverses), so tabling many points over
     one algebra (``compare._atom_table``) decides it once.
     """
-    if "reduced" not in B._memo:  # over QQ, _frobenius raises on every call
-        frob = [list(row) for row in _frobenius(B)[1]]
-        B._memo["reduced"] = not _kernel_mod_p(frob, B.field.char)
-    return B._memo["reduced"]
+    return B._remember("reduced", lambda: not _kernel_mod_p(_frobenius(B)[1], B.field.char))
 
 
 def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
@@ -135,21 +130,18 @@ def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMor
     on B, in ``B._memo["atoms"]``; the Frobenius matrix is the one
     ``is_reduced`` reads (``_frobenius``).
     """
-    memo = B._memo
-    if "atoms" not in memo:
-        memo["atoms"] = tuple(_atomic_factors(B))
-    return list(memo["atoms"])
+    return list(B._remember("atoms", _atomic_factors, B))
 
 
-def _atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
+def _atomic_factors(B: PresentedAlgebra) -> Tuple[Tuple[AlgebraElement, AlgebraMorphism], ...]:
     stairs, frob = _frobenius(B)
     if not stairs:  # the trivial algebra
-        return []
+        return ()
     p = B.field.char
     shifted = [[(a - (i == j)) % p for j, a in enumerate(row)] for i, row in enumerate(frob)]
     fixed = _kernel_mod_p(shifted, p)
     if len(fixed) == 1:
-        return [(B.one, AlgebraMorphism.identity(B))]
+        return ((B.one, AlgebraMorphism.identity(B)),)
     atoms = [B.one]
     for x in fixed:
         b = AlgebraElement(B, _poly(B.ring, {m: c for m, c in zip(stairs, x) if c}))
@@ -169,7 +161,7 @@ def _atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMo
         raise NonReducedAlgebraError(
             f"atomic idempotents of {B!r} do not decompose the unit"
         )
-    return [(e, factor_projection(B, e)) for e in atoms]
+    return tuple([(e, factor_projection(B, e)) for e in atoms])
 
 
 def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
@@ -177,25 +169,28 @@ def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
     b -> b**p on it: column j holds the coordinates of (basis j)**p.  Built
     once per B, in ``B._memo["frobenius"]``, for ``is_reduced`` and
     ``atomic_factors``; raises ``ValueError`` over QQ or if B is infinite."""
-    if "frobenius" not in B._memo:
-        stairs = B._stairs()
-        row_of = {m: i for i, m in enumerate(stairs)}
-        p = B.field.char
-        rows = [[0] * len(stairs) for _ in stairs]
-        for j, m in enumerate(stairs):
-            if not m:
-                rows[j][j] = 1  # 1**p == 1, without a normal form
-                continue
-            power = AlgebraElement(B, _poly(B.ring, {m: 1})) ** p
-            for mono, c in power.poly._t.items():
-                rows[row_of[mono]][j] = c
-        B._memo["frobenius"] = (stairs, rows)
-    return B._memo["frobenius"]
+    return B._remember("frobenius", _frobenius_matrix, B)
+
+
+def _frobenius_matrix(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
+    stairs = B._stairs()
+    row_of = {m: i for i, m in enumerate(stairs)}
+    p = B.field.char
+    rows = [[0] * len(stairs) for _ in stairs]
+    for j, m in enumerate(stairs):
+        if not m:
+            rows[j][j] = 1  # 1**p == 1, without a normal form
+            continue
+        power = AlgebraElement(B, _poly(B.ring, {m: 1})) ** p
+        for mono, c in power.poly._t.items():
+            rows[row_of[mono]][j] = c
+    return stairs, rows
 
 
 def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
     """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
-    column, by reducing ``rows`` to reduced row echelon form in place."""
+    column, by reducing a copy of ``rows``, which each step replaces by rows."""
+    rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     for col in range(ncols):
@@ -343,10 +338,7 @@ def map_point(p: SchemePoint, chi: AlgebraMorphism) -> SchemePoint:
 def _realized(U: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
     """``restrict_scheme(X, U)``, the realization of U with its inclusion,
     remembered on U's scheme X in ``X._memo[("realized", U)]``."""
-    key = ("realized", U)
-    if key not in U.owner._memo:
-        U.owner._memo[key] = restrict_scheme(U.owner, U)
-    return U.owner._memo[key]
+    return U.owner._remember(("realized", U), restrict_scheme, U.owner, U)
 
 
 def realization(U: CompactOpen) -> LatticeScheme:

@@ -17,6 +17,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .fields import _Frozen
 from .polynomials import (
     Poly,
     PolyRing,
@@ -276,7 +277,7 @@ class _Engine:
         return tuple(basis), tuple(tuple(rw) for rw in rows)
 
 
-class GroebnerBasis:
+class GroebnerBasis(_Frozen):
     """Reduced monic basis of an ideal, with generator cofactors.
 
     ``basis[i] == sum(cofactors[i][j] * gens[j] for j)`` holds exactly;
@@ -297,9 +298,6 @@ class GroebnerBasis:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "cofactors", cofactors)
         object.__setattr__(self, "_leads", tuple(b._lead() for b in basis))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GroebnerBasis is immutable")
 
     def __repr__(self):
         return f"GroebnerBasis({[str(b) for b in self.basis]})"

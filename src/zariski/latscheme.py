@@ -30,6 +30,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
+from .fields import _Frozen
 from .lattice import (
     ZarElement,
     basic_open,
@@ -64,14 +65,14 @@ def extend_over(loc: Localization, phi: AlgebraMorphism) -> AlgebraMorphism:
     return out
 
 
-class Patch:
+class Patch(_Frozen):
     """One principal overlap piece between charts i and j.
 
     ``fwd`` and ``bwd`` are mutually inverse maps between (A_i)_f and
     (A_j)_g; validation happens in LatticeScheme, not here.
     """
 
-    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "_chart_bwd")
+    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "_memo")
 
     def __init__(
         self,
@@ -90,10 +91,7 @@ class Patch:
         object.__setattr__(self, "g", loc_g.denominator)
         object.__setattr__(self, "fwd", fwd)
         object.__setattr__(self, "bwd", bwd)
-        object.__setattr__(self, "_chart_bwd", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Patch is immutable")
+        object.__setattr__(self, "_memo", {})
 
     @property
     def chart_fwd(self) -> AlgebraMorphism:
@@ -103,10 +101,8 @@ class Patch:
     @property
     def chart_bwd(self) -> AlgebraMorphism:
         """``A_j -> (A_i)_f``: chart j's localization map followed by
-        ``bwd``, composed on first use and kept on the patch."""
-        if self._chart_bwd is None:
-            object.__setattr__(self, "_chart_bwd", self.loc_g.to_loc.then(self.bwd))
-        return self._chart_bwd
+        ``bwd``, composed on first use and kept in ``_memo["chart_bwd"]``."""
+        return self._remember("chart_bwd", self.loc_g.to_loc.then, self.bwd)
 
     def mirror(self) -> "Patch":
         return Patch(self.j, self.i, self.loc_g, self.loc_f, self.bwd, self.fwd)
@@ -154,7 +150,7 @@ def transport_piece(patch: Patch, h: AlgebraElement) -> AlgebraElement:
     return patch.g * extract_fraction(patch.loc_g, image)[0]
 
 
-class LatticeScheme:
+class LatticeScheme(_Frozen):
     """A scheme presented by validated chart-and-patch data.
 
     Construction stores each given patch with its mirror and, unless
@@ -166,12 +162,12 @@ class LatticeScheme:
 
     The same object is the scheme's functor of points (``funscheme``), and
     the points, opens and morphisms of the scheme name it.
-    ``_memo`` remembers values that depend on the scheme alone, for its
-    lifetime, and this module reads none of them: the realization of an
-    open U with its inclusion, ``restrict_scheme(X, U)``, by
-    ``("realized", U)`` (``funscheme._realized``, so the points of one
-    realization compare equal) and the comparison's sample plan by
-    ``"plan"`` (``compare._sample_plan``).
+    ``_memo``, written only by ``_remember``, keeps values that depend on the
+    scheme alone, for its lifetime, and this module reads none of them: the
+    realization of an open U with its inclusion, ``restrict_scheme(X, U)``,
+    by ``("realized", U)`` (``funscheme._realized``, so the points of one
+    realization compare equal) and the comparison's sample plan by ``"plan"``
+    (``compare._sample_plan``).
     """
 
     __slots__ = ("charts", "patches", "_by_pair", "_memo")
@@ -202,9 +198,6 @@ class LatticeScheme:
         object.__setattr__(self, "_memo", {})
         if validate:
             self._validate()
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LatticeScheme is immutable")
 
     @property
     def ncharts(self) -> int:
@@ -326,7 +319,7 @@ def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
 # -- compact opens ---------------------------------------------------------------
 
 
-class CompactOpen:
+class CompactOpen(_Frozen):
     """A compact open of a scheme: one lattice element per chart.
 
     The components must agree across patches: for a patch from chart i to
@@ -347,9 +340,6 @@ class CompactOpen:
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("CompactOpen is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, CompactOpen):
@@ -425,7 +415,7 @@ def embed_basic(X: LatticeScheme, i: int, w: ZarElement) -> CompactOpen:
 # -- global sections --------------------------------------------------------------
 
 
-class GlobalSection:
+class GlobalSection(_Frozen):
     """A compatible family of localized elements over a compact open.
 
     ``values[i][k]`` lives in the localization of chart i at the k-th
@@ -458,9 +448,6 @@ class GlobalSection:
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GlobalSection is immutable")
 
     def piece(self, i: int, k: int) -> BasicOpenSection:
         g = self.domain.components[i].generators[k]
@@ -547,7 +534,7 @@ def affine_hull_map(X: LatticeScheme) -> Callable[[Sequence[GlobalSection]], Com
 # -- morphisms --------------------------------------------------------------------
 
 
-class SchemeMorphism:
+class SchemeMorphism(_Frozen):
     """A morphism of schemes, stored as its action data.
 
     ``chart_open(j, w)`` gives the source compact open pulled back from the
@@ -577,9 +564,6 @@ class SchemeMorphism:
         object.__setattr__(
             self, "chart_comorphisms", tuple(map(tuple, chart_comorphisms))
         )
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SchemeMorphism is immutable")
 
     def pullback(self, u: CompactOpen) -> CompactOpen:
         if u.owner is not self.target:

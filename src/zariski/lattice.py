@@ -20,10 +20,11 @@ from .algebra import (
     PresentedAlgebra,
     extract_fraction,
 )
+from .fields import _Frozen
 from .polynomials import poly_sort_key
 
 
-class ZarElement:
+class ZarElement(_Frozen):
     """A basic-open class ``D(f1, ..., fn)`` with a canonical generator list.
 
     The stored list is canonical as a *list* (zeros dropped, duplicate
@@ -37,9 +38,6 @@ class ZarElement:
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ZarElement is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, ZarElement):

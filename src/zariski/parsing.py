@@ -1,11 +1,11 @@
 """Text grammar for fields, rings, polynomials, and basic opens.
 
 The polynomial grammar: variables are identifiers, coefficients are decimal
-integers or ``p/q`` rationals, ``^`` takes powers, ``*`` is optional, and
-parentheses group, e.g. ``3*x^2*y - 1/2`` or ``(x+1)(x-1)``.  Field specs
-are ``QQ`` or ``GF(p)`` for a prime p.  Ring specs are ``QQ[x,y]`` with an
-optional quotient tail ``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read
-``D(f1, f2, ...)``.
+integers or ``p/q`` rationals, ``^`` takes powers (``3/2^2`` is ``3/4``),
+``*`` is optional, and parentheses group, e.g. ``3*x^2*y - 1/2`` or
+``(x+1)(x-1)``.  Field specs are ``QQ`` or ``GF(p)`` for a prime p.  Ring
+specs are ``QQ[x,y]`` with an optional quotient tail
+``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read ``D(f1, f2, ...)``.
 
 One regex pass yields ``(kind, text, offset)`` tokens.  Numbers and
 variables go straight into the integer form of ``polynomials``: each sum is
@@ -151,10 +151,14 @@ class _Parser:
                 d, at = self.number()
                 if d == 0:
                     raise self.error(at, "zero denominator")
+                if p and not d % p:
+                    raise self.error(at, f"denominator {d} vanishes in {ring.field!r}")
+                if self.kind() == "^":  # ^ binds to the denominator alone: 3/2^2 is 3/4
+                    self.advance()
+                    d = pow(d, self.number()[0], p or None)
                 if p:
-                    if not d % p:
-                        raise self.error(at, f"denominator {d} vanishes in {ring.field!r}")
-                    num, d = num * pow(d, -1, p), 1
+                    num, d = num * pow(d, -1, p) % p, 1
+                return d, {0: num} if num else {}
         elif kind == "name":
             self.advance()
             if text not in ring.names:

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import mul, or_
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _Frozen
 
 Monomial = Tuple[int, ...]
 
@@ -69,7 +69,7 @@ class _ExponentLimitError(ValueError):
         )
 
 
-class MonomialOrder:
+class MonomialOrder(_Frozen):
     """A monomial order, ``grevlex`` or ``lex``, that ranks the variables in
     the declaration order of the ring, or the elimination order
     ``inner.eliminating()`` on one more variable."""
@@ -81,9 +81,6 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "inner", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("MonomialOrder is immutable")
 
     def __eq__(self, other):
         return (
@@ -125,7 +122,7 @@ def _layout(order: MonomialOrder, n: int) -> Tuple[Tuple[int, ...], int]:
     return tuple(range(n)), n
 
 
-class PolyRing:
+class PolyRing(_Frozen):
     """A polynomial ring ``field[names]`` with a fixed monomial order."""
 
     __slots__ = (
@@ -162,9 +159,6 @@ class PolyRing:
         # ((1 << 32*n) - 1) // _FIELD has a 1 at the bottom of each of n fields
         _set(self, "_guard", _LIMIT * (((1 << 32 * nfields) - 1) // _FIELD))
         _set(self, "_neg", _VALUE * (((1 << 32 * k) - 1) // _FIELD))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PolyRing is immutable")
 
     def __eq__(self, other):
         if self is other:
@@ -305,7 +299,7 @@ class PolyRing:
         return _poly(target, terms, p._d)
 
 
-class Poly:
+class Poly(_Frozen):
     """Immutable sparse polynomial, integer terms ``_t`` over ``_d``;
     construct through ``PolyRing`` methods, or as ``Poly(ring, terms)``
     from a dict of exponent tuples to ``int`` or ``Fraction`` scalars."""
@@ -315,9 +309,6 @@ class Poly:
 
     def __new__(cls, ring: PolyRing, terms: Dict[Monomial, Scalar]):
         return ring.from_terms(terms)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Poly is immutable")
 
     def _scalar(self, c: int) -> Scalar:
         """The field's scalar of the integer coefficient ``c``: the

@@ -27,10 +27,11 @@ from .algebra import (
     make_localization,
     try_extend,
 )
+from .fields import _Frozen
 from .lattice import ZarElement, basic_open
 
 
-class BasicOpenSection:
+class BasicOpenSection(_Frozen):
     """An element of A_f, tagged with its localization presentation."""
 
     __slots__ = ("loc", "value")
@@ -40,9 +41,6 @@ class BasicOpenSection:
             raise ValueError("value does not live in the localization")
         object.__setattr__(self, "loc", loc)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BasicOpenSection is immutable")
 
     @property
     def base(self) -> PresentedAlgebra:
@@ -95,7 +93,7 @@ def restrict(s: BasicOpenSection, g: AlgebraElement) -> BasicOpenSection:
     return BasicOpenSection(loc_g, restriction_map(s.loc, loc_g)(s.value))
 
 
-class CoverData:
+class CoverData(_Frozen):
     """A basic-open cover of the full spectrum, with its unit certificate.
 
     Construction fails unless 1 = sum(certificate[i] * pieces[i]) can be
@@ -121,14 +119,11 @@ class CoverData:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "certificate", tuple(cert))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("CoverData is immutable")
-
     def __repr__(self):
         return f"CoverData({', '.join(str(p) for p in self.pieces)})"
 
 
-class SectionFamily:
+class SectionFamily(_Frozen):
     """One section per cover piece, the raw material for gluing."""
 
     __slots__ = ("cover", "sections")
@@ -143,9 +138,6 @@ class SectionFamily:
                 )
         object.__setattr__(self, "cover", cover)
         object.__setattr__(self, "sections", tuple(sections))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SectionFamily is immutable")
 
 
 def incompatibility_witness(
@@ -177,22 +169,24 @@ def _require_compatible(fam: SectionFamily) -> None:
 def glue(fam: SectionFamily) -> AlgebraElement:
     """The unique global element restricting to the family's sections.
 
-    Clears every section to a shared denominator exponent N, combines with
-    the unit-ideal cofactors of the pieces' N-th powers, and verifies all
-    restrictions; N grows (up to ``POWER_CAP``) until verification passes,
-    which compatibility guarantees.  A verified candidate proves the family
-    compatible: ``incompatibility_witness`` runs only on a first failure.
+    A compatible family glues to some a, and each section a/1 has a normal
+    form free of the inverse variable (Cox-Little-O'Shea §3.1): a section
+    that involves it proves the family incompatible, and the others give
+    numerators r_i by projection.  sum(e_i * r_i * f_i**N), with e the
+    cofactors of the pieces' N-th powers, is verified on every piece for
+    N = 0, 1, ... up to ``POWER_CAP``; compatibility makes some N verify.  A
+    verified candidate proves the family compatible: ``incompatibility_witness``
+    runs only on a first failure.
     """
     base = fam.cover.base
     pieces = fam.cover.pieces
-    try:
-        extracted = [extract_fraction(s.loc, s.value) for s in fam.sections]
-    except ExtractionCapError:
+    if any(s.value.poly.involves(s.loc.inv_index) for s in fam.sections):
         _require_compatible(fam)
-        raise
-    start = max((k for _, k in extracted), default=0)
-    for n in range(start, POWER_CAP + 1):
-        numerators = [r * p ** (n - k) for (r, k), p in zip(extracted, pieces)]
+        raise AssertionError("a compatible family has a section that involves its inverse variable")
+    numerators = [
+        base.element(s.loc.algebra.ring.project(s.value.poly, base.ring)) for s in fam.sections
+    ]
+    for n in range(POWER_CAP + 1):
         powered = [p ** n for p in pieces]
         cert = base.unit_certificate(powered)
         if cert is None:
@@ -201,11 +195,11 @@ def glue(fam: SectionFamily) -> AlgebraElement:
                 "CoverData invariant violated"
             )
         candidate = base.zero
-        for e, a in zip(cert, numerators):
-            candidate = candidate + e * a
+        for e, r, q in zip(cert, numerators, powered):
+            candidate = candidate + e * r * q
         if all(s.loc.to_loc(candidate) == s.value for s in fam.sections):
             return candidate
-        if n == start:
+        if n == 0:
             _require_compatible(fam)
     raise ExtractionCapError(
         f"gluing did not stabilize within denominator exponent cap {POWER_CAP}"

@@ -603,3 +603,47 @@ def test_the_package_has_no_module_level_caches():
                 if isinstance(t, ast.Name) and isinstance(getattr(module, t.id, None), dict):
                     found.add(f"{path.stem}.{t.id}")
     assert found == set()
+
+
+def test_immutability_and_memos_are_one_mechanism():
+    """``fields._Frozen`` holds the package's only ``__setattr__``, and its
+    ``_remember`` is the only code that reads or writes a ``_memo``: no
+    other function looks one up, aliases one or stores into one."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    guards, memo_uses = [], []
+
+    def visit(node, path, qual):
+        for child in ast.iter_child_nodes(node):
+            inner = qual
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{qual}{child.name}."
+                if child.name == "__setattr__":
+                    guards.append(f"{path.stem}.{qual}{child.name}")
+            elif isinstance(child, ast.Attribute) and child.attr == "_memo":
+                if qual != "_Frozen._remember.":
+                    memo_uses.append(f"{path.name}:{child.lineno} {qual or '<module>'}")
+            visit(child, path, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    assert guards == ["fields._Frozen.__setattr__"]
+    assert memo_uses == []
+
+
+def test_value_objects_refuse_assignment_by_name():
+    """Instances of the frozen value classes refuse assignment, to one of
+    their slots or to a new name, with a message that names their own
+    class, and carry no instance dict."""
+    A = gf5_hyperbola()
+    X = mk_affine(A)
+    R = PolyRing(GF(5), ["t"])
+    point = eval_points(X, PresentedAlgebra(R, [R.var(0)]))[0]
+    for obj in (A.ring.one, A, X, point):
+        for attr in (type(obj).__slots__[0], "anything"):
+            try:
+                setattr(obj, attr, None)
+            except AttributeError as exc:
+                assert str(exc) == f"{type(obj).__name__} is immutable"
+            else:
+                raise AssertionError(f"{type(obj).__name__}.{attr} was assigned")
+        assert not hasattr(obj, "__dict__")

@@ -166,6 +166,14 @@ def test_ring_normal_form():
     assert (r.exit_code, r.output) == (0, "0\n")
 
 
+def test_a_power_after_a_slash_raises_the_denominator_alone():
+    """``3/2^2`` is 3/4 (2 in GF(5)), not (3/2)^2."""
+    r = invoke("ring", "nf", "3/2^2", "--ring", "QQ[x]")
+    assert (r.exit_code, r.output) == (0, "3/4\n")
+    r = invoke("ring", "nf", "3/2^2", "--ring", "GF(5)[x]")
+    assert (r.exit_code, r.output) == (0, "2\n")
+
+
 def test_ring_inverse_with_check_line():
     r = invoke("ring", "invert", "x", "--ring", "GF(5)[x]/(x*x-2)")
     assert (r.exit_code, r.output) == (0, "inverse: 3*x\ncheck: (x) * (3*x) = 1\n")

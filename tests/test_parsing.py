@@ -113,6 +113,24 @@ def test_basic_open_lists():
         parse_basic_open("E(x)", ring)
 
 
+def test_a_power_binds_to_the_denominator_alone():
+    """``^`` binds before ``/``: ``3/2^2`` is 3/4, not (3/2)^2, over QQ and
+    over GF(5), where it is 3 * 4^-1 = 2; parentheses still raise the
+    fraction.  A second ``^`` is trailing input, as after ``2^2``."""
+    ring, _ = parse_ring("QQ[x]")
+    assert parse_poly("3/2^2", ring) == ring.const(Fraction(3, 4))
+    assert parse_poly("(3/2)^2", ring) == ring.const(Fraction(9, 4))
+    assert parse_poly("-3/2^3*x + 1/7^0", ring) == parse_poly("-3/8*x + 1", ring)
+    ring5, _ = parse_ring("GF(5)[x]")
+    assert parse_poly("3/2^2", ring5) == ring5.const(2)
+    assert parse_poly("(3/2)^2", ring5) == ring5.const(1)
+    for text in ("3/2^2^3", "2^2/3"):
+        with pytest.raises(ParseError, match="unexpected trailing input"):
+            parse_poly(text, ring)
+    with pytest.raises(ParseError, match=r"^denominator 5 vanishes in GF\(5\) \(line 1, column 3\)$"):
+        parse_poly("1/5^0", ring5)
+
+
 def test_scalar_parsing():
     ring, _ = parse_ring("QQ[x]")
     assert parse_poly("3/4", ring) == ring.const(Fraction(3, 4))
@@ -247,9 +265,11 @@ def _render(tree, level=0):
     """The text of an expression tree, parenthesized where the grammar
     needs it: level 0 takes a sum, 1 a product, 2 a power, 3 an atom."""
     kind = tree[0]
-    if kind in ("num", "frac", "var"):
-        return "/".join(map(str, tree[1:]))
-    if kind == "pow":
+    if kind in ("num", "var"):
+        return str(tree[1])
+    if kind in ("frac", "fracpow"):  # ``p/q^e`` raises q alone, so a fraction is no atom
+        text, own = "/".join(map(str, tree[1:3])) + "".join(f"^{e}" for e in tree[3:]), 2
+    elif kind == "pow":
         text, own = f"{_render(tree[1], 3)}^{tree[2]}", 2
     elif kind == "neg":
         text, own = "-" + _render(tree[1], 0 if tree[1][0] == "neg" else 1), 0
@@ -273,10 +293,10 @@ def _value(tree, ring):
     kind = tree[0]
     if kind == "num":
         return ring.const(tree[1])
-    if kind == "frac":
+    if kind in ("frac", "fracpow"):
         if ring.field.char and tree[2] % ring.field.char == 0:
             raise _Vanishes
-        return ring.const(Fraction(tree[1], tree[2]))
+        return ring.const(Fraction(tree[1], tree[2] ** (tree[3] if kind == "fracpow" else 1)))
     if kind == "var":
         return ring.var(ring.names.index(tree[1]))
     if kind == "pow":
@@ -292,6 +312,7 @@ def _value(tree, ring):
 _SCALARS = st.one_of(
     st.tuples(st.just("num"), st.integers(0, 30)),
     st.tuples(st.just("frac"), st.integers(0, 30), st.integers(1, 30)),
+    st.tuples(st.just("fracpow"), st.integers(0, 30), st.integers(1, 30), st.integers(0, 9)),
 )
 _VARS = st.tuples(st.just("var"), st.sampled_from("xyz"))
 # a power of a group keeps its exponent at most 3, so no tree builds many terms
@@ -316,7 +337,7 @@ _TREES = st.recursive(
 @settings(max_examples=250, deadline=None)
 @given(_TREES, st.sampled_from(["QQ", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "QQ"]), st.sampled_from(["grevlex", "lex"]))
 def test_parsing_a_rendered_tree_gives_its_value_by_poly_arithmetic(tree, field_name, order):
-    """Random expression trees of integers, ``p/q``, variables, ``^``,
+    """Random expression trees of integers, ``p/q``, ``p/q^e``, variables, ``^``,
     unary and binary ``-``, explicit and implicit ``*`` and nested
     parentheses, rendered to text: the parsed value equals the tree's value
     computed with ``Poly`` ``+ - * **`` and prints the same.  A ``q`` that

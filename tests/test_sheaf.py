@@ -232,6 +232,27 @@ def test_a_compatible_family_glues_without_the_pairwise_sweep(monkeypatch):
     assert calls == []
 
 
+def test_a_compatible_family_glues_without_extracting_a_fraction(monkeypatch):
+    """Each section of a compatible family is a/1, whose normal form is free
+    of the inverse variable, so ``glue`` reads its numerators off by
+    projection and never calls ``extract_fraction``."""
+
+    def refuse(loc, s):
+        raise AssertionError(f"extract_fraction({s}) called by glue")
+
+    monkeypatch.setattr(sheaf, "extract_fraction", refuse)
+    A, cov = _cover_qq_x()
+    x = A.var(0)
+    assert glue(_split_family(A, cov, x * x + 2)) == x * x + 2
+    s_frac = section(make_localization(A, x), x - x * x, 1)
+    t = global_section(make_localization(A, 1 - x), 1 - x)
+    assert glue(SectionFamily(cov, [s_frac, t])) == 1 - x
+    B = gf3_split()
+    e = B.var(0)
+    fam = _split_family(B, CoverData(B, [e, 1 - e]), e + 2)
+    assert glue(fam) == e + 2
+
+
 def test_an_incompatible_family_past_the_power_cap_is_refused_as_incompatible():
     """1/x**(POWER_CAP + 1) has no fraction within the cap, but the family is
     refused for its incompatibility first, as the sweep finds it."""

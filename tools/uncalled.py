@@ -28,7 +28,6 @@ PAPER = os.path.join(ROOT, "tests", "paper.py")
 
 # qualified-name pattern -> why the function may stay untested
 ALLOWED = {
-    "*.__setattr__": "immutability guard: it only raises, and correct code never assigns",
     "*.__repr__": "debugging display, not an answer of the package",
     "*.__str__": "debugging display, not an answer of the package",
     "Localization.__hash__": "pairs with Localization.__eq__, which disables the default hash",
