@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, Scalar, _Frozen
+from .fields import Field, Scalar, _Value
 from .groebner import (
     GroebnerBasis,
     ideal_contains_one,
@@ -45,7 +45,7 @@ def _fresh_names(stems: Sequence[str], used: Iterable[str]) -> List[str]:
     return out
 
 
-class PresentedAlgebra(_Frozen):
+class PresentedAlgebra(_Value):
     """A quotient of a polynomial ring by finitely many relations.
 
     ``_memo``, written only by ``_remember``, keeps facts that depend on the
@@ -57,7 +57,7 @@ class PresentedAlgebra(_Frozen):
     ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
-    __slots__ = ("ring", "relations", "gb", "_memo", "_hash")
+    __slots__ = ("ring", "relations", "gb", "_memo")
 
     def __init__(self, ring: PolyRing, relations: Sequence[Poly] = ()):
         rels = tuple(r for r in relations if not r.is_zero())
@@ -68,19 +68,9 @@ class PresentedAlgebra(_Frozen):
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "gb", GroebnerBasis(ring, rels))
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_hash", hash(("PresentedAlgebra", ring, rels)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, PresentedAlgebra)
-            and self.ring == other.ring
-            and self.relations == other.relations
-        )
-
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return (self.ring, self.relations)
 
     def __repr__(self):
         if not self.relations:
@@ -226,15 +216,14 @@ class PresentedAlgebra(_Frozen):
         ])
 
 
-class AlgebraElement(_Frozen):
+class AlgebraElement(_Value):
     """An element of a presented algebra, stored as its normal form."""
 
-    __slots__ = ("algebra", "poly", "_hash")
+    __slots__ = ("algebra", "poly")
 
     def __init__(self, algebra: PresentedAlgebra, poly: Poly):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "_hash", None)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -296,12 +285,10 @@ class AlgebraElement(_Frozen):
             return NotImplemented
         return self.algebra == other.algebra and self.poly == other.poly
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.algebra, self.poly))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _Value.__hash__
+
+    def _key(self):
+        return (self.algebra, self.poly)
 
     def __str__(self):
         return str(self.poly)
@@ -310,10 +297,10 @@ class AlgebraElement(_Frozen):
         return f"<{self.poly} in {self.algebra!r}>"
 
 
-class AlgebraMorphism(_Frozen):
+class AlgebraMorphism(_Value):
     """An algebra map determined by where the source variables go."""
 
-    __slots__ = ("source", "target", "images", "_polys", "_hash")
+    __slots__ = ("source", "target", "images", "_polys")
 
     def __new__(
         cls,
@@ -360,21 +347,8 @@ class AlgebraMorphism(_Frozen):
             self.source, other.target, tuple([other._apply(im.poly) for im in self.images])
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.source, self.target, self.images))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self):
+        return (self.source, self.target, self.images)
 
     def __repr__(self):
         arrows = ", ".join(
@@ -408,7 +382,6 @@ def _morphism(source: PresentedAlgebra, target: PresentedAlgebra, images: Tuple)
     _set(f, "target", target)
     _set(f, "images", images)
     _set(f, "_polys", tuple([im.poly for im in images]))
-    _set(f, "_hash", None)
     return f
 
 
@@ -493,7 +466,7 @@ def enumerate_homs(
 # -- localization -------------------------------------------------------------
 
 
-class Localization(_Frozen):
+class Localization(_Value):
     """The presentation A_f = A[y]/(f*y - 1) plus the canonical map into it.
 
     Its ring orders monomials by the power of ``y`` first and by the base
@@ -519,15 +492,8 @@ class Localization(_Frozen):
         object.__setattr__(self, "inv_index", ring.nvars - 1)
         object.__setattr__(self, "inv_name", inv_name)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Localization)
-            and self.base == other.base
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash(("Localization", self.base, self.denominator))
+    def _key(self):
+        return (self.base, self.denominator)
 
     def __repr__(self):
         return f"Localization({self.base!r} at {self.denominator})"

@@ -246,8 +246,11 @@ def comparison_check(
     pushed into B2/(1 - e2); units and missing values carry over, as a map
     of finite local algebras is local.  Tables of the first pass are read,
     not rebuilt.  Finally check the realization certificate.  Returns
-    (ok, report).
+    (ok, report).  Raises ``ValueError``, before any other work, when some
+    chi maps a relation of its source to a nonzero element.
     """
+    for chi in morphisms:
+        chi.check_valid()
     report: Dict[str, object] = {"counts": [], "per_algebra": []}
     ok = True
     plan = _sample_plan(X)

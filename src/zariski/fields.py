@@ -14,6 +14,9 @@ over one integer denominator, 1 over GF(p), and its arithmetic runs on
 those ints rather than through ``Field`` (see ``polynomials``).  Printing
 a coefficient too long for Python's int-to-text conversion raises
 ``_DigitLimitError``, a ``ValueError`` that names the limit.
+
+The package's value classes inherit ``==`` and a cached ``hash`` from
+``_Value``, which reads both off one ``_key()`` per class.
 """
 
 from __future__ import annotations
@@ -79,7 +82,31 @@ class _Frozen:
         return value
 
 
-class Field(_Frozen):
+class _Value(_Frozen):
+    """A ``_Frozen`` object compared by value: two of one type are equal when
+    their ``_key()`` tuples are, and ``hash`` is the key's, kept in ``_hash``,
+    which stays unset until the first ``hash()``."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash(self._key())
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+class Field(_Value):
     """QQ (characteristic 0) or GF(p) for a prime p <= 2**31.
 
     Frozen value object; equality and hashing go by characteristic.
@@ -95,11 +122,8 @@ class Field(_Frozen):
                 raise ValueError(f"characteristic {char} is not prime")
         object.__setattr__(self, "char", char)
 
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.char == other.char
-
-    def __hash__(self):
-        return hash(("Field", self.char))
+    def _key(self):
+        return (self.char,)
 
     def __repr__(self):
         return "QQ" if self.char == 0 else f"GF({self.char})"

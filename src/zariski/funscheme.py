@@ -27,7 +27,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .fields import _Frozen
+from .fields import _Value
 from .lattice import ZarElement, basic_open, eq, top
 from .latscheme import (
     CompactOpen,
@@ -49,7 +49,7 @@ def functorial(X: LatticeScheme) -> LatticeScheme:
     return X
 
 
-class SchemePoint(_Frozen):
+class SchemePoint(_Value):
     """A point of a scheme over a test algebra B.
 
     ``factors`` lists (idempotent e, chart index, morphism chart -> B/(1-e))
@@ -59,7 +59,7 @@ class SchemePoint(_Frozen):
     empty.
     """
 
-    __slots__ = ("scheme", "test_algebra", "factors", "_hash")
+    __slots__ = ("scheme", "test_algebra", "factors")
 
     def __init__(
         self,
@@ -70,23 +70,9 @@ class SchemePoint(_Frozen):
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "test_algebra", test_algebra)
         object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_hash", None)
 
-    def __eq__(self, other):
-        if not isinstance(other, SchemePoint):
-            return NotImplemented
-        return (
-            self.scheme is other.scheme
-            and self.test_algebra == other.test_algebra
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.scheme), self.test_algebra, self.factors))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self):
+        return (id(self.scheme), self.test_algebra, self.factors)
 
     def __repr__(self):
         parts = []

@@ -30,7 +30,7 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .fields import _Frozen
+from .fields import _Frozen, _Value
 from .lattice import (
     ZarElement,
     basic_open,
@@ -319,7 +319,7 @@ def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
 # -- compact opens ---------------------------------------------------------------
 
 
-class CompactOpen(_Frozen):
+class CompactOpen(_Value):
     """A compact open of a scheme: one lattice element per chart.
 
     The components must agree across patches: for a patch from chart i to
@@ -328,7 +328,7 @@ class CompactOpen(_Frozen):
     ``embed_basic`` and the lattice operations produce compatible data.
     """
 
-    __slots__ = ("owner", "components", "_hash")
+    __slots__ = ("owner", "components")
 
     def __init__(self, owner: LatticeScheme, components: Sequence[ZarElement]):
         components = tuple(components)
@@ -339,19 +339,9 @@ class CompactOpen(_Frozen):
                 raise ValueError("component over the wrong chart algebra")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_hash", None)
 
-    def __eq__(self, other):
-        if not isinstance(other, CompactOpen):
-            return NotImplemented
-        return self.owner is other.owner and self.components == other.components
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.owner), self.components))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self):
+        return (id(self.owner), self.components)
 
     def __str__(self):
         return "[" + "; ".join(str(w) for w in self.components) + "]"

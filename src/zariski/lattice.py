@@ -20,11 +20,11 @@ from .algebra import (
     PresentedAlgebra,
     extract_fraction,
 )
-from .fields import _Frozen
+from .fields import _Value
 from .polynomials import poly_sort_key
 
 
-class ZarElement(_Frozen):
+class ZarElement(_Value):
     """A basic-open class ``D(f1, ..., fn)`` with a canonical generator list.
 
     The stored list is canonical as a *list* (zeros dropped, duplicate
@@ -32,24 +32,14 @@ class ZarElement(_Frozen):
     ``eq``, which is weaker than list equality.
     """
 
-    __slots__ = ("owner", "generators", "_hash")
+    __slots__ = ("owner", "generators")
 
     def __init__(self, owner: PresentedAlgebra, generators: Tuple[AlgebraElement, ...]):
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_hash", None)
 
-    def __eq__(self, other):
-        if not isinstance(other, ZarElement):
-            return NotImplemented
-        return self.owner == other.owner and self.generators == other.generators
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.owner, self.generators))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self):
+        return (self.owner, self.generators)
 
     def __str__(self):
         return f"D({', '.join(str(g) for g in self.generators)})"

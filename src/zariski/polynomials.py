@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import mul, or_
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .fields import Field, Scalar, _Frozen
+from .fields import Field, Scalar, _Value
 
 Monomial = Tuple[int, ...]
 
@@ -69,7 +69,7 @@ class _ExponentLimitError(ValueError):
         )
 
 
-class MonomialOrder(_Frozen):
+class MonomialOrder(_Value):
     """A monomial order, ``grevlex`` or ``lex``, that ranks the variables in
     the declaration order of the ring, or the elimination order
     ``inner.eliminating()`` on one more variable."""
@@ -82,15 +82,8 @@ class MonomialOrder(_Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "inner", None)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash(("MonomialOrder", self.kind, self.inner))
+    def _key(self):
+        return (self.kind, self.inner)
 
     def __repr__(self):
         if self.inner is not None:
@@ -122,11 +115,11 @@ def _layout(order: MonomialOrder, n: int) -> Tuple[Tuple[int, ...], int]:
     return tuple(range(n)), n
 
 
-class PolyRing(_Frozen):
+class PolyRing(_Value):
     """A polynomial ring ``field[names]`` with a fixed monomial order."""
 
     __slots__ = (
-        "field", "names", "order", "_hash",
+        "field", "names", "order",
         "_shifts", "_units", "_graded", "_guard", "_neg",
     )
 
@@ -149,7 +142,6 @@ class PolyRing(_Frozen):
         _set(self, "field", field)
         _set(self, "names", names)
         _set(self, "order", order)
-        _set(self, "_hash", hash(("PolyRing", field, names, order)))
         # the bit offset of x_i's field, and x_i as a packed monomial, its
         # degree field included
         shifts = tuple([32 * f for f in fields])
@@ -160,18 +152,8 @@ class PolyRing(_Frozen):
         _set(self, "_guard", _LIMIT * (((1 << 32 * nfields) - 1) // _FIELD))
         _set(self, "_neg", _VALUE * (((1 << 32 * k) - 1) // _FIELD))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, PolyRing)
-            and self.field == other.field
-            and self.names == other.names
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return (self.field, self.names, self.order)
 
     def __repr__(self):
         return f"{self.field!r}[{', '.join(self.names)}]"
@@ -299,13 +281,13 @@ class PolyRing(_Frozen):
         return _poly(target, terms, p._d)
 
 
-class Poly(_Frozen):
+class Poly(_Value):
     """Immutable sparse polynomial, integer terms ``_t`` over ``_d``;
     construct through ``PolyRing`` methods, or as ``Poly(ring, terms)``
     from a dict of exponent tuples to ``int`` or ``Fraction`` scalars."""
 
     # ``_hash``, ``_lm`` and ``_div`` stay unset until their first read
-    __slots__ = ("ring", "_t", "_d", "_hash", "_lm", "_div")
+    __slots__ = ("ring", "_t", "_d", "_lm", "_div")
 
     def __new__(cls, ring: PolyRing, terms: Dict[Monomial, Scalar]):
         return ring.from_terms(terms)
@@ -560,13 +542,10 @@ class Poly(_Frozen):
             return NotImplemented
         return self.ring == other.ring and self._d == other._d and self._t == other._t
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ring, self._d, tuple(sorted(self._t.items()))))
-            _set(self, "_hash", h)
-            return h
+    __hash__ = _Value.__hash__
+
+    def _key(self):
+        return (self.ring, self._d, frozenset(self._t.items()))
 
     # -- display ---------------------------------------------------------------
     def __str__(self):

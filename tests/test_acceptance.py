@@ -60,13 +60,14 @@ from zariski.lattice import (
 )
 from zariski.latscheme import (
     SchemeMorphism,
+    embed_basic,
     local_morphism_witness,
     mk_affine,
     projective_line,
     punctured_plane,
     top_open,
 )
-from zariski.polynomials import PolyRing
+from zariski.polynomials import MonomialOrder, PolyRing
 from zariski.sheaf import (
     BasicOpenSection,
     CoverData,
@@ -628,6 +629,85 @@ def test_immutability_and_memos_are_one_mechanism():
         visit(ast.parse(path.read_text()), path, "")
     assert guards == ["fields._Frozen.__setattr__"]
     assert memo_uses == []
+
+
+def test_value_classes_share_one_identity():
+    """``fields._Value`` holds the package's only ``__hash__`` and its one
+    ``__eq__``; ``Poly`` and ``AlgebraElement`` add their own ``__eq__``,
+    which accepts an int, and take ``_Value.__hash__`` back.  Each of the 11
+    value classes makes two separately built equal instances equal, with
+    one hash, kept in ``_hash`` from the first ``hash()`` on.  Opens and
+    points stay tied to their own scheme object."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "zariski"
+    defined, rebound = [], []
+
+    def visit(node, path, qual):
+        for child in ast.iter_child_nodes(node):
+            inner = qual
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{qual}{child.name}."
+                if child.name in ("__eq__", "__hash__"):
+                    defined.append(f"{path.stem}.{qual}{child.name}")
+            elif isinstance(child, ast.Assign):
+                for t in child.targets:
+                    if isinstance(t, ast.Name) and t.id in ("__eq__", "__hash__"):
+                        rebound.append(f"{path.stem}.{qual}{t.id} = {ast.unparse(child.value)}")
+            visit(child, path, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    assert sorted(defined) == [
+        "algebra.AlgebraElement.__eq__",
+        "fields._Value.__eq__",
+        "fields._Value.__hash__",
+        "polynomials.Poly.__eq__",
+    ]
+    assert sorted(rebound) == [
+        "algebra.AlgebraElement.__hash__ = _Value.__hash__",
+        "polynomials.Poly.__hash__ = _Value.__hash__",
+    ]
+
+    X = projective_line(GF(3))
+    A0 = X.charts[0]
+
+    def ring():
+        return PolyRing(GF(3), ["x", "y"], MonomialOrder("lex"))
+
+    def algebra():
+        R = ring()
+        return PresentedAlgebra(R, [R.var(0) * R.var(1) - R.one])
+
+    def on_algebra(make):
+        return lambda: make(algebra())
+
+    def point():
+        R = PolyRing(GF(3), ["t"])
+        return eval_points(X, PresentedAlgebra(R, [R.var(0) ** 2 + R.one]))[-1]
+
+    builders = {
+        "Field": lambda: GF(3),
+        "MonomialOrder": lambda: MonomialOrder().eliminating(),
+        "PolyRing": ring,
+        "Poly": lambda: algebra().relations[0],
+        "PresentedAlgebra": algebra,
+        "AlgebraElement": on_algebra(lambda A: A.var(0) + 1),
+        "AlgebraMorphism": on_algebra(lambda A: morphism(A, A, [A.var(1), A.var(0)])),
+        "Localization": on_algebra(lambda A: make_localization(A, A.var(0))),
+        "ZarElement": on_algebra(lambda A: basic_open(A, [A.var(1)])),
+        "CompactOpen": lambda: embed_basic(X, 0, basic_open(A0, [A0.var(0)])),
+        "SchemePoint": point,
+    }
+    for name, build in builders.items():
+        a = build()
+        assert type(a).__name__ == name and not hasattr(a, "_hash"), name
+        b = build()
+        assert a is not b and a == b and not a != b, name
+        assert hash(a) == hash(b) == a._hash == b._hash, name
+    assert ring().one == 1 and algebra().zero == 0
+    Y = projective_line(GF(3))
+    Y0 = Y.charts[0]
+    assert builders["CompactOpen"]() != embed_basic(Y, 0, basic_open(Y0, [Y0.var(0)]))
+    assert point() not in eval_points(Y, point().test_algebra)
 
 
 def test_value_objects_refuse_assignment_by_name():

@@ -7,6 +7,8 @@ meaning; realizations of compact opens are certified isomorphic to their
 gluing data; the whole bundle is wrapped by comparison_check.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +360,27 @@ def test_comparison_check_on_the_projective_line_with_naturality(p13):
         assert entry["morphisms_valid"]
         assert entry["roundtrip"]
         assert entry["distinct"]
+
+
+@pytest.mark.parametrize(
+    "X, B, image, relation",
+    [
+        (affine_line(3), GF9, GF9.var(0) + 1, "t^2 + 1 maps to 2*t + 1"),
+        (projective_line(GF(3)), GF9, GF9.var(0) + 1, "t^2 + 1 maps to 2*t + 1"),
+        (affine_line(3), gf3_split(), 2, "e^2 + 2*e maps to 2"),
+    ],
+    ids=["A1/GF9", "P1/GF9", "A1/GF3xGF3"],
+)
+def test_comparison_check_refuses_a_map_that_is_not_a_morphism(monkeypatch, X, B, image, relation):
+    """A naturality map chi: B -> B that sends a relation of B to a nonzero
+    element is refused before any point is enumerated.  Unchecked, A¹ passed
+    along t -> t + 1, P¹ blamed a point and the split case raised
+    ``NonReducedAlgebraError``, although B is reduced."""
+    chi = AlgebraMorphism(B, B, [image])
+    assert not chi.is_valid()
+    monkeypatch.setattr(compare, "eval_points", None)
+    with pytest.raises(ValueError, match=re.escape(f"not an algebra morphism: relation {relation}")):
+        comparison_check(X, [B], morphisms=[chi])
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import gf3_split, qq_x, qq_xy, random_element
+from support import finite_algebras, gf3_split, qq_x, qq_xy, random_element, unit_covers
 from zariski import sheaf
 from zariski.algebra import POWER_CAP, PresentedAlgebra, make_localization
 from zariski.lattice import basic_open, eq, leq
@@ -173,6 +175,18 @@ def test_glue_then_restrict_returns_the_inputs():
         for s, p in zip(fam.sections, cov.pieces):
             again = global_section(make_localization(A, p), glued)
             assert section_equal(again, s)
+
+
+@settings(max_examples=100)
+@given(finite_algebras(max_size=25), st.data())
+def test_split_then_glue_recovers_the_normal_form_over_finite_algebras(B, data):
+    """Over GF(p): the sections a/1 on a random unit-ideal cover of a
+    random finite B glue back to a itself."""
+    cov = CoverData(B, data.draw(unit_covers(B)))
+    a = data.draw(st.sampled_from(B.enumerate_elements()))
+    fam = _split_family(B, cov, a)
+    assert incompatibility_witness(fam) is None
+    assert glue(fam) == a
 
 
 def test_gluing_true_fractions_needs_denominator_clearing():

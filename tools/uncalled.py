@@ -30,7 +30,6 @@ PAPER = os.path.join(ROOT, "tests", "paper.py")
 ALLOWED = {
     "*.__repr__": "debugging display, not an answer of the package",
     "*.__str__": "debugging display, not an answer of the package",
-    "Localization.__hash__": "pairs with Localization.__eq__, which disables the default hash",
 }
 
 
