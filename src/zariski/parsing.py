@@ -1,9 +1,9 @@
 """Text grammar for fields, rings, polynomials, and basic opens.
 
 The polynomial grammar: variables are identifiers, coefficients are decimal
-integers or ``p/q`` rationals, ``^`` takes powers (``3/2^2`` is ``3/4``),
-``*`` is optional, and parentheses group, e.g. ``3*x^2*y - 1/2`` or
-``(x+1)(x-1)``.  Field specs are ``QQ`` or ``GF(p)`` for a prime p.  Ring
+integers or ``p/q`` rationals, ``^`` takes powers (``3/2^2`` is ``3/4``, and
+``2^2/3`` is ``4/3``), ``*`` is optional, and parentheses group, e.g.
+``3*x^2*y - 1/2`` or ``(x+1)(x-1)``.  Field specs are ``QQ`` or ``GF(p)`` for a prime p.  Ring
 specs are ``QQ[x,y]`` with an optional quotient tail
 ``QQ[x,y]/(x^2+y^2-1)``.  Basic opens read ``D(f1, f2, ...)``.
 
@@ -139,13 +139,18 @@ class _Parser:
                 raise self.error(at, str(exc)) from None
 
     def _factor(self, ring: PolyRing) -> Tuple[int, Dict[int, int]]:
-        """The integer form of a number, ``p/q``, variable or parenthesized
-        sum, raised to its ``^`` exponent if one follows."""
+        """The integer form of a coefficient ``n^e/q^e2`` (each ``^`` and
+        the ``/q`` optional, each ``^`` raising its own number), or of a
+        variable or parenthesized sum raised to its ``^`` exponent if one
+        follows."""
         kind, text, at = self.tokens[self.pos]
         p = ring.field.char
         group = None
         if kind == "num":
-            num, d, m = self.number()[0], 1, 0
+            num, d = self.number()[0], 1
+            if self.kind() == "^":  # ^ binds to the numerator alone: 2^2/3 is 4/3
+                self.advance()
+                num = pow(num, self.number()[0], p or None)
             if self.kind() == "/":
                 self.advance()
                 d, at = self.number()
@@ -153,17 +158,19 @@ class _Parser:
                     raise self.error(at, "zero denominator")
                 if p and not d % p:
                     raise self.error(at, f"denominator {d} vanishes in {ring.field!r}")
-                if self.kind() == "^":  # ^ binds to the denominator alone: 3/2^2 is 3/4
+                if self.kind() == "^":  # and to the denominator alone: 3/2^2 is 3/4
                     self.advance()
                     d = pow(d, self.number()[0], p or None)
                 if p:
-                    num, d = num * pow(d, -1, p) % p, 1
-                return d, {0: num} if num else {}
+                    num, d = num * pow(d, -1, p), 1
+            if p:
+                num %= p
+            return d, {0: num} if num else {}
         elif kind == "name":
             self.advance()
             if text not in ring.names:
                 raise self.error(at, f"unknown variable {text!r}")
-            num, d, m = 1, 1, ring._units[ring.names.index(text)]
+            m = ring._units[ring.names.index(text)]
         elif kind == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(at, f"parentheses nest deeper than {MAX_NESTING}")
@@ -182,16 +189,14 @@ class _Parser:
                     group = group**exp
                 except _ExponentLimitError as exc:
                     raise self.error(at, str(exc)) from None
-            elif m and exp >= _LIMIT:
+            elif exp >= _LIMIT:
                 mono = tuple([exp if u == m else 0 for u in ring._units])
                 raise self.error(at, str(_ExponentLimitError(ring, mono)))
             else:
-                num, d, m = pow(num, exp, p) if p else num**exp, d**exp, m * exp
+                m *= exp
         if group is not None:
             return group._d, group._t
-        if p:
-            num %= p
-        return d, {m: num} if num else {}
+        return 1, {m: 1}
 
     def _list(self, ring: PolyRing) -> List[Poly]:
         """``( f1, f2, ... )``, possibly empty."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Dict, Iterable, Sequence, Tuple
@@ -437,19 +438,23 @@ class Poly(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        """``self**n`` by repeated multiplication by the base, which for
-        dense multivariate powers beats squaring (Fateman, *Stud. Appl.
-        Math.* 1974).  The running product stays on the integer terms:
-        reduced mod p at each step over GF(p), normalized over ``_d**n``
-        at the end over QQ.  A monomial is raised directly, and zero is
-        returned as it is.
+        """``self**n`` on the integer terms by J. C. P. Miller's recurrence
+        (``_miller``; Knuth, *TAOCP* vol. 2, §4.7), best for dense powers in
+        Monagan & Pearce, *Sparse polynomial powering using heaps* (CASC
+        2012): ``(|f| - 1) * |f**n|`` products, where repeated multiplication
+        by the base takes ``|f| * sum(|f**j| for j < n)``.  That stays for
+        ``n <= 3`` and where ``_miller`` cannot divide.  A monomial is raised
+        directly, and zero is returned as it is.
 
         Each field of the power is at most ``n`` times the largest field
         of the base, reached by the ``n``-th power of a base term; that is
         checked against the exponent limit before anything is built.  When
         the OR of the base's monomials leaves the top ``b`` value bits of
         every field clear, ``b`` the bit length of ``n``, every field stays
-        below ``2**(31 - b) * n <= 2**31`` and the terms need no check."""
+        below ``2**(31 - b) * n <= 2**31`` and the terms need no check.
+        A monomial the recurrence forms is a monomial of the power plus one
+        of the base, each field of both below ``2**31``: their sum carries
+        into no other field, so shifting it back down is exact."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
@@ -465,15 +470,15 @@ class Poly(_Value):
         if len(self._t) == 1:  # gcd(c, d) == 1, so gcd(c**n, d**n) == 1
             ((m, c),) = self._t.items()
             return _poly(ring, {m * n: pow(c, n, p) if p else c**n}, self._d**n)
-        base = list(self._t.items())
-        acc = self._t
-        if p:
+        acc = _miller(ring, self._t, n) if n > 3 else None
+        if acc is None:
+            acc, base = self._t, list(self._t.items())
             for _ in range(n - 1):
                 acc = _int_product({}, acc.items(), base)
-                acc = {m: r for m, c in acc.items() if (r := c % p)}
+                if p:
+                    acc = {m: r for m, c in acc.items() if (r := c % p)}
+        if p:
             return _poly(ring, acc)
-        for _ in range(n - 1):
-            acc = _int_product({}, acc.items(), base)
         return _norm(ring, self._d**n, acc)
 
     def scale(self, c: Scalar) -> "Poly":
@@ -645,6 +650,51 @@ def _int_product(acc: Dict[int, int], a: Iterable, b: Iterable) -> Dict[int, int
             m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
     return acc
+
+
+def _miller(ring: PolyRing, t: Dict[int, int], n: int) -> Dict[int, int] | None:
+    """The terms of ``f**n``, ``f`` the integer terms ``t`` (residues over
+    GF(p)), by Miller's recurrence; ``None`` where it cannot divide.
+
+    Euler's operator ``E = sum(x_j * d/dx_j)`` has ``f * E(f**n) == n *
+    E(f) * f**n``.  Number the total-degree parts ``g_i`` of ``f`` by their
+    distance ``i <= D`` from an end of its degree range whose part ``g_0 =
+    c0 * x**m0`` is one term, and the parts ``Q_k`` of ``f**n`` alike from
+    ``Q_0 = c0**n * x**(n*m0)``.  Comparing parts gives::
+
+        k * c0 * x**m0 * Q_k == sum(((n+1)*i - k) * g_i * Q_(k-i) for i = 1 .. min(k, D))
+
+    So each ``Q_k`` is one integer dict shifted down by ``m0`` and divided
+    by ``k * c0``: with ``//`` over QQ, exact as ``t**n`` is integral, and
+    mod p over GF(p), which needs ``p > n * D``.  Only the ``k`` that some
+    ``Q_(k-i)`` reaches are formed, off a heap: a degree gap costs no step."""
+    parts: Dict[int, list] = {}
+    for e, mc in zip(map(sum, map(ring._mono, t)), t.items()):
+        parts.setdefault(e, []).append(mc)
+    lo, hi = min(parts), max(parts)
+    end, p, top = lo if len(parts[lo]) == 1 else hi, ring.field.char, n * (hi - lo)
+    if len(parts[end]) > 1 or p and p <= top:
+        return None
+    ((m0, c0),) = parts.pop(end)
+    g = sorted((abs(e - end), gi) for e, gi in parts.items())
+    Q = {0: [(m0 * n, pow(c0, n, p) if p else c0**n)]}
+    todo, last = [i for i, _ in g], 0
+    while todo:
+        k = heappop(todo)
+        if k == last:
+            continue
+        last, acc, q = k, {}, pow(k * c0, -1, p) if p else k * c0
+        for i, gi in g:
+            if (w := (n + 1) * i - k) and (prev := Q.get(k - i)):
+                _int_product(acc, [(m, c * w) for m, c in gi], prev)
+        if p:
+            Q[k] = [(m - m0, r) for m, c in acc.items() if (r := c * q % p)]
+        else:
+            Q[k] = [(m - m0, c // q) for m, c in acc.items() if c]
+        for i, _ in g if Q[k] else ():
+            if k + i <= top:
+                heappush(todo, k + i)
+    return {m: c for part in Q.values() for m, c in part}
 
 
 def _checked(ring: PolyRing, acc: Dict[int, int]) -> Dict[int, int]:

@@ -174,6 +174,12 @@ def test_a_power_after_a_slash_raises_the_denominator_alone():
     assert (r.exit_code, r.output) == (0, "2\n")
 
 
+def test_a_power_before_a_slash_raises_the_numerator_alone():
+    """``2^2/3`` is 4/3, where it was refused as trailing input."""
+    r = invoke("ring", "nf", "2^2/3", "--ring", "QQ[x]")
+    assert (r.exit_code, r.output) == (0, "4/3\n")
+
+
 def test_ring_inverse_with_check_line():
     r = invoke("ring", "invert", "x", "--ring", "GF(5)[x]/(x*x-2)")
     assert (r.exit_code, r.output) == (0, "inverse: 3*x\ncheck: (x) * (3*x) = 1\n")

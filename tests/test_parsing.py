@@ -124,11 +124,30 @@ def test_a_power_binds_to_the_denominator_alone():
     ring5, _ = parse_ring("GF(5)[x]")
     assert parse_poly("3/2^2", ring5) == ring5.const(2)
     assert parse_poly("(3/2)^2", ring5) == ring5.const(1)
-    for text in ("3/2^2^3", "2^2/3"):
+    for text in ("3/2^2^3",):
         with pytest.raises(ParseError, match="unexpected trailing input"):
             parse_poly(text, ring)
     with pytest.raises(ParseError, match=r"^denominator 5 vanishes in GF\(5\) \(line 1, column 3\)$"):
         parse_poly("1/5^0", ring5)
+
+
+def test_a_power_before_the_slash_raises_the_numerator_alone():
+    """``2^2/3`` is one coefficient, ``(2^2)/3``, and ``2^2/3^2`` is 4/9;
+    over GF(5) the denominator is still checked.  A variable or a group
+    raised to a power takes no ``/``: the grammar has no division of
+    factors."""
+    ring, _ = parse_ring("QQ[x]")
+    x = ring.var(0)
+    assert parse_poly("2^2/3", ring) == ring.const(Fraction(4, 3))
+    assert parse_poly("-2^3/5*x", ring) == x.scale(Fraction(-8, 5))
+    assert parse_poly("2^2/3^2", ring) == ring.const(Fraction(4, 9))
+    ring5, _ = parse_ring("GF(5)[x]")
+    assert parse_poly("2^2/3", ring5) == ring5.const(3)  # 4 * 3^-1 = 4 * 2
+    with pytest.raises(ParseError, match=r"^denominator 5 vanishes in GF\(5\) \(line 1, column 5\)$"):
+        parse_poly("2^2/5", ring5)
+    for text in ("x^2/3", "(2)^2/3", "2^2^3/3"):
+        with pytest.raises(ParseError, match="unexpected trailing input"):
+            parse_poly(text, ring)
 
 
 def test_scalar_parsing():

@@ -281,6 +281,128 @@ def test_power_matches_sympy(case, n):
         assert type(c) is (int if char else Fraction)
 
 
+# Bases for each path of ``Poly.__pow__``, in variables x, y: a lowest
+# degree part of one term (the constant), a highest one only, and two
+# several-term ends, which stay on repeated multiplication.
+_POWER_SHAPES = {
+    "constant term": [(2, 1), (1, 0), (0, 1), (0, 0)],
+    "single top term": [(1, 1), (1, 0), (0, 1)],
+    "two multi-term ends": [(1, 0), (0, 1)],
+    "multi-term ends with a gap": [(2, 0), (0, 2), (1, 0), (0, 1)],
+}
+_POWER_ORDERS = [MonomialOrder("grevlex"), MonomialOrder("lex"), MonomialOrder("grevlex").eliminating()]
+
+
+def _iterated(f, n):
+    """``f**n`` as ``n - 1`` products by ``f``: the reference for powers."""
+    acc = f
+    for _ in range(n - 1):
+        acc = acc * f
+    return acc
+
+
+@st.composite
+def _power_base(draw):
+    """A field's characteristic and the terms of a base of one shape."""
+    char = draw(st.sampled_from([0, 2, 3, 7, 32003]))
+    if char:
+        coeff = st.integers(1, char - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    shape = _POWER_SHAPES[draw(st.sampled_from(sorted(_POWER_SHAPES)))]
+    return char, {m: draw(coeff) for m in shape}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_base(), st.sampled_from(_POWER_ORDERS), st.integers(3, 30))
+@example((0, {(2, 1): Fraction(-7, 2), (1, 0): 3, (0, 1): Fraction(1, 6), (0, 0): 5}), _POWER_ORDERS[0], 30)
+@example((7, {(2, 1): 3, (1, 0): 1, (0, 1): 6, (0, 0): 2}), _POWER_ORDERS[1], 3)
+@example((7, {(1, 1): 3, (1, 0): 1, (0, 1): 6}), _POWER_ORDERS[1], 4)  # p <= n * D
+@example((32003, {(1, 1): 31000, (1, 0): 5, (0, 1): 17}), _POWER_ORDERS[2], 30)
+@example((3, {(2, 0): 1, (0, 2): 2, (1, 0): 1, (0, 1): 1}), _POWER_ORDERS[2], 29)
+def test_power_matches_repeated_products_on_every_path(case, order, n):
+    """``f**n`` equals ``n - 1`` products by ``f`` over QQ and four prime
+    fields, under grevlex, lex and an elimination order, which read the
+    degree off differently packed monomials; for bases whose lowest or
+    highest degree part is one term, and for ones where neither is, and
+    over GF(p) on both sides of ``p = n * D``."""
+    char, terms = case
+    f = PolyRing(GF(char) if char else QQ, ["x", "y"], order).from_terms(terms)
+    got = f**n
+    assert is_canonical(got) and got == _iterated(f, n)
+
+
+def test_each_power_path_is_taken(monkeypatch):
+    """The recurrence runs from the low end and from the high end, and
+    declines two several-term ends and a prime ``p <= n * D``; cubes and
+    squares never reach it."""
+    seen = []
+    miller = polynomials._miller
+
+    def spy(*args):
+        out = miller(*args)
+        seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polynomials, "_miller", spy)
+    R = PolyRing(QQ, ["x", "y"])
+    x, y = R.gens()
+    for base, n, ran in (
+        (x * x * y + x + 1, 5, True),
+        (x * y + x + y, 5, True),
+        (x + y, 5, False),
+        (x * x + y * y + x + y, 5, False),
+    ):
+        seen.clear()
+        assert base**n == _iterated(base, n) and seen == [ran]
+    R7 = PolyRing(GF(7), ["x", "y"])
+    f = R7.var(0) + R7.var(1) + 1
+    for n, ran in ((6, True), (7, False)):
+        seen.clear()
+        assert f**n == _iterated(f, n) and seen == [ran]
+    seen.clear()
+    assert f**3 == _iterated(f, 3) and (x + 1) ** 2 == (x + 1) * (x + 1) and seen == []
+
+
+def test_the_benchmark_power_and_a_power_near_the_exponent_limit():
+    """The linear form of four terms to the 18th power over QQ, and
+    seventh powers whose fields reach ``7 * 2**28`` under every order: one
+    recurrence from the constant, one from the top term ``x^(2^28)``, whose
+    products reach fields of ``2**31`` before they are shifted back."""
+    R = PolyRing(QQ, ["x0", "x1", "x2"])
+    x0, x1, x2 = R.gens()
+    form = x0.scale(-3) + x1.scale(5) - x2 + 2
+    assert form**18 == _iterated(form, 18) and len((form**18).terms) == 1330
+    for order in _POWER_ORDERS:
+        S = PolyRing(QQ, ["x", "y"], order)
+        x, y = S.gens()
+        for base in (x ** (2**28) + y + 1, x ** (2**28) + x.scale(3) - y):
+            power = base**7
+            assert power == _iterated(base, 7) and len(power.terms) == 36
+            assert max(e for m in power.terms for e in m) == 7 * 2**28
+
+
+def test_a_power_makes_at_most_three_products_per_result_term(monkeypatch):
+    """``(x+y+z+1)**40`` pays one coefficient product per term of each
+    part of ``f`` but the constant, times each part of the power: at most
+    ``3 * |f**40|`` = 37,023 term products, where 39 products by ``f``
+    would make about 494,000."""
+    work = []
+    product = polynomials._int_product
+
+    def counted(acc, a, b):
+        a, b = list(a), list(b)
+        work.append(len(a) * len(b))
+        return product(acc, a, b)
+
+    monkeypatch.setattr(polynomials, "_int_product", counted)
+    R = PolyRing(QQ, ["x", "y", "z"])
+    x, y, z = R.gens()
+    power = (x + y + z + 1) ** 40
+    assert len(power.terms) == 12341
+    assert sum(work) <= 3 * 12341
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0, 2, 32003]), st.data())
 def test_dot_is_the_left_fold_of_products(char, data):

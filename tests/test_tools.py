@@ -1,10 +1,13 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
-no benchmark run, and the report of ``tools/uncalled.py`` on a small
-synthetic module and on the paper's verifiers, without the traced suite."""
+no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
+module and on the paper's verifiers, without the traced suite, and the file
+``tools/ladder.py`` writes, on a one-rung dry run."""
 
 import importlib.util
+import json
 import os
 import textwrap
+import time
 
 import pytest
 
@@ -20,6 +23,7 @@ def _load(name, path):
 
 bench_pairs = _load("bench_pairs", os.path.join(HERE, os.pardir, "tools", "bench_pairs.py"))
 uncalled = _load("uncalled", os.path.join(HERE, os.pardir, "tools", "uncalled.py"))
+ladder = _load("ladder", os.path.join(HERE, os.pardir, "tools", "ladder.py"))
 
 
 def test_a_comma_list_names_one_table_per_workload():
@@ -126,3 +130,28 @@ def test_the_uncalled_report_covers_the_paper_verifiers():
     lines, ok = uncalled.report([paper], set(), uncalled.ALLOWED)
     assert any(line.startswith("paper:") and line.endswith(" qcqs_lemma_check") for line in lines)
     assert not ok
+
+
+def test_a_one_rung_ladder_run_writes_the_bench_schema(tmp_path):
+    """One run of the cheapest rung writes a file with the commit, the
+    speed kernel's reference, and the rung's median and quartiles at that
+    reference, in well under a second."""
+    out = tmp_path / "BENCH_dry.json"
+    t0 = time.perf_counter()
+    report = ladder.main(["--rung", "pow_x1_400_gf32003", "--runs", "1", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert json.loads(out.read_text()) == report
+    assert set(report) == {"sha", "src_differs_from_sha", "python", "runs", "ref_ns", "rungs"}
+    assert report["runs"] == 1 and report["ref_ns"] > 0
+    (row,) = report["rungs"]
+    assert set(row) == {"name", "layer", "what", "median_ms", "q1_ms", "q3_ms", "raw_median_ms", "kernel_median_ns"}
+    assert (row["name"], row["layer"]) == ("pow_x1_400_gf32003", "polynomials")
+    assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"] and row["raw_median_ms"] > 0
+
+
+def test_the_ladder_refuses_an_unknown_rung_and_no_runs(capsys):
+    for argv in (["--rung", "nope"], ["--runs", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            ladder.parse_args(argv)
+        assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

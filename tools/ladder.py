@@ -1,0 +1,176 @@
+"""Time the ladder's rungs and write them to ``BENCH_<short-sha>.json``.
+
+    python3 tools/ladder.py [--root CHECKOUT] [--runs K] [--rung NAME ...] [--out PATH]
+
+Each rung builds its input outside the clock, then times one call, ``K``
+times (5 by default), on a fresh input each time so no memo carries over.
+Every run's wall time is read at the reference speed of
+``perfbench/zbench/speed.py``, imported as it is: the speed kernel is
+sampled right before and right after the run, and the run's time is scaled
+by ``REF_NS`` over the median of those samples.  So two files measured
+minutes apart on a host whose speed drifts still compare.  The file holds,
+per rung, the median and quartiles of the scaled times in ms, the raw
+median and the kernel's median.
+
+``--root`` measures the ``src/`` of another checkout, such as a clean clone
+of a parent commit, with this checkout's kernel.  The file is named after
+that checkout's ``git rev-parse --short HEAD`` and records whether its
+``src/`` differed from that commit.  Standard library only.
+"""
+
+import argparse
+import gc
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def power(ring, base, n):
+    """``base**n`` in ``ring``, both given as text."""
+
+    def prepare(z):
+        f = z.parse_poly(base, z.parse_ring(ring)[0])
+        return lambda: f**n
+
+    return prepare
+
+
+def cyclic5(field):
+    """A Groebner basis of cyclic-5: the cyclic sums of 1 to 4 consecutive
+    variables of x0..x4, and x0*x1*x2*x3*x4 - 1."""
+    xs = [f"x{i}" for i in range(5)]
+    sums = ["+".join("*".join(xs[(i + j) % 5] for j in range(d)) for i in range(5)) for d in range(1, 5)]
+    text = f"{field}[{','.join(xs)}]/({', '.join(sums)}, {'*'.join(xs)} - 1)"
+
+    def prepare(z):
+        R, gens = z.parse_ring(text)
+        return lambda: z.GroebnerBasis(R, gens)
+
+    return prepare
+
+
+def atoms(ring):
+    """``atomic_factors`` of the quotient ``ring``, a fresh algebra per run."""
+
+    def prepare(z):
+        R, rels = z.parse_ring(ring)
+        B = z.PresentedAlgebra(R, rels)
+        atomic_factors = sys.modules["zariski.funscheme"].atomic_factors
+        return lambda: atomic_factors(B)
+
+    return prepare
+
+
+# name -> (layer, what, prepare)
+RUNGS = {
+    "pow_linear4_18_qq": ("polynomials", "(-3*x0 + 5*x1 - x2 + 2)^18 over QQ, the benchmark's power",
+                          power("QQ[x0,x1,x2]", "-3*x0 + 5*x1 - x2 + 2", 18)),
+    "pow_xyz1_40_qq": ("polynomials", "(x+y+z+1)^40 over QQ", power("QQ[x,y,z]", "x+y+z+1", 40)),
+    "pow_x1_400_qq": ("polynomials", "(x+1)^400 over QQ", power("QQ[x]", "x+1", 400)),
+    "pow_x1_400_gf32003": ("polynomials", "(x+1)^400 over GF(32003)", power("GF(32003)[x]", "x+1", 400)),
+    "pow_cubic_150_qq": ("polynomials", "(x^3+2x+1/3)^150 over QQ", power("QQ[x]", "x^3+2*x+1/3", 150)),
+    "cyclic5_qq": ("groebner", "GroebnerBasis of cyclic-5 over QQ", cyclic5("QQ")),
+    "cyclic5_gf32003": ("groebner", "GroebnerBasis of cyclic-5 over GF(32003)", cyclic5("GF(32003)")),
+    "atomic_factors_gf7": ("funscheme", "atomic_factors(GF(7)[x,y]/(x^2-x, y^2-y)), 4 atoms",
+                           atoms("GF(7)[x,y]/(x^2-x, y^2-y)")),
+}
+
+
+def load(root):
+    """The ``zariski`` package of ``root/src`` and this checkout's speed module."""
+    src = os.path.realpath(os.path.join(root, "src"))
+    for path in (src, os.path.join(HERE, "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import zariski
+    import zariski.funscheme  # noqa: F401  (atomic_factors)
+    from zbench import speed
+
+    if not os.path.realpath(zariski.__file__).startswith(src + os.sep):
+        sys.exit(f"zariski is already imported from {zariski.__file__}, not from {src}")
+    return zariski, speed
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def measure(z, speed, prepare, runs):
+    """``runs`` timings of one rung: the scaled times, the raw times, both
+    in ms, and the kernel samples in ns."""
+    scaled, raw, kernel = [], [], []
+    for _ in range(runs):
+        thunk = prepare(z)
+        gc.collect()
+        before = speed.sample()
+        t0 = time.perf_counter_ns()
+        thunk()
+        wall = time.perf_counter_ns() - t0
+        after = speed.sample()
+        kernel += [before, after]
+        scaled.append(speed.at_reference(wall, [before, after]) / 1e6)
+        raw.append(wall / 1e6)
+    return scaled, raw, kernel
+
+
+def git(root, *args):
+    proc = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=HERE, help="the checkout whose src/ is measured")
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--rung", action="append", choices=sorted(RUNGS),
+                    help="one rung; repeat for more (default: every rung)")
+    ap.add_argument("--out", help="the file to write (default: BENCH_<short-sha>.json here)")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs: need at least one run")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    sha = git(args.root, "rev-parse", "--short", "HEAD")
+    if sha is None and args.out is None:
+        sys.exit(f"{args.root} is not a git checkout: name the file with --out")
+    z, speed = load(args.root)
+    rows = []
+    for name in args.rung or RUNGS:
+        layer, what, prepare = RUNGS[name]
+        scaled, raw, kernel = measure(z, speed, prepare, args.runs)
+        q1, q2, q3 = quartiles(scaled)
+        rows.append({
+            "name": name, "layer": layer, "what": what,
+            "median_ms": q2, "q1_ms": q1, "q3_ms": q3,
+            "raw_median_ms": statistics.median(raw),
+            "kernel_median_ns": statistics.median(kernel),
+        })
+        print(f"{name:22} {q2:9.3f} ms [{q1:.3f}-{q3:.3f}]  raw {rows[-1]['raw_median_ms']:.3f} ms", flush=True)
+    report = {
+        "sha": sha,
+        "src_differs_from_sha": sha and bool(git(args.root, "status", "--porcelain", "--", "src")),
+        "python": platform.python_version(),
+        "runs": args.runs,
+        "ref_ns": speed.REF_NS,
+        "rungs": rows,
+    }
+    out = args.out or os.path.join(HERE, f"BENCH_{sha}.json")
+    with open(out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return report
+
+
+if __name__ == "__main__":
+    main()
