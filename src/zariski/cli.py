@@ -276,7 +276,7 @@ def _load_section(
         for k, (A, text) in enumerate(zip(X.charts, texts))
     ]
     rows = [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
-    s = GlobalSection(X, top_open(X), rows)
+    s = GlobalSection(top_open(X), rows)
     witness = section_compatibility_witness(s)
     if witness is not None:
         _refute(f"{prefix}not a global section: {witness}")
@@ -625,7 +625,7 @@ def scheme_restrict(data_path, open_text, order, fmt) -> None:
     ]
     u = CompactOpen(X, comps)
     try:
-        Xu, _ = restrict_scheme(X, u)
+        Xu, _ = restrict_scheme(u)
     except ExtractionCapError as exc:
         _refute(f"restriction failed: {exc}")
     _scheme_summary(Xu, fmt)

@@ -188,9 +188,9 @@ def _plan(X: LatticeScheme) -> Tuple[tuple, ...]:
     return tuple(plan)
 
 
-def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
-    """(values, local, roundtrip) of a point of X(B), one entry per atom
-    (e, c, phi) of the point, that is per local factor B_e of B.
+def _atom_table(p: SchemePoint, plan: Sequence[tuple]):
+    """(values, local, roundtrip) of a point p of X = ``p.scheme`` over B,
+    one entry per atom (e, c, phi) of p, that is per local factor B_e of B.
 
     A sample n/f**k of chart j is m(n) * m(f)**-k at an atom whose map
     m = ``funscheme._chart_map(X, c, phi, j)`` sends f to a unit, else None;
@@ -202,7 +202,7 @@ def _atom_table(X: LatticeScheme, p: SchemePoint, plan: Sequence[tuple]):
     That is what ``_lowest_chart`` would decide from it: a map on a chart
     j < c puts the atom's lowest chart at j or below, never at c.
     """
-    reduced = is_reduced(p.test_algebra)
+    X, reduced = p.scheme, is_reduced(p.test_algebra)
 
     def is_unit(b: AlgebraElement) -> bool:
         return not b.is_zero() if reduced else b.algebra.try_invert(b) is not None
@@ -263,7 +263,7 @@ def comparison_check(
         valid = roundtrip = True
         prints: List[tuple] = []
         for p in pts:
-            values, local, back_ok = tables[p] = _atom_table(X, p, plan)
+            values, local, back_ok = tables[p] = _atom_table(p, plan)
             if not local:
                 valid = False
                 try:
@@ -315,10 +315,10 @@ def comparison_check(
         ]
         for p in points_by_algebra[B]:
             q = map_point(p, chi)
-            got = (tables.get(q) or _atom_table(X, q, plan))[0]
+            got = (tables.get(q) or _atom_table(q, plan))[0]
             pushed = tuple(
                 tuple(None if row[i] is None else to(B.element(row[i].poly)) for (i, to) in pushes)
-                for row in (tables.get(p) or _atom_table(X, p, plan))[0]
+                for row in (tables.get(p) or _atom_table(p, plan))[0]
             )
             if got != pushed:
                 natural = False

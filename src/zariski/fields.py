@@ -114,7 +114,7 @@ class Field(_Value):
 
     __slots__ = ("char",)
 
-    def __init__(self, char: int = 0):
+    def __init__(self, char: int):
         if char != 0:
             if char > MAX_CHARACTERISTIC:
                 raise ValueError(f"characteristic {char} exceeds 2**31")

@@ -322,9 +322,9 @@ def map_point(p: SchemePoint, chi: AlgebraMorphism) -> SchemePoint:
 
 
 def _realized(U: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
-    """``restrict_scheme(X, U)``, the realization of U with its inclusion,
+    """``restrict_scheme(U)``, the realization of U with its inclusion,
     remembered on U's scheme X in ``X._memo[("realized", U)]``."""
-    return U.owner._remember(("realized", U), restrict_scheme, U.owner, U)
+    return U.owner._remember(("realized", U), restrict_scheme, U)
 
 
 def realization(U: CompactOpen) -> LatticeScheme:

@@ -7,14 +7,16 @@ come with checkable certificates: ``member(f)`` returns cofactors ``c`` with
 bases are returned monic, fully inter-reduced, and sorted by leading
 monomial, which makes them canonical for the chosen order.
 
-Each entry of a cofactor row, each S-polynomial and each certificate check
-is one ``polynomials._dot``: a sum of products in one integer dict.
+Each entry of a cofactor row and each S-polynomial is one
+``polynomials._dot``: a sum of products in one integer dict.  A unit
+certificate is the engine's row for its first constant remainder, which is
+monic, so the row times the generators is exactly 1.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import _Frozen
@@ -23,7 +25,7 @@ from .polynomials import (
     PolyRing,
     _dot,
     _ExponentLimitError,
-    _norm,
+    _over_lcm,
     _poly,
 )
 
@@ -119,13 +121,6 @@ def divide(
     return quots, done(ring, rem)
 
 
-def _over_lcm(ring: PolyRing, fracs: Dict[int, Tuple[int, int]]) -> Poly:
-    """The ``Poly`` of the QQ terms ``m: (numerator, denominator)``, brought
-    over the lcm of the denominators and normalized once."""
-    d = lcm(*[den for _, den in fracs.values()])
-    return _norm(ring, d, {m: n * (d // den) for m, (n, den) in fracs.items()})
-
-
 def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
     """The row ``sum(c * row for c, row in terms)``, one ``_dot`` per entry."""
     return [_dot(ring, [(c, row[j]) for c, row in terms]) for j in range(width)]
@@ -134,10 +129,12 @@ def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
 class _Engine:
     """Buchberger loop over one generator list; rows track cofactors.
 
-    An element enters as the remainder ``h`` of ``sum(c * f)`` over its
-    heads (a generator, or the S-pair ``ti*G[i] - tj*G[j]``) with quotients
-    ``q``; its row is ``(sum(c * row(f)) - sum(q[k] * rows[k])) / lc(h)``,
-    the scalar applied to the multipliers rather than to the row.
+    Generators and S-pairs take one step, ``_insert``: an element enters as
+    the remainder ``h`` of ``sum(c * f)`` over its heads (a generator, or
+    the S-pair ``ti*G[i] - tj*G[j]``) with quotients ``q``; its row is
+    ``(sum(c * row(f)) - sum(q[k] * rows[k])) / lc(h)``, the scalar applied
+    to the multipliers rather than to the row.  ``unit_row`` is the row of
+    the first constant remainder (``[]`` without cofactors), else None.
     """
 
     def __init__(self, gens: Sequence[Poly], ring: PolyRing, want_cofactors: bool):
@@ -150,12 +147,6 @@ class _Engine:
         # (order key of the lcm, packed lcm, i, j), the key taken once at creation
         self.pairs: List[Tuple[int, int, int, int]] = []
         self.unit_row: Optional[List[Poly]] = None
-        self.found_unit = False
-
-    def _unit_vector(self, i: int) -> List[Poly]:
-        row = [self.ring.zero] * len(self.gens)
-        row[i] = self.ring.one
-        return row
 
     def _combine(self, heads: list, quots: Sequence[Poly], rows: list, k) -> List[Poly]:
         """The row ``k * (sum(c * row for c, row in heads) - sum(q[i] * rows[i]))``."""
@@ -166,12 +157,16 @@ class _Engine:
             terms = [(c.scale(k), row) for c, row in terms]
         return _row_sum(self.ring, len(self.gens), terms)
 
-    def _insert(self, h: Poly, heads: list, quots: Optional[list], stop_at_unit: bool) -> bool:
-        """Monic-normalize ``h`` and its row, check for a constant, add with
-        pair update.
+    def _insert(self, f: Poly, heads: list, stop_at_unit: bool) -> bool:
+        """Divide ``f`` by the basis; monic-normalize a nonzero remainder and
+        its row, note a constant, add with pair update.
 
-        Returns True when a unit certificate was found and we should stop.
+        Returns True when the remainder is a constant and ``stop_at_unit``
+        is set, so the loop should stop.
         """
+        quots, h = divide(f, self.G, want_quotients=self.want)
+        if h.is_zero():
+            return False
         c = h.lead_coeff()
         k = self.fld.one
         if c != k:
@@ -179,7 +174,6 @@ class _Engine:
             h = h.scale(k)
         row = self._combine(heads, quots, self.rows, k) if self.want else []
         if h.is_constant():
-            self.found_unit = True
             self.unit_row = row
             if stop_at_unit:
                 return True
@@ -231,27 +225,22 @@ class _Engine:
         self.pairs = survivors + new_pairs
 
     def run(self, stop_at_unit: bool) -> None:
+        ring, n = self.ring, len(self.gens)
         for i, g in enumerate(self.gens):
-            if g.is_zero():
-                continue
-            quots, r = divide(g, self.G, want_quotients=self.want)
-            if r.is_zero():
-                continue
-            heads = [(self.ring.one, self._unit_vector(i))] if self.want else []
-            if self._insert(r, heads, quots, stop_at_unit):
+            heads = []
+            if self.want:  # generator i's unit vector
+                heads = [(ring.one, [ring.one if j == i else ring.zero for j in range(n)])]
+            if self._insert(g, heads, stop_at_unit):
                 return
         while self.pairs:
             # the first pair with the least lcm
             best = min(range(len(self.pairs)), key=lambda k: self.pairs[k][0])
             _, l, i, j = self.pairs.pop(best)
             fi, fj = self.G[i], self.G[j]
-            ti = _poly(self.ring, {l - fi._lead(): 1})
-            tj = -_poly(self.ring, {l - fj._lead(): 1})
-            s = _dot(self.ring, [(ti, fi), (tj, fj)])
-            quots, r = divide(s, self.G, want_quotients=self.want)
-            if r.is_zero():
-                continue
-            if self._insert(r, [(ti, self.rows[i]), (tj, self.rows[j])], quots, stop_at_unit):
+            ti = _poly(ring, {l - fi._lead(): 1})
+            tj = -_poly(ring, {l - fj._lead(): 1})
+            s = _dot(ring, [(ti, fi), (tj, fj)])
+            if self._insert(s, [(ti, self.rows[i]), (tj, self.rows[j])], stop_at_unit):
                 return
 
     def reduced(self) -> Tuple[Tuple[Poly, ...], Tuple[Tuple[Poly, ...], ...]]:
@@ -336,7 +325,7 @@ def ideal_contains_one(gens: Sequence[Poly], ring: PolyRing) -> bool:
     """Unit-ideal test that stops at the first constant remainder."""
     engine = _Engine(gens, ring, want_cofactors=False)
     engine.run(stop_at_unit=True)
-    return engine.found_unit
+    return engine.unit_row is not None
 
 
 def unit_ideal_certificate(
@@ -344,14 +333,12 @@ def unit_ideal_certificate(
 ) -> Optional[List[Poly]]:
     """Cofactors ``e`` with ``1 == sum(e[j]*gens[j])``, or None.
 
-    Stops at the first constant remainder instead of completing the basis.
+    Stops at the first constant remainder instead of completing the basis,
+    and returns that remainder's row as it is.  Every row of the engine
+    satisfies ``rows[i]·gens == G[i]``, and ``_insert`` scales the
+    remainder and its row by the same ``k = 1/lc(h)``; so the constant is
+    monic, 1, and its row times the generators is exactly 1.
     """
     engine = _Engine(gens, ring, want_cofactors=True)
     engine.run(stop_at_unit=True)
-    if not engine.found_unit:
-        return None
-    row = engine.unit_row
-    assert row is not None
-    value = _dot(ring, list(zip(row, gens))).constant_value()
-    inv = ring.field.inv(value)
-    return [c.scale(inv) for c in row]
+    return engine.unit_row

@@ -164,7 +164,7 @@ class LatticeScheme(_Frozen):
     the points, opens and morphisms of the scheme name it.
     ``_memo``, written only by ``_remember``, keeps values that depend on the
     scheme alone, for its lifetime, and this module reads none of them: the
-    realization of an open U with its inclusion, ``restrict_scheme(X, U)``,
+    realization of an open U with its inclusion, ``restrict_scheme(U)``,
     by ``("realized", U)`` (``funscheme._realized``, so the points of one
     realization compare equal) and the comparison's sample plan by ``"plan"``
     (``compare._sample_plan``).
@@ -412,36 +412,29 @@ class GlobalSection(_Frozen):
     generator of ``domain.components[i]``.
     """
 
-    __slots__ = ("scheme", "domain", "values")
+    __slots__ = ("domain", "values")
 
-    def __init__(
-        self,
-        scheme: LatticeScheme,
-        domain: CompactOpen,
-        values: Sequence[Sequence[AlgebraElement]],
-    ):
+    def __init__(self, domain: CompactOpen, values: Sequence[Sequence[AlgebraElement]]):
+        X = domain.owner
         values = tuple(tuple(row) for row in values)
-        if len(values) != scheme.ncharts:
+        if len(values) != X.ncharts:
             raise ValueError("need one value row per chart")
         for i, (row, w) in enumerate(zip(values, domain.components)):
             if len(row) != len(w.generators):
-                raise ValueError(
-                    f"chart {i}: need one value per generator of {w}"
-                )
+                raise ValueError(f"chart {i}: need one value per generator of {w}")
             for v, g in zip(row, w.generators):
-                loc = make_localization(scheme.charts[i], g)
+                loc = make_localization(X.charts[i], g)
                 if v.algebra != loc.algebra:
                     raise ValueError(
                         f"chart {i}: value {v} does not live in the "
                         f"localization at {g}"
                     )
-        object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
 
     def piece(self, i: int, k: int) -> BasicOpenSection:
         g = self.domain.components[i].generators[k]
-        loc = make_localization(self.scheme.charts[i], g)
+        loc = make_localization(self.domain.owner.charts[i], g)
         return BasicOpenSection(loc, self.values[i][k])
 
     def __repr__(self):
@@ -453,7 +446,7 @@ class GlobalSection(_Frozen):
 
 def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
     """None if the family is a section: compatible within and across charts."""
-    X = s.scheme
+    X = s.domain.owner
     for i, w in enumerate(s.domain.components):
         gens = w.generators
         for k in range(len(gens)):
@@ -493,13 +486,11 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
 # -- invertibility support and the affine-hull data --------------------------------
 
 
-def invertibility_support_scheme(
-    X: LatticeScheme, u: CompactOpen, s: GlobalSection
-) -> CompactOpen:
-    """The largest compact open below u where the section is invertible:
-    chartwise, the join of the basic invertibility supports of the pieces."""
-    if s.domain != u:
-        raise ValueError("section does not live over the given open")
+def invertibility_support_scheme(s: GlobalSection) -> CompactOpen:
+    """The largest compact open below the section's domain u where the
+    section is invertible: chartwise, the join of the basic invertibility
+    supports of the pieces."""
+    X, u = s.domain.owner, s.domain
     return CompactOpen(X, [
         join_all(A, [invertibility_support_basic(s.piece(i, k)) for k in range(len(w.generators))])
         for i, (A, w) in enumerate(zip(X.charts, u.components))
@@ -515,7 +506,9 @@ def affine_hull_map(X: LatticeScheme) -> Callable[[Sequence[GlobalSection]], Com
     def lattice_side(sections: Sequence[GlobalSection]) -> CompactOpen:
         out = bottom_open(X)
         for s in sections:
-            out = out.join(invertibility_support_scheme(X, t, s))
+            if s.domain != t:
+                raise ValueError("section does not live over the given open")
+            out = out.join(invertibility_support_scheme(s))
         return out
 
     return lattice_side
@@ -655,15 +648,15 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
 # -- scheme surgery: restriction to a compact open ----------------------------------
 
 
-def restrict_scheme(
-    X: LatticeScheme, u: CompactOpen
-) -> Tuple[LatticeScheme, SchemeMorphism]:
-    """The scheme below a compact open, plus its inclusion morphism into X.
+def restrict_scheme(u: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
+    """The scheme below a compact open, plus its inclusion morphism into
+    u's scheme X.
 
     Charts of the result: one localization per basic generator of each
     component of u.  Patches: collapses of X's patches onto each pair of
     pieces; two pieces of one chart collapse its identity patch.
     """
+    X = u.owner
     pieces = [(i, g, make_localization(X.charts[i], g))
               for i, w in enumerate(u.components) for g in w.generators]
     charts = [loc.algebra for (_, _, loc) in pieces]
@@ -732,5 +725,5 @@ def punctured_plane(field) -> Tuple[LatticeScheme, CompactOpen, SchemeMorphism]:
     A = PresentedAlgebra(PolyRing(field, ["x", "y"]))
     plane = mk_affine(A)
     u = CompactOpen(plane, [basic_open(A, [A.var(0), A.var(1)])])
-    Xu, inc = restrict_scheme(plane, u)
+    Xu, inc = restrict_scheme(u)
     return Xu, u, inc

@@ -208,9 +208,8 @@ class PolyRing(_Value):
         coefficients; zero coefficients are dropped.  Over GF(p) each
         coefficient becomes its residue (so ``{(0,): p}`` gives the zero
         polynomial, and a denominator is inverted mod p)."""
-        d = lcm(*[c.denominator for c in terms.values()])
         pack = self._pack
-        return _norm(self, d, {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()})
+        return _over_lcm(self, {pack(m): (c.numerator, c.denominator) for m, c in terms.items()})
 
     @property
     def zero(self) -> "Poly":
@@ -608,6 +607,13 @@ def _norm(ring: PolyRing, d: int, acc: Dict[int, int]) -> Poly:
         d //= g
         acc = {m: c // g for m, c in acc.items()}
     return _poly(ring, acc, d)
+
+
+def _over_lcm(ring: PolyRing, fracs: Dict[int, Tuple[int, int]]) -> Poly:
+    """The ``Poly`` of the terms ``m: (numerator, denominator)``, brought
+    over the lcm of the denominators and normalized once."""
+    d = lcm(*[den for _, den in fracs.values()])
+    return _norm(ring, d, {m: n * (d // den) for m, (n, den) in fracs.items()})
 
 
 def _monomial_text(names: Sequence[str], m: Monomial) -> str:

@@ -74,28 +74,28 @@ def constant_section(X: LatticeScheme, u: CompactOpen, c: int) -> GlobalSection:
         [make_localization(A, g).algebra.element(c) for g in w.generators]
         for A, w in zip(X.charts, u.components)
     ]
-    return GlobalSection(X, u, values)
+    return GlobalSection(u, values)
 
 
 def pointwise(op, s: GlobalSection, t: GlobalSection) -> GlobalSection:
     """The section over s's domain whose values are ``op`` of those of s and t."""
     if s.domain != t.domain:
         raise ValueError("sections over different compact opens")
-    return GlobalSection(s.scheme, s.domain, [list(map(op, a, b)) for a, b in zip(s.values, t.values)])
+    return GlobalSection(s.domain, [list(map(op, a, b)) for a, b in zip(s.values, t.values)])
 
 
 def chart_section(X: LatticeScheme, a: AlgebraElement) -> GlobalSection:
     """The section a/1 over the top of a one-chart scheme."""
     t = top_open(X)
     (A,), (w,) = X.charts, t.components
-    return GlobalSection(X, t, [[make_localization(A, g).to_loc(a) for g in w.generators]])
+    return GlobalSection(t, [[make_localization(A, g).to_loc(a) for g in w.generators]])
 
 
 def chart_element(s: GlobalSection) -> AlgebraElement:
     """The chart element a section of a one-chart scheme glues to, when its
     domain covers the chart."""
     gens = s.domain.components[0].generators
-    cover = CoverData(s.scheme.charts[0], gens)
+    cover = CoverData(s.domain.owner.charts[0], gens)
     return glue(SectionFamily(cover, [s.piece(0, k) for k in range(len(gens))]))
 
 
@@ -126,7 +126,7 @@ def restrict_global(
             fam = SectionFamily(cover, local_secs)
             row.append(glue(fam))
         values.append(row)
-    return GlobalSection(X, v, values)
+    return GlobalSection(v, values)
 
 
 # -- affineness ------------------------------------------------------------------------
@@ -222,7 +222,9 @@ def qcqs_lemma_check(X: LatticeScheme, u: CompactOpen, s: GlobalSection) -> bool
     over the support, a representation t / s**n with t over u, and checking
     the roundtrips.
     """
-    v = invertibility_support_scheme(X, u, s)
+    if s.domain != u:
+        raise ValueError("section does not live over the given open")
+    v = invertibility_support_scheme(s)
     # explicit piece bookkeeping: (chart, u-generator w, s-numerator, exponent)
     piece_data: List[List[Tuple[AlgebraElement, AlgebraElement, int]]] = []
     for i in range(X.ncharts):
@@ -260,7 +262,7 @@ def qcqs_lemma_check(X: LatticeScheme, u: CompactOpen, s: GlobalSection) -> bool
                 return False
             row.append(inv)
         inverse_values.append(row)
-    samples.append(GlobalSection(X, v_explicit, inverse_values))
+    samples.append(GlobalSection(v_explicit, inverse_values))
     for sigma in samples:
         solved = _solve_fraction_over(X, sigma, u, s, piece_data)
         if solved is None:
@@ -291,7 +293,7 @@ def _restrict_to_pieces(
         for k, (w, r, _) in enumerate(piece_data[i]):
             row.append(restrict(s.piece(i, k), w * r).value)
         values.append(row)
-    return GlobalSection(X, domain, values)
+    return GlobalSection(domain, values)
 
 
 def _solve_fraction_over(
@@ -321,7 +323,7 @@ def _solve_fraction_over(
             for k, (tau_piece, kk) in enumerate(raw[i]):
                 row.append(tau_piece * s.values[i][k] ** (n - kk))
             values.append(row)
-        candidate = GlobalSection(X, u, values)
+        candidate = GlobalSection(u, values)
         if section_compatibility_witness(candidate) is None:
             return candidate, n
     return None

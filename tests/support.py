@@ -582,7 +582,7 @@ def as_hom(p):
 def section_value_at_point(s, p):
     """The value in B of a section over the top open at a point of the same
     scheme: on each atom, the chart value carried by the point's chart map."""
-    X = s.scheme
+    X = s.domain.owner
     if p.scheme is not X:
         raise ValueError("point does not live on the section's scheme")
     B = p.test_algebra

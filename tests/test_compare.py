@@ -295,8 +295,8 @@ def test_section_support_over_the_whole_line(a1):
     assert isinstance(ring_of_functions(Y_top), PresentedAlgebra)
     C_top = Y_top.charts[0]
     loc_top = make_localization(C_top, C_top.one)
-    s_x = GlobalSection(Y_top, top_open(Y_top), [[loc_top.to_loc(C_top.var(0))]])
-    W = invertibility_support_scheme(Y_top, top_open(Y_top), s_x)
+    s_x = GlobalSection(top_open(Y_top), [[loc_top.to_loc(C_top.var(0))]])
+    W = invertibility_support_scheme(s_x)
     supp = open_from_realization(t_top, W)
     assert eq(supp.components[0], basic_open(A1, [A1.var(0)]))
 
@@ -308,8 +308,8 @@ def test_section_support_over_a_smaller_open_multiplies_in(a1):
     Y_u = realization(u_shift)
     C_u = Y_u.charts[0]
     loc_u = make_localization(C_u, C_u.one)
-    s_xu = GlobalSection(Y_u, top_open(Y_u), [[loc_u.to_loc(C_u.var(0))]])
-    W = invertibility_support_scheme(Y_u, top_open(Y_u), s_xu)
+    s_xu = GlobalSection(top_open(Y_u), [[loc_u.to_loc(C_u.var(0))]])
+    W = invertibility_support_scheme(s_xu)
     supp_u = open_from_realization(u_shift, W)
     assert eq(supp_u.components[0], basic_open(A1, [(x + A1.one) * x]))
     # pointwise: the support's value at each point is the basic open of the
@@ -444,16 +444,16 @@ def _algebra(text: str) -> PresentedAlgebra:
 
 def _table(X, p):
     """The point's values on ``local_samples(X)``, locality and roundtrip."""
-    return compare._atom_table(X, p, compare._sample_plan(X))
+    return compare._atom_table(p, compare._sample_plan(X))
 
 
 def _count_tables(monkeypatch):
     calls = []
     inner = compare._atom_table
 
-    def counted(X, p, plan):
+    def counted(p, *rest):
         calls.append(p)
-        return inner(X, p, plan)
+        return inner(p, *rest)
 
     monkeypatch.setattr(compare, "_atom_table", counted)
     return calls
@@ -561,7 +561,7 @@ def test_a_sample_over_a_smaller_piece_takes_inverse_values(monkeypatch, B):
     plan = compare._sample_plan(X)
     assert plan[-1][3] == 1
     for p in eval_points(X, B):
-        values, local, roundtrip = compare._atom_table(X, p, plan)
+        values, local, roundtrip = compare._atom_table(p, plan)
         assert local and roundtrip
         images = [phi.images[0] for (_, _, phi) in p.factors]
         assert values[-1] == tuple(b.algebra.try_invert(b) for b in images)
@@ -575,7 +575,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
     wrong = [(j, f, n, k, one[4]), one]
     points = eval_points(X, F3)
     assert [as_hom(p).images[0] for p in points] == [F3.zero, F3.one, -F3.one]
-    assert [compare._atom_table(X, p, wrong)[1:] for p in points] == [
+    assert [compare._atom_table(p, wrong)[1:] for p in points] == [
         (False, False), (True, True), (True, True)
     ]
 
@@ -592,10 +592,10 @@ def test_a_repeated_point_is_reported_first_pair_first(monkeypatch):
     X, B = projective_line(GF(3)), gf3_split()
     inner, pts = compare._atom_table, []
 
-    def twinned(X, p, plan):
+    def twinned(p, *rest):
         pts.append(p)
         k = len(pts) - 1
-        return inner(X, pts[{9: 1, 7: 3}.get(k, k)], plan)
+        return inner(pts[{9: 1, 7: 3}.get(k, k)], *rest)
 
     monkeypatch.setattr(compare, "_atom_table", twinned)
     ok, report = comparison_check(X, [B])
@@ -721,8 +721,8 @@ def _reject_one_point(monkeypatch, at, what):
     calls = _count_tables(monkeypatch)
     counted = compare._atom_table
 
-    def rejecting(X, p, plan):
-        values, local, roundtrip = counted(X, p, plan)
+    def rejecting(p, *rest):
+        values, local, roundtrip = counted(p, *rest)
         if len(calls) - 1 == at:
             return values, local and what != "local", roundtrip and what != "roundtrip"
         return values, local, roundtrip

@@ -283,6 +283,43 @@ def test_divide_takes_the_steps_of_division_over_the_field(data):
     assert none is None and _term_list(rem_only) == _term_list(ref_rem)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2, 3, 32003]),
+    st.sampled_from(["grevlex", "lex"]),
+)
+def test_a_unit_certificate_exists_exactly_for_the_unit_ideal_and_is_exact(seed, modulus, order):
+    """The certificate is the engine's row for its first constant remainder,
+    returned as it is: None exactly when the ideal is proper, else one entry
+    per generator whose dot with the generators is exactly 1.  Nonzero
+    constants and repeated generators are among the inputs."""
+    rng = random.Random(seed)
+    ring = _ring_for(modulus, ("x", "y", "z")[: rng.randint(2, 3)], order)
+
+    def scalar():
+        if modulus:
+            return rng.randrange(1, modulus)
+        return Fraction(rng.randint(1, 5), rng.randint(1, 5))
+
+    def poly():
+        f = random_poly(rng, ring, max_terms=4)
+        return f.scale(scalar()) if not f.is_constant() else poly()
+
+    gens = [poly() for _ in range(rng.randint(1, 4))]
+    gens += [rng.choice(gens) for _ in range(rng.randint(0, 2))]
+    gens += [ring.const(scalar()) for _ in range(rng.random() < 0.25)]
+    rng.shuffle(gens)
+    unit = ideal_contains_one(gens, ring)
+    assert unit == GroebnerBasis(ring, gens).contains_one()
+    cert = unit_ideal_certificate(gens, ring)
+    if not unit:
+        assert cert is None
+    else:
+        assert len(cert) == len(gens)
+        assert groebner._dot(ring, list(zip(cert, gens))) == ring.one
+
+
 def _unpacked(f):
     """``f._division_form()`` with its tail on exponent tuples."""
     dd, lc, tail = f._division_form()

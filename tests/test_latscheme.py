@@ -76,7 +76,7 @@ def compatible(u):
 def top_section(X, values):
     """The section over the top of X with one value x/1 per chart."""
     return GlobalSection(
-        X, top_open(X), [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
+        top_open(X), [[make_localization(A, A.one).to_loc(v)] for A, v in zip(X.charts, values)]
     )
 
 
@@ -301,7 +301,7 @@ def test_section_values_must_live_in_the_right_localization(p1):
     A0, _ = p1.charts
     t = A0.var(0)
     with pytest.raises(ValueError, match="does not live in the localization"):
-        GlobalSection(p1, top_open(p1), [[t], [p1.charts[1].var(0)]])
+        GlobalSection(top_open(p1), [[t], [p1.charts[1].var(0)]])
 
 
 def test_section_compatibility_witness_names_the_break(p1):
@@ -309,11 +309,10 @@ def test_section_compatibility_witness_names_the_break(p1):
     t, s = A0.var(0), A1.var(0)
     l0 = make_localization(A0, A0.one)
     l1 = make_localization(A1, A1.one)
-    bad = GlobalSection(p1, top_open(p1), [[l0.to_loc(t)], [l1.to_loc(s)]])
+    bad = GlobalSection(top_open(p1), [[l0.to_loc(t)], [l1.to_loc(s)]])
     w = section_compatibility_witness(bad)
     assert w is not None and "disagree" in w
     good = GlobalSection(
-        p1,
         top_open(p1),
         [[l0.algebra.const(3)], [l1.algebra.const(3)]],
     )
@@ -329,7 +328,7 @@ def test_section_compatibility_witness_within_one_chart():
     assert section_compatibility_witness(one) is None
     values = [list(row) for row in one.values]
     values[0][1] = values[0][1].algebra.element(2)
-    assert section_compatibility_witness(GlobalSection(X, u, values)) == (
+    assert section_compatibility_witness(GlobalSection(u, values)) == (
         "chart 0: values over D(t) and D(t + 1) disagree on the overlap: 1 vs 2"
     )
 
@@ -354,7 +353,7 @@ def test_invertibility_support_on_the_punctured_plane(punctured):
     C0, C1 = PP.charts
     x0, x1 = C0.var(0), C1.var(0)
     sec_x = top_section(PP, [x0, x1])
-    sup = invertibility_support_scheme(PP, top_open(PP), sec_x)
+    sup = invertibility_support_scheme(sec_x)
     charts = [C0, C1]
     xs = [x0, x1]
     ix = 0 if eq(basic_open(C0, [x0]), top(C0)) else 1
@@ -448,7 +447,7 @@ def test_restricting_across_charts_gives_a_local_inclusion():
     A0 = X.charts[0]
     t = A0.var(0)
     u = embed_basic(X, 0, basic_open(A0, [t, t + 1]))
-    Xu, inc = restrict_scheme(X, u)
+    Xu, inc = restrict_scheme(u)
     # two pieces on each chart: chart_open reaches pieces of the other chart
     assert Xu.ncharts == 4
     assert local_morphism_witness(inc) is None
@@ -456,7 +455,7 @@ def test_restricting_across_charts_gives_a_local_inclusion():
 
 def test_restricting_to_the_bottom_leaves_nothing():
     plane = mk_affine(qq_xy())
-    E, inc_e = restrict_scheme(plane, bottom_open(plane))
+    E, inc_e = restrict_scheme(bottom_open(plane))
     assert E.ncharts == 0
 
 
@@ -464,7 +463,7 @@ def test_restricting_an_affine_line_to_a_basic_open():
     A = qq_x()
     X = mk_affine(A)
     u = embed_basic(X, 0, basic_open(A, [A.var(0)]))
-    Xu, inc = restrict_scheme(X, u)
+    Xu, inc = restrict_scheme(u)
     assert Xu.ncharts == 1
     # the restricted chart presents A localized at x
     assert Xu.charts[0] == make_localization(A, A.var(0)).algebra

@@ -41,16 +41,45 @@ def power(ring, base, n):
     return prepare
 
 
-def cyclic5(field):
-    """A Groebner basis of cyclic-5: the cyclic sums of 1 to 4 consecutive
-    variables of x0..x4, and x0*x1*x2*x3*x4 - 1."""
+def cyclic5_text(field, extra=""):
+    """Cyclic-5 as a quotient ring: the cyclic sums of 1 to 4 consecutive
+    variables of x0..x4, x0*x1*x2*x3*x4 - 1, and ``extra`` if given."""
     xs = [f"x{i}" for i in range(5)]
     sums = ["+".join("*".join(xs[(i + j) % 5] for j in range(d)) for i in range(5)) for d in range(1, 5)]
-    text = f"{field}[{','.join(xs)}]/({', '.join(sums)}, {'*'.join(xs)} - 1)"
+    gens = sums + ["*".join(xs) + " - 1"] + ([extra] if extra else [])
+    return f"{field}[{','.join(xs)}]/({', '.join(gens)})"
+
+
+def katsura5_text(field, extra):
+    """Katsura-5 in u0..u5 as a quotient ring: for m = 0..4, the sum of
+    u_|l| * u_|m-l| over l = -5..5 (u_k = 0 for k > 5) minus u_m, the form
+    u0 + 2*(u1 + ... + u5) - 1, and ``extra``."""
+    eqs = [
+        " + ".join(f"u{abs(l)}*u{abs(m - l)}" for l in range(-5, 6) if abs(m - l) <= 5) + f" - u{m}"
+        for m in range(5)
+    ]
+    eqs.append("u0 + " + " + ".join(f"2*u{i}" for i in range(1, 6)) + " - 1")
+    return f"{field}[{','.join(f'u{i}' for i in range(6))}]/({', '.join(eqs + [extra])})"
+
+
+def cyclic5(field):
+    """A Groebner basis of cyclic-5."""
+
+    def prepare(z):
+        R, gens = z.parse_ring(cyclic5_text(field))
+        return lambda: z.GroebnerBasis(R, gens)
+
+    return prepare
+
+
+def unit_cert(text):
+    """``unit_ideal_certificate`` of the relations of the quotient ``text``,
+    which generate the unit ideal."""
 
     def prepare(z):
         R, gens = z.parse_ring(text)
-        return lambda: z.GroebnerBasis(R, gens)
+        unit_ideal_certificate = sys.modules["zariski.groebner"].unit_ideal_certificate
+        return lambda: unit_ideal_certificate(gens, R)
 
     return prepare
 
@@ -77,6 +106,11 @@ RUNGS = {
     "pow_cubic_150_qq": ("polynomials", "(x^3+2x+1/3)^150 over QQ", power("QQ[x]", "x^3+2*x+1/3", 150)),
     "cyclic5_qq": ("groebner", "GroebnerBasis of cyclic-5 over QQ", cyclic5("QQ")),
     "cyclic5_gf32003": ("groebner", "GroebnerBasis of cyclic-5 over GF(32003)", cyclic5("GF(32003)")),
+    "unit_cert_cyclic5_gf32003": ("groebner", "unit_ideal_certificate of cyclic-5 plus 2*x0 + 1/3*x1 - x3 + 5/3 "
+                                  "over GF(32003)",
+                                  unit_cert(cyclic5_text("GF(32003)", "2*x0 + 1/3*x1 - x3 + 5/3"))),
+    "unit_cert_katsura5_qq": ("groebner", "unit_ideal_certificate of katsura-5 plus 2*u0 + 1/3*u1 - u3 + 5/3 over QQ",
+                              unit_cert(katsura5_text("QQ", "2*u0 + 1/3*u1 - u3 + 5/3"))),
     "atomic_factors_gf7": ("funscheme", "atomic_factors(GF(7)[x,y]/(x^2-x, y^2-y)), 4 atoms",
                            atoms("GF(7)[x,y]/(x^2-x, y^2-y)")),
 }
@@ -156,7 +190,7 @@ def main(argv=None):
             "raw_median_ms": statistics.median(raw),
             "kernel_median_ns": statistics.median(kernel),
         })
-        print(f"{name:22} {q2:9.3f} ms [{q1:.3f}-{q3:.3f}]  raw {rows[-1]['raw_median_ms']:.3f} ms", flush=True)
+        print(f"{name:26} {q2:9.3f} ms [{q1:.3f}-{q3:.3f}]  raw {rows[-1]['raw_median_ms']:.3f} ms", flush=True)
     report = {
         "sha": sha,
         "src_differs_from_sha": sha and bool(git(args.root, "status", "--porcelain", "--", "src")),
