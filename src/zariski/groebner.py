@@ -16,6 +16,7 @@ monic, so the row times the generators is exactly 1.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,26 @@ def divide(
 
     No term of the remainder ``r`` is divisible by any divisor's leading
     monomial.  With ``want_quotients=False`` the quotients are skipped and
-    ``None`` is returned in their place.
+    ``None`` is returned in their place.  The steps are ``_reduce``'s; its
+    raw terms are normalized here, each result once.
+    """
+    quots, rem = _reduce(f, divisors, want_quotients)
+    if quots is not None:
+        zero = f.ring.zero  # one for every empty quotient
+        quots = [_normalized(f.ring, q) if q else zero for q in quots]
+    return quots, _normalized(f.ring, rem)
+
+
+def _normalized(ring: PolyRing, raw: dict) -> Poly:
+    """The ``Poly`` of one raw result of ``_reduce``: its residues as they
+    are over GF(p), its ``(numerator, denominator)`` terms over their lcm
+    over QQ (``_over_lcm``)."""
+    return _poly(ring, raw) if ring.field.char else _over_lcm(ring, raw)
+
+
+def _reduce(f: Poly, divisors: Sequence[Poly], want_quotients: bool) -> Tuple[Optional[list], dict]:
+    """The loop of ``divide``: raw quotient dicts (or None) and remainder
+    dict, a term a residue over GF(p), ``(numerator, denominator)`` over QQ.
 
     Monomials are the ring's packed ints (``polynomials``): a product is
     an int sum, ``lm`` divides ``m`` when ``((m + G) - lm) & G == G`` for
@@ -57,12 +77,13 @@ def divide(
     (``Poly._division_form``, kept on ``d``).  Reducing the popped term
     ``cp*x^mp`` by it, with ``g = gcd(cp, lc)``, ``s = lc/g`` and ``x^a =
     x^mp / x^lm``, scales ``W`` and ``D`` by ``s`` and subtracts
-    ``(cp/g)*x^a*tail`` in place; after a scaled step the content ``gcd(D,
-    W)`` is divided out, so the integers stay as small as normalized
-    fractions would.  These are the steps of the division over the field
-    itself.  Over QQ each remainder and quotient term is kept as its
-    numerator over the ``D`` of its step, and each result is normalized
-    once over the lcm of those denominators.
+    ``(cp/g)*x^a*tail`` in place.  These are the steps of the division
+    over the field itself.  No step divides the content out of ``W``: a
+    factor of ``D`` that the values do not need tends to recur in the later
+    ``cp``, where ``gcd(cp, lc)`` keeps it out of the next scale.  Each remainder
+    and quotient term is kept as its numerator over the ``D`` of its step;
+    the caller normalizes each result it keeps once, over the lcm of those
+    denominators.
     """
     ring = f.ring
     p = ring.field.char
@@ -110,15 +131,7 @@ def divide(
                 heappush(heap, -(m ^ neg))
             else:
                 terms[m] = c - cp * ct
-        if s != 1:
-            g = gcd(D, *terms.values())
-            if g != 1:
-                D //= g
-                terms = {m: c // g for m, c in terms.items()}
-    done = _poly if p else _over_lcm
-    if quots is not None:
-        quots = [done(ring, q) for q in quots]
-    return quots, done(ring, rem)
+    return quots, rem
 
 
 def _row_sum(ring: PolyRing, width: int, terms: list) -> List[Poly]:
@@ -133,8 +146,11 @@ class _Engine:
     the remainder ``h`` of ``sum(c * f)`` over its heads (a generator, or
     the S-pair ``ti*G[i] - tj*G[j]``) with quotients ``q``; its row is
     ``(sum(c * row(f)) - sum(q[k] * rows[k])) / lc(h)``, the scalar applied
-    to the multipliers rather than to the row.  ``unit_row`` is the row of
-    the first constant remainder (``[]`` without cofactors), else None.
+    to the multipliers rather than to the row; a zero remainder normalizes
+    no quotient.  A pair is ``(key, index, lcm, i, j)``, the lcm's order key
+    and the pair's creation index first, so ``min(pairs)`` is the first pair
+    made with the least lcm.  ``unit_row`` is the row of the first constant
+    remainder (``[]`` without cofactors), else None.
     """
 
     def __init__(self, gens: Sequence[Poly], ring: PolyRing, want_cofactors: bool):
@@ -144,13 +160,13 @@ class _Engine:
         self.want = want_cofactors
         self.G: List[Poly] = []
         self.rows: List[List[Poly]] = []
-        # (order key of the lcm, packed lcm, i, j), the key taken once at creation
-        self.pairs: List[Tuple[int, int, int, int]] = []
+        self.pairs: List[Tuple[int, int, int, int, int]] = []
+        self.made = count()
         self.unit_row: Optional[List[Poly]] = None
 
-    def _combine(self, heads: list, quots: Sequence[Poly], rows: list, k) -> List[Poly]:
-        """The row ``k * (sum(c * row for c, row in heads) - sum(q[i] * rows[i]))``."""
-        terms = heads + [(-q, row) for q, row in zip(quots, rows) if q._t]
+    def _combine(self, heads: list, quots: Sequence[dict], rows: list, k) -> List[Poly]:
+        """The row ``k * (sum(c * row for c, row in heads) - sum(q[i] * rows[i]))``, ``q`` raw."""
+        terms = heads + [(-_normalized(self.ring, q), row) for q, row in zip(quots, rows) if q]
         if len(terms) == 1 and terms[0][0].is_constant():  # one constant: scale its row
             return [r.scale(k * terms[0][0].constant_value()) for r in terms[0][1]]
         if k != 1:
@@ -164,9 +180,10 @@ class _Engine:
         Returns True when the remainder is a constant and ``stop_at_unit``
         is set, so the loop should stop.
         """
-        quots, h = divide(f, self.G, want_quotients=self.want)
-        if h.is_zero():
+        quots, rem = _reduce(f, self.G, self.want)
+        if not rem:
             return False
+        h = _normalized(self.ring, rem)
         c = h.lead_coeff()
         k = self.fld.one
         if c != k:
@@ -206,20 +223,17 @@ class _Engine:
         ]
         kept: List[int] = []
         for i, li in enumerate(lcms):
-            if coprime[i]:
-                kept.append(i)
-                continue
             bound = li + G
-            dominated = any(
-                (bound - lcms[j]) & G == G for j in range(i + 1, h_idx)
-            ) or any((bound - lcms[j]) & G == G for j in kept)
-            if not dominated:
+            for lj in () if coprime[i] else lcms[i + 1 :] + [lcms[j] for j in kept]:
+                if (bound - lj) & G == G:  # the first dominating lcm ends the scan
+                    break
+            else:
                 kept.append(i)
         neg = ring._neg
-        new_pairs = [(lcms[i] ^ neg, lcms[i], i, h_idx) for i in kept if not coprime[i]]
+        new_pairs = [(lcms[i] ^ neg, next(self.made), lcms[i], i, h_idx) for i in kept if not coprime[i]]
         survivors = []
         for pair in self.pairs:
-            _, l, i, j = pair
+            _, _, l, i, j = pair
             if (l + G - h_lm) & G != G or lcms[i] == l or lcms[j] == l:
                 survivors.append(pair)
         self.pairs = survivors + new_pairs
@@ -233,9 +247,9 @@ class _Engine:
             if self._insert(g, heads, stop_at_unit):
                 return
         while self.pairs:
-            # the first pair with the least lcm
-            best = min(range(len(self.pairs)), key=lambda k: self.pairs[k][0])
-            _, l, i, j = self.pairs.pop(best)
+            best = min(self.pairs)
+            self.pairs.remove(best)
+            _, _, l, i, j = best
             fi, fj = self.G[i], self.G[j]
             ti = _poly(ring, {l - fi._lead(): 1})
             tj = -_poly(ring, {l - fj._lead(): 1})
@@ -257,12 +271,12 @@ class _Engine:
         rows = [list(self.rows[i]) for i in kept]
         for pos in range(len(basis)):
             others = basis[:pos] + basis[pos + 1 :]
-            quots, r = divide(basis[pos], others, want_quotients=self.want)
-            if self.want and any(q._t for q in quots):
+            quots, r = _reduce(basis[pos], others, self.want)
+            if self.want and any(quots):
                 heads = [(self.ring.one, rows[pos])]
                 other_rows = rows[:pos] + rows[pos + 1 :]
                 rows[pos] = self._combine(heads, quots, other_rows, self.fld.one)
-            basis[pos] = r
+            basis[pos] = _normalized(self.ring, r)
         return tuple(basis), tuple(tuple(rw) for rw in rows)
 
 

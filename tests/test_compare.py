@@ -253,6 +253,16 @@ def test_realized_points_of_random_opens_biject_with_members(B, data):
     _assert_realized_points_biject_with_members(B, *data.draw(affine_opens(B.field)))
 
 
+@settings(max_examples=20)
+@given(finite_algebras(max_size=25), st.data())
+def test_the_comparison_verifies_the_realizations_of_random_opens(B, data):
+    """``comparison_check(X_u, [B])`` is VERIFIED for the realization X_u
+    of u = D(g_1..g_k) on A¹ or A² over the field of B."""
+    _, u = data.draw(affine_opens(B.field))
+    ok, report = comparison_check(realization(u), [B])
+    assert ok, report
+
+
 def _with_a_zero_chart(X):
     """X with the zero algebra GF(3)[x]/(1) as one more chart, glued to no
     other: the same scheme, as a zero chart has no points."""

@@ -283,6 +283,43 @@ def test_divide_takes_the_steps_of_division_over_the_field(data):
     assert none is None and _term_list(rem_only) == _term_list(ref_rem)
 
 
+def test_long_divisions_over_qq_take_the_steps_of_division_over_the_field():
+    """Long divisions over QQ, where ``divide`` never divides the content
+    out of its working polynomial: the quotients and remainder are those
+    of the division on ``Fraction``s, term for term.  ``x^150`` by ``3x^2
+    + 2x + 1`` takes 149 steps, each one scaled by 3; the other divisors
+    lead with integers other than 1 or with 3/5, some in two variables,
+    over 100 to 570 steps; and an exact product of fractional factors,
+    whose denominators cancel, divides with remainder 0 and its cofactor as
+    quotient."""
+    ring, _ = parse_ring("QQ[x,y]")
+    x, y = ring.gens()
+    rng = random.Random(39)
+
+    def fractional(degree, n_terms):
+        terms = {}
+        for _ in range(n_terms):
+            exponents = (rng.randint(0, degree), rng.randint(0, degree))
+            terms[exponents] = Fraction(rng.choice([-7, -2, 1, 4, 5]), rng.choice([1, 3, 9]))
+        return ring.from_terms(terms)
+
+    def same(f, divisors):
+        quots, rem = divide(f, divisors)
+        ref_quots, ref_rem = fraction_divide(f, divisors)
+        assert _term_list(rem) == _term_list(ref_rem)
+        assert [_term_list(q) for q in quots] == [_term_list(q) for q in ref_quots]
+        return quots, rem
+
+    quots, rem = same(x**150, [parse_poly("3*x^2 + 2*x + 1", ring)])
+    assert len(quots[0].terms) == 149 and len(rem.terms) == 2
+    same(x**150 + x**77 * y + ring.const(Fraction(5, 7)), [parse_poly("6*x^3 - 4*x + 1", ring)])
+    two = [parse_poly("3*x^2 + 2*y + 1", ring), parse_poly("5*y^2 - x*y + 2", ring)]
+    same((x + y + 1) ** 14, two)
+    same(fractional(12, 20) ** 2, [parse_poly("3/5*x^2 + 2/3*y + 1", ring), two[1]])
+    d, q = parse_poly("6*x^2*y - 3/4*y + 1", ring), fractional(25, 30)
+    assert same(q * d, [d]) == ([q], ring.zero)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from zariski.parsing import parse_ring
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -147,6 +149,16 @@ def test_a_one_rung_ladder_run_writes_the_bench_schema(tmp_path):
     assert set(row) == {"name", "layer", "what", "median_ms", "q1_ms", "q3_ms", "raw_median_ms", "kernel_median_ns"}
     assert (row["name"], row["layer"]) == ("pow_x1_400_gf32003", "polynomials")
     assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"] and row["raw_median_ms"] > 0
+
+
+def test_the_dense_rung_is_one_fixed_text_of_three_cubics():
+    """``basis_dense3_qq`` reads the same seeded text on every run: three
+    polynomials of degree 3 with 8 terms each in x0..x2 over QQ."""
+    text = ladder.dense_text("QQ", 3, 3, 3, 8, 3)
+    assert text == ladder.dense_text("QQ", 3, 3, 3, 8, 3) != ladder.dense_text("QQ", 3, 3, 3, 8, 4)
+    ring, gens = parse_ring(text)
+    assert ring.names == ("x0", "x1", "x2") and repr(ring.field) == "QQ"
+    assert [(len(g.terms), g.total_degree()) for g in gens] == [(8, 3)] * 3
 
 
 def test_the_ladder_refuses_an_unknown_rung_and_no_runs(capsys):

@@ -20,9 +20,11 @@ that checkout's ``git rev-parse --short HEAD`` and records whether its
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -62,11 +64,31 @@ def katsura5_text(field, extra):
     return f"{field}[{','.join(f'u{i}' for i in range(6))}]/({', '.join(eqs + [extra])})"
 
 
-def cyclic5(field):
-    """A Groebner basis of cyclic-5."""
+def dense_text(field, nvars, count, degree, nterms, seed):
+    """``count`` random polynomials in x0..x(nvars-1) as a quotient ring:
+    each has ``nterms`` terms of degree at most ``degree``, one of them of
+    degree exactly ``degree``, with coefficients of 1 to 9 in size and
+    either sign, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    xs = [f"x{i}" for i in range(nvars)]
+    monos = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
+    gens = []
+    for _ in range(count):
+        lead = rng.choice([m for m in monos if sum(m) == degree])
+        chosen = [lead] + rng.sample([m for m in monos if m != lead], nterms - 1)
+        terms = []
+        for m in chosen:
+            factors = [f"{x}^{e}" if e > 1 else x for x, e in zip(xs, m) if e]
+            terms.append("*".join([str(rng.choice([-1, 1]) * rng.randint(1, 9))] + factors))
+        gens.append(" + ".join(terms).replace("+ -", "- "))
+    return f"{field}[{','.join(xs)}]/({', '.join(gens)})"
+
+
+def basis(text):
+    """A Groebner basis, with cofactors, of the relations of the quotient ``text``."""
 
     def prepare(z):
-        R, gens = z.parse_ring(cyclic5_text(field))
+        R, gens = z.parse_ring(text)
         return lambda: z.GroebnerBasis(R, gens)
 
     return prepare
@@ -96,6 +118,30 @@ def atoms(ring):
     return prepare
 
 
+def points(scheme, algebra):
+    """``eval_points`` of the affine scheme of the quotient ``scheme`` over
+    the quotient ``algebra``, a fresh scheme per run."""
+
+    def prepare(z):
+        X = z.mk_affine(z.PresentedAlgebra(*z.parse_ring(scheme)))
+        B = z.PresentedAlgebra(*z.parse_ring(algebra))
+        return lambda: z.eval_points(X, B)
+
+    return prepare
+
+
+def compare_punctured_plane(p, algebra):
+    """``comparison_check`` of the punctured plane over GF(p), a fresh
+    scheme per run, over the quotient ``algebra``."""
+
+    def prepare(z):
+        X = z.punctured_plane(z.GF(p))[0]
+        B = z.PresentedAlgebra(*z.parse_ring(algebra))
+        return lambda: z.comparison_check(X, [B])
+
+    return prepare
+
+
 # name -> (layer, what, prepare)
 RUNGS = {
     "pow_linear4_18_qq": ("polynomials", "(-3*x0 + 5*x1 - x2 + 2)^18 over QQ, the benchmark's power",
@@ -104,8 +150,11 @@ RUNGS = {
     "pow_x1_400_qq": ("polynomials", "(x+1)^400 over QQ", power("QQ[x]", "x+1", 400)),
     "pow_x1_400_gf32003": ("polynomials", "(x+1)^400 over GF(32003)", power("GF(32003)[x]", "x+1", 400)),
     "pow_cubic_150_qq": ("polynomials", "(x^3+2x+1/3)^150 over QQ", power("QQ[x]", "x^3+2*x+1/3", 150)),
-    "cyclic5_qq": ("groebner", "GroebnerBasis of cyclic-5 over QQ", cyclic5("QQ")),
-    "cyclic5_gf32003": ("groebner", "GroebnerBasis of cyclic-5 over GF(32003)", cyclic5("GF(32003)")),
+    "cyclic5_qq": ("groebner", "GroebnerBasis of cyclic-5 over QQ", basis(cyclic5_text("QQ"))),
+    "cyclic5_gf32003": ("groebner", "GroebnerBasis of cyclic-5 over GF(32003)",
+                        basis(cyclic5_text("GF(32003)"))),
+    "basis_dense3_qq": ("groebner", "GroebnerBasis of three dense cubics of 8 terms in x0..x2 over QQ, seed 3",
+                        basis(dense_text("QQ", 3, 3, 3, 8, 3))),
     "unit_cert_cyclic5_gf32003": ("groebner", "unit_ideal_certificate of cyclic-5 plus 2*x0 + 1/3*x1 - x3 + 5/3 "
                                   "over GF(32003)",
                                   unit_cert(cyclic5_text("GF(32003)", "2*x0 + 1/3*x1 - x3 + 5/3"))),
@@ -113,6 +162,10 @@ RUNGS = {
                               unit_cert(katsura5_text("QQ", "2*u0 + 1/3*u1 - u3 + 5/3"))),
     "atomic_factors_gf7": ("funscheme", "atomic_factors(GF(7)[x,y]/(x^2-x, y^2-y)), 4 atoms",
                            atoms("GF(7)[x,y]/(x^2-x, y^2-y)")),
+    "points_curve_gf5t3": ("funscheme", "eval_points of y^2 = x^3 + 1 over GF(5)[t]/(t^3), 125 points",
+                           points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^3)")),
+    "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
+                        "GF(49) = GF(7)[t]/(t^2 - 3)", compare_punctured_plane(7, "GF(7)[t]/(t^2 - 3)")),
 }
 
 
