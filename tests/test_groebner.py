@@ -288,10 +288,9 @@ def test_long_divisions_over_qq_take_the_steps_of_division_over_the_field():
     out of its working polynomial: the quotients and remainder are those
     of the division on ``Fraction``s, term for term.  ``x^150`` by ``3x^2
     + 2x + 1`` takes 149 steps, each one scaled by 3; the other divisors
-    lead with integers other than 1 or with 3/5, some in two variables,
-    over 100 to 570 steps; and an exact product of fractional factors,
-    whose denominators cancel, divides with remainder 0 and its cofactor as
-    quotient."""
+    lead with 6, 3, 3/5 or -1, some in two variables, over 104 to 570
+    steps; and an exact product of fractional factors, whose denominators
+    cancel, divides with remainder 0 and its cofactor as quotient."""
     ring, _ = parse_ring("QQ[x,y]")
     x, y = ring.gens()
     rng = random.Random(39)

@@ -1,7 +1,7 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
 no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
-module and on the paper's verifiers, without the traced suite, and the file
-``tools/ladder.py`` writes, on a one-rung dry run."""
+module and on the paper's verifiers, without the traced suite, the file
+``tools/ladder.py`` writes, on a one-rung dry run, and its seeded dense text."""
 
 import importlib.util
 import json
