@@ -18,7 +18,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import Monomial, Poly, PolyRing, _new, _poly, _set, poly_sort_key
+from .polynomials import Poly, PolyRing, _new, _poly, _set, poly_sort_key
 
 
 class ExtractionCapError(RuntimeError):
@@ -173,36 +173,12 @@ class PresentedAlgebra(_Value):
         return None if row is None else row[0]
 
     # -- enumeration (finite algebras over prime fields) ----------------------
-    def staircase(self) -> List[Monomial]:
-        """Monomials below the basis' leading terms; must be finite."""
-        lms = [b.lead_monomial() for b in self.gb.basis]
-        bounds = []
-        for i in range(self.nvars):
-            pure = [
-                m[i]
-                for m in lms
-                if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-            ]
-            if not pure:
-                raise ValueError(
-                    f"algebra is not finite over its field: no power of "
-                    f"{self.names[i]!r} reduces"
-                )
-            bounds.append(min(pure))
-        out = []
-        for m in itertools.product(*(range(b) for b in bounds)):
-            if any(all(x >= y for x, y in zip(m, lm)) for lm in lms):
-                continue
-            out.append(m)
-        out.sort(key=self.ring.monomial_key)
-        return out
-
     def _stairs(self) -> List[int]:
         """The packed staircase, a basis over GF(p) (empty for the zero ring);
         raises ``ValueError`` over QQ and if the algebra is not finite."""
         if not self.field.is_finite:
             raise ValueError("cannot enumerate an algebra over QQ")
-        return [] if self.is_trivial() else [self.ring._pack(m) for m in self.staircase()]
+        return [] if self.is_trivial() else self.ring._staircase(self.gb._leads)
 
     def enumerate_elements(self) -> List["AlgebraElement"]:
         """All elements, in a deterministic order, listed once (``_memo``); finite cases only."""
@@ -526,10 +502,7 @@ def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraEleme
     candidate = s
     for k in range(POWER_CAP + 1):
         if not candidate.poly.involves(loc.inv_index):
-            numerator = loc.base.element(
-                loc.algebra.ring.project(candidate.poly, loc.base.ring)
-            )
-            return numerator, k
+            return loc.base.element(loc.algebra.ring.lift(candidate.poly, loc.base.ring)), k
         candidate = candidate * f_img
     raise ExtractionCapError(
         f"could not clear {loc.inv_name!r} from {s} within {POWER_CAP} powers of "

@@ -31,23 +31,16 @@ from .polynomials import (
 )
 
 
-def divide(
-    f: Poly,
-    divisors: Sequence[Poly],
-    want_quotients: bool = True,
-) -> Tuple[Optional[List[Poly]], Poly]:
+def divide(f: Poly, divisors: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
     """Multivariate division: ``f = sum(q[i]*divisors[i]) + r``.
 
     No term of the remainder ``r`` is divisible by any divisor's leading
-    monomial.  With ``want_quotients=False`` the quotients are skipped and
-    ``None`` is returned in their place.  The steps are ``_reduce``'s; its
-    raw terms are normalized here, each result once.
+    monomial.  The steps are ``_reduce``'s; its raw terms are normalized
+    here, each result once.
     """
-    quots, rem = _reduce(f, divisors, want_quotients)
-    if quots is not None:
-        zero = f.ring.zero  # one for every empty quotient
-        quots = [_normalized(f.ring, q) if q else zero for q in quots]
-    return quots, _normalized(f.ring, rem)
+    quots, rem = _reduce(f, divisors, want_quotients=True)
+    zero = f.ring.zero  # one for every empty quotient
+    return [_normalized(f.ring, q) if q else zero for q in quots], _normalized(f.ring, rem)
 
 
 def _normalized(ring: PolyRing, raw: dict) -> Poly:
@@ -318,7 +311,7 @@ class GroebnerBasis(_Frozen):
             bound = m + G
             for lm in leads:
                 if (bound - lm) & G == G:
-                    return divide(f, self.basis, want_quotients=False)[1]
+                    return _normalized(self.ring, _reduce(f, self.basis, want_quotients=False)[1])
         return f
 
     def contains_one(self) -> bool:
@@ -330,7 +323,6 @@ class GroebnerBasis(_Frozen):
         quots, r = divide(f, self.basis)
         if not r.is_zero():
             return None
-        assert quots is not None
         terms = [(q, row) for q, row in zip(quots, self.cofactors) if q._t]
         return _row_sum(self.ring, len(self.gens), terms)
 

@@ -31,7 +31,7 @@ fields the order reverses (the variables under grevlex).  Every exponent,
 and every total degree a degree field holds, stays below ``2**31``: a
 monomial past that raises ``_ExponentLimitError``, a ``ValueError``.  The
 public surface speaks exponent tuples: ``Poly.terms``, ``Poly(ring,
-terms)``, ``PolyRing.from_terms``, ``lead_monomial`` and printing.
+terms)``, ``PolyRing.from_terms`` and printing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import reduce
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul, or_
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import Field, Scalar, _Value
 
@@ -163,10 +163,6 @@ class PolyRing(_Value):
     def nvars(self) -> int:
         return len(self.names)
 
-    def monomial_key(self, m: Monomial) -> int:
-        """An int that ranks exponent tuples as the ring's order does."""
-        return self._neg ^ self._pack(m)
-
     # -- packed monomials -------------------------------------------------
     def _pack(self, m: Monomial) -> int:
         """The packed int of the exponent tuple ``m``."""
@@ -236,49 +232,47 @@ class PolyRing(_Value):
         return PolyRing(self.field, self.names + tuple(extra), order)
 
     def lift(self, p: "Poly", target: "PolyRing") -> "Poly":
-        """Reinterpret ``p`` in ``target``, matching variables by name.
+        """Rename ``p`` into ``target``, matching variables by name, either
+        way: ``target`` may lack a variable that ``p`` does not involve.
 
-        When ``target`` puts this ring's variables first and packs them
-        alike (an elimination order over this ring's order), the packed
-        terms carry over as they are."""
+        When one ring's variables lead the other's and are packed alike (an
+        elimination ring over its base, in both directions), the packed
+        terms carry over as they are; otherwise each monomial is packed
+        again by ``target._pack``, which checks the exponent limit."""
         if p.ring is not self and p.ring != self:
             raise ValueError("polynomial does not belong to this ring")
-        n = self.nvars
-        if target.names[:n] == self.names and target._units[:n] == self._units:
+        for i, nm in enumerate(self.names):
+            if nm not in target.names and p.involves(i):
+                raise ValueError(f"polynomial involves {nm!r}, absent from target ring")
+        n = min(self.nvars, target.nvars)
+        if target.names[:n] == self.names[:n] and target._units[:n] == self._units[:n]:
             return _poly(target, p._t, p._d)
-        where = [target.names.index(nm) for nm in self.names]
+        where = [(i, target.names.index(nm)) for i, nm in enumerate(self.names) if nm in target.names]
         mono, pack = self._mono, target._pack
         terms = {}
         for m, c in p._t.items():
-            big = [0] * target.nvars
-            for i, e in zip(where, mono(m)):
-                big[i] = e
-            terms[pack(tuple(big))] = c
+            e, moved = mono(m), [0] * target.nvars
+            for i, j in where:
+                moved[j] = e[i]
+            terms[pack(tuple(moved))] = c
         return _poly(target, terms, p._d)
 
-    def project(self, p: "Poly", target: "PolyRing") -> "Poly":
-        """Map ``p`` into the smaller ring ``target`` (matching names).
-
-        Raises ``ValueError`` if ``p`` involves a variable absent from
-        ``target``.
-        """
-        where = []
-        for i, nm in enumerate(self.names):
-            where.append(target.names.index(nm) if nm in target.names else -1)
-        mono, pack = self._mono, target._pack
-        terms: Dict[int, int] = {}
-        for m, c in p._t.items():
-            small = [0] * target.nvars
-            for i, e in enumerate(mono(m)):
-                if e == 0:
-                    continue
-                if where[i] < 0:
-                    raise ValueError(
-                        f"polynomial involves {self.names[i]!r}, absent from target ring"
-                    )
-                small[where[i]] = e
-            terms[pack(tuple(small))] = c
-        return _poly(target, terms, p._d)
+    def _staircase(self, leads: Sequence[int]) -> List[int]:
+        """The packed monomials that no packed lead divides, in increasing
+        order.  Raises ``ValueError`` when they are infinitely many: when
+        no lead is a pure power of some variable."""
+        G = self._guard
+        stairs = [0]
+        for nm, s, unit in zip(self.names, self._shifts, self._units):
+            pure = [e for lm in leads if (e := (lm >> s) & _VALUE) and lm == e * unit]
+            if not pure:
+                raise ValueError(f"algebra is not finite over its field: no power of {nm!r} reduces")
+            # a multiple of a divisible monomial is divisible: drop it at once
+            stairs = [
+                m for m in (a + e * unit for a in stairs for e in range(min(pure)))
+                if all((m + G - lm) & G != G for lm in leads)
+            ]
+        return sorted(stairs, key=self._neg.__xor__)
 
 
 class Poly(_Value):
@@ -346,9 +340,6 @@ class Poly(_Value):
             lm = max(self._t, key=self.ring._neg.__xor__)
             _set(self, "_lm", lm)
             return lm
-
-    def lead_monomial(self) -> Monomial:
-        return self.ring._mono(self._lead())
 
     def lead_coeff(self) -> Scalar:
         return self._scalar(self._t[self._lead()])

@@ -172,7 +172,7 @@ def glue(fam: SectionFamily) -> AlgebraElement:
     A compatible family glues to some a, and each section a/1 has a normal
     form free of the inverse variable (Cox-Little-O'Shea §3.1): a section
     that involves it proves the family incompatible, and the others give
-    numerators r_i by projection.  sum(e_i * r_i * f_i**N), with e the
+    numerators r_i by ``lift``.  sum(e_i * r_i * f_i**N), with e the
     cofactors of the pieces' N-th powers, is verified on every piece for
     N = 0, 1, ... up to ``POWER_CAP``; compatibility makes some N verify.  A
     verified candidate proves the family compatible: ``incompatibility_witness``
@@ -183,9 +183,7 @@ def glue(fam: SectionFamily) -> AlgebraElement:
     if any(s.value.poly.involves(s.loc.inv_index) for s in fam.sections):
         _require_compatible(fam)
         raise AssertionError("a compatible family has a section that involves its inverse variable")
-    numerators = [
-        base.element(s.loc.algebra.ring.project(s.value.poly, base.ring)) for s in fam.sections
-    ]
+    numerators = [base.element(s.loc.algebra.ring.lift(s.value.poly, base.ring)) for s in fam.sections]
     for n in range(POWER_CAP + 1):
         powered = [p ** n for p in pieces]
         cert = base.unit_certificate(powered)

@@ -316,6 +316,31 @@ FROZEN_GROEBNER = {
     ("lex", 0, ("x**3 - x",)): ("x**3 - x",),
 }
 
+def staircase(names, leads, key):
+    """The exponent tuples that no tuple of ``leads`` divides, sorted by
+    ``key``: the monomial basis of a finite quotient whose Groebner basis
+    leads with ``leads``, in the variables ``names``.  Every tuple of the
+    box below the least pure power of each variable is tested.  Raises
+    ``ValueError`` when some variable has no pure power among the leads."""
+    bounds = []
+    for i, name in enumerate(names):
+        pure = [
+            m[i]
+            for m in leads
+            if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
+        ]
+        if not pure:
+            raise ValueError(
+                f"algebra is not finite over its field: no power of {name!r} reduces"
+            )
+        bounds.append(min(pure))
+    out = []
+    for m in itertools.product(*(range(b) for b in bounds)):
+        if not any(all(x >= y for x, y in zip(m, lm)) for lm in leads):
+            out.append(m)
+    return sorted(out, key=key)
+
+
 # dimensions / sizes of finite presented algebras (monomial staircases)
 FROZEN_STAIRCASE = {
     "QQ[x]/(x^3 - x)": 3,

@@ -8,12 +8,14 @@ import fractions
 import itertools
 import sys
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le, sub
 
 from hypothesis import strategies as st
 
+import oracles as O
 from zariski import funscheme
 from zariski.algebra import (
     AlgebraMorphism,
@@ -393,6 +395,21 @@ def tuple_key(order, m):
     return (sum(m), *(-e for e in reversed(m)))
 
 
+def tuple_lead(f):
+    """The leading exponent tuple of the nonzero ``f`` under ``tuple_key``,
+    asserted to be the package's own leading monomial."""
+    lead = max(f.terms, key=partial(tuple_key, f.ring.order))
+    assert f.ring._mono(f._lead()) == lead
+    return lead
+
+
+def tuple_staircase(A):
+    """``oracles.staircase`` of the presented algebra ``A``: its leading
+    tuples read by ``tuple_lead``, its order by ``tuple_key``."""
+    leads = [tuple_lead(b) for b in A.gb.basis]
+    return O.staircase(A.names, leads, partial(tuple_key, A.ring.order))
+
+
 def tuple_divides(a, b):
     return all(map(le, a, b))
 
@@ -416,24 +433,27 @@ def tuple_product(f, g):
     return {m: c % p if p else c for m, c in acc.items() if (c % p if p else c)}
 
 
-def fraction_divide(f, divisors, want_quotients=True):
+def fraction_divide(f, divisors):
     """Multivariate division on the field's own scalars: the oracle for
     ``groebner.divide``.
 
-    The same steps in the same order (largest working term first, the first
-    divisor whose leading monomial divides it), with one field operation
-    per tail term: over QQ on ``Fraction``s, over GF(p) on residues reduced
-    when their term is popped.
+    The same steps in the same order (largest working term first under
+    ``tuple_key``, the first divisor whose leading monomial divides it),
+    with one field operation per tail term: over QQ on ``Fraction``s, over
+    GF(p) on residues reduced when their term is popped.
     """
     ring = f.ring
     p = ring.field.char
-    key = ring.monomial_key
-    leads = [(i, d.lead_monomial()) for i, d in enumerate(divisors) if d.terms]
+
+    def key(m):  # heapq pops the least: negate the order key
+        return tuple(-k for k in tuple_key(ring.order, m))
+
+    leads = [(i, tuple_lead(d)) for i, d in enumerate(divisors) if d.terms]
     tails = {}
-    quots = [{} for _ in divisors] if want_quotients else None
+    quots = [{} for _ in divisors]
     rem = {}
     terms = dict(f.terms)
-    heap = [(-key(m), m) for m in terms]
+    heap = [(key(m), m) for m in terms]
     heapify(heap)
     while heap:
         mp = heappop(heap)[1]
@@ -454,19 +474,16 @@ def fraction_divide(f, divisors, want_quotients=True):
         inv, tail = tails[idx]
         q = cp * inv % p if p else cp * inv
         a = tuple(map(sub, mp, lm))
-        if quots is not None:
-            quots[idx][a] = q
+        quots[idx][a] = q
         for mt, ct in tail:
             m = tuple(map(add, mt, a))
             c = terms.get(m)
             if c is None:
                 terms[m] = -q * ct
-                heappush(heap, (-key(m), m))
+                heappush(heap, (key(m), m))
             else:
                 terms[m] = c - q * ct
-    if quots is not None:
-        quots = [Poly(ring, q) for q in quots]
-    return quots, Poly(ring, rem)
+    return [Poly(ring, q) for q in quots], Poly(ring, rem)
 
 
 def monic(f):

@@ -510,7 +510,6 @@ def test_the_power_bound_is_one_constant_not_a_knob():
 KNOWN_OPTIONS = {
     "algebra.PresentedAlgebra.__init__.relations",
     "compare.comparison_check.morphisms",
-    "groebner.divide.want_quotients",
     "latscheme.LatticeScheme.__init__.patches",
     "latscheme.LatticeScheme.__init__.validate",
     "parsing.parse_ring.order",

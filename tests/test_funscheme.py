@@ -309,6 +309,9 @@ def test_the_atoms_refuse_algebras_over_qq_and_infinite_ones():
         atomic_factors(qq_xy())
     with pytest.raises(ValueError, match="not finite"):
         atomic_factors(PresentedAlgebra(*parse_ring("GF(3)[x,y]/(x^2)")))
+    # x*y leads, but it is no power of y
+    with pytest.raises(ValueError, match="not finite over its field: no power of 'y' reduces"):
+        atomic_factors(PresentedAlgebra(*parse_ring("GF(3)[x,y]/(x^2, x*y)")))
 
 
 def test_connected_factors_are_fields_here():

@@ -16,6 +16,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from support import tuple_lead
+from zariski import groebner
 from zariski.fields import GF, QQ
 from zariski.groebner import GroebnerBasis, divide
 from zariski.polynomials import MonomialOrder, PolyRing
@@ -142,10 +144,12 @@ def test_division_identity_and_irreducible_remainder(data):
         combo = combo + q * d
     _assert_clean(r)
     assert combo == f
-    leads = [d.lead_monomial() for d in divisors if not d.is_zero()]
+    leads = [tuple_lead(d) for d in divisors if not d.is_zero()]
     for m in r.terms:
         assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
-    assert divide(f, divisors, want_quotients=False) == (None, r)
+    # the remainder alone, as ``normal_form`` divides
+    none, raw = groebner._reduce(f, divisors, False)
+    assert none is None and groebner._normalized(R, raw) == r
 
 
 @settings(max_examples=40, deadline=None)

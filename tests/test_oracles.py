@@ -6,6 +6,7 @@ drifts, this file fails before anything downstream does.
 """
 
 import oracles as O
+import pytest
 import sympy
 
 
@@ -103,6 +104,12 @@ def test_staircase_dimensions_by_monomial_enumeration():
     assert O.FROZEN_STAIRCASE["QQ[x]/(x^3 - x)"] == 3
     assert O.FROZEN_STAIRCASE["GF(3)[e]/(e^2 - e)"] == 2
     assert O.FROZEN_STAIRCASE["GF(5)[x]/(x^2 - 2)"] == 2
+    assert O.staircase(["x"], [(3,)], sum) == [(0,), (1,), (2,)]
+    # x^2, x*y and y^2 lead: 1, x and y lie below them; without y^2 no
+    # power of y reduces
+    assert O.staircase(["x", "y"], [(2, 0), (1, 1), (0, 2)], sum) == [(0, 0), (0, 1), (1, 0)]
+    with pytest.raises(ValueError, match="no power of 'y' reduces"):
+        O.staircase(["x", "y"], [(2, 0), (1, 1)], sum)
     for key, dim in O.FROZEN_STAIRCASE.items():
         if key in O.FROZEN_ALGEBRA_SIZE:
             p = int(key.split("(")[1].split(")")[0])

@@ -22,6 +22,7 @@ from support import (
     tuple_divides,
     tuple_key,
     tuple_lcm,
+    tuple_lead,
     tuple_product,
 )
 from zariski import polynomials
@@ -62,9 +63,9 @@ def test_lead_terms_differ_between_orders():
     lex = ring_qq_xy("lex")
     x, y = grev.gens()
     f = x + y * y
-    assert f.lead_monomial() == (0, 2)
+    assert tuple_lead(f) == (0, 2)
     g = lex.from_terms(f.terms)
-    assert g.lead_monomial() == (1, 0)
+    assert tuple_lead(g) == (1, 0)
 
 
 def test_grevlex_breaks_degree_ties_by_reverse_last_exponent():
@@ -72,8 +73,8 @@ def test_grevlex_breaks_degree_ties_by_reverse_last_exponent():
     x, y = R.gens()
     # among degree-2 monomials: x^2 > x*y > y^2
     f = x * x + x * y + y * y
-    assert f.lead_monomial() == (2, 0)
-    assert (x * y + y * y).lead_monomial() == (1, 1)
+    assert tuple_lead(f) == (2, 0)
+    assert tuple_lead(x * y + y * y) == (1, 1)
 
 
 def test_degree_bookkeeping():
@@ -110,11 +111,60 @@ def test_lift_matches_variables_by_name():
     y, bx = big.gens()
     lifted = small.lift(x * x + 1, big)
     assert lifted == bx**2 + big.one
-    # projecting back down gives the original
-    assert big.project(lifted, small) == x * x + 1
-    # projection refuses polynomials that involve the extra variable
-    with pytest.raises(ValueError):
-        big.project(y, small)
+    # renaming back down gives the original
+    assert big.lift(lifted, small) == x * x + 1
+    # the smaller ring refuses polynomials that involve the extra variable
+    with pytest.raises(ValueError, match="involves 'y', absent from target ring"):
+        big.lift(y, small)
+
+
+def test_lift_refuses_a_polynomial_of_another_ring():
+    """A polynomial of GF(5)[a,b,c] is no polynomial of QQ[x,y,z], whose
+    variables it would otherwise be renamed by position."""
+    a, b, _ = PolyRing(GF(5), ["a", "b", "c"]).gens()
+    big, small = PolyRing(QQ, ["x", "y", "z"]), PolyRing(QQ, ["x", "y"])
+    with pytest.raises(ValueError, match="polynomial does not belong to this ring"):
+        big.lift(a * a + b.scale(3), small)
+
+
+def _renamed(p, target):
+    """The renaming oracle on exponent tuples: ``p``'s terms with each
+    exponent moved to the variable of the same name in ``target``; ``p``
+    involves no variable that ``target`` lacks."""
+    out = {}
+    for m, c in p.terms.items():
+        exps = dict(zip(p.ring.names, m))
+        out[tuple(exps.get(nm, 0) for nm in target.names)] = c
+    return target.from_terms(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 5]), st.sampled_from(["grevlex", "lex"]), st.data())
+def test_lift_renames_both_ways_as_the_tuple_oracle(char, kind, data):
+    """Up into a ring with one more variable and back down: by ``with_vars``
+    (the variables packed anew, in either order), by name in a permuted
+    ring, and into the elimination ring, whose packed terms carry over as
+    they are.  A polynomial that involves the extra variable cannot go
+    down."""
+    R = PolyRing(GF(char) if char else QQ, ["x", "y"], MonomialOrder(kind))
+    coeff = st.integers(1, char - 1) if char else st.fractions(max_denominator=6).filter(bool)
+
+    def terms(n):
+        return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=4)
+
+    f = R.from_terms(data.draw(terms(2)))
+    elim = R.with_vars(["z"], R.order.eliminating())
+    permuted = PolyRing(R.field, ["z", "y", "x"], R.order)
+    for big in (R.with_vars(["z"]), R.with_vars(["z"], R.order), permuted, elim):
+        up = R.lift(f, big)
+        assert up == _renamed(f, big) and big.lift(up, R) == f
+        g = big.from_terms(data.draw(terms(3)))
+        if g.involves(big.names.index("z")):
+            with pytest.raises(ValueError, match="polynomial involves 'z', absent from target ring"):
+                big.lift(g, R)
+        else:
+            assert big.lift(g, R) == _renamed(g, R)
+    assert R.lift(f, elim)._t is f._t
 
 
 def test_with_vars_extends_presentation():
@@ -529,7 +579,7 @@ def test_packed_monomials_match_the_tuple_reference(order, n, data):
     G = R._guard
     for a, pa in zip(monos, packed):
         for b, pb in zip(monos, packed):
-            assert (R.monomial_key(a) < R.monomial_key(b)) == (tuple_key(order, a) < tuple_key(order, b))
+            assert ((pa ^ R._neg) < (pb ^ R._neg)) == (tuple_key(order, a) < tuple_key(order, b))
             assert (((pb + G) - pa) & G == G) == tuple_divides(a, b)
             # the lcm's degree field sums the larger exponents, which can
             # exceed the larger of the two degrees
@@ -604,6 +654,9 @@ def test_products_packing_and_division_past_the_limit_raise():
     lex = ring_qq_xy("lex")
     u, v = lex.gens()
     assert (u ** (2**30) * v ** (2**30)).total_degree() == 2**31
+    # renamed into grevlex, that monomial's degree field passes the limit
+    with pytest.raises(polynomials._ExponentLimitError, match=r"x\^1073741824\*y\^1073741824"):
+        lex.lift(u ** (2**30) * v ** (2**30), R)
     # lex ranks x above y**(2**30): reducing x*y**(2**30) by x + y**(2**30)
     # forms y**(2**31)
     with pytest.raises(polynomials._ExponentLimitError, match=r"monomial y\^2147483648 "):

@@ -130,6 +130,23 @@ def points(scheme, algebra):
     return prepare
 
 
+def p1_patch(p, n):
+    """``make_patch`` of the projective line over GF(p) glued along D(t^n)
+    and D(s): t -> 1/s forward, s -> t^(n-1) * (1/t^n) backward, the patch
+    of the gluing document with ``"f": "t^n"``.  Fresh charts per run; the
+    two localizations and the images are built outside the clock, as the
+    loader builds them before it calls ``make_patch``."""
+
+    def prepare(z):
+        A0, A1 = (z.PresentedAlgebra(*z.parse_ring(f"GF({p})[{v}]")) for v in "ts")
+        f, g = A0.var(0) ** n, A1.var(0)
+        loc_f, loc_g = z.make_localization(A0, f), z.make_localization(A1, g)
+        backward = loc_f.to_loc(A0.var(0)) ** (n - 1) * loc_f.inverse
+        return lambda: z.make_patch([A0, A1], 0, 1, f, g, [loc_g.inverse], [backward])
+
+    return prepare
+
+
 def compare_punctured_plane(p, algebra):
     """``comparison_check`` of the punctured plane over GF(p), a fresh
     scheme per run, over the quotient ``algebra``."""
@@ -164,6 +181,10 @@ RUNGS = {
                            atoms("GF(7)[x,y]/(x^2-x, y^2-y)")),
     "points_curve_gf5t3": ("funscheme", "eval_points of y^2 = x^3 + 1 over GF(5)[t]/(t^3), 125 points",
                            points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^3)")),
+    "points_nonsep_gf5t3": ("funscheme", "eval_points of y^2 + x*y = x^3 + 1 over GF(5)[t]/(t^3), 225 points",
+                            points("GF(5)[x,y]/(y^2 + x*y - x^3 - 1)", "GF(5)[t]/(t^3)")),
+    "loader_p1_gf3_t250": ("latscheme", "make_patch of the projective line over GF(3) with f = t^250",
+                           p1_patch(3, 250)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
                         "GF(49) = GF(7)[t]/(t^2 - 3)", compare_punctured_plane(7, "GF(7)[t]/(t^2 - 3)")),
 }
