@@ -18,7 +18,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import Poly, PolyRing, _new, _poly, _set, poly_sort_key
+from .polynomials import _VALUE, Poly, PolyRing, _new, _poly, _set, poly_sort_key
 
 
 class ExtractionCapError(RuntimeError):
@@ -378,9 +378,20 @@ def enumerate_homs(
     images over ``target.enumerate_elements()``.
 
     Variables are assigned in index order, and each relation is checked as
-    soon as its last variable is assigned.  A relation ``c*x + d`` linear in
-    its last variable x, whose coefficient c takes a unit value, fixes x to
-    ``-d/c``: that one value is tried instead of every element.
+    soon as its last variable is assigned.  The relations whose last
+    variable is x, classified once per call, narrow x's candidates first:
+
+    - ``c*x + d`` whose coefficient c takes a unit value fixes x to
+      ``-d/c``, with c's inverse certified by ``try_invert``;
+    - a separated ``h(x) + s``, s free of x, keeps the x with h(x) = -s:
+      h is evaluated once per call on every element, keyed by its normal
+      form (a hash join), so each prefix costs a lookup, not |B| checks;
+    - ``c*x + d`` whose coefficient is no unit keeps the solutions of
+      ``c*x = -d``, solved over GF(p) on the staircase basis once per
+      value of (c, d) (``_solutions``); no solution ends the branch.
+
+    Every candidate is then checked against all of x's relations, bar the
+    one a unit coefficient solved.
     """
     if source.field != target.field:
         raise ValueError("field mismatch")
@@ -391,43 +402,62 @@ def enumerate_homs(
             _morphism(source, target, images)
             for images in itertools.product(candidates, repeat=n)
         ]
+    ring = source.ring
     # checks[k + 1]: the relations whose last variable is k (k = -1: constants);
-    # solvers[k]: (relation, c, d) for those of the form c*x_k + d
+    # solvers[k]: (relation, c, d) for those of the form c*x_k + d;
+    # joins[k]: (h, s) for the first of the form h(x_k) + s
     checks: List[List[Poly]] = [[] for _ in range(n + 1)]
     solvers: List[List[Tuple[Poly, Poly, Poly]]] = [[] for _ in range(n)]
+    joins: List[Optional[Tuple[Poly, Poly]]] = [None] * n
     for r in source.relations:
         last = max((i for i in range(n) if r.involves(i)), default=-1)
         checks[last + 1].append(r)
-        if last >= 0 and r.degree_in(last) == 1:
-            c_terms, d_terms = {}, {}
-            for m, coeff in r.terms.items():
-                if m[last]:
-                    c_terms[m[:last] + (0,) + m[last + 1:]] = coeff
-                else:
-                    d_terms[m] = coeff
-            solvers[last].append(
-                (r, Poly(source.ring, c_terms), Poly(source.ring, d_terms))
-            )
+        if last < 0:
+            continue
+        shift, unit = ring._shifts[last], ring._units[last]
+        inner = {m: c for m, c in r._t.items() if m >> shift & _VALUE}
+        outer = _poly(ring, {m: c for m, c in r._t.items() if m not in inner})
+        if r.degree_in(last) == 1:
+            solvers[last].append((r, _poly(ring, {m - unit: c for m, c in inner.items()}), outer))
+        elif joins[last] is None and all(m == (m >> shift & _VALUE) * unit for m in inner):
+            joins[last] = (_poly(ring, inner), outer)
     polys = [target.ring.zero] * n  # images so far; later variables occur in no check
     images: List[AlgebraElement] = [target.zero] * n
+    tables: dict = {}  # k -> x_k's candidates keyed by h's value on them
+    linear: dict = {}  # (c, d) -> the x with c*x + d == 0
     out: List[AlgebraMorphism] = []
 
+    def value(p: Poly) -> AlgebraElement:
+        return _evaluate(p, target, images, polys)
+
     def holds(k: int, solved: Optional[Poly]) -> bool:
-        return all(
-            _evaluate(r, target, images, polys).is_zero()
-            for r in checks[k + 1] if r is not solved
-        )
+        return all(value(r).is_zero() for r in checks[k + 1] if r is not solved)
+
+    def narrow(k: int) -> Tuple[Sequence[AlgebraElement], Optional[Poly]]:
+        for (r, c, d) in solvers[k]:
+            inv = target.try_invert(value(c))
+            if inv is not None:
+                return [-(value(d) * inv)], r
+        if joins[k] is not None:
+            h, s = joins[k]
+            if k not in tables:
+                tables[k] = {}
+                for b in candidates:
+                    images[k], polys[k] = b, b.poly
+                    tables[k].setdefault(value(h).poly, []).append(b)
+            return tables[k].get((-value(s)).poly, ()), None
+        if solvers[k]:
+            c, d = (value(f).poly for f in solvers[k][0][1:])
+            if (c, d) not in linear:
+                linear[c, d] = _solutions(target, candidates, c, d)
+            return linear[c, d], None
+        return candidates, None
 
     def assign(k: int) -> None:
         if k == n:
             out.append(_morphism(source, target, tuple(images)))
             return
-        options, solved = candidates, None
-        for (r, c, d) in solvers[k]:
-            inv = target.try_invert(_evaluate(c, target, images, polys))
-            if inv is not None:
-                options, solved = [-(_evaluate(d, target, images, polys) * inv)], r
-                break
+        options, solved = narrow(k)
         for b in options:
             images[k] = b
             polys[k] = b.poly
@@ -437,6 +467,74 @@ def enumerate_homs(
     if holds(-1, None):
         assign(0)
     return out
+
+
+def _solutions(
+    target: PresentedAlgebra, candidates: Sequence[AlgebraElement], c: Poly, d: Poly
+) -> List[AlgebraElement]:
+    """The x of ``candidates`` (``target.enumerate_elements()``, in its
+    order) with ``c*x + d == 0``, for normal forms c and d of a nontrivial
+    target.  On the staircase basis e_1..e_N, the kernel over GF(p) of the
+    matrix [c*e_1 .. c*e_N | d] (``_kernel_mod_p``) spans the solutions of
+    c*x = 0, plus, when c*x = -d is solvable, one vector ending in 1: the
+    last, as the last column is then the last free one."""
+    stairs, p, ring = target._stairs(), target.field.char, target.ring
+    N = len(stairs)
+    cols = [target.normal_form(c * _poly(ring, {m: 1})) for m in stairs]
+    kernel = _kernel_mod_p(_coordinates(stairs, [f._t for f in cols + [d]]), p)
+    if not kernel or not kernel[-1][N]:
+        return []
+    xs = [kernel[-1][:N]]
+    for v in kernel[:-1]:
+        xs = [[(a + t * b) % p for a, b in zip(x, v)] for x in xs for t in range(p)]
+    # candidates list the coordinate vectors in lexicographic order
+    weights = [p ** (N - 1 - i) for i in range(N)]
+    return [candidates[i] for i in sorted(sum(map(int.__mul__, x, weights)) for x in xs)]
+
+
+def _coordinates(stairs: Sequence[int], columns: Sequence[dict]) -> List[List[int]]:
+    """The matrix over GF(p) whose column j holds the coordinates on the
+    packed staircase ``stairs`` of a normal form with terms ``columns[j]``."""
+    row_of = {m: i for i, m in enumerate(stairs)}
+    rows = [[0] * len(columns) for _ in stairs]
+    for j, terms in enumerate(columns):
+        for m, c in terms.items():
+            rows[row_of[m]][j] = c
+    return rows
+
+
+def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
+    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
+    column, by reducing a copy of ``rows``, which each step replaces by rows."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        inv = pow(rows[pivot][col], -1, p)
+        top_row = [a * inv % p for a in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows[r] = top_row
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != r:
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free] % p
+        basis.append(x)
+    return basis
 
 
 # -- localization -------------------------------------------------------------

@@ -22,6 +22,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
+    _coordinates,
+    _kernel_mod_p,
     _morphism,
     enumerate_homs,
     make_localization,
@@ -159,52 +161,11 @@ def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
 
 
 def _frobenius_matrix(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
-    stairs = B._stairs()
-    row_of = {m: i for i, m in enumerate(stairs)}
-    p = B.field.char
-    rows = [[0] * len(stairs) for _ in stairs]
-    for j, m in enumerate(stairs):
-        if not m:
-            rows[j][j] = 1  # 1**p == 1, without a normal form
-            continue
-        power = AlgebraElement(B, _poly(B.ring, {m: 1})) ** p
-        for mono, c in power.poly._t.items():
-            rows[row_of[mono]][j] = c
-    return stairs, rows
-
-
-def _kernel_mod_p(rows: List[List[int]], p: int) -> List[List[int]]:
-    """A basis of {x : rows * x = 0} over GF(p), one vector per non-pivot
-    column, by reducing a copy of ``rows``, which each step replaces by rows."""
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        for pivot in range(r, len(rows)):
-            if rows[pivot][col]:
-                break
-        else:
-            continue
-        inv = pow(rows[pivot][col], -1, p)
-        top_row = [a * inv % p for a in rows[pivot]]
-        rows[pivot] = rows[r]
-        rows[r] = top_row
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if factor and i != r:
-                rows[i] = [(a - factor * b) % p for a, b in zip(row, top_row)]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        x = [0] * ncols
-        x[free] = 1
-        for r, col in enumerate(pivots):
-            x[col] = -rows[r][free] % p
-        basis.append(x)
-    return basis
+    stairs, p = B._stairs(), B.field.char
+    # 1**p == 1, without a normal form
+    powers = [(AlgebraElement(B, _poly(B.ring, {m: 1})) ** p).poly._t if m else {0: 1}
+              for m in stairs]
+    return stairs, _coordinates(stairs, powers)
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:

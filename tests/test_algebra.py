@@ -21,6 +21,7 @@ from support import (
     tuple_lead,
     tuple_staircase,
 )
+from zariski import algebra
 from zariski.algebra import (
     POWER_CAP,
     AlgebraMorphism,
@@ -282,6 +283,13 @@ def test_hom_search_enumerates_a_variable_whose_coefficient_is_a_zero_divisor():
     assert homs == exhaustive_homs(A, B)
     # t*(y - 1) = 0 leaves y = 1 + a*t for each a in GF(3)
     assert sum(1 for h in homs if h.images[0] == B.var(0)) == 3
+    # over GF(3)[e]/(e^2 - e), x -> e leaves y in 1 + (1 - e)*GF(3): the
+    # solve finds 1, e, 2 + 2*e, listed in element order as e, 1, 2 + 2*e
+    E = _quotient(3, ["e"], [lambda e: e * e - e])
+    homs = enumerate_homs(A, E)
+    assert homs == exhaustive_homs(A, E)
+    e = E.var(0)
+    assert [h.images[1] for h in homs if h.images[0] == e] == [e, E.one, 2 + 2 * e]
 
 
 def test_hom_search_inverts_each_coefficient_value_once(monkeypatch):
@@ -338,6 +346,66 @@ def _small_presentations(draw):
 def test_hom_search_matches_the_exhaustive_search_on_random_presentations(pair):
     source, target = pair
     assert enumerate_homs(source, target) == exhaustive_homs(source, target)
+
+
+@st.composite
+def _solvable_sources(draw, p, nvars):
+    """A source over GF(p) in x, y and, for ``nvars == 3``, z, whose later
+    variables each get a separated relation h(v) + s, a relation c*v + d, or
+    both: h monic of degree 2 or 3, and s, d and c polynomials in the earlier
+    variables, c often a multiple of x, so that its value is a unit, a zero
+    divisor or zero by turns."""
+    ring = PolyRing(GF(p), ["x", "y", "z"][:nvars])
+    gens = ring.gens()
+
+    def earlier(k):  # a polynomial in the variables before gens[k]
+        exponents = st.tuples(*[st.integers(0, 2)] * k, *[st.just(0)] * (nvars - k))
+        return ring.from_terms(draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=3)))
+
+    rels = []
+    for k in range(1, nvars):
+        v = gens[k]
+        kinds = draw(st.sets(st.sampled_from(["separated", "linear"]), min_size=1))
+        if "separated" in kinds:
+            rels.append(v ** draw(st.integers(2, 3)) + v.scale(draw(st.integers(0, p - 1))) + earlier(k))
+        if "linear" in kinds:
+            rels.append((gens[0] * earlier(k) + earlier(k)) * v + earlier(k))
+    return PresentedAlgebra(ring, rels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_search_matches_the_exhaustive_search_on_solvable_relations(data):
+    # finite_algebras draws nilpotents, products and the zero ring; the
+    # exhaustive search checks |B|**nvars assignments, so B stays small
+    nvars = data.draw(st.integers(2, 3))
+    target = data.draw(finite_algebras(max_size=25 if nvars == 2 else 9))
+    source = data.draw(_solvable_sources(target.field.char, nvars))
+    assert enumerate_homs(source, target) == exhaustive_homs(source, target)
+
+
+def test_hom_search_evaluates_a_separated_relation_once_per_element(monkeypatch):
+    # y^2 - x^3 - 1 over B = GF(5)[t]/(t^2), |B| = 25: y^2 is evaluated once
+    # on each element, -x^3 - 1 once per value of x, and the relation once
+    # per kept point, where a scan would check all |B|**2 = 625 pairs
+    A = _quotient(5, ["x", "y"], [lambda x, y: y * y - x**3 - 1])
+    B = _quotient(5, ["t"], [lambda t: t * t])
+    x, y = A.ring.gens()
+    calls = []
+    inner = algebra._evaluate
+
+    def counted(p, *rest):
+        calls.append(p)
+        return inner(p, *rest)
+
+    monkeypatch.setattr(algebra, "_evaluate", counted)
+    homs = enumerate_homs(A, B)
+    monkeypatch.undo()
+    assert homs == exhaustive_homs(A, B)
+    assert len(homs) == 25
+    assert calls.count(y * y) == calls.count(-(x**3) - 1) == 25
+    assert calls.count(A.relations[0]) == len(homs)
+    assert len(calls) == 75
 
 
 # -- localization ---------------------------------------------------------------

@@ -130,6 +130,18 @@ def points(scheme, algebra):
     return prepare
 
 
+def points_punctured_plane(p, algebra):
+    """``eval_points`` of the punctured plane over GF(p), a fresh scheme per
+    run, over the quotient ``algebra``."""
+
+    def prepare(z):
+        X = z.punctured_plane(z.GF(p))[0]
+        B = z.PresentedAlgebra(*z.parse_ring(algebra))
+        return lambda: z.eval_points(X, B)
+
+    return prepare
+
+
 def p1_patch(p, n):
     """``make_patch`` of the projective line over GF(p) glued along D(t^n)
     and D(s): t -> 1/s forward, s -> t^(n-1) * (1/t^n) backward, the patch
@@ -183,6 +195,12 @@ RUNGS = {
                            points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^3)")),
     "points_nonsep_gf5t3": ("funscheme", "eval_points of y^2 + x*y = x^3 + 1 over GF(5)[t]/(t^3), 225 points",
                             points("GF(5)[x,y]/(y^2 + x*y - x^3 - 1)", "GF(5)[t]/(t^3)")),
+    "points_curve_gf5t4": ("funscheme", "eval_points of y^2 = x^3 + 1 over GF(5)[t]/(t^4), 625 points",
+                           points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^4)")),
+    "points_curve_gf625": ("funscheme", "eval_points of y^2 = x^3 + 1 over GF(625) = GF(5)[t]/(t^4 - 2), "
+                           "575 points", points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^4 - 2)")),
+    "points_pp_gf5t3": ("funscheme", "eval_points of the punctured plane over GF(5) over GF(5)[t]/(t^3), "
+                        "15,000 points", points_punctured_plane(5, "GF(5)[t]/(t^3)")),
     "loader_p1_gf3_t250": ("latscheme", "make_patch of the projective line over GF(3) with f = t^250",
                            p1_patch(3, 250)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
