@@ -18,7 +18,7 @@ from .groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
-from .polynomials import _VALUE, Poly, PolyRing, _new, _poly, _set, poly_sort_key
+from .polynomials import _VALUE, MonomialOrder, Poly, PolyRing, _new, _poly, _set
 
 
 class ExtractionCapError(RuntimeError):
@@ -51,10 +51,11 @@ class PresentedAlgebra(_Value):
     ``_memo``, written only by ``_remember``, keeps facts that depend on the
     algebra alone, for its lifetime and for no other algebra, equal or not:
     ``make_localization`` by ``("loc", f)``, ``radical_member`` by
-    ``("radical", f, gens)``, ``try_invert`` by ``("inv", c)``,
-    ``enumerate_elements`` by ``"elements"``, and in ``funscheme`` the
-    Frobenius matrix by ``"frobenius"``, ``is_reduced`` by ``"reduced"``,
-    ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
+    ``("radical", f, frozenset(gens))``, its ring and lifted relations
+    (``_rabinowitsch``) by ``"rabinowitsch"``, ``try_invert`` by ``("inv",
+    c)``, ``enumerate_elements`` by ``"elements"``, and in ``funscheme``
+    the Frobenius matrix by ``"frobenius"``, ``is_reduced`` by
+    ``"reduced"``, ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo")
@@ -145,20 +146,27 @@ class PresentedAlgebra(_Value):
         """Whether some power of ``f`` lies in the ideal the ``gens`` span."""
         if f.poly.is_zero():
             return True
-        polys = tuple(sorted((g.poly for g in gens), key=poly_sort_key))
-        return self._remember(("radical", f.poly, polys), self._radical_member, f.poly, polys)
+        polys = tuple([g.poly for g in gens])
+        return self._remember(("radical", f.poly, frozenset(polys)), self._radical_member, f.poly, polys)
 
     def _radical_member(self, f: Poly, gens: Tuple[Poly, ...]) -> bool:
-        if f.is_constant():
-            # a nonzero constant is in the radical iff the ideal is all of A
-            return ideal_contains_one(gens + self.relations, self.ring)
-        wname = _fresh_names(["w"], self.ring.names)[0]
-        ext = self.ring.with_vars([wname])
-        w = ext.var(ext.nvars - 1)
+        """Rabinowitsch's test, 1 in (gens, 1 - w*f) (Cox-Little-O'Shea
+        §4.2), in the ring of ``_rabinowitsch``; a nonzero constant f is in
+        the radical iff the gens alone span all of A."""
+        ext, rels = self._remember("rabinowitsch", self._rabinowitsch)
         polys = [self.ring.lift(g, ext) for g in gens]
-        polys.extend(self.ring.lift(r, ext) for r in self.relations)
-        polys.append(ext.one - w * self.ring.lift(f, ext))
+        polys.extend(rels)
+        if not f.is_constant():
+            polys.append(ext.one - ext.var(ext.nvars - 1) * self.ring.lift(f, ext))
         return ideal_contains_one(polys, ext)
+
+    def _rabinowitsch(self) -> Tuple[PolyRing, Tuple[Poly, ...]]:
+        """The ring plus a fresh last variable w in an elimination block
+        over grevlex, whatever the algebra's order, and the relations lifted
+        there.  For a grevlex algebra the block packs the old variables as
+        the ring does, so ``lift`` carries its terms over as they are."""
+        ext = self.ring.with_vars(_fresh_names(["w"], self.ring.names), MonomialOrder().eliminating())
+        return ext, tuple([self.ring.lift(r, ext) for r in self.relations])
 
     def try_invert(self, c: "AlgebraElement") -> Optional["AlgebraElement"]:
         """The inverse of ``c`` with certificate, or None if not a unit.

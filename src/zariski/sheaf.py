@@ -174,9 +174,12 @@ def glue(fam: SectionFamily) -> AlgebraElement:
     that involves it proves the family incompatible, and the others give
     numerators r_i by ``lift``.  sum(e_i * r_i * f_i**N), with e the
     cofactors of the pieces' N-th powers, is verified on every piece for
-    N = 0, 1, ... up to ``POWER_CAP``; compatibility makes some N verify.  A
-    verified candidate proves the family compatible: ``incompatibility_witness``
-    runs only on a first failure.
+    N = 0, 1, ... up to ``POWER_CAP``; compatibility makes some N verify.
+    At N = 0 the powers are all 1, whose certificate is the first unit
+    vector, so the candidate is the first numerator and no certificate is
+    computed.
+    A verified candidate proves the family compatible:
+    ``incompatibility_witness`` runs only on a first failure.
     """
     base = fam.cover.base
     pieces = fam.cover.pieces
@@ -185,16 +188,19 @@ def glue(fam: SectionFamily) -> AlgebraElement:
         raise AssertionError("a compatible family has a section that involves its inverse variable")
     numerators = [base.element(s.loc.algebra.ring.lift(s.value.poly, base.ring)) for s in fam.sections]
     for n in range(POWER_CAP + 1):
-        powered = [p ** n for p in pieces]
-        cert = base.unit_certificate(powered)
-        if cert is None:
-            raise AssertionError(
-                "cover pieces' powers failed the unit-ideal test; "
-                "CoverData invariant violated"
-            )
-        candidate = base.zero
-        for e, r, q in zip(cert, numerators, powered):
-            candidate = candidate + e * r * q
+        if not n:  # every power is 1, certified by the first unit vector
+            candidate = numerators[0] if numerators else base.zero
+        else:
+            powered = [p ** n for p in pieces]
+            cert = base.unit_certificate(powered)
+            if cert is None:
+                raise AssertionError(
+                    "cover pieces' powers failed the unit-ideal test; "
+                    "CoverData invariant violated"
+                )
+            candidate = base.zero
+            for e, r, q in zip(cert, numerators, powered):
+                candidate = candidate + e * r * q
         if all(s.loc.to_loc(candidate) == s.value for s in fam.sections):
             return candidate
         if n == 0:

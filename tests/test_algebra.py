@@ -1,8 +1,11 @@
 """Finitely presented algebras: quotients, morphisms, localizations."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
@@ -125,6 +128,83 @@ def test_radical_membership_sees_through_relations():
     assert A.radical_member(A.one, [e, 1 - e])
     assert not A.radical_member(A.one, [e])
     assert A.radical_member(e, [e * e])
+
+
+@st.composite
+def _radical_questions(draw):
+    """A presented algebra in 1-3 variables with 0-2 relations over QQ or
+    GF(2), GF(3), GF(5), under grevlex or lex, a nonzero f that is a
+    constant about half the time, and generators: 0-2 random ones, or by
+    turns f^2 * (1 + h) and at most one random one, a pair g, 1 - g, or one
+    g that the relations make a unit, so that both verdicts come up.  A
+    random polynomial has at most 3 terms, of degree at most 2: a larger
+    degree can stall sympy's Groebner basis for minutes."""
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    if char:
+        coeffs = st.integers(1, char - 1)
+    else:
+        coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    ring = PolyRing(QQ if char == 0 else GF(char), ["x", "y", "z"][:nvars],
+                    MonomialOrder(draw(st.sampled_from(["grevlex", "lex"]))))
+    monomials = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+    terms = st.dictionaries(st.sampled_from(monomials), coeffs, max_size=3)
+    polys = st.builds(ring.from_terms, terms)
+    constants = st.builds(ring.from_terms, st.dictionaries(st.just((0,) * nvars), coeffs, min_size=1))
+    nonconstant = polys.filter(lambda p: not p.is_constant())
+    f = draw(st.one_of(constants, nonconstant))
+    rels, gens = draw(st.lists(polys, max_size=2)), draw(st.lists(polys, max_size=2))
+    hint = draw(st.sampled_from(["none", "power", "unit", "unit in A"]))
+    # two random generators mostly span the unit ideal already, so each
+    # hint keeps at most one of them
+    if hint == "power":
+        gens = gens[:1] + [f**2 * (ring.one + draw(polys))]
+    elif hint == "unit":
+        g = draw(nonconstant)
+        gens = [g, ring.one - g]
+    elif hint == "unit in A":  # g*h = 1 only modulo the relations
+        g = draw(nonconstant)
+        gens, rels = [g], rels[:1] + [g * draw(nonconstant) - ring.one]
+    return ring, rels, f, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(_radical_questions())
+def test_radical_membership_agrees_with_sympy_on_random_algebras(question):
+    """f is in the radical of (gens) in A = k[x]/(rels) iff sympy's reduced
+    basis of the Rabinowitsch ideal (rels, gens, 1 - w*f) is 1."""
+    ring, rels, f, gens = question
+    syms = sympy.symbols(ring.names)
+    w = sympy.Symbol("w")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[s**e for s, e in zip(syms, m)])
+                   for m, c in p.terms.items())
+
+    char = ring.field.char
+    ideal = [expr(g) for g in rels + gens] + [1 - w * expr(f)]
+    modulus = {"modulus": char} if char else {}
+    basis = sympy.groebner(ideal, *syms, w, order="grevlex", method="f5b", **modulus)
+    A = PresentedAlgebra(ring, rels)
+    got = A.radical_member(A.element(f), [A.element(g) for g in gens])
+    assert got == (list(basis.exprs) == [1])
+
+
+def test_a_second_radical_query_builds_no_ring_and_packs_no_monomial(monkeypatch):
+    """An algebra builds its Rabinowitsch ring and lifts its relations once
+    (``"rabinowitsch"``); a grevlex algebra's query polynomials carry over
+    into that ring as they are, for a constant f as for any other."""
+    A = gf5_circle()
+    x, y = A.gens()
+    assert A.radical_member(x * y, [x])
+    rings, packs = [], []
+    init, pack = PolyRing.__init__, PolyRing._pack
+    monkeypatch.setattr(PolyRing, "__init__", lambda self, *a: rings.append(a) or init(self, *a))
+    monkeypatch.setattr(PolyRing, "_pack", lambda self, m: packs.append(m) or pack(self, m))
+    assert not A.radical_member(x, [y])  # (1, 0) lies on the circle
+    assert A.radical_member(A.one, [x, y])
+    monkeypatch.undo()
+    assert rings == packs == []
 
 
 def test_ideal_membership_certificates_reevaluate():

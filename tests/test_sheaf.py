@@ -246,6 +246,18 @@ def test_a_compatible_family_glues_without_the_pairwise_sweep(monkeypatch):
     assert calls == []
 
 
+def test_a_glue_that_verifies_at_the_first_power_computes_no_certificate(monkeypatch):
+    """At N = 0 every power of a piece is 1, whose certificate is the first
+    unit vector: the candidate is the first numerator, taken as it is."""
+    A, cov = _cover_qq_xy()
+    x, y = A.gens()
+    fam = _split_family(A, cov, x * y + 3)
+    calls = []
+    monkeypatch.setattr(PresentedAlgebra, "unit_certificate", lambda self, gens: calls.append(gens))
+    assert glue(fam) == x * y + 3
+    assert calls == []
+
+
 def test_a_compatible_family_glues_without_extracting_a_fraction(monkeypatch):
     """Each section of a compatible family is a/1, whose normal form is free
     of the inverse variable, so ``glue`` reads its numerators off by

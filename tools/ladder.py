@@ -171,6 +171,40 @@ def compare_punctured_plane(p, algebra):
     return prepare
 
 
+LATTICE_OPENS = ["x", "y", "x*y", "x, y", "x^2", "x + y", "x^2 - y^2", "x - y, x + y", "x*y - 1", "1"]
+
+
+def lattice_batch(rings):
+    """``leq`` and ``eq`` on every ordered pair of ``LATTICE_OPENS``, each a
+    basic open given by its generators, over each quotient of ``rings``;
+    fresh algebras per run, so no radical query is remembered from the last."""
+
+    def prepare(z):
+        opens = []
+        for text in rings:
+            A = z.PresentedAlgebra(*z.parse_ring(text))
+            opens.append([z.basic_open(A, [A.element(z.parse_poly(g, A.ring)) for g in u.split(",")])
+                          for u in LATTICE_OPENS])
+        return lambda: [(z.leq(u, v), z.eq(u, v)) for us in opens for u in us for v in us]
+
+    return prepare
+
+
+def glue_split(ring, pieces, value):
+    """``CoverData`` of ``pieces`` and ``glue`` of the sections ``value``/1
+    over them, in the quotient ``ring``, a fresh algebra per run; the
+    sections' localizations are built outside the clock."""
+
+    def prepare(z):
+        A = z.PresentedAlgebra(*z.parse_ring(ring))
+        ps = [A.element(z.parse_poly(p, A.ring)) for p in pieces]
+        a = A.element(z.parse_poly(value, A.ring))
+        sections = [z.global_section(z.make_localization(A, p), a) for p in ps]
+        return lambda: z.glue(z.SectionFamily(z.CoverData(A, ps), sections))
+
+    return prepare
+
+
 # name -> (layer, what, prepare)
 RUNGS = {
     "pow_linear4_18_qq": ("polynomials", "(-3*x0 + 5*x1 - x2 + 2)^18 over QQ, the benchmark's power",
@@ -201,6 +235,13 @@ RUNGS = {
                            "575 points", points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^4 - 2)")),
     "points_pp_gf5t3": ("funscheme", "eval_points of the punctured plane over GF(5) over GF(5)[t]/(t^3), "
                         "15,000 points", points_punctured_plane(5, "GF(5)[t]/(t^3)")),
+    "lattice_leq_qq2": ("lattice", "leq and eq on 100 pairs of basic opens, over QQ[x,y] and over "
+                        "GF(5)[x,y]/(x^2 + y^2 - 1)",
+                        lattice_batch(["QQ[x,y]", "GF(5)[x,y]/(x^2 + y^2 - 1)"])),
+    "sheaf_glue_gf5_circle": ("sheaf", "CoverData of 1 - x, 1 + x, y and glue of x^3*y + 2*x*y^2 + 3 over "
+                              "GF(5)[x,y]/(x^2 + y^2 - 1)",
+                              glue_split("GF(5)[x,y]/(x^2 + y^2 - 1)", ["1 - x", "1 + x", "y"],
+                                         "x^3*y + 2*x*y^2 + 3")),
     "loader_p1_gf3_t250": ("latscheme", "make_patch of the projective line over GF(3) with f = t^250",
                            p1_patch(3, 250)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
