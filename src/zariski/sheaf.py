@@ -188,7 +188,7 @@ def glue(fam: SectionFamily) -> AlgebraElement:
         raise AssertionError("a compatible family has a section that involves its inverse variable")
     numerators = [base.element(s.loc.algebra.ring.lift(s.value.poly, base.ring)) for s in fam.sections]
     for n in range(POWER_CAP + 1):
-        if not n:  # every power is 1, certified by the first unit vector
+        if n == 0:  # every power is 1, certified by the first unit vector
             candidate = numerators[0] if numerators else base.zero
         else:
             powered = [p ** n for p in pieces]
