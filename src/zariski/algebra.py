@@ -390,7 +390,7 @@ def enumerate_homs(
     variable is x, classified once per call, narrow x's candidates first:
 
     - ``c*x + d`` whose coefficient c takes a unit value fixes x to
-      ``-d/c``, with c's inverse certified by ``try_invert``;
+      ``-d/c``, c's inverse certified by ``try_invert``, once per value of (c, d);
     - a separated ``h(x) + s``, s free of x, keeps the x with h(x) = -s:
       h is evaluated once per call on every element, keyed by its normal
       form (a hash join), so each prefix costs a lookup, not |B| checks;
@@ -443,9 +443,13 @@ def enumerate_homs(
 
     def narrow(k: int) -> Tuple[Sequence[AlgebraElement], Optional[Poly]]:
         for (r, c, d) in solvers[k]:
-            inv = target.try_invert(value(c))
+            vc = value(c)
+            inv = target.try_invert(vc)
             if inv is not None:
-                return [-(value(d) * inv)], r
+                vd = value(d)
+                if (vc.poly, vd.poly) not in linear:
+                    linear[vc.poly, vd.poly] = [-(vd * inv)]
+                return linear[vc.poly, vd.poly], r
         if joins[k] is not None:
             h, s = joins[k]
             if k not in tables:

@@ -1,13 +1,13 @@
 """Exact coefficient fields: the rationals QQ and prime fields GF(p).
 
-A ``Field`` carries the characteristic, the unit, inverses, enumeration of
-a prime field and printing.  ``QQ`` is ``Field(0)``; ``GF(p)`` refuses every
-p that is not a prime below 2**31, 0 included.  Scalars are plain Python
+A ``Field`` carries the characteristic, the unit, enumeration of a prime
+field and printing.  ``QQ`` is ``Field(0)``; ``GF(p)`` refuses every p
+that is not a prime below 2**31, 0 included.  Scalars are plain Python
 objects: a normalized ``fractions.Fraction`` over QQ, a residue ``int`` in
 ``{0, ..., p-1}`` over GF(p).  These are the coefficients that
-``Poly.terms``, ``lead_coeff`` and ``constant_value`` return; the
-constructors ``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take them
-or plain ints.
+``Poly.terms`` and ``constant_value`` return; the constructors
+``PolyRing.from_terms``, ``const`` and ``Poly.scale`` take them or plain
+ints.
 
 Inside a ``Poly`` no coefficient is a ``Fraction``: it holds integer terms
 over one integer denominator, 1 over GF(p), and its arithmetic runs on
@@ -132,11 +132,6 @@ class Field(_Value):
     @property
     def one(self) -> Scalar:
         return Fraction(1) if self.char == 0 else 1
-
-    def inv(self, a: Scalar) -> Scalar:
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.char) if self.char else 1 / Fraction(a)
 
     # -- enumeration (prime fields only) --------------------------------
     @property

@@ -15,20 +15,14 @@ monic, so the row times the generators is exactly 1.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import _Frozen
-from .polynomials import (
-    Poly,
-    PolyRing,
-    _dot,
-    _ExponentLimitError,
-    _over_lcm,
-    _poly,
-)
+from .polynomials import Poly, PolyRing, _dot, _ExponentLimitError, _norm, _over_lcm, _poly, _set
 
 
 def divide(f: Poly, divisors: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
@@ -50,9 +44,13 @@ def _normalized(ring: PolyRing, raw: dict) -> Poly:
     return _poly(ring, raw) if ring.field.char else _over_lcm(ring, raw)
 
 
-def _reduce(f: Poly, divisors: Sequence[Poly], want_quotients: bool) -> Tuple[Optional[list], dict]:
+def _reduce(
+    f: Poly, divisors: Sequence[Poly], want_quotients: bool, leads: Optional[Sequence[int]] = None
+) -> Tuple[Optional[list], dict]:
     """The loop of ``divide``: raw quotient dicts (or None) and remainder
-    dict, a term a residue over GF(p), ``(numerator, denominator)`` over QQ.
+    dict, a term a residue over GF(p), ``(numerator, denominator)`` over QQ,
+    filed in decreasing order.  ``leads``, the packed leads of divisors that
+    are all nonzero, saves reading them off the divisors.
 
     Monomials are the ring's packed ints (``polynomials``): a product is
     an int sum, ``lm`` divides ``m`` when ``((m + G) - lm) & G == G`` for
@@ -82,7 +80,7 @@ def _reduce(f: Poly, divisors: Sequence[Poly], want_quotients: bool) -> Tuple[Op
     p = ring.field.char
     G = ring._guard
     neg = ring._neg
-    leads = [(i, d._lead()) for i, d in enumerate(divisors) if d._t]
+    leads = [(i, d._lead()) for i, d in enumerate(divisors) if d._t] if leads is None else list(enumerate(leads))
     quots = [{} for _ in divisors] if want_quotients else None
     rem: Dict[int, object] = {}
     D, terms = f._d, dict(f._t)
@@ -140,10 +138,11 @@ class _Engine:
     the S-pair ``ti*G[i] - tj*G[j]``) with quotients ``q``; its row is
     ``(sum(c * row(f)) - sum(q[k] * rows[k])) / lc(h)``, the scalar applied
     to the multipliers rather than to the row; a zero remainder normalizes
-    no quotient.  A pair is ``(key, index, lcm, i, j)``, the lcm's order key
-    and the pair's creation index first, so ``min(pairs)`` is the first pair
-    made with the least lcm.  ``unit_row`` is the row of the first constant
-    remainder (``[]`` without cofactors), else None.
+    no quotient.  ``leads[i]`` is the packed lead of ``G[i]``.  A pair is
+    ``(key, index, lcm, i, j)``, the lcm's order key and the pair's creation
+    index first, so ``min(pairs)`` is the first pair made with the least
+    lcm.  ``unit_row`` is the row of the first constant remainder (``[]``
+    without cofactors), else None.
     """
 
     def __init__(self, gens: Sequence[Poly], ring: PolyRing, want_cofactors: bool):
@@ -152,6 +151,7 @@ class _Engine:
         self.gens = list(gens)
         self.want = want_cofactors
         self.G: List[Poly] = []
+        self.leads: List[int] = []
         self.rows: List[List[Poly]] = []
         self.pairs: List[Tuple[int, int, int, int, int]] = []
         self.made = count()
@@ -167,33 +167,41 @@ class _Engine:
         return _row_sum(self.ring, len(self.gens), terms)
 
     def _insert(self, f: Poly, heads: list, stop_at_unit: bool) -> bool:
-        """Divide ``f`` by the basis; monic-normalize a nonzero remainder and
-        its row, note a constant, add with pair update.
+        """Divide ``f`` by the basis; make a nonzero remainder monic and
+        scale its row by the same ``k``; note a constant, add with pair update.
+
+        The remainder comes as integer terms over ``d`` (1 over GF(p), the
+        lcm of its denominators over QQ), its lead ``lm`` first: over the
+        lead's integer it is monic, one ``_norm``, and ``k = d / lead``, a
+        ``Fraction`` over QQ formed only when a row is kept.
 
         Returns True when the remainder is a constant and ``stop_at_unit``
         is set, so the loop should stop.
         """
-        quots, rem = _reduce(f, self.G, self.want)
+        quots, rem = _reduce(f, self.G, self.want, self.leads)
         if not rem:
             return False
-        h = _normalized(self.ring, rem)
-        c = h.lead_coeff()
-        k = self.fld.one
-        if c != k:
-            k = self.fld.inv(c)
-            h = h.scale(k)
+        lm, p, d, k = next(iter(rem)), self.fld.char, 1, self.fld.one
+        if not p:
+            d = lcm(*[den for _, den in rem.values()])
+            rem = {m: n * (d // den) for m, (n, den) in rem.items()}
+        h = _norm(self.ring, rem[lm], rem)
+        _set(h, "_lm", lm)
+        if rem[lm] != d and self.want:
+            k = pow(rem[lm], -1, p) if p else Fraction(d, rem[lm])
         row = self._combine(heads, quots, self.rows, k) if self.want else []
         if h.is_constant():
             self.unit_row = row
             if stop_at_unit:
                 return True
-        self._update_pairs(h)
+        self._update_pairs(lm)
         self.G.append(h)
+        self.leads.append(lm)
         self.rows.append(row)
         return False
 
-    def _update_pairs(self, h: Poly):
-        """Gebauer-Moller pair update for the incoming element ``h``.
+    def _update_pairs(self, h_lm: int):
+        """Gebauer-Moller pair update for an incoming element led by ``h_lm``.
 
         On packed monomials: ``a`` divides ``b`` when ``((b + G) - a) & G
         == G``, and ``((a | G) - (G >> 31)) & G`` marks the fields where
@@ -205,9 +213,7 @@ class _Engine:
         G, k = ring._guard, ring._graded
         one = G >> 31
         variables = G ^ (1 << 32 * k + 31) if k else G  # not a degree field
-        leads = [g._lead() for g in self.G]
-        h_lm = h._lead()
-        h_idx = len(leads)
+        leads, h_idx = self.leads, len(self.leads)
         h_support = ((h_lm | G) - one) & variables
         coprime = [not ((g | G) - one) & h_support for g in leads]
         lcms = [
@@ -233,27 +239,24 @@ class _Engine:
 
     def run(self, stop_at_unit: bool) -> None:
         ring, n = self.ring, len(self.gens)
+        one, zero = ring.one, ring.zero
         for i, g in enumerate(self.gens):
-            heads = []
-            if self.want:  # generator i's unit vector
-                heads = [(ring.one, [ring.one if j == i else ring.zero for j in range(n)])]
+            heads = [(one, [one if j == i else zero for j in range(n)])] if self.want else []  # unit vector
             if self._insert(g, heads, stop_at_unit):
                 return
         while self.pairs:
             best = min(self.pairs)
             self.pairs.remove(best)
             _, _, l, i, j = best
-            fi, fj = self.G[i], self.G[j]
-            ti = _poly(ring, {l - fi._lead(): 1})
-            tj = -_poly(ring, {l - fj._lead(): 1})
-            s = _dot(ring, [(ti, fi), (tj, fj)])
+            ti = _poly(ring, {l - self.leads[i]: 1})
+            tj = -_poly(ring, {l - self.leads[j]: 1})
+            s = _dot(ring, [(ti, self.G[i]), (tj, self.G[j])])
             if self._insert(s, [(ti, self.rows[i]), (tj, self.rows[j])], stop_at_unit):
                 return
 
     def reduced(self) -> Tuple[Tuple[Poly, ...], Tuple[Tuple[Poly, ...], ...]]:
         """Minimal, tail-reduced, monic basis sorted by leading monomial."""
-        neg, G = self.ring._neg, self.ring._guard
-        leads = [g._lead() for g in self.G]
+        neg, G, leads = self.ring._neg, self.ring._guard, self.leads
         order = sorted(range(len(leads)), key=lambda i: leads[i] ^ neg)
         kept: List[int] = []
         for i in order:
@@ -311,7 +314,7 @@ class GroebnerBasis(_Frozen):
             bound = m + G
             for lm in leads:
                 if (bound - lm) & G == G:
-                    return _normalized(self.ring, _reduce(f, self.basis, want_quotients=False)[1])
+                    return _normalized(self.ring, _reduce(f, self.basis, False, leads)[1])
         return f
 
     def contains_one(self) -> bool:
@@ -341,9 +344,10 @@ def unit_ideal_certificate(
 
     Stops at the first constant remainder instead of completing the basis,
     and returns that remainder's row as it is.  Every row of the engine
-    satisfies ``rows[i]·gens == G[i]``, and ``_insert`` scales the
-    remainder and its row by the same ``k = 1/lc(h)``; so the constant is
-    monic, 1, and its row times the generators is exactly 1.
+    satisfies ``rows[i]·gens == G[i]``, and ``_insert`` makes the
+    remainder monic and scales its row by the same ``k``, the inverse of
+    the remainder's leading coefficient; so the constant is 1, and its row
+    times the generators is exactly 1.
     """
     engine = _Engine(gens, ring, want_cofactors=True)
     engine.run(stop_at_unit=True)

@@ -12,8 +12,8 @@ Coefficients take one integer form for both fields, the layout of FLINT's
 ``_d > 0`` and ``gcd(_d, *_t.values()) == 1`` over QQ, and ``_d == 1`` and
 residues in ``1 .. p-1`` over GF(p).  Both forms are canonical.  The
 arithmetic runs on these ints; ``Fraction`` appears only at the boundary,
-where ``terms``, ``lead_coeff``, ``constant_value`` and printing return the
-field's scalars and ``from_terms``, ``const`` and ``scale`` take them.
+where ``terms``, ``constant_value`` and printing return the field's
+scalars and ``from_terms``, ``const`` and ``scale`` take them.
 
 Inside the package a monomial is one int, as in the POLY structure of
 Monagan & Pearce (*Sparse polynomial division using a heap*, JSC 2011;
@@ -341,9 +341,6 @@ class Poly(_Value):
             _set(self, "_lm", lm)
             return lm
 
-    def lead_coeff(self) -> Scalar:
-        return self._scalar(self._t[self._lead()])
-
     def _division_form(self) -> Tuple[int, int, list]:
         """``(dd, lc, tail)`` on ints with ``self == (lc*x^lm + tail) / dd``,
         ``tail`` on packed monomials, kept after first use: the form
@@ -581,10 +578,10 @@ def _poly(ring: PolyRing, t: Dict[int, int], d: int = 1) -> Poly:
 
 
 def _norm(ring: PolyRing, d: int, acc: Dict[int, int]) -> Poly:
-    """The canonical ``Poly`` of the integer terms ``acc`` over ``d > 0``,
+    """The canonical ``Poly`` of the integer terms ``acc`` over ``d != 0``,
     zero terms dropped.  Over GF(p) each term is multiplied by the inverse
     of ``d`` mod p (``ZeroDivisionError`` when p divides ``d``); over QQ
-    ``gcd(d, *acc.values())`` is divided out."""
+    ``gcd(d, *acc.values())``, with the sign of ``d``, is divided out."""
     p = ring.field.char
     if p:
         if d != 1:
@@ -593,7 +590,7 @@ def _norm(ring: PolyRing, d: int, acc: Dict[int, int]) -> Poly:
             d = pow(d, -1, p)
         return _poly(ring, {m: r for m, c in acc.items() if (r := c * d % p)})
     acc = {m: c for m, c in acc.items() if c}
-    g = gcd(d, *acc.values())
+    g = gcd(d, *acc.values()) if d > 0 else -gcd(d, *acc.values())
     if g != 1:
         d //= g
         acc = {m: c // g for m, c in acc.items()}

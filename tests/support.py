@@ -470,7 +470,7 @@ def fraction_divide(f, divisors):
             continue
         if idx not in tails:
             d = divisors[idx].terms
-            tails[idx] = (ring.field.inv(d[lm]), [(m, c) for m, c in d.items() if m != lm])
+            tails[idx] = (inverse(ring.field, d[lm]), [(m, c) for m, c in d.items() if m != lm])
         inv, tail = tails[idx]
         q = cp * inv % p if p else cp * inv
         a = tuple(map(sub, mp, lm))
@@ -486,11 +486,16 @@ def fraction_divide(f, divisors):
     return [Poly(ring, q) for q in quots], Poly(ring, rem)
 
 
+def inverse(field, c):
+    """The field's inverse of the nonzero scalar ``c``."""
+    return pow(c, -1, field.char) if field.char else 1 / Fraction(c)
+
+
 def monic(f):
     """``f`` scaled to leading coefficient 1 (zero stays zero)."""
     if f.is_zero():
         return f
-    return f.scale(f.ring.field.inv(f.lead_coeff()))
+    return f.scale(inverse(f.ring.field, f.terms[tuple_lead(f)]))
 
 
 # -- the integer form against Fraction-per-term arithmetic ------------------------------

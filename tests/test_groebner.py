@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from support import fraction_calls, fraction_divide, monic, random_poly, tuple_lead
-from zariski import groebner
+from support import fraction_calls, fraction_divide, is_canonical, monic, random_poly, tuple_lead
+from zariski import groebner, polynomials
 from test_kernel_vs_sympy import _assert_clean
 from zariski.fields import GF, QQ
 from zariski.groebner import (
@@ -411,3 +411,100 @@ def test_a_cofactor_row_is_one_dot_per_entry_and_builds_no_fraction(monkeypatch)
     assert names == []
     assert row == [sum((c * r[j] for c, r in terms), ring.zero) for j in range(3)]
     assert dots == [[(c, r[j]) for c, r in terms] for j in range(3)]
+
+
+def _cyclic5(field):
+    """Cyclic-5: the cyclic sums of 1 to 4 consecutive variables of x0..x4,
+    and x0*x1*x2*x3*x4 - 1."""
+    xs = [f"x{i}" for i in range(5)]
+    sums = ["+".join("*".join(xs[(i + j) % 5] for j in range(d)) for i in range(5)) for d in range(1, 5)]
+    return parse_ring(f"{field}[{','.join(xs)}]/({', '.join(sums + ['*'.join(xs) + ' - 1'])})")
+
+
+def _katsura4(field):
+    """Katsura-4 in u0..u4: for m = 0..3, the sum of u_|l| * u_|m-l| over
+    l = -4..4 (u_k = 0 for k > 4) minus u_m, and u0 + 2*(u1 + ... + u4) - 1."""
+    eqs = [
+        " + ".join(f"u{abs(l)}*u{abs(m - l)}" for l in range(-4, 5) if abs(m - l) <= 4) + f" - u{m}"
+        for m in range(4)
+    ]
+    eqs.append("u0 + " + " + ".join(f"2*u{i}" for i in range(1, 5)) + " - 1")
+    return parse_ring(f"{field}[{','.join(f'u{i}' for i in range(5))}]/({', '.join(eqs)})")
+
+
+class _Bounded(groebner._Engine):
+    """An engine that counts the S-pairs it reduces and fails as soon as it
+    reduces more than ``limit`` of them, so a weakened pair criterion fails
+    at once instead of growing the basis until memory runs out."""
+
+    def __init__(self, gens, ring, limit):
+        super().__init__(gens, ring, want_cofactors=False)
+        self.limit, self.reduced_pairs = limit, -len(self.gens)
+
+    def _insert(self, f, heads, stop_at_unit):
+        self.reduced_pairs += 1
+        assert self.reduced_pairs <= self.limit, "more S-pairs than the pinned count"
+        return super()._insert(f, heads, stop_at_unit)
+
+
+@pytest.mark.parametrize(
+    "system, pairs, largest, size",
+    [(lambda: _cyclic5("GF(32003)"), 102, 42, 20), (lambda: _katsura4("QQ"), 30, 15, 13)],
+    ids=["cyclic5-gf32003", "katsura4-qq"],
+)
+def test_the_buchberger_loop_reduces_a_pinned_number_of_s_pairs(system, pairs, largest, size):
+    """The Gebauer-Moller criteria fix how many S-pairs a completion
+    reduces and how large the basis grows before it is made reduced; these
+    are the counts of the grevlex engine on two standard systems.  A pair
+    criterion that keeps redundant pairs, or drops the wrong ones, moves
+    them even when the reduced basis comes out the same."""
+    ring, gens = system()
+    engine = _Bounded(gens, ring, pairs)
+    engine.run(stop_at_unit=False)
+    assert (engine.reduced_pairs, len(engine.G), len(engine.reduced()[0])) == (pairs, largest, size)
+
+
+def test_the_engine_normalizes_once_per_s_polynomial_and_kept_remainder(monkeypatch):
+    """Over QQ, ``ideal_contains_one`` builds each S-polynomial with one
+    ``_dot`` and makes each kept remainder monic on its integer form: it
+    calls ``polynomials._norm`` once for each of them and never
+    ``Poly.scale``."""
+    ring, gens = parse_ring("QQ[x,y,z]/(2*x^2 - 1/3*y*z + 1, 3*x*y - 1/2*z^2, 5/7*y^2 - x*z + 2*x)")
+    counts = {"norm": 0, "dot": 0, "kept": 0, "scale": 0}
+
+    def counted(name, fn, kept=None):
+        def call(*args):
+            out = fn(*args)
+            counts[name] += 1 if kept is None else bool(kept(out))
+            return out
+        return call
+
+    norm = counted("norm", polynomials._norm)
+    monkeypatch.setattr(polynomials, "_norm", norm)
+    monkeypatch.setattr(groebner, "_norm", norm)
+    monkeypatch.setattr(groebner, "_dot", counted("dot", groebner._dot))
+    monkeypatch.setattr(groebner, "_reduce", counted("kept", groebner._reduce, kept=lambda out: out[1]))
+    monkeypatch.setattr(Poly, "scale", counted("scale", Poly.scale))
+    assert not ideal_contains_one(gens, ring)
+    assert counts == {"norm": counts["dot"] + counts["kept"], "dot": 8, "kept": 6, "scale": 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 2, 7, 32003]), st.sampled_from(["grevlex", "lex"]))
+def test_every_element_the_engine_keeps_is_monic_canonical_and_knows_its_lead(seed, modulus, order):
+    """Each ``h`` the engine adds to ``G`` holds its canonical integer form
+    with leading coefficient 1, its kept ``_lm`` is the largest of its
+    monomials under the order, ``leads`` lists those, and its row times the
+    generators is ``h``: the one scale ``k`` made both monic."""
+    rng = random.Random(seed)
+    ring = _ring_for(modulus, ("x", "y", "z"), order)
+    scalars = [rng.randrange(1, modulus) if modulus else Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 5))
+               for _ in range(4)]
+    gens = [random_poly(rng, ring, max_terms=4).scale(c) for c in scalars[: rng.randint(2, 4)]]
+    engine = groebner._Engine(gens, ring, want_cofactors=True)
+    engine.run(stop_at_unit=False)
+    assert engine.leads == [h._lm for h in engine.G]
+    for h, row in zip(engine.G, engine.rows):
+        lm = max(h._t, key=ring._neg.__xor__)
+        assert is_canonical(h) and h._lm == lm and h._t[lm] == h._d
+        assert groebner._dot(ring, list(zip(row, gens))) == h

@@ -1,7 +1,8 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
 no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
 module and on the paper's verifiers, without the traced suite, the file
-``tools/ladder.py`` writes, on a one-rung dry run, and its seeded dense text."""
+``tools/ladder.py`` writes, on a one-rung dry run, and its seeded dense text
+and covers."""
 
 import importlib.util
 import json
@@ -11,7 +12,8 @@ import time
 
 import pytest
 
-from zariski.parsing import parse_ring
+from zariski.groebner import unit_ideal_certificate
+from zariski.parsing import parse_poly, parse_ring
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -159,6 +161,22 @@ def test_the_dense_rung_is_one_fixed_text_of_three_cubics():
     ring, gens = parse_ring(text)
     assert ring.names == ("x0", "x1", "x2") and repr(ring.field) == "QQ"
     assert [(len(g.terms), g.total_degree()) for g in gens] == [(8, 3)] * 3
+
+
+def test_the_cover_rung_reads_fixed_covers_of_pieces_that_are_no_units():
+    """``cover_certs_qq2`` reads the same 20 seeded covers on every run:
+    each is three linear pieces over QQ[x,y] that generate the unit ideal,
+    the first two vanishing at (0, 0) and the third at (1, 0)."""
+    texts = ladder.cover_texts(20, 1)
+    assert len(texts) == 20 and texts == ladder.cover_texts(20, 1) != ladder.cover_texts(20, 2)
+    ring, _ = parse_ring("QQ[x,y]")
+    zero, one = ring.zero, ring.one
+    for cover in texts:
+        f, g, h = (parse_poly(t, ring) for t in cover)
+        assert [p.total_degree() for p in (f, g, h)] == [1, 1, 1]
+        origin, far = [zero, zero], [one, zero]
+        assert f.substitute(origin, ring) == g.substitute(origin, ring) == h.substitute(far, ring) == zero
+        assert unit_ideal_certificate([f, g, h], ring) is not None
 
 
 def test_the_ladder_refuses_an_unknown_rung_and_no_runs(capsys):

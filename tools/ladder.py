@@ -20,6 +20,7 @@ that checkout's ``git rev-parse --short HEAD`` and records whether its
 
 import argparse
 import gc
+from fractions import Fraction
 import itertools
 import json
 import os
@@ -205,6 +206,38 @@ def glue_split(ring, pieces, value):
     return prepare
 
 
+def cover_texts(count, seed):
+    """``count`` three-piece covers of QQ[x,y] as ``lattice_sheaf`` draws
+    them, each a list of three texts: f and g linear, vanishing at (0, 0),
+    with coefficients of at most 3 in size, and ``1 - h1*f - h2*g`` for
+    constants h1, h2 chosen so that it vanishes at (1, 0).  The pieces
+    generate the unit ideal and none is a unit.  Drawn from
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    covers = []
+    for _ in range(count):
+        a, c = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-3, 3)
+        b, d = rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3])
+        h2 = rng.randint(-3, 3)
+        h1 = Fraction(1 - c * h2, a)  # f(1, 0) = a, g(1, 0) = c
+        f, g = (f"{u}*x {'-' if v < 0 else '+'} {abs(v)}*y" for u, v in ((a, b), (c, d)))
+        covers.append([f, g, f"1 - ({h1})*({f}) - ({h2})*({g})"])
+    return covers
+
+
+def covers(ring, texts):
+    """``CoverData`` of each piece list of ``texts`` over the quotient
+    ``ring``, one fresh algebra per run: a unit certificate and its
+    re-evaluation per cover."""
+
+    def prepare(z):
+        A = z.PresentedAlgebra(*z.parse_ring(ring))
+        pieces = [[A.element(z.parse_poly(t, A.ring)) for t in cover] for cover in texts]
+        return lambda: [z.CoverData(A, ps) for ps in pieces]
+
+    return prepare
+
+
 # name -> (layer, what, prepare)
 RUNGS = {
     "pow_linear4_18_qq": ("polynomials", "(-3*x0 + 5*x1 - x2 + 2)^18 over QQ, the benchmark's power",
@@ -242,6 +275,8 @@ RUNGS = {
                               "GF(5)[x,y]/(x^2 + y^2 - 1)",
                               glue_split("GF(5)[x,y]/(x^2 + y^2 - 1)", ["1 - x", "1 + x", "y"],
                                          "x^3*y + 2*x*y^2 + 3")),
+    "cover_certs_qq2": ("sheaf", "CoverData of 20 seeded three-piece covers of QQ[x,y] (cover_texts(20, 1))",
+                        covers("QQ[x,y]", cover_texts(20, 1))),
     "loader_p1_gf3_t250": ("latscheme", "make_patch of the projective line over GF(3) with f = t^250",
                            p1_patch(3, 250)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
