@@ -9,7 +9,7 @@ from zariski.groebner import unit_ideal_certificate
 from zariski.polynomials import PolyRing
 
 
-def inverse(field, c):
+def certified_inverse(field, c):
     """The inverse of the nonzero scalar ``c`` as the package forms it: the
     unit certificate of the constant ``c``, whose one entry is ``1/c``."""
     R = PolyRing(field, ["x"])
@@ -19,18 +19,18 @@ def inverse(field, c):
 
 def test_rationals_are_exact_fractions():
     assert QQ.char == 0
-    assert inverse(QQ, Fraction(2, 7)) == Fraction(7, 2)
-    assert inverse(QQ, Fraction(3)) == Fraction(1, 3)
-    assert not isinstance(inverse(QQ, Fraction(2)), float)
+    assert certified_inverse(QQ, Fraction(2, 7)) == Fraction(7, 2)
+    assert certified_inverse(QQ, Fraction(3)) == Fraction(1, 3)
+    assert not isinstance(certified_inverse(QQ, Fraction(2)), float)
 
 
 def test_every_rational_operation_returns_a_fraction():
     """Over QQ no operation leaks a float or an int, whether its input is an
     ``int`` or a ``Fraction``: ``1 / 2`` would be ``0.5``."""
     for b in (3, Fraction(3), Fraction(1, 6), 7, Fraction(-5, 7)):
-        got = inverse(QQ, b)
+        got = certified_inverse(QQ, b)
         assert type(got) is Fraction and got == 1 / Fraction(b), (b, got)
-    assert inverse(QQ, 2) == Fraction(1, 2)
+    assert certified_inverse(QQ, 2) == Fraction(1, 2)
 
 
 def test_prime_field_arithmetic_is_reduced_residues():
@@ -42,14 +42,14 @@ def test_prime_field_arithmetic_is_reduced_residues():
     assert R.from_terms({(0,): Fraction(-2, 3)}).constant_value() == 4
     with pytest.raises(ZeroDivisionError):
         R.from_terms({(0,): Fraction(1, 14)})
-    assert inverse(F, 3) == 5
+    assert certified_inverse(F, 3) == 5
 
 
 def test_every_nonzero_residue_has_an_inverse():
     for p in (2, 3, 5, 7, 11):
         F = GF(p)
         for a in range(1, p):
-            assert a * inverse(F, a) % p == 1
+            assert a * certified_inverse(F, a) % p == 1
 
 
 def test_inverse_of_zero_is_refused():
