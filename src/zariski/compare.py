@@ -45,6 +45,7 @@ from .funscheme import (
     SchemePoint,
     _atom_under,
     _chart_map,
+    _is_unit,
     _lowest_chart,
     atomic_factors,
     eval_points,
@@ -194,8 +195,8 @@ def _atom_table(p: SchemePoint, plan: Sequence[tuple]):
 
     A sample n/f**k of chart j is m(n) * m(f)**-k at an atom whose map
     m = ``funscheme._chart_map(X, c, phi, j)`` sends f to a unit, else None;
-    each m(f) is evaluated once.  A unit is nonzero when B is reduced (the
-    B_e are fields), else ``try_invert`` decides.  Local: per sample, the
+    each m(f) is evaluated once.  Units are decided by ``funscheme._is_unit``:
+    nonzero when B is reduced, else ``try_invert``.  Local: per sample, the
     atoms with a unit value are those where phi sends a generator of the
     sample's support in chart c to a unit.  Roundtrip: each atom's lowest
     chart map, the piece ``adjunction_flat`` reads first, is (c, phi) itself.
@@ -203,10 +204,6 @@ def _atom_table(p: SchemePoint, plan: Sequence[tuple]):
     j < c puts the atom's lowest chart at j or below, never at c.
     """
     X, reduced = p.scheme, is_reduced(p.test_algebra)
-
-    def is_unit(b: AlgebraElement) -> bool:
-        return not b.is_zero() if reduced else b.algebra.try_invert(b) is not None
-
     maps = [[_chart_map(X, c, phi, j) for j in range(X.ncharts)] for (_, c, phi) in p.factors]
     values, local = [], True
     for (j, f, n, k, gens) in plan:
@@ -215,11 +212,11 @@ def _atom_table(p: SchemePoint, plan: Sequence[tuple]):
             m, value = ms[j], None
             if m is not None:
                 mf = m(f)
-                if is_unit(mf):
+                if _is_unit(reduced, mf):
                     value = m(n) * mf.algebra.try_invert(mf) ** k if k else m(n)
             row.append(value)
-            unit = value is not None and is_unit(value)
-            local = local and unit == any(is_unit(phi(g)) for g in gens[c])
+            unit = value is not None and _is_unit(reduced, value)
+            local = local and unit == any(_is_unit(reduced, phi(g)) for g in gens[c])
         values.append(tuple(row))
     lowest = [next((j, m) for j, m in enumerate(ms) if m is not None) for ms in maps]
     return tuple(values), local, local and lowest == [(c, phi) for (_, c, phi) in p.factors]

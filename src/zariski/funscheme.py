@@ -6,11 +6,12 @@ scheme.  An affine scheme is the case of one chart and no patches.  Points
 over a finite test algebra B are computed exactly: B splits along its
 atomic idempotents into local factors B_e, and each factor's points are
 the chart homs kept at their lowest chart.  A point over a local ring lies
-in chart j exactly when some patch denominator to chart j maps to a unit,
-so one chart map (``_chart_map``) places every point, over reduced B or
-not.  Compact opens of the scheme evaluate pointwise to basic opens of B;
-locality (the equalizer condition along a cover of B) and the realization
-of a compact open as a scheme of its own are decidable at this scale.
+in chart j exactly when some patch denominator to chart j maps to a unit
+(the open subfunctor D(f)), so one unit test (``_is_unit``) places every
+point, over reduced B or not, and no chart map is built.  Compact opens of
+the scheme evaluate pointwise to basic opens of B; locality (the equalizer
+condition along a cover of B) and the realization of a compact open as a
+scheme of its own are decidable at this scale.
 """
 
 from __future__ import annotations
@@ -212,12 +213,21 @@ def _lowest_chart(
     return c, phi
 
 
+def _is_unit(reduced: bool, b: AlgebraElement) -> bool:
+    """Whether b, in a local factor of a finite test algebra B, is a unit
+    there: nonzero when B is reduced (``is_reduced(B)``: its local factors
+    are fields), else certified by ``try_invert``."""
+    return not b.is_zero() if reduced else b.algebra.try_invert(b) is not None
+
+
 def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     """All points of X over the finite test algebra B, canonically represented.
 
     B splits along its atomic idempotents into local factors, and each
     factor's points are the chart homs kept at their lowest chart: a hom of
-    chart 0 always, one of chart j > 0 when ``_lowest_chart`` keeps it at j.
+    chart 0 always, one beta of chart j > 0 when no patch Q from chart j to
+    a lower chart has a unit beta(Q.f) (``_is_unit``), the rule of
+    ``_lowest_chart`` without its chart map.
     """
     if B.is_trivial():
         return [SchemePoint(X, B, ())]
@@ -227,7 +237,7 @@ def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
             (e, j, beta)
             for j, A in enumerate(X.charts)
             for beta in enumerate_homs(A, to_factor.target)
-            if j == 0 or _lowest_chart(X, j, beta)[0] == j
+            if j == 0 or not any(_is_unit(is_reduced(B), beta(Q.f)) for i in range(j) for Q in X.patches_for(j, i))
         ])
     return [SchemePoint(X, B, list(combo)) for combo in _iproduct(*per_atom)]
 

@@ -177,7 +177,7 @@ def glue(fam: SectionFamily) -> AlgebraElement:
     N = 0, 1, ... up to ``POWER_CAP``; compatibility makes some N verify.
     At N = 0 the powers are all 1, whose certificate is the first unit
     vector, so the candidate is the first numerator and no certificate is
-    computed.
+    computed; at N = 1 they are the pieces, certified by the cover.
     A verified candidate proves the family compatible:
     ``incompatibility_witness`` runs only on a first failure.
     """
@@ -192,7 +192,7 @@ def glue(fam: SectionFamily) -> AlgebraElement:
             candidate = numerators[0] if numerators else base.zero
         else:
             powered = [p ** n for p in pieces]
-            cert = base.unit_certificate(powered)
+            cert = fam.cover.certificate if n == 1 else base.unit_certificate(powered)
             if cert is None:
                 raise AssertionError(
                     "cover pieces' powers failed the unit-ideal test; "

@@ -5,7 +5,7 @@ import itertools
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
@@ -175,6 +175,57 @@ def test_the_lowest_chart_is_the_one_the_overlaps_pick(B):
                     assert m.source == X.charts[j] and m.is_valid()
 
 
+def _points_by_lowest_chart(X, B):
+    """``eval_points`` by the chart-map rule: each local factor's chart homs
+    that ``_lowest_chart`` keeps at their own chart, in the same order."""
+    if B.is_trivial():
+        return [SchemePoint(X, B, ())]
+    per_atom = [
+        [
+            (e, j, beta)
+            for j, A in enumerate(X.charts)
+            for beta in enumerate_homs(A, to_factor.target)
+            if funscheme._lowest_chart(X, j, beta)[0] == j
+        ]
+        for e, to_factor in atomic_factors(B)
+    ]
+    return [SchemePoint(X, B, list(combo)) for combo in itertools.product(*per_atom)]
+
+
+@settings(max_examples=40)
+@given(finite_algebras(max_size=27))
+@example(gf3_split())
+@example(nilpotent_algebra(3, 2, False))
+@example(nilpotent_algebra(2, 2, True))
+def test_the_unit_test_places_points_as_the_lowest_chart_does(B):
+    """P^1, the punctured plane and A^2 have, over B reduced or not, split
+    or not, exactly the points of the chart-map rule, in its order."""
+    for X in _glued(B.field.char) + (affine_plane(B.field),):
+        assert eval_points(X, B) == _points_by_lowest_chart(X, B)
+
+
+@pytest.mark.parametrize("text, reduced", [("GF(7)[t]/(t^2 - 3)", True), ("GF(3)[t]/(t^2)", False)])
+def test_points_are_placed_without_chart_maps(monkeypatch, text, reduced):
+    """A point of P^1 is placed by a unit test, never by a chart map: over a
+    reduced B no inverse is certified at all, over a nilpotent one each
+    distinct value at most once."""
+    B = _parsed(text)
+    X = projective_line(B.field)
+    expected = _points_by_lowest_chart(X, _parsed(text))
+    assert is_reduced(B) == reduced
+    certified = []
+    inverse = PresentedAlgebra._inverse
+
+    def refuse(*args):
+        raise AssertionError("a chart map was built")
+
+    monkeypatch.setattr(funscheme, "try_extend", refuse)
+    monkeypatch.setattr(PresentedAlgebra, "_inverse", lambda A, c: certified.append((A, c)) or inverse(A, c))
+    assert eval_points(X, B) == expected
+    assert len(certified) == len(set(certified))
+    assert bool(certified) != reduced
+
+
 @functools.lru_cache(maxsize=None)
 def _glued(p):
     return projective_line(GF(p)), punctured_plane(GF(p))[0]
@@ -210,18 +261,19 @@ def test_reducedness_needs_a_finite_field():
 
 def test_map_point_splits_each_algebra_once(monkeypatch, punctured3):
     built = []
-    inner = funscheme._frobenius
+    inner = funscheme._frobenius_matrix
 
     def counted(B):
         built.append(B)
         return inner(B)
 
-    monkeypatch.setattr(funscheme, "_frobenius", counted)
+    monkeypatch.setattr(funscheme, "_frobenius_matrix", counted)
     B = gf3_split()
     e = B.var(0)
     assert check_locality(punctured3, B, [e, B.one - e])
-    # B and its two localizations, each once for its atoms, not once per
-    # pushed point: no push decides reducedness
+    # one Frobenius matrix for B and for each of its two localizations,
+    # built once for the atoms and the reducedness of all their points, not
+    # once per pushed point
     assert len(built) == 3
     EPS = _parsed("GF(3)[t]/(t^2)")
     chi = morphism(F3, EPS, [])

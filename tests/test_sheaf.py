@@ -258,6 +258,25 @@ def test_a_glue_that_verifies_at_the_first_power_computes_no_certificate(monkeyp
     assert calls == []
 
 
+def test_a_glue_that_verifies_at_the_second_power_reads_the_cover_certificate(monkeypatch):
+    """At N = 1 the powers are the pieces themselves, which the cover has
+    certified already: no certificate of the pieces is computed again."""
+    A = PresentedAlgebra(*parse_ring("QQ[x]/(x^2 - x)"))
+    x = A.var(0)
+    cov = CoverData(A, [x, 1 - x])
+    fam = _split_family(A, cov, x + 1)
+    failed_first, certified = [], []
+    check, certify = sheaf._require_compatible, PresentedAlgebra.unit_certificate
+    monkeypatch.setattr(sheaf, "_require_compatible", lambda fam: failed_first.append(check(fam)))
+    monkeypatch.setattr(
+        PresentedAlgebra, "unit_certificate",
+        lambda self, gens: certified.append((self, tuple(gens))) or certify(self, gens),
+    )
+    assert glue(fam) == x + 1
+    assert failed_first == [None]  # N = 0 did not verify, so N = 1 did
+    assert (A, cov.pieces) not in certified
+
+
 def test_a_compatible_family_glues_without_extracting_a_fraction(monkeypatch):
     """Each section of a compatible family is a/1, whose normal form is free
     of the inverse variable, so ``glue`` reads its numerators off by

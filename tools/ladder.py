@@ -131,12 +131,13 @@ def points(scheme, algebra):
     return prepare
 
 
-def points_punctured_plane(p, algebra):
-    """``eval_points`` of the punctured plane over GF(p), a fresh scheme per
-    run, over the quotient ``algebra``."""
+def points_glued(scheme, p, algebra):
+    """``eval_points`` of the glued scheme over GF(p), ``"punctured_plane"``
+    or ``"projective_line"``, a fresh one per run, over the quotient
+    ``algebra``."""
 
     def prepare(z):
-        X = z.punctured_plane(z.GF(p))[0]
+        X = z.punctured_plane(z.GF(p))[0] if scheme == "punctured_plane" else z.projective_line(z.GF(p))
         B = z.PresentedAlgebra(*z.parse_ring(algebra))
         return lambda: z.eval_points(X, B)
 
@@ -267,7 +268,9 @@ RUNGS = {
     "points_curve_gf625": ("funscheme", "eval_points of y^2 = x^3 + 1 over GF(625) = GF(5)[t]/(t^4 - 2), "
                            "575 points", points("GF(5)[x,y]/(y^2 - x^3 - 1)", "GF(5)[t]/(t^4 - 2)")),
     "points_pp_gf5t3": ("funscheme", "eval_points of the punctured plane over GF(5) over GF(5)[t]/(t^3), "
-                        "15,000 points", points_punctured_plane(5, "GF(5)[t]/(t^3)")),
+                        "15,000 points", points_glued("punctured_plane", 5, "GF(5)[t]/(t^3)")),
+    "points_p1_gf49": ("funscheme", "eval_points of the projective line over GF(7) over GF(49) = "
+                       "GF(7)[t]/(t^2 - 3), 50 points", points_glued("projective_line", 7, "GF(7)[t]/(t^2 - 3)")),
     "lattice_leq_qq2": ("lattice", "leq and eq on 100 pairs of basic opens, over QQ[x,y] and over "
                         "GF(5)[x,y]/(x^2 + y^2 - 1)",
                         lattice_batch(["QQ[x,y]", "GF(5)[x,y]/(x^2 + y^2 - 1)"])),
