@@ -620,6 +620,11 @@ def extract_fraction(loc: Localization, s: AlgebraElement) -> Tuple[AlgebraEleme
     )
 
 
+def _support(loc: Localization, s: AlgebraElement) -> AlgebraElement:
+    """f*r for ``s = r / f**k``: D(f*r) is where s is invertible below D(f)."""
+    return loc.denominator * extract_fraction(loc, s)[0]
+
+
 def try_extend(loc: Localization, alpha: AlgebraMorphism) -> Optional[AlgebraMorphism]:
     """Extend ``alpha : base -> C`` to ``A_f -> C`` if alpha(f) is a unit of C,
     sending 1/f to its certified inverse; None if alpha(f) is not a unit."""

@@ -244,10 +244,7 @@ def _gluing_from_spec(obj: Dict, where: str, order: MonomialOrder) -> LatticeSch
             images.append(imgs)
         patch_args.append((i, j, f, g, *images))
     try:
-        patches = [make_patch(charts, *args) for args in patch_args]
-        # each overlap is stored from its lower chart, as the file may list
-        # it from either side
-        return LatticeScheme(charts, [P if P.i < P.j else P.mirror() for P in patches])
+        return LatticeScheme(charts, [make_patch(charts, *args) for args in patch_args])
     except (GluingError, ValueError) as exc:
         _refute(f"invalid gluing data: {exc}")
 
@@ -507,7 +504,7 @@ _lattice_command("meet", "Print the canonical form of U ^ V.", lambda _, u, v: s
 
 
 def _scheme_summary(X: LatticeScheme, fmt: str) -> None:
-    n_patches = sum(1 for p in X.patches if p.i < p.j)
+    n_patches = len(X.patches)
     payload = {
         "charts": [repr(A) for A in X.charts],
         "patches": n_patches,

@@ -146,7 +146,7 @@ def realization_certificate(X: LatticeScheme) -> Optional[str]:
             if diff is not None:
                 return f"chart {i}: {way}roundtrip fails on {diff[0]}"
         isos[i] = (fwd, back)
-    realized = [q for q in Y.patches if q.i < q.j]
+    realized = Y.patches
     originals = [
         P for a, i in enumerate(nonzero) for j in nonzero[a + 1:] for P in X.patches_for(i, j)
     ]

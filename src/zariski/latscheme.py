@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraMorphism,
     Localization,
     PresentedAlgebra,
+    _support,
     extract_fraction,
     make_localization,
     try_extend,
@@ -69,10 +70,12 @@ class Patch(_Frozen):
     """One principal overlap piece between charts i and j.
 
     ``fwd`` and ``bwd`` are mutually inverse maps between (A_i)_f and
-    (A_j)_g; validation happens in LatticeScheme, not here.
+    (A_j)_g; ``chart_fwd``, ``A_i -> (A_j)_g``, is chart i's localization
+    map followed by ``fwd``, and ``chart_bwd``, ``A_j -> (A_i)_f``, its
+    twin, both built here.  Validation happens in LatticeScheme, not here.
     """
 
-    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "_memo")
+    __slots__ = ("i", "j", "f", "g", "loc_f", "loc_g", "fwd", "bwd", "chart_fwd", "chart_bwd")
 
     def __init__(
         self,
@@ -91,18 +94,8 @@ class Patch(_Frozen):
         object.__setattr__(self, "g", loc_g.denominator)
         object.__setattr__(self, "fwd", fwd)
         object.__setattr__(self, "bwd", bwd)
-        object.__setattr__(self, "_memo", {})
-
-    @property
-    def chart_fwd(self) -> AlgebraMorphism:
-        """``A_i -> (A_j)_g``: chart i's localization map, then ``fwd``."""
-        return self.loc_f.to_loc.then(self.fwd)
-
-    @property
-    def chart_bwd(self) -> AlgebraMorphism:
-        """``A_j -> (A_i)_f``: chart j's localization map followed by
-        ``bwd``, composed on first use and kept in ``_memo["chart_bwd"]``."""
-        return self._remember("chart_bwd", self.loc_g.to_loc.then, self.bwd)
+        object.__setattr__(self, "chart_fwd", loc_f.to_loc.then(fwd))
+        object.__setattr__(self, "chart_bwd", loc_g.to_loc.then(bwd))
 
     def mirror(self) -> "Patch":
         return Patch(self.j, self.i, self.loc_g, self.loc_f, self.bwd, self.fwd)
@@ -146,19 +139,20 @@ def _first_difference(left: AlgebraMorphism, right: AlgebraMorphism) -> Optional
 def transport_piece(patch: Patch, h: AlgebraElement) -> AlgebraElement:
     """Carry the basic piece D(h) ∧ D(f) across the patch: an element of A_j
     whose basic open is the image of D(h) ∧ D(f) under the patch map."""
-    image = patch.fwd(patch.loc_f.to_loc(h))
-    return patch.g * extract_fraction(patch.loc_g, image)[0]
+    return _support(patch.loc_g, patch.fwd(patch.loc_f.to_loc(h)))
 
 
 class LatticeScheme(_Frozen):
     """A scheme presented by validated chart-and-patch data.
 
-    Construction stores each given patch with its mirror and, unless
-    ``validate`` is false, checks every given patch once, the agreement of
-    patches over one chart pair and the cocycle condition on every triple of
-    charts; a failure raises ``GluingError`` with its witness.  A chart meets
-    itself in the identity patch on D(1), which ``patches_for`` builds on
-    each call and which is never stored or validated.
+    ``patches`` holds each given patch once, facing its lower chart: a
+    patch given from its upper chart is stored as its mirror.  Both
+    directions are served by ``patches_for``.  Unless ``validate`` is false,
+    construction checks every stored patch, the agreement of patches over
+    one chart pair and the cocycle condition on every triple of charts; a
+    failure raises ``GluingError`` with its witness.  A chart meets itself
+    in the identity patch on D(1), which ``patches_for`` builds on each call
+    and which is never stored or validated.
 
     The same object is the scheme's functor of points (``funscheme``), and
     the points, opens and morphisms of the scheme name it.
@@ -179,7 +173,8 @@ class LatticeScheme(_Frozen):
         validate: bool = True,
     ):
         charts = tuple(charts)
-        full: List[Patch] = []
+        stored: List[Patch] = []
+        by_pair: Dict[Tuple[int, int], List[Patch]] = {}
         for p in patches:
             if not (0 <= p.i < len(charts) and 0 <= p.j < len(charts)):
                 raise GluingError(f"patch {p!r} references a missing chart")
@@ -187,13 +182,12 @@ class LatticeScheme(_Frozen):
                 raise GluingError("patches must connect two distinct charts")
             if p.loc_f.base != charts[p.i] or p.loc_g.base != charts[p.j]:
                 raise GluingError(f"patch {p!r} does not match its charts")
-            full.append(p)
-            full.append(p.mirror())
-        by_pair: Dict[Tuple[int, int], List[Patch]] = {}
-        for p in full:
-            by_pair.setdefault((p.i, p.j), []).append(p)
+            low, high = (p, p.mirror()) if p.i < p.j else (p.mirror(), p)
+            stored.append(low)
+            for q in (low, high):
+                by_pair.setdefault((q.i, q.j), []).append(q)
         object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "patches", tuple(full))
+        object.__setattr__(self, "patches", tuple(stored))
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_memo", {})
         if validate:
@@ -204,10 +198,12 @@ class LatticeScheme(_Frozen):
         return len(self.charts)
 
     def __repr__(self):
-        return f"LatticeScheme({self.ncharts} charts, {len(self.patches)//2} patches)"
+        return f"LatticeScheme({self.ncharts} charts, {len(self.patches)} patches)"
 
     def patches_for(self, i: int, j: int) -> List[Patch]:
-        """The patches from chart i to chart j; for j == i, the identity patch."""
+        """The patches from chart i to chart j; for j == i, the identity patch.
+        ``patches_for(j, i)`` lists the mirrors of ``patches_for(i, j)`` in
+        the same order."""
         if i == j:
             loc = make_localization(self.charts[i], self.charts[i].one)
             ident = AlgebraMorphism.identity(loc.algebra)
@@ -233,9 +229,9 @@ class LatticeScheme(_Frozen):
         its failing twin in the order of (i, j, k), so the first witness is
         the one all six orderings would give.
         """
-        for p in self.patches[::2]:  # a mirror repeats its patch's checks
+        for p in self.patches:
             self._check_patch_iso(p)
-        for (i, j) in sorted({(p.i, p.j) for p in self.patches if p.i < p.j}):
+        for (i, j) in sorted({(p.i, p.j) for p in self.patches}):
             ps = self.patches_for(i, j)
             for a in range(len(ps)):
                 for b in range(a + 1, len(ps)):
@@ -460,8 +456,6 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
                         f"{a.value} vs {b.value}"
                     )
     for p in X.patches:
-        if p.i > p.j:
-            continue
         back = p.mirror()
         for k, gk in enumerate(s.domain.components[p.i].generators):
             for l, gl in enumerate(s.domain.components[p.j].generators):
@@ -572,9 +566,7 @@ class SchemeMorphism(_Frozen):
         out = []
         for (i, fp, phi) in self.chart_comorphisms[j]:
             loc_fp = make_localization(self.source.charts[i], fp)
-            img_f = phi(f)
-            num = extract_fraction(loc_fp, img_f)[0]
-            h = fp * num
+            h = _support(loc_fp, phi(f))
             loc_h = make_localization(self.source.charts[i], h)
             step = phi if loc_h is loc_fp else phi.then(restriction_map(loc_fp, loc_h))
             lifted = extend_over(loc_f, step)
@@ -624,9 +616,7 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
         lhs = pi.chart_open(j, invertibility_support_basic(sec))
         comps: List[List[AlgebraElement]] = [[] for _ in range(X.ncharts)]
         for (i, h, v) in pi.pull_basic(j, f, value):
-            loc_h = make_localization(X.charts[i], h)
-            num = extract_fraction(loc_h, v)[0]
-            comps[i].append(h * num)
+            comps[i].append(_support(make_localization(X.charts[i], h), v))
         rhs = CompactOpen(
             X, [basic_open(X.charts[i], comps[i]) for i in range(X.ncharts)]
         )
@@ -665,8 +655,8 @@ def restrict_scheme(u: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
         for b in range(a + 1, len(pieces)):
             ia, ga, loca = pieces[a]
             ib, gb, locb = pieces[b]
-            for p in X.patches_for(ia, ib):
-                f_new = loca.to_loc(transport_piece(p.mirror(), gb))
+            for p, back in zip(X.patches_for(ia, ib), X.patches_for(ib, ia)):
+                f_new = loca.to_loc(transport_piece(back, gb))
                 g_new = locb.to_loc(transport_piece(p, ga))
                 lf = make_localization(charts[a], f_new)
                 lg = make_localization(charts[b], g_new)

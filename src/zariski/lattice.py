@@ -18,7 +18,7 @@ from .algebra import (
     AlgebraElement,
     Localization,
     PresentedAlgebra,
-    extract_fraction,
+    _support,
 )
 from .fields import _Value
 from .polynomials import poly_sort_key
@@ -126,11 +126,7 @@ def open_from_localization(loc: Localization, u: ZarElement) -> ZarElement:
     """
     if u.owner != loc.algebra:
         raise ValueError("element does not live over the localization")
-    gens = []
-    for s in u.generators:
-        numerator, _ = extract_fraction(loc, s)
-        gens.append(numerator * loc.denominator)
-    return basic_open(loc.base, gens)
+    return basic_open(loc.base, [_support(loc, s) for s in u.generators])
 
 
 def open_to_localization(loc: Localization, u: ZarElement) -> ZarElement:

@@ -23,7 +23,7 @@ from .algebra import (
     ExtractionCapError,
     Localization,
     PresentedAlgebra,
-    extract_fraction,
+    _support,
     make_localization,
     try_extend,
 )
@@ -217,6 +217,5 @@ def invertibility_support_basic(s: BasicOpenSection) -> ZarElement:
     there is invertible, and it dominates every basic open below D(f) on
     which s restricts invertibly — is what the tests check.
     """
-    numerator, _ = extract_fraction(s.loc, s.value)
-    return basic_open(s.base, [s.denominator * numerator])
+    return basic_open(s.base, [_support(s.loc, s.value)])
 

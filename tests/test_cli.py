@@ -348,6 +348,20 @@ def test_glue_check_summarizes_charts_and_overlaps(files):
     )
 
 
+def test_a_patch_listed_from_its_upper_chart_reads_as_the_same_scheme(files, tmp_path):
+    """P^1 with its one patch listed from chart 1 to chart 0 prints what the
+    file that lists it from chart 0 prints."""
+    reverse = tmp_path / "p1_reverse.json"
+    reverse.write_text(json.dumps(dict(P1_GF3, patches=[{
+        "from": 1, "to": 0, "f": "s", "g": "t", "f_inverse": "w", "g_inverse": "v",
+        "forward": ["v"], "backward": ["w"],
+    }])))
+    for args in (["glue", "check"], ["points"], ["compare"]):
+        over = [] if args[0] == "glue" else ["--over", "GF(3)"]
+        r, ref = invoke(*args, str(reverse), *over), invoke(*args, files["p1.json"], *over)
+        assert (r.exit_code, r.output) == (ref.exit_code, ref.output) and ref.exit_code == 0
+
+
 def test_broken_gluing_is_refuted(tmp_path):
     payload = json.loads(json.dumps(P1_GF3))
     payload["patches"][0]["backward"] = ["t"]  # not the inverse transition

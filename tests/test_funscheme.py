@@ -335,6 +335,22 @@ def test_the_atoms_of_a_field_are_those_the_search_finds(make):
     assert atomic_factors(B) == [(B.one, AlgebraMorphism.identity(B))]
 
 
+@pytest.mark.parametrize(
+    "text", ["GF(5)[t]/(t - 2)", "GF(3)[t]/(t^2 + 1)", "GF(3)[t]/(t^2)", "GF(2)[x,y]/(x^2, y^2)"],
+)
+def test_a_one_atom_algebra_is_its_own_factor_without_a_projection(monkeypatch, text):
+    """A one-dimensional Frobenius fixed space makes 1 the only atom, and its
+    factor map is the identity, built without ``factor_projection``: the
+    shortcut that most atom splits of a ``points_compare`` round take."""
+
+    def no_projection(B, e):
+        raise AssertionError(f"factor_projection({e}) called for a one-atom algebra")
+
+    monkeypatch.setattr(funscheme, "factor_projection", no_projection)
+    B = PresentedAlgebra(*parse_ring(text))
+    assert atomic_factors(B) == [(B.one, AlgebraMorphism.identity(B))]
+
+
 @pytest.mark.parametrize("names", [[], ["x"]], ids=["no-vars", "one-var"])
 def test_the_trivial_algebra_has_no_atoms(names):
     B = _trivial(names)

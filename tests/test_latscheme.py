@@ -89,7 +89,8 @@ def test_projective_line_constructs_and_overlaps(p1):
     assert p1.ncharts == 2
     assert eq(p1.overlap(0, 1), basic_open(A0, [t]))
     assert eq(p1.overlap(1, 0), basic_open(A1, [s]))
-    # both orientations of the patch are stored
+    # the patch is stored once and served in both orientations
+    assert len(p1.patches) == 1
     assert len(p1.patches_for(0, 1)) == 1
     assert len(p1.patches_for(1, 0)) == 1
 
@@ -119,7 +120,44 @@ def test_doubled_origin_gluing_validates():
         [make_localization(A0, t).to_loc(t)],
     )
     X = LatticeScheme([A0, A1], [doubled])
-    assert len(X.patches) == 2  # the mirror is added
+    # the given patch is stored once; its mirror is served from chart 1
+    assert len(X.patches) == 1 and X.patches[0] is doubled
+    (back,) = X.patches_for(1, 0)
+    assert (back.i, back.j, back.f, back.g) == (1, 0, s, t)
+    assert (back.fwd, back.bwd) == (doubled.bwd, doubled.fwd)
+    assert repr(X) == "LatticeScheme(2 charts, 1 patches)"
+
+
+def test_a_patch_given_from_its_upper_chart_is_stored_facing_its_lower_chart(p1):
+    (P,) = p1.patches
+    given = P.mirror()
+    X = LatticeScheme(p1.charts, [given])
+    (Q,) = X.patches
+    assert (Q.i, Q.j, Q.f, Q.g) == (0, 1, P.f, P.g)
+    assert (Q.fwd, Q.bwd, Q.chart_fwd, Q.chart_bwd) == (P.fwd, P.bwd, P.chart_fwd, P.chart_bwd)
+    assert X.patches_for(0, 1) == [Q] and X.patches_for(1, 0) == [given]
+
+
+def test_the_reverse_patches_are_the_mirrors_in_the_same_order(p1):
+    """Two patches of P^1 over one chart pair, the second given from chart 1:
+    both are stored from chart 0, and ``patches_for(1, 0)`` lists their
+    mirrors in the order of ``patches_for(0, 1)``."""
+    A0, A1 = p1.charts
+    t, s = A0.var(0), A1.var(0)
+    (P,) = p1.patches
+    f, g = s * (s + 1), t * (t + 1)  # t + 1 = (1 + s)/s, so D(t(t+1)) ~ D(s(s+1))
+    loc_f, loc_g = make_localization(A1, f), make_localization(A0, g)
+    second = make_patch(
+        [A0, A1], 1, 0, f, g,
+        [loc_g.to_loc(t + 1) * loc_g.inverse], [loc_f.to_loc(s + 1) * loc_f.inverse],
+    )
+    X = LatticeScheme(p1.charts, [P, second])
+    assert [(q.i, q.j, q.f, q.g) for q in X.patches] == [(0, 1, t, s), (0, 1, g, f)]
+    assert X.patches_for(0, 1) == list(X.patches)
+    assert [(q.i, q.j, q.f, q.g, q.fwd) for q in X.patches_for(1, 0)] == [
+        (1, 0, q.g, q.f, q.bwd) for q in X.patches
+    ]
+    assert X.patches_for(1, 0)[1] is second
 
 
 def test_non_inverse_transition_is_rejected():
@@ -170,7 +208,7 @@ def test_the_projective_plane_checks_each_given_patch_once(monkeypatch):
 
     monkeypatch.setattr(LatticeScheme, "_check_patch_iso", counting)
     projective_space(GF(3), 2)
-    # a mirror would repeat its patch's checks, so it is not checked
+    # each stored patch is checked once; its mirror repeats its checks
     assert checked == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -184,7 +222,11 @@ def test_the_projective_plane_validates_its_triple_overlaps(monkeypatch):
 
     monkeypatch.setattr(LatticeScheme, "_check_cocycle", counting)
     X = projective_space(GF(3), 2)
-    assert X.ncharts == 3 and len(X.patches) == 6
+    # three patches, each stored once from its lower chart; six served
+    assert X.ncharts == 3
+    assert [(p.i, p.j) for p in X.patches] == [(0, 1), (0, 2), (1, 2)]
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    assert [len(X.patches_for(i, j)) for i, j in pairs] == [1] * 6
     # one check per ordered triple of distinct charts (i, j, k) with i < k: a
     # mirror (k, j, i) holds once its twin does
     assert sorted(checked) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
@@ -198,7 +240,7 @@ def test_a_twisted_transition_breaks_the_cocycle():
     sigma = AlgebraMorphism(A2, A2, [2 * v for v in A2.gens()])
     twist = extend_over(P.loc_g, sigma.then(P.loc_g.to_loc))
     twisted = Patch(1, 2, P.loc_f, P.loc_g, P.fwd.then(twist), twist.then(P.bwd))
-    others = [q for q in X.patches if q.i < q.j and (q.i, q.j) != (1, 2)]
+    others = [q for q in X.patches if (q.i, q.j) != (1, 2)]
     # each patch alone is still an isomorphism: only the triple overlap fails
     LatticeScheme(X.charts, [twisted])
     with pytest.raises(GluingError) as err:
@@ -436,7 +478,7 @@ def test_punctured_plane_is_the_plane_away_from_the_origin(punctured):
     assert plane.ncharts == 1
     assert PP.ncharts == 2
     assert local_morphism_witness(inc) is None
-    originals = [p for p in PP.patches if p.i < p.j]
+    originals = list(PP.patches)
     LatticeScheme(PP.charts, originals, validate=True)  # re-validates
     # the two pieces of the plane meet through its identity patch
     assert repr(originals) == "[Patch(0->1: D(x) ~ D(y))]"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import finite_algebras, gf3_split, qq_x, qq_xy, random_element, unit_covers
-from zariski import sheaf
+from zariski import algebra, sheaf
 from zariski.algebra import POWER_CAP, PresentedAlgebra, make_localization
 from zariski.lattice import basic_open, eq, leq
 from zariski.parsing import parse_ring
@@ -280,12 +280,13 @@ def test_a_glue_that_verifies_at_the_second_power_reads_the_cover_certificate(mo
 def test_a_compatible_family_glues_without_extracting_a_fraction(monkeypatch):
     """Each section of a compatible family is a/1, whose normal form is free
     of the inverse variable, so ``glue`` reads its numerators off by
-    projection and never calls ``extract_fraction``."""
+    projection and never calls ``extract_fraction``, which ``sheaf`` reaches
+    only through ``algebra._support``."""
 
     def refuse(loc, s):
         raise AssertionError(f"extract_fraction({s}) called by glue")
 
-    monkeypatch.setattr(sheaf, "extract_fraction", refuse)
+    monkeypatch.setattr(algebra, "extract_fraction", refuse)
     A, cov = _cover_qq_x()
     x = A.var(0)
     assert glue(_split_family(A, cov, x * x + 2)) == x * x + 2

@@ -1,8 +1,8 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
 no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
 module and on the paper's verifiers, without the traced suite, the file
-``tools/ladder.py`` writes, on a one-rung dry run, and its seeded dense text
-and covers."""
+``tools/ladder.py`` writes, on a one-rung dry run, its glued-scheme rungs
+on one run each, and its seeded dense text and covers."""
 
 import importlib.util
 import json
@@ -12,6 +12,9 @@ import time
 
 import pytest
 
+import zariski
+from support import projective_space
+from zariski.fields import GF
 from zariski.groebner import unit_ideal_certificate
 from zariski.parsing import parse_poly, parse_ring
 
@@ -151,6 +154,23 @@ def test_a_one_rung_ladder_run_writes_the_bench_schema(tmp_path):
     assert set(row) == {"name", "layer", "what", "median_ms", "q1_ms", "q3_ms", "raw_median_ms", "kernel_median_ns"}
     assert (row["name"], row["layer"]) == ("pow_x1_400_gf32003", "polynomials")
     assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"] and row["raw_median_ms"] > 0
+
+
+def test_the_glued_scheme_rungs_run_once_on_the_projective_space_of_the_tests(tmp_path):
+    """``validate_p3_gf3`` and ``realize_top_p3_gf3`` run once each, on the
+    P^3 over GF(3) that ``tests/support.py`` builds: 4 charts and 6 patches,
+    each stored once, facing its lower chart."""
+    out = tmp_path / "BENCH_dry.json"
+    rungs = ["validate_p3_gf3", "realize_top_p3_gf3"]
+    report = ladder.main(["--rung", rungs[0], "--rung", rungs[1], "--runs", "1", "--out", str(out)])
+    assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(r, "latscheme") for r in rungs]
+    assert all(row["median_ms"] > 0 for row in report["rungs"])
+    X = zariski.LatticeScheme(*ladder.projective_space(zariski, 3, 3))
+    Y = projective_space(GF(3), 3)
+    assert X.charts == Y.charts and len(X.patches) == 6
+    assert [(p.i, p.j, p.f, p.g, p.fwd, p.bwd) for p in X.patches] == [
+        (p.i, p.j, p.f, p.g, p.fwd, p.bwd) for p in Y.patches
+    ]
 
 
 def test_the_dense_rung_is_one_fixed_text_of_three_cubics():

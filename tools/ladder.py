@@ -161,6 +161,50 @@ def p1_patch(p, n):
     return prepare
 
 
+def projective_space(z, p, n):
+    """The charts and patches of P^n over GF(p), n <= 4: chart i has the
+    coordinates X_k/X_i (k != i), named by k's letter in "xyzwv", and every
+    two charts i < j are glued along D(X_j/X_i) ~ D(X_i/X_j), where
+    X_k/X_i = (X_k/X_j) / (X_i/X_j).  Fresh charts on every call."""
+    coords = [[k for k in range(n + 1) if k != i] for i in range(n + 1)]
+    charts = [z.PresentedAlgebra(z.PolyRing(z.GF(p), ["xyzwv"[k] for k in ks])) for ks in coords]
+
+    def var(i, k):  # X_k/X_i on chart i
+        return charts[i].var(coords[i].index(k))
+
+    def images(i, j):  # chart i's variables in chart j, localized at X_i/X_j
+        loc = z.make_localization(charts[j], var(j, i))
+        return [loc.inverse if k == j else loc.to_loc(var(j, k)) * loc.inverse for k in coords[i]]
+
+    patches = [
+        z.make_patch(charts, i, j, var(i, j), var(j, i), images(i, j), images(j, i))
+        for i, j in itertools.combinations(range(n + 1), 2)
+    ]
+    return charts, patches
+
+
+def validate_projective(p, n):
+    """``LatticeScheme`` of P^n over GF(p): the patch, agreement and cocycle
+    checks of its charts and patches, built fresh per run."""
+
+    def prepare(z):
+        charts, patches = projective_space(z, p, n)
+        return lambda: z.LatticeScheme(charts, patches)
+
+    return prepare
+
+
+def realize_top_projective(p, n):
+    """``restrict_scheme`` of the top open of P^n over GF(p), a fresh scheme
+    per run: one chart per chart, realized patches and the inclusion."""
+
+    def prepare(z):
+        X = z.LatticeScheme(*projective_space(z, p, n))
+        return lambda: z.restrict_scheme(z.top_open(X))
+
+    return prepare
+
+
 def compare_punctured_plane(p, algebra):
     """``comparison_check`` of the punctured plane over GF(p), a fresh
     scheme per run, over the quotient ``algebra``."""
@@ -282,6 +326,10 @@ RUNGS = {
                         covers("QQ[x,y]", cover_texts(20, 1))),
     "loader_p1_gf3_t250": ("latscheme", "make_patch of the projective line over GF(3) with f = t^250",
                            p1_patch(3, 250)),
+    "validate_p3_gf3": ("latscheme", "LatticeScheme of P^3 over GF(3), 4 charts and 6 patches, validated",
+                        validate_projective(3, 3)),
+    "realize_top_p3_gf3": ("latscheme", "restrict_scheme of the top open of P^3 over GF(3)",
+                           realize_top_projective(3, 3)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
                         "GF(49) = GF(7)[t]/(t^2 - 3)", compare_punctured_plane(7, "GF(7)[t]/(t^2 - 3)")),
 }
