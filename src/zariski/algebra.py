@@ -398,25 +398,37 @@ def enumerate_homs(
       ``c*x = -d``, solved over GF(p) on the staircase basis once per
       value of (c, d) (``_solutions``); no solution ends the branch.
 
-    Every candidate is then checked against all of x's relations, bar the
-    one a unit coefficient solved.
+    Each narrowing is remembered per value of the variables of its c, d and
+    s, and every candidate is checked against the relations that did not solve it.
     """
     if source.field != target.field:
         raise ValueError("field mismatch")
+    if not source.relations:
+        return [_morphism(source, target, images)
+                for images in itertools.product(target.enumerate_elements(), repeat=source.nvars)]
+    return _homs(source, target, (), None)
+
+
+def _homs(source: PresentedAlgebra, target: PresentedAlgebra, nonunits: Sequence[Poly], is_unit):
+    """``enumerate_homs`` less the maps that send some f of ``nonunits``
+    (source polynomials) to a unit (``is_unit``), none of them built: each
+    f is checked at its last variable, and a bare variable f narrows its
+    variable to target's non-units, listed once per call."""
     candidates = target.enumerate_elements()
     n = source.nvars
-    if not source.relations:
-        return [
-            _morphism(source, target, images)
-            for images in itertools.product(candidates, repeat=n)
-        ]
     ring = source.ring
-    # checks[k + 1]: the relations whose last variable is k (k = -1: constants);
+    # checks[k + 1]: the relations whose last variable is k (k = -1: constants),
+    # conds[k + 1]: the nonunits so, bar the bare variables (``bare``);
+    # reads[k]: the variables in the c, d and s that narrow x_k;
     # solvers[k]: (relation, c, d) for those of the form c*x_k + d;
-    # joins[k]: (h, s) for the first of the form h(x_k) + s
+    # joins[k]: (relation, h, s) for the first of the form h(x_k) + s
     checks: List[List[Poly]] = [[] for _ in range(n + 1)]
+    conds: List[List[Poly]] = [[] for _ in range(n + 1)]
     solvers: List[List[Tuple[Poly, Poly, Poly]]] = [[] for _ in range(n)]
-    joins: List[Optional[Tuple[Poly, Poly]]] = [None] * n
+    joins: List[Optional[Tuple[Poly, Poly, Poly]]] = [None] * n
+    bare = {k for k in range(n) if ring.var(k) in nonunits}
+    for f in [f for f in nonunits if f not in ring.gens()]:
+        conds[max((i for i in range(n) if f.involves(i)), default=-1) + 1].append(f)
     for r in source.relations:
         last = max((i for i in range(n) if r.involves(i)), default=-1)
         checks[last + 1].append(r)
@@ -428,22 +440,27 @@ def enumerate_homs(
         if r.degree_in(last) == 1:
             solvers[last].append((r, _poly(ring, {m - unit: c for m, c in inner.items()}), outer))
         elif joins[last] is None and all(m == (m >> shift & _VALUE) * unit for m in inner):
-            joins[last] = (_poly(ring, inner), outer)
+            joins[last] = (r, _poly(ring, inner), outer)
+    reads = [[i for i in range(k) if any(f.involves(i) for (_, *cd) in solvers[k] for f in cd)
+              or joins[k] is not None and joins[k][2].involves(i)] for k in range(n)]
+    small = {b.poly for b in candidates if not is_unit(b)} if bare else set()
     polys = [target.ring.zero] * n  # images so far; later variables occur in no check
     images: List[AlgebraElement] = [target.zero] * n
     tables: dict = {}  # k -> x_k's candidates keyed by h's value on them
     linear: dict = {}  # (c, d) -> the x with c*x + d == 0
+    narrowed: dict = {}  # (k, values of reads[k]) -> narrow(k), unless each prefix differs there
     out: List[AlgebraMorphism] = []
 
     def value(p: Poly) -> AlgebraElement:
         return _evaluate(p, target, images, polys)
 
     def holds(k: int, solved: Optional[Poly]) -> bool:
-        return all(value(r).is_zero() for r in checks[k + 1] if r is not solved)
+        return all(value(r).is_zero() for r in checks[k + 1] if r is not solved) and not (
+            conds[k + 1] and any(is_unit(value(f)) for f in conds[k + 1]))
 
     def narrow(k: int) -> Tuple[Sequence[AlgebraElement], Optional[Poly]]:
-        for (r, c, d) in solvers[k]:
-            vc = value(c)
+        vcs = [value(c) for (_, c, _) in solvers[k]]  # each coefficient evaluated once
+        for (r, c, d), vc in zip(solvers[k], vcs):
             inv = target.try_invert(vc)
             if inv is not None:
                 vd = value(d)
@@ -451,15 +468,15 @@ def enumerate_homs(
                     linear[vc.poly, vd.poly] = [-(vd * inv)]
                 return linear[vc.poly, vd.poly], r
         if joins[k] is not None:
-            h, s = joins[k]
+            r, h, s = joins[k]
             if k not in tables:
                 tables[k] = {}
                 for b in candidates:
                     images[k], polys[k] = b, b.poly
                     tables[k].setdefault(value(h).poly, []).append(b)
-            return tables[k].get((-value(s)).poly, ()), None
+            return tables[k].get((-value(s)).poly, ()), r  # h(x) = -s solves r
         if solvers[k]:
-            c, d = (value(f).poly for f in solvers[k][0][1:])
+            c, d = vcs[0].poly, value(solvers[k][0][2]).poly
             if (c, d) not in linear:
                 linear[c, d] = _solutions(target, candidates, c, d)
             return linear[c, d], None
@@ -469,7 +486,14 @@ def enumerate_homs(
         if k == n:
             out.append(_morphism(source, target, tuple(images)))
             return
-        options, solved = narrow(k)
+        key = (k, *[polys[i] for i in reads[k]]) if len(reads[k]) < k else None
+        got = narrowed.get(key)
+        if got is None:
+            options, solved = narrow(k)
+            got = [b for b in options if b.poly in small] if k in bare else options, solved
+            if key:
+                narrowed[key] = got
+        options, solved = got
         for b in options:
             images[k] = b
             polys[k] = b.poly
@@ -478,6 +502,7 @@ def enumerate_homs(
 
     if holds(-1, None):
         assign(0)
+    assign = None  # break its closure's cycle: the search's tables go on return, not at a collection
     return out
 
 

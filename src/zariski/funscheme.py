@@ -7,11 +7,13 @@ over a finite test algebra B are computed exactly: B splits along its
 atomic idempotents into local factors B_e, and each factor's points are
 the chart homs kept at their lowest chart.  A point over a local ring lies
 in chart j exactly when some patch denominator to chart j maps to a unit
-(the open subfunctor D(f)), so one unit test (``_is_unit``) places every
-point, over reduced B or not, and no chart map is built.  Compact opens of
-the scheme evaluate pointwise to basic opens of B; locality (the equalizer
-condition along a cover of B) and the realization of a compact open as a
-scheme of its own are decidable at this scale.
+(the open subfunctor D(f)).  So X(B_e) is the disjoint union of the strata
+U_j(B_e) minus the lower charts, and chart j's hom search, given those
+denominators as non-unit conditions (``_is_unit``), builds its own stratum
+alone, with no chart map.  Compact opens of the scheme evaluate pointwise
+to basic opens of B; locality (the equalizer condition along a cover of B)
+and the realization of a compact open as a scheme of its own are
+decidable at this scale.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .algebra import (
     PresentedAlgebra,
     _coordinates,
     _kernel_mod_p,
+    _homs,
     _morphism,
     enumerate_homs,
     make_localization,
@@ -224,20 +227,22 @@ def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     """All points of X over the finite test algebra B, canonically represented.
 
     B splits along its atomic idempotents into local factors, and each
-    factor's points are the chart homs kept at their lowest chart: a hom of
-    chart 0 always, one beta of chart j > 0 when no patch Q from chart j to
-    a lower chart has a unit beta(Q.f) (``_is_unit``), the rule of
-    ``_lowest_chart`` without its chart map.
+    factor's points are the chart homs kept at their lowest chart: every hom
+    of chart 0, and the beta of chart j > 0 with no unit beta(Q.f) for a
+    patch Q to a lower chart (``_is_unit``), which the search of chart j
+    takes as non-unit conditions (``algebra._homs``), so it builds no hom
+    to drop.  Only a chart j > 0 asks whether B is reduced.
     """
     if B.is_trivial():
         return [SchemePoint(X, B, ())]
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
     for e, to_factor in atomic_factors(B):
+        Be = to_factor.target
         per_atom.append([
             (e, j, beta)
             for j, A in enumerate(X.charts)
-            for beta in enumerate_homs(A, to_factor.target)
-            if j == 0 or not any(_is_unit(is_reduced(B), beta(Q.f)) for i in range(j) for Q in X.patches_for(j, i))
+            for beta in (_homs(A, Be, [Q.f.poly for i in range(j) for Q in X.patches_for(j, i)],
+                               lambda b: _is_unit(is_reduced(B), b)) if j else enumerate_homs(A, Be))
         ])
     return [SchemePoint(X, B, list(combo)) for combo in _iproduct(*per_atom)]
 

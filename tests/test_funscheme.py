@@ -1,5 +1,6 @@
 """Schemes as functors on test algebras: points, covers, locality, gluing."""
 
+import collections
 import functools
 import itertools
 from operator import mul
@@ -25,11 +26,12 @@ from support import (
     nilpotent_algebra,
     open_to_realization,
     product_of_points,
+    projective_space,
     qq_xy,
     reduced_by_definition,
     unit_covers,
 )
-from zariski import funscheme
+from zariski import algebra, funscheme
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -52,7 +54,7 @@ from zariski.funscheme import (
 )
 from zariski.lattice import basic_open, eq, top
 from zariski.latscheme import CompactOpen, mk_affine, projective_line, punctured_plane, top_open
-from zariski.parsing import parse_ring
+from zariski.parsing import parse_poly, parse_ring
 from zariski.polynomials import PolyRing
 
 
@@ -198,19 +200,65 @@ def _points_by_lowest_chart(X, B):
 @example(nilpotent_algebra(3, 2, False))
 @example(nilpotent_algebra(2, 2, True))
 def test_the_unit_test_places_points_as_the_lowest_chart_does(B):
-    """P^1, the punctured plane and A^2 have, over B reduced or not, split
-    or not, exactly the points of the chart-map rule, in its order."""
-    for X in _glued(B.field.char) + (affine_plane(B.field),):
+    """P^1, the punctured plane, A^2, P^2, P^3 (over at most 9 elements) and
+    two opens of a curve, one whose patch denominator x - 1 is no bare
+    variable, have, over B reduced or not, split or not, exactly the points
+    of the chart-map rule, in its order."""
+    p = B.field.char
+    small = len(B.enumerate_elements()) <= 9
+    spaces = (projective_space(GF(p), 2),) + (projective_space(GF(p), 3),) * small
+    for X in _glued(p) + (affine_plane(B.field), *_curve_opens(p)) + spaces:
         assert eval_points(X, B) == _points_by_lowest_chart(X, B)
 
 
+@functools.lru_cache(maxsize=None)
+def _curve_opens(p):
+    """D(x) u D(x - 1) and D(x - 1) u D(x*y) on y^2 = x^3 + 1 over GF(p),
+    realized.  Chart 1's patch denominator to chart 0 is x in the first, a
+    bare variable, and x - 1 in the second."""
+    A = PresentedAlgebra(*parse_ring(f"GF({p})[x,y]/(y^2 - x^3 - 1)"))
+    x, y = A.gens()
+    opens = [
+        realization(CompactOpen(mk_affine(A), [basic_open(A, pieces)]))
+        for pieces in ([x, x - 1], [x - 1, x * y])
+    ]
+    ring = opens[0].charts[1].ring
+    assert [Q.f.poly for X in opens for Q in X.patches_for(1, 0)] == [ring.var(0), ring.var(0) - 1]
+    return opens
+
+
+_SOURCES = [
+    "GF({p})[x,y]",
+    "GF({p})[x,y]/(y^2 - x^3 - 1)",
+    "GF({p})[x,y,w]/(x*w - 1)",
+    "GF({p})[x,y,w]/(y^2 - x, x*w + y)",
+]
+_CONDITIONS = ["x", "y", "w", "x - 1", "x*y + 1", "y^2 + x", "2*y", "1"]
+
+
+@settings(max_examples=40)
+@given(finite_algebras(max_size=27), st.sampled_from(_SOURCES), st.lists(st.sampled_from(_CONDITIONS), max_size=3),
+       st.booleans())
+def test_the_search_drops_what_the_non_unit_filter_drops(B, source, conditions, certified):
+    """The hom search with non-unit conditions, bare variables or not, keeps
+    exactly the homs of ``enumerate_homs`` that map none of them to a unit,
+    in the same order, for a unit test that certifies or one that does not."""
+    A = _parsed(source.format(p=B.field.char))
+    fs = [parse_poly(f, A.ring) for f in conditions if f != "w" or A.nvars == 3]
+    is_unit = (lambda b: b.algebra.try_invert(b) is not None) if certified else (lambda b: not b.is_zero())
+    expected = [beta for beta in enumerate_homs(A, B) if not any(is_unit(beta._apply(f)) for f in fs)]
+    assert algebra._homs(A, B, fs, is_unit) == expected
+
+
 @pytest.mark.parametrize("text, reduced", [("GF(7)[t]/(t^2 - 3)", True), ("GF(3)[t]/(t^2)", False)])
-def test_points_are_placed_without_chart_maps(monkeypatch, text, reduced):
-    """A point of P^1 is placed by a unit test, never by a chart map: over a
-    reduced B no inverse is certified at all, over a nilpotent one each
-    distinct value at most once."""
+@pytest.mark.parametrize("scheme", ["projective line", "punctured plane"])
+def test_points_are_placed_without_chart_maps(monkeypatch, text, reduced, scheme):
+    """A point of P^1 or of the punctured plane is placed by a unit test,
+    never by a chart map: over a reduced B the placement certifies no
+    inverse beyond those the chart searches certify to solve y2 = 1/y; over a
+    nilpotent one it lists the non-units, each value certified at most once."""
     B = _parsed(text)
-    X = projective_line(B.field)
+    X = projective_line(B.field) if scheme == "projective line" else punctured_plane(B.field)[0]
     expected = _points_by_lowest_chart(X, _parsed(text))
     assert is_reduced(B) == reduced
     certified = []
@@ -221,9 +269,46 @@ def test_points_are_placed_without_chart_maps(monkeypatch, text, reduced):
 
     monkeypatch.setattr(funscheme, "try_extend", refuse)
     monkeypatch.setattr(PresentedAlgebra, "_inverse", lambda A, c: certified.append((A, c)) or inverse(A, c))
+    for A in X.charts:
+        enumerate_homs(A, _parsed(text))
+    searched = {c for (_, c) in certified}
+    certified.clear()
     assert eval_points(X, B) == expected
     assert len(certified) == len(set(certified))
-    assert bool(certified) != reduced
+    assert bool(searched) == (scheme == "punctured plane")
+    placed = {c for (_, c) in certified} | searched
+    assert placed == (searched if reduced else set(B.enumerate_elements()))
+
+
+def test_each_stratum_builds_only_its_own_points(monkeypatch):
+    """``eval_points`` of the punctured plane over GF(5)[t]/(t^3) builds one
+    morphism per point, 15,000, not one per chart hom, 25,000.  Each chart's
+    solved coefficient, y on chart 0 and x on chart 1, is evaluated at most
+    once per value, so at most |B| = 125 times, not once per (x, y) prefix."""
+    B = _parsed("GF(5)[t]/(t^3)")
+    X = punctured_plane(GF(5))[0]
+    atomic_factors(B)  # its projection is no chart hom
+    built, evaluated = [], collections.Counter()
+    build, evaluate = algebra._morphism, algebra._evaluate
+    monkeypatch.setattr(algebra, "_morphism", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(algebra, "_evaluate", lambda p, *rest: evaluated.update([p]) or evaluate(p, *rest))
+    assert len(eval_points(X, B)) == len(built) == 15_000
+    x, y, w = X.charts[0].ring.gens()
+    assert [A.relations for A in X.charts] == [(y * w - 1,), (x * w - 1,)]
+    assert evaluated[y] <= 125 and evaluated[x] <= 125
+
+
+@pytest.mark.parametrize("text", ["GF(5)[t]/(t^2)", "GF(5)[t]/(t^2 - 2)", "GF(5)[e]/(e^2 - e)"])
+def test_a_one_chart_scheme_never_decides_reducedness(monkeypatch, text):
+    """Chart 0 has no lower chart to place against, so ``eval_points`` of an
+    affine scheme never asks whether B is reduced."""
+
+    def refuse(B):
+        raise AssertionError("reducedness was decided")
+
+    monkeypatch.setattr(funscheme, "is_reduced", refuse)
+    for X in (affine_plane(GF(5)), mk_affine(_parsed("GF(5)[x,y]/(y^2 - x^3 - 1)"))):
+        assert eval_points(X, _parsed(text))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
 no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
 module and on the paper's verifiers, without the traced suite, the file
-``tools/ladder.py`` writes, on a one-rung dry run, its glued-scheme rungs
-on one run each, and its seeded dense text and covers."""
+``tools/ladder.py`` writes, on a one-rung dry run and on a two-pair run of
+one rung against itself, its glued-scheme and strata rungs on one run
+each, and its seeded dense text and covers."""
 
 import importlib.util
 import json
@@ -173,6 +174,43 @@ def test_the_glued_scheme_rungs_run_once_on_the_projective_space_of_the_tests(tm
     ]
 
 
+def test_the_strata_rungs_run_once_and_count_their_points(tmp_path):
+    """``points_pp_gf49`` and ``points_p3_gf9`` run once each, and their
+    inputs have the points their descriptions name: 49^2 - 1 = 2,400 on the
+    punctured plane and (9^4 - 1)/8 = 820 on P^3."""
+    out = tmp_path / "BENCH_dry.json"
+    rungs = ["points_pp_gf49", "points_p3_gf9"]
+    report = ladder.main(["--rung", rungs[0], "--rung", rungs[1], "--runs", "1", "--out", str(out)])
+    assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(r, "funscheme") for r in rungs]
+    assert all(row["median_ms"] > 0 for row in report["rungs"])
+    assert [len(ladder.RUNGS[r][2](zariski)()) for r in rungs] == [2400, 820]
+
+
+def test_a_two_pair_ladder_run_writes_both_files_with_their_pairs(tmp_path):
+    """``--against`` with this checkout on both sides, on one rung and two
+    pairs, writes the change's file and the parent's beside it, each with
+    the rung's row over the two pairs and the same ``pairs`` record, in
+    under 2 s."""
+    root = os.path.join(HERE, os.pardir)
+    sha = ladder.git(root, "rev-parse", "--short", "HEAD")
+    if sha is None:
+        pytest.skip("pairs compare git checkouts")
+    out = tmp_path / "BENCH_change.json"
+    t0 = time.perf_counter()
+    report = ladder.main(["--root", root, "--against", root, "--pairs", "2", "--runs", "1",
+                          "--rung", "pow_x1_400_gf32003", "--out", str(out)])
+    assert time.perf_counter() - t0 < 2.0
+    parent = json.loads((tmp_path / f"BENCH_{sha}.json").read_text())
+    assert json.loads(out.read_text()) == report and report["sha"] == parent["sha"] == sha
+    assert set(report) == set(parent) == {"sha", "src_differs_from_sha", "python", "runs", "ref_ns", "rungs", "pairs"}
+    assert [row["name"] for row in report["rungs"] + parent["rungs"]] == ["pow_x1_400_gf32003"] * 2
+    (pair,) = report["pairs"]
+    assert parent["pairs"] == report["pairs"]
+    assert set(pair) == {"name", "pairs", "ratio", "wins", "gap_ms", "parent_iqr_ms"}
+    assert (pair["name"], pair["pairs"]) == ("pow_x1_400_gf32003", 2) and 0 <= pair["wins"] <= 2
+    assert pair["ratio"] > 0 and pair["gap_ms"] >= 0 and pair["parent_iqr_ms"] >= 0
+
+
 def test_the_dense_rung_is_one_fixed_text_of_three_cubics():
     """``basis_dense3_qq`` reads the same seeded text on every run: three
     polynomials of degree 3 with 8 terms each in x0..x2 over QQ."""
@@ -205,3 +243,10 @@ def test_the_ladder_refuses_an_unknown_rung_and_no_runs(capsys):
             ladder.parse_args(argv)
         assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_the_ladder_refuses_pairs_without_quartiles(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ladder.parse_args(["--against", ".", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Time the ladder's rungs and write them to ``BENCH_<short-sha>.json``.
 
     python3 tools/ladder.py [--root CHECKOUT] [--runs K] [--rung NAME ...] [--out PATH]
+                            [--against PARENT_ROOT [--pairs N]]
 
 Each rung builds its input outside the clock, then times one call, ``K``
 times (5 by default), on a fresh input each time so no memo carries over.
@@ -15,7 +16,19 @@ median and the kernel's median.
 ``--root`` measures the ``src/`` of another checkout, such as a clean clone
 of a parent commit, with this checkout's kernel.  The file is named after
 that checkout's ``git rev-parse --short HEAD`` and records whether its
-``src/`` differed from that commit.  Standard library only.
+``src/`` differed from that commit.
+
+``--against PARENT_ROOT --pairs N`` compares two checkouts in alternating
+pairs, as ``tools/bench_pairs.py`` does for the benchmark's workloads.  The
+committed files of each (``git archive HEAD``) are unpacked into a
+temporary directory, and per rung the two sides run one after the other, N
+times, each in a fresh process of the change's own ``tools/ladder.py``,
+with the side that goes first flipped from one pair to the next.  A side's
+times on a rung are the medians of its N processes.  Both files are
+written, the parent's next to the change's, and both gain a ``pairs``
+record per rung: the ratio of the medians (change over parent), the pairs
+the change won, and the gap of the medians next to the parent's IQR.
+Standard library only.
 """
 
 import argparse
@@ -26,9 +39,11 @@ import json
 import os
 import platform
 import random
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -138,6 +153,18 @@ def points_glued(scheme, p, algebra):
 
     def prepare(z):
         X = z.punctured_plane(z.GF(p))[0] if scheme == "punctured_plane" else z.projective_line(z.GF(p))
+        B = z.PresentedAlgebra(*z.parse_ring(algebra))
+        return lambda: z.eval_points(X, B)
+
+    return prepare
+
+
+def points_projective(p, n, algebra):
+    """``eval_points`` of P^n over GF(p) (``projective_space``), a fresh one
+    per run, over the quotient ``algebra``."""
+
+    def prepare(z):
+        X = z.LatticeScheme(*projective_space(z, p, n))
         B = z.PresentedAlgebra(*z.parse_ring(algebra))
         return lambda: z.eval_points(X, B)
 
@@ -315,6 +342,10 @@ RUNGS = {
                         "15,000 points", points_glued("punctured_plane", 5, "GF(5)[t]/(t^3)")),
     "points_p1_gf49": ("funscheme", "eval_points of the projective line over GF(7) over GF(49) = "
                        "GF(7)[t]/(t^2 - 3), 50 points", points_glued("projective_line", 7, "GF(7)[t]/(t^2 - 3)")),
+    "points_pp_gf49": ("funscheme", "eval_points of the punctured plane over GF(7) over GF(49) = "
+                       "GF(7)[t]/(t^2 - 3), 2,400 points", points_glued("punctured_plane", 7, "GF(7)[t]/(t^2 - 3)")),
+    "points_p3_gf9": ("funscheme", "eval_points of P^3 over GF(3) over GF(9) = GF(3)[t]/(t^2 + 1), 820 points",
+                      points_projective(3, 3, "GF(3)[t]/(t^2 + 1)")),
     "lattice_leq_qq2": ("lattice", "leq and eq on 100 pairs of basic opens, over QQ[x,y] and over "
                         "GF(5)[x,y]/(x^2 + y^2 - 1)",
                         lattice_batch(["QQ[x,y]", "GF(5)[x,y]/(x^2 + y^2 - 1)"])),
@@ -386,30 +417,93 @@ def parse_args(argv=None):
     ap.add_argument("--rung", action="append", choices=sorted(RUNGS),
                     help="one rung; repeat for more (default: every rung)")
     ap.add_argument("--out", help="the file to write (default: BENCH_<short-sha>.json here)")
+    ap.add_argument("--against", metavar="PARENT_ROOT", help="compare --root with this checkout in pairs")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs per rung with --against (default 10)")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs: need at least one run")
+    if args.against and args.pairs < 2:
+        ap.error("--pairs: need at least two pairs for quartiles")
     return args
+
+
+def row(name, medians, raws, kernels):
+    """A rung's row of the file: the median and quartiles of ``medians``."""
+    layer, what, _ = RUNGS[name]
+    q1, q2, q3 = quartiles(medians)
+    return {"name": name, "layer": layer, "what": what, "median_ms": q2, "q1_ms": q1, "q3_ms": q3,
+            "raw_median_ms": statistics.median(raws), "kernel_median_ns": statistics.median(kernels)}
+
+
+def write(report, out):
+    with open(out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+
+
+def against(args):
+    """Run --root (the change) and --against (the parent) in alternating
+    pairs, each rung N times per side in fresh processes on clean archives;
+    write both files with their ``pairs`` records and return the change's."""
+    roots = {"change": args.root, "parent": args.against}
+    shas = {side: git(root, "rev-parse", "--short", "HEAD") for side, root in roots.items()}
+    if None in shas.values():
+        sys.exit("--against compares two git checkouts")
+    out = args.out or os.path.join(HERE, f"BENCH_{shas['change']}.json")
+    parent_out = os.path.join(os.path.dirname(os.path.abspath(out)), f"BENCH_{shas['parent']}.json")
+    if os.path.abspath(parent_out) == os.path.abspath(out):
+        parent_out = out[: -len(".json")] + ".parent.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {side: os.path.join(tmp, side) for side in roots}
+        for side, root in roots.items():
+            os.mkdir(copies[side])
+            subprocess.run(f"git -C {shlex.quote(root)} archive HEAD | tar -x -C {shlex.quote(copies[side])}",
+                           shell=True, check=True)
+        rows, pairs = {"change": [], "parent": []}, []
+        for name in args.rung or RUNGS:
+            got = {"change": [], "parent": []}
+            for i in range(args.pairs):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    sub = os.path.join(tmp, f"{side}.json")
+                    subprocess.run([sys.executable, os.path.join(copies["change"], "tools", "ladder.py"),
+                                    "--root", copies[side], "--rung", name, "--runs", str(args.runs), "--out", sub],
+                                   check=True, stdout=subprocess.DEVNULL)
+                    with open(sub) as fh:
+                        sub_report = json.load(fh)
+                    got[side].append(sub_report["rungs"][0])
+            for side, got_rows in got.items():
+                rows[side].append(row(name, *([r[k] for r in got_rows] for k in
+                                              ("median_ms", "raw_median_ms", "kernel_median_ns"))))
+            par, chg = rows["parent"][-1], rows["change"][-1]
+            pairs.append({"name": name, "pairs": args.pairs, "ratio": chg["median_ms"] / par["median_ms"],
+                          "wins": sum(c["median_ms"] < p["median_ms"] for p, c in zip(got["parent"], got["change"])),
+                          "gap_ms": abs(chg["median_ms"] - par["median_ms"]),
+                          "parent_iqr_ms": par["q3_ms"] - par["q1_ms"]})
+            print(f"{name:26} {par['median_ms']:9.3f} -> {chg['median_ms']:9.3f} ms  x{pairs[-1]['ratio']:.3f},"
+                  f" won {pairs[-1]['wins']}/{args.pairs}, gap {pairs[-1]['gap_ms']:.3g}"
+                  f" vs parent IQR {pairs[-1]['parent_iqr_ms']:.3g}", flush=True)
+    reports = {}
+    for side, path in (("parent", parent_out), ("change", out)):
+        reports[side] = {"sha": shas[side], "src_differs_from_sha": False, "python": platform.python_version(),
+                         "runs": args.runs, "ref_ns": sub_report["ref_ns"], "rungs": rows[side], "pairs": pairs}
+        write(reports[side], path)
+    return reports["change"]
 
 
 def main(argv=None):
     args = parse_args(argv)
+    if args.against:
+        return against(args)
     sha = git(args.root, "rev-parse", "--short", "HEAD")
     if sha is None and args.out is None:
         sys.exit(f"{args.root} is not a git checkout: name the file with --out")
     z, speed = load(args.root)
     rows = []
     for name in args.rung or RUNGS:
-        layer, what, prepare = RUNGS[name]
-        scaled, raw, kernel = measure(z, speed, prepare, args.runs)
-        q1, q2, q3 = quartiles(scaled)
-        rows.append({
-            "name": name, "layer": layer, "what": what,
-            "median_ms": q2, "q1_ms": q1, "q3_ms": q3,
-            "raw_median_ms": statistics.median(raw),
-            "kernel_median_ns": statistics.median(kernel),
-        })
-        print(f"{name:26} {q2:9.3f} ms [{q1:.3f}-{q3:.3f}]  raw {rows[-1]['raw_median_ms']:.3f} ms", flush=True)
+        rows.append(row(name, *measure(z, speed, RUNGS[name][2], args.runs)))
+        r = rows[-1]
+        print(f"{name:26} {r['median_ms']:9.3f} ms [{r['q1_ms']:.3f}-{r['q3_ms']:.3f}]"
+              f"  raw {r['raw_median_ms']:.3f} ms", flush=True)
     report = {
         "sha": sha,
         "src_differs_from_sha": sha and bool(git(args.root, "status", "--porcelain", "--", "src")),
@@ -418,10 +512,7 @@ def main(argv=None):
         "ref_ns": speed.REF_NS,
         "rungs": rows,
     }
-    out = args.out or os.path.join(HERE, f"BENCH_{sha}.json")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    write(report, args.out or os.path.join(HERE, f"BENCH_{sha}.json"))
     return report
 
 
