@@ -443,7 +443,7 @@ def _homs(source: PresentedAlgebra, target: PresentedAlgebra, nonunits: Sequence
             joins[last] = (r, _poly(ring, inner), outer)
     reads = [[i for i in range(k) if any(f.involves(i) for (_, *cd) in solvers[k] for f in cd)
               or joins[k] is not None and joins[k][2].involves(i)] for k in range(n)]
-    small = {b.poly for b in candidates if not is_unit(b)} if bare else set()
+    nonunit_values = {b.poly for b in candidates if not is_unit(b)} if bare else set()
     polys = [target.ring.zero] * n  # images so far; later variables occur in no check
     images: List[AlgebraElement] = [target.zero] * n
     tables: dict = {}  # k -> x_k's candidates keyed by h's value on them
@@ -490,7 +490,7 @@ def _homs(source: PresentedAlgebra, target: PresentedAlgebra, nonunits: Sequence
         got = narrowed.get(key)
         if got is None:
             options, solved = narrow(k)
-            got = [b for b in options if b.poly in small] if k in bare else options, solved
+            got = [b for b in options if b.poly in nonunit_values] if k in bare else options, solved
             if key:
                 narrowed[key] = got
         options, solved = got
