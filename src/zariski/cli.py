@@ -622,7 +622,7 @@ def scheme_restrict(data_path, open_text, order, fmt) -> None:
     ]
     u = CompactOpen(X, comps)
     try:
-        Xu, _ = restrict_scheme(u)
+        Xu = restrict_scheme(u)
     except ExtractionCapError as exc:
         _refute(f"restriction failed: {exc}")
     _scheme_summary(Xu, fmt)

@@ -38,7 +38,6 @@ from .lattice import ZarElement, basic_open, eq, top
 from .latscheme import (
     CompactOpen,
     LatticeScheme,
-    SchemeMorphism,
     restrict_scheme,
 )
 from .polynomials import _poly, poly_sort_key
@@ -297,20 +296,14 @@ def map_point(p: SchemePoint, chi: AlgebraMorphism) -> SchemePoint:
 # -- realization of a compact open ---------------------------------------------------
 
 
-def _realized(U: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
-    """``restrict_scheme(U)``, the realization of U with its inclusion,
-    remembered on U's scheme X in ``X._memo[("realized", U)]``."""
-    return U.owner._remember(("realized", U), restrict_scheme, U)
-
-
 def realization(U: CompactOpen) -> LatticeScheme:
-    """The compact open U as a scheme of its own.
+    """The compact open U as a scheme of its own, ``restrict_scheme(U)``.
 
     Glued from one localized chart per basic piece of U, so a single piece
-    realizes to the affine scheme of the localization.  Kept with U's
-    inclusion on U's scheme (``_realized``), so its points compare equal.
+    realizes to the affine scheme of the localization.  Remembered on U's
+    scheme X in ``X._memo[("realized", U)]``, so its points compare equal.
     """
-    return _realized(U)[0]
+    return U.owner._remember(("realized", U), restrict_scheme, U)
 
 
 # -- locality along a cover of the test algebra ---------------------------------------

@@ -158,8 +158,8 @@ class LatticeScheme(_Frozen):
     the points, opens and morphisms of the scheme name it.
     ``_memo``, written only by ``_remember``, keeps values that depend on the
     scheme alone, for its lifetime, and this module reads none of them: the
-    realization of an open U with its inclusion, ``restrict_scheme(U)``,
-    by ``("realized", U)`` (``funscheme._realized``, so the points of one
+    realization of an open U, the scheme ``restrict_scheme(U)``, by
+    ``("realized", U)`` (``funscheme.realization``, so the points of one
     realization compare equal) and the comparison's sample plan by ``"plan"``
     (``compare._sample_plan``).
     """
@@ -638,9 +638,9 @@ def local_morphism_witness(pi: SchemeMorphism) -> Optional[str]:
 # -- scheme surgery: restriction to a compact open ----------------------------------
 
 
-def restrict_scheme(u: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
-    """The scheme below a compact open, plus its inclusion morphism into
-    u's scheme X.
+def restrict_scheme(u: CompactOpen) -> LatticeScheme:
+    """The scheme below a compact open u of X: u realized as a scheme of
+    its own.  Its inclusion into X is ``_inclusion(u, Xu)``.
 
     Charts of the result: one localization per basic generator of each
     component of u.  Patches: collapses of X's patches onto each pair of
@@ -666,27 +666,33 @@ def restrict_scheme(u: CompactOpen) -> Tuple[LatticeScheme, SchemeMorphism]:
                 fwd = extend_over(lf, extend_over(loca, p.chart_fwd.then(to_b)))
                 bwd = extend_over(lg, extend_over(locb, p.chart_bwd.then(to_a)))
                 patches.append(Patch(a, b, lf, lg, fwd, bwd))
-    Xu = LatticeScheme(charts, patches, validate=False)
+    return LatticeScheme(charts, patches, validate=False)
+
+
+def _inclusion(u: CompactOpen, Xu: LatticeScheme) -> SchemeMorphism:
+    """The inclusion of ``Xu = restrict_scheme(u)`` into u's scheme X."""
+    X = u.owner
+    pieces = [(i, make_localization(X.charts[i], g))
+              for i, w in enumerate(u.components) for g in w.generators]
 
     def chart_open(j: int, w: ZarElement) -> CompactOpen:
         spread = embed_basic(X, j, w).components
         return CompactOpen(Xu, [
-            basic_open(charts[idx], [loc.to_loc(h) for h in spread[i].generators])
-            for idx, (i, _, loc) in enumerate(pieces)
+            basic_open(loc.algebra, [loc.to_loc(h) for h in spread[i].generators])
+            for (i, loc) in pieces
         ])
 
     comorphisms = []
     for j in range(X.ncharts):
         out = []
-        for idx, (i, _, loc) in enumerate(pieces):
+        for idx, (i, loc) in enumerate(pieces):
             for p in X.patches_for(j, i):
                 piece_f = loc.to_loc(p.g)
-                loc_pf = make_localization(charts[idx], piece_f)
+                loc_pf = make_localization(loc.algebra, piece_f)
                 through = extend_over(p.loc_g, loc.to_loc.then(loc_pf.to_loc))
                 out.append((idx, piece_f, p.chart_fwd.then(through)))
         comorphisms.append(out)
-    inclusion = SchemeMorphism(Xu, X, chart_open, comorphisms)
-    return Xu, inclusion
+    return SchemeMorphism(Xu, X, chart_open, comorphisms)
 
 
 # -- fixture factories ---------------------------------------------------------------
@@ -708,12 +714,12 @@ def projective_line(field) -> LatticeScheme:
 
 
 def punctured_plane(field) -> Tuple[LatticeScheme, CompactOpen, SchemeMorphism]:
-    """The plane minus its origin, as the restriction of the affine plane
-    to D(x, y); returns (scheme, the open, the inclusion into the plane)."""
+    """The plane minus its origin, as the realization of D(x, y) on the
+    affine plane; returns (scheme, the open, the inclusion into the plane)."""
     from .polynomials import PolyRing
 
     A = PresentedAlgebra(PolyRing(field, ["x", "y"]))
     plane = mk_affine(A)
     u = CompactOpen(plane, [basic_open(A, [A.var(0), A.var(1)])])
-    Xu, inc = restrict_scheme(u)
-    return Xu, u, inc
+    Xu = restrict_scheme(u)
+    return Xu, u, _inclusion(u, Xu)

@@ -21,7 +21,7 @@ from zariski.algebra import (
     extract_fraction,
     make_localization,
 )
-from zariski.funscheme import _realized
+from zariski.funscheme import realization
 from zariski.lattice import ZarElement, basic_open, bottom, eq, join, leq, meet, top
 from zariski.latscheme import (
     CompactOpen,
@@ -344,7 +344,7 @@ def open_from_realization(U: CompactOpen, W: CompactOpen) -> CompactOpen:
     """Carry a compact open of the realization back into U's scheme X
     (below U)."""
     X = U.owner
-    if W.owner is not _realized(U)[0]:
+    if W.owner is not realization(U):
         raise ValueError("open does not live on the realization")
     pieces: List[Tuple[int, AlgebraElement]] = []
     for i, w in enumerate(U.components):

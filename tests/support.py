@@ -29,7 +29,6 @@ from zariski.fields import GF, QQ
 from zariski.funscheme import (
     SchemePoint,
     _lowest_chart,
-    _realized,
     map_point,
     realization,
 )
@@ -37,6 +36,7 @@ from zariski.latscheme import (
     CompactOpen,
     LatticeScheme,
     SchemeMorphism,
+    _inclusion,
     chart_variable_samples,
     embed_basic,
     make_patch,
@@ -649,4 +649,4 @@ def open_to_realization(U, V):
     ``open_from_realization`` inverts."""
     if not V.leq(U):
         raise ValueError("the open is not below the realized one")
-    return _realized(U)[1].pullback(V)
+    return _inclusion(U, realization(U)).pullback(V)

@@ -536,6 +536,23 @@ def test_restricting_to_a_chart_open(files):
     )
 
 
+def test_restricting_to_an_open_on_both_charts(files):
+    r = invoke("scheme", "restrict", files["p1.json"], "D(t); D(s)")
+    assert (r.exit_code, r.output) == (0, (
+        "valid: 2 chart(s), 1 patch(es)\n"
+        "chart 0: GF(3)[t, y]/(t*y + 2)\n"
+        "chart 1: GF(3)[s, y]/(s*y + 2)\n"
+        "overlap 0~1: D(t) | D(s)\n"
+    ))
+    r = invoke("scheme", "restrict", files["p1.json"], "D(t); D(s)", "--format", "json")
+    assert (r.exit_code, r.output) == (0, (
+        '{\n  "charts": [\n    "GF(3)[t, y]/(t*y + 2)",\n    "GF(3)[s, y]/(s*y + 2)"\n  ],\n'
+        '  "overlaps": [\n    {\n      "in_chart_i": "D(t)",\n      "in_chart_j": "D(s)",\n'
+        '      "pair": [\n        0,\n        1\n      ]\n    }\n  ],\n'
+        '  "patches": 1,\n  "valid": true\n}\n'
+    ))
+
+
 # -- points, covers, locality, comparison ----------------------------------------------
 
 

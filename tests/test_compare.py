@@ -49,7 +49,6 @@ from zariski.compare import (
 )
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
-    _realized,
     atomic_factors,
     eval_points,
     open_at_point,
@@ -61,6 +60,7 @@ from zariski.latscheme import (
     GlobalSection,
     LatticeScheme,
     SchemeMorphism,
+    _inclusion,
     embed_basic,
     invertibility_support_scheme,
     local_morphism_witness,
@@ -224,7 +224,8 @@ def _assert_realized_points_biject_with_members(B, X, u):
     the points of X(B) in u, each once; and the morphism a pushed point
     carries pulls each sample open back as the realized point's morphism
     pulls back the open's preimage in u.  Returns the realized points."""
-    Xu, inc = _realized(u)
+    Xu = realization(u)
+    inc = _inclusion(u, Xu)
     inner = eval_points(Xu, B)
     carried = [carry_point_in(u, p) for p in inner]
     assert len(set(carried)) == len(carried)
@@ -289,10 +290,33 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
     twisted = LatticeScheme(
         X.charts, [make_patch(X.charts, 0, 1, t, s, [2 * inv_s], [2 * inv_t])]
     )
-    X._memo[("realized", top_open(X))] = realization(top_open(twisted)), None
+    X._memo[("realized", top_open(X))] = realization(top_open(twisted))
     assert realization_certificate(X) == (
         "realized patch between charts 0 and 1 at D(t) does not match any original patch"
     )
+
+
+def test_a_realization_builds_no_morphism(monkeypatch):
+    """Realizing the top open, alone or inside a verified comparison,
+    constructs no ``SchemeMorphism``, and remembers the realized scheme
+    alone.  The spy sees the one inclusion ``punctured_plane`` returns."""
+    built = []
+    inner = SchemeMorphism.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        inner(self, *args)
+
+    monkeypatch.setattr(SchemeMorphism, "__init__", counted)
+    for X in (projective_line(GF(3)), projective_space(GF(3), 3)):
+        realization(top_open(X))
+        assert built == []
+        assert isinstance(X._memo[("realized", top_open(X))], LatticeScheme)
+    ok, report = comparison_check(projective_line(GF(3)), [F3])
+    assert ok and report["realization"] == "ok", report
+    assert built == []
+    Xu, _, _ = punctured_plane(GF(3))
+    assert built == [Xu]
 
 
 # -- sections and supports ----------------------------------------------------------------

@@ -175,15 +175,16 @@ def test_the_glued_scheme_rungs_run_once_on_the_projective_space_of_the_tests(tm
 
 
 def test_the_strata_rungs_run_once_and_count_their_points(tmp_path):
-    """``points_pp_gf49`` and ``points_p3_gf9`` run once each, and their
-    inputs have the points their descriptions name: 49^2 - 1 = 2,400 on the
-    punctured plane and (9^4 - 1)/8 = 820 on P^3."""
+    """``points_pp_gf49``, ``points_p3_gf9`` and ``points_p1_gf5t4`` run
+    once each, and their inputs have the points their descriptions name:
+    49^2 - 1 = 2,400 on the punctured plane, (9^4 - 1)/8 = 820 on P^3, and
+    5^4 + 5^3 = 750 on P^1 over the local ring GF(5)[t]/(t^4)."""
     out = tmp_path / "BENCH_dry.json"
-    rungs = ["points_pp_gf49", "points_p3_gf9"]
-    report = ladder.main(["--rung", rungs[0], "--rung", rungs[1], "--runs", "1", "--out", str(out)])
+    rungs = ["points_pp_gf49", "points_p3_gf9", "points_p1_gf5t4"]
+    report = ladder.main([arg for r in rungs for arg in ("--rung", r)] + ["--runs", "1", "--out", str(out)])
     assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(r, "funscheme") for r in rungs]
     assert all(row["median_ms"] > 0 for row in report["rungs"])
-    assert [len(ladder.RUNGS[r][2](zariski)()) for r in rungs] == [2400, 820]
+    assert [len(ladder.RUNGS[r][2](zariski)()) for r in rungs] == [2400, 820, 750]
 
 
 def test_a_two_pair_ladder_run_writes_both_files_with_their_pairs(tmp_path):

@@ -223,7 +223,7 @@ def validate_projective(p, n):
 
 def realize_top_projective(p, n):
     """``restrict_scheme`` of the top open of P^n over GF(p), a fresh scheme
-    per run: one chart per chart, realized patches and the inclusion."""
+    per run: one chart per chart and the realized patches, no inclusion."""
 
     def prepare(z):
         X = z.LatticeScheme(*projective_space(z, p, n))
@@ -344,6 +344,8 @@ RUNGS = {
                        "GF(7)[t]/(t^2 - 3), 50 points", points_glued("projective_line", 7, "GF(7)[t]/(t^2 - 3)")),
     "points_pp_gf49": ("funscheme", "eval_points of the punctured plane over GF(7) over GF(49) = "
                        "GF(7)[t]/(t^2 - 3), 2,400 points", points_glued("punctured_plane", 7, "GF(7)[t]/(t^2 - 3)")),
+    "points_p1_gf5t4": ("funscheme", "eval_points of the projective line over GF(5) over GF(5)[t]/(t^4), "
+                        "750 points", points_glued("projective_line", 5, "GF(5)[t]/(t^4)")),
     "points_p3_gf9": ("funscheme", "eval_points of P^3 over GF(3) over GF(9) = GF(3)[t]/(t^2 + 1), 820 points",
                       points_projective(3, 3, "GF(3)[t]/(t^2 + 1)")),
     "lattice_leq_qq2": ("lattice", "leq and eq on 100 pairs of basic opens, over QQ[x,y] and over "
@@ -363,6 +365,9 @@ RUNGS = {
                            realize_top_projective(3, 3)),
     "compare_pp_gf49": ("compare", "comparison_check of the punctured plane over GF(7), compared over "
                         "GF(49) = GF(7)[t]/(t^2 - 3)", compare_punctured_plane(7, "GF(7)[t]/(t^2 - 3)")),
+    "compare_pp_gf3_split2": ("compare", "comparison_check of the punctured plane over GF(3), compared over "
+                              "GF(3)[t,e]/(t^2, e^2-e), two local factors, 5,184 points",
+                              compare_punctured_plane(3, "GF(3)[t,e]/(t^2, e^2-e)")),
 }
 
 
