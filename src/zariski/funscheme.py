@@ -117,17 +117,18 @@ def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMor
     on which b takes the value c, and splitting 1 along every basis vector
     of the fixed space leaves exactly the atoms (Berlekamp).  A fixed space
     of dimension one makes 1 the only atom, projected by the identity.  The
-    trivial algebra has no atoms; algebras over QQ are refused.  Remembered
-    on B, in ``B._memo["atoms"]``; the Frobenius matrix is the one
-    ``is_reduced`` reads (``_frobenius``).
+    zero ring has no atoms, over any field, and builds no Frobenius matrix;
+    other algebras over QQ are refused.  Remembered on B, in
+    ``B._memo["atoms"]``; the Frobenius matrix is the one ``is_reduced``
+    reads (``_frobenius``).
     """
     return list(B._remember("atoms", _atomic_factors, B))
 
 
 def _atomic_factors(B: PresentedAlgebra) -> Tuple[Tuple[AlgebraElement, AlgebraMorphism], ...]:
-    stairs, frob = _frobenius(B)
-    if not stairs:  # the trivial algebra
+    if B.is_trivial():
         return ()
+    stairs, frob = _frobenius(B)
     p = B.field.char
     shifted = [[(a - (i == j)) % p for j, a in enumerate(row)] for i, row in enumerate(frob)]
     fixed = _kernel_mod_p(shifted, p)
@@ -173,8 +174,6 @@ def _frobenius_matrix(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
     """The factor B/(1 - e) of the idempotent decomposition."""
-    if e == B.one:
-        return B
     return B.with_relations([(B.one - e).poly])
 
 
@@ -230,10 +229,9 @@ def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     of chart 0, and the beta of chart j > 0 with no unit beta(Q.f) for a
     patch Q to a lower chart (``_is_unit``), which the search of chart j
     takes as non-unit conditions (``algebra._homs``), so it builds no hom
-    to drop.  Only a chart j > 0 asks whether B is reduced.
+    to drop.  Only a chart j > 0 asks whether B is reduced.  The zero ring
+    has no atoms, so its one point is the empty product, with no factors.
     """
-    if B.is_trivial():
-        return [SchemePoint(X, B, ())]
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
     for e, to_factor in atomic_factors(B):
         Be = to_factor.target
@@ -282,8 +280,6 @@ def map_point(p: SchemePoint, chi: AlgebraMorphism) -> SchemePoint:
     X, B, B2 = p.scheme, p.test_algebra, chi.target
     if B != chi.source:
         raise ValueError("point does not live over the morphism's source")
-    if B2.is_trivial():
-        return SchemePoint(X, B2, ())
     factors2 = []
     for e2, to_factor in atomic_factors(B2):
         _, j, phi = p.factors[_atom_under([e for (e, _, _) in p.factors], chi, to_factor)]

@@ -169,7 +169,7 @@ class LatticeScheme(_Frozen):
     def __init__(
         self,
         charts: Sequence[PresentedAlgebra],
-        patches: Sequence[Patch] = (),
+        patches: Sequence[Patch],
         validate: bool = True,
     ):
         charts = tuple(charts)
@@ -227,7 +227,9 @@ class LatticeScheme(_Frozen):
         U_ki and phi_ki(z) = x = phi_ji(phi_kj(z)).  This holds on T-valued
         points, so for non-reduced charts too.  A failing S(k,j,i) comes after
         its failing twin in the order of (i, j, k), so the first witness is
-        the one all six orderings would give.
+        the one all six orderings would give.  An empty region, whose
+        localization is the zero ring, passes with no case of its own: maps
+        into the zero ring are all equal.
         """
         for p in self.patches:
             self._check_patch_iso(p)
@@ -266,8 +268,6 @@ class LatticeScheme(_Frozen):
         """Two patches over one chart pair must agree where both transport."""
         s = transport_piece(P, Q.f) * transport_piece(Q, P.f)
         loc_s = make_localization(self.charts[P.j], s)
-        if loc_s.algebra.is_trivial():
-            return
         diff = _first_difference(
             P.chart_fwd.then(restriction_map(P.loc_g, loc_s)),
             Q.chart_fwd.then(restriction_map(Q.loc_g, loc_s)),
@@ -295,8 +295,6 @@ class LatticeScheme(_Frozen):
         for R in direct:
             s = n * R.g
             loc_s = make_localization(Ak, s)
-            if loc_s.algebra.is_trivial():
-                continue
             hop_j = extend_over(P.loc_g, psi2.then(restriction_map(Q.loc_g, loc_s)))
             diff = _first_difference(
                 psi1.then(hop_j), R.chart_fwd.then(restriction_map(R.loc_g, loc_s))
@@ -309,7 +307,7 @@ class LatticeScheme(_Frozen):
 
 
 def mk_affine(A: PresentedAlgebra) -> LatticeScheme:
-    return LatticeScheme([A])
+    return LatticeScheme([A], ())
 
 
 # -- compact opens ---------------------------------------------------------------
@@ -461,8 +459,6 @@ def section_compatibility_witness(s: GlobalSection) -> Optional[str]:
             for l, gl in enumerate(s.domain.components[p.j].generators):
                 m = gk * transport_piece(back, gl)
                 loc_m = make_localization(X.charts[p.i], m)
-                if loc_m.algebra.is_trivial():
-                    continue
                 a_side = restrict(s.piece(p.i, k), m)
                 carry = p.chart_bwd.then(restriction_map(p.loc_f, loc_m))
                 loc_gl = make_localization(X.charts[p.j], gl)

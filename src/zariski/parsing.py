@@ -10,9 +10,9 @@ specs are ``QQ[x,y]`` with an optional quotient tail
 One regex pass yields ``(kind, text, offset)`` tokens.  Numbers and
 variables go straight into the integer form of ``polynomials``: each sum is
 added into one integer dict and normalized once, and only a parenthesized
-group becomes a ``Poly`` on its own.  Malformed input, parentheses
-nested deeper than ``MAX_NESTING`` and numbers longer than Python reads
-raise ``ParseError`` with the 1-based line and column of their token.
+group becomes a ``Poly`` on its own.  Malformed input, parentheses nested
+deeper than ``MAX_NESTING``, and numbers or (over QQ) numbers' powers longer
+than Python reads raise ``ParseError`` at the line and column of their token.
 """
 
 from __future__ import annotations
@@ -90,6 +90,18 @@ class _Parser:
             limit = f"integers read with at most {sys.get_int_max_str_digits()} digits"
             raise self.error(tok[2], f"a number is past the digit limit: {limit}") from None
 
+    def exponent(self, p: int, *bases: int) -> Tuple[int, int]:
+        """The value and offset of the exponent after a ``^``.  Over QQ, a
+        power of one of ``bases`` past the digit limit that ``number`` reads
+        is refused there before it is formed: n**e has at least
+        ``(b - 1) * e + 1`` bits, b the bit length of n, and 2**k has more
+        than ``limit`` digits once ``3 * k >= 10 * limit``."""
+        e, at = self.number()
+        limit = sys.get_int_max_str_digits()
+        if not p and limit and any(3 * (n.bit_length() - 1) * e >= 10 * limit for n in bases):
+            raise self.error(at, f"a power is past the digit limit: integers read with at most {limit} digits")
+        return e, at
+
     # polynomial grammar -------------------------------------------------
     # Factors and products are integer forms ``(d, t)``: packed terms ``t``
     # over ``d``.  Each sum is added into one dict over the lcm of its
@@ -150,7 +162,7 @@ class _Parser:
             num, d = self.number()[0], 1
             if self.kind() == "^":  # ^ binds to the numerator alone: 2^2/3 is 4/3
                 self.advance()
-                num = pow(num, self.number()[0], p or None)
+                num = pow(num, self.exponent(p, num)[0], p or None)
             if self.kind() == "/":
                 self.advance()
                 d, at = self.number()
@@ -160,7 +172,7 @@ class _Parser:
                     raise self.error(at, f"denominator {d} vanishes in {ring.field!r}")
                 if self.kind() == "^":  # and to the denominator alone: 3/2^2 is 3/4
                     self.advance()
-                    d = pow(d, self.number()[0], p or None)
+                    d = pow(d, self.exponent(p, d)[0], p or None)
                 if p:
                     num, d = num * pow(d, -1, p), 1
             if p:
@@ -183,7 +195,8 @@ class _Parser:
             raise self.error(at, f"expected a polynomial factor, found {text or 'end of input'!r}")
         if self.kind() == "^":
             self.advance()
-            exp, at = self.number()
+            coeffs = (group._d, *group._t.values()) if group is not None and len(group._t) == 1 else ()
+            exp, at = self.exponent(p, *coeffs)  # a one-term group raises its coefficient alone
             if group is not None:
                 try:
                     group = group**exp

@@ -227,7 +227,7 @@ class PolyRing(_Value):
         return tuple(self.var(i) for i in range(self.nvars))
 
     # -- derived rings ----------------------------------------------------
-    def with_vars(self, extra: Sequence[str], order: MonomialOrder | None = None) -> "PolyRing":
+    def with_vars(self, extra: Sequence[str], order: MonomialOrder) -> "PolyRing":
         """Same field, the old variables followed by ``extra`` new ones."""
         return PolyRing(self.field, self.names + tuple(extra), order)
 
@@ -320,10 +320,8 @@ class Poly(_Value):
         return max(map(sum, map(self.ring._mono, self._t)))
 
     def degree_in(self, i: int) -> int:
-        if not self._t:
-            return -1
         shift = self.ring._shifts[i]
-        return max((m >> shift) & _VALUE for m in self._t)
+        return max(((m >> shift) & _VALUE for m in self._t), default=-1)
 
     def involves(self, i: int) -> bool:
         mask = _VALUE << self.ring._shifts[i]

@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .fields import _Frozen
 from .lattice import ZarElement, basic_open
+from .polynomials import _dot
 
 
 class BasicOpenSection(_Frozen):
@@ -110,10 +111,7 @@ class CoverData(_Frozen):
                 f"D({', '.join(str(p) for p in pieces)}) does not cover: "
                 "the pieces do not generate the unit ideal"
             )
-        combo = base.zero
-        for e, p in zip(cert, pieces):
-            combo = combo + e * p
-        if combo != base.one:
+        if base.element(_dot(base.ring, [(e.poly, p.poly) for e, p in zip(cert, pieces)])) != base.one:
             raise AssertionError("unit certificate failed to re-evaluate to 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "pieces", pieces)
@@ -198,9 +196,8 @@ def glue(fam: SectionFamily) -> AlgebraElement:
                     "cover pieces' powers failed the unit-ideal test; "
                     "CoverData invariant violated"
                 )
-            candidate = base.zero
-            for e, r, q in zip(cert, numerators, powered):
-                candidate = candidate + e * r * q
+            candidate = base.element(
+                _dot(base.ring, [(e.poly * r.poly, q.poly) for e, r, q in zip(cert, numerators, powered)]))
         if all(s.loc.to_loc(candidate) == s.value for s in fam.sections):
             return candidate
         if n == 0:

@@ -510,12 +510,10 @@ def test_the_power_bound_is_one_constant_not_a_knob():
 KNOWN_OPTIONS = {
     "algebra.PresentedAlgebra.__init__.relations",
     "compare.comparison_check.morphisms",
-    "latscheme.LatticeScheme.__init__.patches",
     "latscheme.LatticeScheme.__init__.validate",
     "parsing.parse_ring.order",
     "polynomials.MonomialOrder.__init__.kind",
     "polynomials.PolyRing.__init__.order",
-    "polynomials.PolyRing.with_vars.order",
 }
 
 

@@ -6,6 +6,7 @@ witness), 2 malformed input (with line/column where applicable).
 
 import json
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -248,17 +249,37 @@ def test_the_exponent_limit_exits_2():
 
 def test_a_coefficient_past_the_digit_limit_exits_2():
     """A coefficient too long for Python's int-to-text conversion is
-    malformed input: one line names the limit, and no traceback follows."""
-    line = (
-        "Error: a coefficient is past the digit limit: integers print with at most "
-        f"{sys.get_int_max_str_digits()} digits\n"
-    )
+    malformed input: one line names the limit, and no traceback follows.
+    Each power here is within the limit; their product is not."""
+    limit = sys.get_int_max_str_digits()
+    line = f"Error: a coefficient is past the digit limit: integers print with at most {limit} digits\n"
+    big = f"10^{limit - 1}*10^{limit - 1}"
     for args in (
-        ("ring", "nf", "2^10000000", "--ring", "QQ[x]"),
-        ("ring", "show", "--ring", "QQ[x]/(x - 2^20000)", "--format", "json"),
+        ("ring", "nf", big, "--ring", "QQ[x]"),
+        ("ring", "show", "--ring", f"QQ[x]/(x - {big})", "--format", "json"),
     ):
         r = invoke(*args)
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", line), args
+
+
+def test_a_power_past_the_digit_limit_exits_2_at_its_exponent_before_it_is_formed():
+    """``2^1000000000`` over QQ would have 301,029,996 digits: it is refused
+    at the exponent's token in well under a second, where forming it took
+    seconds and hundreds of MB.  A power within the limit is unchanged, and
+    over GF(7) the same text is a residue."""
+    message = (
+        "a power is past the digit limit: integers read with at most "
+        f"{sys.get_int_max_str_digits()} digits (line 1, column 3)"
+    )
+    start = time.perf_counter()
+    r = invoke("ring", "nf", "2^1000000000", "--ring", "QQ[x]")
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.endswith(f"Error: EXPR: {message}\n")
+    r = invoke("ring", "nf", "2^100", "--ring", "QQ[x]")
+    assert (r.exit_code, r.output) == (0, f"{2**100}\n")
+    r = invoke("ring", "nf", "2^1000000000", "--ring", "GF(7)[x]")
+    assert (r.exit_code, r.output) == (0, f"{pow(2, 1000000000, 7)}\n")
 
 
 def test_gf_0_is_refused_as_a_ring_and_in_an_algebra_file(tmp_path):

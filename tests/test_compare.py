@@ -139,6 +139,16 @@ def test_the_trivial_test_algebra_has_exactly_one_point(a1):
     assert len(eval_points(a1, TRIV)) == 1
 
 
+def test_the_point_over_the_zero_ring_over_qq_round_trips_through_the_adjunction():
+    """Spec of the zero ring has no chart piece to map, and the morphism of
+    its one point flattens back to that point, which has no factors."""
+    Z = PresentedAlgebra(*parse_ring("QQ[t]/(1)"))
+    (p,) = eval_points(projective_line(QQ), Z)
+    pi = point_morphism(p)
+    assert pi.chart_comorphisms == ((), ())
+    assert adjunction_flat(pi) == p and p.factors == ()
+
+
 def test_distinct_points_carry_extensionally_distinct_morphisms(p13):
     opens = sample_opens(p13)
     for B in (F3, gf3_split()):
@@ -294,6 +304,25 @@ def test_a_realized_patch_that_glues_differently_is_refuted():
     assert realization_certificate(X) == (
         "realized patch between charts 0 and 1 at D(t) does not match any original patch"
     )
+
+
+@pytest.mark.parametrize(
+    "plant, refusal",
+    [
+        (lambda X: realization(top_open(mk_affine(X.charts[0]))),
+         "realized top does not have one chart per original chart"),
+        (lambda X: LatticeScheme(X.charts, X.patches), "realized chart 0 is not the localization at 1"),
+        (lambda X: realization(top_open(LatticeScheme(X.charts, ()))),
+         "realized top has 0 patches where the original data has 1"),
+    ],
+    ids=["one-chart", "unlocalized", "unglued"],
+)
+def test_a_realized_top_that_does_not_reproduce_the_charts_is_refuted(plant, refusal):
+    """P^1's remembered realization of its top swapped for the top of
+    chart 0 alone, for P^1 itself, and for its two charts with no patch."""
+    X = projective_line(GF(3))
+    X._memo[("realized", top_open(X))] = plant(X)
+    assert realization_certificate(X) == refusal
 
 
 def test_a_realization_builds_no_morphism(monkeypatch):

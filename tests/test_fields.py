@@ -68,6 +68,9 @@ def test_composite_characteristics_are_rejected():
         GF(0)
     with pytest.raises(ValueError):
         GF(2**31 + 11)  # beyond the size bound
+    # 41 * 43 has no factor the trial division tries: Miller-Rabin refutes it
+    with pytest.raises(ValueError, match="characteristic 1763 is not prime"):
+        GF(1763)
 
 
 def test_primality_check_is_exact_on_a_window():
@@ -76,8 +79,8 @@ def test_primality_check_is_exact_on_a_window():
 
     for n in range(0, 500):
         assert is_prime(n) == naive(n), n
-    # Carmichael numbers must not fool it
-    for n in (561, 1105, 1729, 2465, 2821, 6601):
+    # Carmichael numbers must not fool it, 41 * 61 * 101 past the trial division too
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 41 * 61 * 101):
         assert not is_prime(n)
 
 

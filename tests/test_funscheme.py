@@ -444,6 +444,29 @@ def test_the_trivial_algebra_has_no_atoms(names):
     assert atoms_by_search(B) == atomic_factors(B) == []
 
 
+def test_the_zero_ring_has_no_atoms_without_a_frobenius_matrix(monkeypatch):
+    """The zero ring is decided before Frobenius, over GF(p) and over QQ."""
+
+    def no_matrix(B):
+        raise AssertionError(f"a Frobenius matrix of the zero ring {B!r}")
+
+    monkeypatch.setattr(funscheme, "_frobenius_matrix", no_matrix)
+    for B in (_trivial([]), _trivial(["x"]), _parsed("QQ[t]/(1)")):
+        assert atomic_factors(B) == []
+
+
+def test_points_over_the_zero_ring_are_the_empty_product():
+    """With no atoms, X(0) is one point with no factors, over QQ as over
+    GF(3), and every point pushes to it along a map into the zero ring."""
+    Z = _parsed("QQ[t]/(1)")
+    (p,) = eval_points(projective_line(QQ), Z)
+    assert p.factors == () and map_point(p, AlgebraMorphism.identity(Z)) == p
+    X, Z3 = projective_line(GF(3)), _trivial(["x"])
+    (q,) = eval_points(X, Z3)
+    chi = morphism(F3, Z3, [])
+    assert {map_point(r, chi) for r in eval_points(X, F3)} == {q}
+
+
 @pytest.mark.parametrize(
     "text",
     ["GF(7)[t]/(t^4 - 1)", "GF(3)[t]/(t^3 - t^2)", "GF(2)[x,y]/(x^2, y^2 + y)"],
@@ -624,6 +647,18 @@ def test_locality_refutes_a_spurious_local_point(monkeypatch):
     _patch_points(monkeypatch, loc.algebra, lambda points: points + [spurious])
     assert not check_locality(X, S, pieces)
     assert not locality_by_product(X, S, pieces)
+
+
+def test_locality_refutes_a_restriction_that_is_not_injective(monkeypatch):
+    """A global point listed a second time, carried on chart 1 though its
+    lowest chart is 0, restricts to each piece as its twin does."""
+    X, S, pieces = _line_over_two_points()
+    twin = next(q for q in eval_points(X, S)
+                if all(c == 0 and funscheme._chart_map(X, 0, phi, 1) for (_, c, phi) in q.factors))
+    spurious = SchemePoint(X, S, [(e, 1, funscheme._chart_map(X, 0, phi, 1)) for (e, _, phi) in twin.factors])
+    assert map_point(spurious, AlgebraMorphism.identity(S)) == twin
+    _patch_points(monkeypatch, S, lambda points: points + [spurious])
+    assert not check_locality(X, S, pieces)
 
 
 def test_locality_restricts_each_point_once_per_overlap(monkeypatch):

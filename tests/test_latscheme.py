@@ -27,6 +27,7 @@ from zariski.algebra import (
     morphism,
 )
 from zariski.fields import GF, QQ
+from zariski.funscheme import eval_points
 from zariski.lattice import basic_open, bottom, eq, top
 from zariski.latscheme import (
     CompactOpen,
@@ -252,6 +253,80 @@ def test_a_twisted_transition_breaks_the_cocycle():
     )
 
 
+def _two_points(name):
+    """GF(3)[name]/(name^2 - name): two points, split by the idempotent name."""
+    return PresentedAlgebra(*parse_ring(f"GF(3)[{name}]/({name}^2 - {name})"))
+
+
+def _identity_patch(charts, i, j, f, g):
+    """The patch of charts i and j on D(f) ~ D(g) that sends each chart's
+    one variable to the other's."""
+    loc_f, loc_g = make_localization(charts[i], f), make_localization(charts[j], g)
+    return make_patch(charts, i, j, f, g, [loc_g.to_loc(charts[j].var(0))], [loc_f.to_loc(charts[i].var(0))])
+
+
+def _glued_along_both_points():
+    """Two copies of ``_two_points`` glued on D(e) ~ D(u) and on D(1 - e) ~
+    D(1 - u): two patches of one chart pair whose common region is empty."""
+    A0, A1 = _two_points("e"), _two_points("u")
+    e, u = A0.var(0), A1.var(0)
+    charts = [A0, A1]
+    return LatticeScheme(charts, [_identity_patch(charts, 0, 1, e, u), _identity_patch(charts, 0, 1, 1 - e, 1 - u)])
+
+
+GF3 = PresentedAlgebra(PolyRing(GF(3), []))
+
+
+def test_two_patches_with_an_empty_common_region_validate(monkeypatch):
+    """The two patches agree on their common region, which localizes to the
+    zero ring.  Glued along both points, chart 1 is chart 0 again: two
+    points over GF(3)."""
+    agreed = []
+    inner = LatticeScheme._check_patch_agreement
+
+    def spy(self, P, Q):
+        agreed.append((P, Q))
+        inner(self, P, Q)
+
+    monkeypatch.setattr(LatticeScheme, "_check_patch_agreement", spy)
+    X = _glued_along_both_points()
+    assert len(agreed) == 1
+    u = X.charts[1].var(0)
+    assert make_localization(X.charts[1], u * (1 - u)).algebra.is_trivial()
+    assert len(eval_points(X, GF3)) == 2
+
+
+def test_a_cocycle_triple_with_an_empty_overlap_validates():
+    """A third chart glued on D(v) to the first two, which are glued along
+    both points: the triples that pass through D(1 - e) and then D(v) meet
+    in the empty region, where the composite and the direct patch agree
+    as maps into the zero ring.  The point v = 0 is the third chart's own."""
+    X = _glued_along_both_points()
+    A2 = _two_points("v")
+    charts = list(X.charts) + [A2]
+    (e, u), v = [A.var(0) for A in X.charts], A2.var(0)
+    patches = [_identity_patch(charts, 0, 1, e, u), _identity_patch(charts, 0, 1, 1 - e, 1 - u),
+               _identity_patch(charts, 1, 2, u, v), _identity_patch(charts, 0, 2, e, v)]
+    assert len(eval_points(LatticeScheme(charts, patches), GF3)) == 3
+
+
+def test_a_cross_chart_section_check_passes_over_empty_pieces():
+    """On the open D(e, 1 - e) ~ D(u, 1 - u) of two charts glued along both
+    points, the piece D(e) meets the transport of D(1 - u) in the empty
+    region, where any two values agree; the other pieces decide."""
+    X = _glued_along_both_points()
+    w = CompactOpen(X, [basic_open(A, [A.var(0), 1 - A.var(0)]) for A in X.charts])
+
+    def section(shift):
+        return GlobalSection(w, [
+            [make_localization(A, g).to_loc(A.var(0) + shift * i) for g in w.components[i].generators]
+            for i, A in enumerate(X.charts)
+        ])
+
+    assert section_compatibility_witness(section(0)) is None
+    assert "disagree across the patch" in section_compatibility_witness(section(1))
+
+
 def test_single_chart_scheme_from_an_algebra():
     A = qq_triple_point()
     X = mk_affine(A)
@@ -468,6 +543,19 @@ def test_broken_morphisms_are_detected_with_a_witness():
     kill = AlgebraMorphism(B, loc1.algebra, [loc1.algebra.zero])
     broken = SchemeMorphism(X, Y, broken_open, [[(0, B.one, kill)]])
     assert local_morphism_witness(broken) is not None
+
+
+def test_a_morphism_that_pulls_back_too_little_fails_locality():
+    """The identity's comorphism with the empty open as every pullback: the
+    support D(x) of the pulled-back section x exceeds it."""
+    B = qq_x()
+    X, Y = mk_affine(B), mk_affine(B)
+    to_loc = make_localization(B, B.one).to_loc
+    broken = SchemeMorphism(X, Y, lambda j, w: bottom_open(X), [[(0, B.one, to_loc)]])
+    assert local_morphism_witness(broken) == (
+        "locality failed on chart 0, piece D(1), section x: support of the pulled-back "
+        "section [D(x)] exceeds the pulled-back support [D()]"
+    )
 
 
 # -- restriction to opens ---------------------------------------------------------------

@@ -209,6 +209,31 @@ def test_a_number_past_the_digit_limit_is_a_parse_error_at_its_token():
     assert str(info.value) == f"{message} (line 1, column 4)"
 
 
+def test_a_power_past_the_digit_limit_is_refused_at_its_exponent():
+    """Over QQ a numerator, a denominator or a parenthesized monomial's
+    coefficient raised past the digit limit is refused at the exponent's
+    token, before it is formed, even where the sum would cancel it.  Over
+    GF(7) the same texts are residues, and a power of exactly ``limit``
+    digits still reads over QQ."""
+    limit = sys.get_int_max_str_digits()
+    message = f"a power is past the digit limit: integers read with at most {limit} digits"
+    R, F = PolyRing(QQ, ["x"]), PolyRing(GF(7), ["x"])
+    e = 10**9
+    for text, col, residue in (
+        (f"2^{e}", 3, F.const(pow(2, e, 7))),
+        (f"3/2^{e}", 5, F.const(3 * pow(2, -e, 7))),
+        (f"(2)^{e}", 5, F.const(pow(2, e, 7))),
+        ("(2*x)^1000000", 7, parse_poly(f"{pow(2, 10**6, 7)}*x^1000000", F)),
+        ("(1/3*x)^1000000", 9, parse_poly(f"{pow(3, -10**6, 7)}*x^1000000", F)),
+        ("2^100000000 - 2^100000000", 3, F.zero),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, R)
+        assert str(info.value) == f"{message} (line 1, column {col})", text
+        assert parse_poly(text, F) == residue, text
+    assert parse_poly(f"10^{limit - 1}", R) == R.const(10 ** (limit - 1))
+
+
 _FRAGMENTS = [
     *"xyz", "x_1", "QQ", "GF", "D", *"0125", "10", "99", "\u0663",
     *"+-*/^(),[]", " ", "\n", "\t", "\r\n", "\u00e9", "$", "\x00", "\u2028",

@@ -84,6 +84,7 @@ def test_degree_bookkeeping():
     assert f.total_degree() == 3
     assert f.degree_in(0) == 2
     assert f.degree_in(1) == 1
+    assert f.ring.zero.degree_in(0) == -1
     assert f.involves(0) and f.involves(1)
     assert not (y + 1).involves(0)
     assert R.zero.total_degree() == -1
@@ -155,7 +156,7 @@ def test_lift_renames_both_ways_as_the_tuple_oracle(char, kind, data):
     f = R.from_terms(data.draw(terms(2)))
     elim = R.with_vars(["z"], R.order.eliminating())
     permuted = PolyRing(R.field, ["z", "y", "x"], R.order)
-    for big in (R.with_vars(["z"]), R.with_vars(["z"], R.order), permuted, elim):
+    for big in (R.with_vars(["z"], MonomialOrder()), R.with_vars(["z"], R.order), permuted, elim):
         up = R.lift(f, big)
         assert up == _renamed(f, big) and big.lift(up, R) == f
         g = big.from_terms(data.draw(terms(3)))
@@ -169,11 +170,11 @@ def test_lift_renames_both_ways_as_the_tuple_oracle(char, kind, data):
 
 def test_with_vars_extends_presentation():
     R = PolyRing(QQ, ["x"])
-    S = R.with_vars(["z"])
+    S = R.with_vars(["z"], MonomialOrder())
     assert S.names == ("x", "z")
     assert S.nvars == 2
     with pytest.raises(ValueError):
-        R.with_vars(["x"])  # duplicate name
+        R.with_vars(["x"], MonomialOrder())  # duplicate name
 
 
 def test_from_terms_validates_arity():

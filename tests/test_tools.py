@@ -1,6 +1,6 @@
 """The command-line parsing and output lines of ``tools/bench_pairs.py``, with
-no benchmark run, the report of ``tools/uncalled.py`` on a small synthetic
-module and on the paper's verifiers, without the traced suite, the file
+no benchmark run, the two reports of ``tools/uncalled.py`` on small synthetic
+modules and on the paper's verifiers, without the traced suite, the file
 ``tools/ladder.py`` writes, on a one-rung dry run and on a two-pair run of
 one rung against itself, its glued-scheme and strata rungs on one run
 each, and its seeded dense text and covers."""
@@ -116,7 +116,7 @@ def test_the_uncalled_report_names_each_function_that_never_ran(tmp_path):
     path = tmp_path / "synth.py"
     path.write_text(SYNTH)
     synth = _load("synth", str(path))
-    ran = uncalled.trace_calls(lambda: (synth.called(), synth.Box().used()))
+    ran = uncalled.trace(lambda: (synth.called(), synth.Box().used()), [])[0]
     lines, ok = uncalled.report([str(path)], ran, {"*.__setattr__": "guard"})
     assert lines == [
         "synth:12 never",
@@ -127,6 +127,68 @@ def test_the_uncalled_report_names_each_function_that_never_ran(tmp_path):
     assert not ok
     allowed = {"never": "a", "decorated_never": "b", "Box.*": "c"}
     assert uncalled.report([str(path)], ran, allowed)[1]
+
+
+LINES = textwrap.dedent(
+    """\
+    def branch(x):
+        \"\"\"Which way x goes.\"\"\"
+        if x:
+            y = 1
+        else:
+            y = 2
+        return y
+
+
+    def refuse(x):
+        if x < 0:
+            raise ValueError(
+                "negative")
+        return x
+
+
+    class Box:
+        size = 3
+
+        def __eq__(self, other):
+            if not isinstance(other, Box):
+                return NotImplemented
+            return True
+
+        def __repr__(self):
+            return "Box"
+
+        def total(self, xs):
+            return sum(
+                x for x in xs)
+
+
+    def never():
+        return 5
+    """
+)
+
+
+def test_the_statement_report_names_each_statement_that_never_ran(tmp_path):
+    """Docstrings, refusals, ``return NotImplemented``, display bodies and
+    class attributes are left out; a statement that spans lines ran when
+    any of its lines did."""
+    path = tmp_path / "lines.py"
+    path.write_text(LINES)
+    mod = _load("lines", str(path))
+    called, ran = uncalled.trace(
+        lambda: (mod.branch(1), mod.refuse(1), mod.Box() == mod.Box(), mod.Box().total([1, 2])), [str(path)]
+    )
+    assert (os.path.realpath(path), 1) in called
+    lines, ok = uncalled.statement_report([str(path)], ran, {"never: *": "kept on purpose"})
+    assert lines == ["lines:6 branch: y = 2", "lines:34 never: return 5  (allowed: kept on purpose)"]
+    assert not ok
+    assert uncalled.statement_report([str(path)], ran, {"branch: y = 2": "a", "never: *": "b"})[1]
+
+
+def test_the_statement_report_covers_the_package_but_the_cli():
+    files = [os.path.basename(f) for f in uncalled.statement_files()]
+    assert "funscheme.py" in files and "cli.py" not in files and "paper.py" not in files
 
 
 def test_the_uncalled_report_covers_the_paper_verifiers():
