@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar, _Value
 from .groebner import (
-    GroebnerBasis,
+    _relation_basis,
     ideal_contains_one,
     unit_ideal_certificate,
 )
@@ -54,8 +54,9 @@ class PresentedAlgebra(_Value):
     ``("radical", f, frozenset(gens))``, its ring and lifted relations
     (``_rabinowitsch``) by ``"rabinowitsch"``, ``try_invert`` by ``("inv",
     c)``, ``enumerate_elements`` by ``"elements"``, and in ``funscheme``
-    the Frobenius matrix by ``"frobenius"``, ``is_reduced`` by
-    ``"reduced"``, ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
+    the Frobenius matrix by ``"frobenius"``, the nilradical by
+    ``"nilradical"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
+    ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo")
@@ -67,7 +68,7 @@ class PresentedAlgebra(_Value):
                 raise ValueError("relation from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "gb", GroebnerBasis(ring, rels))
+        object.__setattr__(self, "gb", _relation_basis(ring, rels))
         object.__setattr__(self, "_memo", {})
 
     def _key(self):

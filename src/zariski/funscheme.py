@@ -217,8 +217,24 @@ def _lowest_chart(
 def _is_unit(reduced: bool, b: AlgebraElement) -> bool:
     """Whether b, in a local factor of a finite test algebra B, is a unit
     there: nonzero when B is reduced (``is_reduced(B)``: its local factors
-    are fields), else certified by ``try_invert``."""
-    return not b.is_zero() if reduced else b.algebra.try_invert(b) is not None
+    are fields), else outside the factor's nilradical, with no certificate."""
+    if reduced:
+        return not b.is_zero()
+    forms, t = b.algebra._remember("nilradical", _nilradical, b.algebra), b.poly._t
+    return any(sum([c * form.get(m, 0) for m, c in t.items()]) % b.algebra.field.char for form in forms)
+
+
+def _nilradical(B: PresentedAlgebra) -> Tuple[dict, ...]:
+    """The nilradical of a finite B, ker F^N for F the Frobenius matrix and
+    p^N >= dim B (a nilpotent b has b**dim B == 0), as the nonzero rows of
+    F^N, each a dict on staircase monomials; remembered as "nilradical"."""
+    stairs, frob = _frobenius(B)
+    p = B.field.char
+    power, reach = frob, p
+    while reach < len(stairs):
+        power = [[sum(map(int.__mul__, row, col)) % p for col in zip(*frob)] for row in power]
+        reach *= p
+    return tuple([{m: a for m, a in zip(stairs, row) if a} for row in power if any(row)])
 
 
 def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:

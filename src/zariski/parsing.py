@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from .fields import Field, GF, QQ
 from .polynomials import (
-    _LIMIT, MonomialOrder, Poly, PolyRing, _ExponentLimitError, _checked, _int_product, _norm,
+    _LIMIT, MonomialOrder, Poly, PolyRing, _ExponentLimitError, _checked, _norm, _product,
 )
 
 MAX_NESTING = 100
@@ -142,7 +142,7 @@ class _Parser:
                 ((mu, cu),) = u.items()
                 t = {m + mu: c * cu % p if p else c * cu for m, c in t.items()}
             else:
-                t = _int_product({}, t.items(), u.items())
+                t = _product(ring, t, u)
                 if p:
                     t = {m: r for m, c in t.items() if (r := c % p)}
             try:

@@ -22,6 +22,7 @@ from zariski.groebner import (
     ideal_contains_one,
     unit_ideal_certificate,
 )
+from zariski.algebra import PresentedAlgebra
 from zariski.parsing import parse_poly, parse_ring
 from zariski.polynomials import MonomialOrder, Poly, PolyRing
 
@@ -43,6 +44,28 @@ def test_reduced_bases_match_the_frozen_oracle():
         got = {monic(p) for p in gb.basis}
         want = {monic(_parse_sympy(e, ring)) for e in expected}
         assert got == want, (order, modulus, gens)
+
+
+def test_a_relation_basis_is_the_basis_without_rows():
+    """``groebner._relation_basis``, the basis of every ``PresentedAlgebra``,
+    runs the engine without rows: the basis, its printed text and its leads
+    are those of ``GroebnerBasis`` for every frozen system, the unit ideal
+    and no relation at all, and it hands out no row it did not compute:
+    ``cofactors`` is None and ``member`` refuses."""
+    systems = [((order, modulus), gens) for (order, modulus, gens) in O.FROZEN_GROEBNER]
+    systems += [(("grevlex", 0), ["x + 1", "x"]), (("lex", 7), [])]
+    for (order, modulus), gens in systems:
+        ring = _ring_for(modulus, order=order)
+        polys = [_parse_sympy(g, ring) for g in gens]
+        full, bare = GroebnerBasis(ring, polys), groebner._relation_basis(ring, polys)
+        assert bare.basis == full.basis and bare._leads == full._leads and bare.gens == full.gens
+        assert [str(b) for b in bare.basis] == [str(b) for b in full.basis]
+        assert bare.cofactors is None and full.cofactors is not None
+        with pytest.raises(ValueError, match="keeps no cofactor rows"):
+            bare.member(ring.one)
+        if polys:
+            A = PresentedAlgebra(ring, polys)
+            assert A.gb.basis == full.basis and A.gb.cofactors is None
 
 
 def test_basis_cofactors_reevaluate_exactly():

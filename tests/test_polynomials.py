@@ -28,6 +28,7 @@ from support import (
 from zariski import polynomials
 from zariski.fields import GF, QQ
 from zariski.groebner import divide
+from zariski.parsing import parse_poly
 from zariski.polynomials import MonomialOrder, Poly, PolyRing, _dot, poly_sort_key
 
 
@@ -525,16 +526,21 @@ def test_every_result_is_canonical_and_matches_the_fraction_reference(char, data
         assert is_canonical(got) and got.terms == want.terms
 
 
-def test_rational_kernels_build_no_fraction():
+def test_rational_kernels_build_no_fraction(monkeypatch):
     """Over QQ, products, powers, substitution, ``_dot`` and division run on
-    the integer terms: none of them enters the ``fractions`` module."""
+    the integer terms: none of them enters the ``fractions`` module.  The
+    packed products of ``_product`` are among them: a product and a square
+    of operands dense in y."""
     R = ring_qq_xy()
     x, y = R.gens()
     f = x.scale(Fraction(2, 3)) - y.scale(Fraction(5, 4)) + R.const(Fraction(1, 6))
     g = (x * y).scale(Fraction(-3, 2)) + 7
     images, divisors = [f, g.scale(Fraction(1, 5))], [f, g.scale(Fraction(7, 9))]
+    dense = [R.from_terms({(i, j): Fraction(-i - j - 1, k + 1) for i in range(2) for j in range(20)}) for k in range(2)]
     runs = {
         "mul": lambda: f * g,
+        "packed mul": lambda: dense[0] * dense[1],
+        "packed square": lambda: dense[0] ** 2,
         "pow": lambda: f**5,
         "substitute": lambda: (f * g).substitute(images, R),
         "_dot": lambda: _dot(R, [(f, g), (g, f), (f, f)]),
@@ -544,6 +550,10 @@ def test_rational_kernels_build_no_fraction():
         out, names = fraction_calls(run)
         assert names == [], (name, names)
     assert fraction_calls(lambda: f.terms)[1]  # the boundary does build them
+    calls, product = [], polynomials._int_product
+    monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
+    runs["packed mul"](), runs["packed square"]()
+    assert not calls
 
 
 def test_polynomials_are_immutable_and_hashable():
@@ -662,3 +672,119 @@ def test_products_packing_and_division_past_the_limit_raise():
     # forms y**(2**31)
     with pytest.raises(polynomials._ExponentLimitError, match=r"monomial y\^2147483648 "):
         divide(u * v ** (2**30), [u + v ** (2**30)])
+
+
+# -- the product chooser ---------------------------------------------------------
+
+_CHOOSER_ORDERS = [MonomialOrder("grevlex"), MonomialOrder("lex"), MonomialOrder("grevlex").eliminating()]
+
+
+def _schoolbook(f, g):
+    """``f * g`` by the schoolbook loop alone, normalized as ``*`` does."""
+    acc = polynomials._checked(f.ring, polynomials._int_product({}, f._t.items(), g._t.items()))
+    return polynomials._norm(f.ring, f._d * g._d, acc)
+
+
+def _packed_along(R, rng, scalar, groups, degree, gaps):
+    """A polynomial dense in R's last variable: ``groups`` monomials of the
+    other variables (exponents at most 2), each times every power of the
+    last variable up to ``degree`` bar at most ``gaps`` of them."""
+    others = {tuple(rng.randint(0, 2) for _ in range(R.nvars - 1)) for _ in range(groups)}
+    terms = {}
+    for m in others:
+        skip = set(rng.sample(range(degree + 1), gaps))
+        terms.update({m + (e,): scalar() for e in range(degree + 1) if e not in skip})
+    return R.from_terms(terms)
+
+
+def _scalars(field, rng):
+    """Random nonzero scalars of ``field``: over QQ numerators past 64 bits
+    of either sign over unequal denominators, else residues 1 .. p-1."""
+    p = field.char
+    if p:
+        return lambda: rng.randrange(1, p)
+    return lambda: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 2**100), rng.choice((1, 3, 10**20, 2**65 + 13)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003), GF(2147483647)], ids=repr)
+@pytest.mark.parametrize("order", _CHOOSER_ORDERS, ids=repr)
+def test_the_product_chooser_agrees_with_the_schoolbook_loop(monkeypatch, field, order):
+    """``*``, squares and cubes equal the schoolbook products in 0-5
+    variables; operands dense in one variable are packed, and sparse ones,
+    a wide exponent range among them, stay on the schoolbook loop."""
+    rng = random.Random(f"{field!r}/{order!r}")
+    scalar = _scalars(field, rng)
+    calls = []
+    product = polynomials._int_product
+    monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
+    for n in range(6):
+        R = PolyRing(field, [f"x{i}" for i in range(n)], order if n else None)
+        shapes = [(R.const(scalar()), R.const(scalar()), False)]
+        if n:
+            dense = [_packed_along(R, rng, scalar, 3, 23, rng.randint(0, 5)), _packed_along(R, rng, scalar, 2, 17, 0)]
+            sparse = [R.from_terms({tuple(rng.randrange(0, 1000) for _ in range(n)): scalar() for _ in range(20)})
+                      for _ in range(2)]
+            shapes += [(*dense, True), (*sparse, False), (R.var(0) + 1, R.var(n - 1) + 1, False)]
+        for f, g, packed in shapes:
+            calls.clear()
+            h = f * g
+            assert not calls == packed, (n, f, g)
+            assert h == _schoolbook(f, g) and f**2 == _schoolbook(f, f)
+            assert f**3 == _schoolbook(_schoolbook(f, f), f)
+
+
+def test_a_product_of_two_parsed_groups_is_packed(monkeypatch):
+    """The parser multiplies two several-term groups through the chooser:
+    ``(f) * (g)``, for f and g the expansions of ``(x+y+1)^8`` and
+    ``(x-y+2)^8``, parses to their product, packed, over QQ and GF(32003)."""
+    calls = []
+    product = polynomials._int_product
+    monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
+    for field in (QQ, GF(32003)):
+        R = PolyRing(field, ["x", "y"])
+        x, y = R.gens()
+        f, g = (x + y + 1) ** 8, (x - y + 2) ** 8
+        text = f"({f}) * ({g})"
+        calls.clear()
+        parsed = parse_poly(text, R)
+        assert not calls and len(f._t) * len(g._t) >= 256
+        assert parsed == _schoolbook(f, g)
+
+
+def test_a_sparse_exponent_range_is_never_packed(monkeypatch):
+    """Sixteen terms ``x^(j * 2^s)`` squared: one group whose slot range
+    spans ``15 * 2^s`` slots, far from half full, so the square stays on
+    the schoolbook loop, and for s = 25 finishes at once in bounded memory.
+    And ``(x^(2^30) + 1) * (x^(2^30) - 1)`` raises the exponent limit as it
+    did."""
+    R = PolyRing(QQ, ["x"])
+    (x,) = R.gens()
+    calls, product = [], polynomials._int_product
+    monkeypatch.setattr(polynomials, "_int_product", lambda *a: calls.append(1) or product(*a))
+    for s in (8, 25):
+        f = sum((x ** (j * 2**s) for j in range(16)), R.zero)
+        calls.clear()
+        square = f * f
+        assert calls and square == _schoolbook(f, f) and len(square._t) == 31 and f**2 == square
+    big = x ** (2**30)
+    with pytest.raises(polynomials._ExponentLimitError, match=r"^monomial x\^2147483648 is past"):
+        (big + 1) * (big - 1)
+
+
+@pytest.mark.parametrize("order", _CHOOSER_ORDERS, ids=repr)
+def test_a_product_near_the_exponent_limit_names_the_same_monomial(order):
+    """Operands dense in x with an x field of ``2**30`` go to the schoolbook
+    loop, so a product past the limit raises with the text it always had:
+    the first term pair past it, ``x^(2^31 + 4)*y^6`` from the two first
+    terms, where the packed slots would meet ``x^(2^31)*y^6`` first.  Just
+    below the limit, at ``2**30 - 5``, the product is packed and whole."""
+    R = PolyRing(QQ, ["x", "y"], order)
+    for low, text in ((2**30 - 2, "monomial x^2147483652*y^6 is past"), (2**30 - 9, None)):
+        f = R.from_terms({(low + i, j): Fraction(i - j or 1) for i in reversed(range(5)) for j in range(3, -1, -1)})
+        g = R.from_terms({(low + i, j): Fraction(i + j + 1) for i in reversed(range(5)) for j in range(3, -1, -1)})
+        if text is None:
+            assert f * g == _schoolbook(f, g) and len(f._t) * len(g._t) >= 256
+            continue
+        with pytest.raises(polynomials._ExponentLimitError) as info:
+            f * g
+        assert str(info.value).startswith(text)

@@ -2,8 +2,8 @@
 no benchmark run, the two reports of ``tools/uncalled.py`` on small synthetic
 modules and on the paper's verifiers, without the traced suite, the file
 ``tools/ladder.py`` writes, on a one-rung dry run and on a two-pair run of
-one rung against itself, its glued-scheme and strata rungs on one run
-each, and its seeded dense text and covers."""
+one rung against itself, its glued-scheme, strata and product rungs on
+one run each, and its seeded dense text and covers."""
 
 import importlib.util
 import json
@@ -247,6 +247,27 @@ def test_the_strata_rungs_run_once_and_count_their_points(tmp_path):
     assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(r, "funscheme") for r in rungs]
     assert all(row["median_ms"] > 0 for row in report["rungs"])
     assert [len(ladder.RUNGS[r][2](zariski)()) for r in rungs] == [2400, 820, 750]
+
+
+def test_the_product_rungs_run_once_on_their_dense_operands(tmp_path):
+    """``mul_dense5_qq``, ``mul_bivariate30_qq`` and ``square_dense6_qq``
+    run once each.  Their seeded operands are every monomial of their
+    degree in x0..x2, 56 and 84 terms, and their products are dense: 283
+    of the 286 monomials of degree at most 10 (three cancel), 1,860 of the
+    1,891 of degree at most 60 in x and y (as sympy expands it), and 453 of
+    the 455 of degree at most 12."""
+    out = tmp_path / "BENCH_dry.json"
+    rungs = ["mul_dense5_qq", "mul_bivariate30_qq", "square_dense6_qq"]
+    report = ladder.main([arg for r in rungs for arg in ("--rung", r)] + ["--runs", "1", "--out", str(out)])
+    assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(r, "polynomials") for r in rungs]
+    assert all(row["median_ms"] > 0 for row in report["rungs"])
+    ring, _ = parse_ring("QQ[x0,x1,x2]")
+    for args, shape in (((3, 2, 5, 56, 5), (56, 5)), ((3, 1, 6, 84, 6), (84, 6))):
+        texts = ladder.dense_polys(*args)
+        assert texts == ladder.dense_polys(*args)
+        assert [(len(f.terms), f.total_degree()) for f in (parse_poly(t, ring) for t in texts)] == [shape] * args[1]
+    products = [ladder.RUNGS[r][2](zariski)() for r in rungs]
+    assert [(len(f.terms), f.total_degree()) for f in products] == [(283, 10), (1860, 60), (453, 12)]
 
 
 def test_a_two_pair_ladder_run_writes_both_files_with_their_pairs(tmp_path):

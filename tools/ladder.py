@@ -80,11 +80,11 @@ def katsura5_text(field, extra):
     return f"{field}[{','.join(f'u{i}' for i in range(6))}]/({', '.join(eqs + [extra])})"
 
 
-def dense_text(field, nvars, count, degree, nterms, seed):
-    """``count`` random polynomials in x0..x(nvars-1) as a quotient ring:
-    each has ``nterms`` terms of degree at most ``degree``, one of them of
-    degree exactly ``degree``, with coefficients of 1 to 9 in size and
-    either sign, drawn from ``random.Random(seed)``."""
+def dense_polys(nvars, count, degree, nterms, seed):
+    """``count`` random polynomials in x0..x(nvars-1), as texts: each has
+    ``nterms`` terms of degree at most ``degree``, one of them of degree
+    exactly ``degree``, with coefficients of 1 to 9 in size and either
+    sign, drawn from ``random.Random(seed)``."""
     rng = random.Random(seed)
     xs = [f"x{i}" for i in range(nvars)]
     monos = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
@@ -97,7 +97,26 @@ def dense_text(field, nvars, count, degree, nterms, seed):
             factors = [f"{x}^{e}" if e > 1 else x for x, e in zip(xs, m) if e]
             terms.append("*".join([str(rng.choice([-1, 1]) * rng.randint(1, 9))] + factors))
         gens.append(" + ".join(terms).replace("+ -", "- "))
-    return f"{field}[{','.join(xs)}]/({', '.join(gens)})"
+    return gens
+
+
+def dense_text(field, nvars, count, degree, nterms, seed):
+    """The ``dense_polys`` of these arguments as the relations of a quotient
+    ring over ``field``."""
+    xs = [f"x{i}" for i in range(nvars)]
+    return f"{field}[{','.join(xs)}]/({', '.join(dense_polys(nvars, count, degree, nterms, seed))})"
+
+
+def product(ring, left, right):
+    """``left * right`` in ``ring``, all three given as text; both factors
+    are built outside the clock."""
+
+    def prepare(z):
+        R = z.parse_ring(ring)[0]
+        f, g = (z.parse_poly(t, R) for t in (left, right))
+        return lambda: f * g
+
+    return prepare
 
 
 def basis(text):
@@ -318,6 +337,13 @@ RUNGS = {
     "pow_x1_400_qq": ("polynomials", "(x+1)^400 over QQ", power("QQ[x]", "x+1", 400)),
     "pow_x1_400_gf32003": ("polynomials", "(x+1)^400 over GF(32003)", power("GF(32003)[x]", "x+1", 400)),
     "pow_cubic_150_qq": ("polynomials", "(x^3+2x+1/3)^150 over QQ", power("QQ[x]", "x^3+2*x+1/3", 150)),
+    "mul_dense5_qq": ("polynomials", "the product of two dense polynomials of degree 5 in x0..x2 over QQ, 56 "
+                      "terms each (dense_polys(3, 2, 5, 56, 5)), the benchmark's product",
+                      product("QQ[x0,x1,x2]", *dense_polys(3, 2, 5, 56, 5))),
+    "mul_bivariate30_qq": ("polynomials", "(x+y+1)^30 * (x-y+2)^30 over QQ",
+                           product("QQ[x,y]", "(x+y+1)^30", "(x-y+2)^30")),
+    "square_dense6_qq": ("polynomials", "the square of a dense polynomial of degree 6 in x0..x2 over QQ, 84 terms "
+                         "(dense_polys(3, 1, 6, 84, 6))", power("QQ[x0,x1,x2]", dense_polys(3, 1, 6, 84, 6)[0], 2)),
     "cyclic5_qq": ("groebner", "GroebnerBasis of cyclic-5 over QQ", basis(cyclic5_text("QQ"))),
     "cyclic5_gf32003": ("groebner", "GroebnerBasis of cyclic-5 over GF(32003)",
                         basis(cyclic5_text("GF(32003)"))),
