@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar, _Value
 from .groebner import (
-    _relation_basis,
+    _RelationBasis,
     ideal_contains_one,
     unit_ideal_certificate,
 )
@@ -48,15 +48,13 @@ def _fresh_names(stems: Sequence[str], used: Iterable[str]) -> List[str]:
 class PresentedAlgebra(_Value):
     """A quotient of a polynomial ring by finitely many relations.
 
-    ``_memo``, written only by ``_remember``, keeps facts that depend on the
-    algebra alone, for its lifetime and for no other algebra, equal or not:
-    ``make_localization`` by ``("loc", f)``, ``radical_member`` by
-    ``("radical", f, frozenset(gens))``, its ring and lifted relations
-    (``_rabinowitsch``) by ``"rabinowitsch"``, ``try_invert`` by ``("inv",
-    c)``, ``enumerate_elements`` by ``"elements"``, and in ``funscheme``
-    the Frobenius matrix by ``"frobenius"``, the nilradical by
-    ``"nilradical"``, ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by
-    ``"atoms"`` and Spec by ``"spec"``.
+    ``_memo``, written only by ``_remember``, keeps facts that depend on the algebra
+    alone, for its lifetime and for no other algebra, equal or not: ``make_localization``
+    by ``("loc", f)``, ``radical_member`` by ``("radical", f, frozenset(gens))``, its ring
+    and lifted relations (``_rabinowitsch``) by ``"rabinowitsch"``, ``try_invert`` by
+    ``("inv", c)``, ``enumerate_elements`` by ``"elements"``, and in ``funscheme`` the
+    Frobenius matrix by ``"frobenius"``, the nilradical by ``"nilradical"``,
+    ``is_reduced`` by ``"reduced"``, ``atomic_factors`` by ``"atoms"`` and Spec by ``"spec"``.
     """
 
     __slots__ = ("ring", "relations", "gb", "_memo")
@@ -68,7 +66,7 @@ class PresentedAlgebra(_Value):
                 raise ValueError("relation from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "gb", _relation_basis(ring, rels))
+        object.__setattr__(self, "gb", _RelationBasis(ring, rels))
         object.__setattr__(self, "_memo", {})
 
     def _key(self):

@@ -186,9 +186,9 @@ def _atom_table(p: SchemePoint, plan: Sequence[tuple]):
     A sample n/f**k of chart j is m(n) * m(f)**-k at an atom whose map
     m = ``funscheme._chart_map(X, c, phi, j)`` sends f to a unit, else None;
     each m(f) is evaluated once.  Units are decided by ``funscheme._is_unit``:
-    nonzero when B is reduced, else outside the factor's nilradical.  Local: per sample, the
-    atoms with a unit value are those where phi sends a generator of the
-    sample's support in chart c to a unit.  Roundtrip: each atom's lowest
+    nonzero when B is reduced, else outside the factor's nilradical.
+    Local: per sample, the atoms with a unit value are those where phi
+    sends a generator of the sample's support in chart c to a unit.  Roundtrip: each atom's lowest
     chart map, the piece ``adjunction_flat`` reads first, is (c, phi) itself.
     That is what ``_lowest_chart`` would decide from it: a map on a chart
     j < c puts the atom's lowest chart at j or below, never at c.

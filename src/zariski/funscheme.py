@@ -218,18 +218,15 @@ def _is_unit(reduced: bool, b: AlgebraElement) -> bool:
     """Whether b, in a local factor of a finite test algebra B, is a unit
     there: nonzero when B is reduced (``is_reduced(B)``: its local factors
     are fields), else outside the factor's nilradical, with no certificate."""
-    if reduced:
-        return not b.is_zero()
-    forms, t = b.algebra._remember("nilradical", _nilradical, b.algebra), b.poly._t
-    return any(sum([c * form.get(m, 0) for m, c in t.items()]) % b.algebra.field.char for form in forms)
+    return not b.is_zero() if reduced else any(
+        sum([c * form.get(m, 0) for m, c in b.poly._t.items()]) % b.algebra.field.char
+        for form in b.algebra._remember("nilradical", _nilradical, b.algebra))
 
 
 def _nilradical(B: PresentedAlgebra) -> Tuple[dict, ...]:
-    """The nilradical of a finite B, ker F^N for F the Frobenius matrix and
-    p^N >= dim B (a nilpotent b has b**dim B == 0), as the nonzero rows of
-    F^N, each a dict on staircase monomials; remembered as "nilradical"."""
-    stairs, frob = _frobenius(B)
-    p = B.field.char
+    """The nonzero rows of F^N on the staircase of a finite B, F the Frobenius matrix
+    and p^N >= dim B: their common kernel is the nilradical (b**dim B == 0)."""
+    (stairs, frob), p = _frobenius(B), B.field.char
     power, reach = frob, p
     while reach < len(stairs):
         power = [[sum(map(int.__mul__, row, col)) % p for col in zip(*frob)] for row in power]

@@ -286,19 +286,17 @@ class GroebnerBasis(_Frozen):
     __slots__ = ("ring", "gens", "basis", "cofactors", "_leads")
 
     def __init__(self, ring: PolyRing, gens: Sequence[Poly]):
-        self._complete(ring, gens, True)
-
-    def _complete(self, ring: PolyRing, gens: Sequence[Poly], want_cofactors: bool) -> None:
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        engine = _Engine(gens, ring, want_cofactors)
+        rows = not isinstance(self, _RelationBasis)
+        engine = _Engine(gens, ring, want_cofactors=rows)
         engine.run(stop_at_unit=False)
         basis, cofactors = engine.reduced()
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "cofactors", cofactors if want_cofactors else None)
+        object.__setattr__(self, "cofactors", cofactors if rows else None)
         object.__setattr__(self, "_leads", tuple(b._lead() for b in basis))
 
     def __repr__(self):
@@ -335,12 +333,10 @@ class GroebnerBasis(_Frozen):
         return _row_sum(self.ring, len(self.gens), terms)
 
 
-def _relation_basis(ring: PolyRing, relations: Sequence[Poly]) -> GroebnerBasis:
-    """``GroebnerBasis`` of ``relations`` on the engine's row-free path, for
-    a presented algebra, which reads no row: ``cofactors`` is None."""
-    gb = object.__new__(GroebnerBasis)
-    gb._complete(ring, relations, False)
-    return gb
+class _RelationBasis(GroebnerBasis):
+    """A presented algebra's basis on the engine's row-free path: ``cofactors`` is None."""
+
+    __slots__ = ()
 
 
 def ideal_contains_one(gens: Sequence[Poly], ring: PolyRing) -> bool:

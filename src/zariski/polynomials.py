@@ -410,8 +410,7 @@ class Poly(_Value):
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        """The product of the integer terms by ``_product``, checked against
-        the exponent limit, reduced mod p or normalized once over QQ."""
+        """``_product`` of the integer terms, limit-checked, then reduced mod p or normed."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -425,14 +424,13 @@ class Poly(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        """``self**n`` on the integer terms by J. C. P. Miller's recurrence
-        (``_miller``; Knuth, *TAOCP* vol. 2, §4.7), best for dense powers in
-        Monagan & Pearce, *Sparse polynomial powering using heaps* (CASC
-        2012): ``(|f| - 1) * |f**n|`` products, where repeated multiplication
-        by the base takes ``|f| * sum(|f**j| for j < n)``.  That stays for
-        ``n <= 3`` and where ``_miller`` cannot divide, each product by
-        ``_product``.  A monomial is raised directly, and zero is returned
-        as it is.
+        """``self**n`` on the integer terms by J. C. P. Miller's recurrence (``_miller``;
+        Knuth, *TAOCP* vol. 2, §4.7), best for dense powers in Monagan & Pearce,
+        *Sparse polynomial powering using heaps* (CASC 2012): ``(|f| - 1) * |f**n|``
+        products, where repeated multiplication by the base, each product by
+        ``_product``, takes ``|f| * sum(|f**j| for j < n)``.  That stays for ``n <= 3``
+        and where ``_miller`` cannot divide.  A monomial is raised directly, and
+        zero is returned as it is.
 
         Each field of the power is at most ``n`` times the largest field
         of the base, reached by the ``n``-th power of a base term; that is
@@ -637,8 +635,7 @@ def _plus(f: Poly, g: Poly, sign: int) -> Poly:
 
 
 def _int_product(acc: Dict[int, int], a: Iterable, b: Iterable) -> Dict[int, int]:
-    """``acc`` plus the unreduced products of two term lists, per monomial,
-    by the schoolbook loop: one dict update per term pair."""
+    """``acc`` plus the unreduced products of two term lists, one dict update per pair."""
     b = list(b)
     get = acc.get
     for m1, c1 in a:
@@ -649,49 +646,39 @@ def _int_product(acc: Dict[int, int], a: Iterable, b: Iterable) -> Dict[int, int
 
 
 def _product(ring: PolyRing, a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
-    """``_int_product({}, a.items(), b.items())``, by Kronecker substitution
-    in the variable x of the largest field in the OR of the monomials where
-    both operands are dense in x: 256 term pairs, 4 per group pair, and
-    each group's slot range at least half full (Fateman, 2005; Harvey, JSC
-    44(10), 2009).  A group, the terms of one monomial less x's power, packs
-    into an int of signed k-bit slots from its lowest power of x; a product
-    monomial sums at most ``min(|a|, |b|)`` term products, so ``2**(k-1) >
-    min(|a|, |b|) * max|a| * max|b|``.  Group products with one lowest
-    monomial add up and read back as balanced base-``2**k`` digits.  A
-    field of ``2**30`` may pass the exponent limit: the schoolbook loop
-    keeps its term order for ``_checked``."""
+    """``_int_product({}, a.items(), b.items())`` by Kronecker substitution (Fateman, 2005;
+    Harvey, JSC 44(10), 2009) in the variable x of the largest field, where both operands
+    are dense in x: 256 term pairs, 4 per group pair, each group's range of x at least half
+    full.  A group, the terms of one monomial less x's power, packs into an int of signed
+    k-bit slots from its lowest power of x, ``2**(k-1) > min(|a|, |b|) * max|a| * max|b|``;
+    group products add up per lowest monomial and read back as balanced digits.  A field
+    of ``2**30`` may pass the exponent limit: the schoolbook loop keeps its order for it."""
     if len(a) * len(b) < 256 or (top := reduce(or_, a, 0) | reduce(or_, b, 0)) & ring._guard >> 1:
         return _int_product({}, a.items(), b.items())
     s, u = max(zip(ring._shifts, ring._units), key=lambda su: top >> su[0] & _VALUE)
     groups: List[Dict[int, Dict[int, int]]] = [{}, {}]
     for t, gs in zip((a, b), groups):
         for m, c in t.items():
-            e = m >> s & _VALUE
-            gs.setdefault(m - e * u, {})[e] = c
+            gs.setdefault(m - (e := m >> s & _VALUE) * u, {})[e] = c
     if 4 * len(groups[0]) * len(groups[1]) > len(a) * len(b) or any(
             max(g) - min(g) >= 2 * len(g) for gs in groups for g in gs.values()):
         return _int_product({}, a.items(), b.items())
     k = (min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))).bit_length() + 1
-    # each group as its lowest monomial and its int
     packed = [[(m + lo * u, sum([c << k * (e - lo) for e, c in g.items()]))
                for m, g in gs.items() for lo in (min(g),)] for gs in groups]
     sums: Dict[int, int] = {}
-    get = sums.get
     for ma, pa in packed[0]:
         for mb, pb in packed[1]:
-            sums[ma + mb] = get(ma + mb, 0) + pa * pb
+            sums[ma + mb] = sums.get(ma + mb, 0) + pa * pb
     acc: Dict[int, int] = {}
-    get = acc.get
     mask, half, full = (1 << k) - 1, 1 << k - 1, 1 << k
     for m, n in sums.items():
         while n:
-            c = n & mask
-            n >>= k
+            c, n = n & mask, n >> k
             if c >= half:  # a negative digit borrows one from the next slot
-                c -= full
-                n += 1
+                c, n = c - full, n + 1
             if c:
-                acc[m] = get(m, 0) + c
+                acc[m] = acc.get(m, 0) + c
             m += u
     return acc
 

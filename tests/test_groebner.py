@@ -47,7 +47,7 @@ def test_reduced_bases_match_the_frozen_oracle():
 
 
 def test_a_relation_basis_is_the_basis_without_rows():
-    """``groebner._relation_basis``, the basis of every ``PresentedAlgebra``,
+    """``groebner._RelationBasis``, the basis of every ``PresentedAlgebra``,
     runs the engine without rows: the basis, its printed text and its leads
     are those of ``GroebnerBasis`` for every frozen system, the unit ideal
     and no relation at all, and it hands out no row it did not compute:
@@ -57,7 +57,7 @@ def test_a_relation_basis_is_the_basis_without_rows():
     for (order, modulus), gens in systems:
         ring = _ring_for(modulus, order=order)
         polys = [_parse_sympy(g, ring) for g in gens]
-        full, bare = GroebnerBasis(ring, polys), groebner._relation_basis(ring, polys)
+        full, bare = GroebnerBasis(ring, polys), groebner._RelationBasis(ring, polys)
         assert bare.basis == full.basis and bare._leads == full._leads and bare.gens == full.gens
         assert [str(b) for b in bare.basis] == [str(b) for b in full.basis]
         assert bare.cofactors is None and full.cofactors is not None
