@@ -1,19 +1,15 @@
 """Schemes as functors of points on finitely presented algebras.
 
-The functor of points of a scheme is read off the same ``LatticeScheme``
-that presents it as a locally ringed lattice, and a point names that
-scheme.  An affine scheme is the case of one chart and no patches.  Points
-over a finite test algebra B are computed exactly: B splits along its
-atomic idempotents into local factors B_e, and each factor's points are
-the chart homs kept at their lowest chart.  A point over a local ring lies
-in chart j exactly when some patch denominator to chart j maps to a unit
-(the open subfunctor D(f)).  So X(B_e) is the disjoint union of the strata
-U_j(B_e) minus the lower charts, and chart j's hom search, given those
-denominators as non-unit conditions (``_is_unit``), builds its own stratum
-alone, with no chart map.  Compact opens of the scheme evaluate pointwise
-to basic opens of B; locality (the equalizer condition along a cover of B)
-and the realization of a compact open as a scheme of its own are
-decidable at this scale.
+The functor of points of a scheme is read off the same ``LatticeScheme`` that presents it as a locally
+ringed lattice, and a point names that scheme.  An affine scheme is the case of one chart and no patches.
+Points over a finite test algebra B are computed exactly: B splits along its atomic idempotents into local
+factors B_e, and each factor's points are the chart homs kept at their lowest chart.  A point over a local
+ring lies in chart j exactly when some patch denominator to chart j maps to a unit (the open subfunctor
+D(f)).  So X(B_e) is the disjoint union of the strata U_j(B_e) minus the lower charts, and chart j's hom
+search, given those denominators as non-unit conditions (``_is_unit``), builds its own stratum alone, with
+no chart map.  Compact opens of the scheme evaluate pointwise to basic opens of B; locality (the equalizer
+condition along a cover of B) and the realization of a compact open as a scheme of its own are decidable at
+this scale.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
-    _coordinates,
     _kernel_mod_p,
     _homs,
     _morphism,
@@ -33,14 +28,14 @@ from .algebra import (
     make_localization,
     try_extend,
 )
-from .fields import _Value
+from .fields import _Frozen, _Value
 from .lattice import ZarElement, basic_open, eq, top
 from .latscheme import (
     CompactOpen,
     LatticeScheme,
     restrict_scheme,
 )
-from .polynomials import _poly, poly_sort_key
+from .polynomials import _poly, _set, poly_sort_key
 from .sheaf import restriction_map
 
 
@@ -57,11 +52,9 @@ def functorial(X: LatticeScheme) -> LatticeScheme:
 class SchemePoint(_Value):
     """A point of a scheme over a test algebra B.
 
-    ``factors`` lists (idempotent e, chart index, morphism chart -> B/(1-e))
-    over the atomic idempotent decomposition of B; each factor's chart index
-    is the lowest chart containing the factor's image, which makes the
-    representation canonical.  Over the trivial algebra the factor list is
-    empty.
+    ``factors`` lists (idempotent e, chart index, morphism chart -> B/(1-e)) over the atomic idempotent
+    decomposition of B; each factor's chart index is the lowest chart containing the factor's image, which
+    makes the representation canonical.  Over the trivial algebra the factor list is empty.
     """
 
     __slots__ = ("scheme", "test_algebra", "factors")
@@ -93,34 +86,29 @@ class SchemePoint(_Value):
 def is_reduced(B: PresentedAlgebra) -> bool:
     """No nonzero nilpotents, decided by the kernel of Frobenius.
 
-    Over GF(p) the map b -> b**p is GF(p)-linear, and it kills a nonzero
-    element exactly when B has a nonzero nilpotent (b**(p**k) = 0 makes some
-    b**(p**i) a nonzero element with zero p-th power).  So B is reduced iff
-    Frobenius has full rank on the staircase basis: one row reduction over
-    GF(p) of the matrix ``_frobenius`` keeps on B, whose difference with the
-    identity gives the atoms (``atomic_factors``).  The answer is remembered
-    on B (in ``B._memo``, next to its inverses), so tabling many points over
-    one algebra (``compare._atom_table``) decides it once.
+    Over GF(p) the map b -> b**p is GF(p)-linear, and it kills a nonzero element exactly when B has a
+    nonzero nilpotent (b**(p**k) = 0 makes some b**(p**i) a nonzero element with zero p-th power).  So B is
+    reduced iff Frobenius has full rank on the staircase basis: one row reduction over GF(p) of the matrix
+    ``_frobenius`` keeps on B, whose difference with the identity gives the atoms (``atomic_factors``).  The
+    answer is remembered on B (in ``B._memo``, next to its inverses), so tabling many points over one
+    algebra (``compare._atom_table``) decides it once.
     """
     return B._remember("reduced", lambda: not _kernel_mod_p(_frobenius(B)[1], B.field.char))
 
 
 def atomic_factors(B: PresentedAlgebra) -> List[Tuple[AlgebraElement, AlgebraMorphism]]:
-    """Each atom e of B, in ``poly_sort_key`` order, with its projection
-    B -> B/(1 - e): one factor algebra per atom (a fresh list).
+    """Each atom e of B, in ``poly_sort_key`` order, with its projection B -> B/(1 - e): one factor algebra
+    per atom (a fresh list).
 
-    The atoms (minimal nonzero idempotents) are read off Frobenius.  In any
-    finite GF(p)-algebra, reduced or not, the fixed space of b -> b**p is
-    GF(p)^r, spanned by the r atoms: B is a product of local rings, and in
-    a local one b**p == b forces b into GF(p).  So a fixed b is a sum of
-    c_k * e_k, the idempotent 1 - (b - c)**(p - 1) is the sum of the atoms
-    on which b takes the value c, and splitting 1 along every basis vector
-    of the fixed space leaves exactly the atoms (Berlekamp).  A fixed space
-    of dimension one makes 1 the only atom, projected by the identity.  The
-    zero ring has no atoms, over any field, and builds no Frobenius matrix;
-    other algebras over QQ are refused.  Remembered on B, in
-    ``B._memo["atoms"]``; the Frobenius matrix is the one ``is_reduced``
-    reads (``_frobenius``).
+    The atoms (minimal nonzero idempotents) are read off Frobenius.  In any finite GF(p)-algebra, reduced or
+    not, the fixed space of b -> b**p is GF(p)^r, spanned by the r atoms: B is a product of local rings, and
+    in a local one b**p == b forces b into GF(p).  So a fixed b is a sum of c_k * e_k, the idempotent
+    1 - (b - c)**(p - 1) = 1 - sum_k c**(p - 1 - k) * b**k is the sum of the atoms on which b takes the
+    value c, and splitting 1 along every basis vector of the fixed space leaves exactly the atoms
+    (Berlekamp), all on the codes of B's regular representation (``_Regular``).  A fixed space of dimension
+    one makes 1 the only atom, projected by the identity.  The zero ring has no atoms, over any field, and
+    builds no Frobenius matrix; other algebras over QQ are refused.  Remembered on B, in
+    ``B._memo["atoms"]``; the Frobenius matrix is the one ``is_reduced`` reads (``_frobenius``).
     """
     return list(B._remember("atoms", _atomic_factors, B))
 
@@ -134,42 +122,98 @@ def _atomic_factors(B: PresentedAlgebra) -> Tuple[Tuple[AlgebraElement, AlgebraM
     fixed = _kernel_mod_p(shifted, p)
     if len(fixed) == 1:
         return ((B.one, AlgebraMorphism.identity(B)),)
-    atoms = [B.one]
+    R, atoms = _regular(B), None
+    one = R.weights[0]  # the code of 1: stairs[0] is the monomial 1
+    # 1 - (x - c)**(p - 1) = 1 - sum_k c**(p - 1 - k) * x**k, as C(p - 1, k) = (-1)**k mod p
+    terms = [[pow(c, p - 1 - k, p) for k in range(p)] for c in range(p)]
     for x in fixed:
-        b = AlgebraElement(B, _poly(B.ring, {m: c for m, c in zip(stairs, x) if c}))
-        if b.poly.is_constant():
+        if not any(x[1:]):
             continue
-        level_sets = [1 - (b - c) ** (p - 1) for c in range(p)]
-        atoms = [
-            piece
-            for e in atoms
-            for piece in (e * u for u in level_sets)
-            if not piece.is_zero()
-        ]
+        xs = [one, R.code(x)]
+        for _ in range(p - 2):
+            xs.append(R.mul(xs[-1], xs[1]))
+        rows = list(zip(*map(R.digits, xs)))  # rows[i][k]: coordinate i of x**k
+        level_sets = [R.code([(i == 0) - sum(map(int.__mul__, t, row)) for i, row in enumerate(rows)])
+                      for t in terms]
+        pieces = (R.mul(e, u) for e in atoms for u in level_sets) if atoms else level_sets
+        atoms = [u for u in pieces if u]
         if len(atoms) == len(fixed):
             break
-    atoms.sort(key=lambda e: poly_sort_key(e.poly))
-    if sum(atoms, B.zero) != B.one:
-        raise NonReducedAlgebraError(
-            f"atomic idempotents of {B!r} do not decompose the unit"
-        )
-    return tuple([(e, factor_projection(B, e)) for e in atoms])
+    if [sum(col) % p for col in zip(*map(R.digits, atoms))] != R.digits(one):
+        raise NonReducedAlgebraError(f"atomic idempotents of {B!r} do not decompose the unit")
+    elements = sorted(map(R.element, atoms), key=lambda e: poly_sort_key(e.poly))
+    return tuple([(e, factor_projection(B, e)) for e in elements])
 
 
 def _frobenius(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
-    """The packed staircase basis of a finite B over GF(p) and the matrix of
-    b -> b**p on it: column j holds the coordinates of (basis j)**p.  Built
-    once per B, in ``B._memo["frobenius"]``, for ``is_reduced`` and
+    """The packed staircase basis of a finite B over GF(p) and the matrix of b -> b**p on it: column j holds
+    the coordinates of (basis j)**p.  Built once per B, in ``B._memo["frobenius"]``, for ``is_reduced`` and
     ``atomic_factors``; raises ``ValueError`` over QQ or if B is infinite."""
     return B._remember("frobenius", _frobenius_matrix, B)
 
 
 def _frobenius_matrix(B: PresentedAlgebra) -> Tuple[List[int], List[List[int]]]:
     stairs, p = B._stairs(), B.field.char
-    # 1**p == 1, without a normal form
-    powers = [(AlgebraElement(B, _poly(B.ring, {m: 1})) ** p).poly._t if m else {0: 1}
-              for m in stairs]
-    return stairs, _coordinates(stairs, powers)
+    if len(stairs) < 2:  # a prime field builds no regular representation, and 1**p == 1 everywhere
+        return stairs, [[1]] * len(stairs)
+    R = B._remember("regular", _Regular, B, stairs)
+    return stairs, [list(r) for r in zip(*[R.digits(R.power(w, p) if m else w) for m, w in R.weights.items()])]
+
+
+def _regular(B: PresentedAlgebra) -> "_Regular":
+    """B's regular representation, built once per B, in ``B._memo["regular"]``."""
+    return B._remember("regular", lambda: _Regular(B, B._stairs()))
+
+
+class _Regular(_Frozen):
+    """A finite algebra B over GF(p) in its regular representation (Cohen, *A Course in Computational
+    Algebraic Number Theory*, GTM 138, 1993).  An element is its code, its coordinates on B's packed
+    staircase read as base-p digits: code i names ``B.enumerate_elements()[i]``.  ``products[i][j]`` is
+    stairs[i] * stairs[j], a staircase monomial or one normal form per product monomial, packed into one
+    int with coordinate k at bit ``k * width``, so that no slot of a product's sum carries."""
+
+    __slots__ = ("algebra", "p", "stairs", "weights", "products", "width")
+
+    def __init__(self, B: PresentedAlgebra, stairs: List[int]):
+        p, n = B.field.char, len(stairs)
+        width = (n * n * (p - 1) ** 3).bit_length()  # bounds a slot of a product's sum
+        row_of, forms = {m: i for i, m in enumerate(stairs)}, {}
+        for m in {a + b for a in stairs for b in stairs}:
+            terms = {m: 1} if m in row_of else B.normal_form(_poly(B.ring, {m: 1}))._t
+            forms[m] = sum([c << width * row_of[u] for u, c in terms.items()])
+        weights = {m: p ** (n - 1 - i) for i, m in enumerate(stairs)}
+        products = [[forms[a + b] for b in stairs] for a in stairs]
+        for name, value in zip(self.__slots__, (B, p, stairs, weights, products, width)):
+            _set(self, name, value)
+
+    def mul(self, a: int, b: int) -> int:
+        acc, y = 0, self.digits(b)
+        for xi, row in zip(self.digits(a), self.products):
+            if xi:
+                for yj, w in zip(y, row):
+                    if yj:
+                        acc += xi * yj * w
+        return self.code([acc >> self.width * k & (1 << self.width) - 1 for k in range(len(y))])
+
+    def power(self, a: int, e: int) -> int:
+        out = a  # e >= 1, squared and multiplied bit by bit from the top
+        for bit in bin(e)[3:]:
+            out = self.mul(self.mul(out, out), a) if bit == "1" else self.mul(out, out)
+        return out
+
+    def code(self, x: List[int]) -> int:  # of the coordinates x, reduced mod p
+        return sum([d % self.p * w for d, w in zip(x, self.weights.values())])
+
+    def digits(self, code: int) -> List[int]:
+        return [code // w % self.p for w in self.weights.values()]
+
+    def encode(self, b: AlgebraElement) -> int:
+        weights = self.weights
+        return sum([c * weights[m] for m, c in b.poly._t.items()])
+
+    def element(self, code: int) -> AlgebraElement:  # B.enumerate_elements()[code], built alone
+        terms = {m: d for m, d in zip(self.stairs, self.digits(code)) if d}
+        return AlgebraElement(self.algebra, _poly(self.algebra.ring, terms))
 
 
 def connected_factor(B: PresentedAlgebra, e: AlgebraElement) -> PresentedAlgebra:
@@ -214,36 +258,33 @@ def _lowest_chart(
     return c, phi
 
 
-def _is_unit(reduced: bool, b: AlgebraElement) -> bool:
-    """Whether b, in a local factor of a finite test algebra B, is a unit
-    there: nonzero when B is reduced (``is_reduced(B)``: its local factors
-    are fields), else outside the factor's nilradical, with no certificate."""
-    return not b.is_zero() if reduced else any(
-        sum([c * form.get(m, 0) for m, c in b.poly._t.items()]) % b.algebra.field.char
-        for form in b.algebra._remember("nilradical", _nilradical, b.algebra))
+def _is_unit(reduced: bool, B: PresentedAlgebra, code: int) -> bool:
+    """Whether the element of code ``code`` (``_Regular``) of a local factor B of a finite test algebra is a
+    unit: nonzero when the test algebra is reduced (its local factors are fields), else not nilpotent."""
+    return code != 0 if reduced else any(sum([a * (code // w % p) for w, a in row]) % p
+                                         for p, row in B._remember("nilradical", _nilradical, B))
 
 
-def _nilradical(B: PresentedAlgebra) -> Tuple[dict, ...]:
-    """The nonzero rows of F^N on the staircase of a finite B, F the Frobenius matrix
-    and p^N >= dim B: their common kernel is the nilradical (b**dim B == 0)."""
+def _nilradical(B: PresentedAlgebra) -> Tuple[tuple, ...]:
+    """The nonzero rows of F^N, F the Frobenius matrix and p^N >= dim B, whose common kernel is B's nilradical
+    (b**dim B == 0): each as p and its nonzero entries, each with the weight of its coordinate in a code."""
     (stairs, frob), p = _frobenius(B), B.field.char
     power, reach = frob, p
     while reach < len(stairs):
         power = [[sum(map(int.__mul__, row, col)) % p for col in zip(*frob)] for row in power]
         reach *= p
-    return tuple([{m: a for m, a in zip(stairs, row) if a} for row in power if any(row)])
+    weights = _regular(B).weights.values()
+    return tuple([(p, [(w, a) for w, a in zip(weights, row) if a]) for row in power if any(row)])
 
 
 def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
     """All points of X over the finite test algebra B, canonically represented.
 
-    B splits along its atomic idempotents into local factors, and each
-    factor's points are the chart homs kept at their lowest chart: every hom
-    of chart 0, and the beta of chart j > 0 with no unit beta(Q.f) for a
-    patch Q to a lower chart (``_is_unit``), which the search of chart j
-    takes as non-unit conditions (``algebra._homs``), so it builds no hom
-    to drop.  Only a chart j > 0 asks whether B is reduced.  The zero ring
-    has no atoms, so its one point is the empty product, with no factors.
+    B splits along its atomic idempotents into local factors, and each factor's points are the chart homs
+    kept at their lowest chart: every hom of chart 0, and the beta of chart j > 0 with no unit beta(Q.f) for
+    a patch Q to a lower chart (``_is_unit``), which the search of chart j takes as non-unit conditions
+    (``algebra._homs``), so it builds no hom to drop.  Only a chart j > 0 asks whether B is reduced.  The
+    zero ring has no atoms, so its one point is the empty product, with no factors.
     """
     per_atom: List[List[Tuple[AlgebraElement, int, AlgebraMorphism]]] = []
     for e, to_factor in atomic_factors(B):
@@ -252,7 +293,9 @@ def eval_points(X: LatticeScheme, B: PresentedAlgebra) -> List[SchemePoint]:
             (e, j, beta)
             for j, A in enumerate(X.charts)
             for beta in (_homs(A, Be, [Q.f.poly for i in range(j) for Q in X.patches_for(j, i)],
-                               lambda b: _is_unit(is_reduced(B), b)) if j else enumerate_homs(A, Be))
+                               (lambda b: not b.is_zero()) if is_reduced(B)
+                               else lambda b, R=_regular(Be): _is_unit(False, Be, R.encode(b)))
+                         if j else enumerate_homs(A, Be))
         ])
     return [SchemePoint(X, B, list(combo)) for combo in _iproduct(*per_atom)]
 
@@ -277,9 +320,8 @@ def open_at_point(U: CompactOpen, p: SchemePoint) -> ZarElement:
 def _atom_under(
     atoms: Sequence[AlgebraElement], chi: AlgebraMorphism, to_factor: AlgebraMorphism
 ) -> int:
-    """For chi : B -> B2, the index among B's ``atoms`` of the one atom e
-    under the atom e2 of B2 that ``to_factor`` projects to: chi(e) = 1 in
-    B2/(1 - e2)."""
+    """For chi : B -> B2, the index among B's ``atoms`` of the one atom e under the atom e2 of B2 that
+    ``to_factor`` projects to: chi(e) = 1 in B2/(1 - e2)."""
     for i, e in enumerate(atoms):
         if to_factor(chi(e)) == to_factor.target.one:
             return i
@@ -323,11 +365,10 @@ def check_locality(
 ) -> bool:
     """X(B) is exactly the matching families along the cover {D(f)} of B.
 
-    Checks by enumeration that restriction to the cover pieces is injective
-    and that the families agreeing on the pairwise overlaps are as many as
-    the global points.  Each local point is restricted to each overlap once;
-    the families are then joined piece by piece, a point of piece k joining
-    a partial family whose points it equals on their overlaps with piece k.
+    Checks by enumeration that restriction to the cover pieces is injective and that the families agreeing
+    on the pairwise overlaps are as many as the global points.  Each local point is restricted to each
+    overlap once; the families are then joined piece by piece, a point of piece k joining a partial family
+    whose points it equals on their overlaps with piece k.
     """
     if not eq(basic_open(B, list(pieces)), top(B)):
         raise ValueError("the given elements do not cover the test algebra")

@@ -316,6 +316,22 @@ FROZEN_GROEBNER = {
     ("lex", 0, ("x**3 - x",)): ("x**3 - x",),
 }
 
+def frobenius_by_powers(B):
+    """The matrix of b -> b**p on the staircase basis of a finite algebra
+    ``B`` over GF(p), built from the p-th powers of its basis elements in
+    ``B``'s own arithmetic (normal forms of products): column j holds the
+    coordinates of (basis j)**p.  The oracle for
+    ``funscheme._frobenius_matrix``; ``B`` is read through its methods."""
+    stairs, p = B._stairs(), B.field.char
+    monos = [B.ring._mono(m) for m in stairs]
+    rows = [[0] * len(stairs) for _ in stairs]
+    for j, m in enumerate(monos):
+        power = B.element(B.ring.from_terms({m: 1})) ** p
+        for mono, c in power.poly.terms.items():
+            rows[monos.index(mono)][j] = c
+    return stairs, rows
+
+
 def staircase(names, leads, key):
     """The exponent tuples that no tuple of ``leads`` divides, sorted by
     ``key``: the monomial basis of a finite quotient whose Groebner basis

@@ -28,6 +28,7 @@ from zariski.compare import point_morphism
 from zariski.fields import GF, QQ
 from zariski.funscheme import (
     SchemePoint,
+    _chart_map,
     _lowest_chart,
     map_point,
     realization,
@@ -321,6 +322,43 @@ def morphisms_agree(pi1, pi2, opens, samples=None):
                 if common.to_loc(n1 * h2**k2) != common.to_loc(n2 * h1**k1):
                     return False
     return True
+
+
+def atom_table_by_elements(p, plan):
+    """(values, local, roundtrip) of the point p on the sample ``plan``
+    (``compare._sample_plan``), each value an element of its local factor:
+    every chart map built by ``funscheme._chart_map``, every sample value
+    m(n) * m(f)**-k evaluated by morphisms and normal forms, every unit
+    certified by ``try_invert``.  The element-based table that
+    ``compare._atom_table`` reads on codes: its oracle, through
+    ``table_codes``."""
+    X = p.scheme
+
+    def unit(b):
+        return b.algebra.try_invert(b) is not None
+
+    maps = [[_chart_map(X, c, phi, j) for j in range(X.ncharts)] for (_, c, phi) in p.factors]
+    values, local = [], True
+    for (j, f, n, k, gens) in plan:
+        row = []
+        for (_, c, phi), ms in zip(p.factors, maps):
+            m, value = ms[j], None
+            if m is not None and unit(m(f)):
+                value = m(n) * m(f).algebra.try_invert(m(f)) ** k
+            row.append(value)
+            local = local and (value is not None and unit(value)) == any(unit(phi(g)) for g in gens[c])
+        values.append(tuple(row))
+    lowest = [next((j, m) for j, m in enumerate(ms) if m is not None) for ms in maps]
+    return tuple(values), local, local and lowest == [(c, phi) for (_, c, phi) in p.factors]
+
+
+def table_codes(p, table):
+    """A table of ``atom_table_by_elements`` with each value replaced by its
+    index in its local factor's ``enumerate_elements()``, the code that
+    ``compare._atom_table`` keeps."""
+    values, local, roundtrip = table
+    index = [{b: i for i, b in enumerate(phi.target.enumerate_elements())} for (_, _, phi) in p.factors]
+    return tuple([tuple([None if v is None else at[v] for v, at in zip(row, index)]) for row in values]), local, roundtrip
 
 
 def sample_opens(X):

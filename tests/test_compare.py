@@ -20,6 +20,7 @@ from support import (
     NILPOTENT_IDS,
     affine_opens,
     as_hom,
+    atom_table_by_elements,
     carry_point_in,
     finite_algebras,
     gf3_split,
@@ -32,8 +33,9 @@ from support import (
     sample_opens,
     section_value_at_point,
     spec_morphism,
+    table_codes,
 )
-from zariski import compare, latscheme, sheaf
+from zariski import compare, funscheme, latscheme, sheaf
 from zariski.algebra import (
     AlgebraMorphism,
     PresentedAlgebra,
@@ -506,9 +508,18 @@ def _algebra(text: str) -> PresentedAlgebra:
     return PresentedAlgebra(*parse_ring(text))
 
 
+def _atom_table(p, plan):
+    """``compare._atom_table`` of p on ``plan``, compiled for this call, with
+    each value's code read back as the element of its local factor."""
+    values, local, roundtrip = compare._atom_table(p, compare._compile(p.scheme, plan), {})
+    views = [funscheme._regular(phi.target) for (_, _, phi) in p.factors]
+    elements = tuple(tuple(None if v is None else R.element(v) for v, R in zip(row, views)) for row in values)
+    return elements, local, roundtrip
+
+
 def _table(X, p):
     """The point's values on ``local_samples(X)``, locality and roundtrip."""
-    return compare._atom_table(p, compare._sample_plan(X))
+    return _atom_table(p, compare._sample_plan(X))
 
 
 def _count_tables(monkeypatch):
@@ -625,7 +636,7 @@ def test_a_sample_over_a_smaller_piece_takes_inverse_values(monkeypatch, B):
     plan = compare._sample_plan(X)
     assert plan[-1][3] == 1
     for p in eval_points(X, B):
-        values, local, roundtrip = compare._atom_table(p, plan)
+        values, local, roundtrip = _atom_table(p, plan)
         assert local and roundtrip
         images = [phi.images[0] for (_, _, phi) in p.factors]
         assert values[-1] == tuple(b.algebra.try_invert(b) for b in images)
@@ -639,7 +650,7 @@ def test_a_support_that_disagrees_with_the_values_is_not_local():
     wrong = [(j, f, n, k, one[4]), one]
     points = eval_points(X, F3)
     assert [as_hom(p).images[0] for p in points] == [F3.zero, F3.one, -F3.one]
-    assert [compare._atom_table(p, wrong)[1:] for p in points] == [
+    assert [_atom_table(p, wrong)[1:] for p in points] == [
         (False, False), (True, True), (True, True)
     ]
 
@@ -748,6 +759,52 @@ def test_naturality_by_tables_agrees_with_the_pullback_oracle(B, data):
         assert all(
             natural_by_pullbacks(p, chi) for p in eval_points(X, chi.source)
         )
+
+
+def _split(B):
+    """B x B, as B[e]/(e^2 - e)."""
+    ring = B.ring.with_vars(["e"], B.ring.order)
+    e = ring.var(B.nvars)
+    return PresentedAlgebra(ring, [B.ring.lift(r, ring) for r in B.relations] + [e * e - e])
+
+
+@settings(max_examples=20, deadline=None)
+@given(finite_algebras(max_size=9), st.data())
+def test_reports_on_codes_equal_the_reports_of_element_tables(B, data):
+    """Each table of ``compare._atom_table`` on codes is the element-based
+    table of ``support.atom_table_by_elements``, point by point, and each
+    ``comparison_check`` report, counts, flags and witness texts included,
+    is the one read off the element tables: over B or B x B, with no
+    morphism, along GF(p) -> B or B's Frobenius, and with ``map_point``
+    twisted to push each point to the next one, so that naturality fails
+    and names its values."""
+    F = B.field
+    if data.draw(st.booleans(), label="split") and len(B.enumerate_elements()) <= 3:
+        B = _split(B)
+    size = len(B.enumerate_elements())
+    schemes = [affine_line(F.char), multiplicative_group(F)]
+    schemes += [projective_line(F)] * (size <= 9) + [punctured_plane(F)[0]] * (size <= 4)
+    chi = data.draw(st.sampled_from([
+        AlgebraMorphism(PresentedAlgebra(PolyRing(F, [])), B, []),
+        AlgebraMorphism(B, B, [v**F.char for v in B.gens()]),
+    ]), label="chi")
+    honest = compare.map_point
+
+    def next_point(p, chi):
+        pts = eval_points(p.scheme, chi.target)
+        return pts[(pts.index(honest(p, chi)) + 1) % len(pts)]
+
+    for X in schemes:
+        plan = compare._sample_plan(X)
+        program = compare._compile(X, plan)
+        for p in eval_points(X, B):
+            assert compare._atom_table(p, program, {}) == table_codes(p, atom_table_by_elements(p, plan)), p
+        for morphisms, push in (((), honest), ((chi,), honest), ((chi,), next_point)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(compare, "map_point", push)
+                got = comparison_check(X, [B], morphisms)
+                mp.setattr(compare, "_atom_table", lambda p, *rest: table_codes(p, atom_table_by_elements(p, plan)))
+                assert got == comparison_check(X, [B], morphisms), (X, morphisms, push)
 
 
 @pytest.mark.parametrize("twist", ["next point", "identity for Frobenius"])

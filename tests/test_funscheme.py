@@ -287,16 +287,49 @@ def test_points_are_placed_without_chart_maps(monkeypatch, text, reduced):
 @example(_parsed("GF(2)[x]/(x^4)"))  # x^2 == 0 misses x: the nilradical needs F^2
 def test_a_unit_of_a_local_factor_is_what_try_invert_certifies(B):
     """``funscheme._is_unit`` over a non-reduced B, the nilradical test of
-    each local factor, agrees with ``try_invert`` on every element, and the
-    nilradical is an ideal of nilpotents: every element of it has a zero
-    power at dim B."""
+    each local factor on the code of each element (its index), agrees with
+    ``try_invert`` on every element, and the nilradical is an ideal of
+    nilpotents: every element of it has a zero power at dim B."""
     for _, to_factor in atomic_factors(B):
         Be = to_factor.target
         dim = len(Be._stairs())
-        for b in Be.enumerate_elements():
-            unit = funscheme._is_unit(False, b)
+        for code, b in enumerate(Be.enumerate_elements()):
+            unit = funscheme._is_unit(False, Be, code)
             assert unit == (Be.try_invert(b) is not None), (Be, b)
             assert unit != (b**dim).is_zero(), (Be, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_algebras(max_size=64), st.data())
+@example(_parsed("GF(2)[x]/(x^4)"), None)
+@example(_parsed("GF(3)[x,y]/(x^2, y^2 - y)"), None)
+def test_the_regular_representation_is_the_algebra_on_codes(B, data):
+    """``funscheme._Regular``: code i names ``enumerate_elements()[i]``,
+    products and sums of codes are those of the elements, the Frobenius
+    matrix is the one of element powers (``oracles.frobenius_by_powers``),
+    ``_is_unit`` on each local factor's codes is ``try_invert``, and the
+    atoms are those of the search, in its order."""
+    assert [e for e, _ in atomic_factors(B)] == atoms_by_search(B)
+    if B.is_trivial():
+        return
+    elements, p = B.enumerate_elements(), B.field.char
+    R, size = funscheme._regular(B), len(elements)
+    assert [R.element(i) for i in range(size)] == elements
+    assert [R.encode(b) for b in elements] == list(range(size))
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    if data is not None and size > 16:
+        pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=200))
+    for a, b in pairs:
+        assert elements[R.mul(a, b)] == elements[a] * elements[b]
+        assert elements[R.code([(u + v) % p for u, v in zip(R.digits(a), R.digits(b))])] == elements[a] + elements[b]
+        assert elements[R.power(a, b % 7 + 1)] == elements[a] ** (b % 7 + 1)
+    assert funscheme._frobenius(B) == O.frobenius_by_powers(B)
+    reduced = is_reduced(B)
+    for _, to_factor in atomic_factors(B):
+        Be = to_factor.target
+        assert [funscheme._is_unit(reduced, Be, i) for i in range(len(Be.enumerate_elements()))] == [
+            Be.try_invert(b) is not None for b in Be.enumerate_elements()
+        ]
 
 
 def test_each_stratum_builds_only_its_own_points(monkeypatch):
@@ -364,29 +397,34 @@ def test_reducedness_needs_a_finite_field():
 
 
 def test_map_point_splits_each_algebra_once(monkeypatch, punctured3):
-    built = []
-    inner = funscheme._frobenius_matrix
+    built, views = [], []
+    inner, regular = funscheme._frobenius_matrix, funscheme._Regular
 
     def counted(B):
         built.append(B)
         return inner(B)
 
     monkeypatch.setattr(funscheme, "_frobenius_matrix", counted)
+    monkeypatch.setattr(funscheme, "_Regular", lambda B, stairs: views.append(B) or regular(B, stairs))
     B = gf3_split()
     e = B.var(0)
     assert check_locality(punctured3, B, [e, B.one - e])
     # one Frobenius matrix for B and for each of its two localizations,
     # built once for the atoms and the reducedness of all their points, not
-    # once per pushed point
+    # once per pushed point; one regular representation, B's: each
+    # localization is GF(3), and its local factors are fields
     assert len(built) == 3
+    assert views == [B]
     EPS = _parsed("GF(3)[t]/(t^2)")
     chi = morphism(F3, EPS, [])
     source = eval_points(punctured3, F3)
     pushed = [map_point(p, chi) for p in source]
     assert pushed == [map_point(p, chi) for p in source]
     assert set(pushed) <= set(eval_points(punctured3, EPS))
-    # one matrix for EPS too, however many points are pushed into it
+    # one matrix for EPS too, however many points are pushed into it, and
+    # one regular representation, which the unit tests of chart 1 read
     assert built.count(EPS) == 1
+    assert views == [B, EPS]
 
 
 # -- idempotent decomposition --------------------------------------------------------
@@ -455,6 +493,24 @@ def test_a_one_atom_algebra_is_its_own_factor_without_a_projection(monkeypatch, 
     assert atomic_factors(B) == [(B.one, AlgebraMorphism.identity(B))]
 
 
+@pytest.mark.parametrize("text", ["GF(5)", "GF(5)[t]/(t - 2)"])
+def test_a_prime_field_builds_no_regular_representation(monkeypatch, text):
+    """A test algebra whose staircase is {1}, the prime field of
+    ``points_compare``'s median band, decides its atoms, its reducedness
+    and its points on A^2 and on the punctured plane without a regular
+    representation: 1**p == 1 is its Frobenius matrix."""
+
+    def no_view(B, stairs):
+        raise AssertionError(f"a regular representation of {B!r}")
+
+    monkeypatch.setattr(funscheme, "_Regular", no_view)
+    B = _parsed(text) if "[" in text else PresentedAlgebra(PolyRing(GF(5), []))
+    assert atomic_factors(B) == [(B.one, AlgebraMorphism.identity(B))] and is_reduced(B)
+    assert funscheme._frobenius(B) == ([0], [[1]])
+    assert len(eval_points(affine_plane(GF(5)), B)) == 25
+    assert len(eval_points(punctured_plane(GF(5))[0], B)) == 24
+
+
 @pytest.mark.parametrize("names", [[], ["x"]], ids=["no-vars", "one-var"])
 def test_the_trivial_algebra_has_no_atoms(names):
     B = _trivial(names)
@@ -462,12 +518,14 @@ def test_the_trivial_algebra_has_no_atoms(names):
 
 
 def test_the_zero_ring_has_no_atoms_without_a_frobenius_matrix(monkeypatch):
-    """The zero ring is decided before Frobenius, over GF(p) and over QQ."""
+    """The zero ring is decided before Frobenius and its regular
+    representation, over GF(p) and over QQ."""
 
-    def no_matrix(B):
-        raise AssertionError(f"a Frobenius matrix of the zero ring {B!r}")
+    def no_matrix(B, *stairs):
+        raise AssertionError(f"a Frobenius matrix or regular representation of the zero ring {B!r}")
 
     monkeypatch.setattr(funscheme, "_frobenius_matrix", no_matrix)
+    monkeypatch.setattr(funscheme, "_Regular", no_matrix)
     for B in (_trivial([]), _trivial(["x"]), _parsed("QQ[t]/(1)")):
         assert atomic_factors(B) == []
 

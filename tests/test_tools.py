@@ -2,8 +2,8 @@
 no benchmark run, the two reports of ``tools/uncalled.py`` on small synthetic
 modules and on the paper's verifiers, without the traced suite, the file
 ``tools/ladder.py`` writes, on a one-rung dry run and on a two-pair run of
-one rung against itself, its glued-scheme, strata and product rungs on
-one run each, and its seeded dense text and covers."""
+one rung against itself, its glued-scheme, strata, product, atom and
+comparison rungs on one run each, and its seeded dense text and covers."""
 
 import importlib.util
 import json
@@ -268,6 +268,21 @@ def test_the_product_rungs_run_once_on_their_dense_operands(tmp_path):
         assert [(len(f.terms), f.total_degree()) for f in (parse_poly(t, ring) for t in texts)] == [shape] * args[1]
     products = [ladder.RUNGS[r][2](zariski)() for r in rungs]
     assert [(len(f.terms), f.total_degree()) for f in products] == [(283, 10), (1860, 60), (453, 12)]
+
+
+def test_the_atom_and_comparison_rungs_run_once_on_their_inputs(tmp_path):
+    """``atomic_factors_split2_gf5`` and ``compare_pp_gf9`` run once each:
+    GF(5)[e]/(e^2 + e + 3) splits into the two atoms of e = 1 and e = 3,
+    and the punctured plane over GF(3) compares VERIFIED over GF(9) on its
+    9^2 - 1 = 80 points."""
+    out = tmp_path / "BENCH_dry.json"
+    rungs = ["atomic_factors_split2_gf5", "compare_pp_gf9"]
+    report = ladder.main([arg for r in rungs for arg in ("--rung", r)] + ["--runs", "1", "--out", str(out)])
+    assert [(row["name"], row["layer"]) for row in report["rungs"]] == [(rungs[0], "funscheme"), (rungs[1], "compare")]
+    assert all(row["median_ms"] > 0 for row in report["rungs"])
+    atoms, (ok, report) = [ladder.RUNGS[r][2](zariski)() for r in rungs]
+    assert [str(e) for e, _ in atoms] == ["2*e + 4", "3*e + 2"]
+    assert ok and report["counts"] == [80]
 
 
 def test_a_two_pair_ladder_run_writes_both_files_with_their_pairs(tmp_path):
