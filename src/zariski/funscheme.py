@@ -117,9 +117,9 @@ def _atomic_factors(B: PresentedAlgebra) -> Tuple[Tuple[AlgebraElement, AlgebraM
     if B.is_trivial():
         return ()
     stairs, frob = _frobenius(B)
-    p = B.field.char
-    shifted = [[(a - (i == j)) % p for j, a in enumerate(row)] for i, row in enumerate(frob)]
-    fixed = _kernel_mod_p(shifted, p)
+    p, fixed = B.field.char, [[1]]  # a staircase {1} is all fixed
+    if stairs[1:]:
+        fixed = _kernel_mod_p([[(a - (i == j)) % p for j, a in enumerate(row)] for i, row in enumerate(frob)], p)
     if len(fixed) == 1:
         return ((B.one, AlgebraMorphism.identity(B)),)
     R, atoms = _regular(B), None
